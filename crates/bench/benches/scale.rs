@@ -15,8 +15,13 @@
 //!   the engine (sharded path, single thread);
 //! * `subset/tractable_threads/<n>` — the same with the OS thread count;
 //! * `subset/hard/<n>` — the hard-core workload `Δ_{A→C←B}`:
-//!   per-component exact vertex cover at scale, a regime the unsharded
-//!   path could only 2-approximate;
+//!   per-component exact vertex cover at scale, a regime a whole-table
+//!   exact cutoff could only 2-approximate;
+//! * `subset/marriage/<n>` — the marriage workload `{A → B, B → A,
+//!   B → C}`: Algorithm 1 with its maximum-weight matching solved per
+//!   component. The committed `1000000/100000` median ratio must stay
+//!   under 15 (asserted by a test in `bench_guard`), so a matching that
+//!   goes global again fails as a superlinear blow-up;
 //! * `csr/compact/<n>` — building the hard workload's conflict graph
 //!   (streamed) and compacting it to [`fd_graph::CsrGraph`], the
 //!   flat-array form for holding a large conflict graph as a graph;
@@ -53,7 +58,7 @@
 use criterion::{black_box, Criterion};
 use fd_core::{table_from_csv_reader, table_to_csv, CsvOptions, KeyExtractor};
 use fd_engine::{Json, Planner, RepairEngine, RepairRequest};
-use fd_gen::scale::{hard_scale, tractable_scale};
+use fd_gen::scale::{hard_scale, marriage_scale, tractable_scale};
 use std::time::Instant;
 
 fn bench_small_sizes(c: &mut Criterion) {
@@ -194,6 +199,17 @@ fn write_summary() {
                     }
                 }
                 black_box(acc);
+            }),
+        );
+    }
+    // The marriage rung runs after the ladder above has dropped its
+    // tables, so it does not raise the peak RSS the memory entry reads.
+    for n in [1_000usize, 10_000, 100_000, 1_000_000] {
+        let (_, fds, table) = marriage_scale(n, false, 42);
+        push(
+            format!("subset/marriage/{n}"),
+            median_us(reps(n), || {
+                Planner.run(&table, &fds, &RepairRequest::subset()).unwrap();
             }),
         );
     }

@@ -202,6 +202,17 @@ fn main() -> ExitCode {
 mod tests {
     use super::{load, Unit};
 
+    /// The median of a time entry in the committed scale seed.
+    fn median(id: &str) -> f64 {
+        let path = format!("{}/../../BENCH_scale.json", env!("CARGO_MANIFEST_DIR"));
+        load(&path)
+            .expect("committed BENCH_scale.json loads")
+            .into_iter()
+            .find(|(eid, _, unit)| eid == id && *unit == Unit::TimeUs)
+            .map(|(_, m, _)| m)
+            .unwrap_or_else(|| panic!("{path}: missing time entry {id:?}"))
+    }
+
     /// The committed scale seed must keep the incremental engine's
     /// headline claim honest: a single-row mutation on the live 1M-row
     /// session stays at least 100× under the cold 1M-row solve. The
@@ -209,15 +220,6 @@ mod tests {
     /// normal) fails here rather than silently passing the 2× gate.
     #[test]
     fn committed_seed_keeps_the_incremental_speedup_above_100x() {
-        let path = format!("{}/../../BENCH_scale.json", env!("CARGO_MANIFEST_DIR"));
-        let entries = load(&path).expect("committed BENCH_scale.json loads");
-        let median = |id: &str| -> f64 {
-            entries
-                .iter()
-                .find(|(eid, _, unit)| eid == id && *unit == Unit::TimeUs)
-                .map(|(_, m, _)| *m)
-                .unwrap_or_else(|| panic!("{path}: missing time entry {id:?}"))
-        };
         let cold = median("subset/tractable/1000000");
         let delta = median("incremental/single_row_mutation/1000000");
         assert!(
@@ -225,6 +227,23 @@ mod tests {
             "incremental single-row mutation ({delta} µs) must be ≥100× \
              under the cold 1M-row solve ({cold} µs); got {:.1}×",
             cold / delta
+        );
+    }
+
+    /// The marriage rung must scale linearly: Algorithm 1 solves its
+    /// maximum-weight matching per component, so ten times the rows
+    /// cost about ten times the time. A matching that goes global again
+    /// (dense Hungarian over every lhs value of the table) is cubic, and
+    /// fails here even where a 2× gate against a fresh run would not.
+    #[test]
+    fn committed_seed_keeps_the_marriage_rung_linear() {
+        let small = median("subset/marriage/100000");
+        let large = median("subset/marriage/1000000");
+        assert!(
+            small > 0.0 && large / small < 15.0,
+            "subset/marriage/1000000 ({large} µs) must stay under 15× \
+             subset/marriage/100000 ({small} µs); got {:.1}×",
+            large / small
         );
     }
 

@@ -9,7 +9,7 @@ use crate::request::{Notion, Optimality, RepairRequest};
 use fd_core::{candidate_keys, FdSet, Table, TupleId};
 use fd_srepair::{
     count_optimal_s_repairs, count_subset_repairs, sample_subset_repair, ChainCountOutcome,
-    CountOutcome, SMethod, ShardConfig, ShardPlan,
+    CountOutcome, ShardConfig, ShardPlan,
 };
 use fd_urepair::engine::MixedMethod;
 use fd_urepair::URepairSolver;
@@ -207,24 +207,17 @@ impl Planner {
         Ok(())
     }
 
-    /// Whether a subset request solves component-sharded.
-    pub(crate) fn shards(table: &Table, request: &RepairRequest) -> bool {
-        table.len() >= request.budgets.shard_min_rows
-    }
-
     /// The sharding configuration a subset request resolves to:
     /// `Optimality::Exact` forces per-component exactness outright, and
     /// an `Approximate` ceiling below the plan's guaranteed ratio
-    /// escalates to it (mirroring the unsharded escalation path).
+    /// escalates to it.
     pub(crate) fn shard_config(table: &Table, fds: &FdSet, request: &RepairRequest) -> ShardConfig {
         let base = ShardConfig {
             threads: request.budgets.threads,
             // `exact_fallback_limit` is the caller's global allowance for
             // exponential exact solving; the per-component cutoff refines
-            // it but never exceeds it, so pre-sharding clients that
-            // starved the old knob (e.g. `exact_fallback_limit: 0` =
-            // "polynomial methods only") keep that guarantee on the
-            // sharded path without learning a new field.
+            // it but never exceeds it, so `exact_fallback_limit: 0` still
+            // means "polynomial methods only".
             component_exact_limit: request
                 .budgets
                 .component_exact_limit
@@ -256,7 +249,7 @@ impl Planner {
             .methods
             .iter()
             .map(|(method, count)| {
-                let (_, ratio) = fd_srepair::engine::subset_guarantees(*method);
+                let (_, ratio) = method.guarantees();
                 PlanStep {
                     method: format!("{method:?}"),
                     scope: format!(
@@ -278,35 +271,6 @@ impl Planner {
                 .collect(),
         };
         (steps, stats)
-    }
-
-    fn plan_subset_method(
-        table: &Table,
-        fds: &FdSet,
-        request: &RepairRequest,
-    ) -> Result<SMethod, EngineError> {
-        let default = fd_srepair::engine::subset_strategy(
-            fds,
-            table.len(),
-            request.budgets.exact_fallback_limit,
-        );
-        match request.optimality {
-            Optimality::Best => Ok(default),
-            Optimality::Exact => Ok(match default {
-                // Force the exact baseline past the size cutoff.
-                SMethod::Approx2 => SMethod::ExactVertexCover,
-                exact => exact,
-            }),
-            Optimality::Approximate { max_ratio } => {
-                let (_, ratio) = fd_srepair::engine::subset_guarantees(default);
-                if ratio <= max_ratio {
-                    Ok(default)
-                } else {
-                    // The only stronger guarantee is exactness.
-                    Ok(SMethod::ExactVertexCover)
-                }
-            }
-        }
     }
 
     /// The update solver the request resolves to. `Exact` forces the
@@ -394,24 +358,11 @@ impl RepairEngine for Planner {
         let schema = table.schema();
         let whole = format!("{} rows", table.len());
         let (steps, optimal, ratio) = match request.notion {
-            Notion::Subset if Planner::shards(table, request) => {
+            Notion::Subset => {
                 let cfg = Planner::shard_config(table, fds, request);
                 let (_, plan) = fd_srepair::shard_plan(table, fds, &cfg);
                 let (steps, _) = Planner::shard_steps(&plan);
                 (steps, plan.optimal, plan.ratio)
-            }
-            Notion::Subset => {
-                let method = Planner::plan_subset_method(table, fds, request)?;
-                let (optimal, ratio) = fd_srepair::engine::subset_guarantees(method);
-                (
-                    vec![PlanStep {
-                        method: format!("{method:?}"),
-                        scope: whole,
-                        ratio,
-                    }],
-                    optimal,
-                    ratio,
-                )
             }
             Notion::Update => {
                 let solver = Planner::effective_u_solver(table, fds, request);
@@ -544,7 +495,7 @@ impl RepairEngine for Planner {
 
         let mut components: Option<ComponentReport> = None;
         let (methods, optimal, ratio, cost, body) = match request.notion {
-            Notion::Subset if Planner::shards(table, request) => {
+            Notion::Subset => {
                 let cfg = Planner::shard_config(table, fds, request);
                 let sol = fd_srepair::sharded_s_repair(table, fds, &cfg);
                 let (_, stats) = Planner::shard_steps(&sol.plan);
@@ -554,24 +505,6 @@ impl RepairEngine for Planner {
                 let repaired = sol.repair.apply(table);
                 (
                     methods,
-                    sol.optimal,
-                    sol.ratio,
-                    sol.repair.cost,
-                    ReportBody::Subset { deleted, repaired },
-                )
-            }
-            Notion::Subset => {
-                let method = Planner::plan_subset_method(table, fds, request)?;
-                let sol = fd_srepair::engine::solve_subset_threaded(
-                    table,
-                    fds,
-                    method,
-                    request.budgets.threads,
-                );
-                let deleted = sol.repair.deleted(table);
-                let repaired = sol.repair.apply(table);
-                (
-                    vec![format!("{:?}", sol.method)],
                     sol.optimal,
                     sol.ratio,
                     sol.repair.cost,
@@ -838,8 +771,8 @@ mod tests {
         let fds = FdSet::parse(&s, "A -> B; B -> C").unwrap();
         let rows = (0..12).map(|i| tup![(i % 3) as i64, (i % 2) as i64, (i % 5) as i64]);
         let t = Table::build_unweighted(s, rows).unwrap();
-        // Starve both the whole-table and the per-component exact
-        // budgets so the default policy has to approximate.
+        // Starve both the global and the per-component exact budgets so
+        // the default policy has to approximate.
         let best = RepairRequest::subset()
             .exact_fallback_limit(5)
             .component_exact_limit(5);

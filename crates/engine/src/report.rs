@@ -392,7 +392,7 @@ pub struct RepairReport {
     /// Where `Δ` falls in the complexity landscape.
     pub dichotomy: DichotomyReport,
     /// Conflict-graph component statistics of the sharded subset path;
-    /// `None` for other notions and for the legacy whole-table path.
+    /// `None` for other notions.
     pub components: Option<ComponentReport>,
     /// Wall-clock timings.
     pub timings: Timings,

@@ -79,23 +79,19 @@ pub enum Optimality {
 
 /// The largest budget integer the wire format carries exactly (the
 /// f64-safe ceiling the JSON parser enforces). Budget builders clamp to
-/// it so "effectively infinite" knobs like `shard_min_rows(usize::MAX)`
-/// round-trip the wire codec byte-exactly; no real table approaches it.
+/// it so "effectively infinite" knobs like
+/// `component_exact_limit(usize::MAX)` round-trip the wire codec byte-exactly; no real table approaches it.
 pub const WIRE_INT_MAX: usize = 9_000_000_000_000_000;
 
-/// Per-call resource budgets, mirroring (and superseding) the knobs of
-/// the legacy `SRepairSolver` / `URepairSolver` configs.
+/// Per-call resource budgets.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Budgets {
-    /// The caller's global allowance for exponential exact subset
-    /// solving. On the legacy (unsharded) path and for the mixed
-    /// notion it is the whole-table cutoff: hard-side instances up to
-    /// this many tuples may use the exact vertex-cover baseline /
-    /// enumeration. On the default-on sharded path it **caps**
-    /// [`Budgets::component_exact_limit`] (the effective per-component
-    /// cutoff is the minimum of the two), so `exact_fallback_limit: 0`
-    /// still means "polynomial methods only" exactly as it did before
-    /// sharding existed.
+    /// The caller's global allowance for exponential exact solving. For
+    /// subset repairs it **caps** [`Budgets::component_exact_limit`]
+    /// (the effective per-component cutoff is the minimum of the two),
+    /// so `exact_fallback_limit: 0` means "polynomial methods only". For
+    /// the mixed notion and the constraint reports it is the whole-table
+    /// cutoff up to which the exact enumeration or cover may run.
     pub exact_fallback_limit: usize,
     /// Update components whose table slice stays within this many rows
     /// may use the exponential exact search.
@@ -112,19 +108,6 @@ pub struct Budgets {
     /// (`1` runs sequentially, `0` asks the OS). The result is identical
     /// to the sequential computation.
     pub threads: usize,
-    /// Subset requests on tables with at least this many rows solve
-    /// **component-sharded**: the conflict graph's connected components
-    /// are extracted edge-free, conflict-free rows are kept without
-    /// touching a solver, and each component is solved independently
-    /// (see `fd_srepair::sharded_s_repair`). `0` (the default) shards
-    /// always; `usize::MAX` restores the legacy whole-table path. When
-    /// both paths resolve the same method class the repair is
-    /// bit-identical (pinned by `tests/shard_parity.rs`); the sharded
-    /// path may additionally *upgrade* the guarantee — per-component
-    /// exactness (governed by [`Budgets::component_exact_limit`], not
-    /// [`Budgets::exact_fallback_limit`]) where the whole-table cutoff
-    /// had to 2-approximate.
-    pub shard_min_rows: usize,
     /// Per-component exact cutoff of the sharded subset path: hard-side
     /// *components* (not tables) up to this many rows are solved with
     /// the exact vertex-cover baseline, so exactness survives to
@@ -143,7 +126,6 @@ impl Default for Budgets {
             exact_node_budget: 2_000_000,
             time_cap_ms: None,
             threads: 1,
-            shard_min_rows: 0,
             component_exact_limit: 64,
         }
     }
@@ -223,7 +205,8 @@ impl RepairRequest {
         self
     }
 
-    /// Sets the hard-side exact cutoff for subset repairs.
+    /// Sets the global exact-solving allowance
+    /// ([`Budgets::exact_fallback_limit`]).
     pub fn exact_fallback_limit(mut self, limit: usize) -> RepairRequest {
         self.budgets.exact_fallback_limit = limit;
         self
@@ -251,14 +234,6 @@ impl RepairRequest {
     /// (`0` = ask the OS, `1` = sequential).
     pub fn threads(mut self, threads: usize) -> RepairRequest {
         self.budgets.threads = threads;
-        self
-    }
-
-    /// Sets the row threshold at which subset solving shards by
-    /// conflict component (`0` = always; anything `≥` the table size —
-    /// e.g. `usize::MAX`, clamped to [`WIRE_INT_MAX`] — means never).
-    pub fn shard_min_rows(mut self, rows: usize) -> RepairRequest {
-        self.budgets.shard_min_rows = rows.min(WIRE_INT_MAX);
         self
     }
 

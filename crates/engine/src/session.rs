@@ -18,11 +18,11 @@
 //! deterministic responses are what the differential fuzzer and the
 //! serving cache compare, so wall-clock noise is excluded at the source.
 //!
-//! Requests the delta engine cannot serve (non-subset notions, marriage
-//! FD sets with their global matching tie-breaks, wall-clock caps, the
-//! table-dependent approximate-escalation corner) still work: the
-//! session transparently falls back to a cold `Planner::run` per report
-//! while keeping the mutation bookkeeping, so callers never branch.
+//! Requests the delta engine cannot serve (non-subset notions,
+//! wall-clock caps, the table-dependent approximate-escalation corner)
+//! still work: the session transparently falls back to a cold
+//! `Planner::run` per report while keeping the mutation bookkeeping, so
+//! callers never branch.
 
 use crate::planner::{EngineError, Planner, RepairEngine};
 use crate::report::{DichotomyReport, RepairReport, ReportBody, Timings};
@@ -47,10 +47,8 @@ impl IncrementalSession {
     /// falling back to a cold solve on large tables.
     ///
     /// Eligible means: the subset notion (the dichotomy's component
-    /// decomposition is what the cache exploits), an FD set without a
-    /// marriage simplification step ([`IncrementalSubset::supports`];
-    /// marriage tie-breaks are global, not per-component), no wall-clock
-    /// cap (a spliced answer has no meaningful elapsed time to check),
+    /// decomposition is what the cache exploits), no wall-clock cap (a
+    /// spliced answer has no meaningful elapsed time to check),
     /// and not the one corner where [`Planner`]'s shard configuration
     /// depends on the table itself: an `Approximate` ceiling below 2 on
     /// the hard side of the dichotomy escalates `force_exact` based on a
@@ -62,7 +60,6 @@ impl IncrementalSession {
         ) && !osr_succeeds(fds);
         request.notion == Notion::Subset
             && request.budgets.time_cap_ms.is_none()
-            && IncrementalSubset::supports(fds)
             && !table_dependent_escalation
     }
 
@@ -110,16 +107,10 @@ impl IncrementalSession {
     /// [`Planner::run`] on [`table`](IncrementalSession::table) except
     /// for [`Timings`], which a session always zeroes (see the module
     /// docs). Splices cached component solutions when the delta engine
-    /// is active and the table is at or above the sharding threshold;
-    /// otherwise delegates to the cold path — below
-    /// `budgets.shard_min_rows` the planner's legacy whole-table arm
-    /// picks different methods and omits component statistics, so only
-    /// the cold path reproduces its bytes.
+    /// is active; otherwise delegates to the cold path.
     pub fn report(&self) -> Result<RepairReport, EngineError> {
         if let Some(inc) = &self.inc {
-            if Planner::shards(&self.table, &self.request) {
-                return self.spliced_report(inc);
-            }
+            return self.spliced_report(inc);
         }
         let mut report = Planner.run(&self.table, &self.fds, &self.request)?;
         report.timings = Timings::default();
@@ -127,7 +118,7 @@ impl IncrementalSession {
     }
 
     /// Assembles the report from the delta engine's cached state,
-    /// mirroring the sharded subset arm of [`Planner::run`] — including
+    /// mirroring the subset arm of [`Planner::run`] — including
     /// its post-solve guarantee checks — without touching a solver for
     /// any clean component.
     fn spliced_report(&self, inc: &IncrementalSubset) -> Result<RepairReport, EngineError> {
@@ -294,11 +285,20 @@ mod tests {
     }
 
     #[test]
-    fn below_shard_threshold_falls_back_to_the_cold_arm() {
-        // shard_min_rows far above the table size: every report takes
-        // the cold fallback, and still matches Planner::run bytes.
-        let request = RepairRequest::subset().shard_min_rows(1_000);
-        assert_trace_parity("A -> B", &request, 0xFA11, 25);
+    fn marriage_sessions_are_incremental_and_match_cold_runs() {
+        // A bare marriage, and `id country -> passport; id passport ->
+        // country` (A = id, B = country, C = passport), whose marriage
+        // follows a common-lhs step.
+        for (i, spec) in ["A -> B; B -> A; B -> C", "A B -> C; A C -> B"]
+            .iter()
+            .enumerate()
+        {
+            let fds = FdSet::parse(&schema(), spec).unwrap();
+            let table = random_table(&mut StdRng::seed_from_u64(i as u64), 18);
+            let session = IncrementalSession::new(table, fds, RepairRequest::subset()).unwrap();
+            assert!(session.is_incremental(), "{spec}");
+            assert_trace_parity(spec, &RepairRequest::subset(), 0x3A77 + i as u64, 40);
+        }
     }
 
     #[test]
@@ -307,13 +307,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let table = random_table(&mut rng, 10);
 
-        // Marriage FD sets, non-subset notions and wall-clock caps all
-        // drop to the cold path — no panic, reports still correct.
-        let marriage = FdSet::parse(&schema(), "A -> B; B -> A").unwrap();
-        let s = IncrementalSession::new(table.clone(), marriage, RepairRequest::subset()).unwrap();
-        assert!(!s.is_incremental());
-        s.report().unwrap();
-
+        // Non-subset notions and wall-clock caps drop to the cold path —
+        // no panic, reports still correct.
         let s =
             IncrementalSession::new(table.clone(), fds.clone(), RepairRequest::update()).unwrap();
         assert!(!s.is_incremental());

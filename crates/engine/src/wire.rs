@@ -903,7 +903,6 @@ fn hash_request_knobs(h: &mut Fnv64, request: &RepairRequest) {
         exact_node_budget,
         time_cap_ms,
         threads,
-        shard_min_rows,
         component_exact_limit,
     } = request.budgets;
     h.write_usize(exact_fallback_limit);
@@ -911,7 +910,6 @@ fn hash_request_knobs(h: &mut Fnv64, request: &RepairRequest) {
     h.write_u64(exact_node_budget);
     time_cap_ms.hash(h);
     h.write_usize(threads);
-    h.write_usize(shard_min_rows);
     h.write_usize(component_exact_limit);
     h.write_u64(request.mixed_costs.delete.to_bits());
     h.write_u64(request.mixed_costs.update.to_bits());
@@ -1018,7 +1016,11 @@ fn parse_request(req: &Json) -> Result<(RepairRequest, bool), WireError> {
                 "exact_node_budget" => b.exact_node_budget = as_usize(key, value)? as u64,
                 "time_cap_ms" => b.time_cap_ms = Some(as_usize(key, value)? as u64),
                 "threads" => b.threads = as_usize(key, value)?,
-                "shard_min_rows" => b.shard_min_rows = as_usize(key, value)?,
+                // Retired knob (every subset request shards): still
+                // validated, so old clients get no 400, then ignored.
+                "shard_min_rows" => {
+                    as_usize(key, value)?;
+                }
                 "component_exact_limit" => b.component_exact_limit = as_usize(key, value)?,
                 other => {
                     return Err(WireError::new(format!("unknown budget field {other:?}")));
@@ -1084,18 +1086,9 @@ fn request_to_json(request: &RepairRequest, include_timings: bool) -> Json {
         ),
         ("threads", request.budgets.threads.into()),
         (
-            "shard_min_rows",
-            // The builders clamp to WIRE_INT_MAX; clamp again here so
-            // even hand-built Budgets literals serialize parseably.
-            Json::Num(
-                request
-                    .budgets
-                    .shard_min_rows
-                    .min(crate::request::WIRE_INT_MAX) as f64,
-            ),
-        ),
-        (
             "component_exact_limit",
+            // The builder clamps to WIRE_INT_MAX; clamp again here so
+            // even hand-built Budgets literals serialize parseably.
             Json::Num(
                 request
                     .budgets
@@ -1226,6 +1219,29 @@ mod tests {
         assert_eq!(call.request.budgets.time_cap_ms, Some(500));
         assert_eq!(call.request.mixed_costs.delete, 2.0);
         assert_eq!(call.request.seed, Some(7));
+    }
+
+    #[test]
+    fn retired_shard_min_rows_is_validated_then_ignored() {
+        let with = |budgets: &str| {
+            let doc = format!(
+                r#"{{"attrs": ["A", "B"], "fds": "A -> B", "rows": [[1, 2], [1, 3]],
+                    "request": {{"budgets": {budgets}}}}}"#
+            );
+            RepairCall::parse(&doc, &JsonLimits::UNTRUSTED)
+        };
+        let plain = with("{}").unwrap();
+        for value in ["0", "4", "9000000000000000"] {
+            let call = with(&format!(r#"{{"shard_min_rows": {value}}}"#)).unwrap();
+            assert_eq!(call.request, plain.request, "shard_min_rows {value}");
+            assert_eq!(call.cache_key(), plain.cache_key());
+        }
+        for bad in ["-1", "1.5", "\"all\""] {
+            let err = with(&format!(r#"{{"shard_min_rows": {bad}}}"#)).unwrap_err();
+            assert!(err.to_string().contains("shard_min_rows"), "{err}");
+        }
+        // The knob is gone from what the codec writes.
+        assert!(!plain.to_json_value().to_string().contains("shard_min_rows"));
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //! * the same `(rows, seed)` produces the same table on every platform
 //!   (vendored `StdRng`, integer arithmetic only).
 //!
-//! Two workloads cover both sides of the dichotomy:
+//! Three workloads cover both sides of the dichotomy:
 //!
 //! * [`tractable_scale`] — `R(K, A, B)` under `K → A B` (a key FD;
 //!   `OSRSucceeds` holds, Algorithm 1 applies per component);
+//! * [`marriage_scale`] — `R(A, B, C)` under `{A → B, B → A, B → C}`
+//!   (tractable through an lhs-marriage step, so Algorithm 1 runs a
+//!   maximum-weight matching per component);
 //! * [`hard_scale`] — `R(A, B, C)` under `{A → C, B → C}` (the
 //!   Table-1 hard core `Δ_{A→C←B}`; APX-complete globally, yet exactly
 //!   solvable per tiny component).
@@ -81,6 +84,31 @@ pub fn tractable_scale(rows: usize, weighted: bool, seed: u64) -> (Arc<Schema>, 
     (schema, fds, table)
 }
 
+/// A marriage scale instance: `rows` rows of `R(A, B, C)` under
+/// `Δ = {A → B, B → A, B → C}`, whose simplification takes the
+/// lhs-marriage step `({A}, {B})` (Subroutine 3). Each group of
+/// [`GROUP_ROWS`] rows draws its `(A, B)` pairs from a private 2 × 2
+/// band, so every conflict component — and every component of the
+/// marriage's bipartite matching — is confined to one group; roughly
+/// one group in [`DIRTY_ONE_IN`] also has a row with a deviating `C`.
+pub fn marriage_scale(rows: usize, weighted: bool, seed: u64) -> (Arc<Schema>, FdSet, Table) {
+    let schema = Schema::new("M", ["A", "B", "C"]).expect("valid schema");
+    let fds = FdSet::parse(&schema, "A -> B; B -> A; B -> C").expect("valid FDs");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x3A77);
+    let ws = weights(&mut rng, rows, weighted);
+    let mut table = Table::with_capacity(schema.clone(), rows);
+    for (i, w) in ws.into_iter().enumerate() {
+        let group = (i / GROUP_ROWS) as i64;
+        let a = 2 * group + rng.gen_range(0..2i64);
+        let b = 2 * group + rng.gen_range(0..2i64);
+        let dirty = rng.gen_range(0..DIRTY_ONE_IN) == 0 && i % GROUP_ROWS == GROUP_ROWS - 1;
+        let c = if dirty { group + 1_000_000 } else { group };
+        let tuple = Tuple::new(vec![Value::Int(a), Value::Int(b), Value::Int(c)]);
+        table.push(tuple, w).expect("valid row");
+    }
+    (schema, fds, table)
+}
+
 /// A hard-side scale instance: `rows` rows of `R(A, B, C)` under
 /// `Δ = {A → C, B → C}` (the hard core `Δ_{A→C←B}`). Each group of
 /// [`GROUP_ROWS`] rows owns a private band of `A`/`B` values, so every
@@ -120,6 +148,9 @@ mod tests {
         let (_, _, h1) = hard_scale(500, false, 9);
         let (_, _, h2) = hard_scale(500, false, 9);
         assert_eq!(h1, h2);
+        let (_, _, m1) = marriage_scale(500, true, 9);
+        let (_, _, m2) = marriage_scale(500, true, 9);
+        assert_eq!(m1, m2);
     }
 
     #[test]
@@ -127,6 +158,7 @@ mod tests {
         for (schema_fds_table, name) in [
             (tractable_scale(2_000, false, 1), "tractable"),
             (hard_scale(2_000, false, 1), "hard"),
+            (marriage_scale(2_000, false, 1), "marriage"),
         ] {
             let (_, fds, table) = schema_fds_table;
             assert!(!table.satisfies(&fds), "{name}: must be dirty");

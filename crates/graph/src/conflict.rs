@@ -26,7 +26,7 @@ impl ConflictGraph {
     /// list is ever materialized. Node `i` is the `i`-th row; edge
     /// insertion order is the scan's deterministic order (FDs in `Δ`
     /// order, lhs-groups and rhs-classes in first-row order) — and,
-    /// crucially for sharded/unsharded parity, the edge order of a
+    /// crucially for sharded/whole-table parity, the edge order of a
     /// single component equals the global order restricted to it.
     pub fn build(table: &Table, fds: &FdSet) -> ConflictGraph {
         let mut sp = fd_trace::span("graph/conflict_build");

@@ -2,10 +2,17 @@
 //!
 //! `MarriageRep` (Subroutine 3 of Algorithm 1) reduces the lhs-marriage case
 //! to a maximum-weight matching of the bipartite graph whose sides are the
-//! projections `π_{X₁}T` and `π_{X₂}T`. Implemented with the O(n³)
-//! Hungarian algorithm (potentials + shortest augmenting paths) on the
-//! zero-padded square matrix; with nonnegative edge weights the optimal
-//! assignment restricted to real edges is a maximum-weight matching.
+//! projections `π_{X₁}T` and `π_{X₂}T`. The graph is split into its
+//! connected components first, and each component is solved alone with
+//! the O(n³) Hungarian algorithm (potentials + shortest augmenting paths)
+//! on its zero-padded square matrix; with nonnegative edge weights the
+//! optimal assignment restricted to real edges is a maximum-weight
+//! matching. Under a marriage every FD's lhs contains `X₁` or `X₂`, so
+//! the bipartite components are exactly the conflict components of the
+//! table: the matching, and with it Algorithm 1, is component-local, and
+//! the cost is cubic in the largest component rather than in the table.
+
+use crate::csr::{Components, UnionFind};
 
 /// The result of a matching computation.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,6 +26,11 @@ pub struct Matching {
 /// Computes a maximum-weight matching of the bipartite graph with parts
 /// `0..n_left` and `0..n_right` and weighted edges `(l, r, w)`, `w ≥ 0`.
 /// Parallel edges are merged keeping the maximum weight.
+///
+/// Each connected component is matched on its own, with its nodes
+/// relabelled in their original relative order, so the pairs chosen
+/// inside a component do not depend on the rest of the graph: the
+/// matching of a disjoint union is the union of the matchings.
 pub fn max_weight_bipartite_matching(
     n_left: usize,
     n_right: usize,
@@ -28,38 +40,79 @@ pub fn max_weight_bipartite_matching(
         edges.iter().all(|&(_, _, w)| w >= 0.0),
         "weights must be nonnegative"
     );
-    if n_left == 0 || n_right == 0 || edges.is_empty() {
-        return Matching {
-            total_weight: 0.0,
-            pairs: Vec::new(),
-        };
+    // Left node `l` is node `l`, right node `r` is node `n_left + r`.
+    let mut uf = UnionFind::new(n_left + n_right);
+    for &(l, r, _) in edges {
+        assert!(
+            (l as usize) < n_left && (r as usize) < n_right,
+            "edge endpoint out of range"
+        );
+        uf.union(l, (n_left + r as usize) as u32);
     }
+    let labels = uf.labels();
+    let comps = Components::from_labels(&labels);
+    // Per node: the index of its component and its rank on its side of
+    // that component (components list their nodes ascending, lefts first).
+    let mut comp_of = vec![0u32; labels.len()];
+    let mut local = vec![0u32; labels.len()];
+    let mut splits = Vec::with_capacity(comps.len());
+    for (c, comp) in comps.iter().enumerate() {
+        let split = comp.partition_point(|&v| (v as usize) < n_left);
+        for side in [&comp[..split], &comp[split..]] {
+            for (rank, &v) in side.iter().enumerate() {
+                comp_of[v as usize] = c as u32;
+                local[v as usize] = rank as u32;
+            }
+        }
+        splits.push(split);
+    }
+    let mut buckets: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); comps.len()];
+    for &(l, r, w) in edges {
+        let r = n_left + r as usize;
+        buckets[comp_of[l as usize] as usize].push((local[l as usize], local[r], w));
+    }
+    let mut matched: Vec<(u32, u32, f64)> = Vec::new();
+    for ((comp, split), sub_edges) in comps.iter().zip(splits).zip(&buckets) {
+        if sub_edges.is_empty() {
+            continue;
+        }
+        let (lefts, rights) = comp.split_at(split);
+        for (l, r, w) in dense_matching(lefts.len(), rights.len(), sub_edges) {
+            matched.push((lefts[l], rights[r] - n_left as u32, w));
+        }
+    }
+    matched.sort_unstable_by_key(|&(l, r, _)| (l, r));
+    Matching {
+        total_weight: matched.iter().fold(0.0, |total, &(_, _, w)| total + w),
+        pairs: matched.into_iter().map(|(l, r, _)| (l, r)).collect(),
+    }
+}
+
+/// The Hungarian algorithm on one connected component: the matched real
+/// edges `(l, r, w)` of a maximum-weight matching, in left order.
+fn dense_matching(
+    n_left: usize,
+    n_right: usize,
+    edges: &[(u32, u32, f64)],
+) -> Vec<(usize, usize, f64)> {
     let n = n_left.max(n_right);
     // weight[l][r]: 0 for non-edges (padding), otherwise the edge weight.
     let mut weight = vec![vec![0.0f64; n]; n];
     let mut is_edge = vec![vec![false; n]; n];
     for &(l, r, w) in edges {
         let (l, r) = (l as usize, r as usize);
-        assert!(l < n_left && r < n_right, "edge endpoint out of range");
         if !is_edge[l][r] || w > weight[l][r] {
             weight[l][r] = w;
             is_edge[l][r] = true;
         }
     }
     let assignment = hungarian_min(&|i, j| -weight[i][j], n);
-    let mut pairs = Vec::new();
-    let mut total = 0.0;
-    for (l, r) in assignment.into_iter().enumerate() {
-        if l < n_left && r < n_right && is_edge[l][r] {
-            pairs.push((l as u32, r as u32));
-            total += weight[l][r];
-        }
-    }
-    pairs.sort_unstable();
-    Matching {
-        total_weight: total,
-        pairs,
-    }
+    assignment
+        .into_iter()
+        .enumerate()
+        .filter(|&(l, r)| l < n_left && r < n_right && is_edge[l][r])
+        .map(|(l, r)| (l, r, weight[l][r]))
+        .collect()
 }
 
 /// Minimum-cost perfect assignment on an `n × n` cost matrix given as a
@@ -238,6 +291,84 @@ mod tests {
             rs.dedup();
             assert_eq!(ls.len(), fast.pairs.len());
             assert_eq!(rs.len(), fast.pairs.len());
+        }
+    }
+
+    /// Random bipartite graph on `nl × nr` nodes with `m` edges whose
+    /// weights repeat often, so ties between optima are common.
+    fn random_graph(
+        rng: &mut rand::rngs::StdRng,
+        nl: u32,
+        nr: u32,
+        m: usize,
+    ) -> Vec<(u32, u32, f64)> {
+        use rand::Rng;
+        (0..m)
+            .map(|_| {
+                (
+                    rng.gen_range(0..nl),
+                    rng.gen_range(0..nr),
+                    rng.gen_range(1..4) as f64,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn disjoint_union_matches_the_union_of_the_parts() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xD15);
+        for _ in 0..200 {
+            // Two graphs side by side: the second is shifted past the
+            // first on both sides, so no edge joins them.
+            let (nl1, nr1, nl2, nr2) = (4u32, 3u32, 3u32, 5u32);
+            let g1 = random_graph(&mut rng, nl1, nr1, 7);
+            let g2 = random_graph(&mut rng, nl2, nr2, 8);
+            let union: Vec<_> = g1
+                .iter()
+                .copied()
+                .chain(g2.iter().map(|&(l, r, w)| (l + nl1, r + nr1, w)))
+                .collect();
+            let whole =
+                max_weight_bipartite_matching((nl1 + nl2) as usize, (nr1 + nr2) as usize, &union);
+            let m1 = max_weight_bipartite_matching(nl1 as usize, nr1 as usize, &g1);
+            let m2 = max_weight_bipartite_matching(nl2 as usize, nr2 as usize, &g2);
+            let mut expected = m1.pairs.clone();
+            expected.extend(m2.pairs.iter().map(|&(l, r)| (l + nl1, r + nr1)));
+            expected.sort_unstable();
+            assert_eq!(whole.pairs, expected, "{union:?}");
+            assert_eq!(whole.total_weight, m1.total_weight + m2.total_weight);
+        }
+    }
+
+    #[test]
+    fn random_multi_component_instances_match_brute_force() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB2F);
+        for _ in 0..300 {
+            // Up to four blocks of 2–3 nodes per side; edges stay inside
+            // a block, so most instances have several components.
+            let blocks = rng.gen_range(1..=4u32);
+            let mut edges = Vec::new();
+            for b in 0..blocks {
+                let m = rng.gen_range(1..=4);
+                for (l, r, w) in random_graph(&mut rng, 3, 3, m) {
+                    edges.push((3 * b + l, 3 * b + r, w));
+                }
+            }
+            let n = (3 * blocks) as usize;
+            let fast = max_weight_bipartite_matching(n, n, &edges);
+            let slow = brute_force_matching(&edges);
+            assert!(
+                (fast.total_weight - slow).abs() < 1e-9,
+                "hungarian={} brute={slow} edges={edges:?}",
+                fast.total_weight
+            );
+            let mut rs: Vec<u32> = fast.pairs.iter().map(|p| p.1).collect();
+            rs.sort_unstable();
+            rs.dedup();
+            assert_eq!(rs.len(), fast.pairs.len(), "right nodes matched once");
+            assert!(fast.pairs.windows(2).all(|w| w[0].0 < w[1].0));
         }
     }
 }

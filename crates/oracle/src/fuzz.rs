@@ -113,12 +113,6 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Largest table to draw (`0` = the notion's oracle-safe default).
     pub max_rows: usize,
-    /// Pins `Budgets::shard_min_rows` on every generated subset
-    /// request: `Some(0)` forces the component-sharded path everywhere,
-    /// `Some(usize::MAX)` forces the legacy whole-table path. `None`
-    /// (the default campaign) draws a mix of both so the two paths are
-    /// differentially fuzzed against the oracle in one run.
-    pub shard_min_rows: Option<usize>,
 }
 
 /// One engine/oracle divergence, shrunk and reproducible.
@@ -179,12 +173,7 @@ struct Case {
     request: RepairRequest,
 }
 
-fn generate_case(
-    notion: FuzzNotion,
-    max_rows: usize,
-    case_seed: u64,
-    shard_min_rows: Option<usize>,
-) -> Case {
+fn generate_case(notion: FuzzNotion, max_rows: usize, case_seed: u64) -> Case {
     let mut rng = StdRng::seed_from_u64(case_seed);
     let pool = schema_pool();
     let case = &pool[rng.gen_range(0..pool.len())];
@@ -215,8 +204,9 @@ fn generate_case(
     }
     // Exercise every planner branch: mostly the default Best policy, a
     // quarter of cases with starved budgets (forcing the approximation
-    // paths on the hard side), an eighth demanding certified exactness,
-    // an eighth on the legacy unsharded subset path.
+    // paths on the hard side), an eighth demanding certified exactness.
+    // The draw stays over eight outcomes so existing seeds replay the
+    // same cases.
     match rng.gen_range(0..8) {
         0 | 1 => {
             request = request
@@ -227,13 +217,7 @@ fn generate_case(
         2 if notion != FuzzNotion::Mpd => {
             request = request.optimality(Optimality::Exact);
         }
-        3 => {
-            request = request.shard_min_rows(usize::MAX);
-        }
         _ => {}
-    }
-    if let Some(rows) = shard_min_rows {
-        request = request.shard_min_rows(rows);
     }
     Case {
         name: case.name,
@@ -475,15 +459,11 @@ fn generate_trace(base: &Table, steps: usize, domain: i64, rng: &mut StdRng) -> 
 }
 
 /// Draws one mutate case: a subset instance + request from the same
-/// generator the subset campaign uses (so both sharded arms, starved
+/// generator the subset campaign uses (so the default policy, starved
 /// budgets and `Exact` demands are all exercised), plus a ≥ 20-step
 /// trace from an independent stream.
-fn generate_mutate_case(
-    max_rows: usize,
-    case_seed: u64,
-    shard_min_rows: Option<usize>,
-) -> (Case, Vec<Mutation>) {
-    let case = generate_case(FuzzNotion::Subset, max_rows, case_seed, shard_min_rows);
+fn generate_mutate_case(max_rows: usize, case_seed: u64) -> (Case, Vec<Mutation>) {
+    let case = generate_case(FuzzNotion::Subset, max_rows, case_seed);
     let mut rng = StdRng::seed_from_u64(case_seed ^ 0x7ACE_7ACE);
     let steps = rng.gen_range(20..=30);
     let trace = generate_trace(&case.table, steps, 4, &mut rng);
@@ -626,7 +606,7 @@ fn run_mutate_fuzz(config: &FuzzConfig, max_rows: usize) -> FuzzSummary {
     let mut summary = FuzzSummary::default();
     for i in 0..config.cases {
         let case_seed = derive_seed(config.seed, i);
-        let (case, trace) = generate_mutate_case(max_rows, case_seed, config.shard_min_rows);
+        let (case, trace) = generate_mutate_case(max_rows, case_seed);
         summary.cases += 1;
         match check_mutate_case(&case.table, &case.fds, &case.request, &trace) {
             Ok(final_report) => {
@@ -677,7 +657,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzSummary {
     let mut summary = FuzzSummary::default();
     for i in 0..config.cases {
         let case_seed = derive_seed(config.seed, i);
-        let case = generate_case(config.notion, max_rows, case_seed, config.shard_min_rows);
+        let case = generate_case(config.notion, max_rows, case_seed);
         summary.cases += 1;
         match check_case(&case.table, &case.fds, &case.request, config.notion) {
             Ok(report) => {
@@ -728,8 +708,8 @@ mod tests {
             FuzzNotion::Mixed,
             FuzzNotion::Mpd,
         ] {
-            let a = generate_case(notion, notion.default_max_rows(), 99, None);
-            let b = generate_case(notion, notion.default_max_rows(), 99, None);
+            let a = generate_case(notion, notion.default_max_rows(), 99);
+            let b = generate_case(notion, notion.default_max_rows(), 99);
             assert_eq!(a.table, b.table, "{}", notion.name());
             assert_eq!(a.fds, b.fds);
             assert_eq!(a.request, b.request);
@@ -738,7 +718,7 @@ mod tests {
 
     #[test]
     fn rendered_fdr_reparses_via_fd_parse() {
-        let case = generate_case(FuzzNotion::Subset, 6, 3, None);
+        let case = generate_case(FuzzNotion::Subset, 6, 3);
         let text = render_fdr(&case.table, &case.fds);
         assert!(text.starts_with("relation R"));
         // Every FD line must re-parse against the schema.
@@ -753,7 +733,7 @@ mod tests {
         // The .fdr alone loses the request knobs, which are often what
         // made a case diverge — the sibling wire document must replay
         // the complete call exactly.
-        let case = generate_case(FuzzNotion::Mixed, 5, 1234, None);
+        let case = generate_case(FuzzNotion::Mixed, 5, 1234);
         let (fdr, call_json) = render_counterexample(&case.table, &case.fds, &case.request);
         assert!(fdr.starts_with("# differential fuzz counterexample"));
         assert!(fdr.contains("# request: notion mixed"));
@@ -803,8 +783,8 @@ mod tests {
 
     #[test]
     fn mutate_cases_and_traces_are_reproducible() {
-        let (a, ta) = generate_mutate_case(12, 424242, None);
-        let (b, tb) = generate_mutate_case(12, 424242, None);
+        let (a, ta) = generate_mutate_case(12, 424242);
+        let (b, tb) = generate_mutate_case(12, 424242);
         assert_eq!(a.table, b.table);
         assert_eq!(a.fds, b.fds);
         assert_eq!(a.request, b.request);
@@ -814,7 +794,7 @@ mod tests {
 
     #[test]
     fn mutate_traces_render_and_reparse_as_wire_traces() {
-        let (case, trace) = generate_mutate_case(10, 77, None);
+        let (case, trace) = generate_mutate_case(10, 77);
         let text = render_trace(&trace, case.table.schema());
         let parsed =
             fd_engine::parse_mutation_trace(&text, &fd_engine::JsonLimits::UNTRUSTED).unwrap();
@@ -835,7 +815,6 @@ mod tests {
             cases: 12,
             seed: 99,
             max_rows: 0,
-            shard_min_rows: None,
         });
         assert_eq!(summary.cases, 12);
         if let Some(d) = summary.divergences.first() {
@@ -857,7 +836,7 @@ mod tests {
         // inserts force different kept sets is compared against a
         // cold solve under the same state — which agrees; so assert
         // instead that shrink_mutate is a no-op on healthy cases.
-        let (case, trace) = generate_mutate_case(8, 5, None);
+        let (case, trace) = generate_mutate_case(8, 5);
         if check_mutate_case(&case.table, &case.fds, &case.request, &trace).is_ok() {
             return; // healthy engine: nothing to shrink (dominant path)
         }
@@ -875,7 +854,7 @@ mod tests {
         // only when the checker actually fails. Here the checker passes,
         // so shrink would loop zero times; assert the helper is a no-op
         // on honest instances.
-        let case = generate_case(FuzzNotion::Subset, 5, 11, None);
+        let case = generate_case(FuzzNotion::Subset, 5, 11);
         if check_case(&case.table, &case.fds, &case.request, FuzzNotion::Subset).is_ok() {
             // Nothing to shrink — the dominant (healthy-engine) path.
             return;

@@ -474,48 +474,21 @@ fn solve_and_respond(
         let (status, body) = solve_now(shared, &ctx, None, info);
         return finish_response(shared, status, body, "miss", collector, info);
     }
-    // The 64-bit key is a hash; a hit counts only if the entry was
-    // produced by this exact call (canonical forms equal), so a crafted
-    // FNV collision degrades to a miss instead of serving a wrong
-    // report. A poisoned cache lock degrades to a miss too: serving
-    // uncached is always correct, panicking on a request path never is.
-    let hit = shared
-        .cache
-        .lock()
-        .ok()
-        .and_then(|mut cache| cache.get(key));
-    if let Some(entry) = hit {
-        if entry.canonical == canonical {
-            shared.metrics.observe_cache(true);
-            info.cache_hit = Some(true);
-            return ok_response(shared, entry.body.to_string(), "hit", collector, info);
-        }
-    }
-    let canonical_for_insert = Arc::clone(&canonical);
-    let outcome = shared
-        .single_flight
-        .run(key, &canonical, flight_wait_cap(shared), || {
-            let (status, body) = solve_now(shared, &ctx, Some((key, canonical_for_insert)), info);
+    let (result, cache_state) = cached_flight(
+        shared,
+        key,
+        &canonical,
+        || {},
+        || {
+            let slot = Some((key, Arc::clone(&canonical)));
+            let (status, body) = solve_now(shared, &ctx, slot, info);
             crate::FlightResult {
                 status,
                 body: Arc::from(body.as_str()),
             }
-        });
-    // Cache accounting happens after the flight so the invariant reads
-    // hits + misses + coalesced = cacheable calls: exactly the calls
-    // that solved count as misses.
-    let (result, cache_state) = match outcome {
-        crate::Outcome::Led(result) => {
-            shared.metrics.observe_cache(false);
-            info.cache_hit = Some(false);
-            (result, "miss")
-        }
-        crate::Outcome::Coalesced(result) => {
-            shared.metrics.observe_coalesced();
-            info.cache_hit = Some(false);
-            (result, "coalesced")
-        }
-    };
+        },
+    );
+    info.cache_hit = Some(cache_state == "hit");
     finish_response(
         shared,
         result.status,
@@ -524,6 +497,66 @@ fn solve_and_respond(
         collector,
         info,
     )
+}
+
+/// The cached body for `key`, if the entry was produced by this exact
+/// call. The 64-bit key is a hash; a hit counts only if the canonical
+/// forms are equal, so a crafted FNV collision degrades to a miss
+/// instead of serving a wrong report. A poisoned cache lock degrades to
+/// a miss too: serving uncached is always correct, panicking on a
+/// request path never is.
+fn probe_cache(shared: &Shared, key: u64, canonical: &Arc<str>) -> Option<Arc<str>> {
+    let entry = shared.cache.lock().ok()?.get(key)?;
+    (entry.canonical == *canonical).then_some(entry.body)
+}
+
+/// Answers one cacheable call from the cache or through single-flight,
+/// returning the result and its cache state (`hit`, `miss` or
+/// `coalesced`). `solve` must insert a successful result into the cache
+/// before returning. `after_probe` runs between the first probe and the
+/// flight; it is a no-op except in tests that park callers there.
+///
+/// A caller that misses the first probe can reach the flight table
+/// after an identical flight already cached its bytes and retired, and
+/// so become the leader of a second flight. The leader therefore probes
+/// again before solving and counts a hit there as a hit, which keeps
+/// `hits + misses + coalesced == cacheable calls` and
+/// `misses == solves`.
+fn cached_flight(
+    shared: &Shared,
+    key: u64,
+    canonical: &Arc<str>,
+    after_probe: impl FnOnce(),
+    solve: impl FnOnce() -> crate::FlightResult,
+) -> (Arc<crate::FlightResult>, &'static str) {
+    if let Some(body) = probe_cache(shared, key, canonical) {
+        shared.metrics.observe_cache(true);
+        return (Arc::new(crate::FlightResult { status: 200, body }), "hit");
+    }
+    after_probe();
+    let mut reprobe_hit = false;
+    let lead = || match probe_cache(shared, key, canonical) {
+        Some(body) => {
+            reprobe_hit = true;
+            crate::FlightResult { status: 200, body }
+        }
+        None => solve(),
+    };
+    let outcome = shared
+        .single_flight
+        .run(key, canonical, flight_wait_cap(shared), lead);
+    // Cache accounting happens after the flight so that exactly the
+    // calls that solved count as misses.
+    match outcome {
+        crate::Outcome::Led(result) => {
+            shared.metrics.observe_cache(reprobe_hit);
+            (result, if reprobe_hit { "hit" } else { "miss" })
+        }
+        crate::Outcome::Coalesced(result) => {
+            shared.metrics.observe_coalesced();
+            (result, "coalesced")
+        }
+    }
 }
 
 /// Runs the engine once and returns `(status, body)`. On success the
@@ -931,6 +964,7 @@ mod tests {
     use super::*;
     use crate::ServeConfig;
     use fd_engine::Json;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn shared() -> Shared {
         Shared::new(ServeConfig::default())
@@ -1588,19 +1622,121 @@ mod tests {
         // whoever probes after it hits the cache. Either way the miss
         // count — calls that actually solved — is one.
         let metrics = shared.metrics.render();
-        assert!(metrics.contains("fd_serve_cache_misses 1"), "{metrics}");
-        let count = |name: &str| -> u64 {
-            metrics
-                .lines()
-                .find_map(|l| l.strip_prefix(name))
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0)
-        };
+        assert_eq!(counter(&metrics, "fd_serve_cache_misses"), 1, "{metrics}");
         assert_eq!(
-            count("fd_serve_cache_hits ") + count("fd_serve_coalesced_total ") + 1,
+            counter(&metrics, "fd_serve_cache_hits")
+                + counter(&metrics, "fd_serve_coalesced_total")
+                + 1,
             n as u64,
             "{metrics}"
         );
+    }
+
+    /// The value of one unlabelled counter in a `/metrics` rendering.
+    fn counter(metrics: &str, name: &str) -> u64 {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(0)
+    }
+
+    /// Drives `n` concurrent [`cached_flight`] calls for one key, each
+    /// running `park(i)` between its first cache probe and the flight.
+    /// Returns the number of solves and the rendered metrics.
+    fn parked_flights(
+        n: usize,
+        park: impl Fn(usize, &Shared, &AtomicUsize) + Sync,
+    ) -> (usize, String) {
+        let shared = shared();
+        let key = 0xF1;
+        let canonical: Arc<str> = Arc::from("repair:parked");
+        let solves = AtomicUsize::new(0);
+        let probed = std::sync::Barrier::new(n);
+        std::thread::scope(|scope| {
+            for i in 0..n {
+                let (shared, canonical, solves, probed, park) =
+                    (&shared, &canonical, &solves, &probed, &park);
+                scope.spawn(move || {
+                    let after_probe = || {
+                        // Every caller has missed the first probe.
+                        probed.wait();
+                        park(i, shared, solves);
+                    };
+                    let (result, _) = cached_flight(shared, key, canonical, after_probe, || {
+                        solves.fetch_add(1, Ordering::SeqCst);
+                        let body: Arc<str> = Arc::from("{\"cost\": 2}");
+                        shared.cache.lock().unwrap().insert(
+                            key,
+                            crate::CachedResponse {
+                                canonical: Arc::clone(canonical),
+                                body: Arc::clone(&body),
+                            },
+                        );
+                        crate::FlightResult { status: 200, body }
+                    });
+                    assert_eq!(&*result.body, "{\"cost\": 2}");
+                });
+            }
+        });
+        (solves.load(Ordering::SeqCst), shared.metrics.render())
+    }
+
+    #[test]
+    fn callers_parked_past_the_leaders_flight_hit_the_cache() {
+        // The race, replayed deterministically: every caller misses the
+        // first probe, then all but caller 0 wait until caller 0's
+        // flight has cached its bytes and retired before entering the
+        // flight table. Each of them leads a fresh flight, and the
+        // leader's re-probe must turn that into a hit, not a solve.
+        let n = 6;
+        let (solves, metrics) = parked_flights(n, |i, shared, solves| {
+            if i > 0 {
+                while solves.load(Ordering::SeqCst) == 0 || shared.single_flight.in_flight(0xF1) {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        assert_eq!(solves, 1, "{metrics}");
+        assert_eq!(counter(&metrics, "fd_serve_cache_misses"), 1, "{metrics}");
+        assert_eq!(
+            counter(&metrics, "fd_serve_cache_hits"),
+            n as u64 - 1,
+            "{metrics}"
+        );
+        assert_eq!(
+            counter(&metrics, "fd_serve_coalesced_total"),
+            0,
+            "{metrics}"
+        );
+    }
+
+    #[test]
+    fn parked_callers_keep_the_single_flight_accounting() {
+        // Stress: staggered parks between the probe and the flight put
+        // callers on every side of the leader's insert and completion.
+        // Whatever the interleaving, one call solves and every call is
+        // counted exactly once.
+        for round in 0..40u64 {
+            let n = 8;
+            let (solves, metrics) = parked_flights(n, |i, _, _| {
+                let micros = (i as u64 * 37 + round * 11) % 7 * 40;
+                std::thread::sleep(std::time::Duration::from_micros(micros));
+            });
+            assert_eq!(solves, 1, "round {round}\n{metrics}");
+            assert_eq!(
+                counter(&metrics, "fd_serve_cache_misses"),
+                1,
+                "round {round}"
+            );
+            assert_eq!(
+                counter(&metrics, "fd_serve_cache_hits")
+                    + counter(&metrics, "fd_serve_cache_misses")
+                    + counter(&metrics, "fd_serve_coalesced_total"),
+                n as u64,
+                "round {round}\n{metrics}"
+            );
+        }
     }
 
     #[test]

@@ -39,11 +39,7 @@ fn random_call(seed: u64) -> RepairCall {
                 .threads(rng.gen_range(1..4usize));
         }
         2 => request = request.time_cap_ms(60_000).seed(rng.gen_range(0..1000)),
-        3 => {
-            request = request
-                .shard_min_rows([0, 4, usize::MAX][rng.gen_range(0..3usize)])
-                .component_exact_limit(rng.gen_range(0..80usize));
-        }
+        3 => request = request.component_exact_limit(rng.gen_range(0..80usize)),
         _ => {}
     }
     RepairCall {
@@ -156,7 +152,7 @@ fn random_mutate_call(seed: u64) -> MutateCall {
     let mut request = RepairRequest::subset();
     match rng.gen_range(0..4) {
         0 => request = request.optimality(Optimality::Exact),
-        1 => request = request.shard_min_rows(0),
+        1 => request = request.exact_fallback_limit(0),
         2 => {
             request = request
                 .threads(rng.gen_range(1..4usize))

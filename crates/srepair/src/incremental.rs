@@ -35,15 +35,10 @@
 //! [`crate::sharded_s_repair`] of the mutated table (pinned by the
 //! parity tests below and fuzzed end-to-end by `fd-oracle`'s
 //! mutation-trace differential campaign).
-//!
-//! FD sets whose simplification trace contains a marriage step are not
-//! maintainable this way (their matching tie-breaks are global, not
-//! per-component); [`IncrementalSubset::supports`] screens them out.
 
 use crate::repair::SRepair;
-use crate::sharded::{solve_component, ShardConfig, ShardPlan, ShardedSolution};
-use crate::solver::SMethod;
-use crate::succeeds::{osr_succeeds, simplification_trace, Rule};
+use crate::sharded::{solve_component, SMethod, ShardConfig, ShardPlan, ShardedSolution};
+use crate::succeeds::osr_succeeds;
 use fd_core::{FdSet, KeyExtractor, Mutation, MutationEffect, Result, Table, TupleId};
 use fd_graph::{conflict_components, conflict_components_scratch, EpochUnionFind};
 
@@ -146,31 +141,10 @@ pub struct IncrementalSubset {
 }
 
 impl IncrementalSubset {
-    /// Whether `Δ` can be maintained incrementally: true unless its
-    /// simplification trace contains a marriage step, whose
-    /// maximum-weight-matching tie-breaks are global rather than
-    /// per-component (those FD sets solve via
-    /// [`crate::par_opt_s_repair`] instead).
-    pub fn supports(fds: &FdSet) -> bool {
-        !simplification_trace(fds)
-            .steps
-            .iter()
-            .any(|s| matches!(s.rule, Rule::Marriage(_, _)))
-    }
-
     /// Builds the session by a cold component extraction and one solve
     /// per conflicting component — the same work as
     /// [`crate::sharded_s_repair`], retained instead of discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`IncrementalSubset::supports`]`(fds)` is false.
     pub fn new(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> IncrementalSubset {
-        assert!(
-            IncrementalSubset::supports(fds),
-            "marriage-step FD sets have global tie-breaks and cannot be \
-             maintained per component"
-        );
         // fdlint: allow(O001, "observation only: the span is dropped at scope end and no trace value flows into the cached components or their solutions")
         let mut sp = fd_trace::span("srepair/incremental_build");
         sp.attr("rows", table.len());
@@ -590,12 +564,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "marriage-step FD sets")]
-    fn marriage_fd_sets_are_rejected() {
-        let s = schema_rabc();
-        let fds = FdSet::parse(&s, "A -> B; B -> A; B -> C").unwrap();
-        assert!(!IncrementalSubset::supports(&fds));
-        let t = Table::new(s);
-        IncrementalSubset::new(&t, &fds, &ShardConfig::default());
+    fn marriage_traces_stay_bit_identical_to_cold_solves() {
+        // Both marriage shapes: a bare marriage, and one reached after
+        // a common-lhs step (`A` plays the id, `B`/`C` country/passport).
+        for (i, spec) in ["A -> B; B -> A; B -> C", "A B -> C; A C -> B"]
+            .iter()
+            .enumerate()
+        {
+            drive(spec, &ShardConfig::default(), 0xA1 + i as u64, 30, 6, 60);
+        }
     }
 }

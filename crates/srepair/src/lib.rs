@@ -17,20 +17,19 @@
 //! * [`par_opt_s_repair`] — Algorithm 1 with the top-level partition
 //!   solved across threads (blocks never interact, so `CommonLHSRep`,
 //!   `ConsensusRep` and the `MarriageRep` sub-problems are data-parallel);
-//! * [`sharded_s_repair`] — the million-row path: conflict-graph
+//! * [`sharded_s_repair`] — the subset execution path: conflict-graph
 //!   components extracted edge-free, conflict-free rows kept for free,
-//!   each component solved independently (exact-per-component on the
-//!   hard side) and fanned out across threads, bit-identical to the
-//!   unsharded entry points;
+//!   each component solved independently with the [`SMethod`] its size
+//!   and `Δ`'s dichotomy side call for (exact-per-component on the hard
+//!   side) and fanned out across threads, bit-identical to the
+//!   whole-table references above;
 //! * [`IncrementalSubset`] — the delta engine over the sharded path:
 //!   per-component solutions cached across mutations, a single
 //!   insert/delete/edit re-solving only the components it dirties,
 //!   reports bit-identical to a cold solve;
 //! * [`answers_all_repairs`] / [`answers_optimal_repairs`] — tuple-level
 //!   consistent query answering (certain/possible membership) under the
-//!   all-repairs and optimal-repairs semantics;
-//! * [`SRepairSolver`] — a facade choosing the best method per the
-//!   dichotomy.
+//!   all-repairs and optimal-repairs semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +39,6 @@ mod chain_count;
 mod classify;
 mod count;
 mod cqa;
-pub mod engine;
 mod exact;
 mod factwise;
 mod incremental;
@@ -49,7 +47,6 @@ mod optsrepair;
 mod parallel;
 mod repair;
 mod sharded;
-mod solver;
 mod succeeds;
 
 pub use approx::approx_s_repair;
@@ -71,6 +68,5 @@ pub use maximal::{is_subset_repair, make_maximal};
 pub use optsrepair::{opt_s_repair, Irreducible};
 pub use parallel::{par_opt_s_repair, ParallelConfig};
 pub use repair::SRepair;
-pub use sharded::{shard_plan, sharded_s_repair, ShardConfig, ShardPlan, ShardedSolution};
-pub use solver::{SMethod, SRepairSolver, SSolution};
+pub use sharded::{shard_plan, sharded_s_repair, SMethod, ShardConfig, ShardPlan, ShardedSolution};
 pub use succeeds::{osr_succeeds, simplification_trace, Outcome, Rule, Trace, TraceStep};

@@ -22,27 +22,44 @@
 //! 4. components fan out over the existing scoped-thread pool and merge
 //!    deterministically.
 //!
-//! The result is bit-identical to the unsharded entry points
-//! ([`crate::opt_s_repair`], [`crate::exact_s_repair`],
+//! The result is bit-identical to the whole-table reference
+//! implementations ([`crate::opt_s_repair`], [`crate::exact_s_repair`],
 //! [`crate::approx_s_repair`]) — pinned by the parity tests below and
 //! the workspace-level `shard_parity` suite: the exact vertex-cover
 //! solver already decomposes per component in the same order, the
 //! Bar-Yehuda–Even scan is component-local with a preserved edge order,
-//! and Algorithm 1's rule sequence depends on `Δ` alone, so recursing
-//! per component reproduces the global recursion's choices. The one
-//! exception is a marriage step in `Δ`'s simplification trace, whose
-//! matching tie-breaks are global; those FD sets are solved by the
-//! (equally parallel, bit-identical-by-construction)
-//! [`crate::par_opt_s_repair`] instead.
+//! Algorithm 1's rule sequence depends on `Δ` alone, and the
+//! maximum-weight matching behind a marriage step solves each of its
+//! bipartite components alone — which under a marriage are exactly the
+//! conflict components — so recursing per component reproduces the
+//! global recursion's choices.
 
 use crate::approx::approx_s_repair;
 use crate::exact::exact_s_repair;
-use crate::parallel::{par_opt_s_repair, ParallelConfig};
 use crate::repair::SRepair;
-use crate::solver::SMethod;
-use crate::succeeds::{simplification_trace, Rule};
 use fd_core::{FdSet, Table, TupleId};
 use fd_graph::{conflict_components, Components};
+
+/// The method a subset repair (or one component of it) was solved with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SMethod {
+    /// Algorithm 1 (`OptSRepair`); available iff `OSRSucceeds(Δ)`.
+    Dichotomy,
+    /// Exact minimum-weight vertex cover on the conflict graph.
+    ExactVertexCover,
+    /// The 2-approximation of Proposition 3.3.
+    Approx2,
+}
+
+impl SMethod {
+    /// The (optimal, guaranteed-ratio) pair the method promises.
+    pub fn guarantees(self) -> (bool, f64) {
+        match self {
+            SMethod::Dichotomy | SMethod::ExactVertexCover => (true, 1.0),
+            SMethod::Approx2 => (false, 2.0),
+        }
+    }
+}
 
 /// Knobs of the sharded solve path.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -107,7 +124,8 @@ impl ShardPlan {
 /// provenance.
 #[derive(Clone, Debug)]
 pub struct ShardedSolution {
-    /// The repair (kept ids sorted; identical to the unsharded result).
+    /// The repair (kept ids sorted; identical to the whole-table
+    /// reference for the same method).
     pub repair: SRepair,
     /// The executed plan, with per-method component counts.
     pub plan: ShardPlan,
@@ -151,8 +169,7 @@ pub fn shard_plan(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> (Components,
         }
     }
     // A consistent table has nothing to solve: vacuously exact under
-    // whichever method the dichotomy side names, matching the unsharded
-    // strategy's provenance.
+    // whichever method the dichotomy side names.
     if methods.is_empty() {
         let vacuous = if tractable {
             SMethod::Dichotomy
@@ -208,7 +225,7 @@ fn method_name(method: SMethod) -> &'static str {
 /// conflicting component of the conflict graph independently (fanned
 /// out over [`ShardConfig::threads`] scoped threads), keeps every
 /// conflict-free row untouched, and merges the per-component repairs
-/// into one [`SRepair`] — bit-identical to the unsharded entry points.
+/// into one [`SRepair`] — bit-identical to the whole-table references.
 ///
 /// # Examples
 ///
@@ -240,31 +257,6 @@ pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> Sharde
         .methods
         .first()
         .is_some_and(|(m, _)| *m == SMethod::Dichotomy);
-
-    // Marriage tie-breaks (maximum-weight matching) are global, so a
-    // trace that needs MarriageRep solves globally via the block-parallel
-    // path instead of per component; everything else shards.
-    if tractable {
-        let trace = simplification_trace(fds);
-        if trace
-            .steps
-            .iter()
-            .any(|s| matches!(s.rule, Rule::Marriage(_, _)))
-        {
-            let parallel = ParallelConfig {
-                threads: cfg.threads,
-                ..ParallelConfig::default()
-            };
-            let repair =
-                par_opt_s_repair(table, fds, &parallel).expect("OSRSucceeds(Δ) (Theorem 3.4)");
-            return ShardedSolution {
-                repair,
-                plan,
-                optimal: true,
-                ratio: 1.0,
-            };
-        }
-    }
 
     let mut kept: Vec<TupleId> = Vec::with_capacity(table.len());
     let mut work: Vec<&[u32]> = Vec::with_capacity(plan.components);
@@ -353,16 +345,52 @@ mod tests {
     }
 
     #[test]
-    fn marriage_traces_fall_back_to_the_global_parallel_path() {
-        let s = schema_rabc();
-        let fds = FdSet::parse(&s, "A -> B; B -> A; B -> C").unwrap();
-        let mut rng = StdRng::seed_from_u64(0x51B);
-        for _ in 0..15 {
-            let t = random_table(&mut rng, 40, 6);
-            let sharded = sharded_s_repair(&t, &fds, &ShardConfig::default());
-            let global = crate::opt_s_repair(&t, &fds).unwrap();
-            assert_eq!(sharded.repair.kept, global.kept);
-            assert_eq!(sharded.repair.cost, global.cost);
+    fn per_component_algorithm_1_matches_the_global_recursion_on_marriage_specs() {
+        // Every marriage Δ of the adversarial pool, on small random
+        // tables, weighted and unweighted: Algorithm 1 run on each
+        // conflict component alone keeps exactly the rows the
+        // whole-table recursion keeps — tie-breaks included, which is
+        // what lets a marriage Δ shard and maintain incrementally.
+        let marriage_specs = ["marriage", "two-cycle", "common-then-marriage"];
+        let pool = fd_gen::adversarial::schema_pool();
+        let cases: Vec<_> = pool
+            .iter()
+            .filter(|case| marriage_specs.contains(&case.name))
+            .collect();
+        assert_eq!(cases.len(), marriage_specs.len());
+        for case in cases {
+            let normalized = case.fds.normalize_single_rhs();
+            for seed in 0..1_000u64 {
+                let rows = 2 + (seed as usize * 7) % 58;
+                let domain = 2 + (seed as usize / 2) % 3;
+                let t =
+                    fd_gen::adversarial::sized_instance(case, rows, domain, seed % 2 == 1, seed);
+                let mut kept = Vec::new();
+                for comp in conflict_components(&t, &case.fds).iter() {
+                    if comp.len() < 2 {
+                        kept.push(t.row_at(comp[0] as usize).id);
+                    } else {
+                        let sub = t.gather_positions(comp);
+                        kept.extend(solve_component(
+                            &sub,
+                            &case.fds,
+                            &normalized,
+                            SMethod::Dichotomy,
+                        ));
+                    }
+                }
+                let global = crate::opt_s_repair(&t, &case.fds).unwrap();
+                let ctx = format!("{} rows={rows} seed={seed}", case.name);
+                assert_eq!(SRepair::from_kept(&t, kept).kept, global.kept, "{ctx}");
+                // The sharded entry point, fanned out or not, agrees.
+                let cfg = ShardConfig {
+                    threads: 1 + 2 * (seed as usize % 2),
+                    ..ShardConfig::default()
+                };
+                let sharded = sharded_s_repair(&t, &case.fds, &cfg);
+                assert_eq!(sharded.repair, global, "{ctx}");
+                assert!(sharded.optimal, "{ctx}");
+            }
         }
     }
 

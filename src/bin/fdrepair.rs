@@ -89,14 +89,9 @@ options:
   --threads <n>        worker threads: component fan-out of the sharded
                        subset/update solve, or the serve pool
                        (0 = ask the OS; default 1 / serve 4)
-  --shard-min-rows <n> shard subset solving by conflict component from
-                       this many rows on (default 0 = always); for
-                       `fuzz`, pins the knob on every generated case
   --component-exact-limit <n>
                        sharded solve: hard-side components up to n rows
                        use the exact vertex-cover baseline (default 64)
-  --no-shard           force the legacy whole-table subset path
-                       (shorthand for --shard-min-rows <huge>)
   --addr <ip:port>     serve: bind address (default 127.0.0.1:7878)
   --cache-entries <n>  serve: LRU result-cache capacity (0 disables)
   --max-body-bytes <n> serve: largest accepted request body
@@ -133,9 +128,7 @@ struct Cli {
     delete_cost: f64,
     update_cost: f64,
     threads: Option<usize>,
-    shard_min_rows: Option<usize>,
     component_exact_limit: Option<usize>,
-    no_shard: bool,
     addr: Option<String>,
     cache_entries: Option<usize>,
     max_body_bytes: Option<usize>,
@@ -185,9 +178,7 @@ fn parse_args(args: &[String]) -> CliOutcome {
         delete_cost: 1.0,
         update_cost: 1.0,
         threads: None,
-        shard_min_rows: None,
         component_exact_limit: None,
-        no_shard: false,
         addr: None,
         cache_entries: None,
         max_body_bytes: None,
@@ -275,15 +266,6 @@ fn parse_args(args: &[String]) -> CliOutcome {
                 Some(Ok(v)) => cli.threads = Some(v),
                 Some(Err(_)) => {
                     eprintln!("fdrepair: --threads needs an integer\n{USAGE}");
-                    return CliOutcome::Usage;
-                }
-                None => return CliOutcome::Usage,
-            },
-            "--no-shard" => cli.no_shard = true,
-            "--shard-min-rows" => match value("--shard-min-rows").map(|v| v.parse::<usize>()) {
-                Some(Ok(v)) => cli.shard_min_rows = Some(v),
-                Some(Err(_)) => {
-                    eprintln!("fdrepair: --shard-min-rows needs an integer\n{USAGE}");
                     return CliOutcome::Usage;
                 }
                 None => return CliOutcome::Usage,
@@ -605,11 +587,6 @@ fn build_request(cli: &Cli, notion: Notion) -> RepairRequest {
     if let Some(threads) = cli.threads {
         request = request.threads(threads);
     }
-    if cli.no_shard {
-        request = request.shard_min_rows(usize::MAX);
-    } else if let Some(rows) = cli.shard_min_rows {
-        request = request.shard_min_rows(rows);
-    }
     if let Some(limit) = cli.component_exact_limit {
         // The per-component cutoff is capped by the global
         // exponential-work allowance; a user raising the flag means to
@@ -747,13 +724,6 @@ fn fuzz(cli: &Cli) -> ExitCode {
             cases,
             seed,
             max_rows: cli.max_rows.unwrap_or(0),
-            // --shard-min-rows 0 forces sharding on for every case;
-            // --no-shard forces the legacy path; default mixes both.
-            shard_min_rows: if cli.no_shard {
-                Some(usize::MAX)
-            } else {
-                cli.shard_min_rows
-            },
         };
         let summary = run_fuzz(&config);
         println!(

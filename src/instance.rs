@@ -207,12 +207,6 @@ impl Instance {
         write!(out, "{self}").expect("fmt to String cannot fail");
         out
     }
-
-    /// Deprecated name of [`Instance::to_fdr`].
-    #[deprecated(since = "0.2.0", note = "renamed to `Instance::to_fdr`")]
-    pub fn to_text(&self) -> String {
-        self.to_fdr()
-    }
 }
 
 impl std::fmt::Display for Instance {

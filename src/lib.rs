@@ -58,14 +58,12 @@
 //! assert_eq!(json.get("cost").unwrap().as_num(), Some(2.0));
 //! ```
 //!
-//! ## Migrating from the solver facades
+//! ## Migrating to the engine
 //!
-//! The pre-engine entry points remain available but deprecated:
+//! The direct solver entry points map onto engine requests as follows:
 //!
 //! | old | new |
 //! |---|---|
-//! | `SRepairSolver::default().solve(&t, &fds)` | `Planner.run(&t, &fds, &RepairRequest::subset())` |
-//! | `SRepairSolver { exact_fallback_limit: n }` | `RepairRequest::subset().exact_fallback_limit(n)` |
 //! | `URepairSolver::default().solve(&t, &fds)` | `Planner.run(&t, &fds, &RepairRequest::update())` |
 //! | `URepairSolver { exact_row_limit: n, exact_node_budget: b }` | `RepairRequest::update().exact_row_limit(n).exact_node_budget(b)` |
 //! | `exact_mixed_repair(&t, &fds, costs, &cfg)` | `Planner.run(&t, &fds, &RepairRequest::mixed(costs).optimality(Optimality::Exact))` |
@@ -73,9 +71,14 @@
 //! | `count_subset_repairs` / `count_optimal_s_repairs` | `Planner.run(&t, &fds, &RepairRequest::new(Notion::Count))` |
 //! | `sample_subset_repair(&t, &fds, &mut rng)` | `Planner.run(&t, &fds, &RepairRequest::new(Notion::Sample).seed(s))` |
 //!
-//! The solver result types (`SSolution`, `USolution`, method enums) stay
-//! exported for the underlying algorithm APIs, which remain public and
-//! un-deprecated — the engine is a front door, not a wall.
+//! Subset repairs have one execution path, `sharded_s_repair`, which
+//! `Planner.run(&t, &fds, &RepairRequest::subset())` drives; its knobs
+//! (`exact_fallback_limit`, `component_exact_limit`, `threads`) live on
+//! [`Budgets`]. The 0.2.0 deprecation shims are removed: use
+//! `fd_urepair::URepairSolver` by its crate path and
+//! `Instance::to_fdr` for `.fdr` output. The algorithm APIs and their
+//! result types (`SRepair`, `USolution`, method enums) remain public
+//! and un-deprecated — the engine is a front door, not a wall.
 //!
 //! `ARCHITECTURE.md` (repo root) maps the crate topology and data flow;
 //! `docs/API.md` documents the HTTP surface `fdrepair serve` exposes.
@@ -128,8 +131,7 @@ pub mod prelude {
         count_optimal_s_repairs, count_subset_repairs, exact_s_repair, is_subset_repair,
         make_maximal, opt_s_repair, osr_succeeds, par_opt_s_repair, sample_subset_repair,
         sharded_s_repair, simplification_trace, ChainCountOutcome, Classification, CountOutcome,
-        HardCore, ParallelConfig, SMethod, SRepair, SSolution, ShardConfig, ShardPlan,
-        ShardedSolution,
+        HardCore, ParallelConfig, SMethod, SRepair, ShardConfig, ShardPlan, ShardedSolution,
     };
     pub use fd_urepair::{
         approx_mixed_repair, approx_u_repair, consensus_u_repair, exact_mixed_repair,
@@ -137,23 +139,6 @@ pub mod prelude {
         ratio_ours, two_cycle_u_repair, DomainPolicy, ExactConfig, MixedCosts, MixedRepair,
         UMethod, URepair, USolution,
     };
-
-    /// Deprecated shim: the legacy subset-repair facade.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Planner.run(&table, &fds, &RepairRequest::subset())`; \
-                the `exact_fallback_limit` knob lives on `RepairRequest` now"
-    )]
-    pub type SRepairSolver = fd_srepair::SRepairSolver;
-
-    /// Deprecated shim: the legacy update-repair facade.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Planner.run(&table, &fds, &RepairRequest::update())`; \
-                the `exact_row_limit`/`exact_node_budget` knobs live on \
-                `RepairRequest` now"
-    )]
-    pub type URepairSolver = fd_urepair::URepairSolver;
 }
 
 pub use prelude::*;

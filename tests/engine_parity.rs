@@ -1,7 +1,9 @@
 //! The acceptance contract of the unified engine: one `RepairRequest →
 //! RepairReport` call path drives S-repair, U-repair, mixed repair and
-//! MPD over the shipped fixtures with *identical costs* to the legacy
-//! solver entry points, and every report round-trips through the
+//! MPD over the shipped fixtures with *identical costs* to the direct
+//! algorithm entry points (the subset references `opt_s_repair` /
+//! `exact_s_repair`, the update solver, the exact mixed enumeration and
+//! the MPD reduction), and every report round-trips through the
 //! hand-rolled JSON.
 
 use fd_repairs::instance::Instance;
@@ -19,15 +21,21 @@ fn one_call_path_matches_every_legacy_solver_on_office() {
     let inst = fixture("office.fdr");
     let (t, fds) = (&inst.table, &inst.fds);
 
-    // S-repair: engine vs legacy solver facade.
+    // S-repair: engine vs the Algorithm 1 reference (office's Δ is on
+    // the tractable side) and the exact vertex-cover baseline.
     let s_report = Planner.run(t, fds, &RepairRequest::subset()).unwrap();
-    let s_legacy = fd_repairs::srepair::SRepairSolver::default().solve(t, fds);
-    assert_eq!(s_report.cost, s_legacy.repair.cost);
-    assert_eq!(s_report.optimal, s_legacy.optimal);
-    assert_eq!(s_report.methods, vec![format!("{:?}", s_legacy.method)]);
+    let s_reference = opt_s_repair(t, fds).unwrap();
+    assert_eq!(s_report.cost, s_reference.cost);
+    assert_eq!(s_report.cost, exact_s_repair(t, fds).cost);
+    let ReportBody::Subset { deleted, .. } = &s_report.body else {
+        panic!("expected a subset body");
+    };
+    assert_eq!(deleted, &s_reference.deleted(t));
+    assert!(s_report.optimal);
+    assert_eq!(s_report.methods, vec![format!("{:?}", SMethod::Dichotomy)]);
     assert_eq!(s_report.cost, 2.0); // Example 2.3
 
-    // U-repair: engine vs legacy solver facade.
+    // U-repair: engine vs the update solver it plans over.
     let u_report = Planner.run(t, fds, &RepairRequest::update()).unwrap();
     let u_legacy = fd_repairs::urepair::URepairSolver::default().solve(t, fds);
     assert_eq!(u_report.cost, u_legacy.repair.cost);
@@ -89,21 +97,6 @@ fn update_and_subset_reports_apply_cleanly_on_sensors() {
         let repaired = report.repaired().unwrap();
         assert!(repaired.satisfies(&inst.fds), "{:?}", request.notion);
     }
-}
-
-#[test]
-fn deprecated_solver_shims_still_resolve() {
-    // The old names keep compiling (deprecated type aliases), and their
-    // results still agree with the engine.
-    #![allow(deprecated)]
-    let inst = fixture("office.fdr");
-    let legacy = SRepairSolver::default().solve(&inst.table, &inst.fds);
-    let report = Planner
-        .run(&inst.table, &inst.fds, &RepairRequest::subset())
-        .unwrap();
-    assert_eq!(legacy.repair.cost, report.cost);
-    let legacy_u = URepairSolver::default().solve(&inst.table, &inst.fds);
-    assert_eq!(legacy_u.repair.cost, report.cost);
 }
 
 #[test]

@@ -1,15 +1,16 @@
-//! Sharded-vs-unsharded parity: the component-sharded subset path must
-//! return **the same repair** as the legacy whole-table path on every
-//! schema of the `fd-gen` adversarial pool — same cost, same deleted
-//! ids, same repaired table — under every optimality regime where the
-//! two resolve to the same class of method, and a **never weaker**
-//! guarantee everywhere (sharding may legitimately *upgrade* a
-//! 2-approximation to per-component exactness; it must never lose
-//! optimality the whole-table path had).
+//! Engine-vs-reference parity: the one subset execution path
+//! (`Planner.run`, which solves component by component) must return
+//! **the same repair** as the whole-table reference implementations on
+//! every schema of the `fd-gen` adversarial pool — same cost, same
+//! deleted ids, same repaired table — under every optimality regime:
+//! `opt_s_repair` (Algorithm 1) on the tractable side, `exact_s_repair`
+//! or `approx_s_repair` on the hard side. Its guarantee is **never
+//! weaker** than the whole-table policy's (exact up to 64 rows, else
+//! the 2-approximation): per-component exactness may legitimately
+//! *upgrade* a 2-approximation, and must never lose optimality.
 //!
-//! A forced-shard differential fuzz campaign (engine vs brute-force
-//! oracle) closes the loop: zero divergences with `shard_min_rows`
-//! pinned to 0 on every generated case.
+//! A differential fuzz campaign (engine vs brute-force oracle) closes
+//! the loop: zero divergences on every generated case.
 
 use fd_gen::adversarial::{schema_pool, sized_instance};
 use fd_repairs::prelude::*;
@@ -18,40 +19,46 @@ fn run(table: &Table, fds: &FdSet, request: &RepairRequest) -> RepairReport {
     Planner.run(table, fds, request).expect("request solves")
 }
 
-fn deleted_ids(report: &RepairReport) -> Vec<u32> {
+fn deleted_ids(report: &RepairReport) -> Vec<TupleId> {
     match &report.body {
-        ReportBody::Subset { deleted, .. } => deleted.iter().map(|id| id.0).collect(),
+        ReportBody::Subset { deleted, .. } => deleted.clone(),
         other => panic!("expected a subset body, got {other:?}"),
     }
 }
 
-/// The request pairs under comparison: (sharded, unsharded) with knobs
-/// aligned so both sides resolve the same method class.
-fn aligned_requests() -> Vec<(&'static str, RepairRequest, RepairRequest)> {
-    let shard = RepairRequest::subset(); // shard_min_rows: 0 (default)
-    let legacy = RepairRequest::subset().shard_min_rows(usize::MAX);
+/// Which whole-table reference a regime compares against on the hard
+/// side (the tractable side always compares against Algorithm 1).
+#[derive(Clone, Copy, PartialEq)]
+enum HardReference {
+    Exact,
+    Approx,
+}
+
+/// The regimes under comparison: engine request plus the reference it
+/// must reproduce.
+fn regimes() -> Vec<(&'static str, RepairRequest, HardReference)> {
+    let base = RepairRequest::subset();
     vec![
         (
-            // Both sides fully exact: whole-table cutoffs generous
-            // (exact_fallback_limit is the global allowance that caps
-            // the per-component cutoff, so raise both).
+            // Exact on every hard component (exact_fallback_limit is the
+            // global allowance that caps the per-component cutoff, so
+            // raise both).
             "exact-everywhere",
-            shard
-                .component_exact_limit(10_000)
+            base.component_exact_limit(10_000)
                 .exact_fallback_limit(10_000),
-            legacy.exact_fallback_limit(10_000),
+            HardReference::Exact,
         ),
         (
-            // Both sides forced to approximate on the hard side.
+            // The 2-approximation on every hard component.
             "approx-everywhere",
-            shard.component_exact_limit(0),
-            legacy.exact_fallback_limit(0),
+            base.component_exact_limit(0),
+            HardReference::Approx,
         ),
         (
-            // Certified exactness demanded of both.
+            // Certified exactness demanded.
             "optimality-exact",
-            shard.optimality(Optimality::Exact),
-            legacy.optimality(Optimality::Exact),
+            base.optimality(Optimality::Exact),
+            HardReference::Exact,
         ),
     ]
 }
@@ -59,35 +66,40 @@ fn aligned_requests() -> Vec<(&'static str, RepairRequest, RepairRequest)> {
 #[test]
 fn sharded_reports_are_bit_identical_across_the_adversarial_pool() {
     for case in schema_pool() {
+        let tractable = osr_succeeds(&case.fds);
         for rows in [10, 28] {
             for seed in [3, 17] {
                 let table = sized_instance(&case, rows, 3, seed % 2 == 1, seed);
-                for (name, sharded_req, legacy_req) in aligned_requests() {
+                for (name, request, hard) in regimes() {
                     // Approximating a consistent table differs in
-                    // *guarantee* only; skip the approx alignment there.
-                    if name == "approx-everywhere" && table.satisfies(&case.fds) {
+                    // *guarantee* only; skip the approx regime there.
+                    if hard == HardReference::Approx && table.satisfies(&case.fds) {
                         continue;
                     }
-                    let sharded = run(&table, &case.fds, &sharded_req);
-                    let legacy = run(&table, &case.fds, &legacy_req);
+                    let (reference, optimal, ratio) = if tractable {
+                        (opt_s_repair(&table, &case.fds).unwrap(), true, 1.0)
+                    } else if hard == HardReference::Exact {
+                        (exact_s_repair(&table, &case.fds), true, 1.0)
+                    } else {
+                        (approx_s_repair(&table, &case.fds), false, 2.0)
+                    };
+                    let report = run(&table, &case.fds, &request);
                     let ctx = format!("{} {name} rows={rows} seed={seed}", case.name);
-                    assert_eq!(sharded.cost, legacy.cost, "{ctx}: cost drifted");
+                    assert_eq!(report.cost, reference.cost, "{ctx}: cost drifted");
                     assert_eq!(
-                        deleted_ids(&sharded),
-                        deleted_ids(&legacy),
+                        deleted_ids(&report),
+                        reference.deleted(&table),
                         "{ctx}: deleted set drifted"
                     );
                     assert_eq!(
-                        sharded.repaired().unwrap().to_string(),
-                        legacy.repaired().unwrap().to_string(),
+                        report.repaired().unwrap().to_string(),
+                        reference.apply(&table).to_string(),
                         "{ctx}: repaired table drifted"
                     );
-                    assert_eq!(sharded.optimal, legacy.optimal, "{ctx}: guarantee drifted");
-                    assert_eq!(sharded.ratio, legacy.ratio, "{ctx}: ratio drifted");
-                    // The sharded report additionally carries component
-                    // statistics; the legacy one must not.
-                    assert!(sharded.components.is_some(), "{ctx}");
-                    assert!(legacy.components.is_none(), "{ctx}");
+                    assert_eq!(report.optimal, optimal, "{ctx}: guarantee drifted");
+                    assert_eq!(report.ratio, ratio, "{ctx}: ratio drifted");
+                    // Every subset report carries component statistics.
+                    assert!(report.components.is_some(), "{ctx}");
                 }
             }
         }
@@ -97,35 +109,38 @@ fn sharded_reports_are_bit_identical_across_the_adversarial_pool() {
 #[test]
 fn sharding_never_weakens_and_often_upgrades_the_guarantee() {
     // Default knobs on 90-row instances — past the whole-table exact
-    // cutoff (64), so the legacy path must 2-approximate every hard Δ,
-    // while the sharded path stays exact whenever the individual
+    // cutoff (64), so the whole-table policy must 2-approximate every
+    // hard Δ, while the engine stays exact whenever the individual
     // components fit the (identically-valued) per-component cutoff.
     // The guarantee may only improve, and the cost may only go down.
+    let whole_table_exact_limit = 64;
     let mut upgraded = 0usize;
     for case in schema_pool() {
         for seed in [5, 9] {
             let table = sized_instance(&case, 90, 3, false, seed);
-            let sharded = run(&table, &case.fds, &RepairRequest::subset());
-            let legacy = run(
-                &table,
-                &case.fds,
-                &RepairRequest::subset().shard_min_rows(usize::MAX),
-            );
+            let report = run(&table, &case.fds, &RepairRequest::subset());
+            let (reference, reference_ratio) = if osr_succeeds(&case.fds) {
+                (opt_s_repair(&table, &case.fds).unwrap(), 1.0)
+            } else if table.len() <= whole_table_exact_limit {
+                (exact_s_repair(&table, &case.fds), 1.0)
+            } else {
+                (approx_s_repair(&table, &case.fds), 2.0)
+            };
             assert!(
-                sharded.ratio <= legacy.ratio,
+                report.ratio <= reference_ratio,
                 "{}: sharding weakened the ratio {} -> {}",
                 case.name,
-                legacy.ratio,
-                sharded.ratio
+                reference_ratio,
+                report.ratio
             );
             assert!(
-                sharded.cost <= legacy.cost + 1e-9,
+                report.cost <= reference.cost + 1e-9,
                 "{}: sharding worsened the cost {} -> {}",
                 case.name,
-                legacy.cost,
-                sharded.cost
+                reference.cost,
+                report.cost
             );
-            if sharded.optimal && !legacy.optimal {
+            if report.optimal && reference_ratio > 1.0 {
                 upgraded += 1;
             }
         }
@@ -144,7 +159,6 @@ fn forced_shard_fuzz_campaign_has_zero_divergences() {
         cases: 120,
         seed: 23,
         max_rows: 0,
-        shard_min_rows: Some(0),
     });
     assert_eq!(summary.cases, 120);
     for d in &summary.divergences {
@@ -155,7 +169,7 @@ fn forced_shard_fuzz_campaign_has_zero_divergences() {
     }
     assert!(
         summary.divergences.is_empty(),
-        "{} divergence(s) with sharding forced on",
+        "{} divergence(s) on the subset path",
         summary.divergences.len()
     );
 }
