@@ -13,7 +13,7 @@ fn probabilistic(table: &Table, rng: &mut StdRng) -> ProbTable {
     let mut t = Table::new(table.schema().clone());
     for row in table.rows() {
         let p = *[0.55, 0.65, 0.75, 0.85, 0.95].choose(rng).unwrap();
-        t.push_row(row.id, row.tuple.clone(), p).unwrap();
+        t.push_row(row.id, row.tuple, p).unwrap();
     }
     ProbTable::new(t).unwrap()
 }

@@ -93,7 +93,7 @@ fn repair_with<C: PairwiseConstraint>(
     let mut graph = Graph::new(
         survivors
             .iter()
-            .map(|&id| table.row(id).expect("id from table").weight)
+            .map(|&id| table.weights()[table.position_of(id).expect("id from table")])
             .collect(),
     );
     for (a, b) in &analysis.edges {

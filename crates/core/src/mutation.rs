@@ -102,14 +102,14 @@ impl Table {
     pub fn apply_mutation(&mut self, m: &Mutation) -> Result<MutationEffect> {
         match m {
             Mutation::Insert { tuple, weight } => {
-                let id = self.insert_row(tuple.clone(), *weight)?;
+                let id = self.push(tuple.clone(), *weight)?;
                 Ok(MutationEffect::Inserted { id })
             }
             Mutation::Delete { id } => Ok(MutationEffect::Deleted {
                 row: self.delete_row(*id)?,
             }),
             Mutation::SetCell { id, attr, value } => {
-                let old = self.set_cell(*id, *attr, value.clone())?;
+                let old = self.set_value(*id, *attr, value.clone())?;
                 Ok(MutationEffect::CellSet {
                     id: *id,
                     attr: *attr,
@@ -168,10 +168,10 @@ mod tests {
     fn identifiers_are_never_reused() {
         let mut t = table();
         t.delete_row(TupleId(2)).unwrap();
-        let id = t.insert_row(tup!["w", 9, 9], 1.0).unwrap();
+        let id = t.push(tup!["w", 9, 9], 1.0).unwrap();
         assert_eq!(id, TupleId(3), "deleted ids must stay dead");
         t.delete_row(TupleId(0)).unwrap();
-        let id = t.insert_row(tup!["v", 8, 8], 1.0).unwrap();
+        let id = t.push(tup!["v", 8, 8], 1.0).unwrap();
         assert_eq!(id, TupleId(4));
         let ids: Vec<TupleId> = t.ids().collect();
         assert_eq!(ids, vec![TupleId(1), TupleId(3), TupleId(4)]);
@@ -185,8 +185,8 @@ mod tests {
         let before: Vec<_> = t.col(a).to_vec();
         let dict_len = t.dictionary().len();
         // New values grow the dictionary; old symbols are untouched.
-        t.insert_row(tup!["brand-new", 1, 2], 1.0).unwrap();
-        t.set_cell(TupleId(1), a, Value::str("also-new")).unwrap();
+        t.push(tup!["brand-new", 1, 2], 1.0).unwrap();
+        t.set_value(TupleId(1), a, Value::str("also-new")).unwrap();
         assert!(t.dictionary().len() > dict_len);
         assert_eq!(t.col(a)[0], before[0], "untouched symbol moved");
         assert_eq!(t.col(a)[2], before[2], "untouched symbol moved");
@@ -278,7 +278,7 @@ mod tests {
     fn delete_then_reinsert_round_trips_weights_and_values() {
         let mut t = table();
         let row = t.delete_row(TupleId(0)).unwrap();
-        let id = t.insert_row(row.tuple.clone(), row.weight).unwrap();
+        let id = t.push(row.tuple.clone(), row.weight).unwrap();
         assert_eq!(t.row(id).unwrap().tuple, tup!["x", 1, 2]);
         assert_eq!(t.row(id).unwrap().weight, 1.0);
         assert_eq!(t.total_weight(), 4.5);

@@ -3,17 +3,19 @@
 //!
 //! # Storage layout
 //!
-//! A [`Table`] is **columnar and dictionary-encoded**: every cell is
-//! interned to a 32-bit [`Sym`] through the table's copy-on-write
-//! [`Dictionary`], and the symbols live in one dense `Vec<Sym>` per
-//! attribute plus a parallel weights column. The row-oriented view
-//! ([`Row`] / [`Tuple`], one decoded `Value` per cell sharing the
-//! dictionary's pooled `Arc<str>`s) is maintained alongside for the
-//! report/wire boundary and cross-table comparisons; every scan, group,
-//! and hash hot path runs over the symbol columns (see the `scan`
-//! module). Identifier lookup is a dense offset `Vec<u32>`, not a hash
-//! map. Derived tables (subsets, partition blocks, component shards)
-//! share the dictionary and gather symbol columns by position.
+//! A [`Table`] has **one representation: dictionary-encoded columns**.
+//! Every cell is interned to a 32-bit [`Sym`] through the table's
+//! copy-on-write [`Dictionary`], and the symbols live in one dense
+//! `Vec<Sym>` per attribute, beside an identifier column and a weights
+//! column. Nothing else is stored: the algorithms only ever test cells
+//! for equality, which symbols answer exactly, so every scan, group and
+//! hash path runs over the columns (see the `scan` module). Values are
+//! decoded only at the boundary — a [`Row`] is an owned value built from
+//! the columns on demand ([`Table::rows`], [`Table::row_at`],
+//! [`Table::row`]) for reports, the wire, and the solvers that need
+//! concrete values. Identifier lookup is a dense offset `Vec<u32>`, not
+//! a hash map. Derived tables (subsets, partition blocks, component
+//! shards) share the dictionary and gather symbol columns by position.
 
 use crate::attrset::AttrSet;
 use crate::error::{Error, Result};
@@ -39,7 +41,8 @@ impl fmt::Display for TupleId {
     }
 }
 
-/// One row of a table: identifier, tuple, weight.
+/// One row of a table: identifier, tuple, weight — a value decoded from
+/// the columns at the boundary, not a view into storage.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Row {
     /// The tuple identifier `i ∈ ids(T)`.
@@ -60,10 +63,11 @@ const NO_POS: u32 = u32::MAX;
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: Arc<Schema>,
-    rows: Vec<Row>,
+    /// The identifier column, row positions aligned.
+    ids: Vec<TupleId>,
     next_id: u32,
-    /// Dense identifier index: `index[id - index_base]` is the position
-    /// in `rows` (or [`NO_POS`]). Covers `[index_base, max id]`, so
+    /// Dense identifier index: `index[id - index_base]` is the row
+    /// position of `id` (or [`NO_POS`]). Covers `[index_base, max id]`, so
     /// sparse shards of a large table stay small.
     index: Vec<u32>,
     index_base: u32,
@@ -88,7 +92,7 @@ impl Table {
         let arity = schema.arity();
         Table {
             schema,
-            rows: Vec::new(),
+            ids: Vec::new(),
             next_id: 0,
             index: Vec::new(),
             index_base: 0,
@@ -104,7 +108,7 @@ impl Table {
     /// point for bulk loads (CSV streaming, scale generators).
     pub fn with_capacity(schema: Arc<Schema>, rows: usize) -> Table {
         let mut t = Table::new(schema);
-        t.rows.reserve(rows);
+        t.ids.reserve(rows);
         t.weights.reserve(rows);
         for col in &mut t.cols {
             col.reserve(rows);
@@ -167,8 +171,8 @@ impl Table {
             let base = id;
             let max = self.index_base as usize + self.index.len() - 1;
             let mut index = vec![NO_POS; max - base as usize + 1];
-            for (p, row) in self.rows.iter().enumerate() {
-                index[(row.id.0 - base) as usize] = p as u32;
+            for (p, id) in self.ids.iter().enumerate() {
+                index[(id.0 - base) as usize] = p as u32;
             }
             self.index = index;
             self.index_base = base;
@@ -211,7 +215,7 @@ impl Table {
         if self.pos_of(id).is_some() {
             return Err(Error::DuplicateTupleId { id: id.0 });
         }
-        let pos = self.rows.len() as u32;
+        let pos = self.ids.len() as u32;
         for (c, v) in tuple.values().iter().enumerate() {
             let sym = self.intern(v);
             self.cols[c].push(sym);
@@ -219,15 +223,14 @@ impl Table {
         }
         self.next_id = self.next_id.max(id.0 + 1);
         self.index_insert(id.0, pos);
+        self.ids.push(id);
         self.weights.push(weight);
-        self.rows.push(Row { id, tuple, weight });
         Ok(())
     }
 
     /// Appends a row given pre-interned symbols (one per attribute, in
     /// schema order) — the zero-copy path for streaming loaders that
-    /// intern fields straight off the wire. The row view is decoded from
-    /// the dictionary, so string cells share the pooled `Arc<str>`s.
+    /// intern fields straight off the wire. Nothing is decoded.
     pub fn push_syms(&mut self, syms: &[Sym], weight: f64) -> Result<TupleId> {
         if syms.len() != self.schema.arity() {
             return Err(Error::ArityMismatch {
@@ -239,18 +242,15 @@ impl Table {
             return Err(Error::InvalidWeight { weight });
         }
         let id = TupleId(self.next_id);
-        let pos = self.rows.len() as u32;
-        let tuple = Tuple::new(syms.iter().map(|&s| {
-            self.has_fresh |= self.dict.sym_contains_fresh(s);
-            self.dict.decode(s)
-        }));
+        let pos = self.ids.len() as u32;
         for (c, &sym) in syms.iter().enumerate() {
+            self.has_fresh |= self.dict.sym_contains_fresh(sym);
             self.cols[c].push(sym);
         }
         self.next_id += 1;
         self.index_insert(id.0, pos);
+        self.ids.push(id);
         self.weights.push(weight);
-        self.rows.push(Row { id, tuple, weight });
         Ok(id)
     }
 
@@ -271,8 +271,7 @@ impl Table {
         &self.dict
     }
 
-    /// The symbol column of one attribute, row positions aligned with
-    /// [`Table::rows`] order.
+    /// The symbol column of one attribute, row positions aligned.
     pub fn col(&self, attr: AttrId) -> &[Sym] {
         &self.cols[attr.usize()]
     }
@@ -289,34 +288,45 @@ impl Table {
 
     /// `|T|`: the number of tuple identifiers.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.ids.len()
     }
 
     /// True iff the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.ids.is_empty()
     }
 
-    /// Iterates over rows in insertion order.
-    pub fn rows(&self) -> impl Iterator<Item = &Row> {
-        self.rows.iter()
+    /// Decodes every row, in insertion order. Each item is an owned
+    /// [`Row`] built from the columns; code that only needs ids or
+    /// weights should read [`Table::ids`] / [`Table::weights`] instead.
+    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
+        (0..self.len()).map(|pos| self.row_at(pos))
     }
 
-    /// The row at a position (insertion order), for consumers that work
-    /// in position space (scans, component shards).
-    pub fn row_at(&self, pos: usize) -> &Row {
-        &self.rows[pos]
+    /// Decodes the row at a position (insertion order).
+    pub fn row_at(&self, pos: usize) -> Row {
+        Row {
+            id: self.ids[pos],
+            tuple: Tuple::new(self.cols.iter().map(|col| self.dict.decode(col[pos]))),
+            weight: self.weights[pos],
+        }
+    }
+
+    /// The identifier at a position (insertion order).
+    pub fn id_at(&self, pos: usize) -> TupleId {
+        self.ids[pos]
     }
 
     /// All identifiers, in insertion order.
     pub fn ids(&self) -> impl Iterator<Item = TupleId> + '_ {
-        self.rows.iter().map(|r| r.id)
+        self.ids.iter().copied()
     }
 
-    /// Looks up a row by identifier (O(1), a dense offset lookup).
-    pub fn row(&self, id: TupleId) -> Result<&Row> {
+    /// Decodes the row with identifier `id` (O(1) lookup through the
+    /// dense offset index).
+    pub fn row(&self, id: TupleId) -> Result<Row> {
         self.pos_of(id)
-            .map(|pos| &self.rows[pos as usize])
+            .map(|pos| self.row_at(pos as usize))
             .ok_or(Error::UnknownTupleId { id: id.0 })
     }
 
@@ -329,29 +339,21 @@ impl Table {
         self.pos_of(id).map(|pos| pos as usize)
     }
 
-    /// Appends a tuple with an automatically assigned identifier — the
-    /// insert arm of the in-place mutation API ([`Table::delete_row`],
-    /// [`Table::set_cell`]). Behaviorally identical to [`Table::push`];
-    /// the alias marks call sites that mutate a *live* table rather
-    /// than build a new one.
-    pub fn insert_row(&mut self, tuple: Tuple, weight: f64) -> Result<TupleId> {
-        self.push(tuple, weight)
-    }
-
     /// Removes the row with identifier `id`, returning it. Later rows
     /// shift down one position, so row order is preserved — a mutated
     /// table is indistinguishable from one freshly built in the same
     /// final order, which is what keeps incremental repair reports
     /// byte-identical to cold solves. O(n) in the table size (columns
     /// memmove, identifier index shifts); the identifier is never
-    /// reused — [`Table::insert_row`] keeps counting upward.
+    /// reused — [`Table::push`] keeps counting upward.
     pub fn delete_row(&mut self, id: TupleId) -> Result<Row> {
         let pos = self.pos_of(id).ok_or(Error::UnknownTupleId { id: id.0 })? as usize;
+        let row = self.row_at(pos);
         for col in &mut self.cols {
             col.remove(pos);
         }
         self.weights.remove(pos);
-        let row = self.rows.remove(pos);
+        self.ids.remove(pos);
         if !self.index_sparse.is_empty() {
             self.index_sparse.retain(|&(i, _)| i != id.0);
             for entry in &mut self.index_sparse {
@@ -370,21 +372,14 @@ impl Table {
         Ok(row)
     }
 
-    /// Replaces the value of one cell, returning the old value — the
-    /// O(1) edit arm of the in-place mutation API. Alias of
-    /// [`Table::set_value`] under the mutation vocabulary.
-    pub fn set_cell(&mut self, id: TupleId, attr: AttrId, value: Value) -> Result<Value> {
-        self.set_value(id, attr, value)
-    }
-
-    /// Replaces the value of one cell; returns the old value (O(1)).
-    /// The new value is interned and the symbol column updated in step.
+    /// Replaces the value of one cell, returning the old value (O(1)):
+    /// the new value is interned and written to the symbol column.
     pub fn set_value(&mut self, id: TupleId, attr: AttrId, value: Value) -> Result<Value> {
         let pos = self.pos_of(id).ok_or(Error::UnknownTupleId { id: id.0 })? as usize;
         let sym = self.intern(&value);
         self.has_fresh |= value_contains_fresh(&value);
-        self.cols[attr.usize()][pos] = sym;
-        Ok(self.rows[pos].tuple.set(attr, value))
+        let old = std::mem::replace(&mut self.cols[attr.usize()][pos], sym);
+        Ok(self.dict.decode(old))
     }
 
     /// The total weight `w_T(T)` of all rows.
@@ -395,7 +390,7 @@ impl Table {
     /// True iff distinct identifiers carry distinct tuples (§2.1).
     pub fn is_duplicate_free(&self) -> bool {
         let mut seen: HashSet<Box<[Sym]>, FnvBuild> = HashSet::default();
-        (0..self.rows.len()).all(|pos| {
+        (0..self.len()).all(|pos| {
             let key: Box<[Sym]> = self.cols.iter().map(|col| col[pos]).collect();
             seen.insert(key)
         })
@@ -424,8 +419,8 @@ impl Table {
         let lhs: Vec<usize> = fd.lhs().iter().map(|a| a.usize()).collect();
         let rhs: Vec<usize> = fd.rhs().iter().map(|a| a.usize()).collect();
         let mut seen: HashMap<Box<[Sym]>, u32, FnvBuild> =
-            HashMap::with_capacity_and_hasher(self.rows.len(), FnvBuild::default());
-        for pos in 0..self.rows.len() as u32 {
+            HashMap::with_capacity_and_hasher(self.len(), FnvBuild::default());
+        for pos in 0..self.len() as u32 {
             let key: Box<[Sym]> = lhs.iter().map(|&c| self.cols[c][pos as usize]).collect();
             match seen.entry(key) {
                 std::collections::hash_map::Entry::Occupied(e) => {
@@ -455,7 +450,7 @@ impl Table {
     pub fn violating_pair(&self, fds: &FdSet) -> Option<(TupleId, TupleId, Fd)> {
         for fd in fds.iter() {
             if let Some((p, q)) = self.violation_positions(fd) {
-                return Some((self.rows[p as usize].id, self.rows[q as usize].id, *fd));
+                return Some((self.ids[p as usize], self.ids[q as usize], *fd));
             }
         }
         None
@@ -476,7 +471,7 @@ impl Table {
         let mut out: Vec<(u32, u32)> = pairs.into_iter().collect();
         out.sort_unstable();
         out.into_iter()
-            .map(|(p, q)| (self.rows[p as usize].id, self.rows[q as usize].id))
+            .map(|(p, q)| (self.ids[p as usize], self.ids[q as usize]))
             .collect()
     }
 
@@ -490,10 +485,7 @@ impl Table {
     /// dictionary is shared, no value is re-interned. This is how
     /// component shards and partition blocks are built.
     pub fn gather_positions(&self, positions: &[u32]) -> Table {
-        let rows: Vec<Row> = positions
-            .iter()
-            .map(|&p| self.rows[p as usize].clone())
-            .collect();
+        let ids: Vec<TupleId> = positions.iter().map(|&p| self.ids[p as usize]).collect();
         let cols: Vec<Vec<Sym>> = self
             .cols
             .iter()
@@ -508,29 +500,27 @@ impl Table {
         // across a huge table), sorted pairs beat a mostly-empty array.
         let (mut index, mut index_base) = (Vec::new(), 0);
         let mut index_sparse = Vec::new();
-        if let (Some(min), Some(max)) = (
-            rows.iter().map(|r| r.id.0).min(),
-            rows.iter().map(|r| r.id.0).max(),
-        ) {
+        if let (Some(min), Some(max)) = (ids.iter().min(), ids.iter().max()) {
+            let (min, max) = (min.0, max.0);
             let range = (max - min + 1) as usize;
-            if range <= rows.len() * 4 + 16 {
+            if range <= ids.len() * 4 + 16 {
                 index_base = min;
                 index = vec![NO_POS; range];
-                for (pos, row) in rows.iter().enumerate() {
-                    index[(row.id.0 - min) as usize] = pos as u32;
+                for (pos, id) in ids.iter().enumerate() {
+                    index[(id.0 - min) as usize] = pos as u32;
                 }
             } else {
-                index_sparse = rows
+                index_sparse = ids
                     .iter()
                     .enumerate()
-                    .map(|(pos, row)| (row.id.0, pos as u32))
+                    .map(|(pos, id)| (id.0, pos as u32))
                     .collect();
                 index_sparse.sort_unstable_by_key(|&(i, _)| i);
             }
         }
         Table {
             schema: self.schema.clone(),
-            rows,
+            ids,
             next_id: self.next_id,
             index,
             index_base,
@@ -545,7 +535,7 @@ impl Table {
     /// A keep-mask over row positions: `mask[pos]` is true iff the row
     /// at `pos` has an id in `ids`. Pure index lookups — no hashing.
     pub fn position_mask<'a>(&self, ids: impl IntoIterator<Item = &'a TupleId>) -> Vec<bool> {
-        let mut mask = vec![false; self.rows.len()];
+        let mut mask = vec![false; self.len()];
         for id in ids {
             if let Some(pos) = self.pos_of(*id) {
                 mask[pos as usize] = true;
@@ -601,7 +591,7 @@ impl Table {
                 None => return self.gather_positions(&[]),
             }
         }
-        let positions: Vec<u32> = (0..self.rows.len() as u32)
+        let positions: Vec<u32> = (0..self.len() as u32)
             .filter(|&pos| {
                 cols.iter()
                     .zip(key_syms.iter())
@@ -651,7 +641,7 @@ impl Table {
             }
         } else {
             let mut lookup: HashMap<Box<[Sym]>, u32, FnvBuild> = HashMap::default();
-            for pos in 0..self.rows.len() as u32 {
+            for pos in 0..self.len() as u32 {
                 let key: Box<[Sym]> = cols.iter().map(|&c| self.cols[c][pos as usize]).collect();
                 match lookup.entry(key) {
                     std::collections::hash_map::Entry::Occupied(e) => {
@@ -687,7 +677,7 @@ impl Table {
         let cols: Vec<usize> = attrs.iter().map(|a| a.usize()).collect();
         let mut seen: HashSet<Box<[Sym]>, FnvBuild> = HashSet::default();
         let mut keys: Vec<Vec<Value>> = Vec::new();
-        for pos in 0..self.rows.len() {
+        for pos in 0..self.len() {
             let sym_key: Box<[Sym]> = cols.iter().map(|&c| self.cols[c][pos]).collect();
             if seen.insert(sym_key) {
                 keys.push(
@@ -723,12 +713,12 @@ impl Table {
             return Err(Error::SchemaMismatch);
         }
         let mut missing = self.total_weight();
-        for row in &other.rows {
-            let orig = self.row(row.id).map_err(|_| Error::NotASubset)?;
-            if orig.tuple != row.tuple || orig.weight != row.weight {
+        for q in 0..other.len() {
+            let p = self.pos_of(other.ids[q]).ok_or(Error::NotASubset)? as usize;
+            if self.weights[p] != other.weights[q] || !self.tuple_eq(p, other, q) {
                 return Err(Error::NotASubset);
             }
-            missing -= orig.weight;
+            missing -= self.weights[p];
         }
         Ok(missing)
     }
@@ -744,14 +734,35 @@ impl Table {
             return Err(Error::NotAnUpdate);
         }
         let mut total = 0.0;
-        for row in &other.rows {
-            let orig = self.row(row.id).map_err(|_| Error::NotAnUpdate)?;
-            if orig.weight != row.weight {
+        for q in 0..other.len() {
+            let p = self.pos_of(other.ids[q]).ok_or(Error::NotAnUpdate)? as usize;
+            if self.weights[p] != other.weights[q] {
                 return Err(Error::NotAnUpdate);
             }
-            total += orig.weight * orig.tuple.hamming(&row.tuple) as f64;
+            let hamming = (0..self.cols.len())
+                .filter(|&c| !self.cell_eq(p, other, q, c))
+                .count();
+            total += self.weights[p] * hamming as f64;
         }
         Ok(total)
+    }
+
+    /// True iff cell `c` of the row at `p` equals cell `c` of `other`'s
+    /// row at `q`. Symbols decide it when both tables share one
+    /// dictionary (symbols are canonical within a dictionary); otherwise
+    /// the two cells are decoded.
+    fn cell_eq(&self, p: usize, other: &Table, q: usize, c: usize) -> bool {
+        let (a, b) = (self.cols[c][p], other.cols[c][q]);
+        if Arc::ptr_eq(&self.dict, &other.dict) {
+            a == b
+        } else {
+            self.dict.decode(a) == other.dict.decode(b)
+        }
+    }
+
+    /// True iff the row at `p` and `other`'s row at `q` carry equal tuples.
+    fn tuple_eq(&self, p: usize, other: &Table, q: usize) -> bool {
+        (0..self.cols.len()).all(|c| self.cell_eq(p, other, q, c))
     }
 
     /// Renames every [`Value::Fresh`] constant to a dense
@@ -789,11 +800,11 @@ impl Table {
                 _ => None,
             }
         }
-        // Remap in symbol space first: each distinct fresh-containing
-        // symbol is rewritten once, then the columns translate through
-        // the (old → new) symbol map and the row view decodes from it.
+        // Remap in symbol space: each distinct fresh-containing symbol is
+        // rewritten once, then the columns translate through the
+        // (old → new) symbol map.
         let mut sym_map: HashMap<Sym, Sym, FnvBuild> = HashMap::default();
-        for pos in 0..self.rows.len() {
+        for pos in 0..self.len() {
             for c in 0..self.cols.len() {
                 let old = self.cols[c][pos];
                 let new = match sym_map.get(&old) {
@@ -802,15 +813,7 @@ impl Table {
                         let mapped = if self.dict.sym_contains_fresh(old) {
                             let value = self.dict.decode(old);
                             let renamed = remap(&value, &mut rename).expect("contains fresh");
-                            let sym = match self.dict.lookup(&renamed) {
-                                Some(sym) => sym,
-                                None => Arc::make_mut(&mut self.dict).intern(&renamed),
-                            };
-                            if old != sym {
-                                *self.rows[pos].tuple.values_mut().get_mut(c).expect("arity") =
-                                    renamed;
-                            }
-                            sym
+                            self.intern(&renamed)
                         } else {
                             old
                         };
@@ -818,11 +821,7 @@ impl Table {
                         mapped
                     }
                 };
-                if new != old {
-                    self.cols[c][pos] = new;
-                    let decoded = self.dict.decode(new);
-                    *self.rows[pos].tuple.values_mut().get_mut(c).expect("arity") = decoded;
-                }
+                self.cols[c][pos] = new;
             }
         }
     }
@@ -832,15 +831,17 @@ impl Table {
     pub fn changed_cells(&self, other: &Table) -> Result<Vec<(TupleId, AttrId, Value, Value)>> {
         self.dist_upd(other)?; // validates update-ness
         let mut out = Vec::new();
-        for row in &self.rows {
-            let new = other.row(row.id).expect("validated above");
-            for attr in row.tuple.disagreement(&new.tuple).iter() {
-                out.push((
-                    row.id,
-                    attr,
-                    row.tuple.get(attr).clone(),
-                    new.tuple.get(attr).clone(),
-                ));
+        for (p, &id) in self.ids.iter().enumerate() {
+            let q = other.pos_of(id).expect("validated above") as usize;
+            for c in 0..self.cols.len() {
+                if !self.cell_eq(p, other, q, c) {
+                    out.push((
+                        id,
+                        AttrId::new(c as u16),
+                        self.dict.decode(self.cols[c][p]),
+                        other.dict.decode(other.cols[c][q]),
+                    ));
+                }
             }
         }
         Ok(out)
@@ -852,13 +853,14 @@ impl PartialEq for Table {
         if self.schema != other.schema || self.len() != other.len() {
             return false;
         }
-        let mut a: Vec<&Row> = self.rows.iter().collect();
-        let mut b: Vec<&Row> = other.rows.iter().collect();
-        a.sort_by_key(|r| r.id);
-        b.sort_by_key(|r| r.id);
-        a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| x.id == y.id && x.tuple == y.tuple && x.weight == y.weight)
+        // Equal sizes and unique ids: every id of `self` found in `other`
+        // with an equal row makes the two id sets, and tables, equal.
+        self.ids.iter().enumerate().all(|(p, &id)| {
+            other.pos_of(id).is_some_and(|q| {
+                let q = q as usize;
+                self.weights[p] == other.weights[q] && self.tuple_eq(p, other, q)
+            })
+        })
     }
 }
 
@@ -869,7 +871,7 @@ impl fmt::Display for Table {
             .chain(std::iter::once("w".to_string()))
             .collect();
         let mut cells: Vec<Vec<String>> = vec![headers];
-        for row in &self.rows {
+        for row in self.rows() {
             let mut line = vec![row.id.to_string()];
             line.extend(row.tuple.values().iter().map(|v| v.to_string()));
             line.push(format!("{}", row.weight));
@@ -940,26 +942,130 @@ mod tests {
         assert!(t.push_row(id, tup!["y", 1, 2], 1.0).is_err()); // dup id
     }
 
+    /// The decoded `(id, tuple, weight)` view of a table, in row order.
+    fn view(t: &Table) -> Vec<(u32, Tuple, f64)> {
+        t.rows().map(|r| (r.id.0, r.tuple, r.weight)).collect()
+    }
+
     #[test]
-    fn columns_mirror_rows() {
-        let s = schema_rabc();
-        let mut t = table_abc(vec![(tup!["x", 1, 2], 1.0), (tup!["y", 1, 3], 2.0)]);
-        assert_eq!(t.weights(), &[1.0, 2.0]);
-        let b = s.attr("B").unwrap();
-        // Both rows share B = 1 → one symbol.
-        assert_eq!(t.col(b)[0], t.col(b)[1]);
-        assert_eq!(t.dictionary().decode(t.col(b)[0]), Value::from(1));
-        // set_value keeps the column in step.
-        t.set_value(TupleId(0), b, Value::from(9)).unwrap();
-        assert_ne!(t.col(b)[0], t.col(b)[1]);
-        assert_eq!(t.dictionary().decode(t.col(b)[0]), Value::from(9));
-        // Shared strings intern to one pooled symbol.
-        let a = s.attr("A").unwrap();
-        let mut u = table_abc(vec![(tup!["x", 1, 2], 1.0), (tup!["x", 2, 3], 1.0)]);
-        assert_eq!(u.col(a)[0], u.col(a)[1]);
-        assert_eq!(u.dictionary().len(), 1);
-        u.push(tup!["x", 7, 7], 1.0).unwrap();
-        assert_eq!(u.dictionary().len(), 1);
+    fn decoded_view_tracks_every_operation() {
+        let (a, b) = (AttrId::new(0), AttrId::new(1));
+        let big = Value::Int(i64::MAX - 1); // beyond the inline range: spilled
+        let pair = Value::pair(Value::str("p"), Value::from(3));
+        let mut t = Table::new(schema_rabc());
+        // push_row under explicit, non-monotone ids.
+        t.push_row(TupleId(7), tup!["12", 12, 1], 1.0).unwrap();
+        let row3 = Tuple::new(vec![Value::from(12), big.clone(), pair.clone()]);
+        t.push_row(TupleId(3), row3.clone(), 2.0).unwrap();
+        // Str("12") and Int(12) are distinct symbols in one column.
+        assert_ne!(t.col(a)[0], t.col(a)[1]);
+        // push continues above the largest id; push_syms takes raw text,
+        // where integer syntax interns as an integer.
+        assert_eq!(t.push(tup!["x", 1, 2], 0.5).unwrap(), TupleId(8));
+        let syms = [t.intern_text("12"), t.intern_text("y"), t.intern_text("40")];
+        assert_eq!(t.push_syms(&syms, 3.0).unwrap(), TupleId(9));
+        let row9 = tup![12, "y", 40];
+        assert_eq!(
+            view(&t),
+            vec![
+                (7, tup!["12", 12, 1], 1.0),
+                (3, row3.clone(), 2.0),
+                (8, tup!["x", 1, 2], 0.5),
+                (9, row9.clone(), 3.0),
+            ]
+        );
+        assert_eq!(t.row(TupleId(3)).unwrap().tuple, row3);
+        assert_eq!(t.ids().collect::<Vec<_>>(), [7, 3, 8, 9].map(TupleId));
+        assert_eq!(t.weights(), &[1.0, 2.0, 0.5, 3.0]);
+
+        // delete_row returns the decoded row and shifts later rows down.
+        let gone = t.delete_row(TupleId(3)).unwrap();
+        assert_eq!((gone.id, gone.tuple, gone.weight), (TupleId(3), row3, 2.0));
+        // set_value returns the decoded old cell.
+        assert_eq!(
+            t.set_value(TupleId(9), b, big.clone()).unwrap(),
+            Value::str("y")
+        );
+        assert_eq!(
+            t.set_value(TupleId(7), a, pair.clone()).unwrap(),
+            Value::str("12")
+        );
+        let expect = vec![
+            (
+                7,
+                Tuple::new(vec![pair.clone(), Value::from(12), Value::from(1)]),
+                1.0,
+            ),
+            (8, tup!["x", 1, 2], 0.5),
+            (
+                9,
+                Tuple::new(vec![Value::from(12), big.clone(), Value::from(40)]),
+                3.0,
+            ),
+        ];
+        assert_eq!(view(&t), expect);
+        assert!(t.row(TupleId(3)).is_err());
+        assert_eq!(t.id_at(1), TupleId(8));
+
+        // gather_positions, dense-indexed: a narrow id range.
+        for i in 0..60 {
+            t.push(tup![i, "12", i], 1.0).unwrap();
+        }
+        let full = view(&t);
+        let dense = t.gather_positions(&[2, 0, 4]);
+        assert_eq!(
+            view(&dense),
+            vec![full[2].clone(), full[0].clone(), full[4].clone()]
+        );
+        assert_eq!(dense.row(TupleId(7)).unwrap().tuple, expect[0].1);
+        // Sparse-indexed: two ids far apart relative to the row count.
+        let mut sparse = t.gather_positions(&[0, 62]);
+        assert_eq!(view(&sparse), vec![full[0].clone(), full[62].clone()]);
+        assert_eq!(sparse.row(TupleId(69)).unwrap().weight, 1.0);
+        assert!(sparse.row(TupleId(8)).is_err());
+        // Edits on a sparse gather keep its decoded view in step.
+        sparse
+            .push_row(TupleId(40), tup!["late", 0, 0], 2.0)
+            .unwrap();
+        sparse.delete_row(TupleId(7)).unwrap();
+        sparse.set_value(TupleId(69), b, Value::from(12)).unwrap();
+        assert_eq!(
+            view(&sparse),
+            vec![(69, tup![59, 12, 59], 1.0), (40, tup!["late", 0, 0], 2.0),]
+        );
+        assert_eq!(sparse.row(TupleId(40)).unwrap().tuple, tup!["late", 0, 0]);
+    }
+
+    #[test]
+    fn canonicalize_fresh_rewrites_the_decoded_view() {
+        use crate::value::FreshSource;
+        let mut src = FreshSource::new();
+        let (f1, f2) = (src.next(), src.next());
+        let mut t = Table::new(schema_rabc());
+        let inner = Value::pair(f1.clone(), Value::str("q"));
+        t.push(Tuple::new(vec![f2.clone(), Value::from(1), inner]), 1.0)
+            .unwrap();
+        t.push(Tuple::new(vec![f1, f2, Value::from(5)]), 2.0)
+            .unwrap();
+        t.canonicalize_fresh();
+        // First appearance in row/attribute order: f2 → ⊥0, f1 → ⊥1,
+        // including inside the composite.
+        let (z, o) = (Value::Fresh(0), Value::Fresh(1));
+        assert_eq!(
+            view(&t),
+            vec![
+                (
+                    0,
+                    Tuple::new(vec![
+                        z.clone(),
+                        Value::from(1),
+                        Value::pair(o.clone(), Value::str("q"))
+                    ]),
+                    1.0
+                ),
+                (1, Tuple::new(vec![o, z, Value::from(5)]), 2.0),
+            ]
+        );
     }
 
     #[test]

@@ -9,10 +9,8 @@ use std::sync::Arc;
 /// A tuple `t = (a₁, …, a_k)` over some schema.
 ///
 /// The values are shared copy-on-write: cloning a tuple is one atomic
-/// increment, which makes row gathers (component shards, subsets,
-/// partition blocks) O(1) per row instead of a heap allocation. The
-/// mutating accessors ([`Tuple::set`], [`Tuple::values_mut`]) unshare
-/// first, so aliased tuples never observe each other's writes.
+/// increment, not a heap allocation. [`Tuple::set`] unshares first, so
+/// aliased tuples never observe each other's writes.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple(Arc<[Value]>);
 
@@ -49,11 +47,6 @@ impl Tuple {
     /// All values in schema order.
     pub fn values(&self) -> &[Value] {
         &self.0
-    }
-
-    /// Mutable view of all values in schema order.
-    pub fn values_mut(&mut self) -> &mut [Value] {
-        self.make_mut()
     }
 
     /// The projection `t[X]` as a key (values in ascending attribute order).
@@ -153,11 +146,6 @@ mod tests {
         let snapshot = t.clone();
         t.set(s.attr("B").unwrap(), Value::from(9));
         assert_eq!(t, tup!["x", 9, 2]);
-        assert_eq!(snapshot, tup!["x", 1, 2]);
-        // And through the slice view.
-        let mut u = snapshot.clone();
-        u.values_mut()[0] = Value::str("y");
-        assert_eq!(u, tup!["y", 1, 2]);
         assert_eq!(snapshot, tup!["x", 1, 2]);
     }
 

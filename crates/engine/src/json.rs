@@ -318,11 +318,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).expect("input was a str");
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole unescaped run up to the next quote or
+                // backslash at once. Both are ASCII, so the run ends on a
+                // character boundary of the input `&str` and is valid
+                // UTF-8 itself; validating only the run keeps the parse
+                // linear in the document size.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..run]).expect("input was a str"));
+                *pos = run;
             }
         }
     }

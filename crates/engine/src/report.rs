@@ -334,26 +334,42 @@ impl ReportBody {
     }
 }
 
+/// Encodes one cell value: integers become JSON numbers, everything
+/// else its `Display` string. The single value→JSON rule shared by
+/// reports, wire documents and mutation traces.
+pub(crate) fn value_to_json(v: &Value) -> Json {
+    match v {
+        Value::Int(i) => Json::Num(*i as f64),
+        other => Json::str(other.to_string()),
+    }
+}
+
+/// The cells of the row at `pos` as a JSON array, decoded one cell at a
+/// time straight from the symbol columns.
+pub(crate) fn row_values_json(table: &Table, pos: usize) -> Json {
+    let dict = table.dictionary();
+    Json::Arr(
+        table
+            .sym_cols()
+            .iter()
+            .map(|col| value_to_json(&dict.decode(col[pos])))
+            .collect(),
+    )
+}
+
 /// Serializes a table: schema, then one row object per tuple. Integer
 /// values become JSON numbers; everything else serializes via `Display`.
 pub fn table_to_json(table: &Table) -> Json {
     let schema = table.schema();
     let rows: Vec<Json> = table
-        .rows()
-        .map(|row| {
-            let values: Vec<Json> = row
-                .tuple
-                .values()
-                .iter()
-                .map(|v| match v {
-                    Value::Int(i) => Json::Num(*i as f64),
-                    other => Json::str(other.to_string()),
-                })
-                .collect();
+        .ids()
+        .zip(table.weights())
+        .enumerate()
+        .map(|(pos, (id, &weight))| {
             Json::obj([
-                ("id", Json::Num(row.id.0 as f64)),
-                ("weight", row.weight.into()),
-                ("values", Json::Arr(values)),
+                ("id", Json::Num(id.0 as f64)),
+                ("weight", weight.into()),
+                ("values", row_values_json(table, pos)),
             ])
         })
         .collect();
@@ -492,10 +508,10 @@ impl RepairReport {
                     deleted.iter().copied().collect();
                 let mut delete_weight = 0.0;
                 for id in deleted {
-                    delete_weight += input
-                        .row(*id)
-                        .map_err(|e| format!("deleted id {id} is not in the input: {e}"))?
-                        .weight;
+                    let pos = input
+                        .position_of(*id)
+                        .ok_or_else(|| format!("deleted id {id} is not in the input"))?;
+                    delete_weight += input.weights()[pos];
                 }
                 let survivors = input.without(&delete_set);
                 let dist = survivors
@@ -525,12 +541,8 @@ impl RepairReport {
             } => {
                 let world: std::collections::HashSet<TupleId> = kept.iter().copied().collect();
                 let mut p = 1.0;
-                for row in input.rows() {
-                    p *= if world.contains(&row.id) {
-                        row.weight
-                    } else {
-                        1.0 - row.weight
-                    };
+                for (id, &w) in input.ids().zip(input.weights()) {
+                    p *= if world.contains(&id) { w } else { 1.0 - w };
                 }
                 // Relative tolerance: world probabilities shrink
                 // geometrically with the row count, so an absolute 1e-9

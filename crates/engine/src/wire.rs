@@ -27,6 +27,7 @@
 //! overload the parser.
 
 use crate::json::{Json, JsonError, JsonLimits};
+use crate::report::{row_values_json, value_to_json};
 use crate::request::{Budgets, Notion, Optimality, RepairRequest};
 use fd_core::{FdSet, Mutation, Schema, Table, Tuple, TupleId, Value};
 use fd_urepair::MixedCosts;
@@ -185,18 +186,14 @@ impl RepairCall {
             .collect();
         let rows: Vec<Json> = self
             .table
-            .rows()
-            .map(|row| {
-                let values: Vec<Json> = row
-                    .tuple
-                    .values()
-                    .iter()
-                    .map(|v| match v {
-                        Value::Int(i) => Json::Num(*i as f64),
-                        other => Json::str(other.to_string()),
-                    })
-                    .collect();
-                Json::obj([("weight", row.weight.into()), ("values", Json::Arr(values))])
+            .weights()
+            .iter()
+            .enumerate()
+            .map(|(pos, &weight)| {
+                Json::obj([
+                    ("weight", weight.into()),
+                    ("values", row_values_json(&self.table, pos)),
+                ])
             })
             .collect();
         Json::obj([
@@ -629,13 +626,6 @@ fn wire_tuple_id(id: u64) -> Result<TupleId, WireError> {
         .map_err(|_| WireError::new(format!("tuple id {id} is out of range")))
 }
 
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Int(i) => Json::Num(*i as f64),
-        other => Json::str(other.to_string()),
-    }
-}
-
 /// Parses a mutation trace — a bare JSON array of mutation objects, the
 /// file format `fdrepair mutate --mutations <file>` replays and the
 /// fuzzer's shrunk `.trace` counterexamples are written in.
@@ -872,9 +862,9 @@ pub fn table_fingerprint(table: &Table) -> u64 {
     // no per-row value decoding or string traversal.
     table.dictionary().hash_pools(&mut h);
     h.write_usize(table.len());
-    for row in table.rows() {
-        h.write_u32(row.id.0);
-        h.write_u64(row.weight.to_bits());
+    for (id, w) in table.ids().zip(table.weights()) {
+        h.write_u32(id.0);
+        h.write_u64(w.to_bits());
     }
     for col in table.sym_cols() {
         for &sym in col {

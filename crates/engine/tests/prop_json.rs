@@ -136,3 +136,51 @@ fn depth_bombs_are_rejected() {
         assert!(Json::parse(&bomb).is_err());
     }
 }
+
+/// Multi-megabyte documents round-trip. String parsing copies unescaped
+/// runs in bulk, so these finish in linear time; a parser that rescans
+/// the rest of the document per character would not finish at all.
+#[test]
+fn multi_megabyte_documents_round_trip() {
+    // One 4 MB string mixing ASCII, multi-byte UTF-8, and every escape
+    // the writer emits, so runs of each kind alternate throughout.
+    let chunk = "plain ascii text, ünïcødé ✓ 𝄞, \"quoted\", back\\slash, tab\t, nl\n, ctl\u{1};";
+    let big = chunk.repeat((4 << 20) / chunk.len() + 1);
+    let doc = Json::Arr(vec![Json::str(big.as_str()), Json::Num(1.0)]);
+    let text = doc.to_string();
+    assert!(text.len() > 4 << 20);
+    assert_eq!(Json::parse(&text).expect("writer output parses"), doc);
+
+    // A string-heavy table document of 100k rows, shaped like a
+    // `PUT /tables/{id}` body.
+    let rows: Vec<Json> = (0..100_000u32)
+        .map(|i| {
+            Json::obj([
+                ("weight", Json::Num(1.0 + f64::from(i % 7) / 4.0)),
+                (
+                    "values",
+                    Json::Arr(vec![
+                        Json::str(format!("facility-{i}")),
+                        Json::Num(f64::from(i % 997)),
+                        Json::str(format!("city \"{}\" ✓", i % 31)),
+                    ]),
+                ),
+            ])
+        })
+        .collect();
+    let doc = Json::obj([
+        ("relation", Json::str("Office")),
+        (
+            "attrs",
+            Json::Arr(vec![
+                Json::str("facility"),
+                Json::str("room"),
+                Json::str("city"),
+            ]),
+        ),
+        ("rows", Json::Arr(rows)),
+    ]);
+    let text = doc.to_string();
+    assert!(text.len() > 4 << 20);
+    assert_eq!(Json::parse(&text).expect("writer output parses"), doc);
+}

@@ -162,15 +162,16 @@ impl ConflictGraph {
     /// benchmark suite to quantify the grouping optimization; must agree
     /// with [`ConflictGraph::build`] exactly.
     pub fn build_naive(table: &Table, fds: &FdSet) -> ConflictGraph {
-        let rows: Vec<&fd_core::Row> = table.rows().collect();
-        let ids: Vec<TupleId> = rows.iter().map(|r| r.id).collect();
-        let mut graph = Graph::new(rows.iter().map(|r| r.weight).collect());
-        for i in 0..rows.len() {
-            for j in i + 1..rows.len() {
-                let conflicting = fds.iter().any(|fd| {
-                    rows[i].tuple.agrees_on(&rows[j].tuple, fd.lhs())
-                        && !rows[i].tuple.agrees_on(&rows[j].tuple, fd.rhs())
-                });
+        let ids: Vec<TupleId> = table.ids().collect();
+        let mut graph = Graph::new(table.weights().to_vec());
+        let agree = |i: usize, j: usize, attrs: fd_core::AttrSet| {
+            attrs.iter().all(|a| table.col(a)[i] == table.col(a)[j])
+        };
+        for i in 0..ids.len() {
+            for j in i + 1..ids.len() {
+                let conflicting = fds
+                    .iter()
+                    .any(|fd| agree(i, j, fd.lhs()) && !agree(i, j, fd.rhs()));
                 if conflicting {
                     graph.add_edge(i as u32, j as u32);
                 }

@@ -26,9 +26,9 @@ pub struct ProbTable {
 impl ProbTable {
     /// Wraps a table, validating that every weight lies in `(0, 1]`.
     pub fn new(table: Table) -> Result<ProbTable> {
-        for row in table.rows() {
-            if !(row.weight > 0.0 && row.weight <= 1.0) {
-                return Err(Error::InvalidProbability { p: row.weight });
+        for &p in table.weights() {
+            if !(p > 0.0 && p <= 1.0) {
+                return Err(Error::InvalidProbability { p });
             }
         }
         Ok(ProbTable { table })
@@ -43,14 +43,9 @@ impl ProbTable {
     /// `world` (equation (2) of §3.4).
     pub fn world_probability(&self, world: &HashSet<TupleId>) -> f64 {
         self.table
-            .rows()
-            .map(|r| {
-                if world.contains(&r.id) {
-                    r.weight
-                } else {
-                    1.0 - r.weight
-                }
-            })
+            .ids()
+            .zip(self.table.weights())
+            .map(|(id, &p)| if world.contains(&id) { p } else { 1.0 - p })
             .product()
     }
 }
@@ -80,45 +75,42 @@ pub struct MpdResult {
 /// baseline otherwise (exponential worst case, per the dichotomy).
 pub fn most_probable_database(prob: &ProbTable, fds: &FdSet) -> MpdResult {
     let source = prob.table();
-    // Partition into certain / uncertain / droppable.
-    let mut certain: Vec<&fd_core::Row> = Vec::new();
-    let mut uncertain: Vec<&fd_core::Row> = Vec::new();
-    for row in source.rows() {
-        if row.weight >= 1.0 {
-            certain.push(row);
-        } else if row.weight > 0.5 {
-            uncertain.push(row);
+    // Partition row positions into certain / uncertain / droppable.
+    let probs = source.weights();
+    let mut certain: Vec<u32> = Vec::new();
+    let mut uncertain: Vec<u32> = Vec::new();
+    for (pos, &p) in probs.iter().enumerate() {
+        if p >= 1.0 {
+            certain.push(pos as u32);
+        } else if p > 0.5 {
+            uncertain.push(pos as u32);
         } // p ≤ 0.5: dropped
     }
     // Certain tuples must be jointly consistent, else every world has
     // probability 0 (a consistent world would have to exclude one).
-    {
-        let certain_ids: HashSet<TupleId> = certain.iter().map(|r| r.id).collect();
-        if !source.subset(&certain_ids).satisfies(fds) {
-            return MpdResult {
-                world: Vec::new(),
-                probability: 0.0,
-            };
-        }
+    if !source.gather_positions(&certain).satisfies(fds) {
+        return MpdResult {
+            world: Vec::new(),
+            probability: 0.0,
+        };
     }
 
     // Reweighted table: log-odds for uncertain tuples (positive since
     // p > 0.5), a dominating weight for certain ones.
-    let log_odds_total: f64 = uncertain
+    let log_odds = |pos: u32| {
+        let p = probs[pos as usize];
+        (p / (1.0 - p)).ln()
+    };
+    let certain_weight = uncertain.iter().map(|&pos| log_odds(pos)).sum::<f64>() + 1.0;
+    let reweights = certain
         .iter()
-        .map(|r| (r.weight / (1.0 - r.weight)).ln())
-        .sum();
-    let certain_weight = log_odds_total + 1.0;
+        .map(|&pos| (pos, certain_weight))
+        .chain(uncertain.iter().map(|&pos| (pos, log_odds(pos))));
     let mut reweighted = Table::new(source.schema().clone());
-    for row in &certain {
+    for (pos, w) in reweights {
+        let row = source.row_at(pos as usize);
         reweighted
-            .push_row(row.id, row.tuple.clone(), certain_weight)
-            .expect("ids unique");
-    }
-    for row in &uncertain {
-        let w = (row.weight / (1.0 - row.weight)).ln();
-        reweighted
-            .push_row(row.id, row.tuple.clone(), w)
+            .push_row(row.id, row.tuple, w)
             .expect("ids unique");
     }
 

@@ -7,7 +7,7 @@ use fd_core::{FdSet, Table};
 
 /// True iff `table` satisfies every FD of `fds`, checked pairwise.
 pub fn satisfies_naive(table: &Table, fds: &FdSet) -> bool {
-    let rows: Vec<&fd_core::Row> = table.rows().collect();
+    let rows: Vec<fd_core::Row> = table.rows().collect();
     for fd in fds.iter() {
         for (i, a) in rows.iter().enumerate() {
             for b in &rows[i + 1..] {

@@ -192,7 +192,7 @@ fn generate_case(notion: FuzzNotion, max_rows: usize, case_seed: u64) -> Case {
         const PALETTE: [f64; 7] = [0.15, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9];
         let rows: Vec<(fd_core::Tuple, f64)> = table
             .rows()
-            .map(|r| (r.tuple.clone(), PALETTE[rng.gen_range(0..PALETTE.len())]))
+            .map(|r| (r.tuple, PALETTE[rng.gen_range(0..PALETTE.len())]))
             .collect();
         table = Table::build(table.schema().clone(), rows).expect("valid probabilities");
     }

@@ -37,7 +37,7 @@ pub fn brute_mixed_repair(table: &Table, fds: &FdSet, delete: f64, update: f64) 
             .collect();
         let delete_weight: f64 = deleted
             .iter()
-            .map(|&id| table.row(id).expect("id from table").weight)
+            .map(|&id| table.weights()[table.position_of(id).expect("id from table")])
             .sum();
         let delete_cost = delete * delete_weight;
         if best.as_ref().is_some_and(|b| delete_cost >= b.cost) {

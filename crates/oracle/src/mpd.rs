@@ -24,12 +24,8 @@ pub struct OracleMpd {
 pub fn brute_mpd(table: &Table, fds: &FdSet) -> OracleMpd {
     let n = table.len();
     assert!(n <= MAX_MPD_ROWS, "brute_mpd is exhaustive; got {n} rows");
-    for row in table.rows() {
-        assert!(
-            row.weight > 0.0 && row.weight <= 1.0,
-            "weight {} is not a probability",
-            row.weight
-        );
+    for &w in table.weights() {
+        assert!(w > 0.0 && w <= 1.0, "weight {w} is not a probability");
     }
     let ids: Vec<TupleId> = table.ids().collect();
     let mut best_p = -1.0;
@@ -43,15 +39,10 @@ pub fn brute_mpd(table: &Table, fds: &FdSet) -> OracleMpd {
         if !satisfies_naive(&sub, fds) {
             continue;
         }
-        let p: f64 = table
-            .rows()
-            .map(|r| {
-                if world.contains(&r.id) {
-                    r.weight
-                } else {
-                    1.0 - r.weight
-                }
-            })
+        let p: f64 = ids
+            .iter()
+            .zip(table.weights())
+            .map(|(id, &w)| if world.contains(id) { w } else { 1.0 - w })
             .product();
         if p > best_p {
             best_p = p;

@@ -31,7 +31,7 @@ pub fn brute_subset_repair(table: &Table, fds: &FdSet) -> OracleSubset {
         "brute_subset_repair is exhaustive; got {} rows",
         table.len()
     );
-    let rows: Vec<&Row> = table.rows().collect();
+    let rows: Vec<Row> = table.rows().collect();
     let conflict = |a: &Row, b: &Row| {
         fds.iter().any(|fd| {
             a.tuple.agrees_on(&b.tuple, fd.lhs()) && !a.tuple.agrees_on(&b.tuple, fd.rhs())
@@ -59,7 +59,7 @@ pub fn brute_subset_by_conflicts(
         "brute_subset_by_conflicts is exhaustive; got {} rows",
         table.len()
     );
-    let rows: Vec<&Row> = table.rows().collect();
+    let rows: Vec<Row> = table.rows().collect();
     search(&rows, single, pair)
 }
 
@@ -68,12 +68,12 @@ pub fn brute_subset_by_conflicts(
 /// so far, deleting it adds its weight; prune when the running deletion
 /// weight can no longer beat the best complete solution.
 fn search(
-    rows: &[&Row],
+    rows: &[Row],
     single: &dyn Fn(&Row) -> bool,
     pair: &dyn Fn(&Row, &Row) -> bool,
 ) -> OracleSubset {
     struct State<'a> {
-        rows: &'a [&'a Row],
+        rows: &'a [Row],
         single: &'a dyn Fn(&Row) -> bool,
         pair: &'a dyn Fn(&Row, &Row) -> bool,
         kept: Vec<usize>,
@@ -89,13 +89,13 @@ fn search(
             state.best_kept = state.kept.clone();
             return;
         }
-        let row = state.rows[idx];
+        let row = &state.rows[idx];
         // Branch 1: keep the row, if nothing kept so far conflicts.
         let keepable = !(state.single)(row)
             && state
                 .kept
                 .iter()
-                .all(|&j| !(state.pair)(state.rows[j], row));
+                .all(|&j| !(state.pair)(&state.rows[j], row));
         if keepable {
             state.kept.push(idx);
             dfs(state, idx + 1, deleted_weight);

@@ -41,7 +41,7 @@ pub fn brute_update_repair(table: &Table, fds: &FdSet) -> OracleUpdate {
     );
     let fds = fds.normalize_single_rhs();
     let mutable = fds.attrs().intersect(table.schema().all_attrs());
-    let rows: Vec<&Row> = table.rows().collect();
+    let rows: Vec<Row> = table.rows().collect();
     let n = rows.len();
     let arity = table.schema().arity();
 
@@ -60,7 +60,7 @@ pub fn brute_update_repair(table: &Table, fds: &FdSet) -> OracleUpdate {
         fds: &'a FdSet,
         mutable: AttrSet,
         domains: &'a [Vec<Value>],
-        rows: &'a [&'a Row],
+        rows: &'a [Row],
         assigned: Vec<fd_core::Tuple>,
         used_fresh: Vec<usize>,
         best_cost: f64,
@@ -85,7 +85,7 @@ pub fn brute_update_repair(table: &Table, fds: &FdSet) -> OracleUpdate {
                 self.best = Some(self.assigned.clone());
                 return;
             }
-            let row = self.rows[idx];
+            let row = &self.rows[idx];
             // Build this row's candidate tuples: per mutable cell the
             // original value (cost 0), the column's active domain, the
             // fresh constants already open in the column, and the one

@@ -58,8 +58,8 @@ impl PriorityRelation {
         let mut rel = PriorityRelation::default();
         for (a, b) in table.conflicting_pairs(fds) {
             let (wa, wb) = (
-                table.row(a).expect("id from table").weight,
-                table.row(b).expect("id from table").weight,
+                table.weights()[table.position_of(a).expect("id from table")],
+                table.weights()[table.position_of(b).expect("id from table")],
             );
             if wa > wb {
                 let _ = rel.add(a, b);

@@ -273,14 +273,14 @@ mod tests {
             let t = random_abc_table(&mut rng, 6 + trial % 4);
             let mapped = red.map_table(&t);
             // Injectivity on the rows present.
-            let mut images: Vec<Tuple> = t.rows().map(|r| red.map_tuple(&r.tuple)).collect();
+            let rows: Vec<fd_core::Row> = t.rows().collect();
+            let mut images: Vec<Tuple> = rows.iter().map(|r| red.map_tuple(&r.tuple)).collect();
             let distinct_src: std::collections::HashSet<&Tuple> =
-                t.rows().map(|r| &r.tuple).collect();
+                rows.iter().map(|r| &r.tuple).collect();
             images.sort();
             images.dedup();
             assert_eq!(images.len(), distinct_src.len(), "Π must be injective");
             // Pairwise consistency preservation.
-            let rows: Vec<&fd_core::Row> = t.rows().collect();
             for i in 0..rows.len() {
                 for j in i + 1..rows.len() {
                     let src_pair = Table::build_unweighted(

@@ -77,10 +77,10 @@ fn conflict_partners(table: &Table, fds: &FdSet, pos: u32, out: &mut Vec<TupleId
     for fd in fds.iter() {
         let lhs = KeyExtractor::new(fd.lhs());
         let rhs = KeyExtractor::new(fd.rhs());
-        for (p, row) in table.rows().enumerate() {
+        for (p, id) in table.ids().enumerate() {
             let p = p as u32;
             if p != pos && lhs.eq(cols, p, pos) && !rhs.eq(cols, p, pos) {
-                out.push(row.id);
+                out.push(id);
             }
         }
     }

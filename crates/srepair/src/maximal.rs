@@ -16,12 +16,12 @@ pub fn is_subset_repair(table: &Table, fds: &FdSet, repair: &SRepair) -> bool {
     if !current.satisfies(fds) {
         return false;
     }
-    for row in table.rows() {
-        if kept.contains(&row.id) {
+    for id in table.ids() {
+        if kept.contains(&id) {
             continue;
         }
         let mut extended = kept.clone();
-        extended.insert(row.id);
+        extended.insert(id);
         if table.subset(&extended).satisfies(fds) {
             return false; // a deleted tuple can be restored
         }
@@ -38,13 +38,13 @@ pub fn make_maximal(table: &Table, fds: &FdSet, repair: &SRepair) -> SRepair {
         table.subset(&kept).satisfies(fds),
         "input must be consistent"
     );
-    for row in table.rows() {
-        if kept.contains(&row.id) {
+    for id in table.ids() {
+        if kept.contains(&id) {
             continue;
         }
-        kept.insert(row.id);
+        kept.insert(id);
         if !table.subset(&kept).satisfies(fds) {
-            kept.remove(&row.id);
+            kept.remove(&id);
         }
     }
     let mut kept: Vec<TupleId> = kept.into_iter().collect();
@@ -120,13 +120,13 @@ mod tests {
             let t = Table::build(s.clone(), rows).unwrap();
             // Random consistent subset: greedily keep while consistent.
             let mut kept = Vec::new();
-            for row in t.rows() {
+            for id in t.ids() {
                 if rng.gen_bool(0.5) {
                     let mut trial: std::collections::HashSet<TupleId> =
                         kept.iter().copied().collect();
-                    trial.insert(row.id);
+                    trial.insert(id);
                     if t.subset(&trial).satisfies(&fds) {
-                        kept.push(row.id);
+                        kept.push(id);
                     }
                 }
             }

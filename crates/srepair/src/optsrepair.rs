@@ -130,10 +130,11 @@ pub(crate) fn block_weight(block: &Table, kept: &[TupleId]) -> f64 {
     // set; the sum stays in row order, so the total is bit-identical.
     let mask = block.position_mask(kept.iter());
     block
-        .rows()
+        .weights()
+        .iter()
         .zip(mask.iter())
         .filter(|(_, &in_kept)| in_kept)
-        .map(|(r, _)| r.weight)
+        .map(|(w, _)| w)
         .sum()
 }
 

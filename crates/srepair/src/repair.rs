@@ -23,10 +23,11 @@ impl SRepair {
         // floating-point total is bit-identical to a filtered row scan.
         let mask = table.position_mask(kept.iter());
         let cost = table
-            .rows()
+            .weights()
+            .iter()
             .zip(mask.iter())
             .filter(|(_, &in_kept)| !in_kept)
-            .map(|(r, _)| r.weight)
+            .map(|(w, _)| w)
             .sum();
         SRepair { kept, cost }
     }

@@ -262,7 +262,7 @@ pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> Sharde
     let mut work: Vec<&[u32]> = Vec::with_capacity(plan.components);
     for comp in comps.iter() {
         if comp.len() < 2 {
-            kept.push(table.row_at(comp[0] as usize).id);
+            kept.push(table.id_at(comp[0] as usize));
         } else {
             work.push(comp);
         }
@@ -368,7 +368,7 @@ mod tests {
                 let mut kept = Vec::new();
                 for comp in conflict_components(&t, &case.fds).iter() {
                     if comp.len() < 2 {
-                        kept.push(t.row_at(comp[0] as usize).id);
+                        kept.push(t.id_at(comp[0] as usize));
                     } else {
                         let sub = t.gather_positions(comp);
                         kept.extend(solve_component(

@@ -45,13 +45,13 @@ pub fn subset_to_update(original: &Table, subset: &SRepair, fds: &FdSet) -> URep
     let kept: HashSet<TupleId> = subset.kept.iter().copied().collect();
     let mut updated = original.clone();
     let mut fresh = FreshSource::new();
-    for row in original.rows() {
-        if kept.contains(&row.id) {
+    for id in original.ids() {
+        if kept.contains(&id) {
             continue;
         }
         for attr in cover.iter() {
             updated
-                .set_value(row.id, attr, fresh.next())
+                .set_value(id, attr, fresh.next())
                 .expect("id from table");
         }
     }

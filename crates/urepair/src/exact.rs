@@ -114,7 +114,7 @@ pub fn try_exact_u_repair(table: &Table, fds: &FdSet, config: &ExactConfig) -> O
         }
     }
 
-    let rows: Vec<&fd_core::Row> = table.rows().collect();
+    let rows: Vec<fd_core::Row> = table.rows().collect();
     let mut search = Search {
         fds: &fds,
         mutable,
@@ -146,7 +146,7 @@ struct Search<'a> {
     mutable: AttrSet,
     domains: Vec<Vec<Value>>,
     pools: Vec<Vec<Value>>,
-    rows: &'a [&'a fd_core::Row],
+    rows: &'a [fd_core::Row],
     assigned: Vec<Tuple>,
     used_fresh: Vec<usize>,
     best_cost: f64,
@@ -195,7 +195,7 @@ impl Search<'_> {
     /// columns whose next fresh constant they open, sorted by cost.
     #[allow(clippy::type_complexity)]
     fn row_candidates(&self, row_idx: usize) -> Vec<(f64, Tuple, Vec<usize>)> {
-        let row = self.rows[row_idx];
+        let row = &self.rows[row_idx];
         let weight = row.weight;
         let mut combos: Vec<(f64, Vec<Value>, Vec<usize>)> = vec![(0.0, Vec::new(), Vec::new())];
         for attr_idx in 0..row.tuple.arity() {

@@ -53,15 +53,12 @@ pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
     let picked: HashSet<TupleId> = cg.to_ids(&cover.nodes).into_iter().collect();
 
     // The consistent core: tuples outside the cover.
-    let mut core: Vec<(TupleId, Tuple)> = working
-        .rows()
-        .filter(|r| !picked.contains(&r.id))
-        .map(|r| (r.id, r.tuple.clone()))
-        .collect();
+    let (mut order, core): (Vec<fd_core::Row>, Vec<fd_core::Row>) =
+        working.rows().partition(|r| picked.contains(&r.id));
+    let mut core: Vec<(TupleId, Tuple)> = core.into_iter().map(|r| (r.id, r.tuple)).collect();
 
     // Step 3: re-admit picked tuples one at a time, heaviest first (a
     // heavier tuple has more to lose from extra cell changes).
-    let mut order: Vec<&fd_core::Row> = working.rows().filter(|r| picked.contains(&r.id)).collect();
     order.sort_by(|a, b| b.weight.partial_cmp(&a.weight).expect("finite"));
 
     let mut updated = working.clone();

@@ -72,7 +72,7 @@ impl MixedRepair {
     fn build(original: &Table, deleted: Vec<TupleId>, update: URepair, costs: MixedCosts) -> Self {
         let delete_weight: f64 = deleted
             .iter()
-            .map(|&id| original.row(id).expect("id from table").weight)
+            .map(|&id| original.weights()[original.position_of(id).expect("id from table")])
             .sum();
         let cost = costs.delete * delete_weight + costs.update * update.cost;
         MixedRepair {
@@ -95,7 +95,7 @@ impl MixedRepair {
         let delete_weight: f64 = self
             .deleted
             .iter()
-            .map(|&id| original.row(id).expect("id from table").weight)
+            .map(|&id| original.weights()[original.position_of(id).expect("id from table")])
             .sum();
         let upd = survivors
             .dist_upd(&self.repaired)
@@ -144,7 +144,7 @@ pub fn exact_mixed_repair(
             .collect();
         let delete_weight: f64 = deleted
             .iter()
-            .map(|&id| table.row(id).expect("id from table").weight)
+            .map(|&id| table.weights()[table.position_of(id).expect("id from table")])
             .sum();
         let delete_cost = costs.delete * delete_weight;
         let bound = best.as_ref().map(|b| b.cost);
@@ -200,7 +200,7 @@ pub fn approx_mixed_repair(table: &Table, fds: &FdSet, costs: MixedCosts) -> Mix
     let mut fresh = FreshSource::new();
     let mut update_cost = 0.0;
     for id in covered {
-        let w = table.row(id).expect("id from table").weight;
+        let w = table.weights()[table.position_of(id).expect("id from table")];
         match (lhs_cover, retag_cells) {
             (Some(cover_attrs), Some(cells))
                 if costs.update * (cells as f64) * w < costs.delete * w =>
@@ -220,7 +220,7 @@ pub fn approx_mixed_repair(table: &Table, fds: &FdSet, costs: MixedCosts) -> Mix
     let repaired = updated.without(&delete_set);
     let delete_weight: f64 = deleted
         .iter()
-        .map(|&id| table.row(id).expect("id from table").weight)
+        .map(|&id| table.weights()[table.position_of(id).expect("id from table")])
         .sum();
     MixedRepair {
         deleted,

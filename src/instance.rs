@@ -221,12 +221,14 @@ impl std::fmt::Display for Instance {
                 fd.rhs().display(&self.schema)
             )?;
         }
-        for row in self.table.rows() {
-            // Stream each value straight into the formatter: a
-            // million-row serialization allocates no per-cell strings.
-            write!(f, "row {}", row.weight)?;
-            for v in row.tuple.values() {
-                write!(f, " | {v}")?;
+        let dict = self.table.dictionary();
+        for (pos, w) in self.table.weights().iter().enumerate() {
+            // Decode each cell straight into the formatter: a
+            // million-row serialization allocates no per-row tuples or
+            // per-cell strings.
+            write!(f, "row {w}")?;
+            for col in self.table.sym_cols() {
+                write!(f, " | {}", dict.decode(col[pos]))?;
             }
             writeln!(f)?;
         }
