@@ -31,7 +31,13 @@
 //!   every FD via [`fd_core::KeyExtractor`] over the symbol columns
 //!   (the inner loop of the grouped conflict scan).
 //!
-//! After the ladder, the incremental tier measures a primed
+//! After the ladder, `report/write/<n>` (100k and 1M rows) times
+//! [`fd_engine::RepairReport::write_json`] of a solved tractable subset
+//! report into `std::io::sink()`: the streaming writer alone. The
+//! committed `1000000/100000` median ratio must stay under 15 (asserted
+//! by a test in `bench_guard`), so the writer stays linear.
+//!
+//! Then the incremental tier measures a primed
 //! [`fd_engine::IncrementalSession`] on the tractable workload:
 //!
 //! * `incremental/single_row_mutation/1000000` — one cell edit on a
@@ -210,6 +216,19 @@ fn write_summary() {
             format!("subset/marriage/{n}"),
             median_us(reps(n), || {
                 Planner.run(&table, &fds, &RepairRequest::subset()).unwrap();
+            }),
+        );
+    }
+    // The report writer: streaming a solved tractable subset report
+    // into a sink that discards the bytes, so only serialization is
+    // timed. Runs after the ladder too, off its peak RSS.
+    for n in [100_000usize, 1_000_000] {
+        let (_, fds, table) = tractable_scale(n, false, 42);
+        let report = Planner.run(&table, &fds, &RepairRequest::subset()).unwrap();
+        push(
+            format!("report/write/{n}"),
+            median_us(reps(n), || {
+                report.write_json(&mut std::io::sink()).unwrap();
             }),
         );
     }

@@ -247,6 +247,22 @@ mod tests {
         );
     }
 
+    /// The report writer must scale linearly: it streams each row
+    /// once, so ten times the rows cost about ten times the time. A
+    /// writer that rescans or re-copies what it already wrote fails
+    /// here.
+    #[test]
+    fn committed_seed_keeps_the_report_writer_linear() {
+        let small = median("report/write/100000");
+        let large = median("report/write/1000000");
+        assert!(
+            small > 0.0 && large / small < 15.0,
+            "report/write/1000000 ({large} µs) must stay under 15× \
+             report/write/100000 ({small} µs); got {:.1}×",
+            large / small
+        );
+    }
+
     #[test]
     fn time_and_bytes_fail_when_the_number_grows() {
         assert!(Unit::TimeUs.regression_ratio(100.0, 300.0) > 2.0);

@@ -68,7 +68,7 @@ pub use normalize::{
 pub use parallel::{effective_threads, round_robin_map};
 pub use scan::KeyExtractor;
 pub use schema::{schema_rabc, AttrId, Schema};
-pub use sym::{Dictionary, FnvBuild, FnvHasher, Sym};
+pub use sym::{Dictionary, FnvBuild, FnvHasher, Sym, SymRef};
 pub use table::{Row, Table, TupleId};
 pub use tuple::Tuple;
 pub use value::{FreshSource, Value};

@@ -34,6 +34,7 @@
 //! bit-identical under the columnar engine.
 
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -245,15 +246,33 @@ impl Dictionary {
     /// On a pooled symbol from a different dictionary whose index is out
     /// of range (symbols are only meaningful with their own dictionary).
     pub fn decode(&self, sym: Sym) -> Value {
+        match self.resolve(sym) {
+            SymRef::Int(v) => Value::Int(v),
+            SymRef::Str(s) => Value::Str(Arc::clone(s)),
+            SymRef::Other(v) => v.into_owned(),
+        }
+    }
+
+    /// Resolves a symbol to its value without building a [`Value`] where
+    /// the encoding allows: inline integers come back as `i64` and pooled
+    /// strings as the pool's own string. The decode-at-boundary hook for
+    /// writers that stream a table out cell by cell.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Dictionary::decode`], on a pooled symbol from another
+    /// dictionary whose index is out of range.
+    #[inline]
+    pub fn resolve(&self, sym: Sym) -> SymRef<'_> {
         let payload = sym.0 & PAYLOAD_MASK;
         match sym.0 & TAG_MASK {
             TAG_INT => {
                 let zz = payload as u64;
-                Value::Int(((zz >> 1) as i64) ^ -((zz & 1) as i64))
+                SymRef::Int(((zz >> 1) as i64) ^ -((zz & 1) as i64))
             }
-            TAG_FRESH => Value::Fresh(payload as u64),
-            TAG_STR => Value::Str(Arc::clone(&self.strs[payload as usize])),
-            _ => self.spill[payload as usize].clone(),
+            TAG_FRESH => SymRef::Other(Cow::Owned(Value::Fresh(payload as u64))),
+            TAG_STR => SymRef::Str(&self.strs[payload as usize]),
+            _ => SymRef::Other(Cow::Borrowed(&self.spill[payload as usize])),
         }
     }
 
@@ -287,6 +306,20 @@ impl Dictionary {
             _ => false,
         }
     }
+}
+
+/// A symbol's value as [`Dictionary::resolve`] returns it: borrowed
+/// from the dictionary where it is pooled, never allocated.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SymRef<'a> {
+    /// An inline integer (`-2²⁹ ≤ v < 2²⁹`). Integers outside that range
+    /// are spilled and come back as [`SymRef::Other`].
+    Int(i64),
+    /// A pooled string.
+    Str(&'a Arc<str>),
+    /// Any other value: an inline fresh constant, or a spilled big
+    /// integer, big fresh constant or composite.
+    Other(Cow<'a, Value>),
 }
 
 /// True iff the value is or contains a fresh constant.
@@ -433,6 +466,17 @@ mod prop {
                 prop_assert_eq!(&d.decode(*s), v);
                 prop_assert_eq!(d.lookup(v), Some(*s));
                 prop_assert_eq!(d.sym_contains_fresh(*s), value_contains_fresh(v));
+                // resolve agrees with decode, and only inline ints
+                // resolve to `Int`.
+                let resolved = match d.resolve(*s) {
+                    SymRef::Int(i) => {
+                        prop_assert!((-(1i64 << 29)..(1i64 << 29)).contains(&i));
+                        Value::Int(i)
+                    }
+                    SymRef::Str(text) => Value::str(text),
+                    SymRef::Other(other) => other.into_owned(),
+                };
+                prop_assert_eq!(&resolved, v);
             }
             for (i, (v, s)) in values.iter().zip(&syms).enumerate() {
                 for (w, t) in values.iter().zip(&syms).skip(i) {

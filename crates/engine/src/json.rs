@@ -1,6 +1,7 @@
-//! Hand-rolled, dependency-free JSON: a [`Json`] value tree with a
-//! writer ([`std::fmt::Display`]) and a small recursive-descent parser
-//! ([`Json::parse`]).
+//! Hand-rolled, dependency-free JSON: a [`Json`] value tree, the writer
+//! helpers that both its [`std::fmt::Display`] and the streaming report
+//! writer ([`crate::RepairReport::write_json`]) are built from, and a
+//! small recursive-descent parser ([`Json::parse`]).
 //!
 //! The engine cannot use `serde` (no registry access in this build
 //! environment), and its reports only need the JSON essentials: objects
@@ -20,6 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io;
 
 /// Resource bounds for parsing untrusted JSON.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -350,58 +352,191 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
         .map_err(|_| err(start, format!("invalid number {text:?}")))
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes `n` under the one number rule of every emitted document:
+/// non-finite numbers become `null`, integral values below 9·10¹⁵ in
+/// magnitude print as integers, and anything else in Rust's shortest
+/// round-trip float form.
+pub(crate) fn write_num<W: fmt::Write + ?Sized>(w: &mut W, n: f64) -> fmt::Result {
+    // Below 9·10¹⁵ the cast is exact truncation, so the round trip
+    // holds exactly when `n` has no fractional part (`-0.0` included).
+    if n.abs() < 9.0e15 && (n as i64) as f64 == n {
+        write_int(w, n as i64)
+    } else if !n.is_finite() {
+        w.write_str("null")
+    } else {
+        write!(w, "{n}")
+    }
+}
+
+/// Writes an integer in decimal, without the `fmt` machinery: the
+/// report writer emits one per id and per integer cell.
+pub(crate) fn write_int<W: fmt::Write + ?Sized>(w: &mut W, n: i64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    if n < 0 {
+        w.write_char('-')?;
+    }
+    w.write_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"))
+}
+
+/// Writes `s` as a JSON string. Runs of characters that need no escape
+/// are copied with one write each; `"`, `\` and control characters are
+/// escaped. Every escaped byte is ASCII, so each run ends on a character
+/// boundary.
+pub(crate) fn write_escaped<W: fmt::Write + ?Sized>(w: &mut W, s: &str) -> fmt::Result {
+    w.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        w.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(w, "\\u{b:04x}")?;
+        } else {
+            w.write_str(escape)?;
+        }
+        run = i + 1;
+    }
+    w.write_str(&s[run..])?;
+    w.write_char('"')
+}
+
+/// Writes `items` as a JSON array, each element by `each`.
+pub(crate) fn write_arr<W, T>(
+    w: &mut W,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut W, T) -> fmt::Result,
+) -> fmt::Result
+where
+    W: fmt::Write + ?Sized,
+{
+    w.write_char('[')?;
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            w.write_char(',')?;
+        }
+        each(w, item)?;
+    }
+    w.write_char(']')
+}
+
+/// Writes one JSON object field by field, so that a large value can
+/// stream into the sink between its key and the next one.
+pub(crate) struct ObjWriter<'a, W: fmt::Write + ?Sized> {
+    w: &'a mut W,
+    empty: bool,
+}
+
+impl<'a, W: fmt::Write + ?Sized> ObjWriter<'a, W> {
+    /// Opens the object.
+    pub(crate) fn begin(w: &'a mut W) -> Result<ObjWriter<'a, W>, fmt::Error> {
+        w.write_char('{')?;
+        Ok(ObjWriter { w, empty: true })
+    }
+
+    /// Writes the next key and returns the sink its value goes to.
+    pub(crate) fn key(&mut self, key: &str) -> Result<&mut W, fmt::Error> {
+        if !self.empty {
+            self.w.write_char(',')?;
+        }
+        self.empty = false;
+        write_escaped(self.w, key)?;
+        self.w.write_char(':')?;
+        Ok(self.w)
+    }
+
+    /// Writes one field whose value is a small tree.
+    pub(crate) fn field(&mut self, key: &str, value: &Json) -> fmt::Result {
+        let w = self.key(key)?;
+        write_tree(w, value)
+    }
+
+    /// Closes the object.
+    pub(crate) fn end(self) -> fmt::Result {
+        self.w.write_char('}')
+    }
+}
+
+/// Writes a value tree; what [`Json`]'s `Display` prints.
+pub(crate) fn write_tree<W: fmt::Write + ?Sized>(w: &mut W, value: &Json) -> fmt::Result {
+    match value {
+        Json::Null => w.write_str("null"),
+        Json::Bool(b) => w.write_str(if *b { "true" } else { "false" }),
+        Json::Num(n) => write_num(w, *n),
+        Json::Str(s) => write_escaped(w, s),
+        Json::Arr(items) => write_arr(w, items, |w, item| write_tree(w, item)),
+        Json::Obj(pairs) => {
+            let mut obj = ObjWriter::begin(w)?;
+            for (k, v) in pairs {
+                obj.field(k, v)?;
+            }
+            obj.end()
+        }
+    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    f.write_str("null")
-                } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
+        write_tree(f, self)
+    }
+}
+
+/// Lets the [`fmt::Write`] helpers above write into an [`io::Write`]
+/// sink. Counts the bytes written and keeps the first I/O error, which
+/// `fmt::Error` cannot carry.
+pub(crate) struct IoSink<'a, W: io::Write + ?Sized> {
+    inner: &'a mut W,
+    /// Bytes written so far.
+    pub(crate) bytes: usize,
+    error: Option<io::Error>,
+}
+
+impl<'a, W: io::Write + ?Sized> IoSink<'a, W> {
+    pub(crate) fn new(inner: &'a mut W) -> IoSink<'a, W> {
+        IoSink {
+            inner,
+            bytes: 0,
+            error: None,
+        }
+    }
+
+    /// Turns the outcome of a write through this sink back into the
+    /// I/O error that caused it.
+    pub(crate) fn finish(self, result: fmt::Result) -> io::Result<()> {
+        match (result, self.error) {
+            (Ok(()), _) => Ok(()),
+            (Err(_), Some(e)) => Err(e),
+            (Err(fmt::Error), None) => Err(io::Error::other("a formatter failed")),
+        }
+    }
+}
+
+impl<W: io::Write + ?Sized> fmt::Write for IoSink<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        match self.inner.write_all(s.as_bytes()) {
+            Ok(()) => {
+                self.bytes += s.len();
+                Ok(())
             }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
+            Err(e) => {
+                self.error = Some(e);
+                Err(fmt::Error)
             }
         }
     }
@@ -460,6 +595,22 @@ mod tests {
     fn non_finite_numbers_become_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+    }
+
+    #[test]
+    fn integral_numbers_print_as_integers_below_nine_quadrillion() {
+        for (n, text) in [
+            (-0.0, "0"),
+            (-7.0, "-7"),
+            (8_999_999_999_999_999.0, "8999999999999999"),
+            (-8_999_999_999_999_998.0, "-8999999999999998"),
+            // From 9·10¹⁵ on, the float form; it has no exponent.
+            (9e15, "9000000000000000"),
+            (1e20, "100000000000000000000"),
+            (0.1, "0.1"),
+        ] {
+            assert_eq!(Json::Num(n).to_string(), text, "{n:e}");
+        }
     }
 
     #[test]

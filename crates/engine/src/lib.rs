@@ -78,7 +78,7 @@ pub use ext::{constraint_subset_report, prioritized_report};
 pub use json::{Json, JsonError, JsonLimits};
 pub use planner::{EngineError, Plan, PlanStep, Planner, RepairEngine};
 pub use report::{
-    table_to_json, ChangedCell, ComponentReport, DichotomyReport, RepairReport, ReportBody, Timings,
+    ChangedCell, ComponentReport, DichotomyReport, RepairReport, ReportBody, Timings,
 };
 pub use request::{Budgets, Notion, Optimality, RepairRequest, WIRE_INT_MAX};
 pub use session::IncrementalSession;

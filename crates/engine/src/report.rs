@@ -1,13 +1,20 @@
 //! The response side of the engine API: every notion returns the same
 //! [`RepairReport`] — repaired data, cost, provenance, guarantees,
 //! dichotomy classification, and timings — with machine-readable JSON
-//! via [`RepairReport::to_json`].
+//! from one writer, [`RepairReport::write_json`]. The writer streams
+//! ids, changed cells and table rows straight from the symbol columns
+//! into any [`std::io::Write`]; [`RepairReport::to_json`] and
+//! [`RepairReport::to_json_value`] are built on it.
 
-use crate::json::Json;
+use crate::json::{
+    write_arr, write_escaped, write_int, write_num, write_tree, IoSink, Json, ObjWriter,
+};
 use crate::request::Notion;
-use fd_core::{FdSet, Schema, Table, TupleId, Value};
+use fd_core::{FdSet, Schema, SymRef, Table, TupleId, Value};
 use fd_srepair::{classify_irreducible, simplification_trace, Outcome};
 use fd_urepair::{ratio_kl, ratio_ours};
+use std::fmt;
+use std::io;
 
 /// Where the FD set falls in the paper's complexity landscape, computed
 /// once per call and attached to both plans and reports.
@@ -155,13 +162,13 @@ impl ChangedCell {
             .collect()
     }
 
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("tuple", Json::Num(self.tuple.0 as f64)),
-            ("attr", Json::str(&self.attr)),
-            ("old", Json::str(&self.old)),
-            ("new", Json::str(&self.new)),
-        ])
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
+        let mut obj = ObjWriter::begin(w)?;
+        write_int(obj.key("tuple")?, self.tuple.0.into())?;
+        write_escaped(obj.key("attr")?, &self.attr)?;
+        write_escaped(obj.key("old")?, &self.old)?;
+        write_escaped(obj.key("new")?, &self.new)?;
+        obj.end()
     }
 }
 
@@ -257,80 +264,83 @@ impl ReportBody {
         }
     }
 
-    fn to_json(&self) -> Json {
-        fn ids(ids: &[TupleId]) -> Json {
-            Json::Arr(ids.iter().map(|id| Json::Num(id.0 as f64)).collect())
+    /// Streams the body object: ids, changed cells and every row of the
+    /// repaired table go straight into `w`; the few scalar fields go
+    /// through small trees.
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
+        fn ids<W: fmt::Write + ?Sized>(w: &mut W, ids: &[TupleId]) -> fmt::Result {
+            write_arr(w, ids, |w, id| write_int(w, id.0.into()))
         }
-        fn cells(cells: &[ChangedCell]) -> Json {
-            Json::Arr(cells.iter().map(ChangedCell::to_json).collect())
+        fn cells<W: fmt::Write + ?Sized>(w: &mut W, cells: &[ChangedCell]) -> fmt::Result {
+            write_arr(w, cells, |w, cell| cell.write_json(w))
         }
+        fn strs<W: fmt::Write + ?Sized>(w: &mut W, strs: &[String]) -> fmt::Result {
+            write_arr(w, strs, |w, s| write_escaped(w, s))
+        }
+        let mut obj = ObjWriter::begin(w)?;
         match self {
-            ReportBody::Subset { deleted, repaired } => Json::obj([
-                ("deleted", ids(deleted)),
-                ("repaired", table_to_json(repaired)),
-            ]),
-            ReportBody::Update { changed, repaired } => Json::obj([
-                ("changed", cells(changed)),
-                ("repaired", table_to_json(repaired)),
-            ]),
+            ReportBody::Subset { deleted, repaired } => {
+                ids(obj.key("deleted")?, deleted)?;
+                write_table(obj.key("repaired")?, repaired)?;
+            }
+            ReportBody::Update { changed, repaired } => {
+                cells(obj.key("changed")?, changed)?;
+                write_table(obj.key("repaired")?, repaired)?;
+            }
             ReportBody::Mixed {
                 deleted,
                 changed,
                 repaired,
-            } => Json::obj([
-                ("deleted", ids(deleted)),
-                ("changed", cells(changed)),
-                ("repaired", table_to_json(repaired)),
-            ]),
+            } => {
+                ids(obj.key("deleted")?, deleted)?;
+                cells(obj.key("changed")?, changed)?;
+                write_table(obj.key("repaired")?, repaired)?;
+            }
             ReportBody::Mpd {
                 kept,
                 probability,
                 repaired,
-            } => Json::obj([
-                ("kept", ids(kept)),
-                ("probability", (*probability).into()),
-                ("repaired", table_to_json(repaired)),
-            ]),
+            } => {
+                ids(obj.key("kept")?, kept)?;
+                write_num(obj.key("probability")?, *probability)?;
+                write_table(obj.key("repaired")?, repaired)?;
+            }
             ReportBody::Count {
                 subset_repairs,
                 optimal_subset_repairs,
                 notes,
-            } => Json::obj([
-                (
+            } => {
+                obj.field(
                     "subset_repairs",
-                    subset_repairs.map_or(Json::Null, count_to_json),
-                ),
-                (
+                    &subset_repairs.map_or(Json::Null, count_to_json),
+                )?;
+                obj.field(
                     "optimal_subset_repairs",
-                    optimal_subset_repairs.map_or(Json::Null, count_to_json),
-                ),
-                (
-                    "notes",
-                    Json::Arr(notes.iter().map(|n| Json::str(n.as_str())).collect()),
-                ),
-            ]),
+                    &optimal_subset_repairs.map_or(Json::Null, count_to_json),
+                )?;
+                strs(obj.key("notes")?, notes)?;
+            }
             ReportBody::Sample { kept, repaired } => {
-                Json::obj([("kept", ids(kept)), ("repaired", table_to_json(repaired))])
+                ids(obj.key("kept")?, kept)?;
+                write_table(obj.key("repaired")?, repaired)?;
             }
             ReportBody::Classify {
                 keys,
                 bcnf_violation,
                 consistent,
                 conflicts,
-            } => Json::obj([
-                (
-                    "keys",
-                    Json::Arr(keys.iter().map(|k| Json::str(k.as_str())).collect()),
-                ),
-                ("bcnf", bcnf_violation.is_none().into()),
-                (
+            } => {
+                strs(obj.key("keys")?, keys)?;
+                obj.field("bcnf", &bcnf_violation.is_none().into())?;
+                obj.field(
                     "bcnf_violation",
-                    bcnf_violation.as_deref().map_or(Json::Null, Json::str),
-                ),
-                ("consistent", (*consistent).into()),
-                ("conflicts", (*conflicts).into()),
-            ]),
+                    &bcnf_violation.as_deref().map_or(Json::Null, Json::str),
+                )?;
+                obj.field("consistent", &(*consistent).into())?;
+                obj.field("conflicts", &(*conflicts).into())?;
+            }
         }
+        obj.end()
     }
 }
 
@@ -344,49 +354,35 @@ pub(crate) fn value_to_json(v: &Value) -> Json {
     }
 }
 
-/// The cells of the row at `pos` as a JSON array, decoded one cell at a
-/// time straight from the symbol columns.
-pub(crate) fn row_values_json(table: &Table, pos: usize) -> Json {
-    let dict = table.dictionary();
-    Json::Arr(
-        table
-            .sym_cols()
-            .iter()
-            .map(|col| value_to_json(&dict.decode(col[pos])))
-            .collect(),
-    )
-}
-
-/// Serializes a table: schema, then one row object per tuple. Integer
-/// values become JSON numbers; everything else serializes via `Display`.
-pub fn table_to_json(table: &Table) -> Json {
+/// Streams a table: schema, then one row object per tuple, written
+/// straight from the id, weight and symbol columns. Inline integers
+/// print as integers and pooled strings are escaped from the
+/// dictionary's own `str`, with no [`Value`] in between; every other
+/// symbol goes through [`value_to_json`].
+fn write_table<W: fmt::Write + ?Sized>(w: &mut W, table: &Table) -> fmt::Result {
     let schema = table.schema();
-    let rows: Vec<Json> = table
-        .ids()
-        .zip(table.weights())
-        .enumerate()
-        .map(|(pos, (id, &weight))| {
-            Json::obj([
-                ("id", Json::Num(id.0 as f64)),
-                ("weight", weight.into()),
-                ("values", row_values_json(table, pos)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("relation", Json::str(schema.relation())),
-        (
-            "attrs",
-            Json::Arr(
-                schema
-                    .attr_names()
-                    .iter()
-                    .map(|a| Json::str(a.as_str()))
-                    .collect(),
-            ),
-        ),
-        ("rows", Json::Arr(rows)),
-    ])
+    let dict = table.dictionary();
+    let cols = table.sym_cols();
+    let mut obj = ObjWriter::begin(w)?;
+    write_escaped(obj.key("relation")?, schema.relation())?;
+    write_arr(obj.key("attrs")?, schema.attr_names(), |w, a| {
+        write_escaped(w, a)
+    })?;
+    let rows = table.ids().zip(table.weights()).enumerate();
+    write_arr(obj.key("rows")?, rows, |w, (pos, (id, &weight))| {
+        w.write_str("{\"id\":")?;
+        write_int(w, id.0.into())?;
+        w.write_str(",\"weight\":")?;
+        write_num(w, weight)?;
+        w.write_str(",\"values\":")?;
+        write_arr(w, cols, |w, col| match dict.resolve(col[pos]) {
+            SymRef::Int(i) => write_int(w, i),
+            SymRef::Str(s) => write_escaped(w, s),
+            SymRef::Other(v) => write_tree(w, &value_to_json(&v)),
+        })?;
+        w.write_char('}')
+    })?;
+    obj.end()
 }
 
 /// The unified result of one engine call: one shape for every notion.
@@ -594,32 +590,74 @@ impl RepairReport {
         Ok(())
     }
 
-    /// The report as a JSON value tree.
-    pub fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("notion", Json::str(self.notion.name())),
-            ("cost", self.cost.into()),
-            ("optimal", self.optimal.into()),
-            ("ratio", self.ratio.into()),
-            (
-                "methods",
-                Json::Arr(self.methods.iter().map(|m| Json::str(m.as_str())).collect()),
-            ),
-            ("dichotomy", self.dichotomy.to_json()),
-            (
-                "components",
-                self.components
-                    .as_ref()
-                    .map_or(Json::Null, ComponentReport::to_json),
-            ),
-            ("timings", self.timings.to_json()),
-            ("result", self.body.to_json()),
-        ])
+    /// Streams the report as one compact JSON document into `w`: the
+    /// one report writer behind [`RepairReport::to_json`], the CLI's
+    /// `--json` output and every serve response. The small header goes
+    /// through tiny [`Json`] values; ids, changed cells and every row of
+    /// the repaired table stream straight from the symbol columns.
+    pub fn write_json<W: io::Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        // fdlint: allow(O001, "observation only: the span records the row count and the byte count of text already written; nothing from it reaches the output")
+        let mut sp = fd_trace::span("engine/serialize");
+        let mut sink = IoSink::new(w);
+        let result = self.write_document(&mut sink);
+        sp.attr("rows", self.repaired().map_or(0, Table::len));
+        sp.attr("bytes", sink.bytes);
+        sink.finish(result)
     }
 
-    /// The report as a compact JSON document.
+    fn write_document<W: fmt::Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
+        let mut obj = ObjWriter::begin(w)?;
+        write_escaped(obj.key("notion")?, self.notion.name())?;
+        write_num(obj.key("cost")?, self.cost)?;
+        obj.field("optimal", &self.optimal.into())?;
+        write_num(obj.key("ratio")?, self.ratio)?;
+        write_arr(obj.key("methods")?, &self.methods, |w, m| {
+            write_escaped(w, m)
+        })?;
+        obj.field("dichotomy", &self.dichotomy.to_json())?;
+        obj.field(
+            "components",
+            &self
+                .components
+                .as_ref()
+                .map_or(Json::Null, ComponentReport::to_json),
+        )?;
+        obj.field("timings", &self.timings.to_json())?;
+        self.body.write_json(obj.key("result")?)?;
+        obj.end()
+    }
+
+    /// A capacity guess for the serialized report, in bytes: enough for
+    /// the usual row of small cells, so that writing into a buffer of
+    /// this size rarely reallocates.
+    pub fn json_size_hint(&self) -> usize {
+        let (rows, arity) = self
+            .repaired()
+            .map_or((0, 0), |t| (t.len(), t.schema().arity()));
+        let ids = match &self.body {
+            ReportBody::Subset { deleted, .. } | ReportBody::Mixed { deleted, .. } => deleted.len(),
+            ReportBody::Mpd { kept, .. } | ReportBody::Sample { kept, .. } => kept.len(),
+            _ => 0,
+        };
+        1024 + rows * (40 + 8 * arity) + ids * 8
+    }
+
+    /// The report as a compact JSON document: [`RepairReport::write_json`]
+    /// into a buffer.
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
+        let mut buf = Vec::with_capacity(self.json_size_hint());
+        self.write_json(&mut buf)
+            .expect("writing into a Vec cannot fail");
+        String::from_utf8(buf).expect("the report writer emits UTF-8")
+    }
+
+    /// The report as a JSON value tree, parsed back from
+    /// [`RepairReport::to_json`] so that the writer stays the only
+    /// producer of report JSON. A non-finite number (an infinite cost,
+    /// say) prints `null`, so it reads back as [`Json::Null`] rather than
+    /// the [`Json::Num`] it started as.
+    pub fn to_json_value(&self) -> Json {
+        Json::parse(&self.to_json()).expect("the report writer emits valid JSON")
     }
 }
 

@@ -20,14 +20,14 @@
 //! Rows may be bare value arrays (weight 1) or objects with `weight` /
 //! `values`; the `request` object and all of its fields are optional and
 //! default to [`RepairRequest::subset`]'s settings. Value conversion
-//! inverts [`crate::table_to_json`]: JSON numbers with integral values
-//! become [`Value::Int`], strings become [`Value::Str`]. Parsing is
-//! strict — unknown request fields are errors, not silent no-ops — and
-//! bounded by [`JsonLimits`], so a hostile body can neither crash nor
-//! overload the parser.
+//! inverts the report writer ([`crate::RepairReport::write_json`]): JSON
+//! numbers with integral values become [`Value::Int`], strings become
+//! [`Value::Str`]. Parsing is strict — unknown request fields are
+//! errors, not silent no-ops — and bounded by [`JsonLimits`], so a
+//! hostile body can neither crash nor overload the parser.
 
 use crate::json::{Json, JsonError, JsonLimits};
-use crate::report::{row_values_json, value_to_json};
+use crate::report::value_to_json;
 use crate::request::{Budgets, Notion, Optimality, RepairRequest};
 use fd_core::{FdSet, Mutation, Schema, Table, Tuple, TupleId, Value};
 use fd_urepair::MixedCosts;
@@ -184,6 +184,7 @@ impl RepairCall {
                 )
             })
             .collect();
+        let dict = self.table.dictionary();
         let rows: Vec<Json> = self
             .table
             .weights()
@@ -192,7 +193,16 @@ impl RepairCall {
             .map(|(pos, &weight)| {
                 Json::obj([
                     ("weight", weight.into()),
-                    ("values", row_values_json(&self.table, pos)),
+                    (
+                        "values",
+                        Json::Arr(
+                            self.table
+                                .sym_cols()
+                                .iter()
+                                .map(|col| value_to_json(&dict.decode(col[pos])))
+                                .collect(),
+                        ),
+                    ),
                 ])
             })
             .collect();

@@ -272,11 +272,17 @@ pub struct Response {
 impl Response {
     /// An `application/json` response.
     pub fn json(status: u16, body: String) -> Response {
+        Response::json_bytes(status, body.into_bytes())
+    }
+
+    /// An `application/json` response whose body is already bytes, such
+    /// as a report streamed into a buffer.
+    pub fn json_bytes(status: u16, body: Vec<u8>) -> Response {
         Response {
             status,
             content_type: "application/json",
             headers: Vec::new(),
-            body: body.into_bytes(),
+            body,
         }
     }
 

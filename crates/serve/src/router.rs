@@ -916,18 +916,24 @@ fn mutate_table(
         ("removed", ids(&removed)),
         ("changed", ids(&changed)),
     ]);
-    // The report bytes are spliced verbatim (never re-serialized), the
-    // same discipline the trace envelope follows; id and tenant are
+    // The report streams into the same buffer right after the envelope
+    // prefix, so its bytes are written once and never re-serialized: the
+    // same discipline the trace envelope follows. Id and tenant are
     // charset-sanitized on ingress, so quoting them directly is safe.
-    let body = format!(
+    let prefix = format!(
         "{{\"mutated\":\"{id}\",\"tenant\":\"{tenant}\",\"rows\":{},\"steps\":{},\
-         \"fingerprint\":\"{:016x}\",\"delta\":{delta},\"report\":{}}}",
+         \"fingerprint\":\"{:016x}\",\"delta\":{delta},\"report\":",
         stored.rows,
         session.steps(),
         stored.fingerprint,
-        report.to_json(),
     );
-    Response::json(200, body)
+    let mut body = Vec::with_capacity(prefix.len() + report.json_size_hint() + 1);
+    body.extend_from_slice(prefix.as_bytes());
+    if let Err(e) = report.write_json(&mut body) {
+        return Response::error(500, &format!("cannot serialize the report: {e}"));
+    }
+    body.push(b'}');
+    Response::json_bytes(200, body)
 }
 
 /// Store failures, each with a stable `kind` like the engine errors.

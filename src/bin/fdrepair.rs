@@ -30,6 +30,7 @@
 
 use fd_repairs::instance::Instance;
 use fd_repairs::prelude::*;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -550,7 +551,9 @@ fn main() -> ExitCode {
                         }
                     }
                     if cli.json {
-                        println!("{}", report.to_json());
+                        if let Err(code) = print_json(&report) {
+                            return code;
+                        }
                     } else {
                         render(&instance, &report);
                     }
@@ -675,7 +678,9 @@ fn mutate(cli: &Cli, instance: &Instance) -> ExitCode {
         }
     }
     if cli.json {
-        println!("{}", report.to_json());
+        if let Err(code) = print_json(&report) {
+            return code;
+        }
     } else {
         println!(
             "applied {} mutation(s): {} row(s) now, served by {}",
@@ -851,6 +856,20 @@ fn serve(cli: &Cli) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Streams the report's JSON and a newline to stdout. A failed write (a
+/// closed pipe, a full disk) prints one line and maps to exit 1.
+fn print_json(report: &RepairReport) -> std::result::Result<(), ExitCode> {
+    let mut out = BufWriter::with_capacity(1 << 16, std::io::stdout().lock());
+    report
+        .write_json(&mut out)
+        .and_then(|()| out.write_all(b"\n"))
+        .and_then(|()| out.flush())
+        .map_err(|e| {
+            eprintln!("fdrepair: cannot write the report: {e}");
+            ExitCode::FAILURE
+        })
 }
 
 /// Prints a repaired table for human eyes: small tables in full, large

@@ -390,3 +390,97 @@ fn fuzz_usage_errors() {
     let (_, _, code) = fdrepair_code(&["fuzz", "--max-rows", "-1"]);
     assert_eq!(code, 2);
 }
+
+/// A generated instance whose JSON report is far larger than a pipe's
+/// buffer, so writing it cannot finish before the reader goes away.
+fn large_instance(name: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(name);
+    let (_, err, code) = fdrepair_code(&[
+        "gen",
+        path.to_str().unwrap(),
+        "--rows",
+        "20000",
+        "--workload",
+        "tractable",
+        "--seed",
+        "3",
+    ]);
+    assert_eq!(code, 0, "gen failed:\n{err}");
+    path
+}
+
+/// A failed report write is one error line and exit 1, not a panic.
+fn assert_clean_write_failure(status: std::process::ExitStatus, stderr: &[u8]) {
+    let err = String::from_utf8_lossy(stderr);
+    assert_eq!(status.code(), Some(1), "stderr:\n{err}");
+    assert!(
+        err.starts_with("fdrepair: cannot write the report: "),
+        "got:\n{err}"
+    );
+    assert_eq!(err.lines().count(), 1, "got:\n{err}");
+    assert!(!err.contains("panicked"), "got:\n{err}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn repair_json_into_a_full_disk_fails_cleanly() {
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let path = write_temp("cli_dev_full.fdr", OFFICE_FDR);
+    for command in ["repair", "mutate"] {
+        let mut args = vec![command, "--json", path.to_str().unwrap()];
+        let trace = write_temp(
+            "cli_dev_full_trace.json",
+            r#"[{"op": "set", "id": 0, "attr": "city", "value": "Rome"}]"#,
+        );
+        if command == "mutate" {
+            args.extend(["--mutations", trace.to_str().unwrap()]);
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_fdrepair"))
+            .args(&args)
+            .stdout(std::fs::File::create(full).expect("/dev/full opens"))
+            .output()
+            .expect("binary runs");
+        assert_clean_write_failure(out.status, &out.stderr);
+    }
+}
+
+#[test]
+fn repair_json_into_a_closed_pipe_fails_cleanly() {
+    let path = large_instance("cli_closed_pipe.fdr");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fdrepair"))
+        .args(["repair", "--json", path.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Close the read end before the report (about 1 MB) is written.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    assert_clean_write_failure(out.status, &out.stderr);
+}
+
+#[test]
+fn repair_trace_summary_lists_the_serialize_span() {
+    let path = write_temp("cli_trace_serialize.fdr", OFFICE_FDR);
+    let trace = std::env::temp_dir().join("cli_trace_serialize.json");
+    let (out, err, code) = fdrepair_code(&[
+        "repair",
+        "--json",
+        "--trace",
+        trace.to_str().unwrap(),
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "stderr:\n{err}");
+    assert!(fd_repairs::Json::parse(out.trim()).is_ok(), "got:\n{out}");
+    let line = err
+        .lines()
+        .find(|l| l.starts_with("engine/serialize "))
+        .unwrap_or_else(|| panic!("no engine/serialize row in the summary:\n{err}"));
+    // One span: the report is written once.
+    assert_eq!(line.split_whitespace().nth(1), Some("1"), "got:\n{err}");
+    let chrome = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(chrome.contains("engine/serialize"), "got:\n{chrome}");
+}
