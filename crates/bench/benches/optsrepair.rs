@@ -1,11 +1,16 @@
 //! Criterion bench: Algorithm 1 (`OptSRepair`) across its three
 //! simplification shapes (common lhs, consensus, lhs marriage) and table
-//! sizes — the Theorem 3.2 polynomial-time claim, measured.
+//! sizes — the Theorem 3.2 polynomial-time claim, measured — plus the
+//! polynomial chain-count against the enumeration baseline, the only
+//! viable option once repair counts grow exponentially.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fd_core::{FdSet, Schema};
 use fd_gen::random::{dirty_table, DirtyConfig};
-use fd_srepair::{approx_s_repair, exact_s_repair, opt_s_repair};
+use fd_srepair::{
+    approx_s_repair, brute_force_count_subset_repairs, count_subset_repairs, exact_s_repair,
+    opt_s_repair,
+};
 use rand::prelude::*;
 use std::hint::black_box;
 
@@ -61,5 +66,42 @@ fn bench_optsrepair(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_optsrepair);
+fn bench_chain_count(c: &mut Criterion) {
+    let schema = Schema::new("R", ["A", "B", "C", "D"]).unwrap();
+    let fds = FdSet::parse(&schema, "A -> B").unwrap();
+    let mut group = c.benchmark_group("chain_count");
+    group.sample_size(20);
+    // Polynomial counter scales to tables whose repair count is
+    // astronomically beyond enumeration.
+    for n in [100usize, 1_000, 10_000] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let cfg = DirtyConfig {
+            rows: n,
+            domain: 32,
+            corruptions: n / 3,
+            weighted: false,
+        };
+        let table = dirty_table(&schema, &fds, &cfg, &mut rng);
+        group.bench_with_input(BenchmarkId::new("dp", n), &table, |b, t| {
+            b.iter(|| count_subset_repairs(black_box(t), &fds));
+        });
+    }
+    // The enumeration baseline is only feasible tiny.
+    for n in [10usize, 20] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let cfg = DirtyConfig {
+            rows: n,
+            domain: 4,
+            corruptions: n / 3,
+            weighted: false,
+        };
+        let table = dirty_table(&schema, &fds, &cfg, &mut rng);
+        group.bench_with_input(BenchmarkId::new("enumerate", n), &table, |b, t| {
+            b.iter(|| brute_force_count_subset_repairs(black_box(t), &fds));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_optsrepair, bench_chain_count);
 criterion_main!(benches);

@@ -31,7 +31,15 @@
 //!   every FD via [`fd_core::KeyExtractor`] over the symbol columns
 //!   (the inner loop of the grouped conflict scan).
 //!
-//! After the ladder, `report/write/<n>` (100k and 1M rows) times
+//! After the ladder, `update/hard/<n>` (10k and 100k rows) runs
+//! `repair --notion u` through the engine on the hard workload: the
+//! combined approximation of §4.4 (the sharded `2·mlc` subset solve
+//! plus the Kolahi–Lakshmanan re-admission). The committed
+//! `100000/10000` median ratio must stay under 15 (asserted by a test
+//! in `bench_guard`), so a re-admission that rescans the whole core per
+//! tuple fails as a quadratic blow-up.
+//!
+//! Then `report/write/<n>` (100k and 1M rows) times
 //! [`fd_engine::RepairReport::write_json`] of a solved tractable subset
 //! report into `std::io::sink()`: the streaming writer alone. The
 //! committed `1000000/100000` median ratio must stay under 15 (asserted
@@ -216,6 +224,18 @@ fn write_summary() {
             format!("subset/marriage/{n}"),
             median_us(reps(n), || {
                 Planner.run(&table, &fds, &RepairRequest::subset()).unwrap();
+            }),
+        );
+    }
+    // The update rung: `repair --notion u` on the hard workload, whose
+    // one component takes the combined approximation (the sharded
+    // `2·mlc` solve and the KL re-admission against its indexed core).
+    for n in [10_000usize, 100_000] {
+        let (_, fds, table) = hard_scale(n, false, 42);
+        push(
+            format!("update/hard/{n}"),
+            median_us(reps(n), || {
+                Planner.run(&table, &fds, &RepairRequest::update()).unwrap();
             }),
         );
     }

@@ -263,6 +263,22 @@ mod tests {
         );
     }
 
+    /// The update rung must scale linearly: the KL re-admission looks
+    /// each tuple up in a per-FD index of the consistent core, so ten
+    /// times the rows cost about ten times the time. A scan of the whole
+    /// core per re-admitted tuple is quadratic and fails here.
+    #[test]
+    fn committed_seed_keeps_the_update_rung_linear() {
+        let small = median("update/hard/10000");
+        let large = median("update/hard/100000");
+        assert!(
+            small > 0.0 && large / small < 15.0,
+            "update/hard/100000 ({large} µs) must stay under 15× \
+             update/hard/10000 ({small} µs); got {:.1}×",
+            large / small
+        );
+    }
+
     #[test]
     fn time_and_bytes_fail_when_the_number_grows() {
         assert!(Unit::TimeUs.regression_ratio(100.0, 300.0) > 2.0);

@@ -532,6 +532,28 @@ impl Table {
         }
     }
 
+    /// [`Table::gather_positions`] with a new weights column:
+    /// `weights[i]` becomes the weight of the row gathered from
+    /// `positions[i]`.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ or a weight is not positive and
+    /// finite.
+    pub fn gather_reweighted(&self, positions: &[u32], weights: Vec<f64>) -> Table {
+        assert_eq!(
+            positions.len(),
+            weights.len(),
+            "one weight per gathered row"
+        );
+        assert!(
+            weights.iter().all(|w| *w > 0.0 && w.is_finite()),
+            "weights must be positive and finite"
+        );
+        let mut table = self.gather_positions(positions);
+        table.weights = weights;
+        table
+    }
+
     /// A keep-mask over row positions: `mask[pos]` is true iff the row
     /// at `pos` has an id in `ids`. Pure index lookups — no hashing.
     pub fn position_mask<'a>(&self, ids: impl IntoIterator<Item = &'a TupleId>) -> Vec<bool> {

@@ -13,7 +13,7 @@
 pub mod engine;
 
 use fd_core::{Error, FdSet, Result, Table, TupleId};
-use fd_srepair::{exact_s_repair, opt_s_repair, osr_succeeds, SRepair};
+use fd_srepair::{sharded_s_repair, ShardConfig};
 use std::collections::HashSet;
 
 /// A tuple-independent probabilistic table: a [`Table`] whose weights are
@@ -71,8 +71,9 @@ pub struct MpdResult {
 /// * remaining tuples get the log-odds weight `log(p / (1 − p))`, and an
 ///   optimal S-repair of the reweighted table is a most probable world.
 ///
-/// Uses Algorithm 1 when `OSRSucceeds(Δ)` and the exact vertex-cover
-/// baseline otherwise (exponential worst case, per the dichotomy).
+/// The S-repair runs on the sharded subset path: Algorithm 1 per conflict
+/// component when `OSRSucceeds(Δ)`, exact vertex cover per component
+/// otherwise (exponential worst case, per the dichotomy).
 pub fn most_probable_database(prob: &ProbTable, fds: &FdSet) -> MpdResult {
     let source = prob.table();
     // Partition row positions into certain / uncertain / droppable.
@@ -102,29 +103,24 @@ pub fn most_probable_database(prob: &ProbTable, fds: &FdSet) -> MpdResult {
         (p / (1.0 - p)).ln()
     };
     let certain_weight = uncertain.iter().map(|&pos| log_odds(pos)).sum::<f64>() + 1.0;
-    let reweights = certain
+    let positions: Vec<u32> = certain.iter().chain(&uncertain).copied().collect();
+    let weights = certain
         .iter()
-        .map(|&pos| (pos, certain_weight))
-        .chain(uncertain.iter().map(|&pos| (pos, log_odds(pos))));
-    let mut reweighted = Table::new(source.schema().clone());
-    for (pos, w) in reweights {
-        let row = source.row_at(pos as usize);
-        reweighted
-            .push_row(row.id, row.tuple, w)
-            .expect("ids unique");
-    }
+        .map(|_| certain_weight)
+        .chain(uncertain.iter().map(|&pos| log_odds(pos)))
+        .collect();
+    let reweighted = source.gather_reweighted(&positions, weights);
 
-    let repair: SRepair = if osr_succeeds(fds) {
-        opt_s_repair(&reweighted, fds).expect("OSRSucceeds guarantees success")
-    } else {
-        exact_s_repair(&reweighted, fds)
+    let cfg = ShardConfig {
+        force_exact: true,
+        ..ShardConfig::default()
     };
-    let world: HashSet<TupleId> = repair.kept.iter().copied().collect();
-    let mut ids: Vec<TupleId> = world.iter().copied().collect();
-    ids.sort_unstable();
+    // `kept` is sorted, as `MpdResult::world` promises.
+    let kept = sharded_s_repair(&reweighted, fds, &cfg).repair.kept;
+    let world: HashSet<TupleId> = kept.iter().copied().collect();
     MpdResult {
         probability: prob.world_probability(&world),
-        world: ids,
+        world: kept,
     }
 }
 
@@ -161,6 +157,7 @@ pub fn brute_force_mpd(prob: &ProbTable, fds: &FdSet) -> MpdResult {
 mod tests {
     use super::*;
     use fd_core::{schema_rabc, tup};
+    use fd_srepair::{exact_s_repair, opt_s_repair, osr_succeeds};
     use rand::prelude::*;
 
     fn prob_table(rows: Vec<(fd_core::Tuple, f64)>) -> ProbTable {
@@ -282,5 +279,79 @@ mod tests {
         let fast = most_probable_database(&p, &fds);
         let slow = brute_force_mpd(&p, &fds);
         assert!((fast.probability - slow.probability).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sharded_world_matches_the_whole_table_references() {
+        // The reweighted solve keeps exactly the tuples the whole-table
+        // Algorithm 1 (tractable Δ) or exact vertex cover (hard Δ) keeps
+        // on the same reweighted table, rebuilt row by row.
+        let s = schema_rabc();
+        let mut rng = StdRng::seed_from_u64(0x3bd);
+        let mut compared = 0;
+        for spec in [
+            "A -> B",
+            "A -> B; B -> A",
+            "A -> C; B -> C",
+            "A -> B; B -> C",
+        ] {
+            let fds = FdSet::parse(&s, spec).unwrap();
+            for _ in 0..25 {
+                let n = rng.gen_range(2..14);
+                let rows: Vec<_> = (0..n)
+                    .map(|_| {
+                        (
+                            tup![
+                                rng.gen_range(0..3i64),
+                                rng.gen_range(0..3i64),
+                                rng.gen_range(0..3i64)
+                            ],
+                            [0.3, 0.6, 0.75, 0.9, 1.0][rng.gen_range(0..5usize)],
+                        )
+                    })
+                    .collect();
+                let p = prob_table(rows);
+                let t = p.table();
+                let sure: HashSet<TupleId> = t
+                    .ids()
+                    .zip(t.weights())
+                    .filter(|(_, &w)| w >= 1.0)
+                    .map(|(id, _)| id)
+                    .collect();
+                if !t.subset(&sure).satisfies(&fds) {
+                    continue; // every world has probability 0
+                }
+                let log_odds = |w: f64| (w / (1.0 - w)).ln();
+                let uncertain_total: f64 = t
+                    .weights()
+                    .iter()
+                    .filter(|&&w| w > 0.5 && w < 1.0)
+                    .map(|&w| log_odds(w))
+                    .sum();
+                let mut reference = Table::new(s.clone());
+                for certain in [true, false] {
+                    for row in t.rows() {
+                        let w = match (certain, row.weight) {
+                            (true, w) if w >= 1.0 => uncertain_total + 1.0,
+                            (false, w) if w > 0.5 && w < 1.0 => log_odds(w),
+                            _ => continue,
+                        };
+                        reference.push_row(row.id, row.tuple, w).unwrap();
+                    }
+                }
+                let expected = if osr_succeeds(&fds) {
+                    opt_s_repair(&reference, &fds).unwrap()
+                } else {
+                    exact_s_repair(&reference, &fds)
+                };
+                let world = most_probable_database(&p, &fds).world;
+                assert_eq!(world, expected.kept, "{spec}\n{t}");
+                compared += 1;
+            }
+        }
+        assert!(
+            compared >= 50,
+            "only {compared} instances had a consistent certain part"
+        );
     }
 }

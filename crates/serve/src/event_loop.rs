@@ -920,6 +920,15 @@ fn step(
                 };
                 match parser.feed(buf.get(..n).unwrap_or(&[])) {
                     Ok(Some(request)) => dispatch(conn, request, shared, pool, io_timeout),
+                    // The head passed its checks and the peer waits on
+                    // `Expect: 100-continue`. Nothing was written to this
+                    // socket before, so its send buffer is empty and the
+                    // 25-byte interim response goes out whole; a failed
+                    // or short write means the peer is gone.
+                    Ok(None) if parser.take_continue() => match conn.stream.write(http::CONTINUE) {
+                        Ok(n) if n == http::CONTINUE.len() => {}
+                        _ => return StepOutcome::Close,
+                    },
                     Ok(None) => {}
                     Err(error) => reject(conn, error, shared, io_timeout),
                 }

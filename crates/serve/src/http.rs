@@ -44,6 +44,8 @@ pub enum HttpError {
         /// The configured cap, echoed in the response.
         limit: usize,
     },
+    /// An `Expect` header other than `100-continue` → 417.
+    ExpectationFailed(String),
     /// The socket failed or timed out mid-request; no response is owed.
     /// Only the test-only blocking reader constructs this — the event
     /// loop owns its sockets and handles IO errors directly.
@@ -59,6 +61,7 @@ impl std::fmt::Display for HttpError {
             HttpError::PayloadTooLarge { limit } => {
                 write!(f, "payload exceeds the {limit}-byte limit")
             }
+            HttpError::ExpectationFailed(value) => write!(f, "unsupported Expect {value:?}"),
             #[cfg(test)]
             HttpError::Io(e) => write!(f, "i/o: {e}"),
         }
@@ -76,6 +79,10 @@ impl HttpError {
             HttpError::PayloadTooLarge { limit } => Some(Response::error(
                 413,
                 &format!("request body exceeds the {limit}-byte limit"),
+            )),
+            HttpError::ExpectationFailed(value) => Some(Response::error(
+                417,
+                &format!("unsupported Expect {value:?}; only 100-continue is understood"),
             )),
             #[cfg(test)]
             HttpError::Io(_) => None,
@@ -105,7 +112,14 @@ struct PendingBody {
     request: Request,
     body_start: usize,
     content_length: usize,
+    /// The head carried `Expect: 100-continue` and no interim
+    /// `100 Continue` has been handed out yet.
+    continue_owed: bool,
 }
+
+/// The interim response that releases a client waiting on
+/// `Expect: 100-continue` to send its body.
+pub const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 
 impl RequestParser {
     /// A fresh parser enforcing `max_body` (the head limit is the fixed
@@ -123,6 +137,18 @@ impl RequestParser {
     /// (distinguishes "closed mid-request" from "closed mid-body").
     pub fn in_body(&self) -> bool {
         self.pending.is_some()
+    }
+
+    /// Whether the peer is waiting on [`CONTINUE`] before it sends its
+    /// body: true at most once, after a head with
+    /// `Expect: 100-continue` passed every check (the body cap
+    /// included) and while its body is still incomplete. A request
+    /// that completed in the same chunk is owed only its final
+    /// response.
+    pub fn take_continue(&mut self) -> bool {
+        self.pending
+            .as_mut()
+            .is_some_and(|p| std::mem::take(&mut p.continue_owed))
     }
 
     /// Whether any request bytes have arrived at all (a peer that
@@ -144,10 +170,12 @@ impl RequestParser {
                 return Ok(None);
             };
             let (request, content_length) = parse_head(&self.buf[..head_end], self.max_body)?;
+            let continue_owed = request.header("expect").is_some();
             self.pending = Some(PendingBody {
                 request,
                 body_start: head_end + 4,
                 content_length,
+                continue_owed,
             });
         }
         // Borrow-free completion check before moving the request out.
@@ -242,6 +270,11 @@ fn parse_head(head: &[u8], max_body: usize) -> Result<(Request, usize), HttpErro
     if content_length > max_body {
         return Err(HttpError::PayloadTooLarge { limit: max_body });
     }
+    if let Some(expect) = request.header("expect") {
+        if !expect.eq_ignore_ascii_case("100-continue") {
+            return Err(HttpError::ExpectationFailed(expect.to_string()));
+        }
+    }
     Ok((request, content_length))
 }
 
@@ -321,6 +354,7 @@ pub fn reason(status: u16) -> &'static str {
         409 => "Conflict",
         411 => "Length Required",
         413 => "Payload Too Large",
+        417 => "Expectation Failed",
         422 => "Unprocessable Entity",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
@@ -514,6 +548,31 @@ mod tests {
         assert_eq!(request.path, "/repair");
         assert_eq!(request.body, b"body");
         assert_eq!(request.header("x-pad-0"), Some("v".repeat(64).as_str()));
+    }
+
+    #[test]
+    fn expect_continue_is_owed_once_and_only_while_the_body_is_pending() {
+        let head = b"POST /x HTTP/1.1\r\nExpect: 100-Continue\r\nContent-Length: 4\r\n\r\n";
+        let mut parser = RequestParser::new(1024);
+        assert!(!parser.take_continue(), "no head yet");
+        assert!(parser.feed(head).unwrap().is_none());
+        assert!(parser.take_continue());
+        assert!(!parser.take_continue(), "owed once");
+        assert_eq!(parser.feed(b"body").unwrap().unwrap().body, b"body");
+        // Head and body in one chunk: only the final response is owed.
+        let mut parser = RequestParser::new(1024);
+        let whole: Vec<u8> = head.iter().chain(b"body").copied().collect();
+        assert!(parser.feed(&whole).unwrap().is_some());
+        assert!(!parser.take_continue());
+        // Over the cap: 413 before any body; other expectations: 417.
+        let mut parser = RequestParser::new(2);
+        let e = parser.feed(head).unwrap_err();
+        assert_eq!(e.into_response().unwrap().status, 413);
+        let mut parser = RequestParser::new(1024);
+        let e = parser
+            .feed(b"POST /x HTTP/1.1\r\nExpect: later\r\nContent-Length: 4\r\n\r\n")
+            .unwrap_err();
+        assert_eq!(e.into_response().unwrap().status, 417);
     }
 
     #[test]

@@ -270,3 +270,84 @@ fn graceful_shutdown_finishes_in_flight_work_on_both_pollers() {
         stop(addr, flag, handle);
     }
 }
+
+/// Reads from `stream` until `want` bytes arrived or the peer closed.
+fn read_at_least(stream: &mut TcpStream, want: usize) -> Vec<u8> {
+    use std::io::Read;
+    let mut got = Vec::new();
+    let mut buf = [0u8; 4096];
+    while got.len() < want {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => got.extend_from_slice(&buf[..n]),
+        }
+    }
+    got
+}
+
+#[test]
+fn expect_100_continue_is_answered_before_the_body_is_sent() {
+    use std::io::Read;
+    const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+    let io_timeout = Duration::from_millis(2_000);
+    for (label, portable) in poller_variants() {
+        let (addr, flag, handle) = start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 2,
+            io_timeout_ms: io_timeout.as_millis() as u64,
+            max_body_bytes: 64 * 1024,
+            portable_poller: portable,
+            ..ServeConfig::default()
+        });
+        let connect = || {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream.set_read_timeout(Some(io_timeout)).unwrap();
+            stream
+        };
+
+        // The head alone earns `100 Continue` well inside the deadline;
+        // the body then gets the normal response.
+        let mut stream = connect();
+        let head = format!(
+            "POST /repair HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: {}\r\n\r\n",
+            OFFICE.len()
+        );
+        let sent = Instant::now();
+        stream.write_all(head.as_bytes()).unwrap();
+        let interim = read_at_least(&mut stream, CONTINUE.len());
+        assert_eq!(
+            interim,
+            CONTINUE,
+            "{label}: {}",
+            String::from_utf8_lossy(&interim)
+        );
+        assert!(sent.elapsed() < io_timeout, "{label}: {:?}", sent.elapsed());
+        stream.write_all(OFFICE.as_bytes()).unwrap();
+        let mut rest = String::new();
+        stream.read_to_string(&mut rest).unwrap();
+        assert!(rest.starts_with("HTTP/1.1 200 OK\r\n"), "{label}: {rest}");
+        assert!(rest.contains("\"notion\":\"s\""), "{label}: {rest}");
+
+        // An over-cap head is refused before any body is sent, and an
+        // Expect value other than 100-continue is 417; neither gets an
+        // interim response.
+        for (head, status) in [
+            (
+                "POST /repair HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 999999\r\n\r\n",
+                "HTTP/1.1 413 ",
+            ),
+            (
+                "POST /repair HTTP/1.1\r\nExpect: 200-ok\r\nContent-Length: 10\r\n\r\n",
+                "HTTP/1.1 417 ",
+            ),
+        ] {
+            let mut stream = connect();
+            stream.write_all(head.as_bytes()).unwrap();
+            let reply =
+                String::from_utf8_lossy(&read_at_least(&mut stream, usize::MAX)).into_owned();
+            assert!(reply.starts_with(status), "{label}: {reply}");
+        }
+
+        stop(addr, flag, handle);
+    }
+}

@@ -14,15 +14,17 @@
 //! * [`approx_s_repair`] — the 2-approximation of Proposition 3.3;
 //! * [`count_subset_repairs`] — polynomial subset-repair counting for
 //!   chain FD sets (the §2.2 pointer to the counting dichotomy of \[26\]);
-//! * [`par_opt_s_repair`] — Algorithm 1 with the top-level partition
-//!   solved across threads (blocks never interact, so `CommonLHSRep`,
-//!   `ConsensusRep` and the `MarriageRep` sub-problems are data-parallel);
 //! * [`sharded_s_repair`] — the subset execution path: conflict-graph
 //!   components extracted edge-free, conflict-free rows kept for free,
 //!   each component solved independently with the [`SMethod`] its size
 //!   and `Δ`'s dichotomy side call for (exact-per-component on the hard
 //!   side) and fanned out across threads, bit-identical to the
-//!   whole-table references above;
+//!   whole-table references above. Every subset solve on the request
+//!   path runs here — the engine's subset notion and the S-repairs
+//!   behind update repairs (Corollary 4.6, Theorem 4.12,
+//!   Proposition 4.9) and MPD (Theorem 3.10) alike; [`opt_s_repair`],
+//!   [`exact_s_repair`] and [`approx_s_repair`] stay as the references
+//!   it is tested against;
 //! * [`IncrementalSubset`] — the delta engine over the sharded path:
 //!   per-component solutions cached across mutations, a single
 //!   insert/delete/edit re-solving only the components it dirties,
@@ -44,7 +46,6 @@ mod factwise;
 mod incremental;
 mod maximal;
 mod optsrepair;
-mod parallel;
 mod repair;
 mod sharded;
 mod succeeds;
@@ -66,7 +67,6 @@ pub use factwise::{class_reduction, lifting_chain, lifting_reduction, FactwiseRe
 pub use incremental::IncrementalSubset;
 pub use maximal::{is_subset_repair, make_maximal};
 pub use optsrepair::{opt_s_repair, Irreducible};
-pub use parallel::{par_opt_s_repair, ParallelConfig};
 pub use repair::SRepair;
 pub use sharded::{shard_plan, sharded_s_repair, SMethod, ShardConfig, ShardPlan, ShardedSolution};
 pub use succeeds::{osr_succeeds, simplification_trace, Outcome, Rule, Trace, TraceStep};

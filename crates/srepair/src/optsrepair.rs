@@ -125,7 +125,7 @@ pub(crate) fn solve(table: &Table, fds: &FdSet) -> Result<Vec<TupleId>, Irreduci
     Err(Irreducible { remaining: fds })
 }
 
-pub(crate) fn block_weight(block: &Table, kept: &[TupleId]) -> f64 {
+fn block_weight(block: &Table, kept: &[TupleId]) -> f64 {
     // A positional mask through the block's id index instead of a hash
     // set; the sum stays in row order, so the total is bit-identical.
     let mask = block.position_mask(kept.iter());

@@ -16,7 +16,7 @@ use crate::convert::subset_to_update;
 use crate::decompose::{attribute_components, strip_consensus};
 use crate::repair::URepair;
 use fd_core::{mlc, FdSet, Table};
-use fd_srepair::{approx_s_repair, opt_s_repair, osr_succeeds};
+use fd_srepair::{osr_succeeds, sharded_s_repair, ShardConfig};
 
 /// An approximate U-repair together with its guaranteed ratio.
 #[derive(Clone, Debug)]
@@ -44,14 +44,14 @@ pub fn approx_u_repair(table: &Table, fds: &FdSet) -> ApproxURepair {
     let base = repair.updated.clone();
     for comp in attribute_components(&rest) {
         let comp_mlc = mlc(&comp).expect("components are consensus-free") as f64;
-        let (srepair, c) = if osr_succeeds(&comp) {
-            (
-                opt_s_repair(&base, &comp).expect("OSRSucceeds guarantees success"),
-                1.0,
-            )
-        } else {
-            (approx_s_repair(&base, &comp), 2.0)
+        // Sharded subset solve: Algorithm 1 per component on the
+        // tractable side, the 2-approximation everywhere else.
+        let c = if osr_succeeds(&comp) { 1.0 } else { 2.0 };
+        let cfg = ShardConfig {
+            component_exact_limit: 0,
+            ..ShardConfig::default()
         };
+        let srepair = sharded_s_repair(&base, &comp, &cfg).repair;
         let part = subset_to_update(&base, &srepair, &comp);
         ratio = ratio.max(c * comp_mlc);
         // Merge: the component touches only its lhs-cover attributes,

@@ -13,7 +13,7 @@ use crate::decompose::{attribute_components, strip_consensus};
 use crate::exact::ExactConfig;
 use crate::marriage::detect_two_cycle;
 use crate::mixed::{
-    approx_mixed_repair, exact_mixed_repair, mixed_ratio_bound, MixedCosts, MixedRepair,
+    approx_mixed_repair, mixed_ratio_bound, try_exact_mixed_repair, MixedCosts, MixedRepair,
 };
 use crate::solver::{UMethod, URepairSolver, USolution};
 use fd_core::{mlc, AttrSet, FdSet, Table};
@@ -159,7 +159,9 @@ pub struct MixedSolution {
     pub ratio: f64,
 }
 
-/// Executes exactly the given mixed method.
+/// Executes the given mixed method. [`MixedMethod::ExactEnumeration`]
+/// falls back to [`MixedMethod::VertexCoverRetag`] (and reports that
+/// method, not optimal) when an exact search runs out of `node_budget`.
 ///
 /// # Panics
 /// Panics if [`MixedMethod::ExactEnumeration`] is requested on a table
@@ -178,11 +180,14 @@ pub fn solve_mixed(
                 max_nodes: node_budget,
                 ..ExactConfig::default()
             };
-            MixedSolution {
-                repair: exact_mixed_repair(table, fds, costs, &cfg),
-                method,
-                optimal: true,
-                ratio: 1.0,
+            match try_exact_mixed_repair(table, fds, costs, &cfg) {
+                Ok(repair) => MixedSolution {
+                    repair,
+                    method,
+                    optimal: true,
+                    ratio: 1.0,
+                },
+                Err(_) => solve_mixed(table, fds, costs, MixedMethod::VertexCoverRetag, 0),
             }
         }
         MixedMethod::VertexCoverRetag => MixedSolution {

@@ -65,22 +65,53 @@ impl Default for ExactConfig {
     }
 }
 
+/// Why the exact search returned no repair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExactError {
+    /// No consistent update exists within the [`DomainPolicy`] (only
+    /// possible with [`DomainPolicy::Explicit`]), or none costs less than
+    /// [`ExactConfig::initial_bound`].
+    NoRepair,
+    /// The search visited [`ExactConfig::max_nodes`] nodes without
+    /// finishing; the payload is that budget.
+    BudgetExhausted(u64),
+}
+
+impl std::fmt::Display for ExactError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExactError::NoRepair => write!(f, "the domain policy admits no consistent update"),
+            ExactError::BudgetExhausted(nodes) => write!(
+                f,
+                "node budget exhausted ({nodes} nodes); instance too large"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ExactError {}
+
 /// Computes an optimal U-repair by exhaustive branch-and-bound.
 ///
 /// # Panics
 /// Panics if the node budget is exhausted (keep instances small; the
 /// intended regime is ≤ ~9 rows over ≤ ~4 mutable attributes), or if the
 /// configured [`DomainPolicy`] admits no consistent update — only possible
-/// with [`DomainPolicy::Explicit`]; use [`try_exact_u_repair`] there.
+/// with [`DomainPolicy::Explicit`]. [`try_exact_u_repair`] returns both
+/// as an [`ExactError`] instead.
 pub fn exact_u_repair(table: &Table, fds: &FdSet, config: &ExactConfig) -> URepair {
-    try_exact_u_repair(table, fds, config).expect("the domain policy admits no consistent update")
+    try_exact_u_repair(table, fds, config).unwrap_or_else(|e| panic!("exact_u_repair: {e}"))
 }
 
-/// [`exact_u_repair`], returning `None` when the [`DomainPolicy`] admits no
-/// consistent update (only possible with [`DomainPolicy::Explicit`]).
-pub fn try_exact_u_repair(table: &Table, fds: &FdSet, config: &ExactConfig) -> Option<URepair> {
+/// [`exact_u_repair`], returning an [`ExactError`] when the search finds
+/// no repair or runs out of its node budget.
+pub fn try_exact_u_repair(
+    table: &Table,
+    fds: &FdSet,
+    config: &ExactConfig,
+) -> Result<URepair, ExactError> {
     if table.is_empty() || table.satisfies(fds) {
-        return Some(URepair::identity(table));
+        return Ok(URepair::identity(table));
     }
     let fds = fds.normalize_single_rhs();
     let mutable = config
@@ -127,9 +158,13 @@ pub fn try_exact_u_repair(table: &Table, fds: &FdSet, config: &ExactConfig) -> O
         best: None,
         nodes: 0,
         max_nodes: config.max_nodes,
+        exhausted: false,
     };
     search.dfs(0, 0.0);
-    let best = search.best?;
+    if search.exhausted {
+        return Err(ExactError::BudgetExhausted(config.max_nodes));
+    }
+    let best = search.best.ok_or(ExactError::NoRepair)?;
     let mut updated = table.clone();
     for (row, tuple) in rows.iter().zip(best) {
         for attr in row.tuple.disagreement(&tuple).iter() {
@@ -138,7 +173,7 @@ pub fn try_exact_u_repair(table: &Table, fds: &FdSet, config: &ExactConfig) -> O
                 .expect("id from table");
         }
     }
-    Some(URepair::new(table, updated).expect("only values changed"))
+    Ok(URepair::new(table, updated).expect("only values changed"))
 }
 
 struct Search<'a> {
@@ -153,6 +188,8 @@ struct Search<'a> {
     best: Option<Vec<Tuple>>,
     nodes: u64,
     max_nodes: u64,
+    /// Set once `nodes` passes `max_nodes`; every frame then unwinds.
+    exhausted: bool,
 }
 
 impl Search<'_> {
@@ -171,11 +208,10 @@ impl Search<'_> {
                 break; // candidates are sorted by cost
             }
             self.nodes += 1;
-            assert!(
-                self.nodes <= self.max_nodes,
-                "exact_u_repair: node budget exhausted ({} nodes); instance too large",
-                self.max_nodes
-            );
+            if self.nodes > self.max_nodes {
+                self.exhausted = true;
+                return;
+            }
             if !self.consistent_with_assigned(&tuple) {
                 continue;
             }

@@ -25,10 +25,10 @@ use crate::consensus::consensus_u_repair;
 use crate::decompose::strip_consensus;
 use crate::repair::URepair;
 use fd_core::{
-    min_core_implicant, min_lhs_cover, AttrId, FdSet, FreshSource, Table, Tuple, TupleId,
+    min_core_implicant, min_lhs_cover, AttrId, FdSet, FreshSource, Table, Tuple, TupleId, Value,
 };
 use fd_graph::{vertex_cover_2approx, ConflictGraph};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Computes a U-repair with the reconstructed Kolahi–Lakshmanan strategy.
 /// Polynomial time; the realized cost is reported, the proved worst-case
@@ -53,9 +53,12 @@ pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
     let picked: HashSet<TupleId> = cg.to_ids(&cover.nodes).into_iter().collect();
 
     // The consistent core: tuples outside the cover.
-    let (mut order, core): (Vec<fd_core::Row>, Vec<fd_core::Row>) =
+    let (mut order, outside): (Vec<fd_core::Row>, Vec<fd_core::Row>) =
         working.rows().partition(|r| picked.contains(&r.id));
-    let mut core: Vec<(TupleId, Tuple)> = core.into_iter().map(|r| (r.id, r.tuple)).collect();
+    let mut core = Core::new(&rest);
+    for row in outside {
+        core.push(row.tuple);
+    }
 
     // Step 3: re-admit picked tuples one at a time, heaviest first (a
     // heavier tuple has more to lose from extra cell changes).
@@ -70,7 +73,7 @@ pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
                 .set_value(row.id, attr, repaired.get(attr).clone())
                 .expect("id from table");
         }
-        core.push((row.id, repaired));
+        core.push(repaired);
     }
 
     let result = URepair::new(table, updated).expect("only values changed");
@@ -81,22 +84,63 @@ pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
     result
 }
 
+/// The consistent core of re-admitted and untouched tuples, indexed per
+/// FD from lhs projection to the first core tuple of that lhs group.
+///
+/// Every tuple joins consistent with the core (`repair_one` ends in the
+/// lhs-cover fallback), so all core tuples of one lhs group carry the
+/// same rhs: the first of them violates an FD against a probe exactly
+/// when any does, and is the witness an in-order scan of the core would
+/// find first. Lookups cost one hash per FD instead of a pass over the
+/// core.
+struct Core<'a> {
+    fds: &'a FdSet,
+    tuples: Vec<Tuple>,
+    first: Vec<HashMap<Vec<Value>, usize>>,
+}
+
+impl<'a> Core<'a> {
+    fn new(fds: &'a FdSet) -> Core<'a> {
+        Core {
+            fds,
+            tuples: Vec::new(),
+            first: vec![HashMap::new(); fds.len()],
+        }
+    }
+
+    fn push(&mut self, tuple: Tuple) {
+        let at = self.tuples.len();
+        for (fd, index) in self.fds.iter().zip(&mut self.first) {
+            index.entry(tuple.project(fd.lhs())).or_insert(at);
+        }
+        self.tuples.push(tuple);
+    }
+
+    /// The first FD (in `Δ` order) that `t` violates against the core,
+    /// with the first core tuple witnessing it.
+    fn first_violation(&self, t: &Tuple) -> Option<(fd_core::Fd, &Tuple)> {
+        for (fd, index) in self.fds.iter().zip(&self.first) {
+            if let Some(&at) = index.get(&t.project(fd.lhs())) {
+                let other = &self.tuples[at];
+                if !t.agrees_on(other, fd.rhs()) {
+                    return Some((*fd, other));
+                }
+            }
+        }
+        None
+    }
+}
+
 /// Repairs one tuple against a consistent core; returns the new tuple.
-fn repair_one(
-    tuple: &Tuple,
-    core: &[(TupleId, Tuple)],
-    fds: &FdSet,
-    fresh: &mut FreshSource,
-) -> Tuple {
+fn repair_one(tuple: &Tuple, core: &Core, fds: &FdSet, fresh: &mut FreshSource) -> Tuple {
     let mut t = tuple.clone();
     // Attributes already forced to a value by equalization, and attributes
     // neutralized by a fresh core-implicant break.
-    let mut equalized: std::collections::HashMap<AttrId, fd_core::Value> =
-        std::collections::HashMap::new();
+    let mut equalized: HashMap<AttrId, Value> = HashMap::new();
     let mut broken: HashSet<AttrId> = HashSet::new();
     let max_iters = (t.arity() * (fds.len() + 1) * 4).max(16);
     for _ in 0..max_iters {
-        let Some((fd, other)) = first_violation(&t, core, fds) else {
+        let Some((fd, other)) = core.first_violation(&t) else {
             return t; // consistent with the core
         };
         let a = fd.rhs().single().expect("normalized single-rhs FDs");
@@ -128,17 +172,20 @@ fn repair_one(
     for b in cover.iter() {
         t.set(b, fresh.next());
     }
-    debug_assert!(first_violation(&t, core, fds).is_none());
+    debug_assert!(core.first_violation(&t).is_none());
     t
 }
 
-fn first_violation<'a>(
+/// The reference [`Core::first_violation`] replaces: an in-order scan of
+/// the whole core for every FD.
+#[cfg(test)]
+fn first_violation_scan<'a>(
     t: &Tuple,
-    core: &'a [(TupleId, Tuple)],
+    core: &'a [Tuple],
     fds: &FdSet,
 ) -> Option<(fd_core::Fd, &'a Tuple)> {
     for fd in fds.iter() {
-        for (_, other) in core {
+        for other in core {
             if t.agrees_on(other, fd.lhs()) && !t.agrees_on(other, fd.rhs()) {
                 return Some((*fd, other));
             }
@@ -259,5 +306,45 @@ mod tests {
         let r = kl_u_repair(&t, &fds);
         r.verify(&t, &fds);
         assert!(r.cost > 0.0);
+    }
+
+    #[test]
+    fn indexed_core_finds_the_violation_the_scan_finds() {
+        // Random consistent cores (a tuple joins only when the scan finds
+        // no violation against the core so far, as in `kl_u_repair`),
+        // probed with random tuples: the index must name the same FD and
+        // the same witness (by position) as the in-order scan.
+        let s = schema_rabc();
+        let mut rng = StdRng::seed_from_u64(0x6b1);
+        for spec in [
+            "A -> B",
+            "A -> B; B -> C",
+            "A -> C; B -> C",
+            "A B -> C; C -> B",
+        ] {
+            let fds = FdSet::parse(&s, spec).unwrap().normalize_single_rhs();
+            for _ in 0..40 {
+                let mut core = Core::new(&fds);
+                for _ in 0..60 {
+                    let t = tup![
+                        rng.gen_range(0..4i64),
+                        rng.gen_range(0..4i64),
+                        rng.gen_range(0..4i64)
+                    ];
+                    let scanned = first_violation_scan(&t, &core.tuples, &fds);
+                    let indexed = core.first_violation(&t);
+                    let position = |hit: Option<(fd_core::Fd, &Tuple)>| {
+                        hit.map(|(fd, w)| {
+                            let at = core.tuples.iter().position(|c| std::ptr::eq(c, w));
+                            (fd, at)
+                        })
+                    };
+                    assert_eq!(position(indexed), position(scanned), "{spec}: {t:?}");
+                    if scanned.is_none() {
+                        core.push(t);
+                    }
+                }
+            }
+        }
     }
 }

@@ -46,12 +46,13 @@ pub use bounds::{ratio_combined, ratio_kl, ratio_ours};
 pub use consensus::{consensus_u_repair, weighted_majority};
 pub use convert::{subset_to_update, update_to_subset};
 pub use decompose::{attribute_components, strip_consensus};
-pub use exact::{exact_u_repair, try_exact_u_repair, DomainPolicy, ExactConfig};
+pub use exact::{exact_u_repair, try_exact_u_repair, DomainPolicy, ExactConfig, ExactError};
 pub use kl::kl_u_repair;
 pub use marriage::{detect_two_cycle, two_cycle_u_repair};
 pub use minimal::{is_update_repair, make_minimal};
 pub use mixed::{
-    approx_mixed_repair, exact_mixed_repair, mixed_ratio_bound, MixedCosts, MixedRepair,
+    approx_mixed_repair, exact_mixed_repair, mixed_ratio_bound, try_exact_mixed_repair, MixedCosts,
+    MixedRepair,
 };
 pub use repair::URepair;
 pub use restricted::{active_domain_u_repair, restriction_gap, try_restricted_u_repair};

@@ -12,7 +12,7 @@
 
 use crate::repair::URepair;
 use fd_core::{AttrId, FdSet, Table, TupleId};
-use fd_srepair::opt_s_repair;
+use fd_srepair::{sharded_s_repair, ShardConfig};
 use std::collections::{HashMap, HashSet};
 
 /// Detects whether `Δ` is equivalent to a two-cycle `{A → B, B → A}` over
@@ -43,7 +43,9 @@ pub fn detect_two_cycle(fds: &FdSet) -> Option<(AttrId, AttrId)> {
 /// Panics if `Δ` is not a two-cycle (use [`detect_two_cycle`] first).
 pub fn two_cycle_u_repair(table: &Table, fds: &FdSet) -> URepair {
     let (a, b) = detect_two_cycle(fds).expect("Δ must be a two-cycle {A→B, B→A}");
-    let sr = opt_s_repair(table, fds).expect("two-cycles pass OSRSucceeds via the lhs marriage");
+    // Two-cycles pass OSRSucceeds via the lhs marriage, so the sharded
+    // path solves every component with Algorithm 1.
+    let sr = sharded_s_repair(table, fds, &ShardConfig::default()).repair;
     let kept: HashSet<TupleId> = sr.kept.iter().copied().collect();
     // Kept tuples index: A value → B value and B value → A value.
     let mut by_a: HashMap<fd_core::Value, fd_core::Value> = HashMap::new();
@@ -82,6 +84,7 @@ mod tests {
     use super::*;
     use crate::exact::{exact_u_repair, ExactConfig};
     use fd_core::{schema_rabc, tup, Schema};
+    use fd_srepair::opt_s_repair;
     use rand::prelude::*;
 
     #[test]

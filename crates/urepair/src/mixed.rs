@@ -17,15 +17,16 @@
 //!
 //! Provided here:
 //!
-//! * [`exact_mixed_repair`] — exhaustive optimum (enumerate deletion sets,
-//!   exact U-repair on the survivors); small tables only;
+//! * [`exact_mixed_repair`] / [`try_exact_mixed_repair`] — exhaustive
+//!   optimum (enumerate deletion sets, exact U-repair on the survivors);
+//!   small tables only;
 //! * [`approx_mixed_repair`] — polynomial 2·r-style approximation: cover
 //!   the conflicts with the Bar-Yehuda–Even vertex cover (Prop 3.3), then
 //!   resolve each covered tuple by the cheaper of deletion and the
 //!   Proposition 4.4(2) lhs-cover retagging;
 //! * [`mixed_ratio_bound`] — the proven ratio of the approximation.
 
-use crate::exact::{try_exact_u_repair, ExactConfig};
+use crate::exact::{try_exact_u_repair, ExactConfig, ExactError};
 use crate::repair::URepair;
 use fd_core::{min_lhs_cover, FdSet, FreshSource, Table, TupleId};
 use fd_graph::{vertex_cover_2approx, ConflictGraph};
@@ -127,12 +128,32 @@ impl MixedRepair {
 /// assert_eq!(m.cost, 1.0);
 /// m.verify(&t, &fds, MixedCosts::UNIT);
 /// ```
+///
+/// # Panics
+/// Panics on more than 20 rows, or if an exact U-repair search runs out
+/// of its node budget ([`try_exact_mixed_repair`] returns that instead).
 pub fn exact_mixed_repair(
     table: &Table,
     fds: &FdSet,
     costs: MixedCosts,
     config: &ExactConfig,
 ) -> MixedRepair {
+    try_exact_mixed_repair(table, fds, costs, config)
+        .unwrap_or_else(|e| panic!("exact_mixed_repair: {e}"))
+}
+
+/// [`exact_mixed_repair`], returning [`ExactError::BudgetExhausted`] when
+/// an exact U-repair search on some survivor set runs out of its node
+/// budget (each search gets the full [`ExactConfig::max_nodes`]).
+///
+/// # Panics
+/// Panics on more than 20 rows.
+pub fn try_exact_mixed_repair(
+    table: &Table,
+    fds: &FdSet,
+    costs: MixedCosts,
+    config: &ExactConfig,
+) -> Result<MixedRepair, ExactError> {
     let ids: Vec<TupleId> = table.ids().collect();
     let n = ids.len();
     assert!(n <= 20, "exact_mixed_repair is exhaustive; got {n} rows");
@@ -156,15 +177,19 @@ pub fn exact_mixed_repair(
             initial_bound: bound.map(|b| (b - delete_cost) / costs.update),
             ..config.clone()
         };
-        // `None` here means the bounded search found nothing better.
-        if let Some(upd) = try_exact_u_repair(&survivors, fds, &cfg) {
-            let cand = MixedRepair::build(table, deleted, upd, costs);
-            if bound.is_none_or(|b| cand.cost < b) {
-                best = Some(cand);
+        match try_exact_u_repair(&survivors, fds, &cfg) {
+            Ok(upd) => {
+                let cand = MixedRepair::build(table, deleted, upd, costs);
+                if bound.is_none_or(|b| cand.cost < b) {
+                    best = Some(cand);
+                }
             }
+            // The bounded search found nothing better.
+            Err(ExactError::NoRepair) => {}
+            Err(e) => return Err(e),
         }
     }
-    best.expect("deleting everything is always a (costly) mixed repair")
+    Ok(best.expect("deleting everything is always a (costly) mixed repair"))
 }
 
 /// Polynomial approximation: 2-approximate vertex cover of the conflict

@@ -18,25 +18,30 @@
 //!   explicit-domain repairs may not ([`try_restricted_u_repair`] returns
 //!   `None`).
 
-use crate::exact::{try_exact_u_repair, DomainPolicy, ExactConfig};
+use crate::exact::{exact_u_repair, try_exact_u_repair, DomainPolicy, ExactConfig, ExactError};
 use crate::repair::URepair;
 use fd_core::{AttrId, FdSet, Table, Value};
 
 /// Optimal U-repair restricted to the active domain of each column.
 ///
 /// Exhaustive (exponential) like [`crate::exact_u_repair`]; small tables
-/// only.
+/// only. Active-domain repairs always exist (equalize each group).
+///
+/// # Panics
+/// Panics if the node budget is exhausted.
 pub fn active_domain_u_repair(table: &Table, fds: &FdSet, config: &ExactConfig) -> URepair {
     let cfg = ExactConfig {
         domain_policy: DomainPolicy::ActiveDomain,
         ..config.clone()
     };
-    try_exact_u_repair(table, fds, &cfg)
-        .expect("active-domain repairs always exist (equalize each group)")
+    exact_u_repair(table, fds, &cfg)
 }
 
 /// Optimal U-repair over explicit per-attribute candidate sets, or `None`
 /// if no consistent update exists within them.
+///
+/// # Panics
+/// Panics if the node budget is exhausted.
 pub fn try_restricted_u_repair(
     table: &Table,
     fds: &FdSet,
@@ -47,16 +52,18 @@ pub fn try_restricted_u_repair(
         domain_policy: DomainPolicy::Explicit(allowed),
         ..config.clone()
     };
-    try_exact_u_repair(table, fds, &cfg)
+    match try_exact_u_repair(table, fds, &cfg) {
+        Ok(repair) => Some(repair),
+        Err(ExactError::NoRepair) => None,
+        Err(e) => panic!("try_restricted_u_repair: {e}"),
+    }
 }
 
 /// The cost increase imposed by the active-domain restriction:
 /// `(unrestricted optimum, active-domain optimum)`. The second component
 /// is always ≥ the first.
 pub fn restriction_gap(table: &Table, fds: &FdSet, config: &ExactConfig) -> (f64, f64) {
-    let unrestricted = try_exact_u_repair(table, fds, config)
-        .expect("unrestricted repairs always exist")
-        .cost;
+    let unrestricted = exact_u_repair(table, fds, config).cost;
     let restricted = active_domain_u_repair(table, fds, config).cost;
     (unrestricted, restricted)
 }

@@ -6,12 +6,12 @@ use crate::approx::approx_u_repair;
 use crate::consensus::consensus_u_repair;
 use crate::convert::subset_to_update;
 use crate::decompose::{attribute_components, strip_consensus};
-use crate::exact::{exact_u_repair, ExactConfig};
+use crate::exact::{try_exact_u_repair, ExactConfig};
 use crate::kl::kl_u_repair;
 use crate::marriage::{detect_two_cycle, two_cycle_u_repair};
 use crate::repair::URepair;
 use fd_core::{mlc, FdSet, Table};
-use fd_srepair::{opt_s_repair, osr_succeeds};
+use fd_srepair::{osr_succeeds, sharded_s_repair, ShardConfig};
 
 /// The per-component strategies the solver may report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,7 +65,9 @@ pub struct URepairSolver {
     /// Components whose table slice stays within this many rows may use
     /// the exponential exact search.
     pub exact_row_limit: usize,
-    /// Node budget handed to the exact search.
+    /// Node budget handed to the exact search. A component whose search
+    /// exhausts it takes the combined approximation instead (reported as
+    /// [`UMethod::Approximate`], not optimal).
     pub exact_node_budget: u64,
     /// Worker threads fanning the attribute-disjoint components of
     /// Theorem 4.1 out in parallel (`1` sequential, `0` asks the OS).
@@ -76,8 +78,9 @@ pub struct URepairSolver {
     /// depends on thread interleaving. Callers comparing outputs must
     /// canonicalize (`Table::canonicalize_fresh`), exactly as the
     /// engine does before serializing any report. The `CommonLhsViaS`
-    /// strategy additionally runs its inner S-repair through the
-    /// (deterministic) parallel Algorithm 1 when threads are available.
+    /// strategy also fans the conflict components of its inner S-repair
+    /// over this many threads ([`ShardConfig::threads`]); that repair is
+    /// identical at any thread count.
     pub threads: usize,
 }
 
@@ -176,32 +179,30 @@ impl URepairSolver {
         }
         // Corollary 4.6: common lhs (mlc = 1) on the tractable side.
         if mlc(comp) == Some(1) && osr_succeeds(comp) {
-            let sr = if self.threads == 1 {
-                opt_s_repair(base, comp).expect("OSRSucceeds")
-            } else {
-                let config = fd_srepair::ParallelConfig {
-                    threads: self.threads,
-                    ..fd_srepair::ParallelConfig::default()
-                };
-                fd_srepair::par_opt_s_repair(base, comp, &config).expect("OSRSucceeds")
+            let cfg = ShardConfig {
+                threads: self.threads,
+                ..ShardConfig::default()
             };
+            let sr = sharded_s_repair(base, comp, &cfg).repair;
             let part = subset_to_update(base, &sr, comp);
             return (part, UMethod::CommonLhsViaS, true, 1.0);
         }
-        // Small instances: exhaustive search.
+        let ours = approx_u_repair(base, comp);
+        // Small instances: exhaustive search, seeded with the
+        // approximation's cost. When it runs out of its node budget the
+        // component falls through to the approximation below.
         if base.len() <= self.exact_row_limit {
-            let seed = approx_u_repair(base, comp).repair.cost;
             let cfg = ExactConfig {
                 max_nodes: self.exact_node_budget,
-                initial_bound: Some(seed + 1e-9),
+                initial_bound: Some(ours.repair.cost + 1e-9),
                 mutable_attrs: Some(comp.attrs()),
                 ..ExactConfig::default()
             };
-            let part = exact_u_repair(base, comp, &cfg);
-            return (part, UMethod::ExactSearch, true, 1.0);
+            if let Ok(part) = try_exact_u_repair(base, comp, &cfg) {
+                return (part, UMethod::ExactSearch, true, 1.0);
+            }
         }
         // Combined approximation (§4.4's closing remark).
-        let ours = approx_u_repair(base, comp);
         let kl = kl_u_repair(base, comp);
         let bound = ours.ratio.min(crate::bounds::ratio_kl(comp));
         let part = if kl.cost < ours.repair.cost {

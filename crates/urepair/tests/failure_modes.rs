@@ -1,11 +1,12 @@
 //! Failure-mode tests: the documented panics and refusals of the
 //! exhaustive searches must fire — silent degradation would undermine the
-//! oracles everything else is validated against.
+//! oracles everything else is validated against — and their `try_`
+//! forms must return them as values.
 
 use fd_core::{schema_rabc, tup, FdSet, Table};
 use fd_urepair::{
-    exact_mixed_repair, exact_u_repair, try_restricted_u_repair, DomainPolicy, ExactConfig,
-    MixedCosts,
+    exact_mixed_repair, exact_u_repair, try_exact_mixed_repair, try_exact_u_repair,
+    try_restricted_u_repair, DomainPolicy, ExactConfig, ExactError, MixedCosts,
 };
 
 fn conflicted_table() -> (Table, FdSet) {
@@ -33,6 +34,23 @@ fn exact_search_panics_when_budget_exhausted() {
         ..ExactConfig::default()
     };
     let _ = exact_u_repair(&t, &fds, &cfg);
+}
+
+#[test]
+fn try_exact_search_returns_budget_exhaustion() {
+    let (t, fds) = conflicted_table();
+    let cfg = ExactConfig {
+        max_nodes: 1,
+        ..ExactConfig::default()
+    };
+    assert_eq!(
+        try_exact_u_repair(&t, &fds, &cfg).unwrap_err(),
+        ExactError::BudgetExhausted(1)
+    );
+    assert_eq!(
+        try_exact_mixed_repair(&t, &fds, MixedCosts::UNIT, &cfg).unwrap_err(),
+        ExactError::BudgetExhausted(1)
+    );
 }
 
 #[test]

@@ -129,9 +129,9 @@ pub mod prelude {
     pub use fd_srepair::{
         answers_all_repairs, answers_optimal_repairs, approx_s_repair, classify_irreducible,
         count_optimal_s_repairs, count_subset_repairs, exact_s_repair, is_subset_repair,
-        make_maximal, opt_s_repair, osr_succeeds, par_opt_s_repair, sample_subset_repair,
-        sharded_s_repair, simplification_trace, ChainCountOutcome, Classification, CountOutcome,
-        HardCore, ParallelConfig, SMethod, SRepair, ShardConfig, ShardPlan, ShardedSolution,
+        make_maximal, opt_s_repair, osr_succeeds, sample_subset_repair, sharded_s_repair,
+        simplification_trace, ChainCountOutcome, Classification, CountOutcome, HardCore, SMethod,
+        SRepair, ShardConfig, ShardPlan, ShardedSolution,
     };
     pub use fd_urepair::{
         approx_mixed_repair, approx_u_repair, consensus_u_repair, exact_mixed_repair,

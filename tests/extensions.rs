@@ -1,6 +1,6 @@
 //! Cross-crate integration tests for the §5-outlook extensions: priorities
 //! (fd-priority), conditional FDs / denial constraints (fd-cfd), mixed and
-//! restricted repairs (fd-urepair), chain counting and the parallel
+//! restricted repairs (fd-urepair), chain counting and the sharded
 //! Algorithm 1 (fd-srepair) — all through the `fd_repairs` facade, the way
 //! a downstream user would drive them.
 
@@ -39,18 +39,15 @@ fn running_example_round_trip_through_every_extension() {
         CountOutcome::Count(2)
     );
 
-    // Parallel Algorithm 1 agrees with the sequential one.
+    // Algorithm 1 fanned over conflict components agrees with the
+    // whole-table recursion.
     let seq = opt_s_repair(&table, &fds).unwrap();
-    let par = par_opt_s_repair(
-        &table,
-        &fds,
-        &ParallelConfig {
-            threads: 4,
-            min_blocks: 1,
-        },
-    )
-    .unwrap();
-    assert_eq!(seq.kept, par.kept);
+    let cfg = ShardConfig {
+        threads: 4,
+        ..ShardConfig::default()
+    };
+    let par = sharded_s_repair(&table, &fds, &cfg);
+    assert_eq!(seq.kept, par.repair.kept);
     assert_eq!(seq.cost, 2.0);
 
     // Weight-induced priorities: tuple 0 (weight 2) beats its conflicting

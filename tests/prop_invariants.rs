@@ -323,12 +323,8 @@ proptest! {
     fn parallel_algorithm_one_matches_sequential(table in arb_table(12)) {
         let fds = FdSet::parse(&schema_rabc(), "A -> B; A B -> C").unwrap();
         let seq = opt_s_repair(&table, &fds).expect("tractable");
-        let par = par_opt_s_repair(
-            &table,
-            &fds,
-            &ParallelConfig { threads: 3, min_blocks: 1 },
-        )
-        .expect("tractable");
-        prop_assert_eq!(seq.kept, par.kept);
+        let cfg = ShardConfig { threads: 3, ..ShardConfig::default() };
+        let par = sharded_s_repair(&table, &fds, &cfg);
+        prop_assert_eq!(seq.kept, par.repair.kept);
     }
 }

@@ -147,3 +147,60 @@ fn counting_matches_the_solved_optimum() {
         assert_eq!(c, seen);
     }
 }
+
+/// An 8-row weighted hard instance whose exact update search needs far
+/// more than a small node budget.
+const BUDGET_BUSTER: &str = "relation H
+attrs A B C
+fd A -> C
+fd B -> C
+row 0.5 | a0_0 | b0_0 | 1
+row 1 | a0_2 | b0_2 | 1
+row 1.5 | a0_2 | b0_0 | 2
+row 0.5 | a0_2 | b0_2 | 0
+row 2 | a0_2 | b0_1 | 2
+row 3 | a0_1 | b0_2 | 1
+row 3 | a0_1 | b0_0 | 0
+row 1.5 | a0_1 | b0_1 | 1
+";
+
+#[test]
+fn exhausted_exact_search_degrades_or_refuses_without_panicking() {
+    let inst = fd_repairs::instance::Instance::parse(BUDGET_BUSTER).unwrap();
+    let (t, fds) = (&inst.table, &inst.fds);
+    let starved = |request: RepairRequest| request.exact_node_budget(500);
+
+    // Best effort: the u component falls through to the approximation,
+    // and mixed falls back to the vertex-cover retagging.
+    let u = Planner
+        .run(t, fds, &starved(RepairRequest::update()))
+        .unwrap();
+    assert_eq!(u.methods, vec!["Approximate".to_string()]);
+    assert!(!u.optimal);
+    assert_eq!(
+        u.ratio,
+        fd_repairs::urepair::engine::approx_component_bound(fds)
+    );
+    assert!(u.repaired().unwrap().satisfies(fds));
+    let mixed = Planner
+        .run(t, fds, &starved(RepairRequest::mixed(MixedCosts::UNIT)))
+        .unwrap();
+    assert_eq!(mixed.methods, vec!["MixedVertexCoverRetag".to_string()]);
+    assert!(!mixed.optimal);
+    assert_eq!(
+        mixed.ratio,
+        fd_repairs::urepair::mixed_ratio_bound(fds, MixedCosts::UNIT)
+    );
+    assert!(mixed.repaired().unwrap().satisfies(fds));
+
+    // Certified exactness demanded: a refusal, not a panic.
+    for request in [
+        RepairRequest::update(),
+        RepairRequest::mixed(MixedCosts::UNIT),
+    ] {
+        let err = Planner
+            .run(t, fds, &starved(request.optimality(Optimality::Exact)))
+            .unwrap_err();
+        assert!(matches!(err, EngineError::ExactInfeasible(_)), "{err}");
+    }
+}

@@ -10,10 +10,26 @@
 //! *upgrade* a 2-approximation, and must never lose optimality.
 //!
 //! A differential fuzz campaign (engine vs brute-force oracle) closes
-//! the loop: zero divergences on every generated case.
+//! the loop: zero divergences on every generated case. The `threads`
+//! budget knob must not move a byte either: subset reports on the
+//! checked-in fixtures, and update reports whose common-lhs component
+//! runs its S-repair through the same sharded path.
 
 use fd_gen::adversarial::{schema_pool, sized_instance};
+use fd_repairs::instance::Instance;
 use fd_repairs::prelude::*;
+
+fn fixture(name: &str) -> Instance {
+    let path = format!("{}/examples/data/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).expect("fixture exists");
+    Instance::parse(&text).expect("fixture parses")
+}
+
+/// A report with timings zeroed (the one nondeterministic field).
+fn canonical_json(mut report: RepairReport) -> String {
+    report.timings = Timings::default();
+    report.to_json()
+}
 
 fn run(table: &Table, fds: &FdSet, request: &RepairRequest) -> RepairReport {
     Planner.run(table, fds, request).expect("request solves")
@@ -172,4 +188,74 @@ fn forced_shard_fuzz_campaign_has_zero_divergences() {
         "{} divergence(s) on the subset path",
         summary.divergences.len()
     );
+}
+
+#[test]
+fn parallel_subset_repair_matches_sequential_on_the_fixtures() {
+    for name in ["office.fdr", "sensors.fdr"] {
+        let inst = fixture(name);
+        let sequential = run(&inst.table, &inst.fds, &RepairRequest::subset());
+        for threads in [0usize, 2, 4, 8] {
+            let parallel = run(
+                &inst.table,
+                &inst.fds,
+                &RepairRequest::subset().threads(threads),
+            );
+            assert_eq!(
+                parallel.cost, sequential.cost,
+                "{name}: parallel cost must equal sequential cost (threads={threads})"
+            );
+            assert_eq!(parallel.optimal, sequential.optimal);
+            assert_eq!(parallel.methods, sequential.methods);
+            assert_eq!(
+                deleted_ids(&parallel),
+                deleted_ids(&sequential),
+                "{name}: same deleted ids (threads={threads})"
+            );
+            assert_eq!(
+                canonical_json(parallel),
+                canonical_json(sequential.clone()),
+                "{name}: byte-identical reports (threads={threads})"
+            );
+        }
+    }
+}
+
+#[test]
+fn office_parallel_cost_is_the_paper_optimum() {
+    let inst = fixture("office.fdr");
+    let report = run(&inst.table, &inst.fds, &RepairRequest::subset().threads(4));
+    assert_eq!(report.cost, 2.0);
+    assert!(report.optimal);
+    assert!(report.repaired().unwrap().satisfies(&inst.fds));
+}
+
+#[test]
+fn u_solver_threads_keep_common_lhs_update_reports_byte_identical() {
+    // `K -> A B` (and office's `facility`) is a common lhs on the
+    // tractable side: Corollary 4.6's `CommonLhsViaS` arm, whose
+    // S-repair fans its conflict components over the u-solver's threads.
+    let (_, fds, table) = fd_gen::scale::tractable_scale(3_000, true, 7);
+    let office = fixture("office.fdr");
+    for (name, table, fds) in [
+        ("tractable_scale", &table, &fds),
+        ("office", &office.table, &office.fds),
+    ] {
+        let sequential = run(table, fds, &RepairRequest::update().threads(1));
+        assert!(
+            sequential.methods.iter().any(|m| m == "CommonLhsViaS"),
+            "{name}: {:?}",
+            sequential.methods
+        );
+        assert!(sequential.optimal);
+        let expected = canonical_json(sequential);
+        for threads in [2usize, 4] {
+            let parallel = run(table, fds, &RepairRequest::update().threads(threads));
+            assert_eq!(
+                canonical_json(parallel),
+                expected,
+                "{name}: byte-identical update reports (threads={threads})"
+            );
+        }
+    }
 }
