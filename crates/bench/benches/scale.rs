@@ -68,11 +68,19 @@
 //! and a branch — no clock, no allocation — and this entry fails the
 //! gate if anyone makes it expensive, which would silently tax every
 //! instrumented pipeline stage.
+//!
+//! Last, after the ladder's peak RSS is read, `ingest/fdr/<n>` (100k and 1M
+//! rows) times [`fd_repairs::instance::Instance::parse`] of the
+//! `fdrepair gen` text of the tractable workload: the single-pass,
+//! chunk-parallel `.fdr` reader into symbol columns. The committed
+//! `1000000/100000` median ratio must stay under 15 (asserted by a
+//! test in `bench_guard`), so ingest stays linear.
 
 use criterion::{black_box, Criterion};
 use fd_core::{table_from_csv_reader, table_to_csv, CsvOptions, KeyExtractor};
 use fd_engine::{Json, Planner, RepairEngine, RepairRequest};
 use fd_gen::scale::{hard_scale, marriage_scale, tractable_scale};
+use fd_repairs::instance::Instance;
 use std::time::Instant;
 
 fn bench_small_sizes(c: &mut Criterion) {
@@ -338,10 +346,25 @@ fn write_summary() {
             }
         }),
     );
-    // Memory trajectory: peak RSS over the whole ladder, amortized per
-    // row of the top size. Gated raw by `bench_guard` (a `bytes_per_row`
-    // entry is never calibrated — footprint is machine-independent).
-    if let Some(bytes) = peak_rss_bytes() {
+    let ladder_peak = peak_rss_bytes();
+    // `.fdr` ingest: the text `fdrepair gen` writes, parsed back into a
+    // table. Runs after the ladder's peak RSS is read, so the memory
+    // entry keeps measuring the ladder alone.
+    for n in [100_000usize, 1_000_000] {
+        let (schema, fds, table) = tractable_scale(n, false, 42);
+        let text = Instance { schema, fds, table }.to_fdr();
+        push(
+            format!("ingest/fdr/{n}"),
+            median_us(reps(n), || {
+                black_box(Instance::parse(&text).unwrap());
+            }),
+        );
+    }
+    // Memory trajectory: peak RSS over the whole ladder (read before
+    // the ingest rung), amortized per row of the top size. Gated raw by
+    // `bench_guard` (a `bytes_per_row` entry is never calibrated —
+    // footprint is machine-independent).
+    if let Some(bytes) = ladder_peak {
         let per_row = bytes / 1e6;
         println!(
             "  {:<40} {per_row:>12.1} B/row (peak RSS)",

@@ -279,6 +279,23 @@ mod tests {
         );
     }
 
+    /// `.fdr` ingest must scale linearly: the reader passes over each
+    /// line once and interns each field once, so ten times the rows
+    /// cost about ten times the time. A per-row rescan of the document,
+    /// or a chunk merge that remaps through a growing search, fails
+    /// here.
+    #[test]
+    fn committed_seed_keeps_fdr_ingest_linear() {
+        let small = median("ingest/fdr/100000");
+        let large = median("ingest/fdr/1000000");
+        assert!(
+            small > 0.0 && large / small < 15.0,
+            "ingest/fdr/1000000 ({large} µs) must stay under 15× \
+             ingest/fdr/100000 ({small} µs); got {:.1}×",
+            large / small
+        );
+    }
+
     #[test]
     fn time_and_bytes_fail_when_the_number_grows() {
         assert!(Unit::TimeUs.regression_ratio(100.0, 300.0) > 2.0);

@@ -18,12 +18,12 @@
 //! [`table_from_csv`] are thin in-memory wrappers over the same state
 //! machine, so all paths share one grammar.
 
+use crate::builder::TableBuilder;
 use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 use std::io::BufRead;
-use std::sync::Arc;
 
 /// Options for [`table_from_csv`] / [`table_from_csv_reader`].
 #[derive(Clone, Debug, Default)]
@@ -40,6 +40,8 @@ pub struct CsvOptions {
 /// documents parse in constant memory (modulo the largest single
 /// record). Quoted fields may span record separators; `\r\n` and `\n`
 /// both end records; doubled quotes escape quotes inside quoted fields.
+/// One leading UTF-8 byte-order mark is skipped, so a header saved by a
+/// spreadsheet names its first column without a `\u{feff}` prefix.
 ///
 /// # Errors
 ///
@@ -56,6 +58,8 @@ pub struct CsvReader<R: BufRead> {
     /// Line the most recently returned record started on (blank lines
     /// skipped), for caller-side error reporting.
     record_start: usize,
+    /// Whether the leading byte-order mark check has run.
+    bom_checked: bool,
     done: bool,
 }
 
@@ -67,6 +71,7 @@ impl<R: BufRead> CsvReader<R> {
             peeked: None,
             line: 1,
             record_start: 1,
+            bom_checked: false,
             done: false,
         }
     }
@@ -90,6 +95,24 @@ impl<R: BufRead> CsvReader<R> {
                 }
             }
         }
+    }
+
+    /// Consumes one leading UTF-8 byte-order mark. Bytes that only begin
+    /// like one are handed back as the opening bytes of the first field,
+    /// exactly where the state machine would have put them.
+    fn skip_bom(&mut self, field: &mut Vec<u8>) -> Result<()> {
+        const BOM: &[u8] = b"\xEF\xBB\xBF";
+        for (k, &mark) in BOM.iter().enumerate() {
+            match self.next_byte()? {
+                Some(b) if b == mark => {}
+                other => {
+                    field.extend_from_slice(&BOM[..k]);
+                    self.peeked = other;
+                    return Ok(());
+                }
+            }
+        }
+        Ok(())
     }
 
     fn peek_byte(&mut self) -> Result<Option<u8>> {
@@ -174,6 +197,10 @@ impl<R: BufRead> CsvReader<R> {
             return Ok(false);
         }
         self.record_start = self.line;
+        if !self.bom_checked {
+            self.bom_checked = true;
+            self.skip_bom(buf)?;
+        }
         loop {
             // Fast path: swallow runs of ordinary field bytes in bulk.
             // After a closing quote only separators may follow, so the
@@ -371,18 +398,14 @@ pub fn table_from_csv_reader<R: BufRead>(
         .map(|(_, h)| h.as_str())
         .collect();
     let schema = Schema::new(relation, attrs)?;
-    let mut table = Table::new(Arc::clone(&schema));
     // Zero-copy load loop: fields are interned straight out of the raw
-    // record buffer — no per-cell `String`, no per-row `Vec<Value>`; a
-    // string cell allocates only the first time its text appears.
+    // record buffer into one builder — no per-cell `String`, no per-row
+    // `Vec<Value>`; a string cell allocates only the first time its
+    // text appears. One chunk, since a quoted field may span lines.
+    let mut rows = TableBuilder::new(schema.arity());
     let mut buf: Vec<u8> = Vec::new();
     let mut ends: Vec<u32> = Vec::new();
-    let mut syms: Vec<crate::sym::Sym> = Vec::with_capacity(schema.arity());
-    loop {
-        if !reader.next_record_raw(&mut buf, &mut ends)? {
-            sp.attr("rows", table.len());
-            return Ok(table);
-        }
+    while reader.next_record_raw(&mut buf, &mut ends)? {
         // Errors cite the line the record started on (blank lines and
         // multiline quoted fields accounted for by the reader).
         let record_line = reader.record_line();
@@ -392,24 +415,26 @@ pub fn table_from_csv_reader<R: BufRead>(
                 reason: "record width differs from header",
             });
         }
-        let mut weight = 1.0;
-        syms.clear();
-        let mut start = 0usize;
-        for (i, &end) in ends.iter().enumerate() {
-            let fieldtext =
-                std::str::from_utf8(&buf[start..end as usize]).expect("validated by raw read");
-            start = end as usize;
-            if Some(i) == weight_idx {
-                weight = fieldtext.parse::<f64>().map_err(|_| Error::CsvParse {
-                    line: record_line,
-                    reason: "weight field is not a number",
-                })?;
-            } else {
-                syms.push(table.intern_text(fieldtext));
-            }
-        }
-        table.push_syms(&syms, weight)?;
+        let field = |i: usize| {
+            let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+            std::str::from_utf8(&buf[start..ends[i] as usize]).expect("validated by raw read")
+        };
+        let weight = match weight_idx {
+            None => 1.0,
+            Some(w) => field(w).parse::<f64>().map_err(|_| Error::CsvParse {
+                line: record_line,
+                reason: "weight field is not a number",
+            })?,
+        };
+        rows.push_text_row(
+            (0..ends.len())
+                .filter(|&i| Some(i) != weight_idx)
+                .map(field),
+            weight,
+        )?;
     }
+    sp.attr("rows", rows.len());
+    Ok(TableBuilder::finish(schema, [rows]))
 }
 
 /// Renders a table as CSV, optionally appending a `weight` column.
@@ -651,6 +676,22 @@ mod tests {
         let first = t.rows().next().unwrap();
         assert_eq!(first.tuple.values()[0], Value::str(&big));
         assert_eq!(t.rows().last().unwrap().tuple.values()[1], Value::Int(999));
+    }
+
+    #[test]
+    fn a_byte_order_mark_split_across_reads_is_skipped() {
+        for text in ["\u{feff}a,b\nx,1\n", "\u{ff01}a,b\nx,1\n", "\u{feff}"] {
+            let trickle = std::io::BufReader::with_capacity(1, text.as_bytes());
+            let mut reader = CsvReader::new(trickle);
+            let mut streamed = Vec::new();
+            let mut record = Vec::new();
+            while reader.next_record(&mut record).unwrap() {
+                streamed.push(std::mem::take(&mut record));
+            }
+            assert_eq!(streamed, parse_csv(text).unwrap(), "{text:?}");
+        }
+        assert_eq!(parse_csv("\u{feff}a\n").unwrap(), [["a"]]);
+        assert!(parse_csv("\u{feff}").unwrap().is_empty());
     }
 
     #[test]

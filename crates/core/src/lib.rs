@@ -31,6 +31,7 @@
 
 mod armstrong;
 mod attrset;
+mod builder;
 mod cover;
 mod csv;
 mod error;
@@ -49,6 +50,7 @@ mod value;
 
 pub use armstrong::{derive, Derivation};
 pub use attrset::AttrSet;
+pub use builder::TableBuilder;
 pub use cover::{mci, mfs, min_core_implicant, min_lhs_cover, mlc};
 pub use csv::{
     parse_csv, table_from_csv, table_from_csv_reader, table_to_csv, CsvOptions, CsvReader,

@@ -308,6 +308,55 @@ impl Dictionary {
     }
 }
 
+/// "Not mapped yet" in a [`Remap`] slot. Pooled symbols only ever map to
+/// pooled symbols, so the inline integer 0 can never be a real target.
+const UNMAPPED: Sym = Sym(TAG_INT);
+
+/// Translates the symbols of one dictionary into another: each pooled
+/// symbol is interned into the target the first time it is met, through
+/// a dense table indexed by its payload; inline symbols pass through.
+/// Met in row-major order, pooled values land in the target in exactly
+/// the order a sequential load would have interned them.
+pub(crate) struct Remap<'a> {
+    from: &'a Dictionary,
+    strs: Vec<Sym>,
+    spill: Vec<Sym>,
+}
+
+impl<'a> Remap<'a> {
+    /// An empty translation out of `from`.
+    pub(crate) fn new(from: &'a Dictionary) -> Remap<'a> {
+        Remap {
+            from,
+            strs: vec![UNMAPPED; from.strs.len()],
+            spill: vec![UNMAPPED; from.spill.len()],
+        }
+    }
+
+    /// The symbol of `sym`'s value in `into`, interning it there if new.
+    #[inline]
+    pub(crate) fn map(&mut self, into: &mut Dictionary, sym: Sym) -> Sym {
+        let payload = (sym.0 & PAYLOAD_MASK) as usize;
+        match sym.0 & TAG_MASK {
+            TAG_STR => {
+                let slot = &mut self.strs[payload];
+                if *slot == UNMAPPED {
+                    *slot = into.intern_arc_str(&self.from.strs[payload]);
+                }
+                *slot
+            }
+            TAG_SPILL => {
+                let slot = &mut self.spill[payload];
+                if *slot == UNMAPPED {
+                    *slot = into.intern_spill(&self.from.spill[payload]);
+                }
+                *slot
+            }
+            _ => sym,
+        }
+    }
+}
+
 /// A symbol's value as [`Dictionary::resolve`] returns it: borrowed
 /// from the dictionary where it is pooled, never allocated.
 #[derive(Clone, Debug, PartialEq)]

@@ -104,8 +104,9 @@ impl Table {
         }
     }
 
-    /// Creates an empty table with row capacity reserved — the entry
-    /// point for bulk loads (CSV streaming, scale generators).
+    /// Creates an empty table with row capacity reserved, for callers
+    /// that push many rows (scale generators, [`Table::build`]); text
+    /// loaders go through [`TableBuilder`](crate::TableBuilder).
     pub fn with_capacity(schema: Arc<Schema>, rows: usize) -> Table {
         let mut t = Table::new(schema);
         t.ids.reserve(rows);
@@ -228,37 +229,34 @@ impl Table {
         Ok(())
     }
 
-    /// Appends a row given pre-interned symbols (one per attribute, in
-    /// schema order) — the zero-copy path for streaming loaders that
-    /// intern fields straight off the wire. Nothing is decoded.
-    pub fn push_syms(&mut self, syms: &[Sym], weight: f64) -> Result<TupleId> {
-        if syms.len() != self.schema.arity() {
-            return Err(Error::ArityMismatch {
-                expected: self.schema.arity(),
-                found: syms.len(),
-            });
+    /// A table over freshly built columns with identifiers `0..n`: the
+    /// landing point of [`TableBuilder`](crate::TableBuilder). The
+    /// columns must be row-aligned and hold text-interned symbols of
+    /// `dict` only, so no fresh constant is stored.
+    pub(crate) fn from_columns(
+        schema: Arc<Schema>,
+        dict: Dictionary,
+        cols: Vec<Vec<Sym>>,
+        weights: Vec<f64>,
+    ) -> Table {
+        assert_eq!(cols.len(), schema.arity(), "one column per attribute");
+        assert!(
+            cols.iter().all(|col| col.len() == weights.len()),
+            "columns are row-aligned"
+        );
+        let n = u32::try_from(weights.len()).expect("more than 2^32 rows");
+        Table {
+            schema,
+            ids: (0..n).map(TupleId).collect(),
+            next_id: n,
+            index: (0..n).collect(),
+            index_base: 0,
+            index_sparse: Vec::new(),
+            dict: Arc::new(dict),
+            cols,
+            weights,
+            has_fresh: false,
         }
-        if weight <= 0.0 || !weight.is_finite() {
-            return Err(Error::InvalidWeight { weight });
-        }
-        let id = TupleId(self.next_id);
-        let pos = self.ids.len() as u32;
-        for (c, &sym) in syms.iter().enumerate() {
-            self.has_fresh |= self.dict.sym_contains_fresh(sym);
-            self.cols[c].push(sym);
-        }
-        self.next_id += 1;
-        self.index_insert(id.0, pos);
-        self.ids.push(id);
-        self.weights.push(weight);
-        Ok(id)
-    }
-
-    /// Interns a raw text field through the table's dictionary (integer
-    /// syntax becomes an integer symbol), for use with
-    /// [`Table::push_syms`].
-    pub fn intern_text(&mut self, text: &str) -> Sym {
-        Arc::make_mut(&mut self.dict).intern_text(text)
     }
 
     /// The schema of the table.
@@ -981,12 +979,10 @@ mod tests {
         t.push_row(TupleId(3), row3.clone(), 2.0).unwrap();
         // Str("12") and Int(12) are distinct symbols in one column.
         assert_ne!(t.col(a)[0], t.col(a)[1]);
-        // push continues above the largest id; push_syms takes raw text,
-        // where integer syntax interns as an integer.
+        // push continues above the largest id.
         assert_eq!(t.push(tup!["x", 1, 2], 0.5).unwrap(), TupleId(8));
-        let syms = [t.intern_text("12"), t.intern_text("y"), t.intern_text("40")];
-        assert_eq!(t.push_syms(&syms, 3.0).unwrap(), TupleId(9));
         let row9 = tup![12, "y", 40];
+        assert_eq!(t.push(row9.clone(), 3.0).unwrap(), TupleId(9));
         assert_eq!(
             view(&t),
             vec![

@@ -123,3 +123,28 @@ Lab1,B35,3,London,2
         .unwrap();
     assert_eq!(report.cost, 2.0);
 }
+
+#[test]
+fn a_leading_byte_order_mark_is_not_part_of_the_first_header() {
+    let csv = "\u{feff}A,B\n1,2\n1,3\n";
+    let inst = Instance::from_csv("R", csv, "A -> B", None).unwrap();
+    assert_eq!(inst.schema.attr_names(), ["A", "B"]);
+    assert_eq!(
+        inst.table,
+        Instance::from_csv("R", &csv[3..], "A -> B", None)
+            .unwrap()
+            .table
+    );
+    // A quoted first field after the mark still parses as quoted.
+    let quoted = table_from_csv("R", "\u{feff}\"A\",B\n\"x,y\",2\n", &CsvOptions::default());
+    assert_eq!(quoted.unwrap().schema().attr_names(), ["A", "B"]);
+    // Bytes that merely start like a mark stay in the field, and only
+    // the first mark goes.
+    let full_width = table_from_csv("R", "\u{ff01}A,B\n", &CsvOptions::default()).unwrap();
+    assert_eq!(full_width.schema().attr_names(), ["\u{ff01}A", "B"]);
+    let twice = table_from_csv("R", "\u{feff}\u{feff}A\n", &CsvOptions::default()).unwrap();
+    assert_eq!(twice.schema().attr_names(), ["\u{feff}A"]);
+    // A mark on a later line is data.
+    let later = table_from_csv("R", "A\n\u{feff}x\n", &CsvOptions::default()).unwrap();
+    assert_eq!(later.row_at(0).tuple.values()[0], Value::str("\u{feff}x"));
+}
