@@ -595,32 +595,6 @@ impl Table {
         self.gather_positions(&Table::masked_positions(&mask, false))
     }
 
-    /// Selection `σ_{X = key} T`: rows whose projection on `attrs` equals
-    /// `key` (values in ascending attribute order).
-    pub fn select_eq(&self, attrs: AttrSet, key: &[Value]) -> Table {
-        let cols: Vec<usize> = attrs.iter().map(|a| a.usize()).collect();
-        if cols.len() != key.len() {
-            return self.gather_positions(&[]);
-        }
-        // Encode the key through the dictionary: a component the
-        // dictionary has never seen cannot occur in any row.
-        let mut key_syms = Vec::with_capacity(key.len());
-        for v in key {
-            match self.dict.lookup(v) {
-                Some(sym) => key_syms.push(sym),
-                None => return self.gather_positions(&[]),
-            }
-        }
-        let positions: Vec<u32> = (0..self.len() as u32)
-            .filter(|&pos| {
-                cols.iter()
-                    .zip(key_syms.iter())
-                    .all(|(&c, &k)| self.cols[c][pos as usize] == k)
-            })
-            .collect();
-        self.gather_positions(&positions)
-    }
-
     /// Partitions the table by the projection on `attrs`, returning
     /// `(key, block)` pairs sorted by key (deterministic). Grouping runs
     /// in symbol space; only one key per distinct block is decoded.
@@ -690,25 +664,6 @@ impl Table {
             .into_iter()
             .map(|(key, positions)| (key, self.gather_positions(&positions)))
             .collect()
-    }
-
-    /// The distinct projections `π_X T[∗]`, sorted.
-    pub fn distinct_projections(&self, attrs: AttrSet) -> Vec<Vec<Value>> {
-        let cols: Vec<usize> = attrs.iter().map(|a| a.usize()).collect();
-        let mut seen: HashSet<Box<[Sym]>, FnvBuild> = HashSet::default();
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        for pos in 0..self.len() {
-            let sym_key: Box<[Sym]> = cols.iter().map(|&c| self.cols[c][pos]).collect();
-            if seen.insert(sym_key) {
-                keys.push(
-                    cols.iter()
-                        .map(|&c| self.dict.decode(self.cols[c][pos]))
-                        .collect(),
-                );
-            }
-        }
-        keys.sort();
-        keys
     }
 
     /// The distinct values of one column, sorted (the column's active domain).
@@ -1204,20 +1159,8 @@ mod tests {
         assert_eq!(parts[0].0, vec![Value::str("x")]);
         assert_eq!(parts[0].1.len(), 2);
         assert_eq!(parts[1].0, vec![Value::str("y")]);
-        let sel = t.select_eq(a, &[Value::str("x")]);
-        assert_eq!(sel, parts[0].1);
         // Partition by ∅ yields a single block.
         assert_eq!(t.partition_by(AttrSet::EMPTY).len(), 1);
-    }
-
-    #[test]
-    fn select_eq_on_unseen_values_is_empty() {
-        let s = schema_rabc();
-        let t = table_abc(vec![(tup!["x", 1, 2], 1.0)]);
-        let a = AttrSet::singleton(s.attr("A").unwrap());
-        assert!(t.select_eq(a, &[Value::str("unseen")]).is_empty());
-        assert!(t.select_eq(a, &[Value::from(123456)]).is_empty());
-        assert!(t.select_eq(a, &[]).is_empty()); // arity mismatch
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::request::{Notion, Optimality, RepairRequest};
 use fd_core::{candidate_keys, FdSet, Table, TupleId};
 use fd_srepair::{
     count_optimal_s_repairs, count_subset_repairs, sample_subset_repair, ChainCountOutcome,
-    CountOutcome, ShardConfig, ShardPlan,
+    CountOutcome, ShardConfig, ShardPlan, ShardedSolution,
 };
 use fd_urepair::engine::MixedMethod;
 use fd_urepair::URepairSolver;
@@ -242,6 +242,43 @@ impl Planner {
         base
     }
 
+    /// Never hand back a weaker guarantee than the request allows: the
+    /// one check `plan()`, `run()` and session reports all apply.
+    pub(crate) fn check_guarantee(
+        request: &RepairRequest,
+        optimal: bool,
+        ratio: f64,
+    ) -> Result<(), EngineError> {
+        if let Optimality::Approximate { max_ratio } = request.optimality {
+            if ratio > max_ratio {
+                return Err(EngineError::RatioUnattainable {
+                    required: max_ratio,
+                    achievable: ratio,
+                });
+            }
+        }
+        if request.optimality == Optimality::Exact && !optimal {
+            return Err(EngineError::ExactInfeasible(
+                "the executed method could not certify optimality".to_string(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The subset report's method names, component statistics and body
+    /// for a sharded solution of `table` — shared by `run()` and session
+    /// reports, so both assemble the same bytes.
+    pub(crate) fn subset_report_parts(
+        table: &Table,
+        sol: &ShardedSolution,
+    ) -> (Vec<String>, ComponentReport, ReportBody) {
+        let (_, stats) = Planner::shard_steps(&sol.plan);
+        let methods = stats.methods.iter().map(|(m, _)| m.clone()).collect();
+        let deleted = sol.repair.deleted(table);
+        let repaired = sol.repair.apply(table);
+        (methods, stats, ReportBody::Subset { deleted, repaired })
+    }
+
     /// Renders a [`ShardPlan`] into plan steps plus the component
     /// statistics the report carries.
     pub(crate) fn shard_steps(plan: &ShardPlan) -> (Vec<PlanStep>, ComponentReport) {
@@ -453,15 +490,8 @@ impl RepairEngine for Planner {
                 1.0,
             ),
         };
-        // An unattainable Approximate request fails at plan time already.
-        if let Optimality::Approximate { max_ratio } = request.optimality {
-            if ratio > max_ratio {
-                return Err(EngineError::RatioUnattainable {
-                    required: max_ratio,
-                    achievable: ratio,
-                });
-            }
-        }
+        // An unattainable request fails at plan time already.
+        Planner::check_guarantee(request, optimal, ratio)?;
         Ok(Plan {
             notion: request.notion,
             steps,
@@ -498,22 +528,19 @@ impl RepairEngine for Planner {
             Notion::Subset => {
                 let cfg = Planner::shard_config(table, fds, request);
                 let sol = fd_srepair::sharded_s_repair(table, fds, &cfg);
-                let (_, stats) = Planner::shard_steps(&sol.plan);
-                let methods = stats.methods.iter().map(|(m, _)| m.clone()).collect();
+                let (methods, stats, body) = Planner::subset_report_parts(table, &sol);
                 components = Some(stats);
-                let deleted = sol.repair.deleted(table);
-                let repaired = sol.repair.apply(table);
                 (
                     methods,
-                    sol.optimal,
-                    sol.ratio,
+                    sol.plan.optimal,
+                    sol.plan.ratio,
                     sol.repair.cost,
-                    ReportBody::Subset { deleted, repaired },
+                    body,
                 )
             }
             Notion::Update => {
                 let solver = Planner::effective_u_solver(table, fds, request);
-                let mut sol = fd_urepair::engine::solve_update(table, fds, &solver);
+                let mut sol = solver.solve(table, fds);
                 // Fresh constants are minted from a process-global
                 // counter; canonicalize so identical calls serialize
                 // identically (serving and caching depend on it).
@@ -681,20 +708,7 @@ impl RepairEngine for Planner {
         let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
         Planner::check_time(start, request)?;
 
-        // Never hand back a weaker guarantee than the request allows.
-        if let Optimality::Approximate { max_ratio } = request.optimality {
-            if ratio > max_ratio {
-                return Err(EngineError::RatioUnattainable {
-                    required: max_ratio,
-                    achievable: ratio,
-                });
-            }
-        }
-        if request.optimality == Optimality::Exact && !optimal {
-            return Err(EngineError::ExactInfeasible(
-                "the executed method could not certify optimality".to_string(),
-            ));
-        }
+        Planner::check_guarantee(request, optimal, ratio)?;
 
         Ok(RepairReport {
             notion: request.notion,

@@ -25,7 +25,7 @@
 //! callers never branch.
 
 use crate::planner::{EngineError, Planner, RepairEngine};
-use crate::report::{DichotomyReport, RepairReport, ReportBody, Timings};
+use crate::report::{DichotomyReport, RepairReport, Timings};
 use crate::request::{Notion, Optimality, RepairRequest};
 use fd_core::{FdSet, Mutation, MutationEffect, Table};
 use fd_srepair::{osr_succeeds, IncrementalSubset};
@@ -126,38 +126,19 @@ impl IncrementalSession {
         let mut sp = fd_trace::span("engine/incremental_report");
         sp.attr("rows", self.table.len());
         let sol = inc.solution(&self.table);
-        let (_, stats) = Planner::shard_steps(&sol.plan);
-        sp.attr("components", stats.count);
-
-        // Never hand back a weaker guarantee than the request allows
-        // (the same checks Planner::run applies after solving).
-        if let Optimality::Approximate { max_ratio } = self.request.optimality {
-            if sol.ratio > max_ratio {
-                return Err(EngineError::RatioUnattainable {
-                    required: max_ratio,
-                    achievable: sol.ratio,
-                });
-            }
-        }
-        if self.request.optimality == Optimality::Exact && !sol.optimal {
-            return Err(EngineError::ExactInfeasible(
-                "the executed method could not certify optimality".to_string(),
-            ));
-        }
-
-        let methods = stats.methods.iter().map(|(m, _)| m.clone()).collect();
-        let deleted = sol.repair.deleted(&self.table);
-        let repaired = sol.repair.apply(&self.table);
+        sp.attr("components", sol.plan.components);
+        Planner::check_guarantee(&self.request, sol.plan.optimal, sol.plan.ratio)?;
+        let (methods, stats, body) = Planner::subset_report_parts(&self.table, &sol);
         Ok(RepairReport {
             notion: self.request.notion,
             methods,
-            optimal: sol.optimal,
-            ratio: sol.ratio,
+            optimal: sol.plan.optimal,
+            ratio: sol.plan.ratio,
             cost: sol.repair.cost,
             dichotomy: DichotomyReport::classify(&self.fds),
             components: Some(stats),
             timings: Timings::default(),
-            body: ReportBody::Subset { deleted, repaired },
+            body,
         })
     }
 

@@ -1695,10 +1695,16 @@ mod tests {
         // flight has cached its bytes and retired before entering the
         // flight table. Each of them leads a fresh flight, and the
         // leader's re-probe must turn that into a hit, not a solve.
+        // They are released one at a time — caller `i` also waits for
+        // the `i − 1` hits before it, counted once each flight retired —
+        // so no parked caller can join another's re-probe flight.
         let n = 6;
         let (solves, metrics) = parked_flights(n, |i, shared, solves| {
             if i > 0 {
-                while solves.load(Ordering::SeqCst) == 0 || shared.single_flight.in_flight(0xF1) {
+                while solves.load(Ordering::SeqCst) == 0
+                    || shared.single_flight.in_flight(0xF1)
+                    || counter(&shared.metrics.render(), "fd_serve_cache_hits") < i as u64 - 1
+                {
                     std::thread::yield_now();
                 }
             }

@@ -24,7 +24,8 @@
 //! and the counter reports [`ChainCountOutcome::NotAChain`] rather than
 //! attempting the #P-hard general case.
 
-use fd_core::{AttrSet, FdSet, Table};
+use crate::succeeds::{recursion_trace, Rule, Trace};
+use fd_core::{FdSet, Table};
 use fd_graph::{enumerate_maximal_independent_sets, ConflictGraph};
 
 /// Result of counting subset repairs along the chain recursion.
@@ -62,39 +63,37 @@ pub enum ChainCountOutcome {
 /// assert_eq!(count_subset_repairs(&t, &fds), ChainCountOutcome::Count(4));
 /// ```
 pub fn count_subset_repairs(table: &Table, fds: &FdSet) -> ChainCountOutcome {
-    match count(table, &fds.normalize_single_rhs()) {
+    match count(table, &recursion_trace(fds), 0) {
         Ok(c) => ChainCountOutcome::Count(c),
         Err(stuck) => ChainCountOutcome::NotAChain(stuck),
     }
 }
 
-fn count(table: &Table, fds: &FdSet) -> Result<u128, FdSet> {
-    let fds = fds.remove_trivial();
-    if fds.is_empty() {
-        return Ok(1);
-    }
+fn count(table: &Table, trace: &Trace, depth: usize) -> Result<u128, FdSet> {
     if table.is_empty() {
         // The empty repair is the unique (vacuously maximal) one.
         return Ok(1);
     }
-    if let Some(a) = fds.common_lhs() {
-        let reduced = fds.minus(AttrSet::singleton(a));
-        let mut total: u128 = 1;
-        for (_, block) in table.partition_by(AttrSet::singleton(a)) {
-            total = total.saturating_mul(count(&block, &reduced)?);
+    let Some(step) = trace.step(depth).map_err(FdSet::clone)? else {
+        return Ok(1);
+    };
+    match step.rule {
+        Rule::CommonLhs(a) => {
+            let mut total: u128 = 1;
+            for (_, block) in table.partition_by(a) {
+                total = total.saturating_mul(count(&block, trace, depth + 1)?);
+            }
+            Ok(total)
         }
-        return Ok(total);
-    }
-    if let Some(cfd) = fds.consensus_fd() {
-        let x = cfd.rhs();
-        let reduced = fds.minus(x);
-        let mut total: u128 = 0;
-        for (_, block) in table.partition_by(x) {
-            total = total.saturating_add(count(&block, &reduced)?);
+        Rule::Consensus(x) => {
+            let mut total: u128 = 0;
+            for (_, block) in table.partition_by(x) {
+                total = total.saturating_add(count(&block, trace, depth + 1)?);
+            }
+            Ok(total)
         }
-        return Ok(total);
+        Rule::Marriage(..) => Err(step.before.clone()),
     }
-    Err(fds)
 }
 
 /// Like [`count_subset_repairs`], but in log₂-space: returns
@@ -105,35 +104,36 @@ fn count(table: &Table, fds: &FdSet) -> Result<u128, FdSet> {
 /// Products become sums; the consensus rule's sum over blocks uses
 /// log-sum-exp for stability.
 pub fn count_subset_repairs_log2(table: &Table, fds: &FdSet) -> Result<f64, FdSet> {
-    count_log2(table, &fds.normalize_single_rhs())
+    count_log2(table, &recursion_trace(fds), 0)
 }
 
-fn count_log2(table: &Table, fds: &FdSet) -> Result<f64, FdSet> {
-    let fds = fds.remove_trivial();
-    if fds.is_empty() || table.is_empty() {
+fn count_log2(table: &Table, trace: &Trace, depth: usize) -> Result<f64, FdSet> {
+    if table.is_empty() {
         return Ok(0.0);
     }
-    if let Some(a) = fds.common_lhs() {
-        let reduced = fds.minus(AttrSet::singleton(a));
-        let mut total = 0.0;
-        for (_, block) in table.partition_by(AttrSet::singleton(a)) {
-            total += count_log2(&block, &reduced)?;
+    let Some(step) = trace.step(depth).map_err(FdSet::clone)? else {
+        return Ok(0.0);
+    };
+    match step.rule {
+        Rule::CommonLhs(a) => {
+            let mut total = 0.0;
+            for (_, block) in table.partition_by(a) {
+                total += count_log2(&block, trace, depth + 1)?;
+            }
+            Ok(total)
         }
-        return Ok(total);
-    }
-    if let Some(cfd) = fds.consensus_fd() {
-        let x = cfd.rhs();
-        let reduced = fds.minus(x);
-        let mut logs = Vec::new();
-        for (_, block) in table.partition_by(x) {
-            logs.push(count_log2(&block, &reduced)?);
+        Rule::Consensus(x) => {
+            let mut logs = Vec::new();
+            for (_, block) in table.partition_by(x) {
+                logs.push(count_log2(&block, trace, depth + 1)?);
+            }
+            // log2(Σ 2^l) = m + log2(Σ 2^(l - m)) with m = max l.
+            let m = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let sum: f64 = logs.iter().map(|l| (l - m).exp2()).sum();
+            Ok(m + sum.log2())
         }
-        // log2(Σ 2^l) = m + log2(Σ 2^(l - m)) with m = max l.
-        let m = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let sum: f64 = logs.iter().map(|l| (l - m).exp2()).sum();
-        return Ok(m + sum.log2());
+        Rule::Marriage(..) => Err(step.before.clone()),
     }
-    Err(fds)
 }
 
 /// Samples a subset repair **uniformly at random** for a chain FD set —
@@ -167,52 +167,51 @@ pub fn sample_subset_repair<R: rand::Rng + ?Sized>(
     fds: &FdSet,
     rng: &mut R,
 ) -> Result<Vec<fd_core::TupleId>, FdSet> {
-    let mut kept = sample(table, &fds.normalize_single_rhs(), rng)?;
+    let mut kept = sample(table, &recursion_trace(fds), 0, rng)?;
     kept.sort_unstable();
     Ok(kept)
 }
 
 fn sample<R: rand::Rng + ?Sized>(
     table: &Table,
-    fds: &FdSet,
+    trace: &Trace,
+    depth: usize,
     rng: &mut R,
 ) -> Result<Vec<fd_core::TupleId>, FdSet> {
-    let fds = fds.remove_trivial();
-    if fds.is_empty() {
-        return Ok(table.ids().collect());
-    }
     if table.is_empty() {
         return Ok(Vec::new());
     }
-    if let Some(a) = fds.common_lhs() {
-        let reduced = fds.minus(AttrSet::singleton(a));
-        let mut kept = Vec::with_capacity(table.len());
-        for (_, block) in table.partition_by(AttrSet::singleton(a)) {
-            kept.extend(sample(&block, &reduced, rng)?);
-        }
-        return Ok(kept);
-    }
-    if let Some(cfd) = fds.consensus_fd() {
-        let x = cfd.rhs();
-        let reduced = fds.minus(x);
-        let blocks = table.partition_by(x);
-        let mut counts = Vec::with_capacity(blocks.len());
-        let mut total: u128 = 0;
-        for (_, block) in &blocks {
-            let c = count(block, &reduced)?;
-            total = total.saturating_add(c);
-            counts.push(c);
-        }
-        let mut pick = rng.gen_range(0..total);
-        for ((_, block), c) in blocks.iter().zip(counts) {
-            if pick < c {
-                return sample(block, &reduced, rng);
+    let Some(step) = trace.step(depth).map_err(FdSet::clone)? else {
+        return Ok(table.ids().collect());
+    };
+    match step.rule {
+        Rule::CommonLhs(a) => {
+            let mut kept = Vec::with_capacity(table.len());
+            for (_, block) in table.partition_by(a) {
+                kept.extend(sample(&block, trace, depth + 1, rng)?);
             }
-            pick -= c;
+            Ok(kept)
         }
-        unreachable!("pick < total by construction");
+        Rule::Consensus(x) => {
+            let blocks = table.partition_by(x);
+            let mut counts = Vec::with_capacity(blocks.len());
+            let mut total: u128 = 0;
+            for (_, block) in &blocks {
+                let c = count(block, trace, depth + 1)?;
+                total = total.saturating_add(c);
+                counts.push(c);
+            }
+            let mut pick = rng.gen_range(0..total);
+            for ((_, block), c) in blocks.iter().zip(counts) {
+                if pick < c {
+                    return sample(block, trace, depth + 1, rng);
+                }
+                pick -= c;
+            }
+            unreachable!("pick < total by construction")
+        }
+        Rule::Marriage(..) => Err(step.before.clone()),
     }
-    Err(fds)
 }
 
 /// Brute-force subset-repair counter (enumerates the maximal independent

@@ -3,6 +3,7 @@
 //! classes of §3.3 / Lemma A.22, each of which admits a fact-wise reduction
 //! from one of the four hard FD sets of Table 1.
 
+use crate::succeeds::simplification_trace;
 use fd_core::{AttrSet, FdSet};
 
 /// The four hard "core" FD sets over `R(A, B, C)` of Table 1.
@@ -61,14 +62,9 @@ pub struct Classification {
 /// removal, no common lhs, no consensus FD, no lhs marriage) into one of
 /// the five classes. Returns `None` if the set is not irreducible.
 pub fn classify_irreducible(fds: &FdSet) -> Option<Classification> {
-    let fds = fds.remove_trivial();
-    if fds.is_empty()
-        || fds.common_lhs().is_some()
-        || fds.consensus_fd().is_some()
-        || fds.lhs_marriage().is_some()
-    {
-        return None;
-    }
+    // Irreducible ⇔ Algorithm 2 is stuck before its first step.
+    let trace = simplification_trace(fds);
+    let fds = trace.step(0).err()?;
     let minima = fds.local_minima();
     debug_assert!(
         minima.len() >= 2,
@@ -76,7 +72,7 @@ pub fn classify_irreducible(fds: &FdSet) -> Option<Classification> {
     );
     // Deterministic: first pair in sorted order that classifies.
     let (&x1, &x2) = (minima.first()?, minima.get(1)?);
-    Some(classify_pair(&fds, x1, x2, &minima))
+    Some(classify_pair(fds, x1, x2, &minima))
 }
 
 fn classify_pair(fds: &FdSet, x1: AttrSet, x2: AttrSet, minima: &[AttrSet]) -> Classification {

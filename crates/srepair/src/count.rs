@@ -15,7 +15,8 @@
 //! for every chain FD set the count is computed in polynomial time —
 //! matching the positive side of the counting dichotomy cited in §2.2.
 
-use fd_core::{AttrSet, FdSet, Table};
+use crate::succeeds::{recursion_trace, Rule, Trace};
+use fd_core::{FdSet, Table};
 
 /// Result of counting optimal S-repairs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,50 +33,48 @@ pub enum CountOutcome {
 /// Counts the optimal S-repairs of `table` under `fds` along the
 /// `OptSRepair` recursion (common lhs / consensus only).
 pub fn count_optimal_s_repairs(table: &Table, fds: &FdSet) -> CountOutcome {
-    count(table, &fds.normalize_single_rhs()).map_or_else(|e| e, |(_, c)| CountOutcome::Count(c))
+    count(table, &recursion_trace(fds), 0).map_or_else(|e| e, |(_, c)| CountOutcome::Count(c))
 }
 
 /// Returns (optimal kept weight, count) or the failure outcome.
-fn count(table: &Table, fds: &FdSet) -> Result<(f64, u128), CountOutcome> {
-    let fds = fds.remove_trivial();
-    if fds.is_empty() {
+fn count(table: &Table, trace: &Trace, depth: usize) -> Result<(f64, u128), CountOutcome> {
+    let Some(step) = trace
+        .step(depth)
+        .map_err(|stuck| CountOutcome::Irreducible(stuck.clone()))?
+    else {
         return Ok((table.total_weight(), 1));
-    }
-    if let Some(a) = fds.common_lhs() {
-        let reduced = fds.minus(AttrSet::singleton(a));
-        let mut weight = 0.0;
-        let mut total: u128 = 1;
-        for (_, block) in table.partition_by(AttrSet::singleton(a)) {
-            let (w, c) = count(&block, &reduced)?;
-            weight += w;
-            total = total.saturating_mul(c);
-        }
-        return Ok((weight, total));
-    }
-    if let Some(cfd) = fds.consensus_fd() {
-        let x = cfd.rhs();
-        let reduced = fds.minus(x);
-        let mut best_weight = 0.0;
-        let mut total: u128 = 0;
-        let blocks = table.partition_by(x);
-        if blocks.is_empty() {
-            return Ok((0.0, 1)); // the empty repair
-        }
-        for (_, block) in blocks {
-            let (w, c) = count(&block, &reduced)?;
-            if w > best_weight + 1e-12 {
-                best_weight = w;
-                total = c;
-            } else if (w - best_weight).abs() <= 1e-12 {
-                total = total.saturating_add(c);
+    };
+    match step.rule {
+        Rule::CommonLhs(a) => {
+            let mut weight = 0.0;
+            let mut total: u128 = 1;
+            for (_, block) in table.partition_by(a) {
+                let (w, c) = count(&block, trace, depth + 1)?;
+                weight += w;
+                total = total.saturating_mul(c);
             }
+            Ok((weight, total))
         }
-        return Ok((best_weight, total));
+        Rule::Consensus(x) => {
+            let mut best_weight = 0.0;
+            let mut total: u128 = 0;
+            let blocks = table.partition_by(x);
+            if blocks.is_empty() {
+                return Ok((0.0, 1)); // the empty repair
+            }
+            for (_, block) in blocks {
+                let (w, c) = count(&block, trace, depth + 1)?;
+                if w > best_weight + 1e-12 {
+                    best_weight = w;
+                    total = c;
+                } else if (w - best_weight).abs() <= 1e-12 {
+                    total = total.saturating_add(c);
+                }
+            }
+            Ok((best_weight, total))
+        }
+        Rule::Marriage(..) => Err(CountOutcome::MarriageEncountered),
     }
-    if fds.lhs_marriage().is_some() {
-        return Err(CountOutcome::MarriageEncountered);
-    }
-    Err(CountOutcome::Irreducible(fds))
 }
 
 /// Exhaustively counts optimal S-repairs (2ⁿ subsets, n ≤ 20): the oracle.
@@ -213,7 +212,7 @@ pub fn enumerate_optimal_s_repairs(
     fds: &FdSet,
     limit: usize,
 ) -> Option<Vec<Vec<fd_core::TupleId>>> {
-    let mut out = enumerate(table, &fds.normalize_single_rhs(), limit)?.1;
+    let mut out = enumerate(table, &recursion_trace(fds), 0, limit)?.1;
     for repair in &mut out {
         repair.sort_unstable();
     }
@@ -225,57 +224,56 @@ pub fn enumerate_optimal_s_repairs(
 #[allow(clippy::type_complexity)]
 fn enumerate(
     table: &Table,
-    fds: &FdSet,
+    trace: &Trace,
+    depth: usize,
     limit: usize,
 ) -> Option<(f64, Vec<Vec<fd_core::TupleId>>)> {
-    let fds = fds.remove_trivial();
-    if fds.is_empty() {
+    let Some(step) = trace.step(depth).ok()? else {
         return Some((table.total_weight(), vec![table.ids().collect()]));
-    }
-    if let Some(a) = fds.common_lhs() {
-        let reduced = fds.minus(AttrSet::singleton(a));
-        let mut weight = 0.0;
-        let mut combos: Vec<Vec<fd_core::TupleId>> = vec![Vec::new()];
-        for (_, block) in table.partition_by(AttrSet::singleton(a)) {
-            let (w, block_repairs) = enumerate(&block, &reduced, limit)?;
-            weight += w;
-            let mut next = Vec::new();
-            'outer: for prefix in &combos {
-                for repair in &block_repairs {
-                    let mut merged = prefix.clone();
-                    merged.extend_from_slice(repair);
-                    next.push(merged);
-                    if next.len() >= limit {
-                        break 'outer;
+    };
+    match step.rule {
+        Rule::CommonLhs(a) => {
+            let mut weight = 0.0;
+            let mut combos: Vec<Vec<fd_core::TupleId>> = vec![Vec::new()];
+            for (_, block) in table.partition_by(a) {
+                let (w, block_repairs) = enumerate(&block, trace, depth + 1, limit)?;
+                weight += w;
+                let mut next = Vec::new();
+                'outer: for prefix in &combos {
+                    for repair in &block_repairs {
+                        let mut merged = prefix.clone();
+                        merged.extend_from_slice(repair);
+                        next.push(merged);
+                        if next.len() >= limit {
+                            break 'outer;
+                        }
                     }
                 }
+                combos = next;
             }
-            combos = next;
+            Some((weight, combos))
         }
-        return Some((weight, combos));
-    }
-    if let Some(cfd) = fds.consensus_fd() {
-        let x = cfd.rhs();
-        let reduced = fds.minus(x);
-        let blocks = table.partition_by(x);
-        if blocks.is_empty() {
-            return Some((0.0, vec![Vec::new()]));
-        }
-        let mut best_weight = 0.0;
-        let mut repairs: Vec<Vec<fd_core::TupleId>> = Vec::new();
-        for (_, block) in blocks {
-            let (w, block_repairs) = enumerate(&block, &reduced, limit)?;
-            if w > best_weight + 1e-12 {
-                best_weight = w;
-                repairs = block_repairs;
-            } else if (w - best_weight).abs() <= 1e-12 {
-                repairs.extend(block_repairs);
+        Rule::Consensus(x) => {
+            let blocks = table.partition_by(x);
+            if blocks.is_empty() {
+                return Some((0.0, vec![Vec::new()]));
             }
-            repairs.truncate(limit);
+            let mut best_weight = 0.0;
+            let mut repairs: Vec<Vec<fd_core::TupleId>> = Vec::new();
+            for (_, block) in blocks {
+                let (w, block_repairs) = enumerate(&block, trace, depth + 1, limit)?;
+                if w > best_weight + 1e-12 {
+                    best_weight = w;
+                    repairs = block_repairs;
+                } else if (w - best_weight).abs() <= 1e-12 {
+                    repairs.extend(block_repairs);
+                }
+                repairs.truncate(limit);
+            }
+            Some((best_weight, repairs))
         }
-        return Some((best_weight, repairs));
+        Rule::Marriage(..) => None,
     }
-    None
 }
 
 #[cfg(test)]

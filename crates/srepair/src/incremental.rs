@@ -38,7 +38,7 @@
 
 use crate::repair::SRepair;
 use crate::sharded::{solve_component, SMethod, ShardConfig, ShardPlan, ShardedSolution};
-use crate::succeeds::osr_succeeds;
+use crate::succeeds::{osr_succeeds, recursion_trace, Trace};
 use fd_core::{FdSet, KeyExtractor, Mutation, MutationEffect, Result, Table, TupleId};
 use fd_graph::{conflict_components, conflict_components_scratch, EpochUnionFind};
 
@@ -56,15 +56,6 @@ struct Comp {
     kept: Vec<TupleId>,
     /// The method that solved it (drives the plan's method counts).
     method: SMethod,
-}
-
-/// Index of a method in the count array, in the stable plan order.
-fn method_index(method: SMethod) -> usize {
-    match method {
-        SMethod::Dichotomy => 0,
-        SMethod::ExactVertexCover => 1,
-        SMethod::Approx2 => 2,
-    }
 }
 
 /// Appends the conflict partners of the row at `pos` under every FD of
@@ -121,8 +112,8 @@ fn conflict_partners(table: &Table, fds: &FdSet, pos: u32, out: &mut Vec<TupleId
 pub struct IncrementalSubset {
     /// The FD set the session repairs under.
     fds: FdSet,
-    /// `Δ` normalized to single-rhs form, hoisted for the dichotomy arm.
-    normalized: FdSet,
+    /// Algorithm 2's trace of `Δ`, hoisted for the dichotomy arm.
+    trace: Trace,
     /// Per-component method selection knobs (shared with the cold path).
     cfg: ShardConfig,
     /// Which side of the dichotomy `Δ` falls on.
@@ -133,8 +124,7 @@ pub struct IncrementalSubset {
     free: Vec<usize>,
     /// `comp_of[id]` = slot of the id's component, or [`CLEAN`].
     comp_of: Vec<u32>,
-    /// Live component counts per method, in plan order
-    /// (Dichotomy, ExactVertexCover, Approx2).
+    /// Live component counts per method, indexed by [`SMethod::index`].
     counts: [usize; 3],
     /// Persistent union-find arena for the local re-extractions.
     scratch: EpochUnionFind,
@@ -155,7 +145,7 @@ impl IncrementalSubset {
             .map_or(0, |m| m as usize + 1);
         let mut inc = IncrementalSubset {
             fds: fds.clone(),
-            normalized: fds.normalize_single_rhs(),
+            trace: recursion_trace(fds),
             cfg: *cfg,
             tractable: osr_succeeds(fds),
             comps: Vec::new(),
@@ -217,7 +207,7 @@ impl IncrementalSubset {
             let comp = self.comps[slot as usize]
                 .take()
                 .expect("dirty slot is live");
-            self.counts[method_index(comp.method)] -= 1;
+            self.counts[comp.method.index()] -= 1;
             for id in &comp.ids {
                 self.comp_of[id.0 as usize] = CLEAN;
             }
@@ -276,55 +266,22 @@ impl IncrementalSubset {
         for comp in self.comps.iter().flatten() {
             kept.extend_from_slice(&comp.kept);
         }
-        let plan = self.plan(table);
         ShardedSolution {
             repair: SRepair::from_kept(table, kept),
-            optimal: plan.optimal,
-            ratio: plan.ratio,
-            plan,
+            plan: self.plan(table),
         }
     }
 
-    /// The current plan statistics, in [`crate::shard_plan`]'s exact
-    /// shape: methods in stable order with zero counts elided, a vacuous
-    /// entry when the table is consistent, optimality iff no component
-    /// fell back to the 2-approximation.
+    /// The current plan statistics, assembled from the live counts by
+    /// the same function as [`crate::shard_plan`]'s.
     pub fn plan(&self, table: &Table) -> ShardPlan {
-        let [dichotomy, exact, approx] = self.counts;
         let mut largest = 0usize;
         let mut in_comps = 0usize;
         for comp in self.comps.iter().flatten() {
             largest = largest.max(comp.ids.len());
             in_comps += comp.ids.len();
         }
-        let mut methods = Vec::new();
-        for (method, count) in [
-            (SMethod::Dichotomy, dichotomy),
-            (SMethod::ExactVertexCover, exact),
-            (SMethod::Approx2, approx),
-        ] {
-            if count > 0 {
-                methods.push((method, count));
-            }
-        }
-        if methods.is_empty() {
-            let vacuous = if self.tractable {
-                SMethod::Dichotomy
-            } else {
-                SMethod::ExactVertexCover
-            };
-            methods.push((vacuous, 0));
-        }
-        let optimal = approx == 0;
-        let ratio = if optimal { 1.0 } else { 2.0 };
-        ShardPlan {
-            components: dichotomy + exact + approx,
-            largest,
-            clean_rows: table.len() - in_comps,
-            methods,
-            optimal,
-            ratio,
-        }
+        ShardPlan::from_counts(self.counts, largest, table.len() - in_comps, self.tractable)
     }
 
     /// Number of live cached conflicting components.
@@ -337,7 +294,7 @@ impl IncrementalSubset {
     fn solve_and_store(&mut self, table: &Table, positions: &[u32], ids: Vec<TupleId>) {
         let method = ShardPlan::component_method(self.tractable, ids.len(), &self.cfg);
         let sub = table.gather_positions(positions);
-        let kept = solve_component(&sub, &self.fds, &self.normalized, method);
+        let kept = solve_component(&sub, &self.fds, &self.trace, method);
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -348,7 +305,7 @@ impl IncrementalSubset {
         for id in &ids {
             self.comp_of[id.0 as usize] = slot as u32;
         }
-        self.counts[method_index(method)] += 1;
+        self.counts[method.index()] += 1;
         self.comps[slot] = Some(Comp { ids, kept, method });
     }
 
@@ -442,8 +399,6 @@ mod tests {
             let cold = sharded_s_repair(&t, &fds, cfg);
             assert_eq!(warm.repair, cold.repair, "{spec} step {step}\n{t}");
             assert_eq!(warm.plan, cold.plan, "{spec} step {step}\n{t}");
-            assert_eq!(warm.optimal, cold.optimal, "{spec} step {step}");
-            assert_eq!(warm.ratio, cold.ratio, "{spec} step {step}");
             warm.repair.verify(&t, &fds);
         }
     }

@@ -4,7 +4,10 @@
 //!
 //! * [`opt_s_repair`] — `OptSRepair`, Algorithm 1;
 //! * [`osr_succeeds`] / [`simplification_trace`] — `OSRSucceeds`,
-//!   Algorithm 2, with full traces (Example 3.5);
+//!   Algorithm 2, with full traces (Example 3.5). Algorithm 1, the
+//!   counters and the sampler below execute this trace: it is computed
+//!   once per call and every recursion level applies the rule
+//!   [`Trace::step`] names for its depth;
 //! * [`classify_irreducible`] — the Figure-2 five-class classifier for FD
 //!   sets on the hard side of the dichotomy (Theorem 3.4);
 //! * [`class_reduction`] / [`lifting_reduction`] — executable fact-wise

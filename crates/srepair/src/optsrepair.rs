@@ -17,8 +17,16 @@
 //! The recursion is polynomial even in combined complexity because every
 //! level removes at least one attribute from `Δ` and the blocks of each
 //! level partition `T`.
+//!
+//! The rule choice looks at `Δ` alone, and every block of one level sees
+//! the same reduced `Δ`, so the choices are exactly Algorithm 2's
+//! [`Trace`]: it is computed once per call and the recursion walks it by
+//! depth ([`Trace::step`]). The counters and the sampler of this crate
+//! walk the same trace. A stuck step is reported only when the recursion
+//! reaches it — an empty table never does.
 
 use crate::repair::SRepair;
+use crate::succeeds::{recursion_trace, Rule, Trace};
 use fd_core::{FdSet, FnvBuild, Sym, Table, TupleId};
 use fd_graph::max_weight_bipartite_matching;
 use std::collections::HashMap;
@@ -48,81 +56,81 @@ impl std::error::Error for Irreducible {}
 /// success, or [`Irreducible`] when the FD set falls on the hard side of
 /// the dichotomy.
 pub fn opt_s_repair(table: &Table, fds: &FdSet) -> Result<SRepair, Irreducible> {
-    let kept = solve(table, &fds.normalize_single_rhs())?;
+    let kept = solve(table, &recursion_trace(fds), 0)?;
     Ok(SRepair::from_kept(table, kept))
 }
 
-pub(crate) fn solve(table: &Table, fds: &FdSet) -> Result<Vec<TupleId>, Irreducible> {
-    // Line 1–3: trivial Δ succeeds immediately; drop trivial FDs.
-    let fds = fds.remove_trivial();
-    if fds.is_empty() {
+/// Algorithm 1 at recursion depth `depth`, applying the rule Algorithm 2's
+/// `trace` names for that depth to every block.
+pub(crate) fn solve(
+    table: &Table,
+    trace: &Trace,
+    depth: usize,
+) -> Result<Vec<TupleId>, Irreducible> {
+    // Line 10: fail on a stuck Δ.
+    let fail = |stuck: &FdSet| Irreducible {
+        remaining: stuck.clone(),
+    };
+    // Lines 1–3: a trivial Δ succeeds immediately.
+    let Some(step) = trace.step(depth).map_err(fail)? else {
         return Ok(table.ids().collect());
-    }
-
-    // Lines 4–5: common lhs (Subroutine 1).
-    if let Some(a) = fds.common_lhs() {
-        let reduced = fds.minus(fd_core::AttrSet::singleton(a));
-        let mut kept = Vec::with_capacity(table.len());
-        for (_, block) in table.partition_by(fd_core::AttrSet::singleton(a)) {
-            kept.extend(solve(&block, &reduced)?);
-        }
-        return Ok(kept);
-    }
-
-    // Lines 6–7: consensus FD (Subroutine 2).
-    if let Some(cfd) = fds.consensus_fd() {
-        let x = cfd.rhs();
-        let reduced = fds.minus(x);
-        let mut best: Option<(f64, Vec<TupleId>)> = None;
-        for (_, block) in table.partition_by(x) {
-            let kept = solve(&block, &reduced)?;
-            let weight = block_weight(&block, &kept);
-            // Strict `>` keeps the first (smallest-key) block on ties,
-            // making the result deterministic.
-            if best.as_ref().is_none_or(|(w, _)| weight > *w) {
-                best = Some((weight, kept));
+    };
+    match step.rule {
+        // Lines 4–5: common lhs (Subroutine 1).
+        Rule::CommonLhs(a) => {
+            let mut kept = Vec::with_capacity(table.len());
+            for (_, block) in table.partition_by(a) {
+                kept.extend(solve(&block, trace, depth + 1)?);
             }
+            Ok(kept)
         }
-        return Ok(best.map(|(_, kept)| kept).unwrap_or_default());
+        // Lines 6–7: consensus FD (Subroutine 2).
+        Rule::Consensus(x) => {
+            let mut best: Option<(f64, Vec<TupleId>)> = None;
+            for (_, block) in table.partition_by(x) {
+                let kept = solve(&block, trace, depth + 1)?;
+                let weight = block_weight(&block, &kept);
+                // Strict `>` keeps the first (smallest-key) block on ties,
+                // making the result deterministic.
+                if best.as_ref().is_none_or(|(w, _)| weight > *w) {
+                    best = Some((weight, kept));
+                }
+            }
+            Ok(best.map(|(_, kept)| kept).unwrap_or_default())
+        }
+        // Lines 8–9: lhs marriage (Subroutine 3).
+        Rule::Marriage(x1, x2) => {
+            // Node sets V₁ = π_{X₁}T[∗], V₂ = π_{X₂}T[∗]. Blocks of one
+            // table share its dictionary, so the projections are compared
+            // as symbol tuples — no value decoding in the recursion.
+            let mut v1: HashMap<Vec<Sym>, u32, FnvBuild> = HashMap::default();
+            let mut v2: HashMap<Vec<Sym>, u32, FnvBuild> = HashMap::default();
+            let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+            let mut block_repairs: HashMap<(u32, u32), Vec<TupleId>> = HashMap::new();
+            for (_, block) in table.partition_by(x1.union(x2)) {
+                let a1: Vec<Sym> = x1.iter().map(|a| block.col(a)[0]).collect();
+                let a2: Vec<Sym> = x2.iter().map(|a| block.col(a)[0]).collect();
+                let n1 = v1.len() as u32;
+                let i1 = *v1.entry(a1).or_insert(n1);
+                let n2 = v2.len() as u32;
+                let i2 = *v2.entry(a2).or_insert(n2);
+                let kept = solve(&block, trace, depth + 1)?;
+                let weight = block_weight(&block, &kept);
+                edges.push((i1, i2, weight));
+                block_repairs.insert((i1, i2), kept);
+            }
+            let matching = max_weight_bipartite_matching(v1.len(), v2.len(), &edges);
+            let mut kept = Vec::new();
+            for pair in matching.pairs {
+                kept.extend(
+                    block_repairs
+                        .remove(&pair)
+                        .expect("matched pairs are edges"),
+                );
+            }
+            Ok(kept)
+        }
     }
-
-    // Lines 8–9: lhs marriage (Subroutine 3).
-    if let Some((x1, x2)) = fds.lhs_marriage() {
-        let x12 = x1.union(x2);
-        let reduced = fds.minus(x12);
-        // Node sets V₁ = π_{X₁}T[∗], V₂ = π_{X₂}T[∗]. Blocks of one
-        // table share its dictionary, so the projections are compared
-        // as symbol tuples — no value decoding in the recursion.
-        let mut v1: HashMap<Vec<Sym>, u32, FnvBuild> = HashMap::default();
-        let mut v2: HashMap<Vec<Sym>, u32, FnvBuild> = HashMap::default();
-        let mut edges: Vec<(u32, u32, f64)> = Vec::new();
-        let mut block_repairs: HashMap<(u32, u32), Vec<TupleId>> = HashMap::new();
-        for (_, block) in table.partition_by(x12) {
-            let a1: Vec<Sym> = x1.iter().map(|a| block.col(a)[0]).collect();
-            let a2: Vec<Sym> = x2.iter().map(|a| block.col(a)[0]).collect();
-            let n1 = v1.len() as u32;
-            let i1 = *v1.entry(a1).or_insert(n1);
-            let n2 = v2.len() as u32;
-            let i2 = *v2.entry(a2).or_insert(n2);
-            let kept = solve(&block, &reduced)?;
-            let weight = block_weight(&block, &kept);
-            edges.push((i1, i2, weight));
-            block_repairs.insert((i1, i2), kept);
-        }
-        let matching = max_weight_bipartite_matching(v1.len(), v2.len(), &edges);
-        let mut kept = Vec::new();
-        for pair in matching.pairs {
-            kept.extend(
-                block_repairs
-                    .remove(&pair)
-                    .expect("matched pairs are edges"),
-            );
-        }
-        return Ok(kept);
-    }
-
-    // Line 10: fail.
-    Err(Irreducible { remaining: fds })
 }
 
 fn block_weight(block: &Table, kept: &[TupleId]) -> f64 {

@@ -37,6 +37,7 @@
 use crate::approx::approx_s_repair;
 use crate::exact::exact_s_repair;
 use crate::repair::SRepair;
+use crate::succeeds::{recursion_trace, Trace};
 use fd_core::{FdSet, Table, TupleId};
 use fd_graph::{conflict_components, Components};
 
@@ -52,6 +53,18 @@ pub enum SMethod {
 }
 
 impl SMethod {
+    /// Every method, in the stable plan order.
+    const ALL: [SMethod; 3] = [
+        SMethod::Dichotomy,
+        SMethod::ExactVertexCover,
+        SMethod::Approx2,
+    ];
+
+    /// The method's position in [`SMethod::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// The (optimal, guaranteed-ratio) pair the method promises.
     pub fn guarantees(self) -> (bool, f64) {
         match self {
@@ -118,6 +131,43 @@ impl ShardPlan {
             SMethod::Approx2
         }
     }
+
+    /// Assembles a plan from its per-method component counts, indexed by
+    /// [`SMethod::index`]: methods in stable order with zero counts
+    /// elided, optimal iff no component fell back to the
+    /// 2-approximation. The cold path and the incremental cache both
+    /// build their plans here.
+    pub(crate) fn from_counts(
+        counts: [usize; 3],
+        largest: usize,
+        clean_rows: usize,
+        tractable: bool,
+    ) -> ShardPlan {
+        let mut methods: Vec<(SMethod, usize)> = SMethod::ALL
+            .into_iter()
+            .zip(counts)
+            .filter(|&(_, count)| count > 0)
+            .collect();
+        // A consistent table has nothing to solve: vacuously exact under
+        // whichever method the dichotomy side names.
+        if methods.is_empty() {
+            let vacuous = if tractable {
+                SMethod::Dichotomy
+            } else {
+                SMethod::ExactVertexCover
+            };
+            methods.push((vacuous, 0));
+        }
+        let optimal = counts[SMethod::Approx2.index()] == 0;
+        ShardPlan {
+            components: counts.iter().sum(),
+            largest,
+            clean_rows,
+            methods,
+            optimal,
+            ratio: if optimal { 1.0 } else { 2.0 },
+        }
+    }
 }
 
 /// A subset repair produced by the sharded path, with per-component
@@ -127,12 +177,9 @@ pub struct ShardedSolution {
     /// The repair (kept ids sorted; identical to the whole-table
     /// reference for the same method).
     pub repair: SRepair,
-    /// The executed plan, with per-method component counts.
+    /// The executed plan, with per-method component counts and the
+    /// composed guarantee.
     pub plan: ShardPlan,
-    /// Whether the total cost is guaranteed optimal.
-    pub optimal: bool,
-    /// Guaranteed overall ratio (1 when optimal).
-    pub ratio: f64,
 }
 
 /// Computes the component partition and the plan in one polynomial
@@ -141,9 +188,7 @@ pub struct ShardedSolution {
 pub fn shard_plan(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> (Components, ShardPlan) {
     let comps = conflict_components(table, fds);
     let tractable = crate::succeeds::osr_succeeds(fds);
-    let mut dichotomy = 0usize;
-    let mut exact = 0usize;
-    let mut approx = 0usize;
+    let mut counts = [0usize; 3];
     let mut largest = 0usize;
     let mut clean_rows = 0usize;
     for comp in comps.iter() {
@@ -152,60 +197,27 @@ pub fn shard_plan(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> (Components,
             continue;
         }
         largest = largest.max(comp.len());
-        match ShardPlan::component_method(tractable, comp.len(), cfg) {
-            SMethod::Dichotomy => dichotomy += 1,
-            SMethod::ExactVertexCover => exact += 1,
-            SMethod::Approx2 => approx += 1,
-        }
+        counts[ShardPlan::component_method(tractable, comp.len(), cfg).index()] += 1;
     }
-    let mut methods = Vec::new();
-    for (method, count) in [
-        (SMethod::Dichotomy, dichotomy),
-        (SMethod::ExactVertexCover, exact),
-        (SMethod::Approx2, approx),
-    ] {
-        if count > 0 {
-            methods.push((method, count));
-        }
-    }
-    // A consistent table has nothing to solve: vacuously exact under
-    // whichever method the dichotomy side names.
-    if methods.is_empty() {
-        let vacuous = if tractable {
-            SMethod::Dichotomy
-        } else {
-            SMethod::ExactVertexCover
-        };
-        methods.push((vacuous, 0));
-    }
-    let optimal = approx == 0;
-    let ratio = if optimal { 1.0 } else { 2.0 };
-    let plan = ShardPlan {
-        components: dichotomy + exact + approx,
-        largest,
-        clean_rows,
-        methods,
-        optimal,
-        ratio,
-    };
+    let plan = ShardPlan::from_counts(counts, largest, clean_rows, tractable);
     (comps, plan)
 }
 
 /// Solves one conflicting component with the planned method.
 ///
-/// `normalized` is `Δ` pre-normalized to single-rhs form, hoisted out
-/// of the per-component loop. The Dichotomy arm calls the recursion
+/// `trace` is Algorithm 2's trace of `Δ`, hoisted out of the
+/// per-component loop. The Dichotomy arm calls the recursion
 /// directly and returns its raw kept list: per-component sorting and
 /// cost accounting would be thrown away anyway — the merged list is
 /// sorted and costed once, globally, in [`sharded_s_repair`].
 pub(crate) fn solve_component(
     sub: &Table,
     fds: &FdSet,
-    normalized: &FdSet,
+    trace: &Trace,
     method: SMethod,
 ) -> Vec<TupleId> {
     match method {
-        SMethod::Dichotomy => crate::optsrepair::solve(sub, normalized)
+        SMethod::Dichotomy => crate::optsrepair::solve(sub, trace, 0)
             .expect("OSRSucceeds(Δ) holds on every sub-table (Δ-only test)"),
         SMethod::ExactVertexCover => exact_s_repair(sub, fds).kept,
         SMethod::Approx2 => approx_s_repair(sub, fds).kept,
@@ -243,7 +255,7 @@ fn method_name(method: SMethod) -> &'static str {
 ///     vec![tup![1, 1, 0], tup![1, 2, 1], tup![7, 8, 0], tup![9, 8, 1]],
 /// ).unwrap();
 /// let sol = sharded_s_repair(&t, &fds, &ShardConfig::default());
-/// assert!(sol.optimal);
+/// assert!(sol.plan.optimal);
 /// assert_eq!(sol.plan.components, 2);
 /// sol.repair.verify(&t, &fds);
 /// ```
@@ -269,7 +281,7 @@ pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> Sharde
     }
 
     let method_of = |len: usize| ShardPlan::component_method(tractable, len, cfg);
-    let normalized = fds.normalize_single_rhs();
+    let trace = recursion_trace(fds);
     let solved = fd_core::round_robin_map(cfg.threads, &work, |comp| {
         let method = method_of(comp.len());
         let mut sp = fd_trace::span("srepair/component");
@@ -284,7 +296,7 @@ pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> Sharde
         // A component sub-table is a pure position gather: symbol
         // columns copied by index, dictionary shared, original ids kept.
         let sub = table.gather_positions(comp);
-        solve_component(&sub, fds, &normalized, method)
+        solve_component(&sub, fds, &trace, method)
     });
     for comp_kept in solved {
         kept.extend(comp_kept);
@@ -292,8 +304,6 @@ pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> Sharde
 
     ShardedSolution {
         repair: SRepair::from_kept(table, kept),
-        optimal: plan.optimal,
-        ratio: plan.ratio,
         plan,
     }
 }
@@ -338,7 +348,7 @@ mod tests {
                     let global = crate::opt_s_repair(&t, &fds).unwrap();
                     assert_eq!(sharded.repair.kept, global.kept, "{spec} threads={threads}");
                     assert_eq!(sharded.repair.cost, global.cost);
-                    assert!(sharded.optimal);
+                    assert!(sharded.plan.optimal);
                 }
             }
         }
@@ -359,7 +369,7 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), marriage_specs.len());
         for case in cases {
-            let normalized = case.fds.normalize_single_rhs();
+            let trace = recursion_trace(&case.fds);
             for seed in 0..1_000u64 {
                 let rows = 2 + (seed as usize * 7) % 58;
                 let domain = 2 + (seed as usize / 2) % 3;
@@ -371,12 +381,7 @@ mod tests {
                         kept.push(t.id_at(comp[0] as usize));
                     } else {
                         let sub = t.gather_positions(comp);
-                        kept.extend(solve_component(
-                            &sub,
-                            &case.fds,
-                            &normalized,
-                            SMethod::Dichotomy,
-                        ));
+                        kept.extend(solve_component(&sub, &case.fds, &trace, SMethod::Dichotomy));
                     }
                 }
                 let global = crate::opt_s_repair(&t, &case.fds).unwrap();
@@ -389,7 +394,7 @@ mod tests {
                 };
                 let sharded = sharded_s_repair(&t, &case.fds, &cfg);
                 assert_eq!(sharded.repair, global, "{ctx}");
-                assert!(sharded.optimal, "{ctx}");
+                assert!(sharded.plan.optimal, "{ctx}");
             }
         }
     }
@@ -411,7 +416,7 @@ mod tests {
                 let global = crate::exact_s_repair(&t, &fds);
                 assert_eq!(sharded.repair.kept, global.kept, "{spec}\n{t}");
                 assert_eq!(sharded.repair.cost, global.cost);
-                assert!(sharded.optimal);
+                assert!(sharded.plan.optimal);
                 sharded.repair.verify(&t, &fds);
             }
         }
@@ -433,7 +438,7 @@ mod tests {
             let global = crate::approx_s_repair(&t, &fds);
             assert_eq!(sharded.repair.kept, global.kept, "{t}");
             assert_eq!(sharded.repair.cost, global.cost);
-            assert!(!sharded.optimal || sharded.plan.components == 0);
+            assert!(!sharded.plan.optimal || sharded.plan.components == 0);
         }
     }
 
@@ -450,7 +455,7 @@ mod tests {
             ..ShardConfig::default()
         };
         let sol = sharded_s_repair(&t, &fds, &cfg);
-        assert!(sol.optimal, "{:?}", sol.plan);
+        assert!(sol.plan.optimal, "{:?}", sol.plan);
         assert_eq!(sol.plan.components, 15);
         assert_eq!(sol.plan.largest, 2);
         let exact = crate::exact_s_repair(&t, &fds);
@@ -467,7 +472,7 @@ mod tests {
         assert_eq!(sol.repair.kept.len(), 2);
         assert_eq!(sol.plan.components, 0);
         assert_eq!(sol.plan.clean_rows, 2);
-        assert!(sol.optimal);
+        assert!(sol.plan.optimal);
 
         let empty = Table::new(s);
         let sol = sharded_s_repair(&empty, &fds, &ShardConfig::default());
@@ -486,13 +491,13 @@ mod tests {
             force_exact: false,
             threads: 1,
         };
-        assert!(!sharded_s_repair(&t, &fds, &starved).optimal);
+        assert!(!sharded_s_repair(&t, &fds, &starved).plan.optimal);
         let forced = ShardConfig {
             force_exact: true,
             ..starved
         };
         let sol = sharded_s_repair(&t, &fds, &forced);
-        assert!(sol.optimal);
+        assert!(sol.plan.optimal);
         assert_eq!(sol.repair.cost, crate::exact_s_repair(&t, &fds).cost);
     }
 }

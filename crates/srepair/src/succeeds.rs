@@ -76,6 +76,18 @@ impl Trace {
         matches!(self.outcome, Outcome::Success)
     }
 
+    /// The rule every block at recursion depth `depth` applies: each
+    /// level of Algorithm 1 sees the same reduced `Δ`, so the trace
+    /// decides for all of them. `Ok(None)` once `Δ` is trivial, `Err`
+    /// with the stuck set when no simplification applies there.
+    pub fn step(&self, depth: usize) -> Result<Option<&TraceStep>, &FdSet> {
+        match (self.steps.get(depth), &self.outcome) {
+            (Some(step), _) => Ok(Some(step)),
+            (None, Outcome::Success) => Ok(None),
+            (None, Outcome::Stuck(stuck)) => Err(stuck),
+        }
+    }
+
     /// Renders the trace in the style of Example 3.5.
     pub fn display(&self, schema: &Schema) -> String {
         let mut out = String::new();
@@ -128,6 +140,13 @@ pub fn simplification_trace(fds: &FdSet) -> Trace {
         });
         current = after;
     }
+}
+
+/// Algorithm 2's trace of `Δ` in single-rhs form: the rule sequence every
+/// recursion of this crate (Algorithm 1, the counters, the sampler) walks
+/// by depth, an lhs-marriage step ending the chain-only ones.
+pub(crate) fn recursion_trace(fds: &FdSet) -> Trace {
+    simplification_trace(&fds.normalize_single_rhs())
 }
 
 /// `OSRSucceeds(Δ)` (Algorithm 2): true iff `OptSRepair` succeeds on `Δ`,
@@ -236,5 +255,63 @@ mod tests {
         let trace = simplification_trace(&trivial);
         assert!(trace.succeeded());
         assert!(trace.steps.is_empty());
+    }
+
+    #[test]
+    fn recursions_report_a_stuck_or_marriage_step_only_when_they_reach_it() {
+        use crate::{
+            count_optimal_s_repairs, count_subset_repairs, enumerate_optimal_s_repairs,
+            opt_s_repair, sample_subset_repair, ChainCountOutcome, CountOutcome,
+        };
+        use fd_core::{tup, Table};
+        use rand::{rngs::StdRng, SeedableRng};
+        let s = Schema::new("R", ["A", "B", "C", "D"]).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+
+        // A consensus step, then a stuck set: an empty table has no
+        // consensus block, so no recursion reaches the stuck set.
+        let fds = FdSet::parse(&s, "-> A; B -> C; C -> D").unwrap();
+        let empty = Table::new(s.clone());
+        assert!(opt_s_repair(&empty, &fds).unwrap().kept.is_empty());
+        assert_eq!(
+            count_optimal_s_repairs(&empty, &fds),
+            CountOutcome::Count(1)
+        );
+        assert_eq!(
+            count_subset_repairs(&empty, &fds),
+            ChainCountOutcome::Count(1)
+        );
+        assert_eq!(
+            enumerate_optimal_s_repairs(&empty, &fds, 10),
+            Some(vec![vec![]])
+        );
+        assert_eq!(sample_subset_repair(&empty, &fds, &mut rng), Ok(vec![]));
+
+        // One row: its consensus block reaches the stuck set.
+        let stuck = FdSet::parse(&s, "B -> C; C -> D").unwrap();
+        let one = Table::build_unweighted(s.clone(), vec![tup![1, 1, 1, 1]]).unwrap();
+        assert_eq!(opt_s_repair(&one, &fds).unwrap_err().remaining, stuck);
+        assert_eq!(
+            count_optimal_s_repairs(&one, &fds),
+            CountOutcome::Irreducible(stuck.clone())
+        );
+        assert_eq!(
+            count_subset_repairs(&one, &fds),
+            ChainCountOutcome::NotAChain(stuck)
+        );
+        assert_eq!(enumerate_optimal_s_repairs(&one, &fds, 10), None);
+
+        // An lhs marriage at the top: not a chain, not countable.
+        let marriage = FdSet::parse(&s, "A -> B; B -> A; B -> C").unwrap();
+        let two = Table::build_unweighted(s, vec![tup![1, 1, 0, 0], tup![1, 2, 0, 0]]).unwrap();
+        assert_eq!(
+            count_subset_repairs(&two, &marriage),
+            ChainCountOutcome::NotAChain(marriage.clone())
+        );
+        assert_eq!(
+            count_optimal_s_repairs(&two, &marriage),
+            CountOutcome::MarriageEncountered
+        );
+        assert_eq!(enumerate_optimal_s_repairs(&two, &marriage, 10), None);
     }
 }

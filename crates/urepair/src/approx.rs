@@ -11,9 +11,8 @@
 //! The guaranteed ratio is `max_i (cᵢ · mlc(Δᵢ))` with `cᵢ ∈ {1, 2}`
 //! depending on whether the component's S-repair was optimal.
 
-use crate::consensus::consensus_u_repair;
 use crate::convert::subset_to_update;
-use crate::decompose::{attribute_components, strip_consensus};
+use crate::decompose::{attribute_components, consensus_first};
 use crate::repair::URepair;
 use fd_core::{mlc, FdSet, Table};
 use fd_srepair::{osr_succeeds, sharded_s_repair, ShardConfig};
@@ -31,12 +30,7 @@ pub struct ApproxURepair {
 /// (Theorem 4.12, with the component-wise refinement of Theorem 4.1 and
 /// consensus stripping of Theorem 4.3).
 pub fn approx_u_repair(table: &Table, fds: &FdSet) -> ApproxURepair {
-    let (consensus_attrs, rest) = strip_consensus(fds);
-    let mut repair = if consensus_attrs.is_empty() {
-        URepair::identity(table)
-    } else {
-        consensus_u_repair(table, consensus_attrs)
-    };
+    let (mut repair, _, rest) = consensus_first(table, fds);
     let mut ratio: f64 = 1.0;
     // Work on the consensus-fixed table so later lhs groupings see the
     // final consensus values (the components are attribute-disjoint from
@@ -54,19 +48,9 @@ pub fn approx_u_repair(table: &Table, fds: &FdSet) -> ApproxURepair {
         let srepair = sharded_s_repair(&base, &comp, &cfg).repair;
         let part = subset_to_update(&base, &srepair, &comp);
         ratio = ratio.max(c * comp_mlc);
-        // Merge: the component touches only its lhs-cover attributes,
-        // disjoint from everything merged so far.
-        let merged_cost = repair.cost + part.cost;
-        let mut merged_table = repair.updated;
-        for (id, attr, _, new) in base.changed_cells(&part.updated).expect("update") {
-            merged_table
-                .set_value(id, attr, new)
-                .expect("id from table");
-        }
-        repair = URepair {
-            updated: merged_table,
-            cost: merged_cost,
-        };
+        repair = repair
+            .compose(&base, &part)
+            .expect("components touch disjoint attributes");
     }
     ApproxURepair { repair, ratio }
 }

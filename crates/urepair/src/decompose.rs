@@ -6,7 +6,9 @@
 //!   to `{∅ → cl_Δ(∅)} ∪ (Δ − cl_Δ(∅))`, an attribute-disjoint union whose
 //!   first part is solved optimally by Proposition B.2.
 
-use fd_core::{AttrSet, Fd, FdSet};
+use crate::consensus::consensus_u_repair;
+use crate::repair::URepair;
+use fd_core::{AttrSet, Fd, FdSet, Table};
 
 /// Splits `Δ` into maximal attribute-disjoint components (Theorem 4.1):
 /// the finest partition of the nontrivial FDs such that FDs in different
@@ -64,6 +66,20 @@ pub fn attribute_components(fds: &FdSet) -> Vec<FdSet> {
 pub fn strip_consensus(fds: &FdSet) -> (AttrSet, FdSet) {
     let consensus = fds.consensus_attrs();
     (consensus, fds.minus(consensus).remove_trivial())
+}
+
+/// Theorem 4.3's first step on a table: strips the consensus attributes
+/// and repairs them optimally (Proposition B.2). Returns that repair, the
+/// consensus attributes, and the consensus-free rest of `Δ`, which the
+/// caller solves against the repaired table.
+pub(crate) fn consensus_first(table: &Table, fds: &FdSet) -> (URepair, AttrSet, FdSet) {
+    let (consensus_attrs, rest) = strip_consensus(fds);
+    let repair = if consensus_attrs.is_empty() {
+        URepair::identity(table)
+    } else {
+        consensus_u_repair(table, consensus_attrs)
+    };
+    (repair, consensus_attrs, rest)
 }
 
 #[cfg(test)]

@@ -1,21 +1,21 @@
 //! Engine adapter: plan/solve entry points over the update-repair and
 //! mixed-repair machinery, consumed by the `fd-engine` planner.
 //!
-//! [`URepairSolver::solve`] decides its per-component strategy while
-//! solving; [`plan_update`] reproduces exactly those decisions without
-//! running any solver (only the cheap consensus pre-pass and
-//! polynomial-time tests), so the engine can `explain()` a call before
-//! committing to it. The plan/solve agreement is pinned by a test below.
+//! Both [`URepairSolver::solve`] and [`plan_update`] take their
+//! per-component strategy from one decision function,
+//! `URepairSolver::component_method`: the solver executes it, the plan
+//! reports it without running any solver (only the cheap consensus
+//! pre-pass and polynomial-time tests), so the engine can `explain()` a
+//! call before committing to it. The plan/solve agreement is pinned by a
+//! test below.
 
 use crate::bounds::ratio_kl;
-use crate::consensus::consensus_u_repair;
-use crate::decompose::{attribute_components, strip_consensus};
+use crate::decompose::{attribute_components, consensus_first};
 use crate::exact::ExactConfig;
-use crate::marriage::detect_two_cycle;
 use crate::mixed::{
     approx_mixed_repair, mixed_ratio_bound, try_exact_mixed_repair, MixedCosts, MixedRepair,
 };
-use crate::solver::{UMethod, URepairSolver, USolution};
+use crate::solver::{UMethod, URepairSolver};
 use fd_core::{mlc, AttrSet, FdSet, Table};
 use fd_srepair::osr_succeeds;
 
@@ -72,36 +72,27 @@ pub fn plan_update(table: &Table, fds: &FdSet, solver: &URepairSolver) -> Update
     let mut optimal = true;
     let mut ratio: f64 = 1.0;
 
-    let (consensus_attrs, rest) = strip_consensus(fds);
-    let base = if consensus_attrs.is_empty() {
-        table.clone()
-    } else {
+    let (consensus, consensus_attrs, rest) = consensus_first(table, fds);
+    if !consensus_attrs.is_empty() {
         steps.push(UpdatePlanStep {
             method: UMethod::ConsensusOnly,
             attrs: consensus_attrs,
             ratio: 1.0,
         });
-        consensus_u_repair(table, consensus_attrs).updated
-    };
+    }
 
     for comp in attribute_components(&rest) {
-        let attrs = comp.attrs();
-        let (method, step_ratio) = if base.satisfies(&comp) {
-            (UMethod::AlreadyConsistent, 1.0)
-        } else if detect_two_cycle(&comp).is_some() {
-            (UMethod::TwoCycle, 1.0)
-        } else if mlc(&comp) == Some(1) && osr_succeeds(&comp) {
-            (UMethod::CommonLhsViaS, 1.0)
-        } else if base.len() <= solver.exact_row_limit {
-            (UMethod::ExactSearch, 1.0)
+        let method = solver.component_method(&consensus.updated, &comp);
+        let step_ratio = if method == UMethod::Approximate {
+            approx_component_bound(&comp)
         } else {
-            (UMethod::Approximate, approx_component_bound(&comp))
+            1.0
         };
         optimal &= step_ratio == 1.0;
         ratio = ratio.max(step_ratio);
         steps.push(UpdatePlanStep {
             method,
-            attrs,
+            attrs: comp.attrs(),
             ratio: step_ratio,
         });
     }
@@ -146,7 +137,7 @@ pub fn mixed_strategy(rows: usize, exact_row_limit: usize) -> MixedMethod {
     }
 }
 
-/// A mixed repair with provenance, mirroring [`USolution`].
+/// A mixed repair with provenance, mirroring [`USolution`](crate::USolution).
 #[derive(Clone, Debug)]
 pub struct MixedSolution {
     /// The repair.
@@ -197,12 +188,6 @@ pub fn solve_mixed(
             ratio: mixed_ratio_bound(fds, costs),
         },
     }
-}
-
-/// Runs the legacy solver (the plan's executor): provided so engine code
-/// reads symmetrically to [`plan_update`].
-pub fn solve_update(table: &Table, fds: &FdSet, solver: &URepairSolver) -> USolution {
-    solver.solve(table, fds)
 }
 
 #[cfg(test)]

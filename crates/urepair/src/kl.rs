@@ -21,8 +21,7 @@
 //! exactly in [`crate::bounds`] — and additionally report the realized
 //! cost of this reconstruction.
 
-use crate::consensus::consensus_u_repair;
-use crate::decompose::strip_consensus;
+use crate::decompose::consensus_first;
 use crate::repair::URepair;
 use fd_core::{
     min_core_implicant, min_lhs_cover, AttrId, FdSet, FreshSource, Table, Tuple, TupleId, Value,
@@ -35,12 +34,7 @@ use std::collections::{HashMap, HashSet};
 /// ratio is [`crate::ratio_kl`].
 pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
     // Step 1: consensus attributes (Theorem 4.3).
-    let (consensus_attrs, rest) = strip_consensus(fds);
-    let base_repair = if consensus_attrs.is_empty() {
-        URepair::identity(table)
-    } else {
-        consensus_u_repair(table, consensus_attrs)
-    };
+    let (base_repair, _, rest) = consensus_first(table, fds);
     let working = base_repair.updated.clone();
     let rest = rest.normalize_single_rhs();
     if working.satisfies(&rest) {

@@ -46,8 +46,10 @@ impl URepair {
         );
     }
 
-    /// Merges another update on top of this one, provided the two touch
-    /// disjoint attribute sets (the composition step of Theorem 4.1).
+    /// Merges `other`, an update of `original`, on top of this one,
+    /// provided the two touch disjoint cells (the composition step of
+    /// Theorem 4.1). The cost is the sum of both costs, so a merged
+    /// repair keeps the exact bits of its parts' distances.
     pub fn compose(self, original: &Table, other: &URepair) -> Result<URepair> {
         let mut table = self.updated;
         for (id, attr, old, new) in original.changed_cells(&other.updated)? {
@@ -57,7 +59,10 @@ impl URepair {
                 return Err(Error::NotAnUpdate);
             }
         }
-        URepair::new(original, table)
+        Ok(URepair {
+            updated: table,
+            cost: self.cost + other.cost,
+        })
     }
 }
 

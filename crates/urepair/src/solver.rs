@@ -3,9 +3,9 @@
 //! on small instances, and the combined approximation otherwise.
 
 use crate::approx::approx_u_repair;
-use crate::consensus::consensus_u_repair;
 use crate::convert::subset_to_update;
-use crate::decompose::{attribute_components, strip_consensus};
+use crate::decompose::{attribute_components, consensus_first};
+use crate::engine::approx_component_bound;
 use crate::exact::{try_exact_u_repair, ExactConfig};
 use crate::kl::kl_u_repair;
 use crate::marriage::{detect_two_cycle, two_cycle_u_repair};
@@ -110,13 +110,10 @@ impl URepairSolver {
         let mut ratio: f64 = 1.0;
 
         // Theorem 4.3: consensus attributes first (optimal, independent).
-        let (consensus_attrs, rest) = strip_consensus(fds);
-        let mut repair = if consensus_attrs.is_empty() {
-            URepair::identity(table)
-        } else {
+        let (mut repair, consensus_attrs, rest) = consensus_first(table, fds);
+        if !consensus_attrs.is_empty() {
             methods.push(UMethod::ConsensusOnly);
-            consensus_u_repair(table, consensus_attrs)
-        };
+        }
         let base = repair.updated.clone();
 
         // Theorem 4.1: attribute-disjoint components compose — and,
@@ -128,15 +125,9 @@ impl URepairSolver {
             methods.push(method);
             optimal &= part_optimal;
             ratio = ratio.max(part_ratio);
-            let merged_cost = repair.cost + part.cost;
-            let mut merged = repair.updated;
-            for (id, attr, _, new) in base.changed_cells(&part.updated).expect("update") {
-                merged.set_value(id, attr, new).expect("id from table");
-            }
-            repair = URepair {
-                updated: merged,
-                cost: merged_cost,
-            };
+            repair = repair
+                .compose(&base, &part)
+                .expect("components touch disjoint attributes");
         }
         debug_assert!(repair.updated.satisfies(fds));
         USolution {
@@ -144,6 +135,31 @@ impl URepairSolver {
             methods,
             optimal,
             ratio,
+        }
+    }
+
+    /// §4's case analysis for one consensus-free component `comp`,
+    /// solved against the consensus-repaired table `base`: already
+    /// consistent, then the two-cycle (Proposition 4.9), then a common
+    /// lhs on the tractable side (Corollary 4.6), then the exact search
+    /// on small tables, else the combined approximation. [`solve`]
+    /// executes this choice and [`plan_update`] reports it; only the
+    /// exact search can still end elsewhere, in the approximation, when
+    /// it exhausts its node budget.
+    ///
+    /// [`solve`]: URepairSolver::solve
+    /// [`plan_update`]: crate::engine::plan_update
+    pub(crate) fn component_method(&self, base: &Table, comp: &FdSet) -> UMethod {
+        if base.satisfies(comp) {
+            UMethod::AlreadyConsistent
+        } else if detect_two_cycle(comp).is_some() {
+            UMethod::TwoCycle
+        } else if mlc(comp) == Some(1) && osr_succeeds(comp) {
+            UMethod::CommonLhsViaS
+        } else if base.len() <= self.exact_row_limit {
+            UMethod::ExactSearch
+        } else {
+            UMethod::Approximate
         }
     }
 
@@ -164,34 +180,27 @@ impl URepairSolver {
         })
     }
 
+    /// Executes [`URepairSolver::component_method`]'s choice for `comp`.
     fn solve_component(&self, base: &Table, comp: &FdSet) -> ComponentPart {
-        if base.satisfies(comp) {
-            return (
-                URepair::identity(base),
-                UMethod::AlreadyConsistent,
-                true,
-                1.0,
-            );
-        }
-        // Proposition 4.9.
-        if detect_two_cycle(comp).is_some() {
-            return (two_cycle_u_repair(base, comp), UMethod::TwoCycle, true, 1.0);
-        }
-        // Corollary 4.6: common lhs (mlc = 1) on the tractable side.
-        if mlc(comp) == Some(1) && osr_succeeds(comp) {
-            let cfg = ShardConfig {
-                threads: self.threads,
-                ..ShardConfig::default()
-            };
-            let sr = sharded_s_repair(base, comp, &cfg).repair;
-            let part = subset_to_update(base, &sr, comp);
-            return (part, UMethod::CommonLhsViaS, true, 1.0);
+        let method = self.component_method(base, comp);
+        match method {
+            UMethod::AlreadyConsistent => return (URepair::identity(base), method, true, 1.0),
+            UMethod::TwoCycle => return (two_cycle_u_repair(base, comp), method, true, 1.0),
+            UMethod::CommonLhsViaS => {
+                let cfg = ShardConfig {
+                    threads: self.threads,
+                    ..ShardConfig::default()
+                };
+                let sr = sharded_s_repair(base, comp, &cfg).repair;
+                return (subset_to_update(base, &sr, comp), method, true, 1.0);
+            }
+            _ => {}
         }
         let ours = approx_u_repair(base, comp);
         // Small instances: exhaustive search, seeded with the
         // approximation's cost. When it runs out of its node budget the
         // component falls through to the approximation below.
-        if base.len() <= self.exact_row_limit {
+        if method == UMethod::ExactSearch {
             let cfg = ExactConfig {
                 max_nodes: self.exact_node_budget,
                 initial_bound: Some(ours.repair.cost + 1e-9),
@@ -199,17 +208,17 @@ impl URepairSolver {
                 ..ExactConfig::default()
             };
             if let Ok(part) = try_exact_u_repair(base, comp, &cfg) {
-                return (part, UMethod::ExactSearch, true, 1.0);
+                return (part, method, true, 1.0);
             }
         }
         // Combined approximation (§4.4's closing remark).
         let kl = kl_u_repair(base, comp);
-        let bound = ours.ratio.min(crate::bounds::ratio_kl(comp));
         let part = if kl.cost < ours.repair.cost {
             kl
         } else {
             ours.repair
         };
+        let bound = approx_component_bound(comp);
         (part, UMethod::Approximate, false, bound)
     }
 }

@@ -421,6 +421,32 @@ fn main() -> ExitCode {
         return gen(&cli);
     }
 
+    // Resolve the command and its notion before reading the input, so a
+    // usage error is reported as one (exit 2) even when the file is bad.
+    let notion = match cli.command.as_str() {
+        "repair" | "explain" => match cli.notion.as_deref() {
+            None => Some(Notion::Subset),
+            Some(name) => match Notion::parse(name) {
+                Some(n) => Some(n),
+                None => {
+                    eprintln!("fdrepair: unknown notion {name:?}\n{USAGE}");
+                    return ExitCode::from(2);
+                }
+            },
+        },
+        "srepair" => Some(Notion::Subset),
+        "urepair" => Some(Notion::Update),
+        "mpd" => Some(Notion::Mpd),
+        "count" => Some(Notion::Count),
+        "sample" => Some(Notion::Sample),
+        "classify" => Some(Notion::Classify),
+        "check" | "mutate" => None,
+        other => {
+            eprintln!("fdrepair: unknown command {other:?}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+
     // --trace: install a per-run collector early so the load phase
     // (CSV/.fdr interning) lands in the profile alongside the solve.
     let collector = cli.trace.as_ref().map(|_| fd_trace::Collector::default());
@@ -466,46 +492,12 @@ fn main() -> ExitCode {
         }
     };
 
-    // Resolve the command to an engine request.
-    let notion = match cli.command.as_str() {
-        "repair" => match cli.notion.as_deref() {
-            None => Some(Notion::Subset),
-            Some(name) => match Notion::parse(name) {
-                Some(n) => Some(n),
-                None => {
-                    eprintln!("fdrepair: unknown notion {name:?}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-        },
-        "srepair" => Some(Notion::Subset),
-        "urepair" => Some(Notion::Update),
-        "mpd" => Some(Notion::Mpd),
-        "count" => Some(Notion::Count),
-        "sample" => Some(Notion::Sample),
-        "classify" => Some(Notion::Classify),
-        "check" | "explain" | "mutate" => None,
-        other => {
-            eprintln!("fdrepair: unknown command {other:?}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-
     match (cli.command.as_str(), notion) {
-        ("check", _) => {
-            check(&instance, cli.json);
-            ExitCode::SUCCESS
-        }
+        ("check", _) => emit(|out| check(out, &instance, cli.json))
+            .err()
+            .unwrap_or(ExitCode::SUCCESS),
         ("mutate", _) => mutate(&cli, &instance),
-        ("explain", _) => {
-            let notion = cli
-                .notion
-                .as_deref()
-                .map_or(Some(Notion::Subset), Notion::parse);
-            let Some(notion) = notion else {
-                eprintln!("fdrepair: unknown notion\n{USAGE}");
-                return ExitCode::from(2);
-            };
+        ("explain", Some(notion)) => {
             let request = build_request(&cli, notion);
             let rendered = if cli.json {
                 Planner
@@ -515,10 +507,9 @@ fn main() -> ExitCode {
                 Planner.explain(&instance.table, &instance.fds, &request)
             };
             match rendered {
-                Ok(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
+                Ok(text) => emit(|out| out.write_all(text.as_bytes()))
+                    .err()
+                    .unwrap_or(ExitCode::SUCCESS),
                 Err(e) => {
                     eprintln!("fdrepair: {e}");
                     ExitCode::FAILURE
@@ -550,12 +541,8 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     }
-                    if cli.json {
-                        if let Err(code) = print_json(&report) {
-                            return code;
-                        }
-                    } else {
-                        render(&instance, &report);
+                    if let Err(code) = print_report(&instance, &report, cli.json) {
+                        return code;
                     }
                     if let (Some(path), Some(collector)) =
                         (cli.trace.as_deref(), collector.as_ref())
@@ -677,24 +664,25 @@ fn mutate(cli: &Cli, instance: &Instance) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if cli.json {
-        if let Err(code) = print_json(&report) {
-            return code;
-        }
+    let printed = if cli.json {
+        print_report(&mutated, &report, true)
     } else {
-        println!(
-            "applied {} mutation(s): {} row(s) now, served by {}",
-            session.steps(),
-            session.table().len(),
-            if session.is_incremental() {
-                "the delta engine"
-            } else {
-                "cold solves"
-            }
-        );
-        render(&mutated, &report);
-    }
-    ExitCode::SUCCESS
+        emit(|out| {
+            writeln!(
+                out,
+                "applied {} mutation(s): {} row(s) now, served by {}",
+                session.steps(),
+                session.table().len(),
+                if session.is_incremental() {
+                    "the delta engine"
+                } else {
+                    "cold solves"
+                }
+            )?;
+            render(out, &mutated, &report)
+        })
+    };
+    printed.err().unwrap_or(ExitCode::SUCCESS)
 }
 
 /// `fdrepair fuzz`: differential campaigns, engine vs brute-force
@@ -858,120 +846,146 @@ fn serve(cli: &Cli) -> ExitCode {
     }
 }
 
-/// Streams the report's JSON and a newline to stdout. A failed write (a
-/// closed pipe, a full disk) prints one line and maps to exit 1.
-fn print_json(report: &RepairReport) -> std::result::Result<(), ExitCode> {
+/// Writes to stdout through one locked buffer. A failed write (a closed
+/// pipe, a full disk) prints one line and maps to exit 1.
+fn emit(
+    write: impl FnOnce(&mut BufWriter<std::io::StdoutLock<'static>>) -> std::io::Result<()>,
+) -> std::result::Result<(), ExitCode> {
     let mut out = BufWriter::with_capacity(1 << 16, std::io::stdout().lock());
-    report
-        .write_json(&mut out)
-        .and_then(|()| out.write_all(b"\n"))
-        .and_then(|()| out.flush())
-        .map_err(|e| {
-            eprintln!("fdrepair: cannot write the report: {e}");
-            ExitCode::FAILURE
-        })
+    write(&mut out).and_then(|()| out.flush()).map_err(|e| {
+        eprintln!("fdrepair: cannot write the report: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Streams the report to stdout: its JSON and a newline, or the text
+/// rendering.
+fn print_report(
+    inst: &Instance,
+    report: &RepairReport,
+    json: bool,
+) -> std::result::Result<(), ExitCode> {
+    emit(|out| {
+        if json {
+            report.write_json(out)?;
+            out.write_all(b"\n")
+        } else {
+            render(out, inst, report)
+        }
+    })
 }
 
 /// Prints a repaired table for human eyes: small tables in full, large
 /// ones only a head — rendering a million aligned rows costs more than
 /// the solve, and the full table belongs in `--output` / `--json`.
-fn render_table(label: &str, repaired: &Table) {
+fn render_table(out: &mut impl Write, label: &str, repaired: &Table) -> std::io::Result<()> {
     const FULL: usize = 200;
     const HEAD: u32 = 20;
     if repaired.len() <= FULL {
-        println!("{label}{repaired}");
+        writeln!(out, "{label}{repaired}")?;
     } else {
         let head: Vec<u32> = (0..HEAD).collect();
-        println!("{label}{}", repaired.gather_positions(&head));
-        println!(
+        writeln!(out, "{label}{}", repaired.gather_positions(&head))?;
+        writeln!(
+            out,
             "… {} more row(s) not shown (write the full table with --output or --json)",
             repaired.len() - HEAD as usize
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Renders a report in the human-readable style of the pre-engine CLI.
-fn render(inst: &Instance, report: &RepairReport) {
+fn render(out: &mut impl Write, inst: &Instance, report: &RepairReport) -> std::io::Result<()> {
     match &report.body {
         ReportBody::Subset { deleted, repaired } => {
-            println!(
+            writeln!(
+                out,
                 "method {}; optimal {}; guaranteed ratio {:.1}",
                 report.methods.join("+"),
                 report.optimal,
                 report.ratio
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "delete {} tuple(s), dist_sub = {}",
                 deleted.len(),
                 report.cost
-            );
+            )?;
             for id in deleted {
                 let row = inst.table.row(*id).expect("id from table");
-                println!("  - tuple {id}: {} (weight {})", row.tuple, row.weight);
+                writeln!(out, "  - tuple {id}: {} (weight {})", row.tuple, row.weight)?;
             }
-            render_table("\nrepaired table:\n", repaired);
+            render_table(out, "\nrepaired table:\n", repaired)?;
         }
         ReportBody::Update { changed, repaired } => {
-            println!(
+            writeln!(
+                out,
                 "methods [{}]; optimal {}; guaranteed ratio {:.1}",
                 report.methods.join(", "),
                 report.optimal,
                 report.ratio
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "change {} cell(s), dist_upd = {}",
                 changed.len(),
                 report.cost
-            );
+            )?;
             for cell in changed {
-                println!(
+                writeln!(
+                    out,
                     "  ~ tuple {}, {}: {} → {}",
                     cell.tuple, cell.attr, cell.old, cell.new
-                );
+                )?;
             }
-            render_table("\nrepaired table:\n", repaired);
+            render_table(out, "\nrepaired table:\n", repaired)?;
         }
         ReportBody::Mixed {
             deleted,
             changed,
             repaired,
         } => {
-            println!(
+            writeln!(
+                out,
                 "method {}; optimal {}; guaranteed ratio {:.1}",
                 report.methods.join("+"),
                 report.optimal,
                 report.ratio
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "delete {} tuple(s) and change {} cell(s), mixed cost = {}",
                 deleted.len(),
                 changed.len(),
                 report.cost
-            );
+            )?;
             for id in deleted {
                 let row = inst.table.row(*id).expect("id from table");
-                println!("  - tuple {id}: {} (weight {})", row.tuple, row.weight);
+                writeln!(out, "  - tuple {id}: {} (weight {})", row.tuple, row.weight)?;
             }
             for cell in changed {
-                println!(
+                writeln!(
+                    out,
                     "  ~ tuple {}, {}: {} → {}",
                     cell.tuple, cell.attr, cell.old, cell.new
-                );
+                )?;
             }
-            render_table("\nrepaired table:\n", repaired);
+            render_table(out, "\nrepaired table:\n", repaired)?;
         }
         ReportBody::Mpd {
             kept,
             probability,
             repaired,
         } => {
-            println!(
+            writeln!(
+                out,
                 "most probable consistent world: {} of {} tuples, probability {:.6}",
                 kept.len(),
                 inst.table.len(),
                 probability
-            );
-            render_table("", repaired);
+            )?;
+            render_table(out, "", repaired)?;
         }
         ReportBody::Count {
             subset_repairs,
@@ -979,21 +993,22 @@ fn render(inst: &Instance, report: &RepairReport) {
             notes,
         } => {
             if let Some(n) = subset_repairs {
-                println!("subset repairs (maximal consistent subsets): {n}");
+                writeln!(out, "subset repairs (maximal consistent subsets): {n}")?;
             }
             if let Some(n) = optimal_subset_repairs {
-                println!("optimal subset repairs: {n}");
+                writeln!(out, "optimal subset repairs: {n}")?;
             }
             for note in notes {
-                println!("{note}");
+                writeln!(out, "{note}")?;
             }
         }
         ReportBody::Sample { kept, repaired } => {
-            println!(
+            writeln!(
+                out,
                 "uniformly sampled subset repair keeps {} tuple(s):",
                 kept.len()
-            );
-            render_table("", repaired);
+            )?;
+            render_table(out, "", repaired)?;
         }
         ReportBody::Classify {
             keys,
@@ -1002,46 +1017,50 @@ fn render(inst: &Instance, report: &RepairReport) {
             conflicts,
         } => {
             let schema = &inst.schema;
-            println!("schema : {schema}");
-            println!("Δ      : {}", inst.fds.display(schema));
-            println!("chain  : {}", report.dichotomy.chain);
-            println!("keys   : {}", keys.join(", "));
+            writeln!(out, "schema : {schema}")?;
+            writeln!(out, "Δ      : {}", inst.fds.display(schema))?;
+            writeln!(out, "chain  : {}", report.dichotomy.chain)?;
+            writeln!(out, "keys   : {}", keys.join(", "))?;
             match bcnf_violation {
-                None => println!("BCNF   : yes"),
-                Some(fd) => println!("BCNF   : no ({fd} has a non-superkey lhs)"),
+                None => writeln!(out, "BCNF   : yes")?,
+                Some(fd) => writeln!(out, "BCNF   : no ({fd} has a non-superkey lhs)")?,
             }
-            println!(
+            writeln!(
+                out,
                 "input  : {}",
                 if *consistent {
                     "consistent".to_string()
                 } else {
                     format!("inconsistent ({conflicts} conflicting pairs)")
                 }
-            );
+            )?;
 
             let trace = simplification_trace(&inst.fds);
-            println!("\nOSRSucceeds trace:");
+            writeln!(out, "\nOSRSucceeds trace:")?;
             for line in trace.display(schema).lines() {
-                println!("  {line}");
+                writeln!(out, "  {line}")?;
             }
             if report.dichotomy.osr_succeeds {
-                println!("\n⇒ optimal S-repairs: polynomial time (Theorem 3.4)");
+                writeln!(out, "\n⇒ optimal S-repairs: polynomial time (Theorem 3.4)")?;
             } else {
-                println!(
+                writeln!(
+                    out,
                     "\n⇒ optimal S-repairs: APX-complete; Figure-2 class {} via {}",
                     report.dichotomy.hard_class.expect("hard side"),
                     report.dichotomy.hard_core.as_deref().expect("hard side")
-                );
+                )?;
             }
-            println!(
+            writeln!(
+                out,
                 "U-repair approximation bounds: ours 2·mlc = {:.0}, Kolahi–Lakshmanan = {:.0}",
                 report.dichotomy.ratio_ours, report.dichotomy.ratio_kl
-            );
+            )?;
         }
     }
+    Ok(())
 }
 
-fn check(inst: &Instance, json: bool) {
+fn check(out: &mut impl Write, inst: &Instance, json: bool) -> std::io::Result<()> {
     let consistent = inst.table.satisfies(&inst.fds);
     let pairs = if consistent {
         Vec::new()
@@ -1062,19 +1081,18 @@ fn check(inst: &Instance, json: bool) {
                 ),
             ),
         ]);
-        println!("{doc}");
-        return;
+        return writeln!(out, "{doc}");
     }
-    println!("{}", inst.table);
+    writeln!(out, "{}", inst.table)?;
     if consistent {
-        println!("consistent: the table satisfies Δ");
-        return;
+        return writeln!(out, "consistent: the table satisfies Δ");
     }
-    println!("inconsistent: {} conflicting pair(s)", pairs.len());
+    writeln!(out, "inconsistent: {} conflicting pair(s)", pairs.len())?;
     for (i, j) in pairs.iter().take(20) {
-        println!("  tuples {i} and {j}");
+        writeln!(out, "  tuples {i} and {j}")?;
     }
     if pairs.len() > 20 {
-        println!("  … and {} more", pairs.len() - 20);
+        writeln!(out, "  … and {} more", pairs.len() - 20)?;
     }
+    Ok(())
 }

@@ -200,6 +200,10 @@ fn exit_codes_distinguish_usage_io_and_success() {
     assert_eq!(fdrepair_code(&["srepair", path, "--bogus"]).2, 2);
     assert_eq!(fdrepair_code(&["repair", path, "--notion", "nope"]).2, 2);
     assert_eq!(fdrepair_code(&["repair", path, "--notion"]).2, 2);
+    // The command and the notion are checked before the input is read.
+    assert_eq!(fdrepair_code(&["frobnicate", "/nonexistent/nope.fdr"]).2, 2);
+    let missing = ["repair", "/nonexistent/nope.fdr", "--notion", "nope"];
+    assert_eq!(fdrepair_code(&missing).2, 2);
     // 1: I/O and data errors.
     assert_eq!(fdrepair_code(&["check", "/nonexistent/nope.fdr"]).2, 1);
     let bad = write_temp("cli_exitcodes_bad.fdr", "relation R\nattrs A\nrow x | 1\n");
@@ -460,6 +464,23 @@ fn repair_json_into_a_closed_pipe_fails_cleanly() {
     drop(child.stdout.take());
     let out = child.wait_with_output().expect("binary exits");
     assert_clean_write_failure(out.status, &out.stderr);
+}
+
+#[test]
+fn text_output_into_a_closed_pipe_fails_cleanly() {
+    let path = large_instance("cli_closed_pipe_text.fdr");
+    for command in ["repair", "check", "count", "explain"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fdrepair"))
+            .args([command, path.to_str().unwrap()])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // Close the read end before the text is written.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        assert_clean_write_failure(out.status, &out.stderr);
+    }
 }
 
 #[test]
