@@ -372,6 +372,21 @@ impl Planner {
         }
     }
 
+    /// Runs `work` and charges its wall time to the request's
+    /// `time_cap_ms` with the same post-hoc check [`RepairEngine::run`]
+    /// applies: work that outlasted the cap is
+    /// [`EngineError::TimeBudgetExceeded`]. Sessions charge their own
+    /// steps this way, so no clock reaches their report-producing state.
+    pub(crate) fn capped<T>(
+        request: &RepairRequest,
+        work: impl FnOnce() -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let start = Instant::now();
+        let out = work()?;
+        Planner::check_time(start, request)?;
+        Ok(out)
+    }
+
     fn check_time(start: Instant, request: &RepairRequest) -> Result<(), EngineError> {
         if let Some(cap_ms) = request.budgets.time_cap_ms {
             let elapsed_ms = start.elapsed().as_millis() as u64;

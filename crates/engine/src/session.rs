@@ -18,11 +18,18 @@
 //! deterministic responses are what the differential fuzzer and the
 //! serving cache compare, so wall-clock noise is excluded at the source.
 //!
-//! Requests the delta engine cannot serve (non-subset notions,
-//! wall-clock caps, the table-dependent approximate-escalation corner)
-//! still work: the session transparently falls back to a cold
-//! `Planner::run` per report while keeping the mutation bookkeeping, so
-//! callers never branch.
+//! Requests the delta engine cannot serve (non-subset notions, the
+//! table-dependent approximate-escalation corner) still work: the
+//! session transparently falls back to a cold `Planner::run` per report
+//! while keeping the mutation bookkeeping, so callers never branch.
+//!
+//! A wall-clock cap (`time_cap_ms`) is honored on both paths. The
+//! session charges its own work — the prime solve in
+//! [`new`](IncrementalSession::new), each
+//! [`apply`](IncrementalSession::apply), the splice in
+//! [`report`](IncrementalSession::report) — to the cap, checked after
+//! the fact like [`Planner::run`] checks its solve, and answers
+//! [`EngineError::TimeBudgetExceeded`] when that work ran over.
 
 use crate::planner::{EngineError, Planner, RepairEngine};
 use crate::report::{DichotomyReport, RepairReport, Timings};
@@ -47,39 +54,38 @@ impl IncrementalSession {
     /// falling back to a cold solve on large tables.
     ///
     /// Eligible means: the subset notion (the dichotomy's component
-    /// decomposition is what the cache exploits), no wall-clock cap (a
-    /// spliced answer has no meaningful elapsed time to check),
-    /// and not the one corner where [`Planner`]'s shard configuration
-    /// depends on the table itself: an `Approximate` ceiling below 2 on
-    /// the hard side of the dichotomy escalates `force_exact` based on a
-    /// per-table pre-pass, which a table-independent cache cannot mirror.
+    /// decomposition is what the cache exploits), and not the one corner
+    /// where [`Planner`]'s shard configuration depends on the table
+    /// itself: an `Approximate` ceiling below 2 on the hard side of the
+    /// dichotomy escalates `force_exact` based on a per-table pre-pass,
+    /// which a table-independent cache cannot mirror. A wall-clock cap
+    /// does not matter: the session charges its own work to it.
     pub fn delta_eligible(fds: &FdSet, request: &RepairRequest) -> bool {
         let table_dependent_escalation = matches!(
             request.optimality,
             Optimality::Approximate { max_ratio } if max_ratio < 2.0
         ) && !osr_succeeds(fds);
-        request.notion == Notion::Subset
-            && request.budgets.time_cap_ms.is_none()
-            && !table_dependent_escalation
+        request.notion == Notion::Subset && !table_dependent_escalation
     }
 
     /// Opens a session over `table`. Validates the request exactly as
     /// [`Planner::run`] would; when `(fds, request)` is
     /// [delta-eligible](IncrementalSession::delta_eligible) the initial
     /// per-component solve happens here, priming the cache every later
-    /// mutation patches.
+    /// mutation patches. A prime solve that outlasts the request's
+    /// `time_cap_ms` is [`EngineError::TimeBudgetExceeded`].
     pub fn new(
         table: Table,
         fds: FdSet,
         request: RepairRequest,
     ) -> Result<IncrementalSession, EngineError> {
         Planner::validate(&request)?;
-        let inc = if IncrementalSession::delta_eligible(&fds, &request) {
-            let cfg = Planner::shard_config(&table, &fds, &request);
-            Some(IncrementalSubset::new(&table, &fds, &cfg))
-        } else {
-            None
-        };
+        let inc = Planner::capped(&request, || {
+            Ok(IncrementalSession::delta_eligible(&fds, &request).then(|| {
+                let cfg = Planner::shard_config(&table, &fds, &request);
+                IncrementalSubset::new(&table, &fds, &cfg)
+            }))
+        })?;
         Ok(IncrementalSession {
             table,
             fds,
@@ -92,25 +98,31 @@ impl IncrementalSession {
     /// Applies one mutation to the session's table, patching the cached
     /// component solutions when the delta engine is active. Errors
     /// (unknown id, bad weight, arity mismatch) leave table and cache
-    /// exactly as they were.
+    /// exactly as they were — except [`EngineError::TimeBudgetExceeded`]:
+    /// the cap is checked after the fact, so that mutation has taken
+    /// effect and been counted, and the session is still coherent.
     pub fn apply(&mut self, m: &Mutation) -> Result<MutationEffect, EngineError> {
-        let effect = match &mut self.inc {
-            Some(inc) => inc.apply_mutation(&mut self.table, m),
-            None => self.table.apply_mutation(m),
-        }
-        .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
-        self.steps += 1;
-        Ok(effect)
+        let request = self.request;
+        Planner::capped(&request, || {
+            let effect = match &mut self.inc {
+                Some(inc) => inc.apply_mutation(&mut self.table, m),
+                None => self.table.apply_mutation(m),
+            }
+            .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
+            self.steps += 1;
+            Ok(effect)
+        })
     }
 
     /// The current repair report, bit-identical to a cold
     /// [`Planner::run`] on [`table`](IncrementalSession::table) except
     /// for [`Timings`], which a session always zeroes (see the module
     /// docs). Splices cached component solutions when the delta engine
-    /// is active; otherwise delegates to the cold path.
+    /// is active, charging the splice to the request's `time_cap_ms`;
+    /// otherwise delegates to the cold path, which checks its own.
     pub fn report(&self) -> Result<RepairReport, EngineError> {
         if let Some(inc) = &self.inc {
-            return self.spliced_report(inc);
+            return Planner::capped(&self.request, || self.spliced_report(inc));
         }
         let mut report = Planner.run(&self.table, &self.fds, &self.request)?;
         report.timings = Timings::default();
@@ -288,15 +300,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let table = random_table(&mut rng, 10);
 
-        // Non-subset notions and wall-clock caps drop to the cold path —
-        // no panic, reports still correct.
+        // Non-subset notions drop to the cold path — no panic, reports
+        // still correct.
         let s =
             IncrementalSession::new(table.clone(), fds.clone(), RepairRequest::update()).unwrap();
-        assert!(!s.is_incremental());
-        s.report().unwrap();
-
-        let capped = RepairRequest::subset().time_cap_ms(10_000);
-        let s = IncrementalSession::new(table.clone(), fds.clone(), capped).unwrap();
         assert!(!s.is_incremental());
         s.report().unwrap();
 
@@ -312,6 +319,49 @@ mod tests {
         let s = IncrementalSession::new(table, fds, tight).unwrap();
         assert!(s.is_incremental());
         s.report().unwrap();
+    }
+
+    #[test]
+    fn capped_sessions_are_incremental_and_match_cold_runs() {
+        // A generous wall-clock cap is charged, never hit: the session
+        // stays on the delta engine and its bytes match capped cold runs.
+        let capped = RepairRequest::subset().time_cap_ms(60_000);
+        for (i, spec) in ["A -> B", "A -> C; B -> C"].iter().enumerate() {
+            let fds = FdSet::parse(&schema(), spec).unwrap();
+            let table = random_table(&mut StdRng::seed_from_u64(i as u64), 18);
+            let session = IncrementalSession::new(table, fds, capped).unwrap();
+            assert!(session.is_incremental(), "{spec}");
+            assert_trace_parity(spec, &capped, 0xCA90 + i as u64, 30);
+        }
+    }
+
+    #[test]
+    fn a_zero_cap_is_charged_by_every_session_step() {
+        // Millisecond granularity makes a cap of 0 racy to assert on, so
+        // only check the error's shape when it fires, as the planner's
+        // own cap test does.
+        let over = |e: EngineError| {
+            assert!(
+                matches!(e, EngineError::TimeBudgetExceeded { cap_ms: 0, .. }),
+                "{e}"
+            );
+        };
+        let fds = FdSet::parse(&schema(), "A -> B").unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let table = random_table(&mut rng, 200);
+        let zero = RepairRequest::subset().time_cap_ms(0);
+        let mut session = match IncrementalSession::new(table, fds, zero) {
+            Ok(session) => session,
+            Err(e) => return over(e),
+        };
+        assert!(session.is_incremental());
+        let m = random_mutation(&mut rng, session.table());
+        if let Err(e) = session.apply(&m) {
+            over(e);
+        }
+        if let Err(e) = session.report() {
+            over(e);
+        }
     }
 
     #[test]

@@ -463,10 +463,16 @@ fn generate_trace(base: &Table, steps: usize, domain: i64, rng: &mut StdRng) -> 
 /// budgets and `Exact` demands are all exercised), plus a ≥ 20-step
 /// trace from an independent stream.
 fn generate_mutate_case(max_rows: usize, case_seed: u64) -> (Case, Vec<Mutation>) {
-    let case = generate_case(FuzzNotion::Subset, max_rows, case_seed);
+    let mut case = generate_case(FuzzNotion::Subset, max_rows, case_seed);
     let mut rng = StdRng::seed_from_u64(case_seed ^ 0x7ACE_7ACE);
     let steps = rng.gen_range(20..=30);
     let trace = generate_trace(&case.table, steps, 4, &mut rng);
+    // A generous wall-clock cap on a third of the cases, as every call
+    // through `fdrepair serve` carries one. Drawn after the trace, so a
+    // seed replays the same instance and trace with or without it.
+    if rng.gen_range(0..3u8) == 0 {
+        case.request = case.request.time_cap_ms(60_000);
+    }
     (case, trace)
 }
 
@@ -790,6 +796,17 @@ mod tests {
         assert_eq!(a.request, b.request);
         assert_eq!(ta, tb);
         assert!(ta.len() >= 20, "traces must be at least 20 steps");
+    }
+
+    #[test]
+    fn some_mutate_cases_carry_a_generous_time_cap() {
+        let capped = (0..30)
+            .filter(|&seed| {
+                let (case, _) = generate_mutate_case(8, seed);
+                case.request.budgets.time_cap_ms.is_some()
+            })
+            .count();
+        assert!(capped > 0 && capped < 30, "{capped} of 30 cases capped");
     }
 
     #[test]

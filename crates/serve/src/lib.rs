@@ -71,7 +71,7 @@ pub use access::AccessRecord;
 pub use cache::{CachedResponse, LruCache};
 pub use coalesce::{FlightResult, Outcome, SingleFlight};
 pub use http::{Request, Response};
-pub use metrics::Metrics;
+pub use metrics::{Metrics, MutatePath};
 pub use pool::WorkerPool;
 pub use router::RequestInfo;
 pub use shutdown::{install_signal_handlers, request_shutdown, shutdown_requested};

@@ -37,6 +37,30 @@ const NOTIONS: [Notion; 7] = [
 /// `other`.
 pub const ENDPOINTS: [&str; 6] = ["repair", "explain", "tables", "healthz", "metrics", "other"];
 
+/// How a `/mutate` call got the session it ran on — the label of
+/// `fd_serve_mutate_sessions_total{path=…}`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MutatePath {
+    /// A session at rest beside the snapshot was reused.
+    Warm,
+    /// A new delta session was primed by a solve of the whole table.
+    Primed,
+    /// The request is not delta-eligible: a cold `Planner::run`.
+    Cold,
+}
+
+impl MutatePath {
+    const ALL: [MutatePath; 3] = [MutatePath::Warm, MutatePath::Primed, MutatePath::Cold];
+
+    fn name(self) -> &'static str {
+        match self {
+            MutatePath::Warm => "warm",
+            MutatePath::Primed => "primed",
+            MutatePath::Cold => "cold",
+        }
+    }
+}
+
 fn notion_index(notion: Notion) -> usize {
     NOTIONS
         .iter()
@@ -108,6 +132,7 @@ pub struct Metrics {
     tables_stored: AtomicU64,
     conn_limit_closed: AtomicU64,
     trace_dropped: AtomicU64,
+    mutate_sessions: [AtomicU64; 3],
 }
 
 impl Metrics {
@@ -133,6 +158,7 @@ impl Metrics {
             tables_stored: AtomicU64::new(0),
             conn_limit_closed: AtomicU64::new(0),
             trace_dropped: AtomicU64::new(0),
+            mutate_sessions: Default::default(),
         }
     }
 
@@ -205,6 +231,11 @@ impl Metrics {
     /// arrived — so `hits + misses` still equals the cacheable total.
     pub fn observe_coalesced(&self) {
         self.coalesced.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one `/mutate` call by the session path it took.
+    pub fn observe_mutate_session(&self, path: MutatePath) {
+        self.mutate_sessions[path as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Tracks the tables-at-rest gauge: a table was stored.
@@ -319,6 +350,13 @@ impl Metrics {
             "fd_serve_conn_limit_closed_total {}\n",
             load(&self.conn_limit_closed)
         ));
+        for path in MutatePath::ALL {
+            out.push_str(&format!(
+                "fd_serve_mutate_sessions_total{{path=\"{}\"}} {}\n",
+                path.name(),
+                load(&self.mutate_sessions[path as usize])
+            ));
+        }
         for (endpoint, hist) in ENDPOINTS.iter().zip(&self.endpoint_latency) {
             out.push_str(&format!(
                 "fd_serve_endpoint_latency_p50_us{{endpoint=\"{endpoint}\"}} {}\n",
@@ -464,5 +502,18 @@ mod tests {
         // 40 falls in [32, 64) → reported bound 64.
         assert!(text.contains("fd_serve_components_p50 64"), "{text}");
         assert!(text.contains("fd_serve_trace_dropped_total 7"), "{text}");
+    }
+
+    #[test]
+    fn mutate_session_paths_count_under_their_own_labels() {
+        let m = Metrics::new();
+        m.observe_mutate_session(MutatePath::Primed);
+        m.observe_mutate_session(MutatePath::Warm);
+        m.observe_mutate_session(MutatePath::Warm);
+        let text = m.render();
+        for (path, n) in [("warm", 2), ("primed", 1), ("cold", 0)] {
+            let line = format!("fd_serve_mutate_sessions_total{{path=\"{path}\"}} {n}");
+            assert!(text.contains(&line), "{text}");
+        }
     }
 }

@@ -9,9 +9,10 @@
 //! Concurrent cacheable calls with the same key run one solve under
 //! [`crate::SingleFlight`] and replay its exact bytes.
 //! `POST /tables/{id}/mutate` replays a mutation trace against a stored
-//! table through an [`IncrementalSession`] and answers with the
-//! mutation delta plus a repair report byte-identical to a cold solve
-//! of the mutated table.
+//! table through an [`IncrementalSession`] — the one kept at rest beside
+//! the snapshot when the call's `(fds, request)` matches it — and
+//! answers with the mutation delta plus a repair report byte-identical
+//! to a cold solve of the mutated table.
 //!
 //! Observability rides alongside routing but never inside it: the
 //! request id, per-request trace, and [`RequestInfo`] the access log
@@ -22,7 +23,7 @@
 
 use crate::http::{Request, Response};
 use crate::store::StoreError;
-use crate::Shared;
+use crate::{MutatePath, Shared};
 use fd_core::{FdSet, MutationEffect, Table};
 use fd_engine::{
     parse_table_doc, table_fingerprint, EngineError, IncrementalSession, JsonLimits, MutateCall,
@@ -723,7 +724,7 @@ fn tables(shared: &Shared, request: &Request, path: &str, info: &mut RequestInfo
     };
     if mutate {
         return match request.method.as_str() {
-            "POST" => mutate_table(shared, request, &tenant, id, info),
+            "POST" => mutate_table(shared, request, &tenant, id, info, || {}),
             _ => Response::error(405, "wrong method for this path"),
         };
     }
@@ -817,20 +818,30 @@ fn delete_table(shared: &Shared, tenant: &str, id: &str) -> Response {
 /// mutated table under the same id with a fresh fingerprint, and
 /// returns the mutation delta plus the post-mutation repair report.
 ///
+/// The session comes from the store when one rests beside the snapshot
+/// under the same `(fds, request)` (`warm`); otherwise a new one is
+/// primed over a clone of the snapshot (`primed`), or, for a request
+/// the delta engine cannot serve, falls back to a cold solve (`cold`).
+/// A successful call hands a delta session back to the store with the
+/// new snapshot; any failure drops it.
+///
 /// The call is transactional: a mutation that fails to resolve or
-/// apply, or a report the engine refuses, leaves the stored table
-/// untouched (the session works on a clone; only success `replace`s).
-/// Responses are never cached — the call changes state, and by-ref
-/// `/repair` keys hash the fingerprint, so the swap invalidates every
-/// cached by-ref answer automatically. The spliced `report` carries
-/// zeroed timings: it is byte-identical to a cold `/repair` of the
-/// mutated table with `include_timings: false`.
+/// apply, a report the engine refuses, or a snapshot that changed since
+/// the call read it (a concurrent mutate, or a DELETE and re-PUT: `409`)
+/// leaves the stored table untouched. Responses are never cached — the
+/// call changes state, and by-ref `/repair` keys hash the fingerprint,
+/// so the swap invalidates every cached by-ref answer automatically.
+/// The spliced `report` carries zeroed timings: it is byte-identical to
+/// a cold `/repair` of the mutated table with `include_timings: false`.
+/// `before_replace` runs just before the swap; it is a no-op except in
+/// tests that interleave another writer there.
 fn mutate_table(
     shared: &Shared,
     request: &Request,
     tenant: &str,
     id: &str,
     info: &mut RequestInfo,
+    before_replace: impl FnOnce(),
 ) -> Response {
     use fd_engine::Json;
     let limits = JsonLimits {
@@ -847,22 +858,38 @@ fn mutate_table(
     };
     shared.metrics.observe_notion(call.request.notion);
     info.notion = Some(call.request.notion);
-    let Some(stored) = shared.store.get(tenant, id) else {
+    let Some((read, at_rest)) = shared.store.checkout(tenant, id) else {
         return store_error_response(&StoreError::NotFound);
     };
-    let schema = Arc::clone(stored.table.schema());
+    let schema = Arc::clone(read.table.schema());
     let fds = match call.resolve_fds(&schema) {
         Ok(fds) => fds,
         Err(WireError { message }) => return Response::error(400, &message),
     };
     clamp_time_cap(shared, &mut call.request);
+    let engine_error = |e: &EngineError| {
+        let (status, body) = engine_error_body(e, call.request.notion);
+        Response::json(status, body)
+    };
 
     let solve_start = Instant::now();
-    let mut session = match IncrementalSession::new(stored.table.clone(), fds, call.request) {
-        Ok(session) => session,
-        Err(e) => {
-            let (status, body) = engine_error_body(&e, call.request.notion);
-            return Response::json(status, body);
+    let warm = at_rest.filter(|s| *s.fds() == fds && *s.request() == call.request);
+    let mut session = match warm {
+        Some(session) => {
+            shared.metrics.observe_mutate_session(MutatePath::Warm);
+            session
+        }
+        None => {
+            let path = if IncrementalSession::delta_eligible(&fds, &call.request) {
+                MutatePath::Primed
+            } else {
+                MutatePath::Cold
+            };
+            shared.metrics.observe_mutate_session(path);
+            match IncrementalSession::new(read.table.clone(), fds, call.request) {
+                Ok(session) => session,
+                Err(e) => return engine_error(&e),
+            }
         }
     };
     let mut added = Vec::new();
@@ -879,18 +906,12 @@ fn mutate_table(
             Ok(MutationEffect::Inserted { id }) => added.push(id),
             Ok(MutationEffect::Deleted { row }) => removed.push(row.id),
             Ok(MutationEffect::CellSet { id, .. }) => changed.push(id),
-            Err(e) => {
-                let (status, body) = engine_error_body(&e, call.request.notion);
-                return Response::json(status, body);
-            }
+            Err(e) => return engine_error(&e),
         }
     }
     let report = match session.report() {
         Ok(report) => report,
-        Err(e) => {
-            let (status, body) = engine_error_body(&e, call.request.notion);
-            return Response::json(status, body);
-        }
+        Err(e) => return engine_error(&e),
     };
     info.solve_us = solve_start.elapsed().as_micros() as u64;
     shared
@@ -904,7 +925,13 @@ fn mutate_table(
     let table = session.table().clone();
     info.rows = Some(table.len());
     let fingerprint = table_fingerprint(&table);
-    let stored = match shared.store.replace(tenant, id, table, fingerprint) {
+    // Only a delta session is worth keeping: a cold one holds no cache.
+    let at_rest = session.is_incremental().then_some(session);
+    before_replace();
+    let stored = match shared
+        .store
+        .replace(tenant, id, &read, table, fingerprint, at_rest)
+    {
         Ok(stored) => stored,
         Err(e) => return store_error_response(&e),
     };
@@ -920,11 +947,12 @@ fn mutate_table(
     // prefix, so its bytes are written once and never re-serialized: the
     // same discipline the trace envelope follows. Id and tenant are
     // charset-sanitized on ingress, so quoting them directly is safe.
+    // `steps` counts this call's mutations, not the session's lifetime.
     let prefix = format!(
         "{{\"mutated\":\"{id}\",\"tenant\":\"{tenant}\",\"rows\":{},\"steps\":{},\
          \"fingerprint\":\"{:016x}\",\"delta\":{delta},\"report\":",
         stored.rows,
-        session.steps(),
+        call.mutations.len(),
         stored.fingerprint,
     );
     let mut body = Vec::with_capacity(prefix.len() + report.json_size_hint() + 1);
@@ -959,6 +987,13 @@ fn store_error_response(e: &StoreError) -> Response {
             404,
             "unknown_table_ref",
             "no table stored under this id for this tenant".to_string(),
+        ),
+        StoreError::Changed => (
+            409,
+            "table_changed",
+            "the table changed while this call ran (another mutate, or a DELETE and re-PUT); \
+             nothing was applied, retry against the current table"
+                .to_string(),
         ),
     };
     let doc = Json::obj([("error", Json::str(message)), ("kind", Json::str(kind))]);
@@ -1495,15 +1530,7 @@ mod tests {
                 .status,
             201
         );
-        let fp_of = |shared: &Shared| {
-            let meta = send(shared, "GET", "/tables/office", "", &[]).0;
-            let doc = Json::parse(std::str::from_utf8(&meta.body).unwrap()).unwrap();
-            doc.get("fingerprint")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .to_string()
-        };
+        let fp_of = |shared: &Shared| fingerprint_of(shared, "office");
         let fp = fp_of(&shared);
 
         // Unknown table, wrong method, malformed and inapplicable traces.
@@ -1555,6 +1582,205 @@ mod tests {
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         assert_eq!(shared.store.usage("public"), (1, 5));
         assert_ne!(fp_of(&shared), fp);
+    }
+
+    fn fingerprint_of(shared: &Shared, id: &str) -> String {
+        let meta = send(shared, "GET", &format!("/tables/{id}"), "", &[]).0;
+        let doc = Json::parse(std::str::from_utf8(&meta.body).unwrap()).unwrap();
+        doc.get("fingerprint")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string()
+    }
+
+    #[test]
+    fn a_mutate_whose_snapshot_changed_underneath_is_a_conflict_not_a_lost_update() {
+        let shared = shared();
+        assert_eq!(
+            send(&shared, "PUT", "/tables/office", OFFICE_TABLE, &[])
+                .0
+                .status,
+            201
+        );
+        let one = |op: &str| format!(r#"{{"mutations": [{op}]}}"#);
+        let mutate = |op: &str| Request {
+            method: "POST".into(),
+            path: "/tables/office/mutate".into(),
+            headers: Vec::new(),
+            body: one(op).into_bytes(),
+        };
+        let mut info = RequestInfo::new("req-test".into());
+
+        // Another mutate of the same id lands between this call's read
+        // and its swap: the later swap loses, the earlier edit survives.
+        let mut winner_fp = String::new();
+        let lost = mutate_table(
+            &shared,
+            &mutate(r#"{"op": "delete", "id": 0}"#),
+            "public",
+            "office",
+            &mut info,
+            || {
+                let set = one(r#"{"op": "set", "id": 1, "attr": "city", "value": "Paris"}"#);
+                let won = send(&shared, "POST", "/tables/office/mutate", &set, &[]).0;
+                assert_eq!(won.status, 200);
+                winner_fp = fingerprint_of(&shared, "office");
+            },
+        );
+        assert_eq!(lost.status, 409);
+        assert_eq!(kind_of(&lost).as_deref(), Some("table_changed"));
+        assert_eq!(fingerprint_of(&shared, "office"), winner_fp);
+        assert_eq!(
+            shared.store.usage("public"),
+            (1, 4),
+            "the delete never applied"
+        );
+
+        // A DELETE and re-PUT of the id in between: the new table stays
+        // exactly as it was PUT.
+        let mut reput_fp = String::new();
+        let lost = mutate_table(
+            &shared,
+            &mutate(r#"{"op": "insert", "values": ["X", 1, 1, "Y"]}"#),
+            "public",
+            "office",
+            &mut info,
+            || {
+                assert_eq!(
+                    send(&shared, "DELETE", "/tables/office", "", &[]).0.status,
+                    200
+                );
+                let put = send(&shared, "PUT", "/tables/office", OFFICE_TABLE, &[]).0;
+                assert_eq!(put.status, 201);
+                reput_fp = fingerprint_of(&shared, "office");
+            },
+        );
+        assert_eq!(lost.status, 409);
+        assert_eq!(kind_of(&lost).as_deref(), Some("table_changed"));
+        assert_eq!(fingerprint_of(&shared, "office"), reput_fp);
+        assert_eq!(shared.store.usage("public"), (1, 4));
+
+        // The store is left serving: the retry goes through.
+        let retry = send(
+            &shared,
+            "POST",
+            "/tables/office/mutate",
+            &one(r#"{"op": "delete", "id": 0}"#),
+            &[],
+        )
+        .0;
+        assert_eq!(retry.status, 200);
+        assert_eq!(shared.store.usage("public"), (1, 3));
+    }
+
+    #[test]
+    fn consecutive_mutates_reuse_the_session_at_rest_and_replay_cold_bytes() {
+        let shared = shared();
+        // 24 rows over a small domain, so one-op edits keep merging and
+        // splitting conflict components under `K -> A B`.
+        let mut seed = 0x5E55_u64;
+        let mut next = |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        let rows: Vec<String> = (0..24)
+            .map(|_| format!("[{}, {}, {}]", next(8), next(3), next(2)))
+            .collect();
+        let doc = format!(
+            r#"{{"attrs": ["K", "A", "B"], "rows": [{}]}}"#,
+            rows.join(", ")
+        );
+        assert_eq!(send(&shared, "PUT", "/tables/t", &doc, &[]).0.status, 201);
+        let mut live: Vec<u64> = (0..24).collect();
+        let sessions = |shared: &Shared| {
+            let text = shared.metrics.render();
+            ["warm", "primed", "cold"].map(|path| {
+                counter(
+                    &text,
+                    &format!("fd_serve_mutate_sessions_total{{path=\"{path}\"}}"),
+                )
+            })
+        };
+        let mut request = r#"{"include_timings": false}"#;
+        let mut expected = [0u64; 3];
+
+        // One mutate and its check: the envelope counts this call's
+        // steps, and the spliced report is a cold by-ref `/repair`.
+        let mutate_and_compare =
+            |shared: &Shared, live: &mut Vec<u64>, request: &str, op: String| {
+                let body =
+                    format!(r#"{{"fds": "K -> A B", "request": {request}, "mutations": [{op}]}}"#);
+                let resp = send(shared, "POST", "/tables/t/mutate", &body, &[]).0;
+                assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+                let text = std::str::from_utf8(&resp.body).unwrap();
+                let doc = Json::parse(text).unwrap();
+                assert_eq!(doc.get("steps").unwrap().as_num(), Some(1.0), "{op}");
+                let delta = doc.get("delta").unwrap();
+                let ids = |field: &str| -> Vec<u64> {
+                    let arr = delta.get(field).unwrap().as_arr().unwrap();
+                    arr.iter().map(|v| v.as_num().unwrap() as u64).collect()
+                };
+                live.extend(ids("added"));
+                live.retain(|id| !ids("removed").contains(id));
+                let by_ref =
+                    format!(r#"{{"table_ref": "t", "fds": "K -> A B", "request": {request}}}"#);
+                let cold = post(shared, "/repair", &by_ref);
+                assert_eq!(cold.status, 200);
+                let at = text.find("\"report\":").unwrap() + "\"report\":".len();
+                assert_eq!(
+                    &text.as_bytes()[at..text.len() - 1],
+                    &cold.body[..],
+                    "spliced report after {op} must replay the cold by-ref bytes"
+                );
+            };
+        for call in 0..30 {
+            if call == 10 {
+                // New request knobs: the session at rest no longer
+                // matches and a fresh one is primed.
+                request = r#"{"include_timings": false, "budgets": {"threads": 2}}"#;
+            }
+            if call == 20 {
+                // A failing trace drops the session and leaves the
+                // stored table as it was.
+                let fp = fingerprint_of(&shared, "t");
+                let dies = format!(
+                    r#"{{"fds": "K -> A B", "request": {request},
+                         "mutations": [{{"op": "delete", "id": 9999}}]}}"#
+                );
+                let resp = send(&shared, "POST", "/tables/t/mutate", &dies, &[]).0;
+                assert_eq!(resp.status, 400);
+                assert_eq!(fingerprint_of(&shared, "t"), fp);
+                expected[0] += 1;
+            }
+            let primes = call == 0 || call == 10 || call == 20;
+            expected[if primes { 1 } else { 0 }] += 1;
+            let id = live[next(live.len() as u64) as usize];
+            let op = match call % 3 {
+                0 => format!(
+                    r#"{{"op": "set", "id": {id}, "attr": "A", "value": {}}}"#,
+                    next(3)
+                ),
+                1 => format!(
+                    r#"{{"op": "insert", "values": [{}, {}, {}]}}"#,
+                    next(8),
+                    next(3),
+                    next(2)
+                ),
+                _ => format!(r#"{{"op": "delete", "id": {id}}}"#),
+            };
+            mutate_and_compare(&shared, &mut live, request, op);
+            assert_eq!(sessions(&shared), expected, "after call {call}");
+        }
+        assert_eq!(expected, [28, 3, 0]);
+
+        // A request the delta engine cannot serve solves cold.
+        let update = r#"{"notion": "u", "include_timings": false}"#;
+        let op = format!(r#"{{"op": "delete", "id": {}}}"#, live[0]);
+        mutate_and_compare(&shared, &mut live, update, op);
+        assert_eq!(sessions(&shared), [28, 3, 1]);
     }
 
     #[test]

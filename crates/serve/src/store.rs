@@ -11,8 +11,17 @@
 //! Quotas are counted per tenant in both tables and total rows, checked
 //! *before* insertion, and released on delete; overflow is a 413 at the
 //! router, never an unbounded allocation here.
+//!
+//! Beside each snapshot the store can keep one primed
+//! [`IncrementalSession`] — a session at rest — built over exactly that
+//! snapshot's table. `POST /tables/{id}/mutate` takes it out with
+//! [`TableStore::checkout`] and hands it back with the successor
+//! snapshot in [`TableStore::replace`], so consecutive mutates re-solve
+//! only the components they touch. A session holds its own copy of the
+//! table plus the component cache; neither is counted by the row quota.
 
 use fd_core::Table;
+use fd_engine::IncrementalSession;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -46,6 +55,9 @@ pub enum StoreError {
     },
     /// No such table under this tenant → 404.
     NotFound,
+    /// `replace` found a different snapshot than the one the call read:
+    /// another mutate, or a DELETE and re-PUT, got there first → 409.
+    Changed,
 }
 
 #[derive(Default)]
@@ -54,10 +66,17 @@ struct TenantUsage {
     rows: usize,
 }
 
+/// One stored id: its current snapshot and, between mutates, the
+/// session primed over that snapshot's table.
+struct Entry {
+    stored: Arc<StoredTable>,
+    session: Option<IncrementalSession>,
+}
+
 #[derive(Default)]
 struct StoreInner {
     /// Keyed by `(tenant, id)` — ids are per-tenant namespaces.
-    tables: HashMap<(String, String), Arc<StoredTable>>,
+    tables: HashMap<(String, String), Entry>,
     usage: HashMap<String, TenantUsage>,
 }
 
@@ -119,24 +138,37 @@ impl TableStore {
             fingerprint,
             rows,
         });
-        inner
-            .tables
-            .insert((tenant.to_string(), id.to_string()), Arc::clone(&stored));
+        inner.tables.insert(
+            (tenant.to_string(), id.to_string()),
+            Entry {
+                stored: Arc::clone(&stored),
+                session: None,
+            },
+        );
         Ok(stored)
     }
 
     /// Swaps the table stored under `(tenant, id)` for a mutated
     /// successor, re-checking the row quota against the row *delta*
-    /// and releasing/charging the difference. The id must already
-    /// exist — `replace` is how `POST /tables/{id}/mutate` persists a
-    /// session's table, never a way to sneak past the `put` conflict
-    /// check. Readers holding the old `Arc` keep a coherent snapshot.
+    /// and releasing/charging the difference, and keeps `session` (primed
+    /// over `table`) at rest beside it. The id must already exist —
+    /// `replace` is how `POST /tables/{id}/mutate` persists a session's
+    /// table, never a way to sneak past the `put` conflict check.
+    ///
+    /// The swap is a compare-and-swap: it happens only while the id still
+    /// holds `read`, the snapshot the call started from. Otherwise
+    /// another writer got there first and the call is
+    /// [`StoreError::Changed`], so no acknowledged edit is ever lost.
+    /// Every failure leaves the store exactly as it was. Readers holding
+    /// the old `Arc` keep a coherent snapshot.
     pub fn replace(
         &self,
         tenant: &str,
         id: &str,
+        read: &Arc<StoredTable>,
         table: Table,
         fingerprint: u64,
+        session: Option<IncrementalSession>,
     ) -> Result<Arc<StoredTable>, StoreError> {
         let rows = table.len();
         let mut inner = match self.inner.lock() {
@@ -145,7 +177,8 @@ impl TableStore {
         };
         let key = (tenant.to_string(), id.to_string());
         let old_rows = match inner.tables.get(&key) {
-            Some(stored) => stored.rows,
+            Some(entry) if Arc::ptr_eq(&entry.stored, read) => entry.stored.rows,
+            Some(_) => return Err(StoreError::Changed),
             None => return Err(StoreError::NotFound),
         };
         let usage = inner.usage.entry(tenant.to_string()).or_default();
@@ -161,7 +194,13 @@ impl TableStore {
             fingerprint,
             rows,
         });
-        inner.tables.insert(key, Arc::clone(&stored));
+        inner.tables.insert(
+            key,
+            Entry {
+                stored: Arc::clone(&stored),
+                session,
+            },
+        );
         Ok(stored)
     }
 
@@ -174,10 +213,30 @@ impl TableStore {
         inner
             .tables
             .get(&(tenant.to_string(), id.to_string()))
-            .cloned()
+            .map(|entry| Arc::clone(&entry.stored))
     }
 
-    /// Removes `(tenant, id)` and releases its quota.
+    /// The table stored under `(tenant, id)` together with the session
+    /// at rest beside it, which leaves the store: a concurrent mutate of
+    /// the same id finds none and primes its own, and only one of the
+    /// two can [`replace`](TableStore::replace) the snapshot.
+    pub fn checkout(
+        &self,
+        tenant: &str,
+        id: &str,
+    ) -> Option<(Arc<StoredTable>, Option<IncrementalSession>)> {
+        let mut inner = match self.inner.lock() {
+            Ok(inner) => inner,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let entry = inner
+            .tables
+            .get_mut(&(tenant.to_string(), id.to_string()))?;
+        Some((Arc::clone(&entry.stored), entry.session.take()))
+    }
+
+    /// Removes `(tenant, id)`, and any session at rest with it, and
+    /// releases its quota.
     pub fn remove(&self, tenant: &str, id: &str) -> Result<Arc<StoredTable>, StoreError> {
         let mut inner = match self.inner.lock() {
             Ok(inner) => inner,
@@ -186,7 +245,8 @@ impl TableStore {
         let stored = inner
             .tables
             .remove(&(tenant.to_string(), id.to_string()))
-            .ok_or(StoreError::NotFound)?;
+            .ok_or(StoreError::NotFound)?
+            .stored;
         if let Some(usage) = inner.usage.get_mut(tenant) {
             usage.tables = usage.tables.saturating_sub(1);
             usage.rows = usage.rows.saturating_sub(stored.rows);
@@ -275,26 +335,111 @@ mod tests {
     #[test]
     fn replace_swaps_the_snapshot_and_recounts_the_row_delta() {
         let store = TableStore::new(0, 10);
-        store.put("acme", "t", table(4), 1).unwrap();
+        let first = store.put("acme", "t", table(4), 1).unwrap();
         // Growing within quota: the delta (not the sum) is charged.
-        let stored = store.replace("acme", "t", table(8), 2).unwrap();
+        let stored = store
+            .replace("acme", "t", &first, table(8), 2, None)
+            .unwrap();
         assert_eq!(stored.fingerprint, 2);
         assert_eq!(store.usage("acme"), (1, 8));
         assert_eq!(store.get("acme", "t").unwrap().rows, 8);
         // Growing past quota fails without touching the stored table.
         assert_eq!(
-            store.replace("acme", "t", table(11), 3).err(),
+            store
+                .replace("acme", "t", &stored, table(11), 3, None)
+                .err(),
             Some(StoreError::RowQuota { limit: 10 })
         );
         assert_eq!(store.get("acme", "t").unwrap().fingerprint, 2);
         assert_eq!(store.usage("acme"), (1, 8));
         // Shrinking releases quota; an unknown id is NotFound.
-        store.replace("acme", "t", table(1), 4).unwrap();
+        store
+            .replace("acme", "t", &stored, table(1), 4, None)
+            .unwrap();
         assert_eq!(store.usage("acme"), (1, 1));
         assert_eq!(
-            store.replace("acme", "nope", table(1), 5).err(),
+            store
+                .replace("acme", "nope", &stored, table(1), 5, None)
+                .err(),
             Some(StoreError::NotFound)
         );
+    }
+
+    #[test]
+    fn replace_from_a_stale_snapshot_is_a_conflict_that_changes_nothing() {
+        let store = TableStore::new(0, 100);
+        // Two mutates read the same snapshot; the first swap wins.
+        let read = store.put("acme", "t", table(4), 1).unwrap();
+        let winner = store
+            .replace("acme", "t", &read, table(5), 2, None)
+            .unwrap();
+        assert_eq!(
+            store.replace("acme", "t", &read, table(6), 3, None).err(),
+            Some(StoreError::Changed)
+        );
+        assert!(Arc::ptr_eq(&store.get("acme", "t").unwrap(), &winner));
+        assert_eq!(store.usage("acme"), (1, 5));
+
+        // A DELETE and re-PUT of the id in between is a conflict too,
+        // even though the id exists again with the same row count.
+        store.remove("acme", "t").unwrap();
+        store.put("acme", "t", table(5), 4).unwrap();
+        assert_eq!(
+            store.replace("acme", "t", &winner, table(5), 5, None).err(),
+            Some(StoreError::Changed)
+        );
+        assert_eq!(store.get("acme", "t").unwrap().fingerprint, 4);
+        assert_eq!(store.usage("acme"), (1, 5));
+    }
+
+    fn session(table: Table) -> IncrementalSession {
+        let fds = fd_core::FdSet::parse(table.schema(), "-> A").unwrap();
+        IncrementalSession::new(table, fds, fd_engine::RepairRequest::subset()).unwrap()
+    }
+
+    #[test]
+    fn sessions_rest_beside_their_snapshot_until_checked_out_or_deleted() {
+        let store = TableStore::new(0, 0);
+        let put = store.put("acme", "t", table(3), 1).unwrap();
+        // A fresh PUT has no session at rest.
+        let (read, none) = store.checkout("acme", "t").unwrap();
+        assert!(Arc::ptr_eq(&read, &put) && none.is_none());
+        store
+            .replace("acme", "t", &read, table(4), 2, Some(session(table(4))))
+            .unwrap();
+        // Checking out takes the session: a second caller finds none.
+        let (read, taken) = store.checkout("acme", "t").unwrap();
+        assert_eq!(taken.unwrap().table().len(), 4);
+        assert!(store.checkout("acme", "t").unwrap().1.is_none());
+        // A losing replace drops the session it was handed.
+        store
+            .replace("acme", "t", &read, table(4), 3, Some(session(table(4))))
+            .unwrap();
+        assert_eq!(
+            store
+                .replace("acme", "t", &read, table(2), 4, Some(session(table(2))))
+                .err(),
+            Some(StoreError::Changed)
+        );
+        assert_eq!(
+            store
+                .checkout("acme", "t")
+                .unwrap()
+                .1
+                .unwrap()
+                .table()
+                .len(),
+            4
+        );
+        // DELETE drops the session with its table; a re-PUT starts bare.
+        let read = store.get("acme", "t").unwrap();
+        store
+            .replace("acme", "t", &read, table(4), 5, Some(session(table(4))))
+            .unwrap();
+        store.remove("acme", "t").unwrap();
+        assert!(store.checkout("acme", "t").is_none());
+        store.put("acme", "t", table(4), 6).unwrap();
+        assert!(store.checkout("acme", "t").unwrap().1.is_none());
     }
 
     #[test]

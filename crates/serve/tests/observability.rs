@@ -330,7 +330,7 @@ fn metrics_exposition_matches_api_docs_exactly() {
         assert!(family.starts_with("fd_serve_"), "{line:?}");
         for (key, value) in &labels {
             assert!(
-                matches!(key.as_str(), "class" | "notion" | "endpoint"),
+                matches!(key.as_str(), "class" | "notion" | "endpoint" | "path"),
                 "undocumented label key in {line:?}"
             );
             assert!(!value.is_empty(), "{line:?}");
