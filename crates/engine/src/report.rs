@@ -645,10 +645,16 @@ impl RepairReport {
     /// The report as a compact JSON document: [`RepairReport::write_json`]
     /// into a buffer.
     pub fn to_json(&self) -> String {
+        String::from_utf8(self.to_json_bytes()).expect("the report writer emits UTF-8")
+    }
+
+    /// The same document as [`RepairReport::to_json`], as the bytes a
+    /// server ships, without the UTF-8 check a `String` needs.
+    pub fn to_json_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.json_size_hint());
         self.write_json(&mut buf)
             .expect("writing into a Vec cannot fail");
-        String::from_utf8(buf).expect("the report writer emits UTF-8")
+        buf
     }
 
     /// The report as a JSON value tree, parsed back from

@@ -676,10 +676,6 @@ pub struct MutateCall {
     pub mutations: Vec<WireMutation>,
 }
 
-/// Domain-separation tag for mutate-call keys, keeping them disjoint
-/// from inline and by-reference repair keys.
-const MUTATE_KEY_TAG: u64 = 0x6d75_7461_7465_ca11;
-
 impl MutateCall {
     /// Parses a mutate body under the given limits. The document is
     /// `{fds?, request?, mutations}` and nothing else; inline table
@@ -757,58 +753,17 @@ impl MutateCall {
         Json::obj(fields)
     }
 
-    /// The key identifying this call against the table state it starts
-    /// from. A mutate call changes state, so its *response* is never
-    /// served from cache — the key exists for audit logs and idempotent
-    /// replay detection, and the domain tag keeps it disjoint from the
-    /// repair-call key spaces.
-    pub fn cache_key(&self, fingerprint: u64, fds: &FdSet, schema: &Schema) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u64(MUTATE_KEY_TAG);
-        h.write_u64(fingerprint);
-        fds.display(schema).hash(&mut h);
-        hash_request_knobs(&mut h, &self.request);
-        h.write_u8(self.include_timings as u8);
-        h.write_usize(self.mutations.len());
-        for m in &self.mutations {
-            hash_mutation(&mut h, m);
-        }
-        h.finish()
-    }
-}
-
-fn hash_mutation(h: &mut Fnv64, m: &WireMutation) {
-    match m {
-        WireMutation::Insert { values, weight } => {
-            h.write_u8(0);
-            h.write_u64(weight.to_bits());
-            h.write_usize(values.len());
-            for v in values {
-                hash_value(h, v);
-            }
-        }
-        WireMutation::Delete { id } => {
-            h.write_u8(1);
-            h.write_u64(*id);
-        }
-        WireMutation::Set { id, attr, value } => {
-            h.write_u8(2);
-            h.write_u64(*id);
-            attr.hash(h);
-            hash_value(h, value);
-        }
-    }
-}
-
-fn hash_value(h: &mut Fnv64, v: &Value) {
-    match v {
-        Value::Int(i) => {
-            h.write_u8(0);
-            h.write_i64(*i);
-        }
-        other => {
-            h.write_u8(1);
-            other.to_string().hash(h);
+    /// The by-reference `/repair` call whose answer a successful mutate
+    /// of table `id` has already computed: same Δ, same request, timings
+    /// off. Its [`RefCall::cache_key`] and [`RefCall::canonical`] against
+    /// the new snapshot are where a server can publish the mutate's
+    /// report, so that the next by-ref read of the table is a cache hit.
+    pub fn published_ref(&self, id: &str) -> RefCall {
+        RefCall {
+            table_ref: id.to_string(),
+            fds: self.fds.clone(),
+            request: self.request,
+            include_timings: false,
         }
     }
 }
@@ -1278,6 +1233,41 @@ mod tests {
                 parse_table_doc(bad, &JsonLimits::UNTRUSTED).is_err(),
                 "accepted {bad:?}"
             );
+        }
+    }
+
+    #[test]
+    fn table_doc_errors_name_the_failing_row() {
+        // Rows 0-2 are fine, row 3 is bad, row 4 would be fine again:
+        // the message names row 3 whether the row fails to parse or the
+        // table refuses it.
+        let doc = |bad: &str| {
+            format!(
+                r#"{{"attrs": ["A", "B"],
+                    "rows": [[1, 2], [3, 4], {{"weight": 2, "values": [5, 6]}}, {bad}, [7, 8]]}}"#
+            )
+        };
+        for (bad, expected) in [
+            (
+                "[1.5, 2]",
+                "row 3: value 1.5 is not an integer; send non-integral values as strings",
+            ),
+            (
+                r#"{"values": [1, 2], "w": 1}"#,
+                "row 3: unknown row field \"w\"",
+            ),
+            (
+                "true",
+                "row 3: each row must be an array of values or an object with \"values\"",
+            ),
+            ("[1]", "row 3: tuple arity 1 does not match schema arity 2"),
+            (
+                r#"{"weight": 0, "values": [1, 2]}"#,
+                "row 3: tuple weight 0 is not strictly positive and finite",
+            ),
+        ] {
+            let err = parse_table_doc(&doc(bad), &JsonLimits::UNTRUSTED).unwrap_err();
+            assert_eq!(err.message, expected, "{bad}");
         }
     }
 

@@ -15,8 +15,9 @@ use std::sync::Arc;
 pub struct CachedResponse {
     /// Canonical wire form of the call (endpoint-tagged).
     pub canonical: Arc<str>,
-    /// The serialized response body to replay.
-    pub body: Arc<str>,
+    /// The serialized response body to replay, in the one allocation
+    /// that every response shipping it shares.
+    pub body: Arc<Vec<u8>>,
 }
 
 /// A fixed-capacity least-recently-used map from cache key to a value.
@@ -70,6 +71,16 @@ impl<V: Clone> LruCache<V> {
             }
         }
         self.map.insert(key, (self.clock, value));
+    }
+
+    /// Removes `key`'s entry if `stale` holds for its value, without
+    /// refreshing anything; returns whether it did.
+    pub fn remove_if(&mut self, key: u64, stale: impl FnOnce(&V) -> bool) -> bool {
+        let found = self.map.get(&key).is_some_and(|(_, value)| stale(value));
+        if found {
+            self.map.remove(&key);
+        }
+        found
     }
 
     /// Number of live entries.
@@ -132,11 +143,22 @@ mod tests {
             7,
             CachedResponse {
                 canonical: v("repair\n{…}"),
-                body: v("{\"cost\":2}"),
+                body: Arc::new(b"{\"cost\":2}".to_vec()),
             },
         );
         let entry = cache.get(7).unwrap();
         assert_eq!(&*entry.canonical, "repair\n{…}");
-        assert_eq!(&*entry.body, "{\"cost\":2}");
+        assert_eq!(entry.body.as_slice(), b"{\"cost\":2}");
+    }
+
+    #[test]
+    fn remove_if_checks_the_value_first() {
+        let mut cache = LruCache::new(2);
+        cache.insert(1, v("old"));
+        assert!(!cache.remove_if(1, |value| &**value == "other"));
+        assert!(!cache.remove_if(2, |_| true), "absent keys remove nothing");
+        assert_eq!(cache.len(), 1);
+        assert!(cache.remove_if(1, |value| &**value == "old"));
+        assert!(cache.is_empty());
     }
 }

@@ -30,8 +30,8 @@ pub struct FlightResult {
     /// identical deterministic calls fail identically, so replaying an
     /// error is as correct as replaying a report).
     pub status: u16,
-    /// The exact body bytes.
-    pub body: Arc<str>,
+    /// The exact body bytes, shared with the cache entry on success.
+    pub body: Arc<Vec<u8>>,
 }
 
 enum FlightState {
@@ -225,7 +225,7 @@ mod tests {
     fn result(body: &str) -> FlightResult {
         FlightResult {
             status: 200,
-            body: Arc::from(body),
+            body: Arc::new(body.as_bytes().to_vec()),
         }
     }
 
@@ -276,12 +276,12 @@ mod tests {
         release_tx.send(()).unwrap();
 
         match leader.join().unwrap() {
-            Outcome::Led(r) => assert_eq!(&*r.body, "the-report"),
+            Outcome::Led(r) => assert_eq!(r.body.as_slice(), b"the-report"),
             Outcome::Coalesced(_) => panic!("the first caller must lead"),
         }
         for follower in followers {
             match follower.join().unwrap() {
-                Outcome::Coalesced(r) => assert_eq!(&*r.body, "the-report"),
+                Outcome::Coalesced(r) => assert_eq!(r.body.as_slice(), b"the-report"),
                 Outcome::Led(_) => panic!("registered followers must coalesce"),
             }
         }
@@ -317,7 +317,7 @@ mod tests {
         release_tx.send(()).unwrap();
         leader.join().unwrap();
         match follower.join().unwrap() {
-            Outcome::Led(r) => assert_eq!(&*r.body, "fallback"),
+            Outcome::Led(r) => assert_eq!(r.body.as_slice(), b"fallback"),
             Outcome::Coalesced(_) => panic!("an abandoned flight must not be replayed"),
         }
         assert!(!sf.in_flight(1), "abandoned flights retire");
@@ -343,19 +343,19 @@ mod tests {
         match sf.run(1, &canonical("call-b"), Duration::from_secs(30), || {
             result("b")
         }) {
-            Outcome::Led(r) => assert_eq!(&*r.body, "b"),
+            Outcome::Led(r) => assert_eq!(r.body.as_slice(), b"b"),
             Outcome::Coalesced(_) => panic!("collisions must never coalesce"),
         }
         // Same canonical but a tiny wait cap: gives up and self-solves.
         match sf.run(1, &canonical("call-a"), Duration::from_millis(20), || {
             result("impatient")
         }) {
-            Outcome::Led(r) => assert_eq!(&*r.body, "impatient"),
+            Outcome::Led(r) => assert_eq!(r.body.as_slice(), b"impatient"),
             Outcome::Coalesced(_) => panic!("the leader is still blocked"),
         }
         release_tx.send(()).unwrap();
         match leader.join().unwrap() {
-            Outcome::Led(r) => assert_eq!(&*r.body, "a"),
+            Outcome::Led(r) => assert_eq!(r.body.as_slice(), b"a"),
             Outcome::Coalesced(_) => panic!("leader led"),
         }
     }

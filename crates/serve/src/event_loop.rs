@@ -29,7 +29,7 @@
 //! slowloris story: a peer that trickles bytes or never reads occupies
 //! one of `max_connections` slots until `io_timeout_ms`, nothing more.
 
-use crate::http::{self, HttpError, Request, RequestParser, Response};
+use crate::http::{self, HttpError, Outgoing, Request, RequestParser, Response};
 use crate::pool::WorkerPool;
 use crate::shutdown::shutdown_requested;
 use crate::{router, AccessRecord, Shared};
@@ -94,7 +94,7 @@ pub(crate) struct Job {
 /// Pushing wakes the poller so a response never waits out an idle
 /// timeout.
 pub(crate) struct Completions {
-    queue: Mutex<Vec<(Token, Vec<u8>)>>,
+    queue: Mutex<Vec<(Token, Outgoing)>>,
     waker: Arc<dyn Fn() + Send + Sync>,
 }
 
@@ -106,15 +106,15 @@ impl Completions {
         }
     }
 
-    fn push(&self, token: Token, bytes: Vec<u8>) {
+    fn push(&self, token: Token, out: Outgoing) {
         self.queue
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push((token, bytes));
+            .push((token, out));
         (self.waker)();
     }
 
-    fn drain(&self) -> Vec<(Token, Vec<u8>)> {
+    fn drain(&self) -> Vec<(Token, Outgoing)> {
         std::mem::take(&mut *self.queue.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
@@ -126,8 +126,9 @@ enum ConnState {
     /// A worker owns the request; the loop ignores the socket until the
     /// completion arrives (no deadline — solves are engine-budgeted).
     InFlight,
-    /// Flushing response bytes as the socket accepts them.
-    Writing { buf: Vec<u8>, written: usize },
+    /// Flushing the response's head and body segments as the socket
+    /// accepts them.
+    Writing(Outgoing),
     /// Response sent, write side shut down; reading out the peer's
     /// unread leftovers so close doesn't RST the response away.
     Draining { seen: usize },
@@ -152,11 +153,8 @@ struct Conn {
 }
 
 impl Conn {
-    fn start_writing(&mut self, bytes: Vec<u8>, io_timeout: Duration) {
-        self.state = ConnState::Writing {
-            buf: bytes,
-            written: 0,
-        };
+    fn start_writing(&mut self, out: Outgoing, io_timeout: Duration) {
+        self.state = ConnState::Writing(out);
         self.deadline = Some(Instant::now() + io_timeout);
     }
 }
@@ -816,14 +814,14 @@ fn apply_completions(
     pool: Option<&WorkerPool<Job>>,
     io_timeout: Duration,
 ) {
-    for (token, bytes) in completions.drain() {
+    for (token, out) in completions.drain() {
         let Some(conn) = conns.get_mut(token) else {
             continue; // the peer died while its request was in flight
         };
         if !matches!(conn.state, ConnState::InFlight) {
             continue;
         }
-        conn.start_writing(bytes, io_timeout);
+        conn.start_writing(out, io_timeout);
         drive(token, conns, poller, shared, pool, io_timeout);
     }
 }
@@ -845,7 +843,7 @@ fn drive(
         StepOutcome::Keep => {
             let want = match conn.state {
                 ConnState::Reading(_) | ConnState::Draining { .. } => Some(Interest::Read),
-                ConnState::Writing { .. } => Some(Interest::Write),
+                ConnState::Writing(_) => Some(Interest::Write),
                 ConnState::InFlight => None,
             };
             if conn.registered != want {
@@ -934,12 +932,11 @@ fn step(
                 }
             }
             ConnState::InFlight => return StepOutcome::Keep,
-            ConnState::Writing { buf: out, written } => {
-                match conn.stream.write(out.get(*written..).unwrap_or(&[])) {
+            ConnState::Writing(out) => {
+                match out.write_to(&mut conn.stream) {
                     Ok(0) => return StepOutcome::Close,
-                    Ok(n) => {
-                        *written += n;
-                        if *written >= out.len() {
+                    Ok(_) => {
+                        if out.is_done() {
                             // Half-close then drain: closing with unread
                             // bytes in our receive queue would RST the
                             // response out from under the peer.
@@ -1024,7 +1021,7 @@ fn dispatch(
                 solve_us: 0,
             });
         }
-        conn.start_writing(http::serialize_response(&response), io_timeout);
+        conn.start_writing(http::serialize_response(response), io_timeout);
         return;
     }
     // Gauge before queue: the worker's matching `queue_exit` can run
@@ -1057,7 +1054,7 @@ fn shed(conn: &mut Conn, shared: &Shared, io_timeout: Duration) {
     shared.metrics.observe_shed();
     shared.log_access(&AccessRecord::shed(shared.next_request_id()));
     let response = Response::error(503, "server is at capacity, retry later");
-    conn.start_writing(http::serialize_response(&response), io_timeout);
+    conn.start_writing(http::serialize_response(response), io_timeout);
 }
 
 /// A request that never parsed: answer its 4xx (with request id,
@@ -1088,7 +1085,7 @@ fn reject(conn: &mut Conn, error: HttpError, shared: &Shared, io_timeout: Durati
     shared.metrics.observe_request(response.status, elapsed);
     shared.metrics.observe_endpoint("other", elapsed);
     shared.log_access(&record);
-    conn.start_writing(http::serialize_response(&response), io_timeout);
+    conn.start_writing(http::serialize_response(response), io_timeout);
 }
 
 /// The worker side: route the request (panics caught and answered as
@@ -1150,7 +1147,7 @@ fn handle_job(shared: &Shared, completions: &Completions, job: Job) {
     shared.metrics.observe_request(response.status, elapsed);
     shared.metrics.observe_endpoint(endpoint, elapsed);
     shared.log_access(&record);
-    completions.push(job.token, http::serialize_response(&response));
+    completions.push(job.token, http::serialize_response(response));
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! solve-dominated calls and would keep the event loop's slab pinned to
 //! idle sockets).
 
+use std::sync::Arc;
+
 /// Maximum bytes of request line + headers; anything longer is hostile.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -289,6 +291,27 @@ pub fn truncated(parser: &RequestParser) -> HttpError {
     })
 }
 
+/// One run of response body bytes: built for this response, or report
+/// bytes behind one `Arc` that the result cache and every response
+/// replaying them share, so shipping a cached report copies nothing.
+#[derive(Clone, Debug)]
+pub enum Segment {
+    /// Bytes this response owns (errors, envelopes, small documents).
+    Owned(Vec<u8>),
+    /// Report bytes shared with the result cache.
+    Shared(Arc<Vec<u8>>),
+}
+
+impl Segment {
+    /// The segment's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            Segment::Owned(bytes) => bytes,
+            Segment::Shared(bytes) => bytes,
+        }
+    }
+}
+
 /// A response ready to serialize.
 #[derive(Clone, Debug)]
 pub struct Response {
@@ -298,19 +321,20 @@ pub struct Response {
     pub content_type: &'static str,
     /// Extra headers (name must be already well-formed).
     pub headers: Vec<(String, String)>,
-    /// The body bytes.
-    pub body: Vec<u8>,
+    /// The body: these segments' bytes, in order.
+    pub body: Vec<Segment>,
 }
 
 impl Response {
     /// An `application/json` response.
     pub fn json(status: u16, body: String) -> Response {
-        Response::json_bytes(status, body.into_bytes())
+        Response::json_segments(status, vec![Segment::Owned(body.into_bytes())])
     }
 
-    /// An `application/json` response whose body is already bytes, such
-    /// as a report streamed into a buffer.
-    pub fn json_bytes(status: u16, body: Vec<u8>) -> Response {
+    /// An `application/json` response whose body is the concatenation of
+    /// `body`, such as an envelope around a shared report. The segments
+    /// are written out in turn, never joined into one buffer.
+    pub fn json_segments(status: u16, body: Vec<Segment>) -> Response {
         Response {
             status,
             content_type: "application/json",
@@ -325,7 +349,7 @@ impl Response {
             status,
             content_type: "text/plain; charset=utf-8",
             headers: Vec::new(),
-            body: body.into_bytes(),
+            body: vec![Segment::Owned(body.into_bytes())],
         }
     }
 
@@ -339,6 +363,16 @@ impl Response {
     pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Response {
         self.headers.push((name.to_string(), value.into()));
         self
+    }
+
+    /// The body as one buffer, for assertions: it copies every segment.
+    #[cfg(test)]
+    pub fn body_bytes(&self) -> Vec<u8> {
+        self.body
+            .iter()
+            .flat_map(Segment::as_bytes)
+            .copied()
+            .collect()
     }
 }
 
@@ -362,23 +396,90 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// The full wire form of one response — status line, headers, body —
-/// ready for the event loop's incremental nonblocking writes.
-pub fn serialize_response(response: &Response) -> Vec<u8> {
+/// Most segments one vectored write hands the kernel: a head, an
+/// envelope prefix, a report and a closing brace fit with room to spare.
+const MAX_WRITE_SEGMENTS: usize = 8;
+
+/// One response on its way to the socket: the serialized head, then the
+/// body segments, plus how far writing has got. Each write is one
+/// vectored write from where the last one stopped, so a shared report
+/// goes out of the cache's own allocation.
+#[derive(Debug)]
+pub struct Outgoing {
+    /// Head first, then the body; empty segments are dropped up front,
+    /// so "nothing left" is exactly "past the last segment".
+    segments: Vec<Segment>,
+    /// The segment the next byte comes from.
+    next: usize,
+    /// Bytes of `segments[next]` already written.
+    offset: usize,
+}
+
+impl Outgoing {
+    /// Writes as much as `w` takes in one vectored write and returns the
+    /// byte count; 0 means the peer stopped taking bytes (or everything
+    /// was already written).
+    pub fn write_to(&mut self, w: &mut impl std::io::Write) -> std::io::Result<usize> {
+        let pending = self.segments.get(self.next..).unwrap_or(&[]);
+        let count = pending.len().min(MAX_WRITE_SEGMENTS);
+        let mut slices = [std::io::IoSlice::new(&[]); MAX_WRITE_SEGMENTS];
+        for (i, (slot, segment)) in slices.iter_mut().zip(pending).enumerate() {
+            let skip = if i == 0 { self.offset } else { 0 };
+            *slot = std::io::IoSlice::new(segment.as_bytes().get(skip..).unwrap_or(&[]));
+        }
+        let n = w.write_vectored(slices.get(..count).unwrap_or(&[]))?;
+        self.advance(n);
+        Ok(n)
+    }
+
+    /// Whether every byte has been written.
+    pub fn is_done(&self) -> bool {
+        self.next >= self.segments.len()
+    }
+
+    fn advance(&mut self, mut n: usize) {
+        while n > 0 {
+            let Some(segment) = self.segments.get(self.next) else {
+                return;
+            };
+            let left = segment.as_bytes().len() - self.offset;
+            if n < left {
+                self.offset += n;
+                return;
+            }
+            n -= left;
+            self.next += 1;
+            self.offset = 0;
+        }
+    }
+}
+
+/// The wire form of one response — status line, headers, then the body
+/// segments as they are — ready for the event loop's incremental
+/// nonblocking writes. Only the head is formatted here; no body byte is
+/// copied.
+pub fn serialize_response(response: Response) -> Outgoing {
+    let body_len: usize = response.body.iter().map(|s| s.as_bytes().len()).sum();
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         response.status,
         reason(response.status),
         response.content_type,
-        response.body.len()
+        body_len
     );
     for (name, value) in &response.headers {
         head.push_str(&format!("{name}: {value}\r\n"));
     }
     head.push_str("\r\n");
-    let mut bytes = head.into_bytes();
-    bytes.extend_from_slice(&response.body);
-    bytes
+    let segments = std::iter::once(Segment::Owned(head.into_bytes()))
+        .chain(response.body)
+        .filter(|segment| !segment.as_bytes().is_empty())
+        .collect();
+    Outgoing {
+        segments,
+        next: 0,
+        offset: 0,
+    }
 }
 
 #[cfg(test)]
@@ -606,15 +707,77 @@ mod tests {
         }
     }
 
+    /// Drains `out` into a buffer through a writer that takes at most
+    /// `chunk` bytes per call, as a congested socket would.
+    fn drain(mut out: Outgoing, chunk: usize) -> Vec<u8> {
+        struct Trickle {
+            bytes: Vec<u8>,
+            chunk: usize,
+        }
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(self.chunk);
+                self.bytes.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Trickle {
+            bytes: Vec::new(),
+            chunk,
+        };
+        while !out.is_done() {
+            assert!(out.write_to(&mut sink).unwrap() > 0);
+        }
+        assert_eq!(out.write_to(&mut sink).unwrap(), 0, "nothing left");
+        sink.bytes
+    }
+
     #[test]
     fn serialized_response_matches_the_written_bytes() {
         let response = Response::json(200, "{\"ok\":true}".into()).with_header("X-Fd-Cache", "hit");
-        let bytes = serialize_response(&response);
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(drain(serialize_response(response), usize::MAX)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("X-Fd-Cache: hit\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    #[test]
+    fn segmented_bodies_write_out_whole_across_short_writes() {
+        let report = Arc::new(b"{\"cost\":2}".to_vec());
+        let response = Response::json_segments(
+            200,
+            vec![
+                Segment::Owned(b"{\"report\":".to_vec()),
+                Segment::Owned(Vec::new()),
+                Segment::Shared(Arc::clone(&report)),
+                Segment::Owned(b"}".to_vec()),
+            ],
+        );
+        assert_eq!(response.body_bytes(), b"{\"report\":{\"cost\":2}}");
+        let whole = drain(serialize_response(response.clone()), usize::MAX);
+        let text = String::from_utf8(whole.clone()).unwrap();
+        assert!(text.contains("Content-Length: 21\r\n"), "{text}");
+        assert!(
+            text.ends_with("\r\n\r\n{\"report\":{\"cost\":2}}"),
+            "{text}"
+        );
+        // Every split of the stream into short writes yields the same
+        // bytes, segment boundaries included.
+        for chunk in 1..=12 {
+            assert_eq!(drain(serialize_response(response.clone()), chunk), whole);
+        }
+        // The cache's allocation is what went out: no copy was taken.
+        assert_eq!(
+            Arc::strong_count(&report),
+            2,
+            "the response still shares it"
+        );
+        drop(response);
+        assert_eq!(Arc::strong_count(&report), 1);
     }
 
     #[test]

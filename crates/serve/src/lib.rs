@@ -70,7 +70,7 @@ mod store;
 pub use access::AccessRecord;
 pub use cache::{CachedResponse, LruCache};
 pub use coalesce::{FlightResult, Outcome, SingleFlight};
-pub use http::{Request, Response};
+pub use http::{Request, Response, Segment};
 pub use metrics::{Metrics, MutatePath};
 pub use pool::WorkerPool;
 pub use router::RequestInfo;

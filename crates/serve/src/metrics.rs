@@ -122,6 +122,7 @@ pub struct Metrics {
     handler_panics: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
+    cache_published: AtomicU64,
     coalesced: AtomicU64,
     by_notion: [AtomicU64; 7],
     latency: Hist,
@@ -148,6 +149,7 @@ impl Metrics {
             handler_panics: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
+            cache_published: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             by_notion: Default::default(),
             latency: Hist::new(),
@@ -223,6 +225,13 @@ impl Metrics {
             &self.cache_misses
         };
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a report a `/mutate` published as the cache entry of the
+    /// by-ref read it answers. Publishes are not calls: they move none
+    /// of the hit, miss and coalesced counters.
+    pub fn observe_cache_published(&self) {
+        self.cache_published.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts a request that replayed a concurrent in-flight solve
@@ -317,6 +326,10 @@ impl Metrics {
         out.push_str(&format!(
             "fd_serve_cache_misses {}\n",
             load(&self.cache_misses)
+        ));
+        out.push_str(&format!(
+            "fd_serve_cache_published_total {}\n",
+            load(&self.cache_published)
         ));
         out.push_str(&format!(
             "fd_serve_coalesced_total {}\n",
@@ -416,6 +429,7 @@ mod tests {
         m.observe_notion(Notion::Mpd);
         m.observe_cache(true);
         m.observe_cache(false);
+        m.observe_cache_published();
         m.observe_shed();
         let text = m.render();
         // The shed counts as a request and a 5xx but adds no latency sample.
@@ -426,6 +440,11 @@ mod tests {
         assert!(text.contains("fd_serve_requests{notion=\"s\"} 2"));
         assert!(text.contains("fd_serve_requests{notion=\"mpd\"} 1"));
         assert!(text.contains("fd_serve_cache_hits 1"));
+        assert!(
+            text.contains("fd_serve_cache_misses 1"),
+            "publishes are not misses"
+        );
+        assert!(text.contains("fd_serve_cache_published_total 1"));
         assert!(text.contains("fd_serve_queue_rejected_total 1"));
     }
 

@@ -21,13 +21,13 @@
 //! `?trace=1` envelope wraps the verbatim report rather than editing
 //! it, so replies stay bit-identical whether or not anyone is watching.
 
-use crate::http::{Request, Response};
+use crate::http::{Request, Response, Segment};
 use crate::store::StoreError;
 use crate::{MutatePath, Shared};
-use fd_core::{FdSet, MutationEffect, Table};
+use fd_core::{FdSet, MutationEffect, Schema, Table};
 use fd_engine::{
     parse_table_doc, table_fingerprint, EngineError, IncrementalSession, JsonLimits, MutateCall,
-    Notion, ParsedCall, Planner, RepairEngine, RepairRequest, Timings, WireError,
+    Notion, ParsedCall, Planner, RefCall, RepairEngine, RepairRequest, Timings, WireError,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -242,12 +242,8 @@ pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response,
                     let schema = stored.table.schema();
                     let fds = call.resolve_fds(schema).ok()?;
                     clamp_time_cap(shared, &mut call.request);
-                    let key = endpoint.tag_key(call.cache_key(stored.fingerprint, &fds, schema));
-                    let canonical: Arc<str> = Arc::from(format!(
-                        "{}\n{}",
-                        endpoint.name(),
-                        call.canonical(stored.fingerprint, &fds, schema)
-                    ));
+                    let (key, canonical) =
+                        ref_slot(endpoint, &call, stored.fingerprint, &fds, schema);
                     (key, canonical, call.request.notion, stored.rows)
                 }
             }
@@ -268,7 +264,7 @@ pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response,
     info.cache_hit = Some(true);
     shared.metrics.observe_notion(notion);
     shared.metrics.observe_cache(true);
-    let response = ok_response(shared, entry.body.to_string(), "hit", None, &info)
+    let response = ok_response(shared, entry.body, "hit", None, &info)
         .with_header("X-Request-Id", info.request_id.clone());
     Some((response, info))
 }
@@ -327,6 +323,29 @@ impl Endpoint {
             Endpoint::Explain => key ^ EXPLAIN_KEY_TAG,
         }
     }
+}
+
+/// The cache slot of a by-reference call against one snapshot of its
+/// table: the key and the canonical form a hit is verified against. The
+/// key hashes the snapshot's fingerprint (O(Δ + request), never the
+/// rows) and the canonical form pins it, so a deleted-then-reuploaded
+/// id can never replay stale bytes. A by-ref `/repair`, its fast-path
+/// probe, and a mutate publishing the read it answers all take their
+/// slot from here.
+fn ref_slot(
+    endpoint: Endpoint,
+    call: &RefCall,
+    fingerprint: u64,
+    fds: &FdSet,
+    schema: &Schema,
+) -> (u64, Arc<str>) {
+    let key = endpoint.tag_key(call.cache_key(fingerprint, fds, schema));
+    let canonical = format!(
+        "{}\n{}",
+        endpoint.name(),
+        call.canonical(fingerprint, fds, schema)
+    );
+    (key, Arc::from(canonical))
 }
 
 /// Follower wait when the server caps no solve times: long enough that
@@ -422,20 +441,11 @@ fn repair(
                 Err(WireError { message }) => return Response::error(400, &message),
             };
             clamp_time_cap(shared, &mut call.request);
-            // The key hashes the stored table's fingerprint (O(Δ +
-            // request), never the rows) and the canonical form pins it,
-            // so a deleted-then-reuploaded id can never replay stale
-            // bytes.
-            let key = endpoint.tag_key(call.cache_key(stored.fingerprint, &fds, schema));
             let cacheable = call.cacheable();
-            let canonical: Arc<str> = if cacheable {
-                Arc::from(format!(
-                    "{}\n{}",
-                    endpoint.name(),
-                    call.canonical(stored.fingerprint, &fds, schema)
-                ))
+            let (key, canonical) = if cacheable {
+                ref_slot(endpoint, &call, stored.fingerprint, &fds, schema)
             } else {
-                Arc::from("")
+                (0, Arc::from(""))
             };
             let ctx = SolveCtx {
                 endpoint,
@@ -483,17 +493,14 @@ fn solve_and_respond(
         || {
             let slot = Some((key, Arc::clone(&canonical)));
             let (status, body) = solve_now(shared, &ctx, slot, info);
-            crate::FlightResult {
-                status,
-                body: Arc::from(body.as_str()),
-            }
+            crate::FlightResult { status, body }
         },
     );
     info.cache_hit = Some(cache_state == "hit");
     finish_response(
         shared,
         result.status,
-        result.body.to_string(),
+        Arc::clone(&result.body),
         cache_state,
         collector,
         info,
@@ -506,7 +513,7 @@ fn solve_and_respond(
 /// instead of serving a wrong report. A poisoned cache lock degrades to
 /// a miss too: serving uncached is always correct, panicking on a
 /// request path never is.
-fn probe_cache(shared: &Shared, key: u64, canonical: &Arc<str>) -> Option<Arc<str>> {
+fn probe_cache(shared: &Shared, key: u64, canonical: &Arc<str>) -> Option<Arc<Vec<u8>>> {
     let entry = shared.cache.lock().ok()?.get(key)?;
     (entry.canonical == *canonical).then_some(entry.body)
 }
@@ -562,13 +569,14 @@ fn cached_flight(
 
 /// Runs the engine once and returns `(status, body)`. On success the
 /// body is inserted under `cache_slot` *before* returning, which is
-/// what lets a completing flight hand late arrivals to the cache.
+/// what lets a completing flight hand late arrivals to the cache. The
+/// cache entry and the response share the one allocation of the body.
 fn solve_now(
     shared: &Shared,
     ctx: &SolveCtx<'_>,
     cache_slot: Option<(u64, Arc<str>)>,
     info: &mut RequestInfo,
-) -> (u16, String) {
+) -> (u16, Arc<Vec<u8>>) {
     let solve_start = Instant::now();
     let result = match ctx.endpoint {
         Endpoint::Repair => Planner
@@ -578,11 +586,11 @@ fn solve_now(
                 if !ctx.include_timings {
                     report.timings = Timings::default();
                 }
-                report.to_json()
+                report.to_json_bytes()
             }),
         Endpoint::Explain => Planner
             .plan(ctx.table, ctx.fds, ctx.request)
-            .map(|plan| plan.to_json_value().to_string()),
+            .map(|plan| plan.to_json_value().to_string().into_bytes()),
     };
     info.solve_us = solve_start.elapsed().as_micros() as u64;
     shared
@@ -593,6 +601,7 @@ fn solve_now(
     }
     match result {
         Ok(body) => {
+            let body = shared_body(body);
             if let Some((key, canonical)) = cache_slot {
                 // Skip the insert if the lock is poisoned — losing a
                 // cache entry is harmless. The cache stores the bare
@@ -602,15 +611,27 @@ fn solve_now(
                         key,
                         crate::CachedResponse {
                             canonical,
-                            body: Arc::from(body.as_str()),
+                            body: Arc::clone(&body),
                         },
                     );
                 }
             }
             (200, body)
         }
-        Err(e) => engine_error_body(&e, ctx.request.notion),
+        Err(e) => {
+            let (status, body) = engine_error_body(&e, ctx.request.notion);
+            (status, Arc::new(body.into_bytes()))
+        }
     }
+}
+
+/// The one allocation a report's bytes live in while the cache and the
+/// responses shipping them share it. The writer sizes its buffer from a
+/// generous hint; trimming the slack, in place, keeps a full cache from
+/// holding more than the bytes themselves.
+fn shared_body(mut body: Vec<u8>) -> Arc<Vec<u8>> {
+    body.shrink_to_fit();
+    Arc::new(body)
 }
 
 /// 200s get the cache-state header and (with a collector) the trace
@@ -620,7 +641,7 @@ fn solve_now(
 fn finish_response(
     shared: &Shared,
     status: u16,
-    body: String,
+    body: Arc<Vec<u8>>,
     cache_state: &'static str,
     collector: Option<fd_trace::Collector>,
     info: &RequestInfo,
@@ -628,36 +649,47 @@ fn finish_response(
     if status == 200 {
         ok_response(shared, body, cache_state, collector, info)
     } else {
-        Response::json(status, body)
+        Response::json_segments(status, vec![Segment::Shared(body)])
     }
 }
 
 /// Builds the 200 response for `body` (the report/plan bytes). Without
 /// a collector the body ships as-is; with one, it is spliced verbatim
-/// into the trace envelope — the report bytes are never re-serialized,
-/// so tracing cannot perturb them.
+/// into the trace envelope — the report bytes are never re-serialized
+/// or copied, so tracing cannot perturb them.
 fn ok_response(
     shared: &Shared,
-    body: String,
+    body: Arc<Vec<u8>>,
     cache_state: &'static str,
     collector: Option<fd_trace::Collector>,
     info: &RequestInfo,
 ) -> Response {
-    let body = match collector {
-        None => body,
+    let segments = match collector {
+        None => vec![Segment::Shared(body)],
         Some(collector) => {
             shared.metrics.observe_trace_dropped(collector.dropped());
             // The id charset is sanitized on ingress, so quoting it
             // directly cannot break the JSON.
-            format!(
-                "{{\"request_id\":\"{}\",\"trace\":{},\"report\":{}}}",
+            let prefix = format!(
+                "{{\"request_id\":\"{}\",\"trace\":{},\"report\":",
                 info.request_id,
                 collector.to_chrome_json(),
-                body
-            )
+            );
+            enveloped(prefix, body)
         }
     };
-    Response::json(200, body).with_header("X-Fd-Cache", cache_state)
+    Response::json_segments(200, segments).with_header("X-Fd-Cache", cache_state)
+}
+
+/// `prefix`, then the shared report, then the brace that closes the
+/// object `prefix` opened: an envelope around a report that neither
+/// re-serializes nor copies it.
+fn enveloped(prefix: String, report: Arc<Vec<u8>>) -> Vec<Segment> {
+    vec![
+        Segment::Owned(prefix.into_bytes()),
+        Segment::Shared(report),
+        Segment::Owned(b"}".to_vec()),
+    ]
 }
 
 /// Engine failures are the client's problem (4xx), each with a stable
@@ -828,11 +860,11 @@ fn delete_table(shared: &Shared, tenant: &str, id: &str) -> Response {
 /// The call is transactional: a mutation that fails to resolve or
 /// apply, a report the engine refuses, or a snapshot that changed since
 /// the call read it (a concurrent mutate, or a DELETE and re-PUT: `409`)
-/// leaves the stored table untouched. Responses are never cached — the
-/// call changes state, and by-ref `/repair` keys hash the fingerprint,
-/// so the swap invalidates every cached by-ref answer automatically.
-/// The spliced `report` carries zeroed timings: it is byte-identical to
-/// a cold `/repair` of the mutated table with `include_timings: false`.
+/// leaves the stored table untouched. The spliced `report` carries
+/// zeroed timings: it is byte-identical to a cold `/repair` of the
+/// mutated table with `include_timings: false`. That is what lets a
+/// successful swap [`publish`] it as the cache entry of exactly that
+/// by-ref read, in the one allocation the response ships too.
 /// `before_replace` runs just before the swap; it is a no-op except in
 /// tests that interleave another writer there.
 fn mutate_table(
@@ -886,7 +918,7 @@ fn mutate_table(
                 MutatePath::Cold
             };
             shared.metrics.observe_mutate_session(path);
-            match IncrementalSession::new(read.table.clone(), fds, call.request) {
+            match IncrementalSession::new(read.table.clone(), fds.clone(), call.request) {
                 Ok(session) => session,
                 Err(e) => return engine_error(&e),
             }
@@ -935,6 +967,16 @@ fn mutate_table(
         Ok(stored) => stored,
         Err(e) => return store_error_response(&e),
     };
+    let report = shared_body(report.to_json_bytes());
+    let snapshots = (read.fingerprint, stored.fingerprint);
+    publish(
+        shared,
+        &call.published_ref(id),
+        &fds,
+        &schema,
+        snapshots,
+        &report,
+    );
     let ids = |ids: &[fd_core::TupleId]| {
         Json::Arr(ids.iter().map(|id| Json::Num(f64::from(id.0))).collect())
     };
@@ -943,9 +985,8 @@ fn mutate_table(
         ("removed", ids(&removed)),
         ("changed", ids(&changed)),
     ]);
-    // The report streams into the same buffer right after the envelope
-    // prefix, so its bytes are written once and never re-serialized: the
-    // same discipline the trace envelope follows. Id and tenant are
+    // The envelope wraps the report's one allocation, the bytes the
+    // cache now holds, as the trace envelope does. Id and tenant are
     // charset-sanitized on ingress, so quoting them directly is safe.
     // `steps` counts this call's mutations, not the session's lifetime.
     let prefix = format!(
@@ -955,13 +996,50 @@ fn mutate_table(
         call.mutations.len(),
         stored.fingerprint,
     );
-    let mut body = Vec::with_capacity(prefix.len() + report.json_size_hint() + 1);
-    body.extend_from_slice(prefix.as_bytes());
-    if let Err(e) = report.write_json(&mut body) {
-        return Response::error(500, &format!("cannot serialize the report: {e}"));
+    Response::json_segments(200, enveloped(prefix, report))
+}
+
+/// Read-your-writes: caches a mutate's report under the slot of the
+/// by-ref `/repair` it answers (`call`, from
+/// [`MutateCall::published_ref`]) against the stored snapshot, so that
+/// read is a hit, and, in the same lock, retires that read's entry for
+/// the superseded snapshot, so a table's chain of versions keeps one
+/// live entry. `snapshots` is the (read, stored) pair of fingerprints.
+/// Both slots come from [`ref_slot`], and the retired entry goes only
+/// if its canonical form is that read's. Nothing is published for an
+/// uncacheable call (unseeded `sample`) or with caching off.
+///
+/// A concurrent mutate can swap a newer snapshot in before this runs;
+/// the entry published here is then unreachable and ages out of the
+/// LRU. It is never wrong: it pins the fingerprint its report answers.
+fn publish(
+    shared: &Shared,
+    call: &RefCall,
+    fds: &FdSet,
+    schema: &Schema,
+    (superseded, fingerprint): (u64, u64),
+    report: &Arc<Vec<u8>>,
+) {
+    if !call.cacheable() || shared.config.cache_entries == 0 {
+        return;
     }
-    body.push(b'}');
-    Response::json_bytes(200, body)
+    let (stale_key, stale) = ref_slot(Endpoint::Repair, call, superseded, fds, schema);
+    let (key, canonical) = ref_slot(Endpoint::Repair, call, fingerprint, fds, schema);
+    let Ok(mut cache) = shared.cache.lock() else {
+        return; // losing an entry is harmless; the read solves cold
+    };
+    // Retire before inserting: a mutate that leaves the content as it
+    // was has one slot on both sides, and must keep its publish.
+    cache.remove_if(stale_key, |entry| entry.canonical == stale);
+    cache.insert(
+        key,
+        crate::CachedResponse {
+            canonical,
+            body: Arc::clone(report),
+        },
+    );
+    drop(cache);
+    shared.metrics.observe_cache_published();
 }
 
 /// Store failures, each with a stable `kind` like the engine errors.
@@ -1043,6 +1121,10 @@ mod tests {
         handle(shared, &request).0
     }
 
+    fn text_of(response: &Response) -> String {
+        String::from_utf8(response.body_bytes()).expect("bodies are UTF-8")
+    }
+
     fn header<'r>(response: &'r Response, name: &str) -> Option<&'r str> {
         response
             .headers
@@ -1069,7 +1151,7 @@ mod tests {
         let shared = shared();
         let resp = post(&shared, "/repair", OFFICE);
         assert_eq!(resp.status, 200);
-        let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let doc = Json::parse(&text_of(&resp)).unwrap();
         assert_eq!(doc.get("cost").unwrap().as_num(), Some(2.0));
         assert_eq!(doc.get("optimal").unwrap().as_bool(), Some(true));
     }
@@ -1083,7 +1165,11 @@ mod tests {
         assert_eq!(second.status, 200);
         assert_eq!(header(&first, "X-Fd-Cache"), Some("miss"));
         assert_eq!(header(&second, "X-Fd-Cache"), Some("hit"));
-        assert_eq!(first.body, second.body, "a hit replays the exact bytes");
+        assert_eq!(
+            first.body_bytes(),
+            second.body_bytes(),
+            "a hit replays the exact bytes"
+        );
         let metrics = shared.metrics.render();
         assert!(metrics.contains("fd_serve_cache_hits 1"), "{metrics}");
         assert!(metrics.contains("fd_serve_cache_misses 1"), "{metrics}");
@@ -1111,10 +1197,10 @@ mod tests {
         let repair = post(&shared, "/repair", OFFICE);
         let explain = post(&shared, "/explain", OFFICE);
         assert_eq!(explain.status, 200);
-        let doc = Json::parse(std::str::from_utf8(&explain.body).unwrap()).unwrap();
+        let doc = Json::parse(&text_of(&explain)).unwrap();
         assert!(doc.get("steps").is_some(), "plans carry steps");
         assert!(doc.get("result").is_none(), "plans carry no repair");
-        assert_ne!(repair.body, explain.body);
+        assert_ne!(repair.body_bytes(), explain.body_bytes());
     }
 
     #[test]
@@ -1130,7 +1216,7 @@ mod tests {
         ] {
             let resp = post(&shared, "/repair", body);
             assert_eq!(resp.status, expect, "body {body:.40?}");
-            let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            let doc = Json::parse(&text_of(&resp)).unwrap();
             assert!(doc.get("error").is_some());
         }
     }
@@ -1147,7 +1233,7 @@ mod tests {
         }"#;
         let resp = post(&shared, "/repair", body);
         assert_eq!(resp.status, 422);
-        let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let doc = Json::parse(&text_of(&resp)).unwrap();
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("not_a_chain"));
     }
 
@@ -1158,7 +1244,7 @@ mod tests {
         let _ = post(&shared, "/repair", OFFICE);
         let metrics = get(&shared, "/metrics");
         assert_eq!(metrics.status, 200);
-        let text = String::from_utf8(metrics.body).unwrap();
+        let text = text_of(&metrics);
         assert!(text.contains("fd_serve_requests{notion=\"s\"} 1"), "{text}");
         assert_eq!(get(&shared, "/nope").status, 404);
         assert_eq!(get(&shared, "/repair").status, 405);
@@ -1182,7 +1268,7 @@ mod tests {
                      "request": {{"budgets": {{{request_cap} "threads": 1}}}}}}"#
             );
             let resp = post(&shared, "/repair", &body);
-            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+            assert_eq!(resp.status, 200, "{}", text_of(&resp));
         }
     }
 
@@ -1215,8 +1301,8 @@ mod tests {
         let traced = post(&shared, "/repair?trace=1", OFFICE);
         assert_eq!(traced.status, 200);
         assert_eq!(header(&traced, "X-Fd-Cache"), Some("hit"));
-        let text = std::str::from_utf8(&traced.body).unwrap();
-        let plain_text = std::str::from_utf8(&plain.body).unwrap();
+        let text = &text_of(&traced);
+        let plain_text = &text_of(&plain);
         assert!(
             text.contains(plain_text),
             "envelope must splice the report bytes unchanged"
@@ -1233,7 +1319,7 @@ mod tests {
         let fresh = OFFICE.replace("\"Office\"", "\"Office2\"");
         let traced_miss = post(&shared, "/repair?trace=1", &fresh);
         assert_eq!(header(&traced_miss, "X-Fd-Cache"), Some("miss"));
-        let doc = Json::parse(std::str::from_utf8(&traced_miss.body).unwrap()).unwrap();
+        let doc = Json::parse(&text_of(&traced_miss)).unwrap();
         let events = doc
             .get("trace")
             .unwrap()
@@ -1252,7 +1338,7 @@ mod tests {
         // traceless call replays clean bytes.
         let replay = post(&shared, "/repair", &fresh);
         assert_eq!(header(&replay, "X-Fd-Cache"), Some("hit"));
-        let doc = Json::parse(std::str::from_utf8(&replay.body).unwrap()).unwrap();
+        let doc = Json::parse(&text_of(&replay)).unwrap();
         assert!(doc.get("trace").is_none(), "no envelope on cached replay");
         assert!(doc.get("cost").is_some());
     }
@@ -1263,7 +1349,7 @@ mod tests {
         assert_eq!(get(&shared, "/healthz?x=1").status, 200);
         let resp = post(&shared, "/repair?verbose=1&trace=0", OFFICE);
         assert_eq!(resp.status, 200);
-        let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let doc = Json::parse(&text_of(&resp)).unwrap();
         assert!(doc.get("trace").is_none(), "trace=0 must not wrap");
     }
 
@@ -1306,7 +1392,7 @@ mod tests {
     }
 
     fn kind_of(response: &Response) -> Option<String> {
-        let doc = Json::parse(std::str::from_utf8(&response.body).ok()?).ok()?;
+        let doc = Json::parse(&text_of(response)).ok()?;
         Some(doc.get("kind")?.as_str()?.to_string())
     }
 
@@ -1317,10 +1403,10 @@ mod tests {
         assert_eq!(inline.status, 200);
 
         let (put, info) = send(&shared, "PUT", "/tables/office", OFFICE_TABLE, &[]);
-        assert_eq!(put.status, 201, "{}", String::from_utf8_lossy(&put.body));
+        assert_eq!(put.status, 201, "{}", text_of(&put));
         assert_eq!(info.endpoint, "tables");
         assert_eq!(info.rows, Some(4));
-        let doc = Json::parse(std::str::from_utf8(&put.body).unwrap()).unwrap();
+        let doc = Json::parse(&text_of(&put)).unwrap();
         assert_eq!(doc.get("rows").unwrap().as_num(), Some(4.0));
         let fingerprint = doc
             .get("fingerprint")
@@ -1331,7 +1417,7 @@ mod tests {
 
         let meta = send(&shared, "GET", "/tables/office", "", &[]).0;
         assert_eq!(meta.status, 200);
-        let doc = Json::parse(std::str::from_utf8(&meta.body).unwrap()).unwrap();
+        let doc = Json::parse(&text_of(&meta)).unwrap();
         assert_eq!(
             doc.get("fingerprint").unwrap().as_str(),
             Some(&fingerprint[..])
@@ -1341,14 +1427,18 @@ mod tests {
         // same table, same Δ, same request → same report.
         let (by_ref, info) = send(&shared, "POST", "/repair", OFFICE_BY_REF, &[]);
         assert_eq!(by_ref.status, 200);
-        assert_eq!(by_ref.body, inline.body, "by-ref must replay inline bytes");
+        assert_eq!(
+            by_ref.body_bytes(),
+            inline.body_bytes(),
+            "by-ref must replay inline bytes"
+        );
         assert_eq!(info.rows, Some(4));
         // …but caches under its own (fingerprint-based) key: this was a
         // miss, not a hit on the inline entry.
         assert_eq!(header(&by_ref, "X-Fd-Cache"), Some("miss"));
         let again = send(&shared, "POST", "/repair", OFFICE_BY_REF, &[]).0;
         assert_eq!(header(&again, "X-Fd-Cache"), Some("hit"));
-        assert_eq!(again.body, inline.body);
+        assert_eq!(again.body_bytes(), inline.body_bytes());
 
         let deleted = send(&shared, "DELETE", "/tables/office", "", &[]).0;
         assert_eq!(deleted.status, 200);
@@ -1440,7 +1530,7 @@ mod tests {
         let shared = shared();
         let (put, _) = send(&shared, "PUT", "/tables/office", OFFICE_TABLE, &[]);
         assert_eq!(put.status, 201);
-        let put_doc = Json::parse(std::str::from_utf8(&put.body).unwrap()).unwrap();
+        let put_doc = Json::parse(&text_of(&put)).unwrap();
         let old_fp = put_doc
             .get("fingerprint")
             .unwrap()
@@ -1453,11 +1543,11 @@ mod tests {
                  "mutations": {OFFICE_TRACE}}}"#
         );
         let (resp, info) = send(&shared, "POST", "/tables/office/mutate", &body, &[]);
-        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(resp.status, 200, "{}", text_of(&resp));
         assert_eq!(info.endpoint, "tables");
         assert_eq!(info.notion, Some(Notion::Subset));
         assert_eq!(info.rows, Some(4));
-        let text = std::str::from_utf8(&resp.body).unwrap();
+        let text = &text_of(&resp);
         let doc = Json::parse(text).unwrap();
         assert_eq!(doc.get("mutated").unwrap().as_str(), Some("office"));
         assert_eq!(doc.get("steps").unwrap().as_num(), Some(3.0));
@@ -1486,7 +1576,7 @@ mod tests {
 
         // GET sees the swapped snapshot.
         let meta = send(&shared, "GET", "/tables/office", "", &[]).0;
-        let meta_doc = Json::parse(std::str::from_utf8(&meta.body).unwrap()).unwrap();
+        let meta_doc = Json::parse(&text_of(&meta)).unwrap();
         assert_eq!(
             meta_doc.get("fingerprint").unwrap().as_str(),
             Some(&new_fp[..])
@@ -1579,14 +1669,14 @@ mod tests {
             {"op": "insert", "values": ["X", 1, 1, "Y"], "weight": 1}
         ]}"#;
         let resp = send(&shared, "POST", "/tables/office/mutate", ok, &[]).0;
-        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(resp.status, 200, "{}", text_of(&resp));
         assert_eq!(shared.store.usage("public"), (1, 5));
         assert_ne!(fp_of(&shared), fp);
     }
 
     fn fingerprint_of(shared: &Shared, id: &str) -> String {
         let meta = send(shared, "GET", &format!("/tables/{id}"), "", &[]).0;
-        let doc = Json::parse(std::str::from_utf8(&meta.body).unwrap()).unwrap();
+        let doc = Json::parse(&text_of(&meta)).unwrap();
         doc.get("fingerprint")
             .unwrap()
             .as_str()
@@ -1694,6 +1784,7 @@ mod tests {
             rows.join(", ")
         );
         assert_eq!(send(&shared, "PUT", "/tables/t", &doc, &[]).0.status, 201);
+        let mut mirror = parse_table_doc(&doc, &JsonLimits::UNTRUSTED).unwrap();
         let mut live: Vec<u64> = (0..24).collect();
         let sessions = |shared: &Shared| {
             let text = shared.metrics.render();
@@ -1707,35 +1798,64 @@ mod tests {
         let mut request = r#"{"include_timings": false}"#;
         let mut expected = [0u64; 3];
 
-        // One mutate and its check: the envelope counts this call's
-        // steps, and the spliced report is a cold by-ref `/repair`.
-        let mutate_and_compare =
-            |shared: &Shared, live: &mut Vec<u64>, request: &str, op: String| {
-                let body =
-                    format!(r#"{{"fds": "K -> A B", "request": {request}, "mutations": [{op}]}}"#);
-                let resp = send(shared, "POST", "/tables/t/mutate", &body, &[]).0;
-                assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-                let text = std::str::from_utf8(&resp.body).unwrap();
-                let doc = Json::parse(text).unwrap();
-                assert_eq!(doc.get("steps").unwrap().as_num(), Some(1.0), "{op}");
-                let delta = doc.get("delta").unwrap();
-                let ids = |field: &str| -> Vec<u64> {
-                    let arr = delta.get(field).unwrap().as_arr().unwrap();
-                    arr.iter().map(|v| v.as_num().unwrap() as u64).collect()
-                };
-                live.extend(ids("added"));
-                live.retain(|id| !ids("removed").contains(id));
-                let by_ref =
-                    format!(r#"{{"table_ref": "t", "fds": "K -> A B", "request": {request}}}"#);
-                let cold = post(shared, "/repair", &by_ref);
-                assert_eq!(cold.status, 200);
-                let at = text.find("\"report\":").unwrap() + "\"report\":".len();
-                assert_eq!(
-                    &text.as_bytes()[at..text.len() - 1],
-                    &cold.body[..],
-                    "spliced report after {op} must replay the cold by-ref bytes"
-                );
+        // One mutate and its checks: the envelope counts this call's
+        // steps; the spliced report equals an in-process cold solve of a
+        // mirror of the table, which no cache entry can have produced;
+        // and the by-ref read that follows is a hit replaying the same
+        // bytes.
+        let mutate_and_compare = |shared: &Shared,
+                                  mirror: &mut Table,
+                                  live: &mut Vec<u64>,
+                                  request: &str,
+                                  op: String| {
+            let body =
+                format!(r#"{{"fds": "K -> A B", "request": {request}, "mutations": [{op}]}}"#);
+            let resp = send(shared, "POST", "/tables/t/mutate", &body, &[]).0;
+            assert_eq!(resp.status, 200, "{}", text_of(&resp));
+            let text = &text_of(&resp);
+            let doc = Json::parse(text).unwrap();
+            assert_eq!(doc.get("steps").unwrap().as_num(), Some(1.0), "{op}");
+            let delta = doc.get("delta").unwrap();
+            let ids = |field: &str| -> Vec<u64> {
+                let arr = delta.get(field).unwrap().as_arr().unwrap();
+                arr.iter().map(|v| v.as_num().unwrap() as u64).collect()
             };
+            live.extend(ids("added"));
+            live.retain(|id| !ids("removed").contains(id));
+
+            let schema = Arc::clone(mirror.schema());
+            let trace = format!("[{op}]");
+            for wire in fd_engine::parse_mutation_trace(&trace, &JsonLimits::UNTRUSTED).unwrap() {
+                mirror
+                    .apply_mutation(&wire.resolve(&schema).unwrap())
+                    .unwrap();
+            }
+            let by_ref =
+                format!(r#"{{"table_ref": "t", "fds": "K -> A B", "request": {request}}}"#);
+            let Ok(ParsedCall::ByRef(mut call)) =
+                ParsedCall::parse(&by_ref, &JsonLimits::UNTRUSTED)
+            else {
+                panic!("{by_ref} is a by-ref call");
+            };
+            clamp_time_cap(shared, &mut call.request);
+            let fds = call.resolve_fds(&schema).unwrap();
+            let mut cold = Planner.run(mirror, &fds, &call.request).unwrap();
+            cold.timings = Timings::default();
+            let at = text.find("\"report\":").unwrap() + "\"report\":".len();
+            let report = &text[at..text.len() - 1];
+            assert_eq!(
+                report,
+                cold.to_json(),
+                "spliced report after {op} must replay cold-solve bytes"
+            );
+            let read = post(shared, "/repair", &by_ref);
+            assert_eq!(header(&read, "X-Fd-Cache"), Some("hit"), "{op}");
+            assert_eq!(
+                text_of(&read),
+                report,
+                "the read replays the published bytes"
+            );
+        };
         for call in 0..30 {
             if call == 10 {
                 // New request knobs: the session at rest no longer
@@ -1771,7 +1891,7 @@ mod tests {
                 ),
                 _ => format!(r#"{{"op": "delete", "id": {id}}}"#),
             };
-            mutate_and_compare(&shared, &mut live, request, op);
+            mutate_and_compare(&shared, &mut mirror, &mut live, request, op);
             assert_eq!(sessions(&shared), expected, "after call {call}");
         }
         assert_eq!(expected, [28, 3, 0]);
@@ -1779,8 +1899,219 @@ mod tests {
         // A request the delta engine cannot serve solves cold.
         let update = r#"{"notion": "u", "include_timings": false}"#;
         let op = format!(r#"{{"op": "delete", "id": {}}}"#, live[0]);
-        mutate_and_compare(&shared, &mut live, update, op);
+        mutate_and_compare(&shared, &mut mirror, &mut live, update, op);
         assert_eq!(sessions(&shared), [28, 3, 1]);
+    }
+
+    /// The by-ref read of table `t` that a mutate under `K -> A B` with
+    /// timings off answers, and so publishes.
+    const T_READ: &str =
+        r#"{"table_ref": "t", "fds": "K -> A B", "request": {"include_timings": false}}"#;
+
+    /// A one-op mutate of table `t` under the Δ and request of [`T_READ`].
+    fn t_mutate(op: &str) -> String {
+        format!(
+            r#"{{"fds": "K -> A B", "request": {{"include_timings": false}},
+                 "mutations": [{op}]}}"#
+        )
+    }
+
+    /// Stores `rows` rows as table `t`: keys over 8 values, so conflict
+    /// components form, but no randomness.
+    fn put_t(shared: &Shared, rows: usize) {
+        let rows: Vec<String> = (0..rows)
+            .map(|i| format!("[{}, {}, {}]", i % 8, (i * 7) % 3, (i * 5) % 2))
+            .collect();
+        let doc = format!(
+            r#"{{"attrs": ["K", "A", "B"], "rows": [{}]}}"#,
+            rows.join(", ")
+        );
+        assert_eq!(send(shared, "PUT", "/tables/t", &doc, &[]).0.status, 201);
+    }
+
+    fn cache_len(shared: &Shared) -> usize {
+        shared.cache.lock().unwrap().len()
+    }
+
+    /// `(hits, misses, coalesced, published)` from `/metrics`.
+    fn cache_counters(shared: &Shared) -> [u64; 4] {
+        let text = shared.metrics.render();
+        [
+            "fd_serve_cache_hits",
+            "fd_serve_cache_misses",
+            "fd_serve_coalesced_total",
+            "fd_serve_cache_published_total",
+        ]
+        .map(|name| counter(&text, name))
+    }
+
+    #[test]
+    fn a_mutate_publishes_the_read_it_answers_and_retires_the_one_it_superseded() {
+        let shared = shared();
+        put_t(&shared, 24);
+        let first = post(&shared, "/repair", T_READ);
+        assert_eq!(header(&first, "X-Fd-Cache"), Some("miss"));
+        let mut cacheable = 1;
+        let mut last = String::new();
+        for call in 0..30 {
+            let op = match call % 3 {
+                0 => format!(r#"{{"op": "set", "id": {call}, "attr": "A", "value": 9}}"#),
+                1 => r#"{"op": "insert", "values": [3, 1, 1]}"#.to_string(),
+                _ => format!(r#"{{"op": "delete", "id": {call}}}"#),
+            };
+            let resp = send(&shared, "POST", "/tables/t/mutate", &t_mutate(&op), &[]).0;
+            assert_eq!(resp.status, 200, "{}", text_of(&resp));
+            let read = post(&shared, "/repair", T_READ);
+            cacheable += 1;
+            assert_eq!(header(&read, "X-Fd-Cache"), Some("hit"), "after {op}");
+            last = text_of(&read);
+            assert!(text_of(&resp).ends_with(&format!("\"report\":{last}}}")));
+        }
+        // One live by-ref entry for the table and (Δ, request), not one
+        // per version: each publish retired the entry it superseded, the
+        // first read's included.
+        assert_eq!(cache_len(&shared), 1);
+        assert_eq!(cache_counters(&shared), [30, 1, 0, 30]);
+        // The IO thread's probe finds the published entry too.
+        let probe = Request {
+            method: "POST".into(),
+            path: "/repair".into(),
+            headers: Vec::new(),
+            body: T_READ.as_bytes().to_vec(),
+        };
+        let (fast, _) = fast_path(&shared, &probe).expect("a published entry is a clean hit");
+        assert_eq!(text_of(&fast), last);
+        cacheable += 1;
+
+        // Reads that differ from the published one still solve: a
+        // smaller time cap (a cold solve whose bytes match the published
+        // ones), live timings, another Δ.
+        let capped = r#"{"table_ref": "t", "fds": "K -> A B",
+                         "request": {"include_timings": false, "budgets": {"time_cap_ms": 20000}}}"#;
+        let cold = post(&shared, "/repair", capped);
+        cacheable += 1;
+        assert_eq!(header(&cold, "X-Fd-Cache"), Some("miss"));
+        assert_eq!(
+            text_of(&cold),
+            last,
+            "the published bytes are a cold solve's"
+        );
+        let timed = post(
+            &shared,
+            "/repair",
+            r#"{"table_ref": "t", "fds": "K -> A B"}"#,
+        );
+        assert_eq!(timed.status, 200);
+        assert_eq!(header(&timed, "X-Fd-Cache"), Some("miss"));
+        let other_fds = T_READ.replace("K -> A B", "K -> A");
+        let other = post(&shared, "/repair", &other_fds);
+        cacheable += 1;
+        assert_eq!(header(&other, "X-Fd-Cache"), Some("miss"));
+        // Publishes are not calls: the accounting identity holds.
+        let [hits, misses, coalesced, published] = cache_counters(&shared);
+        assert_eq!(hits + misses + coalesced, cacheable);
+        assert_eq!(published, 30);
+    }
+
+    #[test]
+    fn failed_and_uncacheable_mutates_publish_nothing() {
+        let shared = shared();
+        put_t(&shared, 24);
+        let before = post(&shared, "/repair", T_READ);
+        assert_eq!(header(&before, "X-Fd-Cache"), Some("miss"));
+
+        // A trace that fails (a dangling id): 400, nothing published,
+        // and the unchanged snapshot's entry still answers.
+        let dies = t_mutate(r#"{"op": "delete", "id": 9999}"#);
+        let resp = send(&shared, "POST", "/tables/t/mutate", &dies, &[]).0;
+        assert_eq!(resp.status, 400);
+        assert_eq!(cache_counters(&shared)[3], 0);
+        let read = post(&shared, "/repair", T_READ);
+        assert_eq!(header(&read, "X-Fd-Cache"), Some("hit"));
+        assert_eq!(text_of(&read), text_of(&before));
+
+        // A mutate that loses its swap (409) publishes nothing; the one
+        // that won published its own report, which the next read hits.
+        let loser = Request {
+            method: "POST".into(),
+            path: "/tables/t/mutate".into(),
+            headers: Vec::new(),
+            body: t_mutate(r#"{"op": "delete", "id": 0}"#).into_bytes(),
+        };
+        let mut won = String::new();
+        let mut info = RequestInfo::new("req-test".into());
+        let lost = mutate_table(&shared, &loser, "public", "t", &mut info, || {
+            let set = t_mutate(r#"{"op": "set", "id": 1, "attr": "A", "value": 2}"#);
+            let resp = send(&shared, "POST", "/tables/t/mutate", &set, &[]).0;
+            assert_eq!(resp.status, 200);
+            won = text_of(&resp);
+        });
+        assert_eq!(lost.status, 409);
+        assert_eq!(kind_of(&lost).as_deref(), Some("table_changed"));
+        assert_eq!(cache_counters(&shared)[3], 1, "only the winner published");
+        let read = post(&shared, "/repair", T_READ);
+        assert_eq!(header(&read, "X-Fd-Cache"), Some("hit"));
+        assert!(won.ends_with(&format!("\"report\":{}}}", text_of(&read))));
+        assert_eq!(cache_len(&shared), 1);
+
+        // An unseeded `sample` is not cacheable, so its report is not
+        // published, and the read after its swap solves.
+        let sample = r#"{"fds": "K -> A B", "request": {"notion": "sample", "include_timings": false},
+                         "mutations": [{"op": "set", "id": 2, "attr": "A", "value": 0}]}"#;
+        let resp = send(&shared, "POST", "/tables/t/mutate", sample, &[]).0;
+        assert_eq!(resp.status, 200, "{}", text_of(&resp));
+        assert_eq!(cache_counters(&shared)[3], 1);
+        let read = post(&shared, "/repair", T_READ);
+        assert_eq!(header(&read, "X-Fd-Cache"), Some("miss"));
+
+        // A mutate that runs over its time cap (408): priming a session
+        // over 50,000 rows takes well over the 0 ms it is allowed.
+        put_big(&shared, 50_000);
+        let published = cache_counters(&shared)[3];
+        let entries = cache_len(&shared);
+        let zero_cap = r#"{"fds": "K -> A B",
+                           "request": {"include_timings": false, "budgets": {"time_cap_ms": 0}},
+                           "mutations": [{"op": "delete", "id": 0}]}"#;
+        let resp = send(&shared, "POST", "/tables/big/mutate", zero_cap, &[]).0;
+        assert_eq!(resp.status, 408, "{}", text_of(&resp));
+        assert_eq!(cache_counters(&shared)[3], published);
+        assert_eq!(cache_len(&shared), entries);
+
+        // With caching off a successful mutate publishes nothing.
+        let off = Shared::new(ServeConfig {
+            cache_entries: 0,
+            ..ServeConfig::default()
+        });
+        put_t(&off, 24);
+        let set = t_mutate(r#"{"op": "set", "id": 1, "attr": "A", "value": 2}"#);
+        assert_eq!(
+            send(&off, "POST", "/tables/t/mutate", &set, &[]).0.status,
+            200
+        );
+        assert_eq!(cache_counters(&off)[3], 0);
+        assert_eq!(cache_len(&off), 0);
+        let read = post(&off, "/repair", T_READ);
+        assert_eq!(header(&read, "X-Fd-Cache"), Some("miss"));
+    }
+
+    /// Stores `rows` rows as table `big`, built in process: the JSON for
+    /// a table this size would dominate the test.
+    fn put_big(shared: &Shared, rows: usize) {
+        let schema = fd_core::Schema::new("R", ["K", "A", "B"]).unwrap();
+        let mut table = Table::new(schema);
+        for i in 0..rows as i64 {
+            let values = vec![
+                fd_core::Value::Int(i % 5000),
+                fd_core::Value::Int(i % 3),
+                fd_core::Value::Int(i % 2),
+            ];
+            table.push(fd_core::Tuple::new(values), 1.0).unwrap();
+        }
+        let fingerprint = table_fingerprint(&table);
+        shared
+            .store
+            .put("public", "big", table, fingerprint)
+            .unwrap();
     }
 
     #[test]
@@ -1811,7 +2142,7 @@ mod tests {
             &[("x-tenant", "acme")],
         )
         .0;
-        assert_eq!(own.status, 200, "{}", String::from_utf8_lossy(&own.body));
+        assert_eq!(own.status, 200, "{}", text_of(&own));
     }
 
     #[test]
@@ -1829,7 +2160,7 @@ mod tests {
             r#"{"table_ref": "office", "fds": "nope -> city"}"#,
         );
         assert_eq!(resp.status, 400);
-        assert!(String::from_utf8_lossy(&resp.body).contains("fds"));
+        assert!(text_of(&resp).contains("fds"));
     }
 
     #[test]
@@ -1848,7 +2179,11 @@ mod tests {
         let first = &results[0];
         assert_eq!(first.status, 200);
         for r in &results {
-            assert_eq!(r.body, first.body, "every caller gets the same bytes");
+            assert_eq!(
+                r.body_bytes(),
+                first.body_bytes(),
+                "every caller gets the same bytes"
+            );
         }
         // Exactly one solve: whoever probes during the flight coalesces,
         // whoever probes after it hits the cache. Either way the miss
@@ -1897,7 +2232,7 @@ mod tests {
                     };
                     let (result, _) = cached_flight(shared, key, canonical, after_probe, || {
                         solves.fetch_add(1, Ordering::SeqCst);
-                        let body: Arc<str> = Arc::from("{\"cost\": 2}");
+                        let body = Arc::new(b"{\"cost\": 2}".to_vec());
                         shared.cache.lock().unwrap().insert(
                             key,
                             crate::CachedResponse {
@@ -1907,7 +2242,7 @@ mod tests {
                         );
                         crate::FlightResult { status: 200, body }
                     });
-                    assert_eq!(&*result.body, "{\"cost\": 2}");
+                    assert_eq!(result.body.as_slice(), b"{\"cost\": 2}");
                 });
             }
         });

@@ -4,6 +4,9 @@
 //! * every generated call round-trips the wire format exactly — table,
 //!   FD set, request knobs and cache key all survive
 //!   `to_json_value → parse`;
+//! * a mutate call's published by-ref call keys and canonicalizes
+//!   exactly like the by-ref `/repair` body a client sends to read the
+//!   mutated table, so a published report is found by that read;
 //! * against a live server, every cached response is byte-identical to
 //!   the uncached response for the same body (and both to a direct
 //!   engine run).
@@ -176,9 +179,6 @@ fn random_mutate_call(seed: u64) -> MutateCall {
 
 #[test]
 fn random_mutate_calls_round_trip_the_wire_format() {
-    use fd_core::{FdSet, Schema};
-    let schema = Schema::new("R", ["A", "B", "C"]).unwrap();
-    let fds = FdSet::parse(&schema, "A -> B; B -> C").unwrap();
     for seed in 0..60u64 {
         let call = random_mutate_call(seed);
         let text = call.to_json_value().to_string();
@@ -188,22 +188,68 @@ fn random_mutate_calls_round_trip_the_wire_format() {
         assert_eq!(again.request, call.request, "seed {seed}");
         assert_eq!(again.include_timings, call.include_timings, "seed {seed}");
         assert_eq!(again.mutations, call.mutations, "seed {seed}");
-        // The writer is a fixed point of the round trip, and the cache
-        // key survives it.
+        // The writer is a fixed point of the round trip.
         assert_eq!(again.to_json_value().to_string(), text, "seed {seed}");
-        assert_eq!(
-            again.cache_key(7, &fds, &schema),
-            call.cache_key(7, &fds, &schema),
+    }
+}
+
+/// The by-reference `/repair` body a client sends to read table `id`
+/// under a mutate call's Δ and request, timings off.
+fn by_ref_body_for(call: &MutateCall, id: &str) -> String {
+    use fd_engine::Json;
+    let mut untimed = call.clone();
+    untimed.include_timings = false;
+    let full = untimed.to_json_value();
+    let mut fields: Vec<(&'static str, Json)> = vec![("table_ref", Json::str(id))];
+    if let Some(fds) = full.get("fds") {
+        fields.push(("fds", fds.clone()));
+    }
+    fields.push(("request", full.get("request").expect("request").clone()));
+    Json::obj(fields).to_string()
+}
+
+#[test]
+fn a_mutates_published_ref_keys_like_the_by_ref_read_it_answers() {
+    use fd_core::Schema;
+    use fd_engine::ParsedCall;
+    let schema = Schema::new("R", ["A", "B", "C"]).unwrap();
+    for seed in 0..60u64 {
+        let call = random_mutate_call(seed);
+        let fds = call.resolve_fds(&schema).expect("pool specs resolve");
+        let published = call.published_ref("t");
+        assert!(!published.include_timings, "seed {seed}");
+        let body = by_ref_body_for(&call, "t");
+        let ParsedCall::ByRef(read) = ParsedCall::parse(&body, &fd_engine::JsonLimits::UNTRUSTED)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{body}"))
+        else {
+            panic!("seed {seed}: {body} is not a by-ref call");
+        };
+        assert_eq!(read.resolve_fds(&schema).unwrap(), fds, "seed {seed}");
+        for fingerprint in [7, 8] {
+            assert_eq!(
+                published.cache_key(fingerprint, &fds, &schema),
+                read.cache_key(fingerprint, &fds, &schema),
+                "seed {seed}: {body}"
+            );
+            assert_eq!(
+                published.canonical(fingerprint, &fds, &schema),
+                read.canonical(fingerprint, &fds, &schema),
+                "seed {seed}: {body}"
+            );
+        }
+        // The entry a publish retires (the snapshot the mutate read) is
+        // a different key from the one it writes.
+        assert_ne!(
+            published.cache_key(7, &fds, &schema),
+            published.cache_key(8, &fds, &schema),
             "seed {seed}"
         );
-        // The key binds to the table state and to every step: a
-        // different starting fingerprint or one extra mutation must not
-        // collide.
-        let base = call.cache_key(7, &fds, &schema);
-        assert_ne!(base, call.cache_key(8, &fds, &schema), "seed {seed}");
-        let mut longer = call.clone();
-        longer.mutations.push(WireMutation::Delete { id: 0 });
-        assert_ne!(base, longer.cache_key(7, &fds, &schema), "seed {seed}");
+        // Another table id is another entry.
+        assert_ne!(
+            published.canonical(7, &fds, &schema),
+            call.published_ref("u").canonical(7, &fds, &schema),
+            "seed {seed}"
+        );
     }
 }
 
