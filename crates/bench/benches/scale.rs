@@ -48,10 +48,12 @@
 //! Then the incremental tier measures a primed
 //! [`fd_engine::IncrementalSession`] on the tractable workload:
 //!
-//! * `incremental/single_row_mutation/1000000` — one cell edit on a
-//!   live 1M-row session, repair kept current by delta maintenance.
-//!   The committed entry must stay ≥ 100× under
-//!   `subset/tractable/1000000` (asserted by a test in `bench_guard`);
+//! * `incremental/single_row_mutation/<n>` (100k and 1M rows) — one
+//!   cell edit on a live session, repair kept current by delta
+//!   maintenance. The committed 1M entry must stay ≥ 100× under
+//!   `subset/tractable/1000000`, and under 3× the 100k entry, so a step
+//!   costs O(change), not O(|T|) (both asserted by tests in
+//!   `bench_guard`);
 //! * `incremental/report_splice/1000000` — materializing the full
 //!   spliced report after a mutation (O(rows) answer assembly);
 //! * `incremental/trace_replay/100000` — a 1 000-step cell-edit trace
@@ -77,8 +79,8 @@
 //! test in `bench_guard`), so ingest stays linear.
 
 use criterion::{black_box, Criterion};
-use fd_core::{table_from_csv_reader, table_to_csv, CsvOptions, KeyExtractor};
-use fd_engine::{Json, Planner, RepairEngine, RepairRequest};
+use fd_core::{table_from_csv_reader, table_to_csv, AttrId, CsvOptions, KeyExtractor};
+use fd_engine::{IncrementalSession, Json, Planner, RepairEngine, RepairRequest};
 use fd_gen::scale::{hard_scale, marriage_scale, tractable_scale};
 use fd_repairs::instance::Instance;
 use std::time::Instant;
@@ -142,6 +144,27 @@ fn peak_rss_bytes() -> Option<f64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024.0)
+}
+
+/// The median cost of one cell edit on a primed `n`-row tractable
+/// session: batches of 200 edits, each moving a strided row to a fresh
+/// value of `attr`.
+fn single_row_mutation_us(session: &mut IncrementalSession, attr: AttrId, n: usize) -> f64 {
+    use fd_core::{Mutation, TupleId, Value};
+    let mut next = 0u32;
+    const BATCH: u32 = 200;
+    let per_batch = median_us(5, || {
+        for _ in 0..BATCH {
+            next = next.wrapping_add(7919) % n as u32;
+            let m = Mutation::SetCell {
+                id: TupleId(next),
+                attr,
+                value: Value::Int(i64::from(next) + 1_000_000),
+            };
+            session.apply(&m).unwrap();
+        }
+    });
+    per_batch / f64::from(BATCH)
 }
 
 fn write_summary() {
@@ -264,11 +287,11 @@ fn write_summary() {
     // mutations on the tractable workload — the "maintained service"
     // regime where every edit used to cost a full re-solve.
     //
-    // * `single_row_mutation/1000000` — one cell edit on a 1M-row
-    //   table, per-mutation cost with the repair kept current (dirty
-    //   component re-solved inside `apply`). The acceptance bar is
-    //   ≥ 100× under `subset/tractable/1000000`, asserted by the
-    //   committed-seed test in `bench_guard`.
+    // * `single_row_mutation/<n>` — one cell edit on a 100k- and a
+    //   1M-row table, per-mutation cost with the repair kept current
+    //   (dirty component re-solved inside `apply`). The acceptance bars
+    //   are ≥ 100× under `subset/tractable/1000000` and a 1M/100k ratio
+    //   under 3, asserted by the committed-seed tests in `bench_guard`.
     // * `report_splice/1000000` — materializing the full spliced
     //   report after a mutation (O(rows) answer assembly, the cost a
     //   caller pays only when serializing the whole table).
@@ -278,39 +301,28 @@ fn write_summary() {
     //   noise floor by design).
     {
         use fd_core::{Mutation, TupleId, Value};
-        use fd_engine::IncrementalSession;
-        let n = 1_000_000usize;
-        let (schema, fds, table) = tractable_scale(n, false, 42);
-        let attr = schema.attr("A").expect("tractable attr");
-        let mut session =
-            IncrementalSession::new(table, fds, RepairRequest::subset()).expect("valid request");
-        assert!(
-            session.is_incremental(),
-            "tractable Δ must be delta-eligible"
-        );
-        let mut next = 0u32;
-        const BATCH: u32 = 200;
-        let per_batch = median_us(5, || {
-            for _ in 0..BATCH {
-                next = next.wrapping_add(7919) % n as u32;
-                let m = Mutation::SetCell {
-                    id: TupleId(next),
-                    attr,
-                    value: Value::Int(i64::from(next) + 1_000_000),
-                };
-                session.apply(&m).unwrap();
+        for n in [100_000usize, 1_000_000] {
+            let (schema, fds, table) = tractable_scale(n, false, 42);
+            let attr = schema.attr("A").expect("tractable attr");
+            let mut session = IncrementalSession::new(table, fds, RepairRequest::subset())
+                .expect("valid request");
+            assert!(
+                session.is_incremental(),
+                "tractable Δ must be delta-eligible"
+            );
+            push(
+                format!("incremental/single_row_mutation/{n}"),
+                single_row_mutation_us(&mut session, attr, n),
+            );
+            if n == 1_000_000 {
+                push(
+                    format!("incremental/report_splice/{n}"),
+                    median_us(3, || {
+                        black_box(session.report().unwrap());
+                    }),
+                );
             }
-        });
-        push(
-            format!("incremental/single_row_mutation/{n}"),
-            per_batch / f64::from(BATCH),
-        );
-        push(
-            format!("incremental/report_splice/{n}"),
-            median_us(3, || {
-                black_box(session.report().unwrap());
-            }),
-        );
+        }
 
         let n = 100_000usize;
         let (schema, fds, table) = tractable_scale(n, false, 42);

@@ -230,6 +230,23 @@ mod tests {
         );
     }
 
+    /// A single-row mutation must cost O(change), not O(|T|): the
+    /// session keeps its conflict index current, so a step on a 1M-row
+    /// table touches the same few groups as one on 100k rows. A step
+    /// that rescans the table (a partner pass per FD, say) is ten times
+    /// slower at 1M and fails here.
+    #[test]
+    fn committed_seed_keeps_the_single_row_step_flat() {
+        let small = median("incremental/single_row_mutation/100000");
+        let large = median("incremental/single_row_mutation/1000000");
+        assert!(
+            small > 0.0 && large / small < 3.0,
+            "incremental/single_row_mutation/1000000 ({large} µs) must stay \
+             under 3× incremental/single_row_mutation/100000 ({small} µs); got {:.1}×",
+            large / small
+        );
+    }
+
     /// The marriage rung must scale linearly: Algorithm 1 solves its
     /// maximum-weight matching per component, so ten times the rows
     /// cost about ten times the time. A matching that goes global again

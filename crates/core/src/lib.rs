@@ -37,6 +37,7 @@ mod csv;
 mod error;
 mod fd;
 mod fdset;
+mod index;
 mod keys;
 mod mutation;
 mod normalize;
@@ -58,6 +59,7 @@ pub use csv::{
 pub use error::{Error, Result};
 pub use fd::Fd;
 pub use fdset::FdSet;
+pub use index::ConflictIndex;
 pub use keys::{
     bcnf_violation, bcnf_violation_in, candidate_keys, is_superkey, prime_attrs,
     third_nf_violation, NormalFormViolation,

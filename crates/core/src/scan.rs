@@ -1,48 +1,20 @@
-//! Streaming, allocation-light conflict detection over symbol columns.
+//! Conflict detection over symbol columns, without materializing pairs.
 //!
-//! [`Table::conflicting_pairs`] answers "which pairs violate Δ?" by
-//! materializing every pair — fine for hundreds of rows, fatal for a
-//! million (a dense instance has `Θ(n²)` conflicting pairs). This module
-//! is the scalable substrate underneath it:
-//!
-//! * [`KeyExtractor`] — a per-FD precomputed column-index list whose
-//!   key operations are **gathers over the table's `u32` symbol
-//!   columns**: hashing is one FNV fold per attribute over a fixed-width
-//!   word, equality is a word compare — no `Value` is touched;
-//! * [`Table::for_each_conflict_group`] — streams, per FD, each
-//!   lhs-group that contains at least two rhs-classes (exactly the
-//!   groups that induce conflicts), in first-row order;
-//! * [`Table::for_each_conflicting_pair`] — streams the individual
-//!   conflicting row-position pairs derived from those groups, via a
-//!   callback instead of a collected `Vec`.
-//!
-//! Grouping runs through an open-addressing probe table with intrusive
-//! member chains (`next[]` per row), so a full lhs partition of the
-//! table costs zero per-group allocations; rhs sub-grouping reuses an
-//! epoch-stamped scratch table across groups. Symbol equality is value
-//! equality within one dictionary, so grouping by symbols produces
-//! exactly the groups the old `Value`-level scan produced.
-//!
-//! Both scans run in `O(|T| · |Δ|)` time plus output size, use `O(|T|)`
-//! scratch memory, and are **deterministic**: FDs in `Δ` order, groups in
-//! first-occurrence (row) order, rhs classes in first-occurrence order.
-//! Hashes only choose probe slots; grouping always verifies true symbol
-//! equality, so hash collisions cost time, never correctness.
-//!
-//! Consumers: `fd-graph` builds conflict graphs edge-by-edge from the
-//! pair stream and connected components directly from the group stream
-//! (a group with ≥ 2 rhs classes induces a *connected* complete
-//! multipartite block, so union-find over groups finds the components
-//! without ever touching an edge).
+//! [`KeyExtractor`] hashes and compares a projection `t[X]` as a gather
+//! over the table's `u32` symbol columns (one FNV fold and one word
+//! compare per attribute; no `Value` is touched). The streams below are
+//! reads of a freshly built [`ConflictIndex`], in `O(|T| · |Δ|)` time
+//! plus output size, and deterministic: FDs in `Δ` order, groups and rhs
+//! classes in first-row order. [`Table::conflicting_pairs`] materializes
+//! on top of them for small tables; `fd-graph` builds conflict graphs
+//! from the pair stream and components from the index's groups.
 
 use crate::attrset::AttrSet;
 use crate::fd::Fd;
 use crate::fdset::FdSet;
+use crate::index::ConflictIndex;
 use crate::sym::Sym;
 use crate::table::Table;
-
-/// "Not a position" sentinel in the intrusive member chains.
-const NONE: u32 = u32::MAX;
 
 /// A precomputed projection key for one attribute set: hashes and
 /// compares `t[X]` as a gather over the table's symbol columns, with no
@@ -82,136 +54,24 @@ impl KeyExtractor {
             .iter()
             .all(|&c| cols[c][p as usize] == cols[c][q as usize])
     }
-
-    /// True iff `X = ∅` (every tuple projects to the same empty key).
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
 }
 
 impl Table {
-    /// Runs the grouped conflict scan: for each FD of `Δ` (in `Δ` order)
-    /// and each lhs-group splitting into ≥ 2 rhs classes, calls
-    /// `f(fd, classes)` where `classes` are the rhs-equality classes of
-    /// the group (first-occurrence order, members in row order). Rows in
-    /// *different* classes of one call jointly violate `fd`.
-    fn grouped_conflict_scan<F: FnMut(&Fd, &[Vec<u32>])>(&self, fds: &FdSet, mut f: F) {
-        let n = self.len();
-        let mut sp = fd_trace::span("core/conflict_scan");
-        sp.attr("rows", n);
-        sp.attr("fds", fds.len());
-        let cols = self.sym_cols();
-        // Scratch reused across every FD and group: rhs probe slots are
-        // "cleared" by bumping the epoch, class member vectors keep
-        // their capacity.
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        let mut rhs_slot: Vec<u32> = Vec::new();
-        let mut rhs_epoch: Vec<u64> = Vec::new();
-        let mut epoch: u64 = 0;
-        for fd in fds.iter() {
-            let lhs = KeyExtractor::new(fd.lhs());
-            let rhs = KeyExtractor::new(fd.rhs());
-            // Partition all rows by lhs: open addressing over group
-            // representatives, members threaded through `next` so the
-            // whole partition allocates a constant number of vectors.
-            let cap = (2 * n).next_power_of_two().max(8);
-            let mask = cap - 1;
-            let mut slots = vec![0u32; cap]; // group index + 1; 0 = empty
-            let mut g_hash: Vec<u64> = Vec::new();
-            let mut g_rep: Vec<u32> = Vec::new();
-            let mut g_tail: Vec<u32> = Vec::new();
-            let mut g_len: Vec<u32> = Vec::new();
-            let mut next = vec![NONE; n];
-            for pos in 0..n as u32 {
-                let h = lhs.hash(cols, pos);
-                let mut slot = h as usize & mask;
-                loop {
-                    let g = slots[slot];
-                    if g == 0 {
-                        slots[slot] = g_rep.len() as u32 + 1;
-                        g_hash.push(h);
-                        g_rep.push(pos);
-                        g_tail.push(pos);
-                        g_len.push(1);
-                        break;
-                    }
-                    let gi = (g - 1) as usize;
-                    if g_hash[gi] == h && lhs.eq(cols, g_rep[gi], pos) {
-                        next[g_tail[gi] as usize] = pos;
-                        g_tail[gi] = pos;
-                        g_len[gi] += 1;
-                        break;
-                    }
-                    slot = (slot + 1) & mask;
-                }
-            }
-            // Sub-partition each non-singleton group by rhs.
-            for gi in 0..g_rep.len() {
-                if g_len[gi] < 2 {
-                    continue;
-                }
-                let m = g_len[gi] as usize;
-                let rcap = (2 * m).next_power_of_two();
-                if rhs_slot.len() < rcap {
-                    rhs_slot.resize(rcap, 0);
-                    rhs_epoch.resize(rcap, 0);
-                }
-                let rmask = rcap - 1;
-                epoch += 1;
-                let mut nclasses = 0usize;
-                let mut pos = g_rep[gi];
-                loop {
-                    let h = rhs.hash(cols, pos);
-                    let mut slot = h as usize & rmask;
-                    loop {
-                        if rhs_epoch[slot] != epoch {
-                            rhs_epoch[slot] = epoch;
-                            rhs_slot[slot] = nclasses as u32;
-                            if classes.len() == nclasses {
-                                classes.push(Vec::new());
-                            }
-                            classes[nclasses].clear();
-                            classes[nclasses].push(pos);
-                            nclasses += 1;
-                            break;
-                        }
-                        let ci = rhs_slot[slot] as usize;
-                        if rhs.eq(cols, classes[ci][0], pos) {
-                            classes[ci].push(pos);
-                            break;
-                        }
-                        slot = (slot + 1) & rmask;
-                    }
-                    if pos == g_tail[gi] {
-                        break;
-                    }
-                    pos = next[pos as usize];
-                }
-                if nclasses >= 2 {
-                    f(fd, &classes[..nclasses]);
-                }
+    /// Streams every *conflict group*: for each FD and each lhs-group
+    /// with at least two rhs classes, calls `f(fd, positions)` with the
+    /// whole group's row positions, in row order. Each such group is a
+    /// connected block of the conflict graph; a row may appear in groups
+    /// of several FDs.
+    pub fn for_each_conflict_group<F: FnMut(&Fd, &[u32])>(&self, fds: &FdSet, mut f: F) {
+        let index = ConflictIndex::build(self, fds);
+        let mut members: Vec<u32> = Vec::new();
+        for (i, fd) in fds.iter().enumerate() {
+            for g in index.conflict_groups(i) {
+                members.clear();
+                members.extend(index.members(i, g));
+                f(fd, &members);
             }
         }
-    }
-
-    /// Streams every *conflict group*: for each FD and each lhs-group
-    /// whose rows split into at least two rhs classes, calls
-    /// `f(fd, positions)` with the row positions of the whole group, in
-    /// row order. Every such group induces a connected (complete
-    /// multipartite) block of the conflict graph, which is what makes
-    /// connected-component extraction possible in `O(|T| · |Δ|)` without
-    /// enumerating edges. The same row may appear in groups of several
-    /// FDs.
-    pub fn for_each_conflict_group<F: FnMut(&Fd, &[u32])>(&self, fds: &FdSet, mut f: F) {
-        let mut flat: Vec<u32> = Vec::new();
-        self.grouped_conflict_scan(fds, |fd, classes| {
-            flat.clear();
-            for class in classes {
-                flat.extend_from_slice(class);
-            }
-            flat.sort_unstable(); // classes interleave; restore row order
-            f(fd, &flat);
-        });
     }
 
     /// Streams every conflicting row-position pair `(p, q)` with
@@ -225,44 +85,57 @@ impl Table {
     /// [`Table::conflicting_pairs`]: `O(|T| · |Δ|)` time plus one
     /// callback per pair, `O(|T|)` memory.
     pub fn for_each_conflicting_pair<F: FnMut(u32, u32)>(&self, fds: &FdSet, mut f: F) {
-        self.grouped_conflict_scan(fds, |_, classes| {
-            for (ci, class_a) in classes.iter().enumerate() {
-                for class_b in &classes[ci + 1..] {
-                    for &p in class_a {
-                        for &q in class_b {
-                            f(p.min(q), p.max(q));
-                        }
-                    }
-                }
-            }
+        ConflictIndex::build(self, fds).for_each_split(self, |_, classes| {
+            for_each_cross_pair(classes, &mut f);
         });
     }
 
-    /// The number of distinct conflicting pairs.
+    /// The number of distinct conflicting pairs, storing none.
     ///
-    /// With at most one FD every pair is witnessed by exactly one
-    /// lhs-group, so the count is computed combinatorially from the
-    /// rhs-class sizes — `O(|T|)` time, **no** pair is ever stored.
-    /// With several FDs the same pair may violate more than one of
-    /// them, and exact deduplication needs a pair set: `Θ(#pairs)`
-    /// memory, like the materializing [`Table::conflicting_pairs`]
-    /// (dense multi-FD instances should prefer the streaming scans or
-    /// [`Table::violating_pair`]).
+    /// FDs sharing an lhs are merged first (a pair violates `X → Y` or
+    /// `X → Z` iff it violates `X → Y Z`). The first FD's pairs are
+    /// counted from its rhs-class sizes in `O(|T|)`; a later FD's pair
+    /// counts only if it violates no earlier FD, which a group-of compare
+    /// and an rhs word compare per earlier FD decide.
     pub fn conflicting_pair_count(&self, fds: &FdSet) -> usize {
-        if fds.len() <= 1 {
-            let mut count = 0usize;
-            self.grouped_conflict_scan(fds, |_, classes| {
+        let mut merged: Vec<Fd> = Vec::new();
+        for fd in fds.iter() {
+            match merged.iter_mut().find(|m| m.lhs() == fd.lhs()) {
+                Some(m) => *m = Fd::new(m.lhs(), m.rhs().union(fd.rhs())),
+                None => merged.push(*fd),
+            }
+        }
+        let merged = FdSet::new(merged);
+        let index = ConflictIndex::build(self, &merged);
+        let mut count = 0usize;
+        index.for_each_split(self, |i, classes| {
+            if i == 0 {
                 let total: usize = classes.iter().map(Vec::len).sum();
                 let same: usize = classes.iter().map(|c| c.len() * c.len()).sum();
                 count += (total * total - same) / 2;
-            });
-            return count;
-        }
-        let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-        self.for_each_conflicting_pair(fds, |p, q| {
-            seen.insert((p, q));
+            } else {
+                for_each_cross_pair(classes, |p, q| {
+                    if !(0..i).any(|j| index.violates(self, j, p, q)) {
+                        count += 1;
+                    }
+                });
+            }
         });
-        seen.len()
+        count
+    }
+}
+
+/// Calls `f(p, q)` with `p < q` for every pair of rows in different
+/// classes, classes in order and members in order.
+fn for_each_cross_pair<F: FnMut(u32, u32)>(classes: &[Vec<u32>], mut f: F) {
+    for (ci, class_a) in classes.iter().enumerate() {
+        for class_b in &classes[ci + 1..] {
+            for &p in class_a {
+                for &q in class_b {
+                    f(p.min(q), p.max(q));
+                }
+            }
+        }
     }
 }
 
@@ -272,6 +145,7 @@ mod tests {
     use crate::schema::schema_rabc;
     use crate::table::TupleId;
     use crate::tup;
+    use rand::prelude::*;
 
     fn positions_to_ids(t: &Table, pairs: &[(u32, u32)]) -> Vec<(TupleId, TupleId)> {
         let ids: Vec<TupleId> = t.ids().collect();
@@ -284,7 +158,6 @@ mod tests {
     #[test]
     fn streamed_pairs_agree_with_materialized_pairs() {
         let s = schema_rabc();
-        use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(0x5CA7);
         for spec in ["A -> B", "A -> B; B -> C", "-> C", "A B -> C; C -> B", ""] {
             let fds = FdSet::parse(&s, spec).unwrap();
@@ -308,6 +181,48 @@ mod tests {
                 assert_eq!(ids, t.conflicting_pairs(&fds), "{spec}\n{t}");
                 assert_eq!(t.conflicting_pair_count(&fds), ids.len(), "{spec}");
             }
+        }
+    }
+
+    #[test]
+    fn multi_fd_counts_match_the_materialized_pair_set() {
+        let s = schema_rabc();
+        let mut rng = StdRng::seed_from_u64(0xC0A7);
+        for spec in [
+            "A -> B; A -> C",
+            "A -> B; A -> C; B -> C",
+            "-> C; A -> B; B -> A",
+            "A -> C; B -> C; A B -> C",
+        ] {
+            let fds = FdSet::parse(&s, spec).unwrap();
+            for _ in 0..20 {
+                let rows = (0..rng.gen_range(0..30)).map(|_| {
+                    tup![
+                        rng.gen_range(0..3i64),
+                        rng.gen_range(0..3i64),
+                        rng.gen_range(0..3i64)
+                    ]
+                });
+                let t = Table::build_unweighted(s.clone(), rows).unwrap();
+                assert_eq!(
+                    t.conflicting_pair_count(&fds),
+                    t.conflicting_pairs(&fds).len(),
+                    "{spec}\n{t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shared_lhs_fds_count_like_their_merged_fd() {
+        // One lhs group of 8,000 rows with B cycling mod 3 and C mod 2:
+        // only rows agreeing on (i mod 6) fail to conflict.
+        let s = schema_rabc();
+        let rows = (0..8_000i64).map(|i| tup![0, i % 3, i % 2]);
+        let t = Table::build_unweighted(s.clone(), rows).unwrap();
+        for spec in ["A -> B; A -> C", "A -> B C"] {
+            let fds = FdSet::parse(&s, spec).unwrap();
+            assert_eq!(t.conflicting_pair_count(&fds), 26_666_666, "{spec}");
         }
     }
 
@@ -386,8 +301,6 @@ mod tests {
         assert!(x.eq(cols, 0, 1));
         assert!(!x.eq(cols, 0, 2));
         assert_eq!(x.hash(cols, 0), x.hash(cols, 1));
-        assert!(!x.is_empty());
-        assert!(KeyExtractor::new(AttrSet::EMPTY).is_empty());
         // Empty keys: everything hashes and compares equal.
         let e = KeyExtractor::new(AttrSet::EMPTY);
         assert_eq!(e.hash(cols, 0), e.hash(cols, 2));

@@ -21,6 +21,7 @@ use crate::attrset::AttrSet;
 use crate::error::{Error, Result};
 use crate::fd::Fd;
 use crate::fdset::FdSet;
+use crate::index::ConflictIndex;
 use crate::schema::{AttrId, Schema};
 use crate::sym::{value_contains_fresh, Dictionary, FnvBuild, Sym};
 use crate::tuple::Tuple;
@@ -408,50 +409,35 @@ impl Table {
 
     /// True iff the table satisfies the FD `X → Y` (§2.2).
     pub fn satisfies_fd(&self, fd: &Fd) -> bool {
-        self.violation_positions(fd).is_none()
+        self.satisfies(&FdSet::new([*fd]))
     }
 
-    /// First violating position pair of one FD, in the deterministic
-    /// "first row of the lhs group vs. current row" order.
-    fn violation_positions(&self, fd: &Fd) -> Option<(u32, u32)> {
-        let lhs: Vec<usize> = fd.lhs().iter().map(|a| a.usize()).collect();
-        let rhs: Vec<usize> = fd.rhs().iter().map(|a| a.usize()).collect();
-        let mut seen: HashMap<Box<[Sym]>, u32, FnvBuild> =
-            HashMap::with_capacity_and_hasher(self.len(), FnvBuild::default());
-        for pos in 0..self.len() as u32 {
-            let key: Box<[Sym]> = lhs.iter().map(|&c| self.cols[c][pos as usize]).collect();
-            match seen.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let rep = *e.get() as usize;
-                    if rhs
-                        .iter()
-                        .any(|&c| self.cols[c][rep] != self.cols[c][pos as usize])
-                    {
-                        return Some((rep as u32, pos));
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(pos);
-                }
-            }
-        }
-        None
-    }
-
-    /// True iff the table satisfies every FD of `Δ`.
+    /// True iff the table satisfies every FD of `Δ`: no lhs group of its
+    /// [`ConflictIndex`] holds two rhs classes.
     pub fn satisfies(&self, fds: &FdSet) -> bool {
-        fds.iter().all(|fd| self.satisfies_fd(fd))
+        let index = ConflictIndex::build(self, fds);
+        (0..fds.len()).all(|fd| index.conflict_groups(fd).next().is_none())
     }
 
     /// Some violating pair `(i, j, fd)` with `i` before `j` in row order,
-    /// or `None` if consistent.
+    /// or `None` if consistent: under the first violated FD of `Δ`, the
+    /// earliest row whose rhs differs from the first row of its lhs
+    /// group, and that first row.
     pub fn violating_pair(&self, fds: &FdSet) -> Option<(TupleId, TupleId, Fd)> {
-        for fd in fds.iter() {
-            if let Some((p, q)) = self.violation_positions(fd) {
-                return Some((self.ids[p as usize], self.ids[q as usize], *fd));
+        let mut first: Option<(usize, u32, u32)> = None;
+        ConflictIndex::build(self, fds).for_each_split(self, |fd, classes| {
+            let (p, q) = (classes[0][0], classes[1][0]);
+            if first.is_none_or(|(f, _, best)| (fd, q) < (f, best)) {
+                first = Some((fd, p, q));
             }
-        }
-        None
+        });
+        first.map(|(fd, p, q)| {
+            (
+                self.ids[p as usize],
+                self.ids[q as usize],
+                fds.as_slice()[fd],
+            )
+        })
     }
 
     /// All conflicting pairs of identifiers: pairs `(i, j)`, `i < j` in row
@@ -462,13 +448,12 @@ impl Table {
     /// consumers should stream via
     /// [`Table::for_each_conflicting_pair`] instead.
     pub fn conflicting_pairs(&self, fds: &FdSet) -> Vec<(TupleId, TupleId)> {
-        let mut pairs: HashSet<(u32, u32)> = HashSet::new();
-        self.for_each_conflicting_pair(fds, |p, q| {
-            pairs.insert((p, q));
-        });
-        let mut out: Vec<(u32, u32)> = pairs.into_iter().collect();
-        out.sort_unstable();
-        out.into_iter()
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        self.for_each_conflicting_pair(fds, |p, q| pairs.push((p, q)));
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+            .into_iter()
             .map(|(p, q)| (self.ids[p as usize], self.ids[q as usize]))
             .collect()
     }

@@ -6,9 +6,8 @@
 //! complement of a minimum-weight vertex cover.
 
 use crate::csr::{Components, UnionFind};
-use crate::epoch::EpochUnionFind;
 use crate::graph::Graph;
-use fd_core::{FdSet, Table, TupleId};
+use fd_core::{ConflictIndex, FdSet, Table, TupleId};
 
 /// A conflict graph together with the node-to-tuple-id mapping.
 #[derive(Clone, Debug)]
@@ -20,14 +19,11 @@ pub struct ConflictGraph {
 }
 
 impl ConflictGraph {
-    /// Builds the conflict graph of `table` under `fds` by **streaming**
-    /// the grouped conflict scan straight into the graph: edges are
-    /// inserted (and deduplicated) as the scan yields them, so no pair
-    /// list is ever materialized. Node `i` is the `i`-th row; edge
-    /// insertion order is the scan's deterministic order (FDs in `Δ`
-    /// order, lhs-groups and rhs-classes in first-row order) — and,
-    /// crucially for sharded/whole-table parity, the edge order of a
-    /// single component equals the global order restricted to it.
+    /// Builds the conflict graph of `table` under `fds` by streaming
+    /// [`Table::for_each_conflicting_pair`] into it (edges deduplicated
+    /// on insertion). Node `i` is the `i`-th row. The stream's order
+    /// restricted to one component is the component's own stream order,
+    /// which sharded/whole-table parity relies on.
     pub fn build(table: &Table, fds: &FdSet) -> ConflictGraph {
         let mut sp = fd_trace::span("graph/conflict_build");
         sp.attr("rows", table.len());
@@ -47,55 +43,37 @@ impl ConflictGraph {
 }
 
 /// The connected components of the conflict graph of `table` under
-/// `fds`, computed **without enumerating a single edge**: each
-/// conflicting lhs-group (≥ 2 rhs classes) induces a connected complete
-/// multipartite block, so unioning the group's rows in one linear pass
-/// connects exactly what its `Θ(group²)` edges would. Runs in
-/// `O(|T| · |Δ| · α)` time and `O(|T|)` memory — the step that makes
-/// million-row component-sharded solving possible on dense instances
-/// where the edge set alone would exhaust memory.
-///
-/// Nodes are row positions (not tuple ids); components come back as a
-/// CSR partition ordered by smallest row, matching
-/// [`Graph::connected_components`] on the materialized graph exactly.
+/// `fds`, read off a fresh [`ConflictIndex`] (dropped on return) by
+/// [`index_components`]: `O(|T| · |Δ| · α)` time, no edge enumerated.
+/// Nodes are row positions; the CSR partition is ordered by smallest
+/// row, exactly as [`Graph::connected_components`] orders the
+/// materialized graph's.
 pub fn conflict_components(table: &Table, fds: &FdSet) -> Components {
     let mut sp = fd_trace::span("graph/components");
     sp.attr("rows", table.len());
-    let mut uf = UnionFind::new(table.len());
-    table.for_each_conflict_group(fds, |_, group| {
-        uf.union_all(group);
-    });
-    let components = Components::from_labels(&uf.labels());
+    let components = index_components(&ConflictIndex::build(table, fds));
     sp.attr("components", components.len());
     sp.attr("largest", components.largest());
     components
 }
 
-/// [`conflict_components`] over a reusable [`EpochUnionFind`] arena —
-/// the incremental repair layer's entry point. The table's rows are
-/// added as a node suffix, its conflict groups unioned, the labels read
-/// off, and the arena rolled back to where it was: repeated calls (one
-/// per mutation step, each over a small rebuilt region) never clear or
-/// reallocate the arena. The result is identical to
-/// [`conflict_components`] on the same table.
-pub fn conflict_components_scratch(
-    table: &Table,
-    fds: &FdSet,
-    scratch: &mut EpochUnionFind,
-) -> Components {
-    let mark = scratch.epoch();
-    let base = scratch.len() as u32;
-    for _ in 0..table.len() {
-        scratch.add_node();
-    }
-    table.for_each_conflict_group(fds, |_, group| {
-        for window in group.windows(2) {
-            scratch.union(base + window[0], base + window[1]);
+/// The connected components of a [`ConflictIndex`]'s conflict graph
+/// over its row keys `0..key_space()`, ordered by smallest key (unused
+/// keys are singletons). Each conflicting group induces a connected
+/// complete multipartite block, so unioning its rows connects exactly
+/// what its `Θ(group²)` edges would.
+pub fn index_components(index: &ConflictIndex) -> Components {
+    let mut uf = UnionFind::new(index.key_space());
+    for fd in 0..index.fd_count() {
+        for g in index.conflict_groups(fd) {
+            let mut members = index.members(fd, g);
+            let first = members.next().expect("a conflicting group has members");
+            for key in members {
+                uf.union(first, key);
+            }
         }
-    });
-    let components = Components::from_labels(&scratch.labels_from(base));
-    scratch.rollback(&mark);
-    components
+    }
+    Components::from_labels(&uf.labels())
 }
 
 #[cfg(test)]
@@ -156,31 +134,6 @@ mod tests {
     }
 }
 
-impl ConflictGraph {
-    /// Ablation: builds the conflict graph by the naive all-pairs scan
-    /// (O(n²·|Δ|) tuple comparisons) instead of hash grouping. Used by the
-    /// benchmark suite to quantify the grouping optimization; must agree
-    /// with [`ConflictGraph::build`] exactly.
-    pub fn build_naive(table: &Table, fds: &FdSet) -> ConflictGraph {
-        let ids: Vec<TupleId> = table.ids().collect();
-        let mut graph = Graph::new(table.weights().to_vec());
-        let agree = |i: usize, j: usize, attrs: fd_core::AttrSet| {
-            attrs.iter().all(|a| table.col(a)[i] == table.col(a)[j])
-        };
-        for i in 0..ids.len() {
-            for j in i + 1..ids.len() {
-                let conflicting = fds
-                    .iter()
-                    .any(|fd| agree(i, j, fd.lhs()) && !agree(i, j, fd.rhs()));
-                if conflicting {
-                    graph.add_edge(i as u32, j as u32);
-                }
-            }
-        }
-        ConflictGraph { graph, ids }
-    }
-}
-
 #[cfg(test)]
 mod component_tests {
     use super::*;
@@ -209,16 +162,6 @@ mod component_tests {
                 let via_graph = ConflictGraph::build(&t, &fds).graph.connected_components();
                 let got: Vec<Vec<u32>> = fast.iter().map(<[u32]>::to_vec).collect();
                 assert_eq!(got, via_graph, "{spec}\n{t}");
-                // The scratch-arena variant agrees even over a dirty,
-                // repeatedly reused arena.
-                let mut scratch = crate::EpochUnionFind::with_nodes(3);
-                scratch.union(0, 2);
-                let before = scratch.epoch();
-                for _ in 0..2 {
-                    let via_scratch = conflict_components_scratch(&t, &fds, &mut scratch);
-                    assert_eq!(via_scratch, fast, "{spec}\n{t}");
-                    assert_eq!(scratch.epoch(), before, "rollback left residue");
-                }
             }
         }
     }
@@ -241,6 +184,28 @@ mod naive_tests {
     use fd_core::{schema_rabc, tup, Table};
     use rand::prelude::*;
 
+    /// The conflict graph by the naive all-pairs scan (O(n²·|Δ|) tuple
+    /// comparisons): the reference [`ConflictGraph::build`] is checked
+    /// against.
+    fn build_naive(table: &Table, fds: &FdSet) -> ConflictGraph {
+        let ids: Vec<TupleId> = table.ids().collect();
+        let mut graph = Graph::new(table.weights().to_vec());
+        let agree = |i: usize, j: usize, attrs: fd_core::AttrSet| {
+            attrs.iter().all(|a| table.col(a)[i] == table.col(a)[j])
+        };
+        for i in 0..ids.len() {
+            for j in i + 1..ids.len() {
+                let conflicting = fds
+                    .iter()
+                    .any(|fd| agree(i, j, fd.lhs()) && !agree(i, j, fd.rhs()));
+                if conflicting {
+                    graph.add_edge(i as u32, j as u32);
+                }
+            }
+        }
+        ConflictGraph { graph, ids }
+    }
+
     #[test]
     fn naive_agrees_with_grouped() {
         let s = schema_rabc();
@@ -260,7 +225,7 @@ mod naive_tests {
                 });
                 let t = Table::build(s.clone(), rows).unwrap();
                 let fast = ConflictGraph::build(&t, &fds);
-                let naive = ConflictGraph::build_naive(&t, &fds);
+                let naive = build_naive(&t, &fds);
                 let mut fe: Vec<_> = fast.graph.edges().to_vec();
                 let mut ne: Vec<_> = naive.graph.edges().to_vec();
                 fe.sort_unstable();

@@ -70,16 +70,6 @@ impl UnionFind {
         true
     }
 
-    /// Chains a whole slice into one set (the group-level union used by
-    /// conflict-component extraction: a conflicting lhs-group induces a
-    /// connected block of the conflict graph, so one linear pass
-    /// suffices — no edges needed).
-    pub fn union_all(&mut self, nodes: &[u32]) {
-        for window in nodes.windows(2) {
-            self.union(window[0], window[1]);
-        }
-    }
-
     /// Canonical component labels: every node's label is the smallest
     /// node id in its component.
     pub fn labels(&mut self) -> Vec<u32> {
@@ -331,7 +321,8 @@ mod tests {
         let mut uf = UnionFind::new(5);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
-        uf.union_all(&[2, 3, 4]);
+        uf.union(2, 3);
+        uf.union(3, 4);
         assert_eq!(uf.find(3), uf.find(4));
         assert_ne!(uf.find(0), uf.find(2));
         assert_eq!(uf.labels(), vec![0, 0, 2, 2, 2]);

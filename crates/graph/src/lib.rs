@@ -6,8 +6,9 @@
 //!   induced subgraphs;
 //! * [`ConflictGraph`] — the conflict graph of a table under an FD set
 //!   (Proposition 3.3), built by streaming the grouped conflict scan;
-//! * [`conflict_components`] — the graph's connected components computed
-//!   in `O(|T| · |Δ|)` **without enumerating edges** (the optimal-repair
+//! * [`conflict_components`] / [`index_components`] — the graph's
+//!   connected components, read off a `fd_core::ConflictIndex` in
+//!   `O(|T| · |Δ|)` **without enumerating edges** (the optimal-repair
 //!   problems decompose over them), as a compact CSR partition
 //!   ([`Components`]);
 //! * [`UnionFind`] / [`Components`] — the flat-array substrate behind
@@ -31,16 +32,14 @@
 
 mod conflict;
 mod csr;
-mod epoch;
 mod graph;
 mod matching;
 mod mis;
 mod triangle;
 mod vertex_cover;
 
-pub use conflict::{conflict_components, conflict_components_scratch, ConflictGraph};
+pub use conflict::{conflict_components, index_components, ConflictGraph};
 pub use csr::{Components, CsrGraph, UnionFind};
-pub use epoch::{Epoch, EpochUnionFind};
 pub use graph::Graph;
 pub use matching::{
     brute_force_matching, greedy_matching, max_weight_bipartite_matching, Matching,

@@ -105,7 +105,7 @@ pub fn handle(shared: &Shared, request: &Request) -> (Response, RequestInfo) {
         }
         (_, p) if p == "/tables" || p.starts_with("/tables/") => {
             info.endpoint = "tables";
-            tables(shared, request, p, &mut info)
+            tables(shared, request, p, trace, &mut info)
         }
         ("GET" | "HEAD", "/repair" | "/explain") | ("POST", "/healthz" | "/metrics") => {
             Response::error(405, "wrong method for this path")
@@ -681,6 +681,19 @@ fn ok_response(
     Response::json_segments(200, segments).with_header("X-Fd-Cache", cache_state)
 }
 
+/// `,"trace":{…}` with the collector's spans as Chrome trace JSON, or
+/// nothing without a collector: the member PUT and mutate add to their
+/// response objects under `?trace=1`.
+fn trace_member(shared: &Shared, collector: Option<fd_trace::Collector>) -> String {
+    match collector {
+        None => String::new(),
+        Some(collector) => {
+            shared.metrics.observe_trace_dropped(collector.dropped());
+            format!(",\"trace\":{}", collector.to_chrome_json())
+        }
+    }
+}
+
 /// `prefix`, then the shared report, then the brace that closes the
 /// object `prefix` opened: an envelope around a report that neither
 /// re-serializes nor copies it.
@@ -737,8 +750,16 @@ fn tenant_of(request: &Request) -> Result<String, Response> {
 }
 
 /// `PUT`/`GET`/`DELETE /tables/{id}` (tables at rest) and the one
-/// sub-resource, `POST /tables/{id}/mutate` (tables in motion).
-fn tables(shared: &Shared, request: &Request, path: &str, info: &mut RequestInfo) -> Response {
+/// sub-resource, `POST /tables/{id}/mutate` (tables in motion). With
+/// `trace` set, PUT and mutate install a per-request collector and add
+/// a `"trace"` member to their response objects.
+fn tables(
+    shared: &Shared,
+    request: &Request,
+    path: &str,
+    trace: bool,
+    info: &mut RequestInfo,
+) -> Response {
     let rest = match path.strip_prefix("/tables/") {
         Some(rest) => rest,
         None => return Response::error(404, "tables live under /tables/{id}"),
@@ -756,12 +777,12 @@ fn tables(shared: &Shared, request: &Request, path: &str, info: &mut RequestInfo
     };
     if mutate {
         return match request.method.as_str() {
-            "POST" => mutate_table(shared, request, &tenant, id, info, || {}),
+            "POST" => mutate_table(shared, request, &tenant, id, trace, info, || {}),
             _ => Response::error(405, "wrong method for this path"),
         };
     }
     match request.method.as_str() {
-        "PUT" => put_table(shared, request, &tenant, id, info),
+        "PUT" => put_table(shared, request, &tenant, id, trace, info),
         "GET" => get_table(shared, &tenant, id, info),
         "DELETE" => delete_table(shared, &tenant, id),
         _ => Response::error(405, "wrong method for this path"),
@@ -773,9 +794,12 @@ fn put_table(
     request: &Request,
     tenant: &str,
     id: &str,
+    trace: bool,
     info: &mut RequestInfo,
 ) -> Response {
     use fd_engine::Json;
+    let collector = trace.then(fd_trace::Collector::default);
+    let _trace_guard = collector.as_ref().map(fd_trace::Collector::install);
     let limits = JsonLimits {
         max_bytes: shared.config.max_body_bytes,
         max_depth: JsonLimits::DEFAULT_MAX_DEPTH,
@@ -803,8 +827,11 @@ fn put_table(
                     "fingerprint",
                     Json::str(format!("{:016x}", stored.fingerprint)),
                 ),
-            ]);
-            Response::json(201, doc.to_string())
+            ])
+            .to_string();
+            // Close the object after the trace member, if any.
+            let open = &doc[..doc.len() - 1];
+            Response::json(201, format!("{open}{}}}", trace_member(shared, collector)))
         }
         Err(e) => store_error_response(&e),
     }
@@ -872,10 +899,13 @@ fn mutate_table(
     request: &Request,
     tenant: &str,
     id: &str,
+    trace: bool,
     info: &mut RequestInfo,
     before_replace: impl FnOnce(),
 ) -> Response {
     use fd_engine::Json;
+    let collector = trace.then(fd_trace::Collector::default);
+    let _trace_guard = collector.as_ref().map(fd_trace::Collector::install);
     let limits = JsonLimits {
         max_bytes: shared.config.max_body_bytes,
         max_depth: JsonLimits::DEFAULT_MAX_DEPTH,
@@ -986,15 +1016,17 @@ fn mutate_table(
         ("changed", ids(&changed)),
     ]);
     // The envelope wraps the report's one allocation, the bytes the
-    // cache now holds, as the trace envelope does. Id and tenant are
-    // charset-sanitized on ingress, so quoting them directly is safe.
-    // `steps` counts this call's mutations, not the session's lifetime.
+    // cache now holds, as the trace envelope does; a trace member goes
+    // before it, never into it. Id and tenant are charset-sanitized on
+    // ingress, so quoting them directly is safe. `steps` counts this
+    // call's mutations, not the session's lifetime.
     let prefix = format!(
         "{{\"mutated\":\"{id}\",\"tenant\":\"{tenant}\",\"rows\":{},\"steps\":{},\
-         \"fingerprint\":\"{:016x}\",\"delta\":{delta},\"report\":",
+         \"fingerprint\":\"{:016x}\",\"delta\":{delta}{},\"report\":",
         stored.rows,
         call.mutations.len(),
         stored.fingerprint,
+        trace_member(shared, collector),
     );
     Response::json_segments(200, enveloped(prefix, report))
 }
@@ -1674,6 +1706,69 @@ mod tests {
         assert_ne!(fp_of(&shared), fp);
     }
 
+    #[test]
+    fn traced_put_and_warm_mutate_carry_spans_and_keep_the_report_bytes() {
+        let fds = "facility -> city; facility room -> floor";
+        let prime = format!(r#"{{"fds": "{fds}", "mutations": [{{"op": "delete", "id": 1}}]}}"#);
+        let step = format!(
+            r#"{{"fds": "{fds}", "mutations":
+                [{{"op": "set", "id": 2, "attr": "city", "value": "Paris"}}]}}"#
+        );
+        let mut reports = Vec::new();
+        for trace in [false, true] {
+            let shared = shared();
+            let query = if trace { "?trace=1" } else { "" };
+            let put = send(
+                &shared,
+                "PUT",
+                &format!("/tables/office{query}"),
+                OFFICE_TABLE,
+                &[],
+            )
+            .0;
+            assert_eq!(put.status, 201);
+            let put_doc = Json::parse(&text_of(&put)).unwrap();
+            assert_eq!(put_doc.get("stored").unwrap().as_str(), Some("office"));
+            assert_eq!(put_doc.get("trace").is_some(), trace);
+            // The first mutate primes the session; the second runs warm.
+            let primed = send(&shared, "POST", "/tables/office/mutate", &prime, &[]).0;
+            assert_eq!(primed.status, 200);
+            let path = format!("/tables/office/mutate{query}");
+            let resp = send(&shared, "POST", &path, &step, &[]).0;
+            assert_eq!(resp.status, 200, "{}", text_of(&resp));
+            let metrics = text_of(&get(&shared, "/metrics"));
+            assert!(
+                metrics.contains("fd_serve_mutate_sessions_total{path=\"warm\"} 1"),
+                "{metrics}"
+            );
+            let text = text_of(&resp);
+            let doc = Json::parse(&text).unwrap();
+            match doc.get("trace") {
+                None => assert!(!trace, "a traced mutate must carry a trace member"),
+                Some(spans) => {
+                    assert!(trace, "an untraced mutate must not carry a trace member");
+                    let events = spans.get("traceEvents").unwrap().as_arr().unwrap();
+                    let step_span = events
+                        .iter()
+                        .find(|e| {
+                            e.get("name").and_then(Json::as_str) == Some("srepair/incremental_step")
+                        })
+                        .expect("the warm step is traced");
+                    let args = step_span.get("args").unwrap();
+                    assert!(args.get("dirty_components").is_some(), "{text}");
+                    assert!(args.get("region_rows").is_some(), "{text}");
+                }
+            }
+            let marker = "\"report\":";
+            let at = text.find(marker).unwrap() + marker.len();
+            reports.push(text[at..text.len() - 1].to_string());
+        }
+        assert_eq!(
+            reports[0], reports[1],
+            "tracing must not perturb the report bytes"
+        );
+    }
+
     fn fingerprint_of(shared: &Shared, id: &str) -> String {
         let meta = send(shared, "GET", &format!("/tables/{id}"), "", &[]).0;
         let doc = Json::parse(&text_of(&meta)).unwrap();
@@ -1710,6 +1805,7 @@ mod tests {
             &mutate(r#"{"op": "delete", "id": 0}"#),
             "public",
             "office",
+            false,
             &mut info,
             || {
                 let set = one(r#"{"op": "set", "id": 1, "attr": "city", "value": "Paris"}"#);
@@ -1735,6 +1831,7 @@ mod tests {
             &mutate(r#"{"op": "insert", "values": ["X", 1, 1, "Y"]}"#),
             "public",
             "office",
+            false,
             &mut info,
             || {
                 assert_eq!(
@@ -2040,7 +2137,7 @@ mod tests {
         };
         let mut won = String::new();
         let mut info = RequestInfo::new("req-test".into());
-        let lost = mutate_table(&shared, &loser, "public", "t", &mut info, || {
+        let lost = mutate_table(&shared, &loser, "public", "t", false, &mut info, || {
             let set = t_mutate(r#"{"op": "set", "id": 1, "attr": "A", "value": 2}"#);
             let resp = send(&shared, "POST", "/tables/t/mutate", &set, &[]).0;
             assert_eq!(resp.status, 200);

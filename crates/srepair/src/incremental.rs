@@ -1,80 +1,40 @@
 //! Incremental subset repairing: the delta engine behind live mutations.
 //!
-//! A cold solve of a million-row table costs a full conflict scan plus a
-//! solver call per conflicting component. A *mutation* — one inserted,
-//! deleted, or edited row — cannot justify paying that again, and the
-//! component structure of the LKR dichotomy says it never has to:
-//! conflict-graph edges join rows that *jointly* violate an FD, so a
-//! mutation of row `r` only adds or removes edges **incident to `r`**.
-//! Components away from `r` are untouched, and their cached optimal
-//! repairs remain optimal verbatim (an optimal S-repair restricts to an
-//! optimal repair per component, and unions back to a global optimum).
-//!
-//! [`IncrementalSubset`] maintains exactly that decomposition:
-//!
-//! * every conflicting component is cached with its solved kept-list and
-//!   the method that produced it;
-//! * a mutation dirties the mutated row's own component plus the
-//!   components of its **new conflict partners** (rows agreeing with the
-//!   new values on some lhs and disagreeing on the rhs — the endpoints
-//!   of every added edge, found by one word-compare scan per FD);
-//! * the dirtied rows are re-gathered, their components re-extracted
-//!   over a persistent [`EpochUnionFind`] scratch arena
-//!   ([`conflict_components_scratch`]), and only those components are
-//!   re-solved — with the same per-component method selection as the
-//!   cold sharded path;
-//! * untouched components splice their cached kept-lists into the next
-//!   [`IncrementalSubset::solution`] unchanged.
-//!
-//! The closure argument for the dirty region: an old edge with one
-//! endpoint in a dirtied component has its other endpoint in the *same*
-//! component (that is what a component is), and a new edge is incident
-//! to `r` with its other endpoint a probed partner — so no conflict ever
-//! crosses the region boundary, the local re-extraction is exact, and
-//! the spliced result is **bit-identical** to a cold
+//! An optimal S-repair restricts to an optimal repair per conflict
+//! component and unions back to a global optimum, and a mutation of row
+//! `r` only adds or removes edges incident to `r`. So components away
+//! from `r` keep their cached repairs verbatim. [`IncrementalSubset`]
+//! caches every conflicting component's kept-list and method, and owns
+//! a [`ConflictIndex`] keyed by tuple id that each mutation moves `r`
+//! through in `O(|Δ| · group)`. The dirty region is `r`'s old component
+//! plus the components of every member of `r`'s new conflicting groups
+//! (its new partners, and rows already sharing a component with them).
+//! Every conflicting group that touches the region lies inside it: an
+//! old edge leaving a dirty component would join it to its other end,
+//! and a new edge ends in one of `r`'s new groups. So a region-local
+//! union-find over those groups re-derives exactly the region's
+//! components, each is re-solved with the cold path's method choice,
+//! and [`IncrementalSubset::solution`] is **bit-identical** to a cold
 //! [`crate::sharded_s_repair`] of the mutated table (pinned by the
-//! parity tests below and fuzzed end-to-end by `fd-oracle`'s
-//! mutation-trace differential campaign).
+//! parity tests below and fuzzed by `fd-oracle`'s mutation traces).
 
 use crate::repair::SRepair;
 use crate::sharded::{solve_component, SMethod, ShardConfig, ShardPlan, ShardedSolution};
 use crate::succeeds::{osr_succeeds, recursion_trace, Trace};
-use fd_core::{FdSet, KeyExtractor, Mutation, MutationEffect, Result, Table, TupleId};
-use fd_graph::{conflict_components, conflict_components_scratch, EpochUnionFind};
+use fd_core::{ConflictIndex, FdSet, Mutation, MutationEffect, Result, Table, TupleId};
+use fd_graph::{index_components, Components, UnionFind};
 
 /// "Row is in no conflicting component" sentinel of the id → slot map.
 const CLEAN: u32 = u32::MAX;
 
-/// One cached conflicting component: its member ids, its solved
-/// kept-list (spliced into reports verbatim while the component stays
-/// clean), and the method that produced it.
+/// One cached conflicting component: its member ids (ascending, so
+/// they gather back in row order), the solver's kept ids (spliced into
+/// reports while the component stays clean), and the method used.
 #[derive(Clone, Debug)]
 struct Comp {
-    /// Member tuple ids, ascending (so they gather back in row order).
     ids: Vec<TupleId>,
-    /// The solver's kept ids for this component.
     kept: Vec<TupleId>,
-    /// The method that solved it (drives the plan's method counts).
     method: SMethod,
-}
-
-/// Appends the conflict partners of the row at `pos` under every FD of
-/// `Δ`: rows agreeing with it on the lhs and disagreeing on the rhs —
-/// exactly the other endpoints of the row's conflict-graph edges. One
-/// `O(|T|)` word-compare pass per FD over the symbol columns; no
-/// grouping, no hashing, no allocation beyond the output.
-fn conflict_partners(table: &Table, fds: &FdSet, pos: u32, out: &mut Vec<TupleId>) {
-    let cols = table.sym_cols();
-    for fd in fds.iter() {
-        let lhs = KeyExtractor::new(fd.lhs());
-        let rhs = KeyExtractor::new(fd.rhs());
-        for (p, id) in table.ids().enumerate() {
-            let p = p as u32;
-            if p != pos && lhs.eq(cols, p, pos) && !rhs.eq(cols, p, pos) {
-                out.push(id);
-            }
-        }
-    }
 }
 
 /// A live subset-repair session over a mutating table: per-component
@@ -126,8 +86,8 @@ pub struct IncrementalSubset {
     comp_of: Vec<u32>,
     /// Live component counts per method, indexed by [`SMethod::index`].
     counts: [usize; 3],
-    /// Persistent union-find arena for the local re-extractions.
-    scratch: EpochUnionFind,
+    /// Every FD's lhs groups and rhs-class counts, keyed by tuple id.
+    index: ConflictIndex,
 }
 
 impl IncrementalSubset {
@@ -138,11 +98,12 @@ impl IncrementalSubset {
         // fdlint: allow(O001, "observation only: the span is dropped at scope end and no trace value flows into the cached components or their solutions")
         let mut sp = fd_trace::span("srepair/incremental_build");
         sp.attr("rows", table.len());
-        let max_id = table
-            .ids()
-            .map(|id| id.0)
-            .max()
-            .map_or(0, |m| m as usize + 1);
+        debug_assert!(
+            table.ids().zip(table.ids().skip(1)).all(|(a, b)| a < b),
+            "incremental maintenance requires ids ascending in row order"
+        );
+        let index = ConflictIndex::build_by_id(table, fds);
+        let comps = index_components(&index);
         let mut inc = IncrementalSubset {
             fds: fds.clone(),
             trace: recursion_trace(fds),
@@ -150,49 +111,44 @@ impl IncrementalSubset {
             tractable: osr_succeeds(fds),
             comps: Vec::new(),
             free: Vec::new(),
-            comp_of: vec![CLEAN; max_id],
+            comp_of: vec![CLEAN; index.key_space()],
             counts: [0; 3],
-            scratch: EpochUnionFind::new(),
+            index,
         };
-        let ids: Vec<TupleId> = table.ids().collect();
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "incremental maintenance requires ids ascending in row order"
-        );
-        let comps = conflict_components(table, fds);
-        for comp in comps.iter() {
-            if comp.len() < 2 {
-                continue;
-            }
-            let members: Vec<TupleId> = comp.iter().map(|&p| ids[p as usize]).collect();
-            inc.solve_and_store(table, comp, members);
-        }
+        inc.store_components(table, &comps, TupleId);
         sp.attr("components", inc.counts.iter().sum::<usize>());
         inc
     }
 
     /// Applies one mutation to `table` and repairs the cache around it:
-    /// the mutated row's component and its new partners' components are
-    /// invalidated, locally re-extracted, and re-solved; everything else
-    /// is untouched. Errors leave both the table and the cache exactly
-    /// as they were.
+    /// the index moves the row between groups, the mutated row's old
+    /// component and the components its new conflicting groups reach
+    /// are invalidated, their rows' components re-extracted from the
+    /// index, and those re-solved; everything else is untouched. Errors
+    /// leave both the table and the cache exactly as they were.
     pub fn apply_mutation(&mut self, table: &mut Table, m: &Mutation) -> Result<MutationEffect> {
         // fdlint: allow(O001, "observation only: the span is dropped at scope end and no trace value flows into the cache, the effect, or the table")
         let mut sp = fd_trace::span("srepair/incremental_step");
         sp.attr("rows", table.len());
         let effect = table.apply_mutation(m)?;
         let r = effect.id();
-        self.ensure_id(r);
+        self.index.apply(table, &effect);
+        self.comp_of.resize(self.index.key_space(), CLEAN);
 
         // New edges are incident to the mutated row, so their other
-        // endpoints are its conflict partners under the *new* values. A
-        // delete adds no edges and probes nothing — its old component
-        // alone is the dirty region.
+        // endpoints sit in its new conflicting groups; every other member
+        // of such a group already shares a component with them. A delete
+        // adds no edges — its old component alone is the dirty region.
         let alive = !matches!(effect, MutationEffect::Deleted { .. });
         let mut region: Vec<TupleId> = Vec::new();
         if alive {
-            let pos = table.position_of(r).expect("mutated row is alive") as u32;
-            conflict_partners(table, &self.fds, pos, &mut region);
+            region.push(r);
+            for fd in 0..self.index.fd_count() {
+                let g = self.index.group_of(fd, r.0).expect("live row is indexed");
+                if self.index.class_count(fd, g) >= 2 {
+                    region.extend(self.index.members(fd, g).map(TupleId));
+                }
+            }
         }
 
         // Dirty components: the mutated row's own plus every partner's.
@@ -200,9 +156,6 @@ impl IncrementalSubset {
         dirty.extend(region.iter().filter_map(|&id| self.slot_of(id)));
         dirty.sort_unstable();
         dirty.dedup();
-
-        // The rebuilt region: the dirtied components in full, the clean
-        // partners, and the mutated row itself (when alive).
         for &slot in &dirty {
             let comp = self.comps[slot as usize]
                 .take()
@@ -214,9 +167,6 @@ impl IncrementalSubset {
             region.extend(comp.ids);
             self.free.push(slot as usize);
         }
-        if alive {
-            region.push(r);
-        }
         region.sort_unstable();
         region.dedup();
         if !alive {
@@ -225,29 +175,28 @@ impl IncrementalSubset {
         sp.attr("dirty_components", dirty.len());
         sp.attr("region_rows", region.len());
 
-        // Re-extract the region's components over the scratch arena and
-        // re-solve each from a gather of the *full* table — the same
-        // sub-tables the cold sharded path would build.
-        let positions: Vec<u32> = region
-            .iter()
-            .map(|&id| table.position_of(id).expect("region rows are alive") as u32)
-            .collect();
-        debug_assert!(
-            positions.windows(2).all(|w| w[0] < w[1]),
-            "region ids must ascend with row positions"
-        );
-        let sub = table.gather_positions(&positions);
-        let local = conflict_components_scratch(&sub, &self.fds, &mut self.scratch);
-        let mut resolved = 0usize;
-        for comp in local.iter() {
-            if comp.len() < 2 {
-                continue;
+        // The region's components: a local union-find joining each row to
+        // the head of every conflicting group it sits in. Those groups lie
+        // wholly inside the region.
+        let mut uf = UnionFind::new(region.len());
+        for fd in 0..self.index.fd_count() {
+            for (v, id) in region.iter().enumerate() {
+                let g = self.index.group_of(fd, id.0).expect("region rows are live");
+                if self.index.class_count(fd, g) >= 2 {
+                    let head = self
+                        .index
+                        .members(fd, g)
+                        .next()
+                        .expect("groups are non-empty");
+                    let local = region
+                        .binary_search(&TupleId(head))
+                        .expect("group inside region");
+                    uf.union(v as u32, local as u32);
+                }
             }
-            let members: Vec<TupleId> = comp.iter().map(|&v| region[v as usize]).collect();
-            let globals: Vec<u32> = comp.iter().map(|&v| positions[v as usize]).collect();
-            self.solve_and_store(table, &globals, members);
-            resolved += 1;
         }
+        let comps = Components::from_labels(&uf.labels());
+        let resolved = self.store_components(table, &comps, |v| region[v as usize]);
         sp.attr("resolved_components", resolved);
         Ok(effect)
     }
@@ -257,12 +206,10 @@ impl IncrementalSubset {
     /// rebuilt from the live counts — field-for-field identical to what
     /// [`crate::sharded_s_repair`] returns on the current table.
     pub fn solution(&self, table: &Table) -> ShardedSolution {
-        let mut kept: Vec<TupleId> = Vec::with_capacity(table.len());
-        for id in table.ids() {
-            if self.slot_of(id).is_none() {
-                kept.push(id);
-            }
-        }
+        let mut kept: Vec<TupleId> = table
+            .ids()
+            .filter(|&id| self.slot_of(id).is_none())
+            .collect();
         for comp in self.comps.iter().flatten() {
             kept.extend_from_slice(&comp.kept);
         }
@@ -289,40 +236,47 @@ impl IncrementalSubset {
         self.counts.iter().sum()
     }
 
-    /// Solves one conflicting component (gathered from the full table by
-    /// its ascending row positions) and caches the result.
-    fn solve_and_store(&mut self, table: &Table, positions: &[u32], ids: Vec<TupleId>) {
-        let method = ShardPlan::component_method(self.tractable, ids.len(), &self.cfg);
-        let sub = table.gather_positions(positions);
-        let kept = solve_component(&sub, &self.fds, &self.trace, method);
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.comps.push(None);
-                self.comps.len() - 1
+    /// Solves and caches every conflicting (≥ 2 row) component of
+    /// `comps`, whose nodes `id_of` names, and returns how many there
+    /// were. Each is gathered from the full table by its ascending row
+    /// positions — the same sub-table the cold sharded path builds.
+    fn store_components(
+        &mut self,
+        table: &Table,
+        comps: &Components,
+        id_of: impl Fn(u32) -> TupleId,
+    ) -> usize {
+        let mut stored = 0;
+        for comp in comps.iter().filter(|comp| comp.len() >= 2) {
+            let ids: Vec<TupleId> = comp.iter().map(|&v| id_of(v)).collect();
+            let positions: Vec<u32> = ids
+                .iter()
+                .map(|&id| table.position_of(id).expect("component rows are alive") as u32)
+                .collect();
+            let method = ShardPlan::component_method(self.tractable, ids.len(), &self.cfg);
+            let sub = table.gather_positions(&positions);
+            let kept = solve_component(&sub, &self.fds, &self.trace, method);
+            let slot = match self.free.pop() {
+                Some(slot) => slot,
+                None => {
+                    self.comps.push(None);
+                    self.comps.len() - 1
+                }
+            };
+            for id in &ids {
+                self.comp_of[id.0 as usize] = slot as u32;
             }
-        };
-        for id in &ids {
-            self.comp_of[id.0 as usize] = slot as u32;
+            self.counts[method.index()] += 1;
+            self.comps[slot] = Some(Comp { ids, kept, method });
+            stored += 1;
         }
-        self.counts[method.index()] += 1;
-        self.comps[slot] = Some(Comp { ids, kept, method });
+        stored
     }
 
     /// The component slot holding `id`, if any.
     fn slot_of(&self, id: TupleId) -> Option<u32> {
-        match self.comp_of.get(id.0 as usize) {
-            Some(&slot) if slot != CLEAN => Some(slot),
-            _ => None,
-        }
-    }
-
-    /// Grows the id → slot map to cover a freshly inserted id.
-    fn ensure_id(&mut self, id: TupleId) {
-        let need = id.0 as usize + 1;
-        if self.comp_of.len() < need {
-            self.comp_of.resize(need, CLEAN);
-        }
+        let slot = *self.comp_of.get(id.0 as usize)?;
+        (slot != CLEAN).then_some(slot)
     }
 }
 
@@ -377,6 +331,56 @@ mod tests {
                     attr: s.attr(name).unwrap(),
                     value: Value::from(rng.gen_range(0..hi)),
                 }
+            }
+        }
+    }
+
+    /// Asserts that the session's maintained index equals a fresh
+    /// [`ConflictIndex::build_by_id`] of `t`: every live row's group
+    /// (as its sorted members) and class count per FD, and the
+    /// conflicting components.
+    fn assert_index_current(inc: &IncrementalSubset, t: &Table, ctx: &str) {
+        let fresh = ConflictIndex::build_by_id(t, &inc.fds);
+        let groups = |index: &ConflictIndex| -> Vec<(Vec<u32>, usize)> {
+            let mut out = Vec::new();
+            for fd in 0..index.fd_count() {
+                for id in t.ids() {
+                    let g = index.group_of(fd, id.0).expect("live row is indexed");
+                    let mut members: Vec<u32> = index.members(fd, g).collect();
+                    members.sort_unstable();
+                    out.push((members, index.class_count(fd, g)));
+                }
+            }
+            out
+        };
+        let conflicting = |index: &ConflictIndex| -> Vec<Vec<u32>> {
+            index_components(index)
+                .iter()
+                .filter(|c| c.len() >= 2)
+                .map(<[u32]>::to_vec)
+                .collect()
+        };
+        assert_eq!(groups(&inc.index), groups(&fresh), "{ctx}\n{t}");
+        assert_eq!(conflicting(&inc.index), conflicting(&fresh), "{ctx}\n{t}");
+    }
+
+    #[test]
+    fn the_maintained_index_equals_a_fresh_build_after_every_step() {
+        // Lhs and rhs cells both change (the mutations draw A, B and C),
+        // and few keys keep the groups large.
+        for (i, spec) in ["A -> B; B -> C", "-> C; A -> B", "A B -> C; C -> B"]
+            .iter()
+            .enumerate()
+        {
+            let s = schema_rabc();
+            let fds = FdSet::parse(&s, spec).unwrap();
+            let mut rng = StdRng::seed_from_u64(0x1D0 + i as u64);
+            let mut t = random_table(&mut rng, 20, 4);
+            let mut inc = IncrementalSubset::new(&t, &fds, &ShardConfig::default());
+            for step in 0..200 {
+                let m = random_mutation(&mut rng, &t, 4);
+                inc.apply_mutation(&mut t, &m).unwrap();
+                assert_index_current(&inc, &t, &format!("{spec} step {step} {m:?}"));
             }
         }
     }
