@@ -18,9 +18,9 @@ fn fixture(name: &str) -> Instance {
     Instance::parse(&text).unwrap()
 }
 
-fn canonical_json(inst: &Instance, request: &RepairRequest) -> String {
+fn canonical_json(table: &Table, fds: &FdSet, request: &RepairRequest) -> String {
     let mut report = Planner
-        .run(&inst.table, &inst.fds, request)
+        .run(table, fds, request)
         .expect("fixture requests solve");
     report.timings = Timings::default();
     let mut json = report.to_json();
@@ -29,8 +29,12 @@ fn canonical_json(inst: &Instance, request: &RepairRequest) -> String {
 }
 
 fn check_golden(file: &str, inst: &Instance, request: &RepairRequest) {
+    check_golden_table(file, &inst.table, &inst.fds, request);
+}
+
+fn check_golden_table(file: &str, table: &Table, fds: &FdSet, request: &RepairRequest) {
     let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-    let got = canonical_json(inst, request);
+    let got = canonical_json(table, fds, request);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {path}: {e}"));
         return;
@@ -78,6 +82,35 @@ fn sensors_reports_match_golden_bytes() {
     check_golden("sensors_s.json", &inst, &RepairRequest::subset());
     check_golden("sensors_u.json", &inst, &RepairRequest::update());
     check_golden("sensors_mpd.json", &inst, &RepairRequest::mpd());
+}
+
+/// Generated weighted tables, 200 rows each: their reports pin the
+/// block order of every subset recursion, the consensus and marriage
+/// tie-breaks, the sampler's draw order, and the row-order float sums
+/// behind block weights and costs.
+#[test]
+fn generated_reports_match_golden_bytes() {
+    let (_, fds, table) = fd_repairs::gen::scale::tractable_scale(200, true, 7);
+    check_golden_table(
+        "tractable200_s.json",
+        &table,
+        &fds,
+        &RepairRequest::subset(),
+    );
+    check_golden_table(
+        "tractable200_count.json",
+        &table,
+        &fds,
+        &RepairRequest::new(Notion::Count),
+    );
+    check_golden_table(
+        "tractable200_sample_seed7.json",
+        &table,
+        &fds,
+        &RepairRequest::new(Notion::Sample).seed(7),
+    );
+    let (_, fds, table) = fd_repairs::gen::scale::marriage_scale(200, true, 7);
+    check_golden_table("marriage200_s.json", &table, &fds, &RepairRequest::subset());
 }
 
 /// The mutation trace behind the mutate-delta golden: one step of every
@@ -157,5 +190,5 @@ fn golden_bytes_parse_and_round_trip_structurally() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 10, "expected 10 golden files, found {checked}");
+    assert_eq!(checked, 14, "expected 14 golden files, found {checked}");
 }
