@@ -17,7 +17,6 @@
 //! a hash map. Derived tables (subsets, partition blocks, component
 //! shards) share the dictionary and gather symbol columns by position.
 
-use crate::attrset::AttrSet;
 use crate::error::{Error, Result};
 use crate::fd::Fd;
 use crate::fdset::FdSet;
@@ -466,7 +465,8 @@ impl Table {
     /// (insertion order indices), under their original identifiers: a
     /// **gather** — symbol columns are copied by position and the
     /// dictionary is shared, no value is re-interned. This is how
-    /// component shards and partition blocks are built.
+    /// repairs, hard-side component shards and reweighted tables are
+    /// built.
     pub fn gather_positions(&self, positions: &[u32]) -> Table {
         let ids: Vec<TupleId> = positions.iter().map(|&p| self.ids[p as usize]).collect();
         let cols: Vec<Vec<Sym>> = self
@@ -578,77 +578,6 @@ impl Table {
         // fdlint: allow(D001, "position_mask sets one bit per id: commutative, order cannot reach the gathered table")
         let mask = self.position_mask(delete.iter());
         self.gather_positions(&Table::masked_positions(&mask, false))
-    }
-
-    /// Partitions the table by the projection on `attrs`, returning
-    /// `(key, block)` pairs sorted by key (deterministic). Grouping runs
-    /// in symbol space; only one key per distinct block is decoded.
-    pub fn partition_by(&self, attrs: AttrSet) -> Vec<(Vec<Value>, Table)> {
-        let cols: Vec<usize> = attrs.iter().map(|a| a.usize()).collect();
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
-        if let [col] = cols[..] {
-            // Single-attribute partitions (every level of Algorithm 1's
-            // recursion) key the map on the symbol itself — no per-row
-            // boxing. Tiny tables (component shards, recursion blocks)
-            // group by linear scan instead of a hash map: first-occurrence
-            // order either way.
-            let column = &self.cols[col];
-            if column.len() <= 32 {
-                let mut keys: Vec<Sym> = Vec::new();
-                for (pos, &sym) in column.iter().enumerate() {
-                    match keys.iter().position(|&k| k == sym) {
-                        Some(b) => blocks[b].push(pos as u32),
-                        None => {
-                            keys.push(sym);
-                            blocks.push(vec![pos as u32]);
-                        }
-                    }
-                }
-            } else {
-                let mut lookup: HashMap<Sym, u32, FnvBuild> = HashMap::default();
-                for (pos, &sym) in column.iter().enumerate() {
-                    match lookup.entry(sym) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            blocks[*e.get() as usize].push(pos as u32);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(blocks.len() as u32);
-                            blocks.push(vec![pos as u32]);
-                        }
-                    }
-                }
-            }
-        } else {
-            let mut lookup: HashMap<Box<[Sym]>, u32, FnvBuild> = HashMap::default();
-            for pos in 0..self.len() as u32 {
-                let key: Box<[Sym]> = cols.iter().map(|&c| self.cols[c][pos as usize]).collect();
-                match lookup.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        blocks[*e.get() as usize].push(pos);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(blocks.len() as u32);
-                        blocks.push(vec![pos]);
-                    }
-                }
-            }
-        }
-        let mut keyed: Vec<(Vec<Value>, Vec<u32>)> = blocks
-            .into_iter()
-            .map(|positions| {
-                let rep = positions[0] as usize;
-                let key: Vec<Value> = cols
-                    .iter()
-                    .map(|&c| self.dict.decode(self.cols[c][rep]))
-                    .collect();
-                (key, positions)
-            })
-            .collect();
-        keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
-        keyed
-            .into_iter()
-            .map(|(key, positions)| (key, self.gather_positions(&positions)))
-            .collect()
     }
 
     /// The distinct values of one column, sorted (the column's active domain).
@@ -1128,24 +1057,6 @@ mod tests {
         // A subset is not an update.
         let keep: HashSet<TupleId> = [TupleId(0)].into_iter().collect();
         assert!(t.dist_upd(&t.subset(&keep)).is_err());
-    }
-
-    #[test]
-    fn partitioning() {
-        let s = schema_rabc();
-        let t = table_abc(vec![
-            (tup!["x", 1, 2], 1.0),
-            (tup!["y", 2, 2], 1.0),
-            (tup!["x", 3, 3], 1.0),
-        ]);
-        let a = AttrSet::singleton(s.attr("A").unwrap());
-        let parts = t.partition_by(a);
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].0, vec![Value::str("x")]);
-        assert_eq!(parts[0].1.len(), 2);
-        assert_eq!(parts[1].0, vec![Value::str("y")]);
-        // Partition by ∅ yields a single block.
-        assert_eq!(t.partition_by(AttrSet::EMPTY).len(), 1);
     }
 
     #[test]

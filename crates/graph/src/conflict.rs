@@ -73,7 +73,7 @@ pub fn index_components(index: &ConflictIndex) -> Components {
             }
         }
     }
-    Components::from_labels(&uf.labels())
+    Components::from_union_find(uf)
 }
 
 #[cfg(test)]

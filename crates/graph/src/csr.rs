@@ -69,22 +69,6 @@ impl UnionFind {
         self.size[ra as usize] += self.size[rb as usize];
         true
     }
-
-    /// Canonical component labels: every node's label is the smallest
-    /// node id in its component.
-    pub fn labels(&mut self) -> Vec<u32> {
-        let n = self.parent.len();
-        let mut smallest: Vec<u32> = (0..n as u32).collect();
-        for v in 0..n as u32 {
-            let r = self.find(v) as usize;
-            if v < smallest[r] {
-                smallest[r] = v;
-            }
-        }
-        (0..n as u32)
-            .map(|v| smallest[self.find(v) as usize])
-            .collect()
-    }
 }
 
 /// A partition of the nodes `0..n` into components, stored CSR-style:
@@ -100,35 +84,33 @@ pub struct Components {
 }
 
 impl Components {
-    /// Builds the partition from per-node component labels, where a
-    /// label is the *smallest node id* of the component (the shape
-    /// [`UnionFind::labels`] produces).
-    pub fn from_labels(labels: &[u32]) -> Components {
-        let n = labels.len();
-        // Components indexed in order of their smallest member: that
-        // member is the first occurrence of its own label.
-        let mut index_of_label: Vec<u32> = vec![u32::MAX; n];
-        let mut counts: Vec<u32> = Vec::new();
-        for &label in labels {
-            let slot = label as usize;
-            if index_of_label[slot] == u32::MAX {
-                index_of_label[slot] = counts.len() as u32;
-                counts.push(0);
+    /// The partition of a union-find's sets, in one `find` per node:
+    /// the first pass points every node straight at its root and numbers
+    /// the roots in order of first appearance (that is, by smallest
+    /// member), the second places each node in its component's slice.
+    /// The union-find's size array becomes the root → component map.
+    pub fn from_union_find(mut uf: UnionFind) -> Components {
+        let n = uf.parent.len();
+        uf.size.fill(u32::MAX);
+        let mut offsets: Vec<u32> = vec![0];
+        for v in 0..n as u32 {
+            let root = uf.find(v);
+            uf.parent[v as usize] = root;
+            let comp = &mut uf.size[root as usize];
+            if *comp == u32::MAX {
+                *comp = offsets.len() as u32 - 1;
+                offsets.push(0);
             }
-            counts[index_of_label[slot] as usize] += 1;
+            offsets[*comp as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(counts.len() + 1);
-        let mut total = 0;
-        offsets.push(0);
-        for &c in &counts {
-            total += c;
-            offsets.push(total);
+        for c in 1..offsets.len() {
+            offsets[c] += offsets[c - 1];
         }
-        let mut cursor: Vec<u32> = offsets[..counts.len()].to_vec();
+        let mut cursor: Vec<u32> = offsets[..offsets.len() - 1].to_vec();
         let mut nodes = vec![0u32; n];
-        for (v, &label) in labels.iter().enumerate() {
-            let comp = index_of_label[label as usize] as usize;
-            nodes[cursor[comp] as usize] = v as u32;
+        for v in 0..n as u32 {
+            let comp = uf.size[uf.parent[v as usize] as usize] as usize;
+            nodes[cursor[comp] as usize] = v;
             cursor[comp] += 1;
         }
         Components { offsets, nodes }
@@ -280,7 +262,7 @@ impl CsrGraph {
                 }
             }
         }
-        Components::from_labels(&uf.labels())
+        Components::from_union_find(uf)
     }
 
     /// Expands into the mutable [`Graph`] representation, preserving
@@ -325,12 +307,29 @@ mod tests {
         uf.union(3, 4);
         assert_eq!(uf.find(3), uf.find(4));
         assert_ne!(uf.find(0), uf.find(2));
-        assert_eq!(uf.labels(), vec![0, 0, 2, 2, 2]);
+        let comps = Components::from_union_find(uf);
+        assert_eq!(comps.iter().collect::<Vec<_>>(), [&[0, 1][..], &[2, 3, 4]]);
     }
 
     #[test]
-    fn components_partition_from_labels() {
-        let comps = Components::from_labels(&[0, 0, 2, 0, 2, 5]);
+    fn components_partition_from_union_find() {
+        // Roots that are not the smallest member: 4 roots {0, 1, 3}
+        // (the larger set absorbs the smaller), 2 roots itself.
+        let mut uf = UnionFind::new(6);
+        uf.union(4, 2);
+        uf.union(4, 0);
+        uf.union(4, 1);
+        uf.union(3, 0);
+        uf.union(2, 0);
+        let comps = Components::from_union_find(uf);
+        assert_eq!(comps.len(), 2);
+        assert_eq!(comps.component(0), &[0, 1, 2, 3, 4]);
+        assert_eq!(comps.component(1), &[5]);
+        let mut uf = UnionFind::new(6);
+        for (a, b) in [(3, 1), (1, 0), (4, 2)] {
+            uf.union(a, b);
+        }
+        let comps = Components::from_union_find(uf);
         assert_eq!(comps.len(), 3);
         assert_eq!(comps.component(0), &[0, 1, 3]);
         assert_eq!(comps.component(1), &[2, 4]);
@@ -338,7 +337,7 @@ mod tests {
         assert_eq!(comps.largest(), 3);
         assert_eq!(comps.singletons(), 1);
         assert!(!comps.is_empty());
-        assert!(Components::from_labels(&[]).is_empty());
+        assert!(Components::from_union_find(UnionFind::new(0)).is_empty());
     }
 
     #[test]

@@ -49,12 +49,11 @@ pub fn max_weight_bipartite_matching(
         );
         uf.union(l, (n_left + r as usize) as u32);
     }
-    let labels = uf.labels();
-    let comps = Components::from_labels(&labels);
+    let comps = Components::from_union_find(uf);
     // Per node: the index of its component and its rank on its side of
     // that component (components list their nodes ascending, lefts first).
-    let mut comp_of = vec![0u32; labels.len()];
-    let mut local = vec![0u32; labels.len()];
+    let mut comp_of = vec![0u32; n_left + n_right];
+    let mut local = vec![0u32; n_left + n_right];
     let mut splits = Vec::with_capacity(comps.len());
     for (c, comp) in comps.iter().enumerate() {
         let split = comp.partition_point(|&v| (v as usize) < n_left);

@@ -24,8 +24,8 @@
 //! and the counter reports [`ChainCountOutcome::NotAChain`] rather than
 //! attempting the #P-hard general case.
 
-use crate::succeeds::{recursion_trace, Rule, Trace};
-use fd_core::{FdSet, Table};
+use crate::succeeds::{all_rows, ids_at, recursion_trace, split_blocks, Rule, Trace};
+use fd_core::{FdSet, Table, TupleId};
 use fd_graph::{enumerate_maximal_independent_sets, ConflictGraph};
 
 /// Result of counting subset repairs along the chain recursion.
@@ -63,14 +63,15 @@ pub enum ChainCountOutcome {
 /// assert_eq!(count_subset_repairs(&t, &fds), ChainCountOutcome::Count(4));
 /// ```
 pub fn count_subset_repairs(table: &Table, fds: &FdSet) -> ChainCountOutcome {
-    match count(table, &recursion_trace(fds), 0) {
+    match count(table, &all_rows(table), &recursion_trace(fds), 0) {
         Ok(c) => ChainCountOutcome::Count(c),
         Err(stuck) => ChainCountOutcome::NotAChain(stuck),
     }
 }
 
-fn count(table: &Table, trace: &Trace, depth: usize) -> Result<u128, FdSet> {
-    if table.is_empty() {
+/// The subset-repair count of the block `rows` of `table`.
+fn count(table: &Table, rows: &[u32], trace: &Trace, depth: usize) -> Result<u128, FdSet> {
+    if rows.is_empty() {
         // The empty repair is the unique (vacuously maximal) one.
         return Ok(1);
     }
@@ -80,15 +81,15 @@ fn count(table: &Table, trace: &Trace, depth: usize) -> Result<u128, FdSet> {
     match step.rule {
         Rule::CommonLhs(a) => {
             let mut total: u128 = 1;
-            for (_, block) in table.partition_by(a) {
-                total = total.saturating_mul(count(&block, trace, depth + 1)?);
+            for block in split_blocks(table, rows, a) {
+                total = total.saturating_mul(count(table, &block, trace, depth + 1)?);
             }
             Ok(total)
         }
         Rule::Consensus(x) => {
             let mut total: u128 = 0;
-            for (_, block) in table.partition_by(x) {
-                total = total.saturating_add(count(&block, trace, depth + 1)?);
+            for block in split_blocks(table, rows, x) {
+                total = total.saturating_add(count(table, &block, trace, depth + 1)?);
             }
             Ok(total)
         }
@@ -104,11 +105,12 @@ fn count(table: &Table, trace: &Trace, depth: usize) -> Result<u128, FdSet> {
 /// Products become sums; the consensus rule's sum over blocks uses
 /// log-sum-exp for stability.
 pub fn count_subset_repairs_log2(table: &Table, fds: &FdSet) -> Result<f64, FdSet> {
-    count_log2(table, &recursion_trace(fds), 0)
+    count_log2(table, &all_rows(table), &recursion_trace(fds), 0)
 }
 
-fn count_log2(table: &Table, trace: &Trace, depth: usize) -> Result<f64, FdSet> {
-    if table.is_empty() {
+/// `log₂` of the subset-repair count of the block `rows` of `table`.
+fn count_log2(table: &Table, rows: &[u32], trace: &Trace, depth: usize) -> Result<f64, FdSet> {
+    if rows.is_empty() {
         return Ok(0.0);
     }
     let Some(step) = trace.step(depth).map_err(FdSet::clone)? else {
@@ -117,15 +119,15 @@ fn count_log2(table: &Table, trace: &Trace, depth: usize) -> Result<f64, FdSet> 
     match step.rule {
         Rule::CommonLhs(a) => {
             let mut total = 0.0;
-            for (_, block) in table.partition_by(a) {
-                total += count_log2(&block, trace, depth + 1)?;
+            for block in split_blocks(table, rows, a) {
+                total += count_log2(table, &block, trace, depth + 1)?;
             }
             Ok(total)
         }
         Rule::Consensus(x) => {
             let mut logs = Vec::new();
-            for (_, block) in table.partition_by(x) {
-                logs.push(count_log2(&block, trace, depth + 1)?);
+            for block in split_blocks(table, rows, x) {
+                logs.push(count_log2(table, &block, trace, depth + 1)?);
             }
             // log2(Σ 2^l) = m + log2(Σ 2^(l - m)) with m = max l.
             let m = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -166,45 +168,47 @@ pub fn sample_subset_repair<R: rand::Rng + ?Sized>(
     table: &Table,
     fds: &FdSet,
     rng: &mut R,
-) -> Result<Vec<fd_core::TupleId>, FdSet> {
-    let mut kept = sample(table, &recursion_trace(fds), 0, rng)?;
+) -> Result<Vec<TupleId>, FdSet> {
+    let mut kept = sample(table, &all_rows(table), &recursion_trace(fds), 0, rng)?;
     kept.sort_unstable();
     Ok(kept)
 }
 
+/// A uniform subset repair of the block `rows` of `table`.
 fn sample<R: rand::Rng + ?Sized>(
     table: &Table,
+    rows: &[u32],
     trace: &Trace,
     depth: usize,
     rng: &mut R,
-) -> Result<Vec<fd_core::TupleId>, FdSet> {
-    if table.is_empty() {
+) -> Result<Vec<TupleId>, FdSet> {
+    if rows.is_empty() {
         return Ok(Vec::new());
     }
     let Some(step) = trace.step(depth).map_err(FdSet::clone)? else {
-        return Ok(table.ids().collect());
+        return Ok(ids_at(table, rows));
     };
     match step.rule {
         Rule::CommonLhs(a) => {
-            let mut kept = Vec::with_capacity(table.len());
-            for (_, block) in table.partition_by(a) {
-                kept.extend(sample(&block, trace, depth + 1, rng)?);
+            let mut kept = Vec::with_capacity(rows.len());
+            for block in split_blocks(table, rows, a) {
+                kept.extend(sample(table, &block, trace, depth + 1, rng)?);
             }
             Ok(kept)
         }
         Rule::Consensus(x) => {
-            let blocks = table.partition_by(x);
+            let blocks = split_blocks(table, rows, x);
             let mut counts = Vec::with_capacity(blocks.len());
             let mut total: u128 = 0;
-            for (_, block) in &blocks {
-                let c = count(block, trace, depth + 1)?;
+            for block in &blocks {
+                let c = count(table, block, trace, depth + 1)?;
                 total = total.saturating_add(c);
                 counts.push(c);
             }
             let mut pick = rng.gen_range(0..total);
-            for ((_, block), c) in blocks.iter().zip(counts) {
+            for (block, c) in blocks.iter().zip(counts) {
                 if pick < c {
-                    return sample(block, trace, depth + 1, rng);
+                    return sample(table, block, trace, depth + 1, rng);
                 }
                 pick -= c;
             }

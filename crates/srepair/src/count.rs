@@ -15,8 +15,8 @@
 //! for every chain FD set the count is computed in polynomial time —
 //! matching the positive side of the counting dichotomy cited in §2.2.
 
-use crate::succeeds::{recursion_trace, Rule, Trace};
-use fd_core::{FdSet, Table};
+use crate::succeeds::{all_rows, ids_at, recursion_trace, split_blocks, weight_at, Rule, Trace};
+use fd_core::{FdSet, Table, TupleId};
 
 /// Result of counting optimal S-repairs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,23 +33,30 @@ pub enum CountOutcome {
 /// Counts the optimal S-repairs of `table` under `fds` along the
 /// `OptSRepair` recursion (common lhs / consensus only).
 pub fn count_optimal_s_repairs(table: &Table, fds: &FdSet) -> CountOutcome {
-    count(table, &recursion_trace(fds), 0).map_or_else(|e| e, |(_, c)| CountOutcome::Count(c))
+    count(table, &all_rows(table), &recursion_trace(fds), 0)
+        .map_or_else(|e| e, |(_, c)| CountOutcome::Count(c))
 }
 
-/// Returns (optimal kept weight, count) or the failure outcome.
-fn count(table: &Table, trace: &Trace, depth: usize) -> Result<(f64, u128), CountOutcome> {
+/// Returns (optimal kept weight, count) for the block `rows` of `table`,
+/// or the failure outcome.
+fn count(
+    table: &Table,
+    rows: &[u32],
+    trace: &Trace,
+    depth: usize,
+) -> Result<(f64, u128), CountOutcome> {
     let Some(step) = trace
         .step(depth)
         .map_err(|stuck| CountOutcome::Irreducible(stuck.clone()))?
     else {
-        return Ok((table.total_weight(), 1));
+        return Ok((weight_at(table, rows), 1));
     };
     match step.rule {
         Rule::CommonLhs(a) => {
             let mut weight = 0.0;
             let mut total: u128 = 1;
-            for (_, block) in table.partition_by(a) {
-                let (w, c) = count(&block, trace, depth + 1)?;
+            for block in split_blocks(table, rows, a) {
+                let (w, c) = count(table, &block, trace, depth + 1)?;
                 weight += w;
                 total = total.saturating_mul(c);
             }
@@ -58,12 +65,12 @@ fn count(table: &Table, trace: &Trace, depth: usize) -> Result<(f64, u128), Coun
         Rule::Consensus(x) => {
             let mut best_weight = 0.0;
             let mut total: u128 = 0;
-            let blocks = table.partition_by(x);
+            let blocks = split_blocks(table, rows, x);
             if blocks.is_empty() {
                 return Ok((0.0, 1)); // the empty repair
             }
-            for (_, block) in blocks {
-                let (w, c) = count(&block, trace, depth + 1)?;
+            for block in blocks {
+                let (w, c) = count(table, &block, trace, depth + 1)?;
                 if w > best_weight + 1e-12 {
                     best_weight = w;
                     total = c;
@@ -79,7 +86,7 @@ fn count(table: &Table, trace: &Trace, depth: usize) -> Result<(f64, u128), Coun
 
 /// Exhaustively counts optimal S-repairs (2ⁿ subsets, n ≤ 20): the oracle.
 pub fn brute_force_count(table: &Table, fds: &FdSet) -> u128 {
-    let ids: Vec<fd_core::TupleId> = table.ids().collect();
+    let ids: Vec<TupleId> = table.ids().collect();
     let n = ids.len();
     assert!(n <= 20, "brute force limited to 20 tuples");
     let mut best = f64::INFINITY;
@@ -211,8 +218,8 @@ pub fn enumerate_optimal_s_repairs(
     table: &Table,
     fds: &FdSet,
     limit: usize,
-) -> Option<Vec<Vec<fd_core::TupleId>>> {
-    let mut out = enumerate(table, &recursion_trace(fds), 0, limit)?.1;
+) -> Option<Vec<Vec<TupleId>>> {
+    let mut out = enumerate(table, &all_rows(table), &recursion_trace(fds), 0, limit)?.1;
     for repair in &mut out {
         repair.sort_unstable();
     }
@@ -220,23 +227,24 @@ pub fn enumerate_optimal_s_repairs(
     Some(out)
 }
 
-/// Returns (optimal kept weight, up to `limit` kept-id sets).
-#[allow(clippy::type_complexity)]
+/// Returns (optimal kept weight, up to `limit` kept-id sets) for the
+/// block `rows` of `table`.
 fn enumerate(
     table: &Table,
+    rows: &[u32],
     trace: &Trace,
     depth: usize,
     limit: usize,
-) -> Option<(f64, Vec<Vec<fd_core::TupleId>>)> {
+) -> Option<(f64, Vec<Vec<TupleId>>)> {
     let Some(step) = trace.step(depth).ok()? else {
-        return Some((table.total_weight(), vec![table.ids().collect()]));
+        return Some((weight_at(table, rows), vec![ids_at(table, rows)]));
     };
     match step.rule {
         Rule::CommonLhs(a) => {
             let mut weight = 0.0;
-            let mut combos: Vec<Vec<fd_core::TupleId>> = vec![Vec::new()];
-            for (_, block) in table.partition_by(a) {
-                let (w, block_repairs) = enumerate(&block, trace, depth + 1, limit)?;
+            let mut combos: Vec<Vec<TupleId>> = vec![Vec::new()];
+            for block in split_blocks(table, rows, a) {
+                let (w, block_repairs) = enumerate(table, &block, trace, depth + 1, limit)?;
                 weight += w;
                 let mut next = Vec::new();
                 'outer: for prefix in &combos {
@@ -254,14 +262,14 @@ fn enumerate(
             Some((weight, combos))
         }
         Rule::Consensus(x) => {
-            let blocks = table.partition_by(x);
+            let blocks = split_blocks(table, rows, x);
             if blocks.is_empty() {
                 return Some((0.0, vec![Vec::new()]));
             }
             let mut best_weight = 0.0;
-            let mut repairs: Vec<Vec<fd_core::TupleId>> = Vec::new();
-            for (_, block) in blocks {
-                let (w, block_repairs) = enumerate(&block, trace, depth + 1, limit)?;
+            let mut repairs: Vec<Vec<TupleId>> = Vec::new();
+            for block in blocks {
+                let (w, block_repairs) = enumerate(table, &block, trace, depth + 1, limit)?;
                 if w > best_weight + 1e-12 {
                     best_weight = w;
                     repairs = block_repairs;

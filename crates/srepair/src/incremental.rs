@@ -195,7 +195,7 @@ impl IncrementalSubset {
                 }
             }
         }
-        let comps = Components::from_labels(&uf.labels());
+        let comps = Components::from_union_find(uf);
         let resolved = self.store_components(table, &comps, |v| region[v as usize]);
         sp.attr("resolved_components", resolved);
         Ok(effect)
@@ -238,8 +238,8 @@ impl IncrementalSubset {
 
     /// Solves and caches every conflicting (≥ 2 row) component of
     /// `comps`, whose nodes `id_of` names, and returns how many there
-    /// were. Each is gathered from the full table by its ascending row
-    /// positions — the same sub-table the cold sharded path builds.
+    /// were. Each is solved on its ascending row positions in the full
+    /// table — the same block the cold sharded path solves.
     fn store_components(
         &mut self,
         table: &Table,
@@ -254,8 +254,7 @@ impl IncrementalSubset {
                 .map(|&id| table.position_of(id).expect("component rows are alive") as u32)
                 .collect();
             let method = ShardPlan::component_method(self.tractable, ids.len(), &self.cfg);
-            let sub = table.gather_positions(&positions);
-            let kept = solve_component(&sub, &self.fds, &self.trace, method);
+            let kept = solve_component(table, &positions, &self.fds, &self.trace, method);
             let slot = match self.free.pop() {
                 Some(slot) => slot,
                 None => {

@@ -7,7 +7,8 @@
 //!   Algorithm 2, with full traces (Example 3.5). Algorithm 1, the
 //!   counters and the sampler below execute this trace: it is computed
 //!   once per call and every recursion level applies the rule
-//!   [`Trace::step`] names for its depth;
+//!   [`Trace::step`] names for its depth to blocks that are row-position
+//!   lists of the one input table, never copied sub-tables;
 //! * [`classify_irreducible`] — the Figure-2 five-class classifier for FD
 //!   sets on the hard side of the dichotomy (Theorem 3.4);
 //! * [`class_reduction`] / [`lifting_reduction`] — executable fact-wise
@@ -21,8 +22,10 @@
 //!   components extracted edge-free, conflict-free rows kept for free,
 //!   each component solved independently with the [`SMethod`] its size
 //!   and `Δ`'s dichotomy side call for (exact-per-component on the hard
-//!   side) and fanned out across threads, bit-identical to the
-//!   whole-table references above. Every subset solve on the request
+//!   side; a Dichotomy component is solved on its row positions, a
+//!   hard-side one gathered for its conflict graph) and fanned out
+//!   across threads, bit-identical to the whole-table references
+//!   above. Every subset solve on the request
 //!   path runs here — the engine's subset notion and the S-repairs
 //!   behind update repairs (Corollary 4.6, Theorem 4.12,
 //!   Proposition 4.9) and MPD (Theorem 3.10) alike; [`opt_s_repair`],

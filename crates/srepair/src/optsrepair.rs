@@ -24,10 +24,12 @@
 //! depth ([`Trace::step`]). The counters and the sampler of this crate
 //! walk the same trace. A stuck step is reported only when the recursion
 //! reaches it — an empty table never does.
+//! Blocks are row-position lists of the one input table, never copied
+//! sub-tables; weights are summed from its column in row order.
 
 use crate::repair::SRepair;
-use crate::succeeds::{recursion_trace, Rule, Trace};
-use fd_core::{FdSet, FnvBuild, Sym, Table, TupleId};
+use crate::succeeds::{all_rows, ids_at, recursion_trace, split_blocks, weight_at, Rule, Trace};
+use fd_core::{FdSet, FnvBuild, Sym, Table};
 use fd_graph::max_weight_bipartite_matching;
 use std::collections::HashMap;
 
@@ -56,40 +58,42 @@ impl std::error::Error for Irreducible {}
 /// success, or [`Irreducible`] when the FD set falls on the hard side of
 /// the dichotomy.
 pub fn opt_s_repair(table: &Table, fds: &FdSet) -> Result<SRepair, Irreducible> {
-    let kept = solve(table, &recursion_trace(fds), 0)?;
-    Ok(SRepair::from_kept(table, kept))
+    let kept = solve(table, &all_rows(table), &recursion_trace(fds), 0)?;
+    Ok(SRepair::from_kept(table, ids_at(table, &kept)))
 }
 
-/// Algorithm 1 at recursion depth `depth`, applying the rule Algorithm 2's
-/// `trace` names for that depth to every block.
+/// Algorithm 1 on the block `rows` (ascending positions of `table`) at
+/// recursion depth `depth`, applying the rule Algorithm 2's `trace`
+/// names for that depth. Returns the kept positions.
 pub(crate) fn solve(
     table: &Table,
+    rows: &[u32],
     trace: &Trace,
     depth: usize,
-) -> Result<Vec<TupleId>, Irreducible> {
+) -> Result<Vec<u32>, Irreducible> {
     // Line 10: fail on a stuck Δ.
     let fail = |stuck: &FdSet| Irreducible {
         remaining: stuck.clone(),
     };
     // Lines 1–3: a trivial Δ succeeds immediately.
     let Some(step) = trace.step(depth).map_err(fail)? else {
-        return Ok(table.ids().collect());
+        return Ok(rows.to_vec());
     };
     match step.rule {
         // Lines 4–5: common lhs (Subroutine 1).
         Rule::CommonLhs(a) => {
-            let mut kept = Vec::with_capacity(table.len());
-            for (_, block) in table.partition_by(a) {
-                kept.extend(solve(&block, trace, depth + 1)?);
+            let mut kept = Vec::with_capacity(rows.len());
+            for block in split_blocks(table, rows, a) {
+                kept.extend(solve(table, &block, trace, depth + 1)?);
             }
             Ok(kept)
         }
         // Lines 6–7: consensus FD (Subroutine 2).
         Rule::Consensus(x) => {
-            let mut best: Option<(f64, Vec<TupleId>)> = None;
-            for (_, block) in table.partition_by(x) {
-                let kept = solve(&block, trace, depth + 1)?;
-                let weight = block_weight(&block, &kept);
+            let mut best: Option<(f64, Vec<u32>)> = None;
+            for block in split_blocks(table, rows, x) {
+                let kept = solve(table, &block, trace, depth + 1)?;
+                let weight = kept_weight(table, &kept);
                 // Strict `>` keeps the first (smallest-key) block on ties,
                 // making the result deterministic.
                 if best.as_ref().is_none_or(|(w, _)| weight > *w) {
@@ -100,23 +104,22 @@ pub(crate) fn solve(
         }
         // Lines 8–9: lhs marriage (Subroutine 3).
         Rule::Marriage(x1, x2) => {
-            // Node sets V₁ = π_{X₁}T[∗], V₂ = π_{X₂}T[∗]. Blocks of one
-            // table share its dictionary, so the projections are compared
-            // as symbol tuples — no value decoding in the recursion.
+            // Node sets V₁ = π_{X₁}T[∗], V₂ = π_{X₂}T[∗], compared as
+            // symbol tuples — no value decoding in the recursion.
             let mut v1: HashMap<Vec<Sym>, u32, FnvBuild> = HashMap::default();
             let mut v2: HashMap<Vec<Sym>, u32, FnvBuild> = HashMap::default();
             let mut edges: Vec<(u32, u32, f64)> = Vec::new();
-            let mut block_repairs: HashMap<(u32, u32), Vec<TupleId>> = HashMap::new();
-            for (_, block) in table.partition_by(x1.union(x2)) {
-                let a1: Vec<Sym> = x1.iter().map(|a| block.col(a)[0]).collect();
-                let a2: Vec<Sym> = x2.iter().map(|a| block.col(a)[0]).collect();
+            let mut block_repairs: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+            for block in split_blocks(table, rows, x1.union(x2)) {
+                let first = block[0] as usize;
+                let a1: Vec<Sym> = x1.iter().map(|a| table.col(a)[first]).collect();
+                let a2: Vec<Sym> = x2.iter().map(|a| table.col(a)[first]).collect();
                 let n1 = v1.len() as u32;
                 let i1 = *v1.entry(a1).or_insert(n1);
                 let n2 = v2.len() as u32;
                 let i2 = *v2.entry(a2).or_insert(n2);
-                let kept = solve(&block, trace, depth + 1)?;
-                let weight = block_weight(&block, &kept);
-                edges.push((i1, i2, weight));
+                let kept = solve(table, &block, trace, depth + 1)?;
+                edges.push((i1, i2, kept_weight(table, &kept)));
                 block_repairs.insert((i1, i2), kept);
             }
             let matching = max_weight_bipartite_matching(v1.len(), v2.len(), &edges);
@@ -133,23 +136,18 @@ pub(crate) fn solve(
     }
 }
 
-fn block_weight(block: &Table, kept: &[TupleId]) -> f64 {
-    // A positional mask through the block's id index instead of a hash
-    // set; the sum stays in row order, so the total is bit-identical.
-    let mask = block.position_mask(kept.iter());
-    block
-        .weights()
-        .iter()
-        .zip(mask.iter())
-        .filter(|(_, &in_kept)| in_kept)
-        .map(|(w, _)| w)
-        .sum()
+/// The weight of a block's kept positions, summed in ascending (row)
+/// order — the block's own order, whatever order they were kept in.
+fn kept_weight(table: &Table, kept: &[u32]) -> f64 {
+    let mut rows = kept.to_vec();
+    rows.sort_unstable();
+    weight_at(table, &rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_core::{schema_rabc, tup, Schema, Table};
+    use fd_core::{schema_rabc, tup, Schema, Table, TupleId};
 
     #[test]
     fn trivial_fd_set_keeps_everything() {

@@ -37,7 +37,7 @@
 use crate::approx::approx_s_repair;
 use crate::exact::exact_s_repair;
 use crate::repair::SRepair;
-use crate::succeeds::{recursion_trace, Trace};
+use crate::succeeds::{ids_at, recursion_trace, Trace};
 use fd_core::{FdSet, Table, TupleId};
 use fd_graph::{conflict_components, Components};
 
@@ -203,24 +203,31 @@ pub fn shard_plan(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> (Components,
     (comps, plan)
 }
 
-/// Solves one conflicting component with the planned method.
+/// Solves one conflicting component, given by its ascending row
+/// positions in `table`, with the planned method.
 ///
 /// `trace` is Algorithm 2's trace of `Δ`, hoisted out of the
-/// per-component loop. The Dichotomy arm calls the recursion
-/// directly and returns its raw kept list: per-component sorting and
-/// cost accounting would be thrown away anyway — the merged list is
-/// sorted and costed once, globally, in [`sharded_s_repair`].
+/// per-component loop. The Dichotomy arm runs the recursion on the
+/// positions themselves; only the hard-side arms gather the component
+/// into a sub-table, because their conflict graph is built from one.
+/// The raw kept list is returned: per-component sorting and cost
+/// accounting would be thrown away anyway — the merged list is sorted
+/// and costed once, globally, in [`sharded_s_repair`].
 pub(crate) fn solve_component(
-    sub: &Table,
+    table: &Table,
+    rows: &[u32],
     fds: &FdSet,
     trace: &Trace,
     method: SMethod,
 ) -> Vec<TupleId> {
     match method {
-        SMethod::Dichotomy => crate::optsrepair::solve(sub, trace, 0)
-            .expect("OSRSucceeds(Δ) holds on every sub-table (Δ-only test)"),
-        SMethod::ExactVertexCover => exact_s_repair(sub, fds).kept,
-        SMethod::Approx2 => approx_s_repair(sub, fds).kept,
+        SMethod::Dichotomy => ids_at(
+            table,
+            &crate::optsrepair::solve(table, rows, trace, 0)
+                .expect("OSRSucceeds(Δ) holds on every block (Δ-only test)"),
+        ),
+        SMethod::ExactVertexCover => exact_s_repair(&table.gather_positions(rows), fds).kept,
+        SMethod::Approx2 => approx_s_repair(&table.gather_positions(rows), fds).kept,
     }
 }
 
@@ -293,10 +300,7 @@ pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> Sharde
             "escalated",
             method == SMethod::ExactVertexCover && comp.len() > cfg.component_exact_limit,
         );
-        // A component sub-table is a pure position gather: symbol
-        // columns copied by index, dictionary shared, original ids kept.
-        let sub = table.gather_positions(comp);
-        solve_component(&sub, fds, &trace, method)
+        solve_component(table, comp, fds, &trace, method)
     });
     for comp_kept in solved {
         kept.extend(comp_kept);
@@ -380,8 +384,13 @@ mod tests {
                     if comp.len() < 2 {
                         kept.push(t.id_at(comp[0] as usize));
                     } else {
-                        let sub = t.gather_positions(comp);
-                        kept.extend(solve_component(&sub, &case.fds, &trace, SMethod::Dichotomy));
+                        kept.extend(solve_component(
+                            &t,
+                            comp,
+                            &case.fds,
+                            &trace,
+                            SMethod::Dichotomy,
+                        ));
                     }
                 }
                 let global = crate::opt_s_repair(&t, &case.fds).unwrap();

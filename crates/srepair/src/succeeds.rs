@@ -1,8 +1,11 @@
 //! `OSRSucceeds` — Algorithm 2 of the paper — plus a full simplification
 //! trace, used by the dichotomy experiments (Example 3.5) and the hardness
-//! pipeline (Figure 4).
+//! pipeline (Figure 4), and the block split every recursion that walks
+//! the trace applies at each depth.
 
-use fd_core::{AttrSet, FdSet, Schema};
+use fd_core::{AttrSet, FdSet, FnvBuild, Schema, Sym, Table, TupleId, Value};
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// One simplification rule application of Algorithm 2.
 #[derive(Clone, Debug, PartialEq)]
@@ -149,6 +152,75 @@ pub(crate) fn recursion_trace(fds: &FdSet) -> Trace {
     simplification_trace(&fds.normalize_single_rhs())
 }
 
+/// Every row position of `table`: the block a recursion starts from.
+pub(crate) fn all_rows(table: &Table) -> Vec<u32> {
+    (0..table.len() as u32).collect()
+}
+
+/// The ids of the rows at positions `rows`.
+pub(crate) fn ids_at(table: &Table, rows: &[u32]) -> Vec<TupleId> {
+    rows.iter().map(|&p| table.id_at(p as usize)).collect()
+}
+
+/// The total weight of the rows at positions `rows`, summed in `rows` order.
+pub(crate) fn weight_at(table: &Table, rows: &[u32]) -> f64 {
+    rows.iter().map(|&p| table.weights()[p as usize]).sum()
+}
+
+/// Splits `rows`, positions of `table`, into the blocks of equal
+/// projection on `attrs`: the partition a rule of the trace takes at one
+/// depth. Blocks are sorted by their decoded key, members kept in `rows`
+/// order, so the blocks of ascending rows are ascending. Grouping runs
+/// in symbol space — the symbol itself for one attribute, a boxed
+/// symbol slice for several — and one key per block is decoded.
+pub(crate) fn split_blocks(table: &Table, rows: &[u32], attrs: AttrSet) -> Vec<Vec<u32>> {
+    let cols: Vec<&[Sym]> = attrs.iter().map(|a| table.col(a)).collect();
+    let mut blocks = match cols[..] {
+        [col] => group_by(rows, |p| col[p as usize]),
+        _ => group_by(rows, |p| {
+            cols.iter()
+                .map(|col| col[p as usize])
+                .collect::<Box<[Sym]>>()
+        }),
+    };
+    let dict = table.dictionary();
+    blocks.sort_by_cached_key(|block| {
+        cols.iter()
+            .map(|col| dict.decode(col[block[0] as usize]))
+            .collect::<Vec<Value>>()
+    });
+    blocks
+}
+
+/// Groups `rows` by `key`, blocks in order of first occurrence: a linear
+/// scan over the keys seen so far up to 32 rows (component shards, deep
+/// levels), an FNV map beyond.
+fn group_by<K: Hash + Eq>(rows: &[u32], key: impl Fn(u32) -> K) -> Vec<Vec<u32>> {
+    let mut blocks: Vec<Vec<u32>> = Vec::new();
+    let mut scanned: Vec<K> = Vec::new();
+    let mut lookup: HashMap<K, usize, FnvBuild> = HashMap::default();
+    for &p in rows {
+        let k = key(p);
+        let next = blocks.len();
+        let b = if rows.len() <= 32 {
+            scanned
+                .iter()
+                .position(|seen| *seen == k)
+                .unwrap_or_else(|| {
+                    scanned.push(k);
+                    next
+                })
+        } else {
+            *lookup.entry(k).or_insert(next)
+        };
+        if b == next {
+            blocks.push(Vec::new());
+        }
+        blocks[b].push(p);
+    }
+    blocks
+}
+
 /// `OSRSucceeds(Δ)` (Algorithm 2): true iff `OptSRepair` succeeds on `Δ`,
 /// i.e. iff computing an optimal S-repair is in polynomial time
 /// (Theorem 3.4).
@@ -160,6 +232,101 @@ pub fn osr_succeeds(fds: &FdSet) -> bool {
 mod tests {
     use super::*;
     use fd_core::{schema_rabc, Schema};
+
+    /// `split_blocks` by attribute names.
+    fn split(t: &fd_core::Table, rows: &[u32], attrs: &[&str]) -> Vec<Vec<u32>> {
+        let set = attrs.iter().fold(AttrSet::EMPTY, |set, name| {
+            set.union(AttrSet::singleton(t.schema().attr(name).unwrap()))
+        });
+        split_blocks(t, rows, set)
+    }
+
+    #[test]
+    fn split_blocks_sorts_blocks_by_key_and_keeps_row_order() {
+        use fd_core::{tup, Table};
+        let t = Table::build_unweighted(
+            schema_rabc(),
+            vec![tup!["x", 1, 2], tup!["y", 2, 2], tup!["x", 3, 3]],
+        )
+        .unwrap();
+        assert_eq!(split(&t, &[0, 1, 2], &["A"]), vec![vec![0, 2], vec![1]]);
+        // A strict sub-list of the table's rows, not in key order.
+        assert_eq!(split(&t, &[1, 2], &["A"]), vec![vec![2], vec![1]]);
+        assert_eq!(split(&t, &[2, 1, 0], &["C"]), vec![vec![1, 0], vec![2]]);
+        // No rows: no blocks. No attributes: one block of every row.
+        assert!(split(&t, &[], &["A"]).is_empty());
+        assert!(split(&t, &[], &[]).is_empty());
+        assert_eq!(split(&t, &[2, 0], &[]), vec![vec![2, 0]]);
+        // Several attributes: the key is the tuple of values.
+        assert_eq!(
+            split(&t, &[0, 1, 2], &["A", "C"]),
+            vec![vec![0], vec![2], vec![1]]
+        );
+        assert_eq!(split(&t, &[0, 1, 2], &["C", "B"]).len(), 3);
+    }
+
+    #[test]
+    fn split_blocks_orders_by_decoded_value_not_by_symbol() {
+        use fd_core::{Table, Tuple, Value};
+        // Interned in the order Str("12"), spilled int, Int(12), Int(-5):
+        // symbol order disagrees with value order, which puts every Int
+        // (inline or spilled) before every Str.
+        let values = [
+            Value::str("12"),
+            Value::Int(1 << 62),
+            Value::Int(12),
+            Value::Int(-5),
+        ];
+        let rows = values
+            .iter()
+            .map(|v| Tuple::new(vec![v.clone(), Value::Int(0), Value::Int(0)]));
+        let t = Table::build_unweighted(schema_rabc(), rows).unwrap();
+        let want = vec![vec![3], vec![2], vec![1], vec![0]];
+        assert_eq!(split(&t, &[0, 1, 2, 3], &["A"]), want);
+        // The same order through the multi-attribute (boxed key) path.
+        assert_eq!(split(&t, &[0, 1, 2, 3], &["A", "B"]), want);
+        // And through the hashed path, past the 32-row linear scan.
+        let many: Vec<u32> = (0..40).map(|i| i % 4).collect();
+        let blocks = split(&t, &many, &["A"]);
+        assert_eq!(blocks.len(), 4);
+        assert!(blocks[0].iter().all(|&p| p == 3) && blocks[3].iter().all(|&p| p == 0));
+    }
+
+    #[test]
+    fn split_blocks_keeps_members_in_rows_order_on_both_sides_of_the_scan_threshold() {
+        use fd_core::{tup, Table};
+        for n in [20u32, 32, 33, 50] {
+            let t = Table::build_unweighted(
+                schema_rabc(),
+                (0..n).map(|i| tup![i64::from(i % 3), i64::from(i % 5), 0]),
+            )
+            .unwrap();
+            // A scrambled, strict sub-list of the positions.
+            let rows: Vec<u32> = (0..n).rev().filter(|p| p % 7 != 3).collect();
+            for attrs in [&["A"][..], &["B"], &["A", "B"]] {
+                let blocks = split(&t, &rows, attrs);
+                let mut seen: Vec<u32> = blocks.concat();
+                seen.sort_unstable();
+                let mut want = rows.clone();
+                want.sort_unstable();
+                assert_eq!(seen, want, "n={n} {attrs:?}: blocks partition rows");
+                for block in &blocks {
+                    let order: Vec<usize> = block
+                        .iter()
+                        .map(|p| rows.iter().position(|r| r == p).unwrap())
+                        .collect();
+                    assert!(order.windows(2).all(|w| w[0] < w[1]), "n={n} {attrs:?}");
+                }
+            }
+            // Keys ascend from block to block.
+            let a = t.schema().attr("A").unwrap();
+            let firsts: Vec<_> = split(&t, &rows, &["A"])
+                .iter()
+                .map(|b| t.dictionary().decode(t.col(a)[b[0] as usize]))
+                .collect();
+            assert!(firsts.windows(2).all(|w| w[0] < w[1]), "n={n}");
+        }
+    }
 
     #[test]
     fn running_example_trace_matches_example_3_5() {
