@@ -313,8 +313,8 @@ mod tests {
 
     #[test]
     fn components_partition_from_union_find() {
-        // Roots that are not the smallest member: 4 roots {0, 1, 3}
-        // (the larger set absorbs the smaller), 2 roots itself.
+        // Node 4 ends up the root of {0, …, 4}: the component is still
+        // numbered and listed by its smallest member.
         let mut uf = UnionFind::new(6);
         uf.union(4, 2);
         uf.union(4, 0);
