@@ -249,10 +249,13 @@ impl IncrementalSubset {
         let mut stored = 0;
         for comp in comps.iter().filter(|comp| comp.len() >= 2) {
             let ids: Vec<TupleId> = comp.iter().map(|&v| id_of(v)).collect();
-            let positions: Vec<u32> = ids
+            let mut positions: Vec<u32> = ids
                 .iter()
                 .map(|&id| table.position_of(id).expect("component rows are alive") as u32)
                 .collect();
+            // Solve in row order, as the cold path does, without leaning
+            // on ids being ascending in row order.
+            positions.sort_unstable();
             let method = ShardPlan::component_method(self.tractable, ids.len(), &self.cfg);
             let kept = solve_component(table, &positions, &self.fds, &self.trace, method);
             let slot = match self.free.pop() {

@@ -113,6 +113,46 @@ fn generated_reports_match_golden_bytes() {
     check_golden_table("marriage200_s.json", &table, &fds, &RepairRequest::subset());
 }
 
+/// The same tables with every weight scaled by 0.1, so no weight is
+/// dyadic: a block weight, total weight or cost summed in any order
+/// other than the block's row order changes the reported bytes (or the
+/// optimal-repair ties `count` finds).
+#[test]
+fn generated_tenths_reports_match_golden_bytes() {
+    let tenths = |table: Table| {
+        let positions: Vec<u32> = (0..table.len() as u32).collect();
+        let weights = table.weights().iter().map(|w| w * 0.1).collect();
+        table.gather_reweighted(&positions, weights)
+    };
+    let (_, fds, table) = fd_repairs::gen::scale::tractable_scale(200, true, 7);
+    let table = tenths(table);
+    check_golden_table(
+        "tractable200_tenths_s.json",
+        &table,
+        &fds,
+        &RepairRequest::subset(),
+    );
+    check_golden_table(
+        "tractable200_tenths_count.json",
+        &table,
+        &fds,
+        &RepairRequest::new(Notion::Count),
+    );
+    check_golden_table(
+        "tractable200_tenths_sample_seed7.json",
+        &table,
+        &fds,
+        &RepairRequest::new(Notion::Sample).seed(7),
+    );
+    let (_, fds, table) = fd_repairs::gen::scale::marriage_scale(200, true, 7);
+    check_golden_table(
+        "marriage200_tenths_s.json",
+        &tenths(table),
+        &fds,
+        &RepairRequest::subset(),
+    );
+}
+
 /// The mutation trace behind the mutate-delta golden: one step of every
 /// op, replayed through an [`IncrementalSession`] against the office
 /// fixture. The spliced report is the golden — byte-identical to a cold
@@ -190,5 +230,5 @@ fn golden_bytes_parse_and_round_trip_structurally() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 14, "expected 14 golden files, found {checked}");
+    assert_eq!(checked, 18, "expected 18 golden files, found {checked}");
 }
