@@ -153,6 +153,50 @@ fn generated_tenths_reports_match_golden_bytes() {
     );
 }
 
+/// The report writer's edge values, pinned byte for byte: strings that
+/// need every kind of escape (quote, backslash, `\n`, `\t`, `\r`, other
+/// control characters, DEL, multibyte and astral characters), integers on
+/// both sides of the inline-symbol range (±2²⁹) up to `i64::MIN`/`MAX`,
+/// and weights on both sides of the integer-print cut-off at 9·10¹⁵.
+fn edge_table() -> (Table, FdSet) {
+    let schema = Schema::new("Edge \"rel\" \\ Δ", ["key", "room", "num", "téxt"]).unwrap();
+    let fds = FdSet::parse(&schema, "key -> téxt; key room -> num").unwrap();
+    let rows = vec![
+        (tup!["k\"1", 1, (1i64 << 29) - 1, "q\"uote\\back"], 0.1),
+        (tup!["k\"1", 1, -(1i64 << 29), "nl\ntab\tcr\r"], 2.5),
+        (
+            tup!["k\\2", 2, 1i64 << 29, "\u{1}\u{1f}\u{7f}\u{8}\u{c}"],
+            1e-7,
+        ),
+        (tup!["k\\2", 3, -(1i64 << 29) - 1, "Δ 多 😀"], 9e15),
+        (tup!["k\n3", 4, i64::MIN, ""], 1e16),
+        (tup!["k\n3", 4, i64::MAX, "😀\"\\/"], 0.1),
+        (tup!["😀4", 5, 8_999_999_999_999_999i64, "plain"], 2.5),
+        (tup!["😀4", 5, 9_007_199_254_740_993i64, "a\u{1f}b"], 1e-7),
+        (tup![7, "\u{10ffff}", -1, 0], 1.0),
+    ];
+    (Table::build(schema, rows).unwrap(), fds)
+}
+
+#[test]
+fn writer_edge_values_match_golden_bytes() {
+    let (table, fds) = edge_table();
+    check_golden_table("edge_s.json", &table, &fds, &RepairRequest::subset());
+    // The update report renders fresh constants in `changed` and in rows.
+    check_golden_table("edge_u.json", &table, &fds, &RepairRequest::update());
+
+    // An MPD world whose probability is about 10⁻⁹⁰.
+    let schema = Schema::new("P", ["key", "val"]).unwrap();
+    let fds = FdSet::parse(&schema, "key -> val").unwrap();
+    let rows = (0..30i64).flat_map(|k| [(tup![k, 0], 0.999), (tup![k, 1], 0.998)]);
+    let table = Table::build(schema, rows).unwrap();
+    check_golden_table("edge_mpd_tiny.json", &table, &fds, &RepairRequest::mpd());
+
+    let (table, fds) = edge_table();
+    let empty = Table::new(table.schema().clone());
+    check_golden_table("edge_empty_s.json", &empty, &fds, &RepairRequest::subset());
+}
+
 /// The mutation trace behind the mutate-delta golden: one step of every
 /// op, replayed through an [`IncrementalSession`] against the office
 /// fixture. The spliced report is the golden — byte-identical to a cold
@@ -230,5 +274,5 @@ fn golden_bytes_parse_and_round_trip_structurally() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 18, "expected 18 golden files, found {checked}");
+    assert_eq!(checked, 22, "expected 22 golden files, found {checked}");
 }
