@@ -1,7 +1,13 @@
-//! Hand-rolled, dependency-free JSON: a [`Json`] value tree, the writer
-//! helpers that both its [`std::fmt::Display`] and the streaming report
-//! writer ([`crate::RepairReport::write_json`]) are built from, and a
-//! small recursive-descent parser ([`Json::parse`]).
+//! Hand-rolled, dependency-free JSON: a [`Json`] value tree, the byte
+//! writer that both its [`std::fmt::Display`] and the report writer
+//! ([`crate::RepairReport::to_json_bytes`],
+//! [`crate::RepairReport::write_json`]) are built from, and a small
+//! recursive-descent parser ([`Json::parse`]).
+//!
+//! The writer appends bytes to one `Vec<u8>` ([`Out`]): integers by a
+//! two-digit table, strings by escaped runs, and nothing goes through
+//! `fmt` but non-integral floats. A streaming [`Out`] hands its buffer to
+//! the target at element boundaries once it holds [`CHUNK`] bytes.
 //!
 //! The engine cannot use `serde` (no registry access in this build
 //! environment), and its reports only need the JSON essentials: objects
@@ -21,7 +27,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
+use std::io::{self, Write as _};
 
 /// Resource bounds for parsing untrusted JSON.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -352,139 +358,250 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
         .map_err(|_| err(start, format!("invalid number {text:?}")))
 }
 
+/// Bytes a streaming writer buffers before it hands them to its target:
+/// it drains at the first element boundary at or past this size.
+pub(crate) const CHUNK: usize = 64 << 10;
+
+/// Where a streaming [`Out`] hands its chunks.
+pub(crate) type Target<'a> = dyn FnMut(&[u8]) -> io::Result<()> + 'a;
+
+/// The byte writer's output: one buffer that every helper below appends
+/// to and, when streaming, the target it drains into. A streaming writer
+/// marks element boundaries (rows, ids, array items) with
+/// [`Out::boundary`], which hands the buffer to the target once it holds
+/// [`CHUNK`] bytes, so every chunk ends on a character boundary. Without
+/// a target the buffer is the whole document. The target's first error
+/// is kept and returned by [`Out::finish`]; output after it is dropped.
+pub(crate) struct Out<'a> {
+    buf: Vec<u8>,
+    target: Option<&'a mut Target<'a>>,
+    /// Bytes already handed to the target.
+    drained: usize,
+    error: Option<io::Error>,
+}
+
+impl<'a> Out<'a> {
+    /// A document written whole into one buffer of `capacity` bytes.
+    pub(crate) fn buffer(capacity: usize) -> Out<'a> {
+        Out {
+            buf: Vec::with_capacity(capacity),
+            target: None,
+            drained: 0,
+            error: None,
+        }
+    }
+
+    /// A document streamed into `target` in chunks of about [`CHUNK`]
+    /// bytes, through a buffer of `capacity` bytes.
+    pub(crate) fn streaming(target: &'a mut Target<'a>, capacity: usize) -> Out<'a> {
+        Out {
+            target: Some(target),
+            ..Out::buffer(capacity)
+        }
+    }
+
+    /// Marks an element boundary: drains the buffer into the target if
+    /// it holds [`CHUNK`] bytes or more.
+    #[inline]
+    pub(crate) fn boundary(&mut self) {
+        if self.buf.len() >= CHUNK && self.target.is_some() {
+            self.drain_buffer();
+        }
+    }
+
+    fn drain_buffer(&mut self) {
+        if let (Some(target), None) = (self.target.as_mut(), &self.error) {
+            match target(&self.buf) {
+                Ok(()) => self.drained += self.buf.len(),
+                Err(e) => self.error = Some(e),
+            }
+        }
+        self.buf.clear();
+    }
+
+    /// Bytes written so far, drained and buffered.
+    pub(crate) fn written(&self) -> usize {
+        self.drained + self.buf.len()
+    }
+
+    /// Ends the document: drains the rest into the target and returns
+    /// the buffer — the whole document when there is no target, empty
+    /// otherwise — or the target's first error.
+    pub(crate) fn finish(mut self) -> io::Result<Vec<u8>> {
+        if self.target.is_some() {
+            self.drain_buffer();
+        }
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.buf),
+        }
+    }
+}
+
+impl std::ops::Deref for Out<'_> {
+    type Target = Vec<u8>;
+
+    fn deref(&self) -> &Vec<u8> {
+        &self.buf
+    }
+}
+
+impl std::ops::DerefMut for Out<'_> {
+    fn deref_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+}
+
 /// Writes `n` under the one number rule of every emitted document:
 /// non-finite numbers become `null`, integral values below 9·10¹⁵ in
 /// magnitude print as integers, and anything else in Rust's shortest
 /// round-trip float form.
-pub(crate) fn write_num<W: fmt::Write + ?Sized>(w: &mut W, n: f64) -> fmt::Result {
+pub(crate) fn write_num(w: &mut Vec<u8>, n: f64) {
     // Below 9·10¹⁵ the cast is exact truncation, so the round trip
     // holds exactly when `n` has no fractional part (`-0.0` included).
     if n.abs() < 9.0e15 && (n as i64) as f64 == n {
         write_int(w, n as i64)
     } else if !n.is_finite() {
-        w.write_str("null")
+        w.extend_from_slice(b"null")
     } else {
-        write!(w, "{n}")
+        write!(w, "{n}").expect("writing into a Vec cannot fail")
     }
 }
 
-/// Writes an integer in decimal, without the `fmt` machinery: the
-/// report writer emits one per id and per integer cell.
-pub(crate) fn write_int<W: fmt::Write + ?Sized>(w: &mut W, n: i64) -> fmt::Result {
+/// The decimal digit pairs `00` to `99`, for [`write_int`].
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes an integer in decimal, two digits per step, without the `fmt`
+/// machinery: the report writer emits one per id and per integer cell.
+pub(crate) fn write_int(w: &mut Vec<u8>, n: i64) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
     let mut rest = n.unsigned_abs();
-    loop {
+    while rest >= 100 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest >= 10 {
+        let pair = rest as usize * 2;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         start -= 1;
-        digits[start] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+        digits[start] = b'0' + rest as u8;
     }
     if n < 0 {
-        w.write_char('-')?;
+        w.push(b'-');
     }
-    w.write_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"))
+    w.extend_from_slice(&digits[start..]);
 }
 
-/// Writes `s` as a JSON string. Runs of characters that need no escape
-/// are copied with one write each; `"`, `\` and control characters are
-/// escaped. Every escaped byte is ASCII, so each run ends on a character
-/// boundary.
-pub(crate) fn write_escaped<W: fmt::Write + ?Sized>(w: &mut W, s: &str) -> fmt::Result {
-    w.write_char('"')?;
+/// Writes `s` as a JSON string. Runs of bytes that need no escape are
+/// copied whole; `"`, `\` and control characters are escaped. Every
+/// escaped byte is ASCII, so multibyte characters pass through intact.
+pub(crate) fn write_escaped(w: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    w.reserve(bytes.len() + 2);
+    w.push(b'"');
     let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => &[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ],
             _ => continue,
         };
-        w.write_str(&s[run..i])?;
-        if escape.is_empty() {
-            write!(w, "\\u{b:04x}")?;
-        } else {
-            w.write_str(escape)?;
-        }
+        w.extend_from_slice(&bytes[run..i]);
+        w.extend_from_slice(escape);
         run = i + 1;
     }
-    w.write_str(&s[run..])?;
-    w.write_char('"')
+    w.extend_from_slice(&bytes[run..]);
+    w.push(b'"');
 }
 
-/// Writes `items` as a JSON array, each element by `each`.
-pub(crate) fn write_arr<W, T>(
-    w: &mut W,
+/// Writes `items` as a JSON array, each element by `each`, with an
+/// element boundary after each.
+pub(crate) fn write_arr<T>(
+    out: &mut Out<'_>,
     items: impl IntoIterator<Item = T>,
-    mut each: impl FnMut(&mut W, T) -> fmt::Result,
-) -> fmt::Result
-where
-    W: fmt::Write + ?Sized,
-{
-    w.write_char('[')?;
+    mut each: impl FnMut(&mut Out<'_>, T),
+) {
+    out.push(b'[');
     for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
-            w.write_char(',')?;
+            out.push(b',');
         }
-        each(w, item)?;
+        each(out, item);
+        out.boundary();
     }
-    w.write_char(']')
+    out.push(b']');
 }
 
 /// Writes one JSON object field by field, so that a large value can
-/// stream into the sink between its key and the next one.
-pub(crate) struct ObjWriter<'a, W: fmt::Write + ?Sized> {
-    w: &'a mut W,
+/// stream into the output between its key and the next one.
+pub(crate) struct ObjWriter<'o, 'a> {
+    out: &'o mut Out<'a>,
     empty: bool,
 }
 
-impl<'a, W: fmt::Write + ?Sized> ObjWriter<'a, W> {
+impl<'o, 'a> ObjWriter<'o, 'a> {
     /// Opens the object.
-    pub(crate) fn begin(w: &'a mut W) -> Result<ObjWriter<'a, W>, fmt::Error> {
-        w.write_char('{')?;
-        Ok(ObjWriter { w, empty: true })
+    pub(crate) fn begin(out: &'o mut Out<'a>) -> ObjWriter<'o, 'a> {
+        out.push(b'{');
+        ObjWriter { out, empty: true }
     }
 
-    /// Writes the next key and returns the sink its value goes to.
-    pub(crate) fn key(&mut self, key: &str) -> Result<&mut W, fmt::Error> {
+    /// Writes the next key and returns the output its value goes to.
+    pub(crate) fn key(&mut self, key: &str) -> &mut Out<'a> {
         if !self.empty {
-            self.w.write_char(',')?;
+            self.out.push(b',');
         }
         self.empty = false;
-        write_escaped(self.w, key)?;
-        self.w.write_char(':')?;
-        Ok(self.w)
+        write_escaped(self.out, key);
+        self.out.push(b':');
+        self.out
     }
 
     /// Writes one field whose value is a small tree.
-    pub(crate) fn field(&mut self, key: &str, value: &Json) -> fmt::Result {
-        let w = self.key(key)?;
-        write_tree(w, value)
+    pub(crate) fn field(&mut self, key: &str, value: &Json) {
+        write_tree(self.key(key), value)
     }
 
     /// Closes the object.
-    pub(crate) fn end(self) -> fmt::Result {
-        self.w.write_char('}')
+    pub(crate) fn end(self) {
+        self.out.push(b'}')
     }
 }
 
 /// Writes a value tree; what [`Json`]'s `Display` prints.
-pub(crate) fn write_tree<W: fmt::Write + ?Sized>(w: &mut W, value: &Json) -> fmt::Result {
+pub(crate) fn write_tree(out: &mut Out<'_>, value: &Json) {
     match value {
-        Json::Null => w.write_str("null"),
-        Json::Bool(b) => w.write_str(if *b { "true" } else { "false" }),
-        Json::Num(n) => write_num(w, *n),
-        Json::Str(s) => write_escaped(w, s),
-        Json::Arr(items) => write_arr(w, items, |w, item| write_tree(w, item)),
+        Json::Null => out.extend_from_slice(b"null"),
+        Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+        Json::Num(n) => write_num(out, *n),
+        Json::Str(s) => write_escaped(out, s),
+        Json::Arr(items) => write_arr(out, items, write_tree),
         Json::Obj(pairs) => {
-            let mut obj = ObjWriter::begin(w)?;
+            let mut obj = ObjWriter::begin(out);
             for (k, v) in pairs {
-                obj.field(k, v)?;
+                obj.field(k, v);
             }
             obj.end()
         }
@@ -493,52 +610,14 @@ pub(crate) fn write_tree<W: fmt::Write + ?Sized>(w: &mut W, value: &Json) -> fmt
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_tree(f, self)
-    }
-}
-
-/// Lets the [`fmt::Write`] helpers above write into an [`io::Write`]
-/// sink. Counts the bytes written and keeps the first I/O error, which
-/// `fmt::Error` cannot carry.
-pub(crate) struct IoSink<'a, W: io::Write + ?Sized> {
-    inner: &'a mut W,
-    /// Bytes written so far.
-    pub(crate) bytes: usize,
-    error: Option<io::Error>,
-}
-
-impl<'a, W: io::Write + ?Sized> IoSink<'a, W> {
-    pub(crate) fn new(inner: &'a mut W) -> IoSink<'a, W> {
-        IoSink {
-            inner,
-            bytes: 0,
-            error: None,
-        }
-    }
-
-    /// Turns the outcome of a write through this sink back into the
-    /// I/O error that caused it.
-    pub(crate) fn finish(self, result: fmt::Result) -> io::Result<()> {
-        match (result, self.error) {
-            (Ok(()), _) => Ok(()),
-            (Err(_), Some(e)) => Err(e),
-            (Err(fmt::Error), None) => Err(io::Error::other("a formatter failed")),
-        }
-    }
-}
-
-impl<W: io::Write + ?Sized> fmt::Write for IoSink<'_, W> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        match self.inner.write_all(s.as_bytes()) {
-            Ok(()) => {
-                self.bytes += s.len();
-                Ok(())
-            }
-            Err(e) => {
-                self.error = Some(e);
-                Err(fmt::Error)
-            }
-        }
+        let mut target = |chunk: &[u8]| {
+            // Chunks end on element boundaries, so on character ones.
+            let text = std::str::from_utf8(chunk).expect("the writer emits UTF-8");
+            f.write_str(text).map_err(io::Error::other)
+        };
+        let mut out = Out::streaming(&mut target, 0);
+        write_tree(&mut out, self);
+        out.finish().map(drop).map_err(|_| fmt::Error)
     }
 }
 
@@ -611,6 +690,56 @@ mod tests {
         ] {
             assert_eq!(Json::Num(n).to_string(), text, "{n:e}");
         }
+    }
+
+    #[test]
+    fn integers_print_as_their_decimal_form() {
+        let mut values = vec![
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX,
+            0,
+            -1,
+            9,
+            10,
+            99,
+            100,
+            -100,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for p in 0..19 {
+            let ten = 10i64.pow(p);
+            values.extend([ten - 1, ten, ten + 1, -ten, 1 - ten]);
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            values.push(x as i64);
+        }
+        for n in values {
+            let mut buf = Vec::new();
+            write_int(&mut buf, n);
+            assert_eq!(buf, n.to_string().as_bytes());
+        }
+    }
+
+    #[test]
+    fn escapes_quotes_backslashes_and_control_characters() {
+        let mut buf = Vec::new();
+        write_escaped(&mut buf, "a\"\\\n\r\t\u{0}\u{1f}\u{7f}Δ😀");
+        assert_eq!(
+            buf,
+            "\"a\\\"\\\\\\n\\r\\t\\u0000\\u001f\u{7f}Δ😀\"".as_bytes()
+        );
+    }
+
+    #[test]
+    fn display_streams_large_trees_whole() {
+        let rows: Vec<Json> = (0..20_000)
+            .map(|i| Json::obj([("id", Json::from(i as usize)), ("s", Json::str("Δ"))]))
+            .collect();
+        let text = Json::Arr(rows).to_string();
+        assert!(text.len() > 2 * CHUNK);
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.as_arr().unwrap().len(), 20_000);
+        assert_eq!(parsed.to_string(), text);
     }
 
     #[test]

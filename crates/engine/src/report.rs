@@ -1,19 +1,22 @@
 //! The response side of the engine API: every notion returns the same
 //! [`RepairReport`] — repaired data, cost, provenance, guarantees,
 //! dichotomy classification, and timings — with machine-readable JSON
-//! from one writer, [`RepairReport::write_json`]. The writer streams
-//! ids, changed cells and table rows straight from the symbol columns
-//! into any [`std::io::Write`]; [`RepairReport::to_json`] and
-//! [`RepairReport::to_json_value`] are built on it.
+//! from one writer. The writer appends ids, changed cells and table rows
+//! straight from the symbol columns into a byte buffer, with no `fmt`
+//! layer in between. [`RepairReport::to_json_bytes`] writes the document
+//! into the `Vec` it returns (what a server ships and caches);
+//! [`RepairReport::write_json`] streams it into any [`std::io::Write`],
+//! handing over about 64 KiB at a time at row boundaries (the CLI's
+//! `--json`). [`RepairReport::to_json`] and
+//! [`RepairReport::to_json_value`] are built on the former.
 
 use crate::json::{
-    write_arr, write_escaped, write_int, write_num, write_tree, IoSink, Json, ObjWriter,
+    write_arr, write_escaped, write_int, write_num, write_tree, Json, ObjWriter, Out, CHUNK,
 };
 use crate::request::Notion;
 use fd_core::{FdSet, Schema, SymRef, Table, TupleId, Value};
 use fd_srepair::{classify_irreducible, simplification_trace, Outcome};
 use fd_urepair::{ratio_kl, ratio_ours};
-use std::fmt;
 use std::io;
 
 /// Where the FD set falls in the paper's complexity landscape, computed
@@ -162,12 +165,12 @@ impl ChangedCell {
             .collect()
     }
 
-    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
-        let mut obj = ObjWriter::begin(w)?;
-        write_int(obj.key("tuple")?, self.tuple.0.into())?;
-        write_escaped(obj.key("attr")?, &self.attr)?;
-        write_escaped(obj.key("old")?, &self.old)?;
-        write_escaped(obj.key("new")?, &self.new)?;
+    fn write_json(&self, out: &mut Out<'_>) {
+        let mut obj = ObjWriter::begin(out);
+        write_int(obj.key("tuple"), self.tuple.0.into());
+        write_escaped(obj.key("attr"), &self.attr);
+        write_escaped(obj.key("old"), &self.old);
+        write_escaped(obj.key("new"), &self.new);
         obj.end()
     }
 }
@@ -264,46 +267,46 @@ impl ReportBody {
         }
     }
 
-    /// Streams the body object: ids, changed cells and every row of the
-    /// repaired table go straight into `w`; the few scalar fields go
-    /// through small trees.
-    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
-        fn ids<W: fmt::Write + ?Sized>(w: &mut W, ids: &[TupleId]) -> fmt::Result {
-            write_arr(w, ids, |w, id| write_int(w, id.0.into()))
+    /// Writes the body object: ids, changed cells and every row of the
+    /// repaired table go straight into the buffer, each followed by an
+    /// element boundary; the few scalar fields go through small trees.
+    fn write_json(&self, out: &mut Out<'_>) {
+        fn ids(out: &mut Out<'_>, ids: &[TupleId]) {
+            write_arr(out, ids, |out, id| write_int(out, id.0.into()))
         }
-        fn cells<W: fmt::Write + ?Sized>(w: &mut W, cells: &[ChangedCell]) -> fmt::Result {
-            write_arr(w, cells, |w, cell| cell.write_json(w))
+        fn cells(out: &mut Out<'_>, cells: &[ChangedCell]) {
+            write_arr(out, cells, |out, cell| cell.write_json(out))
         }
-        fn strs<W: fmt::Write + ?Sized>(w: &mut W, strs: &[String]) -> fmt::Result {
-            write_arr(w, strs, |w, s| write_escaped(w, s))
+        fn strs(out: &mut Out<'_>, strs: &[String]) {
+            write_arr(out, strs, |out, s| write_escaped(out, s))
         }
-        let mut obj = ObjWriter::begin(w)?;
+        let mut obj = ObjWriter::begin(out);
         match self {
             ReportBody::Subset { deleted, repaired } => {
-                ids(obj.key("deleted")?, deleted)?;
-                write_table(obj.key("repaired")?, repaired)?;
+                ids(obj.key("deleted"), deleted);
+                write_table(obj.key("repaired"), repaired);
             }
             ReportBody::Update { changed, repaired } => {
-                cells(obj.key("changed")?, changed)?;
-                write_table(obj.key("repaired")?, repaired)?;
+                cells(obj.key("changed"), changed);
+                write_table(obj.key("repaired"), repaired);
             }
             ReportBody::Mixed {
                 deleted,
                 changed,
                 repaired,
             } => {
-                ids(obj.key("deleted")?, deleted)?;
-                cells(obj.key("changed")?, changed)?;
-                write_table(obj.key("repaired")?, repaired)?;
+                ids(obj.key("deleted"), deleted);
+                cells(obj.key("changed"), changed);
+                write_table(obj.key("repaired"), repaired);
             }
             ReportBody::Mpd {
                 kept,
                 probability,
                 repaired,
             } => {
-                ids(obj.key("kept")?, kept)?;
-                write_num(obj.key("probability")?, *probability)?;
-                write_table(obj.key("repaired")?, repaired)?;
+                ids(obj.key("kept"), kept);
+                write_num(obj.key("probability"), *probability);
+                write_table(obj.key("repaired"), repaired);
             }
             ReportBody::Count {
                 subset_repairs,
@@ -313,16 +316,16 @@ impl ReportBody {
                 obj.field(
                     "subset_repairs",
                     &subset_repairs.map_or(Json::Null, count_to_json),
-                )?;
+                );
                 obj.field(
                     "optimal_subset_repairs",
                     &optimal_subset_repairs.map_or(Json::Null, count_to_json),
-                )?;
-                strs(obj.key("notes")?, notes)?;
+                );
+                strs(obj.key("notes"), notes);
             }
             ReportBody::Sample { kept, repaired } => {
-                ids(obj.key("kept")?, kept)?;
-                write_table(obj.key("repaired")?, repaired)?;
+                ids(obj.key("kept"), kept);
+                write_table(obj.key("repaired"), repaired);
             }
             ReportBody::Classify {
                 keys,
@@ -330,14 +333,14 @@ impl ReportBody {
                 consistent,
                 conflicts,
             } => {
-                strs(obj.key("keys")?, keys)?;
-                obj.field("bcnf", &bcnf_violation.is_none().into())?;
+                strs(obj.key("keys"), keys);
+                obj.field("bcnf", &bcnf_violation.is_none().into());
                 obj.field(
                     "bcnf_violation",
                     &bcnf_violation.as_deref().map_or(Json::Null, Json::str),
-                )?;
-                obj.field("consistent", &(*consistent).into())?;
-                obj.field("conflicts", &(*conflicts).into())?;
+                );
+                obj.field("consistent", &(*consistent).into());
+                obj.field("conflicts", &(*conflicts).into());
             }
         }
         obj.end()
@@ -354,34 +357,39 @@ pub(crate) fn value_to_json(v: &Value) -> Json {
     }
 }
 
-/// Streams a table: schema, then one row object per tuple, written
-/// straight from the id, weight and symbol columns. Inline integers
-/// print as integers and pooled strings are escaped from the
-/// dictionary's own `str`, with no [`Value`] in between; every other
-/// symbol goes through [`value_to_json`].
-fn write_table<W: fmt::Write + ?Sized>(w: &mut W, table: &Table) -> fmt::Result {
+/// Writes a table: schema, then one row object per tuple, appended
+/// straight from the id, weight and symbol columns with an element
+/// boundary after each row. Inline integers print as integers and pooled
+/// strings are escaped from the dictionary's own `str`, with no [`Value`]
+/// in between; every other symbol goes through [`value_to_json`].
+fn write_table(out: &mut Out<'_>, table: &Table) {
     let schema = table.schema();
     let dict = table.dictionary();
     let cols = table.sym_cols();
-    let mut obj = ObjWriter::begin(w)?;
-    write_escaped(obj.key("relation")?, schema.relation())?;
-    write_arr(obj.key("attrs")?, schema.attr_names(), |w, a| {
-        write_escaped(w, a)
-    })?;
+    let mut obj = ObjWriter::begin(out);
+    write_escaped(obj.key("relation"), schema.relation());
+    write_arr(obj.key("attrs"), schema.attr_names(), |out, a| {
+        write_escaped(out, a)
+    });
     let rows = table.ids().zip(table.weights()).enumerate();
-    write_arr(obj.key("rows")?, rows, |w, (pos, (id, &weight))| {
-        w.write_str("{\"id\":")?;
-        write_int(w, id.0.into())?;
-        w.write_str(",\"weight\":")?;
-        write_num(w, weight)?;
-        w.write_str(",\"values\":")?;
-        write_arr(w, cols, |w, col| match dict.resolve(col[pos]) {
-            SymRef::Int(i) => write_int(w, i),
-            SymRef::Str(s) => write_escaped(w, s),
-            SymRef::Other(v) => write_tree(w, &value_to_json(&v)),
-        })?;
-        w.write_char('}')
-    })?;
+    write_arr(obj.key("rows"), rows, |out, (pos, (id, &weight))| {
+        out.extend_from_slice(b"{\"id\":");
+        write_int(out, id.0.into());
+        out.extend_from_slice(b",\"weight\":");
+        write_num(out, weight);
+        out.extend_from_slice(b",\"values\":[");
+        for (i, col) in cols.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            match dict.resolve(col[pos]) {
+                SymRef::Int(i) => write_int(out, i),
+                SymRef::Str(s) => write_escaped(out, s),
+                SymRef::Other(v) => write_tree(out, &value_to_json(&v)),
+            }
+        }
+        out.extend_from_slice(b"]}");
+    });
     obj.end()
 }
 
@@ -590,40 +598,51 @@ impl RepairReport {
         Ok(())
     }
 
-    /// Streams the report as one compact JSON document into `w`: the
-    /// one report writer behind [`RepairReport::to_json`], the CLI's
-    /// `--json` output and every serve response. The small header goes
-    /// through tiny [`Json`] values; ids, changed cells and every row of
-    /// the repaired table stream straight from the symbol columns.
+    /// Streams the report as one compact JSON document into `w`, in
+    /// chunks of about 64 KiB that end on row boundaries: the CLI's
+    /// `--json` output. The document is the one [`RepairReport::to_json_bytes`]
+    /// returns.
     pub fn write_json<W: io::Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
-        // fdlint: allow(O001, "observation only: the span records the row count and the byte count of text already written; nothing from it reaches the output")
-        let mut sp = fd_trace::span("engine/serialize");
-        let mut sink = IoSink::new(w);
-        let result = self.write_document(&mut sink);
-        sp.attr("rows", self.repaired().map_or(0, Table::len));
-        sp.attr("bytes", sink.bytes);
-        sink.finish(result)
+        let mut target = |chunk: &[u8]| w.write_all(chunk);
+        // Room past the chunk size for the row that crosses it.
+        let capacity = self.json_size_hint().min(CHUNK + CHUNK / 16);
+        self.serialize(Out::streaming(&mut target, capacity))
+            .map(drop)
     }
 
-    fn write_document<W: fmt::Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
-        let mut obj = ObjWriter::begin(w)?;
-        write_escaped(obj.key("notion")?, self.notion.name())?;
-        write_num(obj.key("cost")?, self.cost)?;
-        obj.field("optimal", &self.optimal.into())?;
-        write_num(obj.key("ratio")?, self.ratio)?;
-        write_arr(obj.key("methods")?, &self.methods, |w, m| {
-            write_escaped(w, m)
-        })?;
-        obj.field("dichotomy", &self.dichotomy.to_json())?;
+    /// Writes the document into `out` under the `engine/serialize` span
+    /// and finishes it.
+    fn serialize(&self, mut out: Out<'_>) -> io::Result<Vec<u8>> {
+        // fdlint: allow(O001, "observation only: the span records the row count and the byte count of text already written; nothing from it reaches the output")
+        let mut sp = fd_trace::span("engine/serialize");
+        self.write_document(&mut out);
+        sp.attr("rows", self.repaired().map_or(0, Table::len));
+        sp.attr("bytes", out.written());
+        out.finish()
+    }
+
+    /// The one report writer: the small header goes through tiny
+    /// [`Json`] values; ids, changed cells and every row of the repaired
+    /// table are appended straight from the symbol columns.
+    fn write_document(&self, out: &mut Out<'_>) {
+        let mut obj = ObjWriter::begin(out);
+        write_escaped(obj.key("notion"), self.notion.name());
+        write_num(obj.key("cost"), self.cost);
+        obj.field("optimal", &self.optimal.into());
+        write_num(obj.key("ratio"), self.ratio);
+        write_arr(obj.key("methods"), &self.methods, |out, m| {
+            write_escaped(out, m)
+        });
+        obj.field("dichotomy", &self.dichotomy.to_json());
         obj.field(
             "components",
             &self
                 .components
                 .as_ref()
                 .map_or(Json::Null, ComponentReport::to_json),
-        )?;
-        obj.field("timings", &self.timings.to_json())?;
-        self.body.write_json(obj.key("result")?)?;
+        );
+        obj.field("timings", &self.timings.to_json());
+        self.body.write_json(obj.key("result"));
         obj.end()
     }
 
@@ -642,19 +661,18 @@ impl RepairReport {
         1024 + rows * (40 + 8 * arity) + ids * 8
     }
 
-    /// The report as a compact JSON document: [`RepairReport::write_json`]
-    /// into a buffer.
+    /// The report as a compact JSON document.
     pub fn to_json(&self) -> String {
         String::from_utf8(self.to_json_bytes()).expect("the report writer emits UTF-8")
     }
 
     /// The same document as [`RepairReport::to_json`], as the bytes a
-    /// server ships, without the UTF-8 check a `String` needs.
+    /// server ships, without the UTF-8 check a `String` needs: written
+    /// straight into the returned buffer, sized by
+    /// [`RepairReport::json_size_hint`].
     pub fn to_json_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.json_size_hint());
-        self.write_json(&mut buf)
-            .expect("writing into a Vec cannot fail");
-        buf
+        self.serialize(Out::buffer(self.json_size_hint()))
+            .expect("a buffer has no target to fail")
     }
 
     /// The report as a JSON value tree, parsed back from
@@ -716,6 +734,163 @@ mod tests {
         let values = row.get("values").unwrap().as_arr().unwrap();
         assert_eq!(values[0].as_num(), Some(1.0));
         assert_eq!(values[2].as_str(), Some("x"));
+    }
+
+    /// A subset report whose document spans several [`CHUNK`]s: rows
+    /// of escaped strings and integers, half of the ids deleted.
+    fn large_report(rows: i64) -> RepairReport {
+        let table = Table::build(
+            schema_rabc(),
+            (0..rows).map(|i| (tup![i, i * 7, Value::str(&format!("r\"{i}\" Δ"))], 1.5)),
+        )
+        .unwrap();
+        RepairReport {
+            notion: Notion::Subset,
+            methods: vec!["Dichotomy".to_string()],
+            optimal: true,
+            ratio: 1.0,
+            cost: 0.0,
+            dichotomy: DichotomyReport::classify(&FdSet::empty()),
+            components: None,
+            timings: Timings::default(),
+            body: ReportBody::Subset {
+                deleted: (0..rows as u32 / 2).map(TupleId).collect(),
+                repaired: table,
+            },
+        }
+    }
+
+    /// Accepts `left` bytes, then fails every write with a broken pipe.
+    struct FailAfter {
+        left: usize,
+        got: Vec<u8>,
+    }
+
+    impl io::Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "closed"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_target_that_fails_after_n_bytes_returns_its_error() {
+        let report = large_report(5_000);
+        let doc = report.to_json_bytes();
+        assert!(doc.len() > 3 * CHUNK, "{} bytes", doc.len());
+        for n in [0, 1, 1_000, CHUNK, CHUNK + 1, doc.len() - 1] {
+            let mut w = FailAfter {
+                left: n,
+                got: Vec::new(),
+            };
+            let err = report.write_json(&mut w).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "after {n} bytes");
+            assert_eq!(w.got, doc[..n], "after {n} bytes");
+        }
+        let mut w = FailAfter {
+            left: doc.len(),
+            got: Vec::new(),
+        };
+        report.write_json(&mut w).unwrap();
+        assert_eq!(w.got, doc);
+    }
+
+    #[test]
+    fn a_target_taking_one_byte_per_call_gets_the_whole_document() {
+        struct OneByte(Vec<u8>);
+        impl io::Write for OneByte {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(&buf[..buf.len().min(1)]);
+                Ok(buf.len().min(1))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let report = large_report(3_000);
+        let mut w = OneByte(Vec::new());
+        report.write_json(&mut w).unwrap();
+        assert_eq!(w.0, report.to_json_bytes());
+    }
+
+    #[test]
+    fn streamed_chunks_hold_at_most_a_chunk_plus_one_row() {
+        struct Recording(Vec<Vec<u8>>);
+        impl io::Write for Recording {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let report = large_report(5_000);
+        let mut w = Recording(Vec::new());
+        report.write_json(&mut w).unwrap();
+        assert_eq!(w.0.concat(), report.to_json_bytes());
+        assert!(w.0.len() > 3, "{} chunks", w.0.len());
+        let value = report.to_json_value();
+        let longest_row = value
+            .get("result")
+            .and_then(|r| r.get("repaired"))
+            .and_then(|t| t.get("rows"))
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|row| row.to_string().len() + 1)
+            .max()
+            .unwrap();
+        let (last, full) = w.0.split_last().unwrap();
+        for chunk in full {
+            assert!(chunk.len() >= CHUNK, "an early chunk of {}", chunk.len());
+            assert!(
+                chunk.len() < CHUNK + longest_row,
+                "a chunk of {}",
+                chunk.len()
+            );
+        }
+        assert!(
+            last.len() < CHUNK + longest_row,
+            "a last chunk of {}",
+            last.len()
+        );
+    }
+
+    #[test]
+    fn the_serialize_span_counts_the_bytes_written() {
+        let report = large_report(2_000);
+        let collector = fd_trace::Collector::default();
+        let mut streamed = Vec::new();
+        let bytes = {
+            let _guard = collector.install();
+            report.write_json(&mut streamed).unwrap();
+            report.to_json_bytes()
+        };
+        assert_eq!(streamed, bytes);
+        let spans: Vec<_> = collector
+            .events()
+            .into_iter()
+            .filter(|e| e.name == "engine/serialize")
+            .collect();
+        assert_eq!(spans.len(), 2);
+        for span in spans {
+            let attr = |key| span.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+            assert_eq!(
+                attr("bytes"),
+                Some(&fd_trace::AttrValue::U64(bytes.len() as u64))
+            );
+            assert_eq!(attr("rows"), Some(&fd_trace::AttrValue::U64(2_000)));
+        }
     }
 
     #[test]

@@ -39,6 +39,9 @@ pub struct AccessRecord {
     pub queue_wait_us: u64,
     /// Time inside the engine solve/plan, µs (0 when nothing solved).
     pub solve_us: u64,
+    /// Time writing the report's bytes, µs: `/repair` misses and
+    /// `/mutate` only, 0 on cache hits and errors.
+    pub serialize_us: u64,
 }
 
 impl AccessRecord {
@@ -57,6 +60,7 @@ impl AccessRecord {
             queued: false,
             queue_wait_us: 0,
             solve_us: 0,
+            serialize_us: 0,
         }
     }
 
@@ -84,8 +88,8 @@ impl AccessRecord {
             None => out.push_str(",\"cache_hit\":null"),
         }
         out.push_str(&format!(
-            ",\"queued\":{},\"queue_wait_us\":{},\"solve_us\":{}}}",
-            self.queued, self.queue_wait_us, self.solve_us
+            ",\"queued\":{},\"queue_wait_us\":{},\"solve_us\":{},\"serialize_us\":{}}}",
+            self.queued, self.queue_wait_us, self.solve_us, self.serialize_us
         ));
         out
     }
@@ -135,6 +139,7 @@ mod tests {
             queued: true,
             queue_wait_us: 15,
             solve_us: 9000,
+            serialize_us: 700,
         };
         let line = record.to_json_line();
         assert!(!line.contains('\n'), "one line, no embedded newlines");
@@ -146,6 +151,7 @@ mod tests {
         assert_eq!(doc.get("cache_hit").unwrap().as_bool(), Some(false));
         assert_eq!(doc.get("queued").unwrap().as_bool(), Some(true));
         assert_eq!(doc.get("solve_us").unwrap().as_num(), Some(9000.0));
+        assert_eq!(doc.get("serialize_us").unwrap().as_num(), Some(700.0));
     }
 
     #[test]

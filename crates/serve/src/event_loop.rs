@@ -1019,6 +1019,7 @@ fn dispatch(
                 queued: false,
                 queue_wait_us: 0,
                 solve_us: 0,
+                serialize_us: 0,
             });
         }
         conn.start_writing(http::serialize_response(response), io_timeout);
@@ -1079,6 +1080,7 @@ fn reject(conn: &mut Conn, error: HttpError, shared: &Shared, io_timeout: Durati
         queued: true,
         queue_wait_us: 0,
         solve_us: 0,
+        serialize_us: 0,
     };
     let response = response.with_header("X-Request-Id", request_id);
     let elapsed = conn.accepted.elapsed();
@@ -1117,6 +1119,7 @@ fn handle_job(shared: &Shared, completions: &Completions, job: Job) {
                     queued: true,
                     queue_wait_us,
                     solve_us: info.solve_us,
+                    serialize_us: info.serialize_us,
                 };
                 (response, info.endpoint, record)
             }
@@ -1137,6 +1140,7 @@ fn handle_job(shared: &Shared, completions: &Completions, job: Job) {
                     queued: true,
                     queue_wait_us,
                     solve_us: 0,
+                    serialize_us: 0,
                 };
                 (response, "other", record)
             }

@@ -27,7 +27,8 @@ use crate::{MutatePath, Shared};
 use fd_core::{FdSet, MutationEffect, Schema, Table};
 use fd_engine::{
     parse_table_doc, table_fingerprint, EngineError, IncrementalSession, JsonLimits, MutateCall,
-    Notion, ParsedCall, Planner, RefCall, RepairEngine, RepairRequest, Timings, WireError,
+    Notion, ParsedCall, Planner, RefCall, RepairEngine, RepairReport, RepairRequest, Timings,
+    WireError,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -60,6 +61,9 @@ pub struct RequestInfo {
     pub cache_hit: Option<bool>,
     /// Engine time, µs (0 when nothing was solved).
     pub solve_us: u64,
+    /// Time spent writing the report's bytes, µs: set on `/repair`
+    /// misses and on `/mutate`, 0 on cache hits and errors.
+    pub serialize_us: u64,
 }
 
 impl RequestInfo {
@@ -72,6 +76,7 @@ impl RequestInfo {
             components: None,
             cache_hit: None,
             solve_us: 0,
+            serialize_us: 0,
         }
     }
 }
@@ -586,7 +591,7 @@ fn solve_now(
                 if !ctx.include_timings {
                     report.timings = Timings::default();
                 }
-                report.to_json_bytes()
+                report_bytes(&report, info)
             }),
         Endpoint::Explain => Planner
             .plan(ctx.table, ctx.fds, ctx.request)
@@ -623,6 +628,15 @@ fn solve_now(
             (status, Arc::new(body.into_bytes()))
         }
     }
+}
+
+/// The report's bytes, with the time the writer took recorded in
+/// `info.serialize_us`.
+fn report_bytes(report: &RepairReport, info: &mut RequestInfo) -> Vec<u8> {
+    let start = Instant::now();
+    let bytes = report.to_json_bytes();
+    info.serialize_us = start.elapsed().as_micros() as u64;
+    bytes
 }
 
 /// The one allocation a report's bytes live in while the cache and the
@@ -997,7 +1011,7 @@ fn mutate_table(
         Ok(stored) => stored,
         Err(e) => return store_error_response(&e),
     };
-    let report = shared_body(report.to_json_bytes());
+    let report = shared_body(report_bytes(&report, info));
     let snapshots = (read.fingerprint, stored.fingerprint);
     publish(
         shared,
@@ -2422,5 +2436,46 @@ mod tests {
         let (_, hit) = post_with_headers(&shared, "/repair", OFFICE, &[]);
         assert_eq!(hit.cache_hit, Some(true));
         assert_eq!(hit.components, None);
+    }
+
+    #[test]
+    fn serialize_time_is_recorded_on_misses_and_mutates_only() {
+        // 3 000 rows, so that writing a report takes well over 1 µs.
+        let rows: Vec<String> = (0..3_000)
+            .map(|i| {
+                format!(
+                    r#"{{"weight": 1, "values": [{}, {}, "c{i}"]}}"#,
+                    i / 2,
+                    i % 3
+                )
+            })
+            .collect();
+        let rows = rows.join(",");
+        let table = format!(r#"{{"relation": "R", "attrs": ["A", "B", "C"], "rows": [{rows}]}}"#);
+        let inline = format!(
+            r#"{{"relation": "R", "attrs": ["A", "B", "C"], "fds": "A -> B",
+                 "rows": [{rows}], "request": {{"include_timings": false}}}}"#
+        );
+        let shared = shared();
+        let (miss, info) = post_with_headers(&shared, "/repair", &inline, &[]);
+        assert_eq!(miss.status, 200);
+        assert_eq!(info.cache_hit, Some(false));
+        assert!(info.serialize_us > 0, "a miss writes its report");
+        let (_, hit) = post_with_headers(&shared, "/repair", &inline, &[]);
+        assert_eq!(hit.cache_hit, Some(true));
+        assert_eq!(hit.serialize_us, 0, "a hit replays stored bytes");
+
+        let (put, info) = send(&shared, "PUT", "/tables/t", &table, &[]);
+        assert_eq!(put.status, 201);
+        assert_eq!(info.serialize_us, 0);
+        let mutate =
+            r#"{"fds": "A -> B", "mutations": [{"op": "set", "id": 4, "attr": "B", "value": 9}]}"#;
+        let (resp, info) = send(&shared, "POST", "/tables/t/mutate", mutate, &[]);
+        assert_eq!(resp.status, 200, "{}", text_of(&resp));
+        assert!(info.serialize_us > 0, "a mutate writes its report");
+        let bad = r#"{"fds": "A -> Z", "mutations": []}"#;
+        let (resp, info) = send(&shared, "POST", "/tables/t/mutate", bad, &[]);
+        assert_eq!(resp.status, 400);
+        assert_eq!(info.serialize_us, 0, "an error writes no report");
     }
 }

@@ -185,7 +185,7 @@ fn writer_edge_values_match_golden_bytes() {
     // The update report renders fresh constants in `changed` and in rows.
     check_golden_table("edge_u.json", &table, &fds, &RepairRequest::update());
 
-    // An MPD world whose probability is about 10⁻⁹⁰.
+    // An MPD world whose probability is about 10⁻⁸¹.
     let schema = Schema::new("P", ["key", "val"]).unwrap();
     let fds = FdSet::parse(&schema, "key -> val").unwrap();
     let rows = (0..30i64).flat_map(|k| [(tup![k, 0], 0.999), (tup![k, 1], 0.998)]);
