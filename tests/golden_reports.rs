@@ -153,6 +153,50 @@ fn generated_tenths_reports_match_golden_bytes() {
     );
 }
 
+/// Update and mixed reports on generated 200-row tables, each plain and
+/// with every weight scaled by 0.1: they pin the changed cells and the
+/// cost of every §4 strategy that runs at scale — `CommonLhsViaS`
+/// (tractable), `Approximate` (hard: KL against Theorem 4.12),
+/// `TwoCycle` (marriage under `A -> B; B -> A`), `ConsensusOnly` plus a
+/// component (hard under `-> C; A -> B`) and `MixedVertexCoverRetag`.
+/// A cost summed in any other order than the one the solvers use today
+/// changes the tenths bytes.
+#[test]
+fn generated_update_and_mixed_reports_match_golden_bytes() {
+    let tenths = |table: &Table| {
+        let positions: Vec<u32> = (0..table.len() as u32).collect();
+        let weights = table.weights().iter().map(|w| w * 0.1).collect();
+        table.gather_reweighted(&positions, weights)
+    };
+    let check_both = |name: &str, table: &Table, fds: &FdSet, request: &RepairRequest| {
+        check_golden_table(&format!("{name}.json"), table, fds, request);
+        let tenths_name = name.replacen("200_", "200_tenths_", 1);
+        check_golden_table(&format!("{tenths_name}.json"), &tenths(table), fds, request);
+    };
+    let update = RepairRequest::update();
+    let (_, fds, tractable) = fd_repairs::gen::scale::tractable_scale(200, true, 7);
+    check_both("tractable200_u", &tractable, &fds, &update);
+    check_both(
+        "tractable200_mixed",
+        &tractable,
+        &fds,
+        &RepairRequest::mixed(MixedCosts::new(1.5, 1.0)),
+    );
+    let (schema, fds, hard) = fd_repairs::gen::scale::hard_scale(200, true, 7);
+    check_both("hard200_u", &hard, &fds, &update);
+    check_both(
+        "hard200_mixed",
+        &hard,
+        &fds,
+        &RepairRequest::mixed(MixedCosts::new(2.5, 1.0)),
+    );
+    let consensus = FdSet::parse(&schema, "-> C; A -> B").unwrap();
+    check_both("hard200_consensus_u", &hard, &consensus, &update);
+    let (schema, _, marriage) = fd_repairs::gen::scale::marriage_scale(200, true, 7);
+    let cycle = FdSet::parse(&schema, "A -> B; B -> A").unwrap();
+    check_both("marriage200_cycle_u", &marriage, &cycle, &update);
+}
+
 /// The report writer's edge values, pinned byte for byte: strings that
 /// need every kind of escape (quote, backslash, `\n`, `\t`, `\r`, other
 /// control characters, DEL, multibyte and astral characters), integers on
@@ -274,5 +318,5 @@ fn golden_bytes_parse_and_round_trip_structurally() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 22, "expected 22 golden files, found {checked}");
+    assert_eq!(checked, 34, "expected 34 golden files, found {checked}");
 }
