@@ -77,6 +77,13 @@
 //! chunk-parallel `.fdr` reader into symbol columns. The committed
 //! `1000000/100000` median ratio must stay under 15 (asserted by a
 //! test in `bench_guard`), so ingest stays linear.
+//!
+//! Then `update/tractable/<n>` (100k and 1M rows) runs
+//! `repair --notion u` through the engine on the tractable workload:
+//! Corollary 4.6's sharded subset solve, its deleted tuples retagged as
+//! cells, and the report's one `apply`. The committed
+//! `1000000/100000` median ratio must stay under 12 (asserted by a test
+//! in `bench_guard`), so no stage of the update path goes superlinear.
 
 use criterion::{black_box, Criterion};
 use fd_core::{table_from_csv_reader, table_to_csv, AttrId, CsvOptions, KeyExtractor};
@@ -369,6 +376,17 @@ fn write_summary() {
             format!("ingest/fdr/{n}"),
             median_us(reps(n), || {
                 black_box(Instance::parse(&text).unwrap());
+            }),
+        );
+    }
+    // The tractable update rung: `repair --notion u` through the
+    // engine, also after the ladder's peak RSS is read.
+    for n in [100_000usize, 1_000_000] {
+        let (_, fds, table) = tractable_scale(n, false, 42);
+        push(
+            format!("update/tractable/{n}"),
+            median_us(reps(n), || {
+                black_box(Planner.run(&table, &fds, &RepairRequest::update()).unwrap());
             }),
         );
     }

@@ -296,6 +296,23 @@ mod tests {
         );
     }
 
+    /// The tractable update rung must scale linearly: the subset solve
+    /// is sharded, the update is written as the deleted tuples' cells,
+    /// and the report applies them once, so ten times the rows cost
+    /// about ten times the time. A stage that rescans or diffs the
+    /// whole table per component fails here.
+    #[test]
+    fn committed_seed_keeps_the_tractable_update_rung_linear() {
+        let small = median("update/tractable/100000");
+        let large = median("update/tractable/1000000");
+        assert!(
+            small > 0.0 && large / small < 12.0,
+            "update/tractable/1000000 ({large} µs) must stay under 12× \
+             update/tractable/100000 ({small} µs); got {:.1}×",
+            large / small
+        );
+    }
+
     /// `.fdr` ingest must scale linearly: the reader passes over each
     /// line once and interns each field once, so ten times the rows
     /// cost about ten times the time. A per-row rescan of the document,

@@ -320,6 +320,12 @@ impl Table {
         self.ids.iter().copied()
     }
 
+    /// Decodes the value of one cell of the row with identifier `id`.
+    pub fn value(&self, id: TupleId, attr: AttrId) -> Result<Value> {
+        let pos = self.pos_of(id).ok_or(Error::UnknownTupleId { id: id.0 })? as usize;
+        Ok(self.dict.decode(self.cols[attr.usize()][pos]))
+    }
+
     /// Decodes the row with identifier `id` (O(1) lookup through the
     /// dense offset index).
     pub fn row(&self, id: TupleId) -> Result<Row> {
@@ -696,16 +702,17 @@ impl Table {
         for pos in 0..self.len() {
             for c in 0..self.cols.len() {
                 let old = self.cols[c][pos];
+                // Other symbols keep their cell without a map probe, so
+                // the map holds the fresh symbols only.
+                if !self.dict.sym_contains_fresh(old) {
+                    continue;
+                }
                 let new = match sym_map.get(&old) {
                     Some(&mapped) => mapped,
                     None => {
-                        let mapped = if self.dict.sym_contains_fresh(old) {
-                            let value = self.dict.decode(old);
-                            let renamed = remap(&value, &mut rename).expect("contains fresh");
-                            self.intern(&renamed)
-                        } else {
-                            old
-                        };
+                        let value = self.dict.decode(old);
+                        let renamed = remap(&value, &mut rename).expect("contains fresh");
+                        let mapped = self.intern(&renamed);
                         sym_map.insert(old, mapped);
                         mapped
                     }

@@ -4,10 +4,10 @@
 //! [`crate::RepairReport::write_json`]) are built from, and a small
 //! recursive-descent parser ([`Json::parse`]).
 //!
-//! The writer appends bytes to one `Vec<u8>` ([`Out`]): integers by a
+//! The writer appends bytes to one `Vec<u8>` (`Out`): integers by a
 //! two-digit table, strings by escaped runs, and nothing goes through
-//! `fmt` but non-integral floats. A streaming [`Out`] hands its buffer to
-//! the target at element boundaries once it holds [`CHUNK`] bytes.
+//! `fmt` but non-integral floats. A streaming `Out` hands its buffer to
+//! the target at element boundaries once it holds `CHUNK` bytes.
 //!
 //! The engine cannot use `serde` (no registry access in this build
 //! environment), and its reports only need the JSON essentials: objects

@@ -6,7 +6,7 @@ use crate::report::{
     ChangedCell, ComponentReport, DichotomyReport, RepairReport, ReportBody, Timings,
 };
 use crate::request::{Notion, Optimality, RepairRequest};
-use fd_core::{candidate_keys, FdSet, Table, TupleId};
+use fd_core::{candidate_keys, AttrId, FdSet, Table, TupleId, Value};
 use fd_srepair::{
     count_optimal_s_repairs, count_subset_repairs, sample_subset_repair, ChainCountOutcome,
     CountOutcome, ShardConfig, ShardPlan, ShardedSolution,
@@ -277,6 +277,39 @@ impl Planner {
         let deleted = sol.repair.deleted(table);
         let repaired = sol.repair.apply(table);
         (methods, stats, ReportBody::Subset { deleted, repaired })
+    }
+
+    /// The changed cells and repaired table of an update or mixed
+    /// report, built once at the report boundary: `apply` materializes
+    /// the repaired table, its fresh tags are canonicalized (they come
+    /// from a process-global counter, and identical calls must serialize
+    /// identically: serving and caching depend on it), and each listed
+    /// cell reads its old value from `input` and its new value from the
+    /// repaired table.
+    fn assemble_cells(
+        input: &Table,
+        cells: &[(TupleId, AttrId, Value)],
+        apply: impl FnOnce() -> Table,
+    ) -> (Vec<ChangedCell>, Table) {
+        let mut sp = fd_trace::span("engine/report_assemble");
+        let mut repaired = apply();
+        repaired.canonicalize_fresh();
+        let value = |table: &Table, id, attr| {
+            let value = table.value(id, attr).expect("cells name rows of the table");
+            value.to_string()
+        };
+        let changed = cells
+            .iter()
+            .map(|&(id, attr, _)| ChangedCell {
+                tuple: id,
+                attr: input.schema().attr_name(attr).to_string(),
+                old: value(input, id, attr),
+                new: value(&repaired, id, attr),
+            })
+            .collect();
+        sp.attr("rows", repaired.len());
+        sp.attr("cells", cells.len());
+        (changed, repaired)
     }
 
     /// Renders a [`ShardPlan`] into plan steps plus the component
@@ -555,49 +588,37 @@ impl RepairEngine for Planner {
             }
             Notion::Update => {
                 let solver = Planner::effective_u_solver(table, fds, request);
-                let mut sol = solver.solve(table, fds);
-                // Fresh constants are minted from a process-global
-                // counter; canonicalize so identical calls serialize
-                // identically (serving and caching depend on it).
-                sol.repair.updated.canonicalize_fresh();
-                let cells = table
-                    .changed_cells(&sol.repair.updated)
-                    .expect("solver output updates the input");
+                let sol = solver.solve(table, fds);
+                let (changed, repaired) =
+                    Planner::assemble_cells(table, &sol.repair.cells, || sol.repair.apply(table));
                 (
                     sol.methods.iter().map(|m| format!("{m:?}")).collect(),
                     sol.optimal,
                     sol.ratio,
                     sol.repair.cost,
-                    ReportBody::Update {
-                        changed: ChangedCell::from_cells(schema, &cells),
-                        repaired: sol.repair.updated,
-                    },
+                    ReportBody::Update { changed, repaired },
                 )
             }
             Notion::Mixed => {
                 let method = Planner::plan_mixed_method(table, fds, request)?;
-                let mut sol = fd_urepair::engine::solve_mixed(
+                let sol = fd_urepair::engine::solve_mixed(
                     table,
                     fds,
                     request.mixed_costs,
                     method,
                     request.budgets.exact_node_budget,
                 );
-                sol.repair.repaired.canonicalize_fresh();
-                let deleted_set: HashSet<TupleId> = sol.repair.deleted.iter().copied().collect();
-                let survivors = table.without(&deleted_set);
-                let cells = survivors
-                    .changed_cells(&sol.repair.repaired)
-                    .expect("mixed repair updates the survivors");
+                let (changed, repaired) =
+                    Planner::assemble_cells(table, &sol.repair.cells, || sol.repair.apply(table));
                 (
                     vec![sol.method.name().to_string()],
                     sol.optimal,
                     sol.ratio,
                     sol.repair.cost,
                     ReportBody::Mixed {
-                        deleted: sol.repair.deleted.clone(),
-                        changed: ChangedCell::from_cells(schema, &cells),
-                        repaired: sol.repair.repaired,
+                        deleted: sol.repair.deleted,
+                        changed,
+                        repaired,
                     },
                 )
             }

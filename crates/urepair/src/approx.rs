@@ -30,12 +30,12 @@ pub struct ApproxURepair {
 /// (Theorem 4.12, with the component-wise refinement of Theorem 4.1 and
 /// consensus stripping of Theorem 4.3).
 pub fn approx_u_repair(table: &Table, fds: &FdSet) -> ApproxURepair {
-    let (mut repair, _, rest) = consensus_first(table, fds);
+    // The rest is solved on the consensus-fixed table so later lhs
+    // groupings see the final consensus values (the components are
+    // attribute-disjoint from the consensus attributes, so costs compose
+    // per Theorem 4.1).
+    let (mut repair, _, base, rest) = consensus_first(table, fds);
     let mut ratio: f64 = 1.0;
-    // Work on the consensus-fixed table so later lhs groupings see the
-    // final consensus values (the components are attribute-disjoint from
-    // the consensus attributes, so costs compose per Theorem 4.1).
-    let base = repair.updated.clone();
     for comp in attribute_components(&rest) {
         let comp_mlc = mlc(&comp).expect("components are consensus-free") as f64;
         // Sharded subset solve: Algorithm 1 per component on the
@@ -49,7 +49,7 @@ pub fn approx_u_repair(table: &Table, fds: &FdSet) -> ApproxURepair {
         let part = subset_to_update(&base, &srepair, &comp);
         ratio = ratio.max(c * comp_mlc);
         repair = repair
-            .compose(&base, &part)
+            .compose(&base, part)
             .expect("components touch disjoint attributes");
     }
     ApproxURepair { repair, ratio }

@@ -5,7 +5,7 @@
 //! each attribute of `X` independently, the value of maximum total weight
 //! in that column and rewrites everything else to it.
 
-use crate::repair::URepair;
+use crate::repair::{URepair, UpdateWriter};
 use fd_core::{AttrSet, FnvBuild, Sym, Table, Value};
 use std::collections::HashMap;
 
@@ -39,25 +39,16 @@ pub fn weighted_majority(table: &Table, attr: fd_core::AttrId) -> Option<Value> 
 /// (Proposition B.2, extended attribute-wise via Theorem 4.1): each column
 /// of `attrs` is rewritten to its weighted-majority value.
 pub fn consensus_u_repair(table: &Table, attrs: AttrSet) -> URepair {
-    let mut updated = table.clone();
+    let mut writer = UpdateWriter::new(table);
     for attr in attrs.iter() {
         let Some(majority) = weighted_majority(table, attr) else {
             continue; // empty table
         };
-        let maj_sym = table
-            .dictionary()
-            .lookup(&majority)
-            .expect("the majority value came from this column");
-        let ids: Vec<fd_core::TupleId> = table.ids().collect();
-        for (id, &sym) in ids.into_iter().zip(table.col(attr)) {
-            if sym != maj_sym {
-                updated
-                    .set_value(id, attr, majority.clone())
-                    .expect("id from table");
-            }
+        for pos in 0..table.len() {
+            writer.set(pos, attr, majority.clone());
         }
     }
-    URepair::new(table, updated).expect("only values changed")
+    writer.finish()
 }
 
 #[cfg(test)]

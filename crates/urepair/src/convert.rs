@@ -1,34 +1,33 @@
 //! The S↔U conversions of Proposition 4.4.
 //!
 //! 1. A consistent update `U` yields a consistent subset `S` with
-//!    `dist_sub(S, T) ≤ dist_upd(U, T)`: drop every tuple with at least one
-//!    updated cell.
+//!    `dist_sub(S, T) ≤ dist_upd(U, T)`: drop every tuple named by one of
+//!    `U`'s row-ordered cells.
 //! 2. For consensus-free `Δ`, a consistent subset `S` yields a consistent
 //!    update `U` with `dist_upd(U, T) ≤ mlc(Δ) · dist_sub(S, T)`: rewrite
 //!    the cells of a minimum lhs cover to fresh constants in every deleted
-//!    tuple, so deleted tuples agree with nothing on any lhs.
+//!    tuple (written as `U`'s cells; no row is decoded), so deleted tuples
+//!    agree with nothing on any lhs.
 //!
 //! These underlie Corollary 4.5 (the sandwich
 //! `dist_sub(S*) ≤ dist_upd(U*) ≤ mlc(Δ) · dist_sub(S*)`), Corollary 4.6
 //! (common lhs ⇒ the two problems coincide), and Theorem 4.12 (the
 //! `2·mlc(Δ)` approximation).
 
-use crate::repair::URepair;
-use fd_core::{FdSet, FreshSource, Table, TupleId};
+use crate::repair::{URepair, UpdateWriter};
+use fd_core::{FdSet, FreshSource, Table};
 use fd_srepair::SRepair;
-use std::collections::HashSet;
 
 /// Proposition 4.4(1): the consistent subset induced by a consistent
-/// update — keep exactly the untouched tuples.
+/// update — keep exactly the tuples with no changed cell.
 pub fn update_to_subset(original: &Table, update: &URepair) -> SRepair {
-    let mut kept = Vec::new();
-    for row in original.rows() {
-        let new = update.updated.row(row.id).expect("update has the same ids");
-        if new.tuple == row.tuple {
-            kept.push(row.id);
-        }
-    }
-    SRepair::from_kept(original, kept)
+    let mut changed = update.cells.iter().map(|cell| cell.0).peekable();
+    let kept = original.ids().filter(|&id| {
+        let untouched = changed.peek() != Some(&id);
+        while changed.next_if_eq(&id).is_some() {}
+        untouched
+    });
+    SRepair::from_kept(original, kept.collect())
 }
 
 /// Proposition 4.4(2): the consistent update induced by a consistent
@@ -42,26 +41,21 @@ pub fn update_to_subset(original: &Table, update: &URepair) -> SRepair {
 pub fn subset_to_update(original: &Table, subset: &SRepair, fds: &FdSet) -> URepair {
     let cover =
         fd_core::min_lhs_cover(fds).expect("Proposition 4.4(2) requires a consensus-free FD set");
-    let kept: HashSet<TupleId> = subset.kept.iter().copied().collect();
-    let mut updated = original.clone();
+    let kept = original.position_mask(&subset.kept);
+    let mut writer = UpdateWriter::new(original);
     let mut fresh = FreshSource::new();
-    for id in original.ids() {
-        if kept.contains(&id) {
-            continue;
-        }
+    for (pos, _) in kept.iter().enumerate().filter(|(_, &k)| !k) {
         for attr in cover.iter() {
-            updated
-                .set_value(id, attr, fresh.next())
-                .expect("id from table");
+            writer.set(pos, attr, fresh.next());
         }
     }
-    URepair::new(original, updated).expect("only values changed")
+    writer.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_core::{mlc, schema_rabc, tup, AttrId, Value};
+    use fd_core::{mlc, schema_rabc, tup, AttrId, TupleId, Value};
     use fd_srepair::exact_s_repair;
     use rand::prelude::*;
 
@@ -72,12 +66,10 @@ mod tests {
             vec![tup![1, 1, 1], tup![1, 2, 2], tup![3, 3, 3]],
         )
         .unwrap();
-        let mut u = t.clone();
-        u.set_value(TupleId(1), AttrId::new(1), Value::from(1))
-            .unwrap();
-        u.set_value(TupleId(1), AttrId::new(2), Value::from(1))
-            .unwrap();
-        let ur = URepair::new(&t, u).unwrap();
+        let mut w = UpdateWriter::new(&t);
+        w.set(1, AttrId::new(1), Value::from(1));
+        w.set(1, AttrId::new(2), Value::from(1));
+        let ur = w.finish();
         let sr = update_to_subset(&t, &ur);
         assert_eq!(sr.kept, vec![TupleId(0), TupleId(2)]);
         // dist_sub(S) = 1 ≤ dist_upd(U) = 2.

@@ -9,54 +9,30 @@
 use crate::consensus::consensus_u_repair;
 use crate::repair::URepair;
 use fd_core::{AttrSet, Fd, FdSet, Table};
+use std::borrow::Cow;
 
 /// Splits `Δ` into maximal attribute-disjoint components (Theorem 4.1):
 /// the finest partition of the nontrivial FDs such that FDs in different
 /// parts share no attribute. Components are returned in a deterministic
 /// order (by smallest attribute).
 pub fn attribute_components(fds: &FdSet) -> Vec<FdSet> {
-    let work = fds.remove_trivial();
-    let fd_list: Vec<&Fd> = work.iter().collect();
-    let n = fd_list.len();
-    // Union-find over FD indices.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-    for i in 0..n {
-        for j in i + 1..n {
-            if fd_list[i].attrs().intersects(fd_list[j].attrs()) {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri] = rj;
-                }
+    // Groups stay pairwise attribute-disjoint: each FD absorbs every
+    // group it shares an attribute with.
+    let mut groups: Vec<(AttrSet, Vec<Fd>)> = Vec::new();
+    for fd in fds.remove_trivial().iter() {
+        let (mut attrs, mut members) = (fd.attrs(), vec![*fd]);
+        groups.retain_mut(|(other, other_fds)| {
+            let shared = other.intersects(attrs);
+            if shared {
+                attrs = attrs.union(*other);
+                members.append(other_fds);
             }
-        }
+            !shared
+        });
+        groups.push((attrs, members));
     }
-    let mut groups: std::collections::BTreeMap<(AttrSet, usize), Vec<Fd>> =
-        std::collections::BTreeMap::new();
-    for i in 0..n {
-        let root = find(&mut parent, i);
-        let key_attrs = {
-            // Smallest attribute set of the component, for ordering.
-            let mut attrs = AttrSet::EMPTY;
-            for (j, fd) in fd_list.iter().enumerate() {
-                if find(&mut parent, j) == root {
-                    attrs = attrs.union(fd.attrs());
-                }
-            }
-            attrs
-        };
-        groups
-            .entry((key_attrs, root))
-            .or_default()
-            .push(*fd_list[i]);
-    }
-    groups.into_values().map(FdSet::new).collect()
+    groups.sort_by_key(|(attrs, _)| *attrs);
+    groups.into_iter().map(|(_, fds)| FdSet::new(fds)).collect()
 }
 
 /// Strips the consensus attributes (Theorem 4.3): returns
@@ -68,18 +44,24 @@ pub fn strip_consensus(fds: &FdSet) -> (AttrSet, FdSet) {
     (consensus, fds.minus(consensus).remove_trivial())
 }
 
-/// Theorem 4.3's first step on a table: strips the consensus attributes
-/// and repairs them optimally (Proposition B.2). Returns that repair, the
-/// consensus attributes, and the consensus-free rest of `Δ`, which the
-/// caller solves against the repaired table.
-pub(crate) fn consensus_first(table: &Table, fds: &FdSet) -> (URepair, AttrSet, FdSet) {
-    let (consensus_attrs, rest) = strip_consensus(fds);
-    let repair = if consensus_attrs.is_empty() {
-        URepair::identity(table)
-    } else {
-        consensus_u_repair(table, consensus_attrs)
-    };
-    (repair, consensus_attrs, rest)
+/// Theorem 4.3's first step on a table: repairs the consensus attributes
+/// optimally (Proposition B.2). Returns that repair, those attributes,
+/// the base the consensus-free rest of `Δ` (last) is solved against: the
+/// input itself, or the input with the consensus cells applied, once.
+pub(crate) fn consensus_first<'t>(
+    table: &'t Table,
+    fds: &FdSet,
+) -> (URepair, AttrSet, Cow<'t, Table>, FdSet) {
+    let (attrs, rest) = strip_consensus(fds);
+    if attrs.is_empty() {
+        return (URepair::default(), attrs, Cow::Borrowed(table), rest);
+    }
+    let mut sp = fd_trace::span("urepair/consensus");
+    sp.attr("attrs", attrs.len());
+    let repair = consensus_u_repair(table, attrs);
+    sp.attr("cells", repair.cells.len());
+    let base = Cow::Owned(repair.apply(table));
+    (repair, attrs, base, rest)
 }
 
 #[cfg(test)]

@@ -72,17 +72,17 @@ pub fn plan_update(table: &Table, fds: &FdSet, solver: &URepairSolver) -> Update
     let mut optimal = true;
     let mut ratio: f64 = 1.0;
 
-    let (consensus, consensus_attrs, rest) = consensus_first(table, fds);
-    if !consensus_attrs.is_empty() {
+    let (_, attrs, base, rest) = consensus_first(table, fds);
+    if !attrs.is_empty() {
         steps.push(UpdatePlanStep {
             method: UMethod::ConsensusOnly,
-            attrs: consensus_attrs,
+            attrs,
             ratio: 1.0,
         });
     }
 
     for comp in attribute_components(&rest) {
-        let method = solver.component_method(&consensus.updated, &comp);
+        let method = solver.component_method(&base, &comp);
         let step_ratio = if method == UMethod::Approximate {
             approx_component_bound(&comp)
         } else {

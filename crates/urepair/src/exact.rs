@@ -19,7 +19,7 @@
 //! validate the polynomial special cases of §4 and the `2|E| + k` identity
 //! of Theorem 4.10 on small instances.
 
-use crate::repair::URepair;
+use crate::repair::{URepair, UpdateWriter};
 use fd_core::{AttrId, AttrSet, FdSet, FreshSource, Table, Tuple, Value};
 
 /// Which values a mutable cell may take — the §5 outlook's "restriction on
@@ -111,7 +111,7 @@ pub fn try_exact_u_repair(
     config: &ExactConfig,
 ) -> Result<URepair, ExactError> {
     if table.is_empty() || table.satisfies(fds) {
-        return Ok(URepair::identity(table));
+        return Ok(URepair::default());
     }
     let fds = fds.normalize_single_rhs();
     let mutable = config
@@ -165,15 +165,13 @@ pub fn try_exact_u_repair(
         return Err(ExactError::BudgetExhausted(config.max_nodes));
     }
     let best = search.best.ok_or(ExactError::NoRepair)?;
-    let mut updated = table.clone();
-    for (row, tuple) in rows.iter().zip(best) {
+    let mut writer = UpdateWriter::new(table);
+    for (pos, (row, tuple)) in rows.iter().zip(best).enumerate() {
         for attr in row.tuple.disagreement(&tuple).iter() {
-            updated
-                .set_value(row.id, attr, tuple.get(attr).clone())
-                .expect("id from table");
+            writer.set(pos, attr, tuple.get(attr).clone());
         }
     }
-    Ok(URepair::new(table, updated).expect("only values changed"))
+    Ok(writer.finish())
 }
 
 struct Search<'a> {
@@ -338,7 +336,7 @@ mod tests {
         assert_eq!(r.cost, 2.0);
         r.verify(&t, &fds);
         assert_eq!(
-            r.updated
+            r.apply(&t)
                 .row(TupleId(0))
                 .unwrap()
                 .tuple
@@ -409,7 +407,7 @@ mod tests {
         r.verify(&t, &fds);
         assert_eq!(r.cost, 1.0); // must equalize B; cannot touch A
                                  // C column untouched by construction.
-        for row in r.updated.rows() {
+        for row in r.apply(&t).rows() {
             assert_eq!(
                 row.tuple.get(s.attr("C").unwrap()),
                 &fd_core::Value::from(9)

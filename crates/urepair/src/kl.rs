@@ -22,10 +22,8 @@
 //! cost of this reconstruction.
 
 use crate::decompose::consensus_first;
-use crate::repair::URepair;
-use fd_core::{
-    min_core_implicant, min_lhs_cover, AttrId, FdSet, FreshSource, Table, Tuple, TupleId, Value,
-};
+use crate::repair::{URepair, UpdateWriter};
+use fd_core::{min_core_implicant, min_lhs_cover, AttrId, FdSet, FreshSource, Table, Tuple, Value};
 use fd_graph::{vertex_cover_2approx, ConflictGraph};
 use std::collections::{HashMap, HashSet};
 
@@ -34,45 +32,49 @@ use std::collections::{HashMap, HashSet};
 /// ratio is [`crate::ratio_kl`].
 pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
     // Step 1: consensus attributes (Theorem 4.3).
-    let (base_repair, _, rest) = consensus_first(table, fds);
-    let working = base_repair.updated.clone();
+    let (consensus, _, working, rest) = consensus_first(table, fds);
     let rest = rest.normalize_single_rhs();
     if working.satisfies(&rest) {
-        return base_repair;
+        return consensus;
     }
 
     // Step 2: pick the tuples to modify.
     let cg = ConflictGraph::build(&working, &rest);
     let cover = vertex_cover_2approx(&cg.graph);
-    let picked: HashSet<TupleId> = cg.to_ids(&cover.nodes).into_iter().collect();
+    let picked = working.position_mask(&cg.to_ids(&cover.nodes));
 
     // The consistent core: tuples outside the cover.
-    let (mut order, outside): (Vec<fd_core::Row>, Vec<fd_core::Row>) =
-        working.rows().partition(|r| picked.contains(&r.id));
+    let (mut order, outside): (Vec<_>, Vec<_>) = working
+        .rows()
+        .enumerate()
+        .partition(|(pos, _)| picked[*pos]);
     let mut core = Core::new(&rest);
-    for row in outside {
+    for (_, row) in outside {
         core.push(row.tuple);
     }
 
     // Step 3: re-admit picked tuples one at a time, heaviest first (a
     // heavier tuple has more to lose from extra cell changes).
-    order.sort_by(|a, b| b.weight.partial_cmp(&a.weight).expect("finite"));
+    order.sort_by(|(_, a), (_, b)| b.weight.partial_cmp(&a.weight).expect("finite"));
 
-    let mut updated = working.clone();
+    // One update of the input: the consensus cells, then the re-admitted
+    // tuples' cells on the (disjoint) rest attributes.
+    let mut writer = UpdateWriter::new(table);
+    for (id, attr, value) in consensus.cells {
+        writer.set(table.position_of(id).expect("id from table"), attr, value);
+    }
     let mut fresh = FreshSource::new();
-    for row in order {
+    for (pos, row) in order {
         let repaired = repair_one(&row.tuple, &core, &rest, &mut fresh);
         for attr in row.tuple.disagreement(&repaired).iter() {
-            updated
-                .set_value(row.id, attr, repaired.get(attr).clone())
-                .expect("id from table");
+            writer.set(pos, attr, repaired.get(attr).clone());
         }
         core.push(repaired);
     }
 
-    let result = URepair::new(table, updated).expect("only values changed");
+    let result = writer.finish();
     debug_assert!(
-        result.updated.satisfies(fds),
+        result.apply(table).satisfies(fds),
         "KL reconstruction must be consistent"
     );
     result

@@ -10,10 +10,10 @@
 //! combination; the result is consistent and matches the `dist_sub` lower
 //! bound of Corollary 4.5.
 
-use crate::repair::URepair;
-use fd_core::{AttrId, FdSet, Table, TupleId};
+use crate::repair::{URepair, UpdateWriter};
+use fd_core::{AttrId, FdSet, FnvBuild, Sym, Table};
 use fd_srepair::{sharded_s_repair, ShardConfig};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Detects whether `Δ` is equivalent to a two-cycle `{A → B, B → A}` over
 /// single attributes: `attr(Δ)` (after dropping trivial FDs) is `{A, B}`
@@ -46,29 +46,21 @@ pub fn two_cycle_u_repair(table: &Table, fds: &FdSet) -> URepair {
     // Two-cycles pass OSRSucceeds via the lhs marriage, so the sharded
     // path solves every component with Algorithm 1.
     let sr = sharded_s_repair(table, fds, &ShardConfig::default()).repair;
-    let kept: HashSet<TupleId> = sr.kept.iter().copied().collect();
-    // Kept tuples index: A value → B value and B value → A value.
-    let mut by_a: HashMap<fd_core::Value, fd_core::Value> = HashMap::new();
-    let mut by_b: HashMap<fd_core::Value, fd_core::Value> = HashMap::new();
-    for row in table.rows() {
-        if kept.contains(&row.id) {
-            by_a.insert(row.tuple.get(a).clone(), row.tuple.get(b).clone());
-            by_b.insert(row.tuple.get(b).clone(), row.tuple.get(a).clone());
-        }
+    let kept = table.position_mask(&sr.kept);
+    let (col_a, col_b) = (table.col(a), table.col(b));
+    // Kept tuples index, in symbols: A value → B value and B value → A value.
+    let mut by_a: HashMap<Sym, Sym, FnvBuild> = HashMap::default();
+    let mut by_b: HashMap<Sym, Sym, FnvBuild> = HashMap::default();
+    for pos in (0..table.len()).filter(|&pos| kept[pos]) {
+        by_a.insert(col_a[pos], col_b[pos]);
+        by_b.insert(col_b[pos], col_a[pos]);
     }
-    let mut updated = table.clone();
-    for row in table.rows() {
-        if kept.contains(&row.id) {
-            continue;
-        }
-        if let Some(bv) = by_a.get(row.tuple.get(a)) {
-            updated
-                .set_value(row.id, b, bv.clone())
-                .expect("id from table");
-        } else if let Some(av) = by_b.get(row.tuple.get(b)) {
-            updated
-                .set_value(row.id, a, av.clone())
-                .expect("id from table");
+    let mut writer = UpdateWriter::new(table);
+    for pos in (0..table.len()).filter(|&pos| !kept[pos]) {
+        if let Some(&bv) = by_a.get(&col_a[pos]) {
+            writer.set(pos, b, table.dictionary().decode(bv));
+        } else if let Some(&av) = by_b.get(&col_b[pos]) {
+            writer.set(pos, a, table.dictionary().decode(av));
         } else {
             unreachable!(
                 "optimal S-repair would have kept a tuple sharing no A or B \
@@ -76,7 +68,7 @@ pub fn two_cycle_u_repair(table: &Table, fds: &FdSet) -> URepair {
             );
         }
     }
-    URepair::new(table, updated).expect("only values changed")
+    writer.finish()
 }
 
 #[cfg(test)]

@@ -6,66 +6,71 @@
 //! set-minimality exactly is exponential in the number of changed cells
 //! and provided for small updates).
 
-use crate::repair::URepair;
+use crate::repair::{write_cells, URepair, UpdateWriter};
 use fd_core::{FdSet, Table};
 
 /// Greedily restores changed cells (in row/attribute order) whenever the
 /// result stays consistent. The distance never increases, and afterwards
 /// no *single* cell can be restored.
 pub fn make_minimal(original: &Table, fds: &FdSet, repair: &URepair) -> URepair {
-    let mut current = repair.updated.clone();
+    // The trial table is search state, checked after every restoration.
+    let mut current = repair.apply(original);
+    let mut changed = repair.cells.clone();
     loop {
-        let mut restored_one = false;
-        for (id, attr, old, _) in original.changed_cells(&current).expect("update") {
-            let new = current
-                .set_value(id, attr, old.clone())
-                .expect("id from table");
-            if current.satisfies(fds) {
-                restored_one = true;
-            } else {
-                current.set_value(id, attr, new).expect("id from table");
+        let before = changed.len();
+        changed.retain(|&(id, attr, ref value)| {
+            let old = original.value(id, attr).expect("id from table");
+            current.set_value(id, attr, old).expect("id from table");
+            let restored = current.satisfies(fds);
+            if !restored {
+                current
+                    .set_value(id, attr, value.clone())
+                    .expect("id from table");
             }
-        }
-        if !restored_one {
+            !restored
+        });
+        if changed.len() == before {
             break;
         }
     }
-    URepair::new(original, current).expect("only values changed")
+    let mut writer = UpdateWriter::new(original);
+    for (id, attr, value) in changed {
+        let pos = original.position_of(id).expect("id from table");
+        writer.set(pos, attr, value);
+    }
+    writer.finish()
 }
 
 /// True iff `repair` is a *U-repair*: consistent, and restoring any
 /// nonempty subset of its changed cells breaks consistency. Exponential in
 /// the number of changed cells (≤ 20).
 pub fn is_update_repair(original: &Table, fds: &FdSet, repair: &URepair) -> bool {
-    if !repair.updated.satisfies(fds) {
+    let updated = repair.apply(original);
+    if !updated.satisfies(fds) {
         return false;
     }
-    let changed = original.changed_cells(&repair.updated).expect("update");
+    let changed = &repair.cells;
     assert!(
         changed.len() <= 20,
         "exhaustive minimality limited to 20 cells"
     );
-    for mask in 1u32..(1 << changed.len()) {
-        let mut trial = repair.updated.clone();
-        for (i, (id, attr, old, _)) in changed.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                trial
-                    .set_value(*id, *attr, old.clone())
-                    .expect("id from table");
-            }
-        }
-        if trial.satisfies(fds) {
-            return false; // some restoration stays consistent
-        }
-    }
-    true
+    // Any restoration that stays consistent disproves minimality.
+    (1u32..(1 << changed.len())).all(|mask| {
+        let restored: Vec<_> = changed
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, &(id, attr, _))| (id, attr, original.value(id, attr).expect("id")))
+            .collect();
+        !write_cells(updated.clone(), &restored).satisfies(fds)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::{exact_u_repair, ExactConfig};
-    use fd_core::{schema_rabc, tup, AttrId, TupleId, Value};
+    use fd_core::{schema_rabc, tup, AttrId, Value};
     use rand::prelude::*;
 
     #[test]
@@ -75,12 +80,10 @@ mod tests {
         let t = Table::build_unweighted(s, vec![tup![1, 1, 0], tup![1, 2, 0]]).unwrap();
         // Fix the violation (B := 1 on tuple 1) but also change an
         // unrelated cell (C on tuple 0).
-        let mut u = t.clone();
-        u.set_value(TupleId(1), AttrId::new(1), Value::from(1))
-            .unwrap();
-        u.set_value(TupleId(0), AttrId::new(2), Value::from(9))
-            .unwrap();
-        let wasteful = URepair::new(&t, u).unwrap();
+        let mut u = UpdateWriter::new(&t);
+        u.set(1, AttrId::new(1), Value::from(1));
+        u.set(0, AttrId::new(2), Value::from(9));
+        let wasteful = u.finish();
         assert_eq!(wasteful.cost, 2.0);
         assert!(!is_update_repair(&t, &fds, &wasteful));
         let trimmed = make_minimal(&t, &fds, &wasteful);
@@ -126,13 +129,11 @@ mod tests {
         let fds = FdSet::parse(&s, "A -> B").unwrap();
         let t = Table::build_unweighted(s, vec![tup![1, 1, 0], tup![1, 2, 0]]).unwrap();
         // Change both conflicting cells (B of both tuples) to 7.
-        let mut u = t.clone();
-        u.set_value(TupleId(0), AttrId::new(1), Value::from(7))
-            .unwrap();
-        u.set_value(TupleId(1), AttrId::new(1), Value::from(7))
-            .unwrap();
-        let both = URepair::new(&t, u).unwrap();
-        assert!(both.updated.satisfies(&fds));
+        let mut u = UpdateWriter::new(&t);
+        u.set(0, AttrId::new(1), Value::from(7));
+        u.set(1, AttrId::new(1), Value::from(7));
+        let both = u.finish();
+        assert!(both.apply(&t).satisfies(&fds));
         // Restoring either single cell alone re-violates; restoring both
         // returns to the original violation. So it *is* minimal…
         assert!(is_update_repair(&t, &fds, &both));

@@ -27,8 +27,8 @@
 //! * [`mixed_ratio_bound`] — the proven ratio of the approximation.
 
 use crate::exact::{try_exact_u_repair, ExactConfig, ExactError};
-use crate::repair::URepair;
-use fd_core::{min_lhs_cover, FdSet, FreshSource, Table, TupleId};
+use crate::repair::{write_cells, UpdateWriter};
+use fd_core::{min_lhs_cover, AttrId, FdSet, FreshSource, Table, TupleId, Value};
 use fd_graph::{vertex_cover_2approx, ConflictGraph};
 use std::collections::HashSet;
 
@@ -58,50 +58,42 @@ impl MixedCosts {
     }
 }
 
-/// A mixed repair: some tuples deleted, the survivors possibly updated.
-#[derive(Clone, Debug)]
+/// A mixed repair: some tuples deleted, cells of the survivors possibly
+/// updated.
+#[derive(Clone, Debug, Default)]
 pub struct MixedRepair {
     /// Identifiers of the deleted tuples, sorted.
     pub deleted: Vec<TupleId>,
-    /// The repaired table: the surviving tuples after updates.
-    pub repaired: Table,
+    /// One `(id, attr, new value)` per changed cell of a surviving tuple,
+    /// in row and then attribute order.
+    pub cells: Vec<(TupleId, AttrId, Value)>,
     /// Total cost under the [`MixedCosts`] used to produce it.
     pub cost: f64,
 }
 
 impl MixedRepair {
-    fn build(original: &Table, deleted: Vec<TupleId>, update: URepair, costs: MixedCosts) -> Self {
-        let delete_weight: f64 = deleted
-            .iter()
-            .map(|&id| original.weights()[original.position_of(id).expect("id from table")])
-            .sum();
-        let cost = costs.delete * delete_weight + costs.update * update.cost;
-        MixedRepair {
-            deleted,
-            repaired: update.updated,
-            cost,
-        }
+    /// The repaired table: the surviving tuples of `original`, with every
+    /// cell written.
+    pub fn apply(&self, original: &Table) -> Table {
+        let delete: HashSet<TupleId> = self.deleted.iter().copied().collect();
+        write_cells(original.without(&delete), &self.cells)
     }
 
     /// Verifies consistency and the recorded cost; panics with a
     /// diagnostic otherwise. For tests and experiment harnesses.
     pub fn verify(&self, original: &Table, fds: &FdSet, costs: MixedCosts) {
+        let repaired = self.apply(original);
         assert!(
-            self.repaired.satisfies(fds),
+            repaired.satisfies(fds),
             "mixed repair is not consistent: {:?}",
-            self.repaired.violating_pair(fds)
+            repaired.violating_pair(fds)
         );
         let delete: HashSet<TupleId> = self.deleted.iter().copied().collect();
         let survivors = original.without(&delete);
-        let delete_weight: f64 = self
-            .deleted
-            .iter()
-            .map(|&id| original.weights()[original.position_of(id).expect("id from table")])
-            .sum();
         let upd = survivors
-            .dist_upd(&self.repaired)
+            .dist_upd(&repaired)
             .expect("repaired table must update the survivors");
-        let cost = costs.delete * delete_weight + costs.update * upd;
+        let cost = costs.delete * deleted_weight(original, &self.deleted) + costs.update * upd;
         assert!(
             (cost - self.cost).abs() < 1e-9,
             "recorded cost {} disagrees with recomputed {}",
@@ -109,6 +101,14 @@ impl MixedRepair {
             cost
         );
     }
+}
+
+/// The total weight of the `deleted` tuples, summed in list order.
+fn deleted_weight(original: &Table, deleted: &[TupleId]) -> f64 {
+    deleted
+        .iter()
+        .map(|&id| original.weights()[original.position_of(id).expect("id from table")])
+        .sum()
 }
 
 /// Exhaustive optimal mixed repair: enumerates every deletion set and
@@ -163,11 +163,7 @@ pub fn try_exact_mixed_repair(
             .filter(|&i| mask & (1 << i) != 0)
             .map(|i| ids[i])
             .collect();
-        let delete_weight: f64 = deleted
-            .iter()
-            .map(|&id| table.weights()[table.position_of(id).expect("id from table")])
-            .sum();
-        let delete_cost = costs.delete * delete_weight;
+        let delete_cost = costs.delete * deleted_weight(table, &deleted);
         let bound = best.as_ref().map(|b| b.cost);
         if bound.is_some_and(|b| delete_cost >= b) {
             continue;
@@ -179,9 +175,14 @@ pub fn try_exact_mixed_repair(
         };
         match try_exact_u_repair(&survivors, fds, &cfg) {
             Ok(upd) => {
-                let cand = MixedRepair::build(table, deleted, upd, costs);
-                if bound.is_none_or(|b| cand.cost < b) {
-                    best = Some(cand);
+                let cost = delete_cost + costs.update * upd.cost;
+                if bound.is_none_or(|b| cost < b) {
+                    let cells = upd.cells;
+                    best = Some(MixedRepair {
+                        deleted,
+                        cells,
+                        cost,
+                    });
                 }
             }
             // The bounded search found nothing better.
@@ -203,54 +204,37 @@ pub fn try_exact_mixed_repair(
 pub fn approx_mixed_repair(table: &Table, fds: &FdSet, costs: MixedCosts) -> MixedRepair {
     let fds_n = fds.normalize_single_rhs().remove_trivial();
     if table.satisfies(&fds_n) {
-        return MixedRepair {
-            deleted: Vec::new(),
-            repaired: table.clone(),
-            cost: 0.0,
-        };
+        return MixedRepair::default();
     }
     let cg = ConflictGraph::build(table, &fds_n);
     let cover = vertex_cover_2approx(&cg.graph);
     let covered: Vec<TupleId> = cg.to_ids(&cover.nodes);
 
-    let lhs_cover = if fds_n.is_consensus_free() {
-        min_lhs_cover(&fds_n)
-    } else {
-        None
-    };
-    let retag_cells = lhs_cover.map(|c| c.len());
+    let lhs_cover = fds_n.is_consensus_free().then(|| min_lhs_cover(&fds_n));
 
     let mut deleted: Vec<TupleId> = Vec::new();
-    let mut updated = table.clone();
+    let mut writer = UpdateWriter::new(table);
     let mut fresh = FreshSource::new();
     let mut update_cost = 0.0;
     for id in covered {
-        let w = table.weights()[table.position_of(id).expect("id from table")];
-        match (lhs_cover, retag_cells) {
-            (Some(cover_attrs), Some(cells))
-                if costs.update * (cells as f64) * w < costs.delete * w =>
-            {
-                for attr in cover_attrs.iter() {
-                    updated
-                        .set_value(id, attr, fresh.next())
-                        .expect("id from table");
+        let pos = table.position_of(id).expect("id from table");
+        let w = table.weights()[pos];
+        match lhs_cover.flatten() {
+            Some(cover) if costs.update * (cover.len() as f64) * w < costs.delete * w => {
+                for attr in cover.iter() {
+                    writer.set(pos, attr, fresh.next());
                 }
-                update_cost += (cells as f64) * w;
+                update_cost += (cover.len() as f64) * w;
             }
             _ => deleted.push(id),
         }
     }
     deleted.sort_unstable();
-    let delete_set: HashSet<TupleId> = deleted.iter().copied().collect();
-    let repaired = updated.without(&delete_set);
-    let delete_weight: f64 = deleted
-        .iter()
-        .map(|&id| table.weights()[table.position_of(id).expect("id from table")])
-        .sum();
+    let cost = costs.delete * deleted_weight(table, &deleted) + costs.update * update_cost;
     MixedRepair {
         deleted,
-        repaired,
-        cost: costs.delete * delete_weight + costs.update * update_cost,
+        cells: writer.finish().cells,
+        cost,
     }
 }
 

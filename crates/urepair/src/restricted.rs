@@ -124,7 +124,7 @@ pub(crate) mod tests {
         // Every value in the repaired table already occurred in its column.
         for attr in t.schema().attr_ids() {
             let domain = t.column_domain(attr);
-            for row in rep.updated.rows() {
+            for row in rep.apply(&t).rows() {
                 assert!(
                     domain.contains(row.tuple.get(attr)),
                     "fresh value sneaked in"

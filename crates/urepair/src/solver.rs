@@ -71,15 +71,16 @@ pub struct URepairSolver {
     pub exact_node_budget: u64,
     /// Worker threads fanning the attribute-disjoint components of
     /// Theorem 4.1 out in parallel (`1` sequential, `0` asks the OS).
-    /// Components touch disjoint attribute sets and are merged in
-    /// component order, so the repair is identical to the sequential
-    /// computation **modulo fresh-constant tags**: `⊥`-placeholders are
-    /// minted from a process-global counter, so their raw numbering
-    /// depends on thread interleaving. Callers comparing outputs must
-    /// canonicalize (`Table::canonicalize_fresh`), exactly as the
-    /// engine does before serializing any report. The `CommonLhsViaS`
-    /// strategy also fans the conflict components of its inner S-repair
-    /// over this many threads ([`ShardConfig::threads`]); that repair is
+    /// Components write disjoint attribute sets and their cell lists are
+    /// merged in component order, so the repair is identical to the
+    /// sequential computation **modulo fresh-constant tags**: a `⊥`
+    /// placeholder in a cell is minted from a process-global counter,
+    /// so its raw number depends on thread interleaving. Callers
+    /// comparing outputs canonicalize the applied table
+    /// (`Table::canonicalize_fresh`), as the engine does before it reads
+    /// the changed cells into a report. The `CommonLhsViaS` strategy
+    /// also fans the conflict components of its inner S-repair over
+    /// this many threads ([`ShardConfig::threads`]); that repair is
     /// identical at any thread count.
     pub threads: usize,
 }
@@ -99,7 +100,7 @@ impl URepairSolver {
     pub fn solve(&self, table: &Table, fds: &FdSet) -> USolution {
         if table.satisfies(fds) {
             return USolution {
-                repair: URepair::identity(table),
+                repair: URepair::default(),
                 methods: vec![UMethod::AlreadyConsistent],
                 optimal: true,
                 ratio: 1.0,
@@ -110,11 +111,10 @@ impl URepairSolver {
         let mut ratio: f64 = 1.0;
 
         // Theorem 4.3: consensus attributes first (optimal, independent).
-        let (mut repair, consensus_attrs, rest) = consensus_first(table, fds);
-        if !consensus_attrs.is_empty() {
+        let (mut repair, attrs, base, rest) = consensus_first(table, fds);
+        if !attrs.is_empty() {
             methods.push(UMethod::ConsensusOnly);
         }
-        let base = repair.updated.clone();
 
         // Theorem 4.1: attribute-disjoint components compose — and,
         // writing disjoint attribute sets against the same base table,
@@ -126,10 +126,10 @@ impl URepairSolver {
             optimal &= part_optimal;
             ratio = ratio.max(part_ratio);
             repair = repair
-                .compose(&base, &part)
+                .compose(&base, part)
                 .expect("components touch disjoint attributes");
         }
-        debug_assert!(repair.updated.satisfies(fds));
+        debug_assert!(repair.apply(table).satisfies(fds));
         USolution {
             repair,
             methods,
@@ -184,7 +184,7 @@ impl URepairSolver {
     fn solve_component(&self, base: &Table, comp: &FdSet) -> ComponentPart {
         let method = self.component_method(base, comp);
         match method {
-            UMethod::AlreadyConsistent => return (URepair::identity(base), method, true, 1.0),
+            UMethod::AlreadyConsistent => return (URepair::default(), method, true, 1.0),
             UMethod::TwoCycle => return (two_cycle_u_repair(base, comp), method, true, 1.0),
             UMethod::CommonLhsViaS => {
                 let cfg = ShardConfig {
@@ -329,19 +329,22 @@ mod tests {
             ]
         });
         let t = Table::build_unweighted(s, rows).unwrap();
-        let mut seq = URepairSolver::default().solve(&t, &fds);
+        let seq = URepairSolver::default().solve(&t, &fds);
         // Fresh constants are minted from a process-global counter, so
-        // canonicalize both sides (as the engine does) before comparing.
-        seq.repair.updated.canonicalize_fresh();
+        // canonicalize both applied tables (as the engine does) before
+        // comparing.
+        let mut seq_table = seq.repair.apply(&t);
+        seq_table.canonicalize_fresh();
         for threads in [0, 2, 4] {
-            let mut par = URepairSolver {
+            let par = URepairSolver {
                 threads,
                 ..Default::default()
             }
             .solve(&t, &fds);
-            par.repair.updated.canonicalize_fresh();
+            let mut par_table = par.repair.apply(&t);
+            par_table.canonicalize_fresh();
             assert_eq!(par.repair.cost, seq.repair.cost, "threads={threads}");
-            assert_eq!(par.repair.updated, seq.repair.updated);
+            assert_eq!(par_table, seq_table);
             assert_eq!(par.methods, seq.methods);
             assert_eq!(par.optimal, seq.optimal);
             assert_eq!(par.ratio, seq.ratio);
