@@ -73,8 +73,8 @@ pub(crate) fn write_cells(mut table: Table, cells: &[(TupleId, AttrId, Value)]) 
     table
 }
 
-/// Records the cell changes of one update of `base` — the only way a
-/// [`URepair`] is built.
+/// Records the cell changes of one update of `base`: every §4
+/// constructor builds its [`URepair`] through one.
 pub(crate) struct UpdateWriter<'t> {
     base: &'t Table,
     /// `(row position, attr, value)`, in write order.
