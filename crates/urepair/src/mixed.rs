@@ -230,6 +230,7 @@ pub fn approx_mixed_repair(table: &Table, fds: &FdSet, costs: MixedCosts) -> Mix
         }
     }
     deleted.sort_unstable();
+    // Summed in cover order, not the writer's row order: that would change its bits.
     let cost = costs.delete * deleted_weight(table, &deleted) + costs.update * update_cost;
     MixedRepair {
         deleted,
