@@ -2423,6 +2423,98 @@ mod tests {
         }
     }
 
+    fn request(method: &str, path: &str, body: &str) -> Request {
+        Request {
+            method: method.into(),
+            path: path.into(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    #[test]
+    fn the_fast_path_serves_exactly_what_handle_serves() {
+        let shared = Shared::new(ServeConfig {
+            default_time_cap_ms: Some(60_000),
+            ..ServeConfig::default()
+        });
+        assert_eq!(
+            send(&shared, "PUT", "/tables/office", OFFICE_TABLE, &[])
+                .0
+                .status,
+            201
+        );
+        // The server clamps this call's cap to its own 60 s, and the key
+        // hashes the clamped budget.
+        let clamped = OFFICE.replace(
+            "{\"include_timings\": false}",
+            "{\"include_timings\": false, \"budgets\": {\"time_cap_ms\": 999999}}",
+        );
+        assert_ne!(clamped, OFFICE, "fixture edit must apply");
+        let calls = [
+            ("/repair", OFFICE),
+            ("/explain", OFFICE),
+            ("/repair", OFFICE_BY_REF),
+            ("/explain", OFFICE_BY_REF),
+            ("/repair", clamped.as_str()),
+        ];
+        for (path, body) in calls {
+            let (first, _) = handle(&shared, &request("POST", path, body));
+            assert_eq!(first.status, 200, "{path} {}", text_of(&first));
+            let (hit, hit_info) = handle(&shared, &request("POST", path, body));
+            assert_eq!(header(&hit, "X-Fd-Cache"), Some("hit"), "{path}");
+            // Twice: the first probe parses, the second replays its memo.
+            for round in 0..2 {
+                let (fast, info) = fast_path(&shared, &request("POST", path, body))
+                    .unwrap_or_else(|| panic!("{path} round {round}: a clean hit"));
+                assert_eq!(fast.status, hit.status, "{path}");
+                assert_eq!(fast.body_bytes(), hit.body_bytes(), "{path}");
+                assert_eq!(header(&fast, "X-Fd-Cache"), Some("hit"), "{path}");
+                assert_eq!(info.endpoint, hit_info.endpoint, "{path}");
+                assert_eq!(info.notion, hit_info.notion, "{path}");
+                assert_eq!(info.rows, hit_info.rows, "{path}");
+                assert_eq!(info.cache_hit, hit_info.cache_hit, "{path}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_fast_path_declines_what_it_cannot_serve_cleanly() {
+        let shared = shared();
+        let declines = |shared: &Shared, path: &str, body: &str| {
+            let _ = handle(shared, &request("POST", path, body));
+            let _ = handle(shared, &request("POST", path, body));
+            assert!(
+                fast_path(shared, &request("POST", path, body)).is_none(),
+                "{path} {body:.60}"
+            );
+        };
+        // A traced call needs a collector.
+        declines(&shared, "/repair?trace=1", OFFICE);
+        // A cacheable body over 16 KiB, cached by the worker path.
+        let rows: Vec<String> = (0..2_000).map(|i| format!("[{i}, {}]", i % 7)).collect();
+        let big = format!(
+            r#"{{"attrs": ["A", "B"], "fds": "A -> B", "rows": [{}],
+                 "request": {{"include_timings": false}}}}"#,
+            rows.join(", ")
+        );
+        assert!(big.len() > FAST_PATH_MAX_BODY);
+        declines(&shared, "/repair", &big);
+        // An uncacheable call: live timings.
+        let timed = OFFICE.replace(",\n        \"request\": {\"include_timings\": false}", "");
+        assert_ne!(timed, OFFICE, "fixture edit must apply");
+        declines(&shared, "/repair", &timed);
+        // A ref to no stored table, and a malformed body.
+        declines(&shared, "/repair", OFFICE_BY_REF);
+        declines(&shared, "/repair", "{");
+        // With caching off nothing can hit.
+        let off = Shared::new(ServeConfig {
+            cache_entries: 0,
+            ..ServeConfig::default()
+        });
+        declines(&off, "/repair", OFFICE);
+    }
+
     #[test]
     fn request_info_reports_the_solve_shape() {
         let shared = shared();
