@@ -135,32 +135,15 @@ impl RepairCall {
         let Json::Obj(_) = doc else {
             return Err(WireError::new("the document must be a JSON object"));
         };
-        for (key, _) in doc.to_map().expect("checked object") {
-            if key == "table_ref" {
-                return Err(WireError::new(
-                    "\"table_ref\" needs a server-side table store; \
-                     this entry point only accepts inline tables",
-                ));
-            }
-            if !matches!(key, "relation" | "attrs" | "fds" | "rows" | "request") {
-                return Err(WireError::new(format!("unknown field {key:?}")));
-            }
-        }
+        check_fields(
+            doc,
+            &["relation", "attrs", "fds", "rows", "request"],
+            &["table_ref"],
+            "needs a server-side table store; this entry point only accepts inline tables",
+        )?;
         let table = table_from_doc(doc)?;
-        let fds = match doc.get("fds") {
-            None => FdSet::empty(),
-            Some(Json::Str(spec)) => FdSet::parse(table.schema(), spec)
-                .map_err(|e| WireError::new(format!("invalid \"fds\": {e}")))?,
-            Some(_) => {
-                return Err(WireError::new(
-                    "\"fds\" must be a string like \"A -> B; B -> C\"",
-                ))
-            }
-        };
-        let (request, include_timings) = match doc.get("request") {
-            None => (RepairRequest::subset(), true),
-            Some(req) => parse_request(req)?,
-        };
+        let fds = resolve_fds(fds_spec(doc)?, table.schema())?;
+        let (request, include_timings) = request_of(doc)?;
         Ok(RepairCall {
             table,
             fds,
@@ -252,8 +235,7 @@ impl RepairCall {
     /// assert!(!live.cacheable());
     /// ```
     pub fn cacheable(&self) -> bool {
-        !self.include_timings
-            && (self.request.notion != Notion::Sample || self.request.seed.is_some())
+        deterministic(&self.request, self.include_timings)
     }
 
     /// The cache key of this call: [`cache_key`] plus the
@@ -315,17 +297,12 @@ pub fn parse_table_doc(text: &str, limits: &JsonLimits) -> Result<Table, WireErr
     let Json::Obj(_) = doc else {
         return Err(WireError::new("the table document must be a JSON object"));
     };
-    for (key, _) in doc.to_map().unwrap_or_default() {
-        match key {
-            "relation" | "attrs" | "rows" => {}
-            "fds" | "request" => {
-                return Err(WireError::new(format!(
-                    "{key:?} does not belong in a stored table; send it with each /repair call"
-                )))
-            }
-            other => return Err(WireError::new(format!("unknown field {other:?}"))),
-        }
-    }
+    check_fields(
+        &doc,
+        &["relation", "attrs", "rows"],
+        &["fds", "request"],
+        "does not belong in a stored table; send it with each /repair call",
+    )?;
     table_from_doc(&doc)
 }
 
@@ -345,47 +322,45 @@ impl ParsedCall {
     /// `"table_ref"` must not also carry inline table fields.
     pub fn parse(text: &str, limits: &JsonLimits) -> Result<ParsedCall, WireError> {
         let doc = Json::parse_with_limits(text, limits)?;
-        let Json::Obj(_) = doc else {
-            return Err(WireError::new("the document must be a JSON object"));
-        };
         if doc.get("table_ref").is_none() {
             return Ok(ParsedCall::Inline(RepairCall::from_json(&doc)?));
         }
-        for (key, _) in doc.to_map().unwrap_or_default() {
-            match key {
-                "table_ref" | "fds" | "request" => {}
-                "relation" | "attrs" | "rows" => {
-                    return Err(WireError::new(format!(
-                        "{key:?} cannot be combined with \"table_ref\"; \
-                         the stored table already carries the instance"
-                    )))
-                }
-                other => return Err(WireError::new(format!("unknown field {other:?}"))),
-            }
-        }
+        check_fields(
+            &doc,
+            &["table_ref", "fds", "request"],
+            &["relation", "attrs", "rows"],
+            "cannot be combined with \"table_ref\"; the stored table already carries the instance",
+        )?;
         let table_ref = match doc.get("table_ref") {
             Some(Json::Str(s)) if !s.is_empty() => s.clone(),
             _ => return Err(WireError::new("\"table_ref\" must be a non-empty string")),
         };
-        let fds = match doc.get("fds") {
-            None => None,
-            Some(Json::Str(spec)) => Some(spec.clone()),
-            Some(_) => {
-                return Err(WireError::new(
-                    "\"fds\" must be a string like \"A -> B; B -> C\"",
-                ))
-            }
-        };
-        let (request, include_timings) = match doc.get("request") {
-            None => (RepairRequest::subset(), true),
-            Some(req) => parse_request(req)?,
-        };
+        let fds = fds_spec(&doc)?.map(str::to_string);
+        let (request, include_timings) = request_of(&doc)?;
         Ok(ParsedCall::ByRef(RefCall {
             table_ref,
             fds,
             request,
             include_timings,
         }))
+    }
+
+    /// What the call computes and under which budgets, whichever its
+    /// shape.
+    pub fn request(&self) -> &RepairRequest {
+        match self {
+            ParsedCall::Inline(call) => &call.request,
+            ParsedCall::ByRef(call) => &call.request,
+        }
+    }
+
+    /// Same determinism rule as [`RepairCall::cacheable`], whichever
+    /// the call's shape.
+    pub fn cacheable(&self) -> bool {
+        match self {
+            ParsedCall::Inline(call) => call.cacheable(),
+            ParsedCall::ByRef(call) => call.cacheable(),
+        }
     }
 }
 
@@ -413,17 +388,12 @@ const REF_KEY_TAG: u64 = 0x72ef_7ab1_e5a7_4e57;
 impl RefCall {
     /// Parses the call's FD spec against the stored table's schema.
     pub fn resolve_fds(&self, schema: &Schema) -> Result<FdSet, WireError> {
-        match &self.fds {
-            None => Ok(FdSet::empty()),
-            Some(spec) => FdSet::parse(schema, spec)
-                .map_err(|e| WireError::new(format!("invalid \"fds\": {e}"))),
-        }
+        resolve_fds(self.fds.as_deref(), schema)
     }
 
     /// Same determinism rule as [`RepairCall::cacheable`].
     pub fn cacheable(&self) -> bool {
-        !self.include_timings
-            && (self.request.notion != Notion::Sample || self.request.seed.is_some())
+        deterministic(&self.request, self.include_timings)
     }
 
     /// The cache key of this call against a resolved table. O(Δ +
@@ -516,12 +486,10 @@ impl WireMutation {
             "set" => &["op", "id", "attr", "value"],
             other => return Err(WireError::new(format!("unknown mutation op {other:?}"))),
         };
-        for (key, _) in doc.to_map().expect("checked object") {
-            if !allowed.contains(&key) {
-                return Err(WireError::new(format!(
-                    "unknown field {key:?} in an {op:?} mutation"
-                )));
-            }
+        if let Some(key) = unknown_key(doc, allowed) {
+            return Err(WireError::new(format!(
+                "unknown field {key:?} in an {op:?} mutation"
+            )));
         }
         match op {
             "insert" => {
@@ -529,25 +497,17 @@ impl WireMutation {
                     Some(Json::Arr(values)) => parse_values(values)?,
                     _ => return Err(WireError::new("\"insert\" needs a \"values\" array")),
                 };
-                let weight = match doc.get("weight") {
-                    None => 1.0,
-                    Some(Json::Num(w)) => *w,
-                    Some(_) => return Err(WireError::new("\"weight\" must be a number")),
-                };
+                let weight = weight_of(doc)?;
                 Ok(WireMutation::Insert { values, weight })
-            }
-            "delete" => {
-                let id = match doc.get("id") {
-                    Some(v) => as_usize("id", v)? as u64,
-                    None => return Err(WireError::new("\"delete\" needs an \"id\"")),
-                };
-                Ok(WireMutation::Delete { id })
             }
             _ => {
                 let id = match doc.get("id") {
                     Some(v) => as_usize("id", v)? as u64,
-                    None => return Err(WireError::new("\"set\" needs an \"id\"")),
+                    None => return Err(WireError::new(format!("{op:?} needs an \"id\""))),
                 };
+                if op == "delete" {
+                    return Ok(WireMutation::Delete { id });
+                }
                 let attr = match doc.get("attr") {
                     Some(Json::Str(s)) => s.clone(),
                     _ => return Err(WireError::new("\"set\" needs a string \"attr\"")),
@@ -685,31 +645,14 @@ impl MutateCall {
         let Json::Obj(_) = doc else {
             return Err(WireError::new("the document must be a JSON object"));
         };
-        for (key, _) in doc.to_map().expect("checked object") {
-            match key {
-                "fds" | "request" | "mutations" => {}
-                "relation" | "attrs" | "rows" | "table_ref" => {
-                    return Err(WireError::new(format!(
-                        "{key:?} does not belong in a mutate call; \
-                         the URL already names the stored table"
-                    )))
-                }
-                other => return Err(WireError::new(format!("unknown field {other:?}"))),
-            }
-        }
-        let fds = match doc.get("fds") {
-            None => None,
-            Some(Json::Str(spec)) => Some(spec.clone()),
-            Some(_) => {
-                return Err(WireError::new(
-                    "\"fds\" must be a string like \"A -> B; B -> C\"",
-                ))
-            }
-        };
-        let (request, include_timings) = match doc.get("request") {
-            None => (RepairRequest::subset(), true),
-            Some(req) => parse_request(req)?,
-        };
+        check_fields(
+            &doc,
+            &["fds", "request", "mutations"],
+            &["relation", "attrs", "rows", "table_ref"],
+            "does not belong in a mutate call; the URL already names the stored table",
+        )?;
+        let fds = fds_spec(&doc)?.map(str::to_string);
+        let (request, include_timings) = request_of(&doc)?;
         let mutations = match doc.get("mutations") {
             Some(doc) => mutations_from_json(doc)?,
             None => return Err(WireError::new("\"mutations\" is required")),
@@ -724,11 +667,7 @@ impl MutateCall {
 
     /// Parses the call's FD spec against the stored table's schema.
     pub fn resolve_fds(&self, schema: &Schema) -> Result<FdSet, WireError> {
-        match &self.fds {
-            None => Ok(FdSet::empty()),
-            Some(spec) => FdSet::parse(schema, spec)
-                .map_err(|e| WireError::new(format!("invalid \"fds\": {e}"))),
-        }
+        resolve_fds(self.fds.as_deref(), schema)
     }
 
     /// The call rendered back as a wire document (fixtures, tests).
@@ -878,16 +817,10 @@ fn parse_row(row: &Json) -> Result<(f64, Vec<Value>), WireError> {
     match row {
         Json::Arr(values) => Ok((1.0, parse_values(values)?)),
         Json::Obj(_) => {
-            for (key, _) in row.to_map().expect("checked object") {
-                if !matches!(key, "weight" | "values" | "id") {
-                    return Err(WireError::new(format!("unknown row field {key:?}")));
-                }
+            if let Some(key) = unknown_key(row, &["weight", "values", "id"]) {
+                return Err(WireError::new(format!("unknown row field {key:?}")));
             }
-            let weight = match row.get("weight") {
-                None => 1.0,
-                Some(Json::Num(w)) => *w,
-                Some(_) => return Err(WireError::new("\"weight\" must be a number")),
-            };
+            let weight = weight_of(row)?;
             let values = match row.get("values") {
                 Some(Json::Arr(values)) => parse_values(values)?,
                 _ => return Err(WireError::new("missing \"values\" array")),
@@ -897,6 +830,15 @@ fn parse_row(row: &Json) -> Result<(f64, Vec<Value>), WireError> {
         _ => Err(WireError::new(
             "each row must be an array of values or an object with \"values\"",
         )),
+    }
+}
+
+/// A row's or an insert's `"weight"`, 1 when absent.
+fn weight_of(doc: &Json) -> Result<f64, WireError> {
+    match doc.get("weight") {
+        None => Ok(1.0),
+        Some(Json::Num(w)) => Ok(*w),
+        Some(_) => Err(WireError::new("\"weight\" must be a number")),
     }
 }
 
@@ -914,6 +856,65 @@ fn parse_value(v: &Json) -> Result<Value, WireError> {
         other => Err(WireError::new(format!(
             "values must be strings or integers, got {other}"
         ))),
+    }
+}
+
+/// The grammar every call shape shares for its top-level fields: each
+/// key is `allowed`, or `misplaced` (a field of another shape, refused
+/// as `"<key>" <why>`), or unknown. Keys are checked in sorted order,
+/// so the first bad key reported is the alphabetically first.
+fn check_fields(
+    doc: &Json,
+    allowed: &[&str],
+    misplaced: &[&str],
+    why: &str,
+) -> Result<(), WireError> {
+    match unknown_key(doc, allowed) {
+        Some(key) if misplaced.contains(&key) => Err(WireError::new(format!("{key:?} {why}"))),
+        Some(key) => Err(WireError::new(format!("unknown field {key:?}"))),
+        None => Ok(()),
+    }
+}
+
+/// The first of an object's keys, in sorted order, that `allowed` does
+/// not list: the one key every strict field check reports.
+fn unknown_key<'a>(doc: &'a Json, allowed: &[&str]) -> Option<&'a str> {
+    doc.to_map()?.into_keys().find(|key| !allowed.contains(key))
+}
+
+/// A call's `"fds"` spec, unparsed: `None` when absent (the empty Δ).
+fn fds_spec(doc: &Json) -> Result<Option<&str>, WireError> {
+    match doc.get("fds") {
+        None => Ok(None),
+        Some(Json::Str(spec)) => Ok(Some(spec)),
+        Some(_) => Err(WireError::new(
+            "\"fds\" must be a string like \"A -> B; B -> C\"",
+        )),
+    }
+}
+
+/// Parses an `"fds"` spec against the schema the call runs on.
+fn resolve_fds(spec: Option<&str>, schema: &Schema) -> Result<FdSet, WireError> {
+    match spec {
+        None => Ok(FdSet::empty()),
+        Some(spec) => {
+            FdSet::parse(schema, spec).map_err(|e| WireError::new(format!("invalid \"fds\": {e}")))
+        }
+    }
+}
+
+/// The cacheability rule every call shape shares (see
+/// [`RepairCall::cacheable`]).
+fn deterministic(request: &RepairRequest, include_timings: bool) -> bool {
+    !include_timings && (request.notion != Notion::Sample || request.seed.is_some())
+}
+
+/// A call's `"request"` member and its timing flag; absent, the
+/// defaults of [`RepairRequest::subset`] with live timings.
+fn request_of(doc: &Json) -> Result<(RepairRequest, bool), WireError> {
+    match doc.get("request") {
+        None => Ok((RepairRequest::subset(), true)),
+        Some(req) => parse_request(req),
     }
 }
 
@@ -1340,6 +1341,86 @@ mod tests {
         let canonical = by_ref.canonical(fp, &call.fds, schema);
         assert!(canonical.contains(&format!("fp:{fp:016x}")), "{canonical}");
         assert_ne!(canonical, by_ref.canonical(fp ^ 1, &call.fds, schema));
+    }
+
+    #[test]
+    fn every_call_shape_reports_its_first_bad_field_by_name() {
+        let limits = &JsonLimits::UNTRUSTED;
+        let inline = |doc: &str| RepairCall::parse(doc, limits).unwrap_err().message;
+        let table = |doc: &str| parse_table_doc(doc, limits).unwrap_err().message;
+        let call = |doc: &str| ParsedCall::parse(doc, limits).unwrap_err().message;
+        let mutate = |doc: &str| MutateCall::parse(doc, limits).unwrap_err().message;
+        // Keys are checked in sorted order: the first bad key reported
+        // is the alphabetically first, misplaced or unknown.
+        assert_eq!(
+            inline(r#"{"zeta": 1, "table_ref": "t", "attrs": ["A"], "rows": []}"#),
+            "\"table_ref\" needs a server-side table store; \
+             this entry point only accepts inline tables"
+        );
+        assert_eq!(
+            inline(r#"{"table_ref": "t", "bogus": 1}"#),
+            "unknown field \"bogus\""
+        );
+        assert_eq!(
+            table(r#"{"request": {}, "fds": "", "attrs": [], "rows": []}"#),
+            "\"fds\" does not belong in a stored table; send it with each /repair call"
+        );
+        assert_eq!(table(r#"{"zz": 1, "extra": 1}"#), "unknown field \"extra\"");
+        assert_eq!(
+            call(r#"{"table_ref": "t", "rows": [], "attrs": []}"#),
+            "\"attrs\" cannot be combined with \"table_ref\"; \
+             the stored table already carries the instance"
+        );
+        assert_eq!(
+            call(r#"{"table_ref": "t", "rows": [], "bogus": 1}"#),
+            "unknown field \"bogus\""
+        );
+        assert_eq!(
+            mutate(r#"{"table_ref": "t", "rows": [], "mutations": []}"#),
+            "\"rows\" does not belong in a mutate call; the URL already names the stored table"
+        );
+        assert_eq!(
+            mutate(r#"{"zz": 1, "fds": 5, "mutations": []}"#),
+            "unknown field \"zz\""
+        );
+        // The `"fds"` member: one type error for every shape, and one
+        // parse error whether Δ is resolved inline or against a store.
+        let not_a_string = "\"fds\" must be a string like \"A -> B; B -> C\"";
+        assert_eq!(
+            inline(r#"{"attrs": ["A"], "rows": [], "fds": 5}"#),
+            not_a_string
+        );
+        assert_eq!(call(r#"{"table_ref": "t", "fds": 5}"#), not_a_string);
+        assert_eq!(mutate(r#"{"fds": 5, "mutations": []}"#), not_a_string);
+        let bad_fds = inline(r#"{"attrs": ["A"], "rows": [], "fds": "A -> Z"}"#);
+        assert!(bad_fds.starts_with("invalid \"fds\": "), "{bad_fds}");
+        let schema = Schema::new("R", ["A"]).unwrap();
+        let Ok(ParsedCall::ByRef(by_ref)) =
+            ParsedCall::parse(r#"{"table_ref": "t", "fds": "A -> Z"}"#, limits)
+        else {
+            panic!("a by-ref call");
+        };
+        assert_eq!(by_ref.resolve_fds(&schema).unwrap_err().message, bad_fds);
+        let muts = r#"{"fds": "A -> Z", "mutations": [{"op": "delete", "id": 0}]}"#;
+        let muts = MutateCall::parse(muts, limits).unwrap();
+        assert_eq!(muts.resolve_fds(&schema).unwrap_err().message, bad_fds);
+        // Mutation ids and weights.
+        assert_eq!(
+            mutate(r#"{"mutations": [{"op": "delete"}]}"#),
+            "\"delete\" needs an \"id\""
+        );
+        assert_eq!(
+            mutate(r#"{"mutations": [{"op": "set", "attr": "A", "value": 1}]}"#),
+            "\"set\" needs an \"id\""
+        );
+        assert_eq!(
+            mutate(r#"{"mutations": [{"op": "insert", "values": [1], "weight": "x"}]}"#),
+            "\"weight\" must be a number"
+        );
+        assert_eq!(
+            table(r#"{"attrs": ["A"], "rows": [{"values": [1], "weight": "x"}]}"#),
+            "row 0: \"weight\" must be a number"
+        );
     }
 
     #[test]

@@ -6,118 +6,115 @@
 //! report bytes, or response envelopes, so turning the log on or off
 //! cannot change what clients receive.
 
-/// Everything one access-log line records. Fields that a given request
-/// never produced (a 404 has no notion, a cache hit re-solves nothing)
-/// render as JSON `null` rather than being omitted, so every line has
-/// the same shape and `jq` filters never miss keys.
+use crate::RequestInfo;
+use std::fmt::{self, Write};
+
+/// Everything one access-log line records: what the router learned
+/// about the request, and how the server received and answered it.
+/// Fields that a given request never produced (a 404 has no notion, a
+/// cache hit re-solves nothing) render as JSON `null` rather than being
+/// omitted, so every line has the same shape and `jq` filters never
+/// miss keys.
 #[derive(Clone, Debug)]
 pub struct AccessRecord {
-    /// The request id (accepted from `X-Request-Id` or generated).
-    pub request_id: String,
+    /// The request id, notion, rows, components, cache outcome and
+    /// solve and serialize times (see [`RequestInfo`]).
+    pub info: RequestInfo,
     /// The HTTP method, or `-` when the request never parsed.
     pub method: String,
     /// The request path (query stripped), or `-` when never parsed.
     pub path: String,
     /// The response status sent to the client.
     pub status: u16,
-    /// The repair notion, for `/repair` and `/explain` calls that
-    /// parsed far enough to have one.
-    pub notion: Option<&'static str>,
-    /// Rows in the submitted instance.
-    pub rows: Option<usize>,
-    /// Conflict-graph components the solve reported (subset path only;
-    /// `None` for other notions and for cache hits, which solve
-    /// nothing).
-    pub components: Option<usize>,
-    /// `Some(true)` on a result-cache hit, `Some(false)` on a miss,
-    /// `None` when the request was not cacheable or never got that far.
-    pub cache_hit: Option<bool>,
-    /// Whether the connection made it into the worker queue. `false`
-    /// exactly for accept-loop sheds (503 at capacity).
-    pub queued: bool,
-    /// Time spent waiting in the worker queue, µs.
-    pub queue_wait_us: u64,
-    /// Time inside the engine solve/plan, µs (0 when nothing solved).
-    pub solve_us: u64,
-    /// Time writing the report's bytes, µs: `/repair` misses and
-    /// `/mutate` only, 0 on cache hits and errors.
-    pub serialize_us: u64,
+    /// Time spent waiting in the worker queue, µs, or `None` for a
+    /// request that never took a worker-queue slot: accept-loop sheds
+    /// (503 at capacity), requests that never parsed (answered 4xx on
+    /// the IO thread) and fast-path responses. Renders as `queued` and
+    /// `queue_wait_us` (0 when unqueued).
+    pub queue_wait_us: Option<u64>,
 }
 
 impl AccessRecord {
+    /// The record of one answered request; a query string on `path` is
+    /// stripped.
+    pub fn new(
+        info: RequestInfo,
+        method: &str,
+        path: &str,
+        status: u16,
+        queue_wait_us: Option<u64>,
+    ) -> AccessRecord {
+        let path = path.split_once('?').map_or(path, |(path, _)| path);
+        AccessRecord {
+            info,
+            method: method.to_string(),
+            path: path.to_string(),
+            status,
+            queue_wait_us,
+        }
+    }
+
     /// A record for a connection shed at the accept loop: never queued,
     /// never parsed, answered 503.
     pub fn shed(request_id: String) -> AccessRecord {
-        AccessRecord {
-            request_id,
-            method: "-".into(),
-            path: "-".into(),
-            status: 503,
-            notion: None,
-            rows: None,
-            components: None,
-            cache_hit: None,
-            queued: false,
-            queue_wait_us: 0,
-            solve_us: 0,
-            serialize_us: 0,
-        }
+        AccessRecord::new(RequestInfo::new(request_id), "-", "-", 503, None)
     }
 
     /// The record as one JSON object on one line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(192);
-        out.push_str("{\"request_id\":");
-        push_json_str(&mut out, &self.request_id);
-        out.push_str(",\"method\":");
-        push_json_str(&mut out, &self.method);
-        out.push_str(",\"path\":");
-        push_json_str(&mut out, &self.path);
-        out.push_str(&format!(",\"status\":{}", self.status));
-        match self.notion {
-            Some(n) => {
-                out.push_str(",\"notion\":");
-                push_json_str(&mut out, n);
-            }
-            None => out.push_str(",\"notion\":null"),
-        }
-        push_opt_num(&mut out, "rows", self.rows);
-        push_opt_num(&mut out, "components", self.components);
-        match self.cache_hit {
-            Some(hit) => out.push_str(&format!(",\"cache_hit\":{hit}")),
-            None => out.push_str(",\"cache_hit\":null"),
-        }
-        out.push_str(&format!(
-            ",\"queued\":{},\"queue_wait_us\":{},\"solve_us\":{},\"serialize_us\":{}}}",
-            self.queued, self.queue_wait_us, self.solve_us, self.serialize_us
-        ));
-        out
+        let info = &self.info;
+        format!(
+            "{{\"request_id\":{},\"method\":{},\"path\":{},\"status\":{},\"notion\":{},\
+             \"rows\":{},\"components\":{},\"cache_hit\":{},\"queued\":{},\
+             \"queue_wait_us\":{},\"solve_us\":{},\"serialize_us\":{}}}",
+            JsonStr(&info.request_id),
+            JsonStr(&self.method),
+            JsonStr(&self.path),
+            self.status,
+            OrNull(info.notion.map(|n| JsonStr(n.name()))),
+            OrNull(info.rows),
+            OrNull(info.components),
+            OrNull(info.cache_hit),
+            self.queue_wait_us.is_some(),
+            self.queue_wait_us.unwrap_or(0),
+            info.solve_us,
+            info.serialize_us,
+        )
     }
 }
 
-fn push_opt_num(out: &mut String, key: &str, value: Option<usize>) {
-    match value {
-        Some(v) => out.push_str(&format!(",\"{key}\":{v}")),
-        None => out.push_str(&format!(",\"{key}\":null")),
-    }
-}
-
-/// Appends `s` as a JSON string literal. Request ids are sanitized on
+/// A string as a JSON string literal. Request ids are sanitized on
 /// ingress, but paths come straight off the wire, so escape defensively.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+struct JsonStr<'a>(&'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
+}
+
+/// A value, or JSON `null` for one the request never produced.
+struct OrNull<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for OrNull<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(value) => value.fmt(f),
+            None => f.write_str("null"),
         }
     }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -127,29 +124,31 @@ mod tests {
 
     #[test]
     fn a_full_record_renders_every_field() {
-        let record = AccessRecord {
-            request_id: "req-7".into(),
-            method: "POST".into(),
-            path: "/repair".into(),
-            status: 200,
-            notion: Some("s"),
-            rows: Some(1000),
-            components: Some(42),
-            cache_hit: Some(false),
-            queued: true,
-            queue_wait_us: 15,
-            solve_us: 9000,
-            serialize_us: 700,
-        };
+        let mut info = RequestInfo::new("req-7".into());
+        info.notion = Some(fd_engine::Notion::Subset);
+        info.rows = Some(1000);
+        info.components = Some(42);
+        info.cache_hit = Some(false);
+        info.solve_us = 9000;
+        info.serialize_us = 700;
+        let record = AccessRecord::new(info, "POST", "/repair?trace=1", 200, Some(15));
         let line = record.to_json_line();
         assert!(!line.contains('\n'), "one line, no embedded newlines");
+        assert_eq!(
+            line,
+            "{\"request_id\":\"req-7\",\"method\":\"POST\",\"path\":\"/repair\",\"status\":200,\
+             \"notion\":\"s\",\"rows\":1000,\"components\":42,\"cache_hit\":false,\"queued\":true,\
+             \"queue_wait_us\":15,\"solve_us\":9000,\"serialize_us\":700}"
+        );
         let doc = Json::parse(&line).unwrap();
         assert_eq!(doc.get("request_id").unwrap().as_str(), Some("req-7"));
+        assert_eq!(doc.get("path").unwrap().as_str(), Some("/repair"));
         assert_eq!(doc.get("status").unwrap().as_num(), Some(200.0));
         assert_eq!(doc.get("notion").unwrap().as_str(), Some("s"));
         assert_eq!(doc.get("components").unwrap().as_num(), Some(42.0));
         assert_eq!(doc.get("cache_hit").unwrap().as_bool(), Some(false));
         assert_eq!(doc.get("queued").unwrap().as_bool(), Some(true));
+        assert_eq!(doc.get("queue_wait_us").unwrap().as_num(), Some(15.0));
         assert_eq!(doc.get("solve_us").unwrap().as_num(), Some(9000.0));
         assert_eq!(doc.get("serialize_us").unwrap().as_num(), Some(700.0));
     }
@@ -163,15 +162,17 @@ mod tests {
         assert!(matches!(doc.get("rows"), Some(Json::Null)));
         assert!(matches!(doc.get("cache_hit"), Some(Json::Null)));
         assert_eq!(doc.get("queued").unwrap().as_bool(), Some(false));
+        assert_eq!(doc.get("queue_wait_us").unwrap().as_num(), Some(0.0));
     }
 
     #[test]
     fn hostile_paths_are_escaped() {
         let mut record = AccessRecord::shed("x".into());
-        record.path = "/a\"b\\c\nd".into();
+        record.path = "/a\"b\\c\nd\u{1}".into();
         let line = record.to_json_line();
         assert!(!line.contains('\n'));
+        assert!(line.contains(r#""path":"/a\"b\\c\nd\u0001""#), "{line}");
         let doc = Json::parse(&line).unwrap();
-        assert_eq!(doc.get("path").unwrap().as_str(), Some("/a\"b\\c\nd"));
+        assert_eq!(doc.get("path").unwrap().as_str(), Some("/a\"b\\c\nd\u{1}"));
     }
 }

@@ -32,7 +32,7 @@
 use crate::http::{self, HttpError, Outgoing, Request, RequestParser, Response};
 use crate::pool::WorkerPool;
 use crate::shutdown::shutdown_requested;
-use crate::{router, AccessRecord, Shared};
+use crate::{router, AccessRecord, RequestInfo, Shared};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1002,27 +1002,9 @@ fn dispatch(
     // Cheap requests — healthz, clean cache hits on small bodies —
     // answer straight from the IO thread: no queue slot, no worker
     // hand-off, and liveness stays answerable under a saturated queue.
-    if let Some((response, info)) = router::fast_path(shared, &request) {
-        let elapsed = conn.accepted.elapsed();
-        shared.metrics.observe_request(response.status, elapsed);
-        shared.metrics.observe_endpoint(info.endpoint, elapsed);
-        if shared.access_enabled() {
-            shared.log_access(&AccessRecord {
-                request_id: info.request_id,
-                method: request.method.clone(),
-                path: request.path.clone(),
-                status: response.status,
-                notion: info.notion.map(fd_engine::Notion::name),
-                rows: info.rows,
-                components: info.components,
-                cache_hit: info.cache_hit,
-                queued: false,
-                queue_wait_us: 0,
-                solve_us: 0,
-                serialize_us: 0,
-            });
-        }
-        conn.start_writing(http::serialize_response(response), io_timeout);
+    if let Some(answer) = router::fast_path(shared, &request) {
+        let out = answered(shared, conn.accepted, Some(&request), answer, None);
+        conn.start_writing(out, io_timeout);
         return;
     }
     // Gauge before queue: the worker's matching `queue_exit` can run
@@ -1053,41 +1035,25 @@ fn dispatch(
 /// needs them real. Still one access-log line, marked `queued=false`.
 fn shed(conn: &mut Conn, shared: &Shared, io_timeout: Duration) {
     shared.metrics.observe_shed();
-    shared.log_access(&AccessRecord::shed(shared.next_request_id()));
+    let request_id = shared.next_request_id();
+    shared.log_access(|| AccessRecord::shed(request_id));
     let response = Response::error(503, "server is at capacity, retry later");
     conn.start_writing(http::serialize_response(response), io_timeout);
 }
 
 /// A request that never parsed: answer its 4xx (with request id,
-/// metrics, and an access-log line, matching the old worker path) and
-/// move on to writing it out.
+/// metrics, and an unqueued access-log line) and move on to writing it
+/// out.
 fn reject(conn: &mut Conn, error: HttpError, shared: &Shared, io_timeout: Duration) {
     let Some(response) = error.into_response() else {
         // Io errors never come out of the parser; be safe anyway.
         conn.deadline = Some(Instant::now());
         return;
     };
-    let request_id = shared.next_request_id();
-    let record = AccessRecord {
-        request_id: request_id.clone(),
-        method: "-".into(),
-        path: "-".into(),
-        status: response.status,
-        notion: None,
-        rows: None,
-        components: None,
-        cache_hit: None,
-        queued: true,
-        queue_wait_us: 0,
-        solve_us: 0,
-        serialize_us: 0,
-    };
-    let response = response.with_header("X-Request-Id", request_id);
-    let elapsed = conn.accepted.elapsed();
-    shared.metrics.observe_request(response.status, elapsed);
-    shared.metrics.observe_endpoint("other", elapsed);
-    shared.log_access(&record);
-    conn.start_writing(http::serialize_response(response), io_timeout);
+    let info = RequestInfo::new(shared.next_request_id());
+    let response = response.with_header("X-Request-Id", info.request_id.clone());
+    let out = answered(shared, conn.accepted, None, (response, info), None);
+    conn.start_writing(out, io_timeout);
 }
 
 /// The worker side: route the request (panics caught and answered as
@@ -1098,60 +1064,45 @@ fn handle_job(shared: &Shared, completions: &Completions, job: Job) {
     shared.metrics.queue_exit();
     let queue_wait_us = job.submitted.elapsed().as_micros() as u64;
     let request = job.request;
-    let path = request
-        .path
-        .split('?')
-        .next()
-        .unwrap_or(&request.path)
-        .to_string();
-    let (response, endpoint, record) =
-        match catch_unwind(AssertUnwindSafe(|| router::handle(shared, &request))) {
-            Ok((response, info)) => {
-                let record = AccessRecord {
-                    request_id: info.request_id,
-                    method: request.method.clone(),
-                    path,
-                    status: response.status,
-                    notion: info.notion.map(fd_engine::Notion::name),
-                    rows: info.rows,
-                    components: info.components,
-                    cache_hit: info.cache_hit,
-                    queued: true,
-                    queue_wait_us,
-                    solve_us: info.solve_us,
-                    serialize_us: info.serialize_us,
-                };
-                (response, info.endpoint, record)
-            }
-            Err(_) => {
-                shared.metrics.observe_panic();
-                let request_id = shared.next_request_id();
-                let response = Response::error(500, "internal error while handling the request")
-                    .with_header("X-Request-Id", request_id.clone());
-                let record = AccessRecord {
-                    request_id,
-                    method: request.method.clone(),
-                    path,
-                    status: 500,
-                    notion: None,
-                    rows: None,
-                    components: None,
-                    cache_hit: None,
-                    queued: true,
-                    queue_wait_us,
-                    solve_us: 0,
-                    serialize_us: 0,
-                };
-                (response, "other", record)
-            }
-        };
-    // Latency here is accept → response ready: queue wait and solve
-    // both count, which is what a client actually experiences.
-    let elapsed = job.accepted.elapsed();
-    shared.metrics.observe_request(response.status, elapsed);
-    shared.metrics.observe_endpoint(endpoint, elapsed);
-    shared.log_access(&record);
-    completions.push(job.token, http::serialize_response(response));
+    let answer = match catch_unwind(AssertUnwindSafe(|| router::handle(shared, &request))) {
+        Ok(answer) => answer,
+        Err(_) => {
+            shared.metrics.observe_panic();
+            let info = RequestInfo::new(shared.next_request_id());
+            let response = Response::error(500, "internal error while handling the request")
+                .with_header("X-Request-Id", info.request_id.clone());
+            (response, info)
+        }
+    };
+    let out = answered(
+        shared,
+        job.accepted,
+        Some(&request),
+        answer,
+        Some(queue_wait_us),
+    );
+    completions.push(job.token, out);
+}
+
+/// Accounts one answered request and serializes it for the socket: the
+/// latency metrics, accept → response ready (queue wait and solve both
+/// count, which is what a client actually experiences), and its one
+/// access-log line. `request` is `None` for a request that never
+/// parsed, `queue_wait_us` for one that never took a worker-queue slot.
+fn answered(
+    shared: &Shared,
+    accepted: Instant,
+    request: Option<&Request>,
+    (response, info): (Response, RequestInfo),
+    queue_wait_us: Option<u64>,
+) -> Outgoing {
+    let elapsed = accepted.elapsed();
+    let status = response.status;
+    shared.metrics.observe_request(status, elapsed);
+    shared.metrics.observe_endpoint(info.endpoint, elapsed);
+    let (method, path) = request.map_or(("-", "-"), |r| (&r.method, &r.path));
+    shared.log_access(|| AccessRecord::new(info, method, path, status, queue_wait_us));
+    http::serialize_response(response)
 }
 
 #[cfg(test)]

@@ -235,19 +235,16 @@ impl Shared {
         )
     }
 
-    /// Whether access logging is on — callers on the hot path use this
-    /// to skip building the record at all.
-    pub(crate) fn access_enabled(&self) -> bool {
-        self.access.is_some()
-    }
-
-    /// Writes one access-log line, if logging is on. Failures are
-    /// swallowed: observability must never take down serving.
-    pub fn log_access(&self, record: &AccessRecord) {
+    /// Writes one access-log line, if logging is on; `record` builds
+    /// it only then, so a server logging nothing allocates nothing for
+    /// the log. Failures are swallowed: observability must never take
+    /// down serving.
+    pub fn log_access(&self, record: impl FnOnce() -> AccessRecord) {
         use std::io::Write;
         if let Some(sink) = &self.access {
+            let line = record().to_json_line();
             if let Ok(mut sink) = sink.lock() {
-                let _ = writeln!(sink, "{}", record.to_json_line());
+                let _ = writeln!(sink, "{line}");
             }
         }
     }

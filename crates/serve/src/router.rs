@@ -22,14 +22,15 @@
 //! it, so replies stay bit-identical whether or not anyone is watching.
 
 use crate::http::{Request, Response, Segment};
-use crate::store::StoreError;
+use crate::store::{StoreError, StoredTable};
 use crate::{MutatePath, Shared};
 use fd_core::{FdSet, MutationEffect, Schema, Table};
 use fd_engine::{
-    parse_table_doc, table_fingerprint, EngineError, IncrementalSession, JsonLimits, MutateCall,
-    Notion, ParsedCall, Planner, RefCall, RepairEngine, RepairReport, RepairRequest, Timings,
-    WireError,
+    parse_table_doc, table_fingerprint, EngineError, Fnv64, IncrementalSession, Json, JsonLimits,
+    MutateCall, Notion, ParsedCall, Planner, RefCall, RepairCall, RepairEngine, RepairReport,
+    RepairRequest, Timings, WireError,
 };
+use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,6 +46,7 @@ const MAX_REQUEST_ID_LEN: usize = 64;
 /// labeled metrics. Produced next to the [`Response`], never encoded
 /// into it (the `request_id` response header and the `?trace=1`
 /// envelope are additive wrappers around unchanged report bytes).
+#[derive(Clone, Debug)]
 pub struct RequestInfo {
     /// The id echoed in `X-Request-Id` (client-supplied or generated).
     pub request_id: String,
@@ -67,7 +69,9 @@ pub struct RequestInfo {
 }
 
 impl RequestInfo {
-    fn new(request_id: String) -> RequestInfo {
+    /// What is known of a request before routing: its id, and nothing
+    /// else.
+    pub(crate) fn new(request_id: String) -> RequestInfo {
         RequestInfo {
             request_id,
             endpoint: "other",
@@ -129,11 +133,10 @@ pub fn handle(shared: &Shared, request: &Request) -> (Response, RequestInfo) {
 /// the event loop must never stall behind one request.
 const FAST_PATH_MAX_BODY: usize = 16 * 1024;
 
-/// A memoized fast-path probe: everything the IO thread needs to
-/// consult the result cache for a byte-identical inline body without
-/// re-parsing it — the parse, `Table` build, and canonical
-/// serialization are all pure functions of the raw bytes (and fixed
-/// server config), so they are done once and replayed.
+/// A memoized fast-path probe: the cache slot, notion and row count
+/// [`resolve`] derived from one inline body, which are pure functions
+/// of the raw bytes (and fixed server config), so a byte-identical
+/// repeat probes the result cache without parsing again.
 ///
 /// The memo is keyed by an FNV hash of (endpoint, raw body) and the
 /// stored bytes are compared on every lookup, so a hash collision
@@ -144,27 +147,9 @@ const FAST_PATH_MAX_BODY: usize = 16 * 1024;
 #[derive(Clone)]
 pub(crate) struct ProbeMemo {
     body: Arc<[u8]>,
-    key: u64,
-    canonical: Arc<str>,
+    slot: Slot,
     notion: Notion,
     rows: usize,
-}
-
-/// FNV-1a over the raw body, seeded per endpoint (the two endpoints
-/// cache different documents for the same bytes).
-fn memo_key(endpoint: Endpoint, body: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET
-        ^ match endpoint {
-            Endpoint::Repair => 0x9e,
-            Endpoint::Explain => 0x79,
-        };
-    for &byte in body {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
 }
 
 /// Serves a request on the IO thread, without a worker hop, when it is
@@ -176,19 +161,15 @@ fn memo_key(endpoint: Endpoint, body: &[u8]) -> u64 {
 /// [`FAST_PATH_MAX_BODY`]. Repeat probes for byte-identical inline
 /// bodies skip even that parse via [`ProbeMemo`].
 ///
-/// Responses and metrics are byte-for-byte what [`handle`] would have
+/// The slot probed is the one [`resolve`] derives for the worker, so
+/// responses and metrics are byte-for-byte what [`handle`] would have
 /// produced for the same request; only the thread differs.
 pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response, RequestInfo)> {
     if request.path.contains('?') {
         return None; // `?trace=1` needs a collector; take the full path
     }
     let endpoint = match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            let mut info = RequestInfo::new(request_id_for(shared, request));
-            info.endpoint = "healthz";
-            let response = healthz(shared).with_header("X-Request-Id", info.request_id.clone());
-            return Some((response, info));
-        }
+        ("GET", "/healthz") => return Some(handle(shared, request)),
         ("POST", "/repair") => Endpoint::Repair,
         ("POST", "/explain") => Endpoint::Explain,
         _ => return None,
@@ -198,70 +179,45 @@ pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response,
     }
     // Byte-identical repeat of a memoized inline body: straight to the
     // cache probe, no parse.
-    let memo_key = memo_key(endpoint, &request.body);
+    let mut hasher = Fnv64::new();
+    hasher.write_u8(endpoint as u8);
+    hasher.write(&request.body);
+    let memo_key = hasher.finish();
     let memo = shared
         .probe_memo
         .lock()
         .ok()
         .and_then(|mut memos| memos.get(memo_key))
         .filter(|memo| memo.body.as_ref() == request.body.as_slice());
-    let (key, canonical, notion, rows): (u64, Arc<str>, Notion, usize) = match memo {
-        Some(memo) => (memo.key, memo.canonical, memo.notion, memo.rows),
+    let (slot, notion, rows) = match memo {
+        Some(memo) => (memo.slot, memo.notion, memo.rows),
         None => {
-            let limits = JsonLimits {
-                max_bytes: shared.config.max_body_bytes,
-                max_depth: JsonLimits::DEFAULT_MAX_DEPTH,
-            };
-            let text = std::str::from_utf8(&request.body).ok()?;
-            // Key and canonical computation must match `repair` exactly
-            // — including the budget clamp, which the key hashes.
-            match ParsedCall::parse(text, &limits).ok()? {
-                ParsedCall::Inline(mut call) => {
-                    if !call.cacheable() {
-                        return None;
-                    }
-                    clamp_time_cap(shared, &mut call.request);
-                    let key = endpoint.tag_key(call.cache_key());
-                    let canonical: Arc<str> =
-                        Arc::from(format!("{}\n{}", endpoint.name(), call.to_json_value()));
-                    if let Ok(mut memos) = shared.probe_memo.lock() {
-                        memos.insert(
-                            memo_key,
-                            ProbeMemo {
-                                body: Arc::from(request.body.as_slice()),
-                                key,
-                                canonical: Arc::clone(&canonical),
-                                notion: call.request.notion,
-                                rows: call.table.len(),
-                            },
-                        );
-                    }
-                    (key, canonical, call.request.notion, call.table.len())
-                }
-                ParsedCall::ByRef(mut call) => {
-                    if !call.cacheable() {
-                        return None;
-                    }
-                    let tenant = tenant_of(request).ok()?;
-                    let stored = shared.store.get(&tenant, &call.table_ref)?;
-                    let schema = stored.table.schema();
-                    let fds = call.resolve_fds(schema).ok()?;
-                    clamp_time_cap(shared, &mut call.request);
-                    let (key, canonical) =
-                        ref_slot(endpoint, &call, stored.fingerprint, &fds, schema);
-                    (key, canonical, call.request.notion, stored.rows)
-                }
+            let (text, limits) = body_text(shared, request).ok()?;
+            let call = ParsedCall::parse(text, &limits).ok()?;
+            if !call.cacheable() {
+                return None;
             }
+            let call = resolve(shared, request, endpoint, call).ok()?;
+            let (slot, notion, rows) =
+                (call.slot?, call.request.notion, call.instance.table().len());
+            if let (Instance::Inline(_), Ok(mut memos)) = (&call.instance, shared.probe_memo.lock())
+            {
+                let body = Arc::from(request.body.as_slice());
+                let slot = slot.clone();
+                memos.insert(
+                    memo_key,
+                    ProbeMemo {
+                        body,
+                        slot,
+                        notion,
+                        rows,
+                    },
+                );
+            }
+            (slot, notion, rows)
         }
     };
-    let entry = shared
-        .cache
-        .lock()
-        .ok()
-        .and_then(|mut cache| cache.get(key))?;
-    if entry.canonical != canonical {
-        return None; // hash collision: the worker path solves honestly
-    }
+    let body = probe_cache(shared, slot.key, &slot.canonical)?;
     let mut info = RequestInfo::new(request_id_for(shared, request));
     info.endpoint = endpoint.name();
     info.notion = Some(notion);
@@ -269,7 +225,7 @@ pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response,
     info.cache_hit = Some(true);
     shared.metrics.observe_notion(notion);
     shared.metrics.observe_cache(true);
-    let response = ok_response(shared, entry.body, "hit", None, &info)
+    let response = ok_response(shared, body, "hit", None, &info)
         .with_header("X-Request-Id", info.request_id.clone());
     Some((response, info))
 }
@@ -279,21 +235,12 @@ pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response,
 /// fresh `req-<n>` from the server's own counter.
 fn request_id_for(shared: &Shared, request: &Request) -> String {
     match request.header("x-request-id") {
-        Some(id)
-            if !id.is_empty()
-                && id.len() <= MAX_REQUEST_ID_LEN
-                && id
-                    .bytes()
-                    .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.')) =>
-        {
-            id.to_string()
-        }
+        Some(id) if valid_name(id) => id.to_string(),
         _ => shared.next_request_id(),
     }
 }
 
 fn healthz(shared: &Shared) -> Response {
-    use fd_engine::Json;
     let doc = Json::obj([
         ("status", Json::str("ok")),
         ("service", Json::str("fd-serve")),
@@ -330,27 +277,44 @@ impl Endpoint {
     }
 }
 
-/// The cache slot of a by-reference call against one snapshot of its
-/// table: the key and the canonical form a hit is verified against. The
+/// A call's place in the result cache: the key it is filed under and
+/// the canonical form a hit is verified against.
+#[derive(Clone)]
+struct Slot {
+    key: u64,
+    canonical: Arc<str>,
+}
+
+/// What a cache slot is derived from: an inline call, or a by-ref call
+/// against one snapshot of its stored table (fingerprint, resolved Δ,
+/// schema).
+enum Keyed<'a> {
+    Inline(&'a RepairCall),
+    Stored(&'a RefCall, u64, &'a FdSet, &'a Schema),
+}
+
+/// The one derivation of a `/repair` or `/explain` cache slot. A by-ref
 /// key hashes the snapshot's fingerprint (O(Δ + request), never the
-/// rows) and the canonical form pins it, so a deleted-then-reuploaded
-/// id can never replay stale bytes. A by-ref `/repair`, its fast-path
-/// probe, and a mutate publishing the read it answers all take their
-/// slot from here.
-fn ref_slot(
-    endpoint: Endpoint,
-    call: &RefCall,
-    fingerprint: u64,
-    fds: &FdSet,
-    schema: &Schema,
-) -> (u64, Arc<str>) {
-    let key = endpoint.tag_key(call.cache_key(fingerprint, fds, schema));
-    let canonical = format!(
-        "{}\n{}",
-        endpoint.name(),
-        call.canonical(fingerprint, fds, schema)
-    );
-    (key, Arc::from(canonical))
+/// rows) and its canonical form pins it, so a deleted-then-reuploaded
+/// id can never replay stale bytes. [`resolve`] takes every call's slot
+/// from here, for the worker and the fast path alike, and a mutate
+/// publishing the read it answers takes that read's slot from here too.
+fn slot(endpoint: Endpoint, keyed: Keyed<'_>) -> Slot {
+    let name = endpoint.name();
+    let (key, canonical) = match keyed {
+        Keyed::Inline(call) => (
+            call.cache_key(),
+            format!("{name}\n{}", call.to_json_value()),
+        ),
+        Keyed::Stored(call, fingerprint, fds, schema) => (
+            call.cache_key(fingerprint, fds, schema),
+            format!("{name}\n{}", call.canonical(fingerprint, fds, schema)),
+        ),
+    };
+    Slot {
+        key: endpoint.tag_key(key),
+        canonical: Arc::from(canonical),
+    }
 }
 
 /// Follower wait when the server caps no solve times: long enough that
@@ -380,8 +344,8 @@ fn clamp_time_cap(shared: &Shared, request: &mut RepairRequest) {
 }
 
 /// `/repair` and `/explain` share everything up to the engine call:
-/// bounded parsing, table-ref resolution, server-side budget clamping,
-/// the result cache, and single-flight coalescing.
+/// bounded parsing, [`resolve`], the result cache, and single-flight
+/// coalescing.
 ///
 /// With `trace` set, a per-request collector observes the solve and the
 /// 200 response becomes `{"request_id","trace","report"}` where
@@ -397,119 +361,155 @@ fn repair(
 ) -> Response {
     let collector = trace.then(fd_trace::Collector::default);
     let _trace_guard = collector.as_ref().map(fd_trace::Collector::install);
-
-    let limits = JsonLimits {
-        max_bytes: shared.config.max_body_bytes,
-        max_depth: JsonLimits::DEFAULT_MAX_DEPTH,
+    let call = match parse_body(shared, request, ParsedCall::parse) {
+        Ok(call) => call,
+        Err(response) => return response,
     };
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Response::error(400, "body is not UTF-8"),
-    };
-    match ParsedCall::parse(text, &limits) {
-        Err(WireError { message }) => Response::error(400, &message),
-        Ok(ParsedCall::Inline(mut call)) => {
-            shared.metrics.observe_notion(call.request.notion);
-            info.notion = Some(call.request.notion);
-            info.rows = Some(call.table.len());
-            clamp_time_cap(shared, &mut call.request);
-            let key = endpoint.tag_key(call.cache_key());
-            let cacheable = call.cacheable();
-            let canonical: Arc<str> = if cacheable {
-                Arc::from(format!("{}\n{}", endpoint.name(), call.to_json_value()))
-            } else {
-                Arc::from("")
-            };
-            let ctx = SolveCtx {
-                endpoint,
-                table: &call.table,
-                fds: &call.fds,
-                request: &call.request,
-                include_timings: call.include_timings,
-            };
-            solve_and_respond(shared, ctx, cacheable, key, canonical, collector, info)
+    let notion = call.request().notion;
+    shared.metrics.observe_notion(notion);
+    info.notion = Some(notion);
+    match resolve(shared, request, endpoint, call) {
+        Ok(call) => {
+            info.rows = Some(call.instance.table().len());
+            solve_and_respond(shared, &call, collector, info)
         }
-        Ok(ParsedCall::ByRef(mut call)) => {
-            shared.metrics.observe_notion(call.request.notion);
-            info.notion = Some(call.request.notion);
-            let tenant = match tenant_of(request) {
-                Ok(tenant) => tenant,
-                Err(response) => return response,
-            };
-            let Some(stored) = shared.store.get(&tenant, &call.table_ref) else {
-                return store_error_response(&StoreError::NotFound);
-            };
-            info.rows = Some(stored.rows);
-            let schema = stored.table.schema();
-            let fds = match call.resolve_fds(schema) {
-                Ok(fds) => fds,
-                Err(WireError { message }) => return Response::error(400, &message),
-            };
-            clamp_time_cap(shared, &mut call.request);
-            let cacheable = call.cacheable();
-            let (key, canonical) = if cacheable {
-                ref_slot(endpoint, &call, stored.fingerprint, &fds, schema)
-            } else {
-                (0, Arc::from(""))
-            };
-            let ctx = SolveCtx {
-                endpoint,
-                table: &stored.table,
-                fds: &fds,
-                request: &call.request,
-                include_timings: call.include_timings,
-            };
-            solve_and_respond(shared, ctx, cacheable, key, canonical, collector, info)
+        Err(Refused::Tenant(response)) => response,
+        Err(Refused::UnknownRef) => store_error_response(&StoreError::NotFound),
+        Err(Refused::Fds { rows, error }) => {
+            info.rows = Some(rows);
+            Response::error(400, &error.message)
         }
     }
 }
 
-/// One resolved call, ready for the engine — the inline and by-ref
-/// paths converge here.
-struct SolveCtx<'a> {
+/// A `/repair` or `/explain` call resolved against the server, ready
+/// for the engine.
+struct Resolved {
     endpoint: Endpoint,
-    table: &'a Table,
-    fds: &'a FdSet,
-    request: &'a RepairRequest,
+    instance: Instance,
+    fds: FdSet,
+    /// The call's request, its time cap clamped to the server's.
+    request: RepairRequest,
     include_timings: bool,
+    /// Where the call is cached; `None` when it is not cacheable.
+    slot: Option<Slot>,
+}
+
+/// The table a call runs against: its own, or one stored at rest.
+enum Instance {
+    Inline(Table),
+    Stored(Arc<StoredTable>),
+}
+
+impl Instance {
+    fn table(&self) -> &Table {
+        match self {
+            Instance::Inline(table) => table,
+            Instance::Stored(stored) => &stored.table,
+        }
+    }
+}
+
+/// Why a by-ref call has nothing to run against: a malformed
+/// `X-Tenant` header (with its 400), no table under the ref, or a Δ
+/// that does not parse against the stored schema. The worker answers
+/// each with its 4xx; the fast path only declines, so the 404 and the
+/// Δ's 400 are not rendered for it.
+enum Refused {
+    Tenant(Response),
+    UnknownRef,
+    Fds { rows: usize, error: WireError },
+}
+
+/// The one resolver of `/repair` and `/explain` calls: resolves a by-ref
+/// call's table from the tenant's store and its Δ against that table's
+/// schema, clamps the request's time cap to the server's, and derives
+/// the [`slot`] of a cacheable call. The worker solves what it returns;
+/// the fast path probes the cache with its slot.
+fn resolve(
+    shared: &Shared,
+    request: &Request,
+    endpoint: Endpoint,
+    call: ParsedCall,
+) -> Result<Resolved, Refused> {
+    match call {
+        ParsedCall::Inline(mut call) => {
+            clamp_time_cap(shared, &mut call.request);
+            let slot = call
+                .cacheable()
+                .then(|| slot(endpoint, Keyed::Inline(&call)));
+            Ok(Resolved {
+                endpoint,
+                instance: Instance::Inline(call.table),
+                fds: call.fds,
+                request: call.request,
+                include_timings: call.include_timings,
+                slot,
+            })
+        }
+        ParsedCall::ByRef(mut call) => {
+            let tenant = tenant_of(request).map_err(Refused::Tenant)?;
+            let stored = shared
+                .store
+                .get(&tenant, &call.table_ref)
+                .ok_or(Refused::UnknownRef)?;
+            let schema = stored.table.schema();
+            let fds = call.resolve_fds(schema).map_err(|error| Refused::Fds {
+                rows: stored.rows,
+                error,
+            })?;
+            clamp_time_cap(shared, &mut call.request);
+            let slot = call.cacheable().then(|| {
+                let keyed = Keyed::Stored(&call, stored.fingerprint, &fds, schema);
+                slot(endpoint, keyed)
+            });
+            Ok(Resolved {
+                endpoint,
+                instance: Instance::Stored(stored),
+                fds,
+                request: call.request,
+                include_timings: call.include_timings,
+                slot,
+            })
+        }
+    }
 }
 
 /// Cache probe → single-flight → response. The leader inserts into the
 /// LRU *inside* its flight (before completing it), so followers that
 /// arrive after completion hit the cache instead.
+///
+/// 200s get the cache-state header and (with a collector) the trace
+/// envelope; error bodies ship as-is — identical deterministic calls
+/// fail identically, so a replayed error is as correct as a replayed
+/// report.
 fn solve_and_respond(
     shared: &Shared,
-    ctx: SolveCtx<'_>,
-    cacheable: bool,
-    key: u64,
-    canonical: Arc<str>,
+    call: &Resolved,
     collector: Option<fd_trace::Collector>,
     info: &mut RequestInfo,
 ) -> Response {
-    if !cacheable {
-        let (status, body) = solve_now(shared, &ctx, None, info);
-        return finish_response(shared, status, body, "miss", collector, info);
+    let (status, body, cache_state) = match &call.slot {
+        None => {
+            let (status, body) = solve_now(shared, call, info);
+            (status, body, "miss")
+        }
+        Some(slot) => {
+            let solve = || {
+                let (status, body) = solve_now(shared, call, info);
+                crate::FlightResult { status, body }
+            };
+            let (result, cache_state) =
+                cached_flight(shared, slot.key, &slot.canonical, || {}, solve);
+            info.cache_hit = Some(cache_state == "hit");
+            (result.status, Arc::clone(&result.body), cache_state)
+        }
+    };
+    if status == 200 {
+        ok_response(shared, body, cache_state, collector, info)
+    } else {
+        Response::json_segments(status, vec![Segment::Shared(body)])
     }
-    let (result, cache_state) = cached_flight(
-        shared,
-        key,
-        &canonical,
-        || {},
-        || {
-            let slot = Some((key, Arc::clone(&canonical)));
-            let (status, body) = solve_now(shared, &ctx, slot, info);
-            crate::FlightResult { status, body }
-        },
-    );
-    info.cache_hit = Some(cache_state == "hit");
-    finish_response(
-        shared,
-        result.status,
-        Arc::clone(&result.body),
-        cache_state,
-        collector,
-        info,
-    )
 }
 
 /// The cached body for `key`, if the entry was produced by this exact
@@ -573,49 +573,46 @@ fn cached_flight(
 }
 
 /// Runs the engine once and returns `(status, body)`. On success the
-/// body is inserted under `cache_slot` *before* returning, which is
-/// what lets a completing flight hand late arrivals to the cache. The
-/// cache entry and the response share the one allocation of the body.
-fn solve_now(
-    shared: &Shared,
-    ctx: &SolveCtx<'_>,
-    cache_slot: Option<(u64, Arc<str>)>,
-    info: &mut RequestInfo,
-) -> (u16, Arc<Vec<u8>>) {
+/// body is inserted under the call's cache slot, if it has one,
+/// *before* returning, which is what lets a completing flight hand late
+/// arrivals to the cache. The cache entry and the response share the
+/// one allocation of the body.
+fn solve_now(shared: &Shared, call: &Resolved, info: &mut RequestInfo) -> (u16, Arc<Vec<u8>>) {
     let solve_start = Instant::now();
-    let result = match ctx.endpoint {
+    let table = call.instance.table();
+    let result = match call.endpoint {
         Endpoint::Repair => Planner
-            .run(ctx.table, ctx.fds, ctx.request)
+            .run(table, &call.fds, &call.request)
             .map(|mut report| {
                 info.components = report.components.as_ref().map(|c| c.count);
-                if !ctx.include_timings {
+                if !call.include_timings {
                     report.timings = Timings::default();
                 }
                 report_bytes(&report, info)
             }),
         Endpoint::Explain => Planner
-            .plan(ctx.table, ctx.fds, ctx.request)
+            .plan(table, &call.fds, &call.request)
             .map(|plan| plan.to_json_value().to_string().into_bytes()),
     };
     info.solve_us = solve_start.elapsed().as_micros() as u64;
     shared
         .metrics
-        .observe_notion_latency(ctx.request.notion, info.solve_us);
+        .observe_notion_latency(call.request.notion, info.solve_us);
     if let Some(count) = info.components {
         shared.metrics.observe_components(count as u64);
     }
     match result {
         Ok(body) => {
             let body = shared_body(body);
-            if let Some((key, canonical)) = cache_slot {
+            if let Some(slot) = &call.slot {
                 // Skip the insert if the lock is poisoned — losing a
                 // cache entry is harmless. The cache stores the bare
                 // report bytes; the trace envelope is never cached.
                 if let Ok(mut cache) = shared.cache.lock() {
                     cache.insert(
-                        key,
+                        slot.key,
                         crate::CachedResponse {
-                            canonical,
+                            canonical: Arc::clone(&slot.canonical),
                             body: Arc::clone(&body),
                         },
                     );
@@ -624,7 +621,7 @@ fn solve_now(
             (200, body)
         }
         Err(e) => {
-            let (status, body) = engine_error_body(&e, ctx.request.notion);
+            let (status, body) = engine_error_body(&e, call.request.notion);
             (status, Arc::new(body.into_bytes()))
         }
     }
@@ -648,25 +645,6 @@ fn shared_body(mut body: Vec<u8>) -> Arc<Vec<u8>> {
     Arc::new(body)
 }
 
-/// 200s get the cache-state header and (with a collector) the trace
-/// envelope; error bodies ship as-is — identical deterministic calls
-/// fail identically, so a replayed error is as correct as a replayed
-/// report.
-fn finish_response(
-    shared: &Shared,
-    status: u16,
-    body: Arc<Vec<u8>>,
-    cache_state: &'static str,
-    collector: Option<fd_trace::Collector>,
-    info: &RequestInfo,
-) -> Response {
-    if status == 200 {
-        ok_response(shared, body, cache_state, collector, info)
-    } else {
-        Response::json_segments(status, vec![Segment::Shared(body)])
-    }
-}
-
 /// Builds the 200 response for `body` (the report/plan bytes). Without
 /// a collector the body ships as-is; with one, it is spliced verbatim
 /// into the trace envelope — the report bytes are never re-serialized
@@ -680,14 +658,13 @@ fn ok_response(
 ) -> Response {
     let segments = match collector {
         None => vec![Segment::Shared(body)],
-        Some(collector) => {
-            shared.metrics.observe_trace_dropped(collector.dropped());
-            // The id charset is sanitized on ingress, so quoting it
-            // directly cannot break the JSON.
+        // The id charset is sanitized on ingress, so quoting it directly
+        // cannot break the JSON.
+        collector => {
+            let trace = trace_member(shared, collector);
             let prefix = format!(
-                "{{\"request_id\":\"{}\",\"trace\":{},\"report\":",
-                info.request_id,
-                collector.to_chrome_json(),
+                "{{\"request_id\":\"{}\"{trace},\"report\":",
+                info.request_id
             );
             enveloped(prefix, body)
         }
@@ -722,7 +699,6 @@ fn enveloped(prefix: String, report: Arc<Vec<u8>>) -> Vec<Segment> {
 /// Engine failures are the client's problem (4xx), each with a stable
 /// `kind` so clients can branch without parsing prose.
 fn engine_error_body(e: &EngineError, notion: Notion) -> (u16, String) {
-    use fd_engine::Json;
     let (status, kind) = match e {
         EngineError::InvalidRequest(_) => (400, "invalid_request"),
         EngineError::InvalidProbability(_) => (422, "invalid_probability"),
@@ -739,8 +715,34 @@ fn engine_error_body(e: &EngineError, notion: Notion) -> (u16, String) {
     (status, doc.to_string())
 }
 
-/// Charset shared by tenant names and table ids: 1–64 chars of
-/// `[A-Za-z0-9._-]` — safe to embed in paths, logs, and JSON verbatim.
+/// The body as UTF-8 text, with the limits every wire parser runs it
+/// under, or the 400 for a body that is not UTF-8: the one prologue of
+/// every endpoint that takes a JSON body.
+fn body_text<'r>(shared: &Shared, request: &'r Request) -> Result<(&'r str, JsonLimits), Response> {
+    let limits = JsonLimits {
+        max_bytes: shared.config.max_body_bytes,
+        max_depth: JsonLimits::DEFAULT_MAX_DEPTH,
+    };
+    match std::str::from_utf8(&request.body) {
+        Ok(text) => Ok((text, limits)),
+        Err(_) => Err(Response::error(400, "body is not UTF-8")),
+    }
+}
+
+/// The body parsed by one of the wire parsers, or the 400 answering a
+/// body that [`body_text`] or `parse` refuses.
+fn parse_body<T>(
+    shared: &Shared,
+    request: &Request,
+    parse: fn(&str, &JsonLimits) -> Result<T, WireError>,
+) -> Result<T, Response> {
+    let (text, limits) = body_text(shared, request)?;
+    parse(text, &limits).map_err(|e| Response::error(400, &e.message))
+}
+
+/// Charset shared by request ids, tenant names and table ids: 1–64
+/// chars of `[A-Za-z0-9._-]` — safe to embed in paths, logs, and JSON
+/// verbatim.
 fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= MAX_REQUEST_ID_LEN
@@ -789,16 +791,11 @@ fn tables(
         Ok(tenant) => tenant,
         Err(response) => return response,
     };
-    if mutate {
-        return match request.method.as_str() {
-            "POST" => mutate_table(shared, request, &tenant, id, trace, info, || {}),
-            _ => Response::error(405, "wrong method for this path"),
-        };
-    }
-    match request.method.as_str() {
-        "PUT" => put_table(shared, request, &tenant, id, trace, info),
-        "GET" => get_table(shared, &tenant, id, info),
-        "DELETE" => delete_table(shared, &tenant, id),
+    match (request.method.as_str(), mutate) {
+        ("POST", true) => mutate_table(shared, request, &tenant, id, trace, info, || {}),
+        ("PUT", false) => put_table(shared, request, &tenant, id, trace, info),
+        ("GET", false) => get_table(shared, &tenant, id, info),
+        ("DELETE", false) => delete_table(shared, &tenant, id),
         _ => Response::error(405, "wrong method for this path"),
     }
 }
@@ -811,20 +808,11 @@ fn put_table(
     trace: bool,
     info: &mut RequestInfo,
 ) -> Response {
-    use fd_engine::Json;
     let collector = trace.then(fd_trace::Collector::default);
     let _trace_guard = collector.as_ref().map(fd_trace::Collector::install);
-    let limits = JsonLimits {
-        max_bytes: shared.config.max_body_bytes,
-        max_depth: JsonLimits::DEFAULT_MAX_DEPTH,
-    };
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Response::error(400, "body is not UTF-8"),
-    };
-    let table = match parse_table_doc(text, &limits) {
+    let table = match parse_body(shared, request, parse_table_doc) {
         Ok(table) => table,
-        Err(WireError { message }) => return Response::error(400, &message),
+        Err(response) => return response,
     };
     info.rows = Some(table.len());
     // Fingerprinted once at PUT; every by-ref call keys off this value
@@ -833,16 +821,7 @@ fn put_table(
     match shared.store.put(tenant, id, table, fingerprint) {
         Ok(stored) => {
             shared.metrics.table_stored();
-            let doc = Json::obj([
-                ("stored", Json::str(id)),
-                ("tenant", Json::str(tenant)),
-                ("rows", Json::Num(stored.rows as f64)),
-                (
-                    "fingerprint",
-                    Json::str(format!("{:016x}", stored.fingerprint)),
-                ),
-            ])
-            .to_string();
+            let doc = table_doc("stored", id, tenant, &stored);
             // Close the object after the trace member, if any.
             let open = &doc[..doc.len() - 1];
             Response::json(201, format!("{open}{}}}", trace_member(shared, collector)))
@@ -852,27 +831,29 @@ fn put_table(
 }
 
 fn get_table(shared: &Shared, tenant: &str, id: &str, info: &mut RequestInfo) -> Response {
-    use fd_engine::Json;
     match shared.store.get(tenant, id) {
         Some(stored) => {
             info.rows = Some(stored.rows);
-            let doc = Json::obj([
-                ("id", Json::str(id)),
-                ("tenant", Json::str(tenant)),
-                ("rows", Json::Num(stored.rows as f64)),
-                (
-                    "fingerprint",
-                    Json::str(format!("{:016x}", stored.fingerprint)),
-                ),
-            ]);
-            Response::json(200, doc.to_string())
+            Response::json(200, table_doc("id", id, tenant, &stored))
         }
         None => store_error_response(&StoreError::NotFound),
     }
 }
 
+/// A stored table's id (under `name`), tenant, rows and fingerprint:
+/// the object PUT and GET answer with.
+fn table_doc(name: &'static str, id: &str, tenant: &str, stored: &StoredTable) -> String {
+    let fingerprint = format!("{:016x}", stored.fingerprint);
+    Json::obj([
+        (name, Json::str(id)),
+        ("tenant", Json::str(tenant)),
+        ("rows", Json::Num(stored.rows as f64)),
+        ("fingerprint", Json::str(fingerprint)),
+    ])
+    .to_string()
+}
+
 fn delete_table(shared: &Shared, tenant: &str, id: &str) -> Response {
-    use fd_engine::Json;
     match shared.store.remove(tenant, id) {
         Ok(stored) => {
             shared.metrics.table_removed();
@@ -917,20 +898,11 @@ fn mutate_table(
     info: &mut RequestInfo,
     before_replace: impl FnOnce(),
 ) -> Response {
-    use fd_engine::Json;
     let collector = trace.then(fd_trace::Collector::default);
     let _trace_guard = collector.as_ref().map(fd_trace::Collector::install);
-    let limits = JsonLimits {
-        max_bytes: shared.config.max_body_bytes,
-        max_depth: JsonLimits::DEFAULT_MAX_DEPTH,
-    };
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Response::error(400, "body is not UTF-8"),
-    };
-    let mut call = match MutateCall::parse(text, &limits) {
+    let mut call = match parse_body(shared, request, MutateCall::parse) {
         Ok(call) => call,
-        Err(WireError { message }) => return Response::error(400, &message),
+        Err(response) => return response,
     };
     shared.metrics.observe_notion(call.request.notion);
     info.notion = Some(call.request.notion);
@@ -1051,8 +1023,8 @@ fn mutate_table(
 /// read is a hit, and, in the same lock, retires that read's entry for
 /// the superseded snapshot, so a table's chain of versions keeps one
 /// live entry. `snapshots` is the (read, stored) pair of fingerprints.
-/// Both slots come from [`ref_slot`], and the retired entry goes only
-/// if its canonical form is that read's. Nothing is published for an
+/// Both slots come from [`slot`], and the retired entry goes only if
+/// its canonical form is that read's. Nothing is published for an
 /// uncacheable call (unseeded `sample`) or with caching off.
 ///
 /// A concurrent mutate can swap a newer snapshot in before this runs;
@@ -1069,18 +1041,23 @@ fn publish(
     if !call.cacheable() || shared.config.cache_entries == 0 {
         return;
     }
-    let (stale_key, stale) = ref_slot(Endpoint::Repair, call, superseded, fds, schema);
-    let (key, canonical) = ref_slot(Endpoint::Repair, call, fingerprint, fds, schema);
+    let read = |fingerprint| {
+        slot(
+            Endpoint::Repair,
+            Keyed::Stored(call, fingerprint, fds, schema),
+        )
+    };
+    let (stale, fresh) = (read(superseded), read(fingerprint));
     let Ok(mut cache) = shared.cache.lock() else {
         return; // losing an entry is harmless; the read solves cold
     };
     // Retire before inserting: a mutate that leaves the content as it
     // was has one slot on both sides, and must keep its publish.
-    cache.remove_if(stale_key, |entry| entry.canonical == stale);
+    cache.remove_if(stale.key, |entry| entry.canonical == stale.canonical);
     cache.insert(
-        key,
+        fresh.key,
         crate::CachedResponse {
-            canonical,
+            canonical: fresh.canonical,
             body: Arc::clone(report),
         },
     );
@@ -1090,7 +1067,6 @@ fn publish(
 
 /// Store failures, each with a stable `kind` like the engine errors.
 fn store_error_response(e: &StoreError) -> Response {
-    use fd_engine::Json;
     let (status, kind, message) = match e {
         StoreError::Exists => (
             409,
