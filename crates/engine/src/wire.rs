@@ -345,8 +345,7 @@ impl ParsedCall {
         }))
     }
 
-    /// What the call computes and under which budgets, whichever its
-    /// shape.
+    /// What the call computes and under which budgets.
     pub fn request(&self) -> &RepairRequest {
         match self {
             ParsedCall::Inline(call) => &call.request,
@@ -354,8 +353,7 @@ impl ParsedCall {
         }
     }
 
-    /// Same determinism rule as [`RepairCall::cacheable`], whichever
-    /// the call's shape.
+    /// Same determinism rule as [`RepairCall::cacheable`].
     pub fn cacheable(&self) -> bool {
         match self {
             ParsedCall::Inline(call) => call.cacheable(),

@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 /// What one solve produced, as the repair path ships it: status plus
 /// body bytes (every `/repair` / `/explain` reply is JSON, errors
 /// included, so the content type needs no replaying).
+#[derive(Clone)]
 pub struct FlightResult {
     /// The response status the leader computed (200 or an engine 4xx —
     /// identical deterministic calls fail identically, so replaying an

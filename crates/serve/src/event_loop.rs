@@ -1084,11 +1084,10 @@ fn handle_job(shared: &Shared, completions: &Completions, job: Job) {
     completions.push(job.token, out);
 }
 
-/// Accounts one answered request and serializes it for the socket: the
-/// latency metrics, accept → response ready (queue wait and solve both
-/// count, which is what a client actually experiences), and its one
-/// access-log line. `request` is `None` for a request that never
-/// parsed, `queue_wait_us` for one that never took a worker-queue slot.
+/// Records one answered request — latency from accept to response ready
+/// (what a client experiences) and its access-log line — and serializes
+/// it. `request` is `None` if it never parsed, `queue_wait_us` if it
+/// never took a worker-queue slot.
 fn answered(
     shared: &Shared,
     accepted: Instant,

@@ -6,8 +6,11 @@
 //! `/repair` and `/explain` accept either an inline table or
 //! `"table_ref": "<id>"` naming a table stored via `PUT /tables/{id}`
 //! (tables at rest, namespaced by the sanitized `X-Tenant` header).
-//! Concurrent cacheable calls with the same key run one solve under
-//! [`crate::SingleFlight`] and replay its exact bytes.
+//! One resolver, [`resolve`], turns either shape into the call the
+//! engine runs and its cache slot, for the worker and for the IO
+//! thread's [`fast_path`] alike, so a fast-path hit is exactly the
+//! entry a solve filed. Concurrent cacheable calls with the same key
+//! run one solve under [`crate::SingleFlight`] and replay its bytes.
 //! `POST /tables/{id}/mutate` replays a mutation trace against a stored
 //! table through an [`IncrementalSession`] — the one kept at rest beside
 //! the snapshot when the call's `(fds, request)` matches it — and
@@ -266,15 +269,6 @@ impl Endpoint {
             Endpoint::Explain => "explain",
         }
     }
-
-    /// Separates the two endpoints' key spaces: they return different
-    /// documents for the same call.
-    fn tag_key(self, key: u64) -> u64 {
-        match self {
-            Endpoint::Repair => key,
-            Endpoint::Explain => key ^ EXPLAIN_KEY_TAG,
-        }
-    }
 }
 
 /// A call's place in the result cache: the key it is filed under and
@@ -312,7 +306,10 @@ fn slot(endpoint: Endpoint, keyed: Keyed<'_>) -> Slot {
         ),
     };
     Slot {
-        key: endpoint.tag_key(key),
+        key: match endpoint {
+            Endpoint::Repair => key,
+            Endpoint::Explain => key ^ EXPLAIN_KEY_TAG,
+        },
         canonical: Arc::from(canonical),
     }
 }
@@ -410,21 +407,19 @@ impl Instance {
     }
 }
 
-/// Why a by-ref call has nothing to run against: a malformed
-/// `X-Tenant` header (with its 400), no table under the ref, or a Δ
-/// that does not parse against the stored schema. The worker answers
-/// each with its 4xx; the fast path only declines, so the 404 and the
-/// Δ's 400 are not rendered for it.
+/// Why a by-ref call has nothing to run against: a bad `X-Tenant`
+/// header (with its 400), no table under the ref, or a Δ that does not
+/// parse against the stored schema. Only the worker renders the 4xx.
 enum Refused {
     Tenant(Response),
     UnknownRef,
     Fds { rows: usize, error: WireError },
 }
 
-/// The one resolver of `/repair` and `/explain` calls: resolves a by-ref
-/// call's table from the tenant's store and its Δ against that table's
-/// schema, clamps the request's time cap to the server's, and derives
-/// the [`slot`] of a cacheable call. The worker solves what it returns;
+/// The one resolver of `/repair` and `/explain` calls: a by-ref call's
+/// table comes from the tenant's store and its Δ is parsed against that
+/// table's schema, the time cap is clamped to the server's, and a
+/// cacheable call gets its [`slot`]. The worker solves what it returns;
 /// the fast path probes the cache with its slot.
 fn resolve(
     shared: &Shared,
@@ -432,20 +427,14 @@ fn resolve(
     endpoint: Endpoint,
     call: ParsedCall,
 ) -> Result<Resolved, Refused> {
-    match call {
+    let (instance, fds, request, include_timings, slot) = match call {
         ParsedCall::Inline(mut call) => {
             clamp_time_cap(shared, &mut call.request);
             let slot = call
                 .cacheable()
                 .then(|| slot(endpoint, Keyed::Inline(&call)));
-            Ok(Resolved {
-                endpoint,
-                instance: Instance::Inline(call.table),
-                fds: call.fds,
-                request: call.request,
-                include_timings: call.include_timings,
-                slot,
-            })
+            let instance = Instance::Inline(call.table);
+            (instance, call.fds, call.request, call.include_timings, slot)
         }
         ParsedCall::ByRef(mut call) => {
             let tenant = tenant_of(request).map_err(Refused::Tenant)?;
@@ -463,16 +452,18 @@ fn resolve(
                 let keyed = Keyed::Stored(&call, stored.fingerprint, &fds, schema);
                 slot(endpoint, keyed)
             });
-            Ok(Resolved {
-                endpoint,
-                instance: Instance::Stored(stored),
-                fds,
-                request: call.request,
-                include_timings: call.include_timings,
-                slot,
-            })
+            let instance = Instance::Stored(stored);
+            (instance, fds, call.request, call.include_timings, slot)
         }
-    }
+    };
+    Ok(Resolved {
+        endpoint,
+        instance,
+        fds,
+        request,
+        include_timings,
+        slot,
+    })
 }
 
 /// Cache probe → single-flight → response. The leader inserts into the
@@ -489,26 +480,20 @@ fn solve_and_respond(
     collector: Option<fd_trace::Collector>,
     info: &mut RequestInfo,
 ) -> Response {
-    let (status, body, cache_state) = match &call.slot {
-        None => {
-            let (status, body) = solve_now(shared, call, info);
-            (status, body, "miss")
-        }
+    let (result, cache_state) = match &call.slot {
+        None => (solve_now(shared, call, info), "miss"),
         Some(slot) => {
-            let solve = || {
-                let (status, body) = solve_now(shared, call, info);
-                crate::FlightResult { status, body }
-            };
+            let solve = || solve_now(shared, call, info);
             let (result, cache_state) =
                 cached_flight(shared, slot.key, &slot.canonical, || {}, solve);
             info.cache_hit = Some(cache_state == "hit");
-            (result.status, Arc::clone(&result.body), cache_state)
+            (crate::FlightResult::clone(&result), cache_state)
         }
     };
-    if status == 200 {
-        ok_response(shared, body, cache_state, collector, info)
+    if result.status == 200 {
+        ok_response(shared, result.body, cache_state, collector, info)
     } else {
-        Response::json_segments(status, vec![Segment::Shared(body)])
+        Response::json_segments(result.status, vec![Segment::Shared(result.body)])
     }
 }
 
@@ -572,12 +557,12 @@ fn cached_flight(
     }
 }
 
-/// Runs the engine once and returns `(status, body)`. On success the
+/// Runs the engine once and returns its status and body. On success the
 /// body is inserted under the call's cache slot, if it has one,
 /// *before* returning, which is what lets a completing flight hand late
 /// arrivals to the cache. The cache entry and the response share the
 /// one allocation of the body.
-fn solve_now(shared: &Shared, call: &Resolved, info: &mut RequestInfo) -> (u16, Arc<Vec<u8>>) {
+fn solve_now(shared: &Shared, call: &Resolved, info: &mut RequestInfo) -> crate::FlightResult {
     let solve_start = Instant::now();
     let table = call.instance.table();
     let result = match call.endpoint {
@@ -594,13 +579,7 @@ fn solve_now(shared: &Shared, call: &Resolved, info: &mut RequestInfo) -> (u16, 
             .plan(table, &call.fds, &call.request)
             .map(|plan| plan.to_json_value().to_string().into_bytes()),
     };
-    info.solve_us = solve_start.elapsed().as_micros() as u64;
-    shared
-        .metrics
-        .observe_notion_latency(call.request.notion, info.solve_us);
-    if let Some(count) = info.components {
-        shared.metrics.observe_components(count as u64);
-    }
+    observe_solve(shared, info, call.request.notion, solve_start);
     match result {
         Ok(body) => {
             let body = shared_body(body);
@@ -618,12 +597,23 @@ fn solve_now(shared: &Shared, call: &Resolved, info: &mut RequestInfo) -> (u16, 
                     );
                 }
             }
-            (200, body)
+            crate::FlightResult { status: 200, body }
         }
         Err(e) => {
             let (status, body) = engine_error_body(&e, call.request.notion);
-            (status, Arc::new(body.into_bytes()))
+            let body = Arc::new(body.into_bytes());
+            crate::FlightResult { status, body }
         }
+    }
+}
+
+/// Records a solve's engine time since `start` on `info` and the
+/// metrics, with the component count `info` carries, if any.
+fn observe_solve(shared: &Shared, info: &mut RequestInfo, notion: Notion, start: Instant) {
+    info.solve_us = start.elapsed().as_micros() as u64;
+    shared.metrics.observe_notion_latency(notion, info.solve_us);
+    if let Some(count) = info.components {
+        shared.metrics.observe_components(count as u64);
     }
 }
 
@@ -776,14 +766,12 @@ fn tables(
     trace: bool,
     info: &mut RequestInfo,
 ) -> Response {
-    let rest = match path.strip_prefix("/tables/") {
-        Some(rest) => rest,
-        None => return Response::error(404, "tables live under /tables/{id}"),
+    let Some(rest) = path.strip_prefix("/tables/") else {
+        return Response::error(404, "tables live under /tables/{id}");
     };
-    let (id, mutate) = match rest.strip_suffix("/mutate") {
-        Some(id) => (id, true),
-        None => (rest, false),
-    };
+    let (id, mutate) = rest
+        .strip_suffix("/mutate")
+        .map_or((rest, false), |id| (id, true));
     if !valid_name(id) {
         return Response::error(400, "table ids are 1-64 chars of [A-Za-z0-9._-]");
     }
@@ -961,14 +949,8 @@ fn mutate_table(
         Ok(report) => report,
         Err(e) => return engine_error(&e),
     };
-    info.solve_us = solve_start.elapsed().as_micros() as u64;
-    shared
-        .metrics
-        .observe_notion_latency(call.request.notion, info.solve_us);
     info.components = report.components.as_ref().map(|c| c.count);
-    if let Some(count) = info.components {
-        shared.metrics.observe_components(count as u64);
-    }
+    observe_solve(shared, info, call.request.notion, solve_start);
 
     let table = session.table().clone();
     info.rows = Some(table.len());
