@@ -259,25 +259,86 @@ fn shed_requests_get_503_and_an_unqueued_log_line() {
     handle.join().unwrap().unwrap();
 }
 
+/// The access-log fields the table in docs/OBSERVABILITY.md documents,
+/// in its order.
+fn documented_log_fields() -> Vec<String> {
+    let docs = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/OBSERVABILITY.md"
+    ))
+    .expect("docs/OBSERVABILITY.md is part of the repo");
+    let section = docs
+        .split("**Access log.**")
+        .nth(1)
+        .expect("OBSERVABILITY.md documents the access log")
+        .split("\n\n**")
+        .next()
+        .unwrap();
+    let mut fields = Vec::new();
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        let cell = row.split('|').nth(1).unwrap();
+        fields.extend(cell.split('`').skip(1).step_by(2).map(str::to_string));
+    }
+    fields
+}
+
+/// A line's keys, in the order it wrote them.
+fn keys_of(line: &Json) -> Vec<String> {
+    match line {
+        Json::Obj(pairs) => pairs.iter().map(|(key, _)| key.clone()).collect(),
+        other => panic!("a log line is an object, got {other}"),
+    }
+}
+
 #[test]
 fn shed_records_have_the_documented_shape() {
-    let line = AccessRecord::shed("req-1".into()).to_json_line();
-    let doc = Json::parse(&line).unwrap();
-    for key in [
-        "request_id",
-        "method",
-        "path",
-        "status",
-        "notion",
-        "rows",
-        "components",
-        "cache_hit",
-        "queued",
-        "queue_wait_us",
-        "solve_us",
-    ] {
-        assert!(doc.get(key).is_some(), "missing {key}");
+    // Every kind of line — a shed, a reject, a fast-path hit and a
+    // worker line — carries exactly the documented fields, in the
+    // documented order: no field lands in the log undocumented, and
+    // none is documented that the log never writes.
+    let documented = documented_log_fields();
+    assert!(documented.len() >= 12, "{documented:?}");
+    let shed = Json::parse(&AccessRecord::shed("req-1".into()).to_json_line()).unwrap();
+    assert_eq!(keys_of(&shed), documented, "shed line");
+
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let (addr, buf, flag, handle) = server_with_log(config);
+    assert_eq!(client::post(addr, "/repair", OFFICE).unwrap().status, 200);
+    let hit = client::post(addr, "/repair", OFFICE).unwrap();
+    assert_eq!(hit.header("x-fd-cache"), Some("hit"));
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(b"NOT-HTTP\r\n\r\n").unwrap();
+    let mut answer = String::new();
+    std::io::Read::read_to_string(&mut raw, &mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 400"), "{answer}");
+    std::thread::sleep(Duration::from_millis(100));
+    flag.store(true, Ordering::SeqCst);
+    handle.join().unwrap().unwrap();
+
+    let lines = log_lines(&buf);
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    let flag_of = |line: &Json, key: &str| line.get(key).and_then(Json::as_bool);
+    let worker = lines.iter().find(|l| flag_of(l, "queued") == Some(true));
+    let fast = lines.iter().find(|l| flag_of(l, "cache_hit") == Some(true));
+    let reject = lines
+        .iter()
+        .find(|l| l.get("status").and_then(Json::as_num) == Some(400.0));
+    for (kind, line) in [("worker", worker), ("fast-path", fast), ("reject", reject)] {
+        let line = line.unwrap_or_else(|| panic!("no {kind} line in {lines:?}"));
+        assert_eq!(keys_of(line), documented, "{kind} line");
     }
+    // Neither the fast path nor a reject takes a worker-queue slot.
+    for line in [fast, reject].into_iter().flatten() {
+        assert_eq!(flag_of(line, "queued"), Some(false), "{line}");
+        assert_eq!(line.get("queue_wait_us").unwrap().as_num(), Some(0.0));
+    }
+    let fast = fast.unwrap();
+    assert_eq!(fast.get("method").unwrap().as_str(), Some("POST"));
+    assert_eq!(fast.get("path").unwrap().as_str(), Some("/repair"));
 }
 
 /// One parsed exposition line: family name, label pairs, value.
