@@ -1074,13 +1074,8 @@ fn handle_job(shared: &Shared, completions: &Completions, job: Job) {
             (response, info)
         }
     };
-    let out = answered(
-        shared,
-        job.accepted,
-        Some(&request),
-        answer,
-        Some(queue_wait_us),
-    );
+    let queued = Some(queue_wait_us);
+    let out = answered(shared, job.accepted, Some(&request), answer, queued);
     completions.push(job.token, out);
 }
 
