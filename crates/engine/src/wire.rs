@@ -132,9 +132,6 @@ impl RepairCall {
 
     /// Builds a call from an already-parsed JSON value.
     pub fn from_json(doc: &Json) -> Result<RepairCall, WireError> {
-        let Json::Obj(_) = doc else {
-            return Err(WireError::new("the document must be a JSON object"));
-        };
         check_fields(
             doc,
             &["relation", "attrs", "fds", "rows", "request"],
@@ -640,9 +637,6 @@ impl MutateCall {
     /// fields belong in `PUT /tables/{id}`, not here.
     pub fn parse(text: &str, limits: &JsonLimits) -> Result<MutateCall, WireError> {
         let doc = Json::parse_with_limits(text, limits)?;
-        let Json::Obj(_) = doc else {
-            return Err(WireError::new("the document must be a JSON object"));
-        };
         check_fields(
             &doc,
             &["fds", "request", "mutations"],
@@ -857,16 +851,20 @@ fn parse_value(v: &Json) -> Result<Value, WireError> {
     }
 }
 
-/// The grammar every call shape shares for its top-level fields: each
-/// key is `allowed`, or `misplaced` (a field of another shape, refused
-/// as `"<key>" <why>`), or unknown. Keys are checked in sorted order,
-/// so the first bad key reported is the alphabetically first.
+/// The grammar every call shape shares for its top level: the document
+/// is an object, and each key is `allowed`, or `misplaced` (a field of
+/// another shape, refused as `"<key>" <why>`), or unknown. Keys are
+/// checked in sorted order, so the first bad key reported is the
+/// alphabetically first.
 fn check_fields(
     doc: &Json,
     allowed: &[&str],
     misplaced: &[&str],
     why: &str,
 ) -> Result<(), WireError> {
+    let Json::Obj(_) = doc else {
+        return Err(WireError::new("the document must be a JSON object"));
+    };
     match unknown_key(doc, allowed) {
         Some(key) if misplaced.contains(&key) => Err(WireError::new(format!("{key:?} {why}"))),
         Some(key) => Err(WireError::new(format!("unknown field {key:?}"))),
