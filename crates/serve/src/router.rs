@@ -185,12 +185,12 @@ pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response,
     let mut hasher = Fnv64::new();
     hasher.write_u8(endpoint as u8);
     hasher.write(&request.body);
-    let memo_key = hasher.finish();
+    let body_hash = hasher.finish();
     let memo = shared
         .probe_memo
         .lock()
         .ok()
-        .and_then(|mut memos| memos.get(memo_key))
+        .and_then(|mut memos| memos.get(body_hash))
         .filter(|memo| memo.body.as_ref() == request.body.as_slice());
     let (slot, notion, rows) = match memo {
         Some(memo) => (memo.slot, memo.notion, memo.rows),
@@ -208,7 +208,7 @@ pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response,
                 let body = Arc::from(request.body.as_slice());
                 let slot = slot.clone();
                 memos.insert(
-                    memo_key,
+                    body_hash,
                     ProbeMemo {
                         body,
                         slot,
