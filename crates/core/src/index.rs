@@ -9,13 +9,13 @@
 //! components are the union over conflicting groups, with no edge ever
 //! enumerated.
 //!
-//! The cold reads build an index keyed by row position and drop it. The
+//! The cold reads build an index keyed by row position. The
 //! incremental session keys one by [`TupleId`] (a delete shifts
 //! positions, never ids) and keeps it current with
 //! [`ConflictIndex::apply`] in `O(|Δ| · group)` per mutation. Hashes
 //! only pick probe slots; grouping verifies symbol equality. A fresh
 //! index numbers groups and finds classes in first-row order, and lists
-//! members in row order: the order every conflict stream inherits.
+//! members in row order: the order every conflict read inherits.
 
 use crate::attrset::AttrSet;
 use crate::fdset::FdSet;
@@ -69,7 +69,7 @@ struct Partition {
 /// Rhs sub-partition scratch, reused across groups: probe slots are
 /// cleared by bumping the epoch, class lists keep their capacity.
 #[derive(Default)]
-struct Classes {
+pub struct SplitScratch {
     slot: Vec<u32>,
     stamp: Vec<u64>,
     epoch: u64,
@@ -78,9 +78,9 @@ struct Classes {
     count: usize,
 }
 
-impl Classes {
+impl SplitScratch {
     /// Splits group `g` into its rhs classes, in first-occurrence order.
-    fn split(&mut self, part: &Partition, table: &Table, by_id: bool, g: u32) -> &[Vec<u32>] {
+    fn split(&mut self, part: &Partition, table: &Table, by_id: bool, g: u32) -> &mut [Vec<u32>] {
         let cols = table.sym_cols();
         let group = &part.groups[g as usize];
         let cap = (2 * group.len as usize).next_power_of_two();
@@ -115,7 +115,7 @@ impl Classes {
             }
             key = part.next[key as usize];
         }
-        &self.members[..self.count]
+        &mut self.members[..self.count]
     }
 }
 
@@ -232,7 +232,7 @@ impl Partition {
     }
 
     /// Re-counts the rhs classes of group `g`.
-    fn recount(&mut self, table: &Table, by_id: bool, g: u32, scratch: &mut Classes) {
+    fn recount(&mut self, table: &Table, by_id: bool, g: u32, scratch: &mut SplitScratch) {
         let classes = match self.groups[g as usize].len {
             0 | 1 => 1,
             _ => scratch.split(self, table, by_id, g).len() as u32,
@@ -298,7 +298,7 @@ impl ConflictIndex {
             false => n,
             true => table.ids().map(|id| id.0 as usize + 1).max().unwrap_or(0),
         };
-        let mut scratch = Classes::default();
+        let mut scratch = SplitScratch::default();
         let parts: Vec<Partition> = fds
             .iter()
             .map(|fd| {
@@ -365,6 +365,35 @@ impl ConflictIndex {
         (0..groups.len() as u32).filter(move |&g| groups[g as usize].classes >= 2)
     }
 
+    /// The rhs classes of the group holding the row at position `pos`
+    /// under FD `fd`, if that group conflicts: member positions in row
+    /// order, classes by first member — a fresh index's order, whatever
+    /// mutations this one has seen. `scratch` is reused across calls.
+    pub fn conflict_classes<'s>(
+        &self,
+        table: &Table,
+        fd: usize,
+        pos: u32,
+        scratch: &'s mut SplitScratch,
+    ) -> Option<&'s mut [Vec<u32>]> {
+        let key = match self.by_id {
+            false => pos,
+            true => table.id_at(pos as usize).0,
+        };
+        let g = self.parts[fd].group[key as usize];
+        if self.class_count(fd, g) < 2 {
+            return None;
+        }
+        let classes = scratch.split(&self.parts[fd], table, self.by_id, g);
+        // Only an id-keyed index is mutated, and a cell edit re-links a
+        // row at its new group's tail.
+        if self.by_id {
+            classes.iter_mut().for_each(|class| class.sort_unstable());
+            classes.sort_unstable_by_key(|class| class[0]);
+        }
+        Some(classes)
+    }
+
     /// True iff the rows at positions `p` and `q` violate FD `fd`.
     /// Position-keyed indexes only.
     pub(crate) fn violates(&self, table: &Table, fd: usize, p: u32, q: u32) -> bool {
@@ -377,7 +406,7 @@ impl ConflictIndex {
     /// member positions. Rows in different classes of one call jointly
     /// violate FD `fd`.
     pub(crate) fn for_each_split<F: FnMut(usize, &[Vec<u32>])>(&self, table: &Table, mut f: F) {
-        let mut scratch = Classes::default();
+        let mut scratch = SplitScratch::default();
         for (fd, part) in self.parts.iter().enumerate() {
             for g in self.conflict_groups(fd) {
                 f(fd, scratch.split(part, table, self.by_id, g));
@@ -397,7 +426,7 @@ impl ConflictIndex {
         assert!(self.by_id, "only an id-keyed index is maintained");
         let key = effect.id().0;
         self.key_space = self.key_space.max(key as usize + 1);
-        let mut scratch = Classes::default();
+        let mut scratch = SplitScratch::default();
         for part in &mut self.parts {
             let (leave, join) = match effect {
                 MutationEffect::Inserted { .. } => (false, true),

@@ -59,7 +59,7 @@ pub use csv::{
 pub use error::{Error, Result};
 pub use fd::Fd;
 pub use fdset::FdSet;
-pub use index::ConflictIndex;
+pub use index::{ConflictIndex, SplitScratch};
 pub use keys::{
     bcnf_violation, bcnf_violation_in, candidate_keys, is_superkey, prime_attrs,
     third_nf_violation, NormalFormViolation,
@@ -70,7 +70,7 @@ pub use normalize::{
     Decomposition,
 };
 pub use parallel::{effective_threads, round_robin_map};
-pub use scan::KeyExtractor;
+pub use scan::{for_each_cross_pair, KeyExtractor};
 pub use schema::{schema_rabc, AttrId, Schema};
 pub use sym::{Dictionary, FnvBuild, FnvHasher, Sym, SymRef};
 pub use table::{Row, Table, TupleId};

@@ -258,9 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn deletes_work_on_sparse_indexed_gathers() {
-        // A gathered shard whose id range is far wider than its row
-        // count uses the sorted-pair index; deletes must stay coherent.
+    fn deletes_work_on_gathers_with_a_wide_id_range() {
+        // A gathered table whose id range is far wider than its row
+        // count; deletes must keep its id index coherent.
         let mut big = Table::new(schema_rabc());
         for i in 0..200 {
             big.push(tup![i, i % 3, 0], 1.0).unwrap();

@@ -1,20 +1,20 @@
-//! Conflict detection over symbol columns, without materializing pairs.
+//! Conflict detection over symbol columns.
 //!
 //! [`KeyExtractor`] hashes and compares a projection `t[X]` as a gather
 //! over the table's `u32` symbol columns (one FNV fold and one word
-//! compare per attribute; no `Value` is touched). The streams below are
-//! reads of a freshly built [`ConflictIndex`], in `O(|T| · |Δ|)` time
-//! plus output size, and deterministic: FDs in `Δ` order, groups and rhs
-//! classes in first-row order. [`Table::conflicting_pairs`] materializes
-//! on top of them for small tables; `fd-graph` builds conflict graphs
-//! from the pair stream and components from the index's groups.
+//! compare per attribute; no `Value` is touched). The reads below run
+//! over a freshly built [`ConflictIndex`], in `O(|T| · |Δ|)` time plus
+//! output size: FDs in `Δ` order, groups and rhs classes in first-row
+//! order. [`Table::conflicting_pairs`] materializes the pairs for small
+//! tables; `fd-graph` reads conflict graphs and components straight off
+//! the index.
 
 use crate::attrset::AttrSet;
 use crate::fd::Fd;
 use crate::fdset::FdSet;
 use crate::index::ConflictIndex;
 use crate::sym::Sym;
-use crate::table::Table;
+use crate::table::{Table, TupleId};
 
 /// A precomputed projection key for one attribute set: hashes and
 /// compares `t[X]` as a gather over the table's symbol columns, with no
@@ -74,20 +74,24 @@ impl Table {
         }
     }
 
-    /// Streams every conflicting row-position pair `(p, q)` with
-    /// `p < q`: the two rows jointly violate some FD of `Δ`. Pairs are
-    /// yielded in a deterministic order (FDs in `Δ` order, groups in
-    /// first-row order, classes in first-row order); a pair violating
-    /// several FDs is yielded once **per FD** — consumers that need a
-    /// set (e.g. a graph builder) deduplicate on insertion.
+    /// All conflicting pairs of identifiers: pairs `(i, j)`, `i < j` in row
+    /// order, whose two tuples jointly violate some FD of `Δ`. This is the
+    /// edge set of the *conflict graph* used by Proposition 3.3.
     ///
-    /// This is the streaming replacement for materializing
-    /// [`Table::conflicting_pairs`]: `O(|T| · |Δ|)` time plus one
-    /// callback per pair, `O(|T|)` memory.
-    pub fn for_each_conflicting_pair<F: FnMut(u32, u32)>(&self, fds: &FdSet, mut f: F) {
+    /// This materializes every pair — `Θ(n²)` on dense instances. Large
+    /// consumers read components or conflict graphs off a
+    /// [`ConflictIndex`] instead.
+    pub fn conflicting_pairs(&self, fds: &FdSet) -> Vec<(TupleId, TupleId)> {
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         ConflictIndex::build(self, fds).for_each_split(self, |_, classes| {
-            for_each_cross_pair(classes, &mut f);
+            for_each_cross_pair(classes, |p, q| pairs.push((p, q)));
         });
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+            .into_iter()
+            .map(|(p, q)| (self.id_at(p as usize), self.id_at(q as usize)))
+            .collect()
     }
 
     /// The number of distinct conflicting pairs, storing none.
@@ -126,8 +130,9 @@ impl Table {
 }
 
 /// Calls `f(p, q)` with `p < q` for every pair of rows in different
-/// classes, classes in order and members in order.
-fn for_each_cross_pair<F: FnMut(u32, u32)>(classes: &[Vec<u32>], mut f: F) {
+/// classes, classes in order and members in order: the conflicting
+/// pairs of one split group.
+pub fn for_each_cross_pair<F: FnMut(u32, u32)>(classes: &[Vec<u32>], mut f: F) {
     for (ci, class_a) in classes.iter().enumerate() {
         for class_b in &classes[ci + 1..] {
             for &p in class_a {
@@ -143,20 +148,27 @@ fn for_each_cross_pair<F: FnMut(u32, u32)>(classes: &[Vec<u32>], mut f: F) {
 mod tests {
     use super::*;
     use crate::schema::schema_rabc;
-    use crate::table::TupleId;
     use crate::tup;
     use rand::prelude::*;
 
-    fn positions_to_ids(t: &Table, pairs: &[(u32, u32)]) -> Vec<(TupleId, TupleId)> {
-        let ids: Vec<TupleId> = t.ids().collect();
+    /// The conflicting pairs by the definition: every pair of rows,
+    /// every FD.
+    fn naive_pairs(t: &Table, fds: &FdSet) -> Vec<(TupleId, TupleId)> {
+        let rows: Vec<_> = t.rows().collect();
+        let mut pairs = Vec::new();
+        for (i, a) in rows.iter().enumerate() {
+            for b in &rows[i + 1..] {
+                let agree = |x: AttrSet| a.tuple.project(x) == b.tuple.project(x);
+                if fds.iter().any(|fd| agree(fd.lhs()) && !agree(fd.rhs())) {
+                    pairs.push((a.id, b.id));
+                }
+            }
+        }
         pairs
-            .iter()
-            .map(|&(p, q)| (ids[p as usize], ids[q as usize]))
-            .collect()
     }
 
     #[test]
-    fn streamed_pairs_agree_with_materialized_pairs() {
+    fn materialized_pairs_and_their_count_match_the_definition() {
         let s = schema_rabc();
         let mut rng = StdRng::seed_from_u64(0x5CA7);
         for spec in ["A -> B", "A -> B; B -> C", "-> C", "A B -> C; C -> B", ""] {
@@ -173,13 +185,9 @@ mod tests {
                     )
                 });
                 let t = Table::build(s.clone(), rows).unwrap();
-                let mut streamed: Vec<(u32, u32)> = Vec::new();
-                t.for_each_conflicting_pair(&fds, |p, q| streamed.push((p, q)));
-                streamed.sort_unstable();
-                streamed.dedup();
-                let ids = positions_to_ids(&t, &streamed);
-                assert_eq!(ids, t.conflicting_pairs(&fds), "{spec}\n{t}");
-                assert_eq!(t.conflicting_pair_count(&fds), ids.len(), "{spec}");
+                let pairs = t.conflicting_pairs(&fds);
+                assert_eq!(pairs, naive_pairs(&t, &fds), "{spec}\n{t}");
+                assert_eq!(t.conflicting_pair_count(&fds), pairs.len(), "{spec}");
             }
         }
     }
@@ -223,31 +231,6 @@ mod tests {
         for spec in ["A -> B; A -> C", "A -> B C"] {
             let fds = FdSet::parse(&s, spec).unwrap();
             assert_eq!(t.conflicting_pair_count(&fds), 26_666_666, "{spec}");
-        }
-    }
-
-    #[test]
-    fn stream_order_is_deterministic() {
-        let s = schema_rabc();
-        let fds = FdSet::parse(&s, "A -> B; B -> C").unwrap();
-        let t = Table::build_unweighted(
-            s,
-            vec![
-                tup!["x", 1, 0],
-                tup!["x", 2, 0],
-                tup!["x", 1, 1],
-                tup!["y", 2, 9],
-            ],
-        )
-        .unwrap();
-        let collect = || {
-            let mut out = Vec::new();
-            t.for_each_conflicting_pair(&fds, |p, q| out.push((p, q)));
-            out
-        };
-        let first = collect();
-        for _ in 0..5 {
-            assert_eq!(collect(), first);
         }
     }
 

@@ -67,15 +67,9 @@ pub struct Table {
     ids: Vec<TupleId>,
     next_id: u32,
     /// Dense identifier index: `index[id - index_base]` is the row
-    /// position of `id` (or [`NO_POS`]). Covers `[index_base, max id]`, so
-    /// sparse shards of a large table stay small.
+    /// position of `id` (or [`NO_POS`]). Covers `[index_base, max id]`.
     index: Vec<u32>,
     index_base: u32,
-    /// Sorted `(id, pos)` pairs, used instead of the dense index when a
-    /// gather's id range is much wider than its row count (e.g. a tiny
-    /// component whose rows stride across a million-row table). Empty
-    /// when the dense index is in use.
-    index_sparse: Vec<(u32, u32)>,
     /// The copy-on-write value dictionary shared with derived tables.
     dict: Arc<Dictionary>,
     /// One symbol column per attribute, row positions aligned.
@@ -96,7 +90,6 @@ impl Table {
             next_id: 0,
             index: Vec::new(),
             index_base: 0,
-            index_sparse: Vec::new(),
             dict: Arc::new(Dictionary::new()),
             cols: vec![Vec::new(); arity],
             weights: Vec::new(),
@@ -156,13 +149,6 @@ impl Table {
 
     /// Records `id → pos` in the identifier index.
     fn index_insert(&mut self, id: u32, pos: u32) {
-        if !self.index_sparse.is_empty() {
-            // Pushing into a sparsely-indexed gather result: keep the
-            // pair list sorted (duplicates were rejected upstream).
-            let at = self.index_sparse.partition_point(|&(i, _)| i < id);
-            self.index_sparse.insert(at, (id, pos));
-            return;
-        }
         if self.index.is_empty() {
             self.index_base = id;
         }
@@ -188,13 +174,6 @@ impl Table {
     /// The position of `id`, if present.
     #[inline]
     fn pos_of(&self, id: TupleId) -> Option<u32> {
-        if !self.index_sparse.is_empty() {
-            return self
-                .index_sparse
-                .binary_search_by_key(&id.0, |&(i, _)| i)
-                .ok()
-                .map(|k| self.index_sparse[k].1);
-        }
         let slot = id.0.checked_sub(self.index_base)? as usize;
         match self.index.get(slot) {
             Some(&pos) if pos != NO_POS => Some(pos),
@@ -251,7 +230,6 @@ impl Table {
             next_id: n,
             index: (0..n).collect(),
             index_base: 0,
-            index_sparse: Vec::new(),
             dict: Arc::new(dict),
             cols,
             weights,
@@ -336,9 +314,9 @@ impl Table {
 
     /// The position (insertion order) of `id`, if present — the public
     /// face of the identifier index. The incremental repair layer uses
-    /// it to translate cached component id lists into the position
-    /// vectors [`Table::gather_positions`] wants, in O(component) time
-    /// instead of an O(table) mask.
+    /// it to translate cached component id lists into the ascending
+    /// position lists its solvers take, in O(component) time instead of
+    /// an O(table) mask.
     pub fn position_of(&self, id: TupleId) -> Option<usize> {
         self.pos_of(id).map(|pos| pos as usize)
     }
@@ -358,19 +336,10 @@ impl Table {
         }
         self.weights.remove(pos);
         self.ids.remove(pos);
-        if !self.index_sparse.is_empty() {
-            self.index_sparse.retain(|&(i, _)| i != id.0);
-            for entry in &mut self.index_sparse {
-                if entry.1 > pos as u32 {
-                    entry.1 -= 1;
-                }
-            }
-        } else {
-            self.index[(id.0 - self.index_base) as usize] = NO_POS;
-            for slot in &mut self.index {
-                if *slot != NO_POS && *slot > pos as u32 {
-                    *slot -= 1;
-                }
+        self.index[(id.0 - self.index_base) as usize] = NO_POS;
+        for slot in &mut self.index {
+            if *slot != NO_POS && *slot > pos as u32 {
+                *slot -= 1;
             }
         }
         Ok(row)
@@ -445,24 +414,6 @@ impl Table {
         })
     }
 
-    /// All conflicting pairs of identifiers: pairs `(i, j)`, `i < j` in row
-    /// order, whose two tuples jointly violate some FD of `Δ`. This is the
-    /// edge set of the *conflict graph* used by Proposition 3.3.
-    ///
-    /// This materializes every pair — `Θ(n²)` on dense instances. Large
-    /// consumers should stream via
-    /// [`Table::for_each_conflicting_pair`] instead.
-    pub fn conflicting_pairs(&self, fds: &FdSet) -> Vec<(TupleId, TupleId)> {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        self.for_each_conflicting_pair(fds, |p, q| pairs.push((p, q)));
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-            .into_iter()
-            .map(|(p, q)| (self.ids[p as usize], self.ids[q as usize]))
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Subsets, updates, distances.
     // ------------------------------------------------------------------
@@ -471,8 +422,7 @@ impl Table {
     /// (insertion order indices), under their original identifiers: a
     /// **gather** — symbol columns are copied by position and the
     /// dictionary is shared, no value is re-interned. This is how
-    /// repairs, hard-side component shards and reweighted tables are
-    /// built.
+    /// repairs and reweighted tables are built.
     pub fn gather_positions(&self, positions: &[u32]) -> Table {
         let ids: Vec<TupleId> = positions.iter().map(|&p| self.ids[p as usize]).collect();
         let cols: Vec<Vec<Sym>> = self
@@ -484,28 +434,15 @@ impl Table {
             .iter()
             .map(|&p| self.weights[p as usize])
             .collect();
-        // Offset index over the id range actually present; when the
-        // range is much wider than the row count (a few rows strided
-        // across a huge table), sorted pairs beat a mostly-empty array.
-        let (mut index, mut index_base) = (Vec::new(), 0);
-        let mut index_sparse = Vec::new();
-        if let (Some(min), Some(max)) = (ids.iter().min(), ids.iter().max()) {
-            let (min, max) = (min.0, max.0);
-            let range = (max - min + 1) as usize;
-            if range <= ids.len() * 4 + 16 {
-                index_base = min;
-                index = vec![NO_POS; range];
-                for (pos, id) in ids.iter().enumerate() {
-                    index[(id.0 - min) as usize] = pos as u32;
-                }
-            } else {
-                index_sparse = ids
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, id)| (id.0, pos as u32))
-                    .collect();
-                index_sparse.sort_unstable_by_key(|&(i, _)| i);
-            }
+        // Offset index over the id range actually present.
+        let index_base = ids.iter().min().map_or(0, |id| id.0);
+        let range = ids
+            .iter()
+            .max()
+            .map_or(0, |max| (max.0 - index_base) as usize + 1);
+        let mut index = vec![NO_POS; range];
+        for (pos, id) in ids.iter().enumerate() {
+            index[(id.0 - index_base) as usize] = pos as u32;
         }
         Table {
             schema: self.schema.clone(),
@@ -513,7 +450,6 @@ impl Table {
             next_id: self.next_id,
             index,
             index_base,
-            index_sparse,
             dict: Arc::clone(&self.dict),
             cols,
             weights,
@@ -901,7 +837,7 @@ mod tests {
         assert!(t.row(TupleId(3)).is_err());
         assert_eq!(t.id_at(1), TupleId(8));
 
-        // gather_positions, dense-indexed: a narrow id range.
+        // gather_positions over a narrow id range.
         for i in 0..60 {
             t.push(tup![i, "12", i], 1.0).unwrap();
         }
@@ -912,22 +848,20 @@ mod tests {
             vec![full[2].clone(), full[0].clone(), full[4].clone()]
         );
         assert_eq!(dense.row(TupleId(7)).unwrap().tuple, expect[0].1);
-        // Sparse-indexed: two ids far apart relative to the row count.
-        let mut sparse = t.gather_positions(&[0, 62]);
-        assert_eq!(view(&sparse), vec![full[0].clone(), full[62].clone()]);
-        assert_eq!(sparse.row(TupleId(69)).unwrap().weight, 1.0);
-        assert!(sparse.row(TupleId(8)).is_err());
-        // Edits on a sparse gather keep its decoded view in step.
-        sparse
-            .push_row(TupleId(40), tup!["late", 0, 0], 2.0)
-            .unwrap();
-        sparse.delete_row(TupleId(7)).unwrap();
-        sparse.set_value(TupleId(69), b, Value::from(12)).unwrap();
+        // Two ids far apart relative to the row count.
+        let mut wide = t.gather_positions(&[0, 62]);
+        assert_eq!(view(&wide), vec![full[0].clone(), full[62].clone()]);
+        assert_eq!(wide.row(TupleId(69)).unwrap().weight, 1.0);
+        assert!(wide.row(TupleId(8)).is_err());
+        // Edits on a wide gather keep its decoded view in step.
+        wide.push_row(TupleId(40), tup!["late", 0, 0], 2.0).unwrap();
+        wide.delete_row(TupleId(7)).unwrap();
+        wide.set_value(TupleId(69), b, Value::from(12)).unwrap();
         assert_eq!(
-            view(&sparse),
+            view(&wide),
             vec![(69, tup![59, 12, 59], 1.0), (40, tup!["late", 0, 0], 2.0),]
         );
-        assert_eq!(sparse.row(TupleId(40)).unwrap().tuple, tup!["late", 0, 0]);
+        assert_eq!(wide.row(TupleId(40)).unwrap().tuple, tup!["late", 0, 0]);
     }
 
     #[test]

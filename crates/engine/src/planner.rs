@@ -230,7 +230,7 @@ impl Planner {
             // that decides escalation only runs when it can matter:
             // hard Δ and a ceiling below 2.
             if max_ratio < 2.0 && !fd_srepair::osr_succeeds(fds) {
-                let (_, plan) = fd_srepair::shard_plan(table, fds, &base);
+                let (_, plan, _) = fd_srepair::shard_plan(table, fds, &base);
                 if plan.ratio > max_ratio {
                     return ShardConfig {
                         force_exact: true,
@@ -445,7 +445,7 @@ impl RepairEngine for Planner {
         let (steps, optimal, ratio) = match request.notion {
             Notion::Subset => {
                 let cfg = Planner::shard_config(table, fds, request);
-                let (_, plan) = fd_srepair::shard_plan(table, fds, &cfg);
+                let (_, plan, _) = fd_srepair::shard_plan(table, fds, &cfg);
                 let (steps, _) = Planner::shard_steps(&plan);
                 (steps, plan.optimal, plan.ratio)
             }

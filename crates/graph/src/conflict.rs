@@ -7,38 +7,58 @@
 
 use crate::csr::{Components, UnionFind};
 use crate::graph::Graph;
-use fd_core::{ConflictIndex, FdSet, Table, TupleId};
+use fd_core::{for_each_cross_pair, ConflictIndex, FdSet, SplitScratch, Table};
 
-/// A conflict graph together with the node-to-tuple-id mapping.
+/// A conflict graph whose node `i` is the `i`-th of the row positions
+/// it was built over, weighted by that row's weight.
 #[derive(Clone, Debug)]
 pub struct ConflictGraph {
-    /// The graph; node `i` corresponds to `ids[i]`.
+    /// The graph.
     pub graph: Graph,
-    /// Tuple ids in node order.
-    pub ids: Vec<TupleId>,
 }
 
 impl ConflictGraph {
-    /// Builds the conflict graph of `table` under `fds` by streaming
-    /// [`Table::for_each_conflicting_pair`] into it (edges deduplicated
-    /// on insertion). Node `i` is the `i`-th row. The stream's order
-    /// restricted to one component is the component's own stream order,
-    /// which sharded/whole-table parity relies on.
+    /// The conflict graph of all of `table` under `fds`, node `i` being
+    /// row `i`: [`ConflictGraph::of_rows`] over a fresh [`ConflictIndex`].
     pub fn build(table: &Table, fds: &FdSet) -> ConflictGraph {
         let mut sp = fd_trace::span("graph/conflict_build");
         sp.attr("rows", table.len());
-        let ids: Vec<TupleId> = table.ids().collect();
-        let mut graph = Graph::new(table.weights().to_vec());
-        table.for_each_conflicting_pair(fds, |p, q| {
-            graph.add_edge(p, q);
-        });
-        sp.attr("edges", graph.edge_count());
-        ConflictGraph { graph, ids }
+        let rows: Vec<u32> = (0..table.len() as u32).collect();
+        let cg = ConflictGraph::of_rows(table, &ConflictIndex::build(table, fds), &rows);
+        sp.attr("edges", cg.graph.edge_count());
+        cg
     }
 
-    /// Translates node indices back to tuple ids.
-    pub fn to_ids(&self, nodes: &[u32]) -> Vec<TupleId> {
-        nodes.iter().map(|&v| self.ids[v as usize]).collect()
+    /// The conflict graph on the ascending row positions `rows`, a union
+    /// of components, read off `index` (of `table`, keyed by position or
+    /// by id): node `i` is `rows[i]`. Edges arrive FD by FD, each group
+    /// at its first row, classes by first member, members in row order:
+    /// the order a fresh index of the rows gathered into their own table
+    /// yields, so vertex covers pick the same nodes.
+    pub fn of_rows(table: &Table, index: &ConflictIndex, rows: &[u32]) -> ConflictGraph {
+        let mut graph = Graph::new(rows.iter().map(|&p| table.weights()[p as usize]).collect());
+        let node = |pos: u32| {
+            rows.binary_search(&pos)
+                .expect("conflicting groups lie inside the rows") as u32
+        };
+        let mut scratch = SplitScratch::default();
+        for fd in 0..index.fd_count() {
+            let mut visited = vec![false; rows.len()];
+            for (v, &pos) in rows.iter().enumerate() {
+                if visited[v] {
+                    continue;
+                }
+                let Some(classes) = index.conflict_classes(table, fd, pos, &mut scratch) else {
+                    continue;
+                };
+                for p in classes.iter_mut().flatten() {
+                    *p = node(*p);
+                    visited[*p as usize] = true;
+                }
+                for_each_cross_pair(classes, |u, w| graph.add_edge(u, w));
+            }
+        }
+        ConflictGraph { graph }
     }
 }
 
@@ -49,12 +69,7 @@ impl ConflictGraph {
 /// row, exactly as [`Graph::connected_components`] orders the
 /// materialized graph's.
 pub fn conflict_components(table: &Table, fds: &FdSet) -> Components {
-    let mut sp = fd_trace::span("graph/components");
-    sp.attr("rows", table.len());
-    let components = index_components(&ConflictIndex::build(table, fds));
-    sp.attr("components", components.len());
-    sp.attr("largest", components.largest());
-    components
+    index_components(&ConflictIndex::build(table, fds))
 }
 
 /// The connected components of a [`ConflictIndex`]'s conflict graph
@@ -63,6 +78,8 @@ pub fn conflict_components(table: &Table, fds: &FdSet) -> Components {
 /// complete multipartite block, so unioning its rows connects exactly
 /// what its `Θ(group²)` edges would.
 pub fn index_components(index: &ConflictIndex) -> Components {
+    let mut sp = fd_trace::span("graph/components");
+    sp.attr("rows", index.key_space());
     let mut uf = UnionFind::new(index.key_space());
     for fd in 0..index.fd_count() {
         for g in index.conflict_groups(fd) {
@@ -73,7 +90,10 @@ pub fn index_components(index: &ConflictIndex) -> Components {
             }
         }
     }
-    Components::from_union_find(uf)
+    let components = Components::from_union_find(uf);
+    sp.attr("components", components.len());
+    sp.attr("largest", components.largest());
+    components
 }
 
 #[cfg(test)]
@@ -99,7 +119,6 @@ mod tests {
         assert_eq!(cg.graph.edge_count(), 1);
         assert!(cg.graph.has_edge(0, 1));
         assert_eq!(cg.graph.weight(0), 2.0);
-        assert_eq!(cg.to_ids(&[1]), vec![TupleId(1)]);
     }
 
     #[test]
@@ -188,13 +207,12 @@ mod naive_tests {
     /// comparisons): the reference [`ConflictGraph::build`] is checked
     /// against.
     fn build_naive(table: &Table, fds: &FdSet) -> ConflictGraph {
-        let ids: Vec<TupleId> = table.ids().collect();
         let mut graph = Graph::new(table.weights().to_vec());
         let agree = |i: usize, j: usize, attrs: fd_core::AttrSet| {
             attrs.iter().all(|a| table.col(a)[i] == table.col(a)[j])
         };
-        for i in 0..ids.len() {
-            for j in i + 1..ids.len() {
+        for i in 0..table.len() {
+            for j in i + 1..table.len() {
                 let conflicting = fds
                     .iter()
                     .any(|fd| agree(i, j, fd.lhs()) && !agree(i, j, fd.rhs()));
@@ -203,7 +221,7 @@ mod naive_tests {
                 }
             }
         }
-        ConflictGraph { graph, ids }
+        ConflictGraph { graph }
     }
 
     #[test]
@@ -231,6 +249,111 @@ mod naive_tests {
                 fe.sort_unstable();
                 ne.sort_unstable();
                 assert_eq!(fe, ne, "{spec}\n{t}");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod of_rows_tests {
+    use super::*;
+    use fd_core::{schema_rabc, tup, Mutation, Table, TupleId, Value};
+    use rand::prelude::*;
+
+    const SPECS: [&str; 4] = [
+        "A -> B; B -> C",
+        "A -> C; B -> C",
+        "A B -> C; C -> B",
+        "-> C; A -> B",
+    ];
+
+    fn random_table(rng: &mut StdRng) -> Table {
+        let rows: Vec<_> = (0..rng.gen_range(0..30))
+            .map(|_| {
+                (
+                    tup![
+                        rng.gen_range(0..5i64),
+                        rng.gen_range(0..4i64),
+                        rng.gen_range(0..3i64)
+                    ],
+                    [1.0, 2.0, 0.5][rng.gen_range(0..3usize)],
+                )
+            })
+            .collect();
+        Table::build(schema_rabc(), rows).unwrap()
+    }
+
+    /// Every conflicting component read off `index` (whose keys
+    /// `position` maps to row positions) has the weights and the edges,
+    /// in insertion order, of the conflict graph of the component
+    /// gathered into its own table.
+    fn assert_matches_gathered(
+        t: &Table,
+        fds: &FdSet,
+        index: &ConflictIndex,
+        position: impl Fn(u32) -> u32,
+        ctx: &str,
+    ) {
+        for comp in index_components(index).iter().filter(|c| c.len() >= 2) {
+            let mut rows: Vec<u32> = comp.iter().map(|&key| position(key)).collect();
+            rows.sort_unstable();
+            let read = ConflictGraph::of_rows(t, index, &rows).graph;
+            let gathered = ConflictGraph::build(&t.gather_positions(&rows), fds).graph;
+            assert_eq!(read.edges(), gathered.edges(), "{ctx} rows {rows:?}\n{t}");
+            let weights =
+                |g: &Graph| -> Vec<f64> { (0..rows.len() as u32).map(|v| g.weight(v)).collect() };
+            assert_eq!(weights(&read), weights(&gathered), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn components_read_off_a_fresh_index_match_their_gathered_tables() {
+        let mut rng = StdRng::seed_from_u64(0x0F_2095);
+        for spec in SPECS {
+            let fds = FdSet::parse(&schema_rabc(), spec).unwrap();
+            for case in 0..20 {
+                let t = random_table(&mut rng);
+                let index = ConflictIndex::build(&t, &fds);
+                assert_matches_gathered(&t, &fds, &index, |pos| pos, &format!("{spec} #{case}"));
+            }
+        }
+    }
+
+    #[test]
+    fn components_read_off_a_mutated_id_index_match_their_gathered_tables() {
+        let mut rng = StdRng::seed_from_u64(0x1D_2095);
+        let s = schema_rabc();
+        for spec in SPECS {
+            let fds = FdSet::parse(&s, spec).unwrap();
+            for case in 0..4 {
+                let mut t = random_table(&mut rng);
+                let mut index = ConflictIndex::build_by_id(&t, &fds);
+                for step in 0..60 {
+                    let alive: Vec<TupleId> = t.ids().collect();
+                    let m = match rng.gen_range(0..3usize) {
+                        1 if !alive.is_empty() => Mutation::Delete {
+                            id: alive[rng.gen_range(0..alive.len())],
+                        },
+                        2 if !alive.is_empty() => Mutation::SetCell {
+                            id: alive[rng.gen_range(0..alive.len())],
+                            attr: s.attr(["A", "B", "C"][rng.gen_range(0..3usize)]).unwrap(),
+                            value: Value::from(rng.gen_range(0..4i64)),
+                        },
+                        _ => Mutation::Insert {
+                            tuple: tup![
+                                rng.gen_range(0..5i64),
+                                rng.gen_range(0..4i64),
+                                rng.gen_range(0..3i64)
+                            ],
+                            weight: [1.0, 2.0, 0.5][rng.gen_range(0..3usize)],
+                        },
+                    };
+                    let effect = t.apply_mutation(&m).unwrap();
+                    index.apply(&t, &effect);
+                    let position = |key: u32| t.position_of(TupleId(key)).expect("live") as u32;
+                    let ctx = format!("{spec} #{case} step {step} {m:?}");
+                    assert_matches_gathered(&t, &fds, &index, position, &ctx);
+                }
             }
         }
     }

@@ -4,8 +4,9 @@
 //!
 //! * [`Graph`] — undirected node-weighted graphs with components and
 //!   induced subgraphs;
-//! * [`ConflictGraph`] — the conflict graph of a table under an FD set
-//!   (Proposition 3.3), built by streaming the grouped conflict scan;
+//! * [`ConflictGraph`] — the conflict graph of a table, or of any
+//!   union of its components, under an FD set (Proposition 3.3), read
+//!   off a `fd_core::ConflictIndex`;
 //! * [`conflict_components`] / [`index_components`] — the graph's
 //!   connected components, read off a `fd_core::ConflictIndex` in
 //!   `O(|T| · |Δ|)` **without enumerating edges** (the optimal-repair

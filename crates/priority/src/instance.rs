@@ -208,7 +208,10 @@ impl<'a> PrioritizedTable<'a> {
         Ok(sets
             .into_iter()
             .map(|nodes| {
-                let mut ids = cg.to_ids(&nodes);
+                let mut ids: Vec<TupleId> = nodes
+                    .iter()
+                    .map(|&v| self.table.id_at(v as usize))
+                    .collect();
                 ids.sort_unstable();
                 ids
             })

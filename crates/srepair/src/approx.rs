@@ -2,23 +2,16 @@
 //! 2-approximate weighted vertex cover of the conflict graph.
 
 use crate::repair::SRepair;
-use fd_core::{FdSet, Table, TupleId};
-use fd_graph::{vertex_cover_2approx, ConflictGraph};
+use crate::sharded::uncovered;
+use fd_core::{ConflictIndex, FdSet, Table};
+use fd_graph::vertex_cover_2approx;
 
 /// Computes a 2-optimal S-repair in polynomial time (Proposition 3.3):
 /// `dist_sub(S, T) ≤ 2 · dist_sub(S*, T)` for every FD set `Δ`.
 pub fn approx_s_repair(table: &Table, fds: &FdSet) -> SRepair {
-    let cg = ConflictGraph::build(table, fds);
-    let cover = vertex_cover_2approx(&cg.graph);
-    let deleted = cg.to_ids(&cover.nodes);
-    let mask = table.position_mask(deleted.iter());
-    let kept: Vec<TupleId> = table
-        .ids()
-        .zip(mask.iter())
-        .filter(|(_, &del)| !del)
-        .map(|(id, _)| id)
-        .collect();
-    SRepair::from_kept(table, kept)
+    let rows: Vec<u32> = (0..table.len() as u32).collect();
+    let index = ConflictIndex::build(table, fds);
+    SRepair::from_kept(table, uncovered(table, &index, &rows, vertex_cover_2approx))
 }
 
 #[cfg(test)]

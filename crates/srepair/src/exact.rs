@@ -7,24 +7,20 @@
 //! case — this is the oracle/baseline, not the production path.
 
 use crate::repair::SRepair;
-use fd_core::{FdSet, Table, TupleId};
-use fd_graph::{min_weight_vertex_cover, ConflictGraph};
+use crate::sharded::uncovered;
+use fd_core::{ConflictIndex, FdSet, Table, TupleId};
+use fd_graph::min_weight_vertex_cover;
 use std::collections::HashSet;
 
 /// Computes an optimal S-repair by exact minimum-weight vertex cover on
 /// the conflict graph. Works for every FD set; exponential worst case.
 pub fn exact_s_repair(table: &Table, fds: &FdSet) -> SRepair {
-    let cg = ConflictGraph::build(table, fds);
-    let cover = min_weight_vertex_cover(&cg.graph);
-    let deleted = cg.to_ids(&cover.nodes);
-    let mask = table.position_mask(deleted.iter());
-    let kept: Vec<TupleId> = table
-        .ids()
-        .zip(mask.iter())
-        .filter(|(_, &del)| !del)
-        .map(|(id, _)| id)
-        .collect();
-    SRepair::from_kept(table, kept)
+    let rows: Vec<u32> = (0..table.len() as u32).collect();
+    let index = ConflictIndex::build(table, fds);
+    SRepair::from_kept(
+        table,
+        uncovered(table, &index, &rows, min_weight_vertex_cover),
+    )
 }
 
 /// Exhaustive optimal S-repair over all `2ⁿ` subsets (n ≤ 20): the oracle

@@ -70,8 +70,6 @@ struct Comp {
 /// ```
 #[derive(Clone, Debug)]
 pub struct IncrementalSubset {
-    /// The FD set the session repairs under.
-    fds: FdSet,
     /// Algorithm 2's trace of `Δ`, hoisted for the dichotomy arm.
     trace: Trace,
     /// Per-component method selection knobs (shared with the cold path).
@@ -105,7 +103,6 @@ impl IncrementalSubset {
         let index = ConflictIndex::build_by_id(table, fds);
         let comps = index_components(&index);
         let mut inc = IncrementalSubset {
-            fds: fds.clone(),
             trace: recursion_trace(fds),
             cfg: *cfg,
             tractable: osr_succeeds(fds),
@@ -257,7 +254,7 @@ impl IncrementalSubset {
             // on ids being ascending in row order.
             positions.sort_unstable();
             let method = ShardPlan::component_method(self.tractable, ids.len(), &self.cfg);
-            let kept = solve_component(table, &positions, &self.fds, &self.trace, method);
+            let kept = solve_component(table, &positions, Some(&self.index), &self.trace, method);
             let slot = match self.free.pop() {
                 Some(slot) => slot,
                 None => {
@@ -341,8 +338,8 @@ mod tests {
     /// [`ConflictIndex::build_by_id`] of `t`: every live row's group
     /// (as its sorted members) and class count per FD, and the
     /// conflicting components.
-    fn assert_index_current(inc: &IncrementalSubset, t: &Table, ctx: &str) {
-        let fresh = ConflictIndex::build_by_id(t, &inc.fds);
+    fn assert_index_current(inc: &IncrementalSubset, t: &Table, fds: &FdSet, ctx: &str) {
+        let fresh = ConflictIndex::build_by_id(t, fds);
         let groups = |index: &ConflictIndex| -> Vec<(Vec<u32>, usize)> {
             let mut out = Vec::new();
             for fd in 0..index.fd_count() {
@@ -382,7 +379,7 @@ mod tests {
             for step in 0..200 {
                 let m = random_mutation(&mut rng, &t, 4);
                 inc.apply_mutation(&mut t, &m).unwrap();
-                assert_index_current(&inc, &t, &format!("{spec} step {step} {m:?}"));
+                assert_index_current(&inc, &t, &fds, &format!("{spec} step {step} {m:?}"));
             }
         }
     }

@@ -22,8 +22,8 @@
 //!   components extracted edge-free, conflict-free rows kept for free,
 //!   each component solved independently with the [`SMethod`] its size
 //!   and `Δ`'s dichotomy side call for (exact-per-component on the hard
-//!   side; a Dichotomy component is solved on its row positions, a
-//!   hard-side one gathered for its conflict graph) and fanned out
+//!   side; every component is solved on its row positions, a hard-side
+//!   one over its conflict graph read off the conflict index) and fanned out
 //!   across threads, bit-identical to the whole-table references
 //!   above. Every subset solve on the request
 //!   path runs here — the engine's subset notion and the S-repairs

@@ -9,13 +9,14 @@
 //! decomposition of Miao et al., arXiv:2001.00315). This module
 //! exploits that end to end:
 //!
-//! 1. components come from [`fd_graph::conflict_components`] — a
+//! 1. components come from [`fd_graph::index_components`] — a
 //!    union-find over conflict *groups*, `O(|T| · |Δ|)`, no edges;
 //! 2. rows in singleton components are conflict-free and are kept for
 //!    free, without ever touching a solver;
-//! 3. each conflicting component is solved independently — Algorithm 1
-//!    on the tractable side, exact vertex cover or the 2-approximation
-//!    on the hard side, chosen **per component** against
+//! 3. each conflicting component is solved independently on its row
+//!    positions — Algorithm 1 on the tractable side, exact vertex cover
+//!    or the 2-approximation of its graph read off the same index on
+//!    the hard side, chosen **per component** against
 //!    [`ShardConfig::component_exact_limit`] (a 64-row hard cap on the
 //!    whole table becomes a 64-row cap per component, so exactness
 //!    survives to much larger instances);
@@ -34,12 +35,13 @@
 //! conflict components — so recursing per component reproduces the
 //! global recursion's choices.
 
-use crate::approx::approx_s_repair;
-use crate::exact::exact_s_repair;
 use crate::repair::SRepair;
 use crate::succeeds::{ids_at, recursion_trace, Trace};
-use fd_core::{FdSet, Table, TupleId};
-use fd_graph::{conflict_components, Components};
+use fd_core::{ConflictIndex, FdSet, Table, TupleId};
+use fd_graph::{
+    index_components, min_weight_vertex_cover, vertex_cover_2approx, Components, ConflictGraph,
+    Graph, VertexCover,
+};
 
 /// The method a subset repair (or one component of it) was solved with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,8 +187,14 @@ pub struct ShardedSolution {
 /// Computes the component partition and the plan in one polynomial
 /// pass: `O(|T| · |Δ|)` plus the union-find. The same function feeds
 /// `explain()` (plan only) and [`sharded_s_repair`] (plan + execute).
-pub fn shard_plan(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> (Components, ShardPlan) {
-    let comps = conflict_components(table, fds);
+/// The hard side also gets the index, which its arms read.
+pub fn shard_plan(
+    table: &Table,
+    fds: &FdSet,
+    cfg: &ShardConfig,
+) -> (Components, ShardPlan, Option<ConflictIndex>) {
+    let index = ConflictIndex::build(table, fds);
+    let comps = index_components(&index);
     let tractable = crate::succeeds::osr_succeeds(fds);
     let mut counts = [0usize; 3];
     let mut largest = 0usize;
@@ -200,35 +208,51 @@ pub fn shard_plan(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> (Components,
         counts[ShardPlan::component_method(tractable, comp.len(), cfg).index()] += 1;
     }
     let plan = ShardPlan::from_counts(counts, largest, clean_rows, tractable);
-    (comps, plan)
+    (comps, plan, (!tractable).then_some(index))
 }
 
 /// Solves one conflicting component, given by its ascending row
 /// positions in `table`, with the planned method.
 ///
 /// `trace` is Algorithm 2's trace of `Δ`, hoisted out of the
-/// per-component loop. The Dichotomy arm runs the recursion on the
-/// positions themselves; only the hard-side arms gather the component
-/// into a sub-table, because their conflict graph is built from one.
-/// The raw kept list is returned: per-component sorting and cost
+/// per-component loop, for the Dichotomy arm; the hard-side arms read
+/// `index`, of `table` under `Δ` and keyed by position or by id. The
+/// raw kept list is returned: per-component sorting and cost
 /// accounting would be thrown away anyway — the merged list is sorted
 /// and costed once, globally, in [`sharded_s_repair`].
 pub(crate) fn solve_component(
     table: &Table,
     rows: &[u32],
-    fds: &FdSet,
+    index: Option<&ConflictIndex>,
     trace: &Trace,
     method: SMethod,
 ) -> Vec<TupleId> {
+    let index = || index.expect("hard-side components read the conflict index");
     match method {
         SMethod::Dichotomy => ids_at(
             table,
             &crate::optsrepair::solve(table, rows, trace, 0)
                 .expect("OSRSucceeds(Δ) holds on every block (Δ-only test)"),
         ),
-        SMethod::ExactVertexCover => exact_s_repair(&table.gather_positions(rows), fds).kept,
-        SMethod::Approx2 => approx_s_repair(&table.gather_positions(rows), fds).kept,
+        SMethod::ExactVertexCover => uncovered(table, index(), rows, min_weight_vertex_cover),
+        SMethod::Approx2 => uncovered(table, index(), rows, vertex_cover_2approx),
     }
+}
+
+/// The ids of the rows at `rows` (ascending, a union of components)
+/// outside `cover` of their conflict graph read off `index`.
+pub(crate) fn uncovered(
+    table: &Table,
+    index: &ConflictIndex,
+    rows: &[u32],
+    cover: fn(&Graph) -> VertexCover,
+) -> Vec<TupleId> {
+    let covered = cover(&ConflictGraph::of_rows(table, index, rows).graph).nodes;
+    let outside = |v: &usize| covered.binary_search(&(*v as u32)).is_err();
+    (0..rows.len())
+        .filter(outside)
+        .map(|v| table.id_at(rows[v] as usize))
+        .collect()
 }
 
 /// The trace label for a subset-repair method.
@@ -269,7 +293,7 @@ fn method_name(method: SMethod) -> &'static str {
 pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> ShardedSolution {
     let mut sharded_sp = fd_trace::span("srepair/sharded");
     sharded_sp.attr("rows", table.len());
-    let (comps, plan) = shard_plan(table, fds, cfg);
+    let (comps, plan, index) = shard_plan(table, fds, cfg);
     sharded_sp.attr("components", plan.components);
     sharded_sp.attr("largest", plan.largest);
     let tractable = plan
@@ -300,7 +324,7 @@ pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> Sharde
             "escalated",
             method == SMethod::ExactVertexCover && comp.len() > cfg.component_exact_limit,
         );
-        solve_component(table, comp, fds, &trace, method)
+        solve_component(table, comp, index.as_ref(), &trace, method)
     });
     for comp_kept in solved {
         kept.extend(comp_kept);
@@ -380,17 +404,11 @@ mod tests {
                 let t =
                     fd_gen::adversarial::sized_instance(case, rows, domain, seed % 2 == 1, seed);
                 let mut kept = Vec::new();
-                for comp in conflict_components(&t, &case.fds).iter() {
+                for comp in fd_graph::conflict_components(&t, &case.fds).iter() {
                     if comp.len() < 2 {
                         kept.push(t.id_at(comp[0] as usize));
                     } else {
-                        kept.extend(solve_component(
-                            &t,
-                            comp,
-                            &case.fds,
-                            &trace,
-                            SMethod::Dichotomy,
-                        ));
+                        kept.extend(solve_component(&t, comp, None, &trace, SMethod::Dichotomy));
                     }
                 }
                 let global = crate::opt_s_repair(&t, &case.fds).unwrap();

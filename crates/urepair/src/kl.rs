@@ -39,15 +39,13 @@ pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
     }
 
     // Step 2: pick the tuples to modify.
-    let cg = ConflictGraph::build(&working, &rest);
-    let cover = vertex_cover_2approx(&cg.graph);
-    let picked = working.position_mask(&cg.to_ids(&cover.nodes));
+    let picked = vertex_cover_2approx(&ConflictGraph::build(&working, &rest).graph).nodes;
 
     // The consistent core: tuples outside the cover.
     let (mut order, outside): (Vec<_>, Vec<_>) = working
         .rows()
         .enumerate()
-        .partition(|(pos, _)| picked[*pos]);
+        .partition(|(pos, _)| picked.binary_search(&(*pos as u32)).is_ok());
     let mut core = Core::new(&rest);
     for (_, row) in outside {
         core.push(row.tuple);

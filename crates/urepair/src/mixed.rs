@@ -206,9 +206,7 @@ pub fn approx_mixed_repair(table: &Table, fds: &FdSet, costs: MixedCosts) -> Mix
     if table.satisfies(&fds_n) {
         return MixedRepair::default();
     }
-    let cg = ConflictGraph::build(table, &fds_n);
-    let cover = vertex_cover_2approx(&cg.graph);
-    let covered: Vec<TupleId> = cg.to_ids(&cover.nodes);
+    let cover = vertex_cover_2approx(&ConflictGraph::build(table, &fds_n).graph);
 
     let lhs_cover = fds_n.is_consensus_free().then(|| min_lhs_cover(&fds_n));
 
@@ -216,8 +214,8 @@ pub fn approx_mixed_repair(table: &Table, fds: &FdSet, costs: MixedCosts) -> Mix
     let mut writer = UpdateWriter::new(table);
     let mut fresh = FreshSource::new();
     let mut update_cost = 0.0;
-    for id in covered {
-        let pos = table.position_of(id).expect("id from table");
+    for v in cover.nodes {
+        let pos = v as usize;
         let w = table.weights()[pos];
         match lhs_cover.flatten() {
             Some(cover) if costs.update * (cover.len() as f64) * w < costs.delete * w => {
@@ -226,7 +224,7 @@ pub fn approx_mixed_repair(table: &Table, fds: &FdSet, costs: MixedCosts) -> Mix
                 }
                 update_cost += (cover.len() as f64) * w;
             }
-            _ => deleted.push(id),
+            _ => deleted.push(table.id_at(pos)),
         }
     }
     deleted.sort_unstable();

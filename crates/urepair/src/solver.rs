@@ -98,7 +98,10 @@ impl Default for URepairSolver {
 impl URepairSolver {
     /// Computes a U-repair, preferring provably optimal strategies.
     pub fn solve(&self, table: &Table, fds: &FdSet) -> USolution {
-        if table.satisfies(fds) {
+        // A lone consensus-free component is Δ on the input itself, so
+        // `component_method`'s consistency scan answers this one.
+        let lone = fds.consensus_attrs().is_empty() && attribute_components(fds).len() == 1;
+        if !lone && table.satisfies(fds) {
             return USolution {
                 repair: URepair::default(),
                 methods: vec![UMethod::AlreadyConsistent],
