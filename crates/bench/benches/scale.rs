@@ -78,6 +78,12 @@
 //! `1000000/100000` median ratio must stay under 15 (asserted by a
 //! test in `bench_guard`), so ingest stays linear.
 //!
+//! `ingest/json/<n>` (100k and 1M rows) times
+//! [`fd_engine::parse_table_doc`] of the same tables as the object-row
+//! document `PUT /tables/{id}` takes: the syntax scan, then rows
+//! streamed into symbol columns. Its `1000000/100000` median ratio must
+//! stay under 15 too (asserted beside the `.fdr` one).
+//!
 //! Then `update/tractable/<n>` (100k and 1M rows) runs
 //! `repair --notion u` through the engine on the tractable workload:
 //! Corollary 4.6's sharded subset solve, its deleted tuples retagged as
@@ -86,8 +92,12 @@
 //! in `bench_guard`), so no stage of the update path goes superlinear.
 
 use criterion::{black_box, Criterion};
-use fd_core::{table_from_csv_reader, table_to_csv, AttrId, CsvOptions, KeyExtractor};
-use fd_engine::{IncrementalSession, Json, Planner, RepairEngine, RepairRequest};
+use fd_core::{
+    table_from_csv_reader, table_to_csv, AttrId, CsvOptions, KeyExtractor, Table, Value,
+};
+use fd_engine::{
+    parse_table_doc, IncrementalSession, Json, JsonLimits, Planner, RepairEngine, RepairRequest,
+};
 use fd_gen::scale::{hard_scale, marriage_scale, tractable_scale};
 use fd_repairs::instance::Instance;
 use std::time::Instant;
@@ -172,6 +182,33 @@ fn single_row_mutation_us(session: &mut IncrementalSession, attr: AttrId, n: usi
         }
     });
     per_batch / f64::from(BATCH)
+}
+
+/// A stored-table document, `{relation, attrs, rows}`, with one
+/// `{"weight": w, "values": [...]}` object per row.
+fn table_doc(table: &Table) -> String {
+    let schema = table.schema();
+    let attrs = schema.attr_names().iter().map(|a| Json::str(a.as_str()));
+    let rows: Vec<String> = table
+        .rows()
+        .map(|row| {
+            let values = row.tuple.values().iter().map(|v| match v {
+                Value::Int(i) => Json::Num(*i as f64),
+                other => Json::str(other.to_string()),
+            });
+            format!(
+                "{{\"weight\":{},\"values\":{}}}",
+                Json::Num(row.weight),
+                Json::Arr(values.collect())
+            )
+        })
+        .collect();
+    format!(
+        "{{\"relation\":{},\"attrs\":{},\"rows\":[{}]}}",
+        Json::str(schema.relation()),
+        Json::Arr(attrs.collect()),
+        rows.join(",")
+    )
 }
 
 fn write_summary() {
@@ -376,6 +413,23 @@ fn write_summary() {
             format!("ingest/fdr/{n}"),
             median_us(reps(n), || {
                 black_box(Instance::parse(&text).unwrap());
+            }),
+        );
+    }
+    // JSON ingest: the same tractable tables as the object-row table
+    // document `PUT /tables/{id}` receives, read by `parse_table_doc`.
+    let limits = JsonLimits {
+        max_bytes: usize::MAX,
+        max_depth: JsonLimits::DEFAULT_MAX_DEPTH,
+    };
+    for n in [100_000usize, 1_000_000] {
+        let (_, _, table) = tractable_scale(n, false, 42);
+        let doc = table_doc(&table);
+        drop(table);
+        push(
+            format!("ingest/json/{n}"),
+            median_us(reps(n), || {
+                black_box(parse_table_doc(&doc, &limits).unwrap());
             }),
         );
     }

@@ -330,6 +330,22 @@ mod tests {
         );
     }
 
+    /// JSON ingest must scale linearly: the reader scans the document
+    /// once, then streams each row into the columns once, so ten times
+    /// the rows cost about ten times the time. A per-row rescan, or a
+    /// member lookup that walks the rows, fails here.
+    #[test]
+    fn committed_seed_keeps_json_ingest_linear() {
+        let small = median("ingest/json/100000");
+        let large = median("ingest/json/1000000");
+        assert!(
+            small > 0.0 && large / small < 15.0,
+            "ingest/json/1000000 ({large} µs) must stay under 15× \
+             ingest/json/100000 ({small} µs); got {:.1}×",
+            large / small
+        );
+    }
+
     #[test]
     fn time_and_bytes_fail_when_the_number_grows() {
         assert!(Unit::TimeUs.regression_ratio(100.0, 300.0) > 2.0);

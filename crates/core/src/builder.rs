@@ -1,11 +1,13 @@
-//! The one bulk-ingest row sink: text fields in, symbol columns out.
+//! The one bulk-ingest row sink: fields in, symbol columns out.
 //!
-//! Every bulk front end (the `.fdr` reader, the CSV loader) feeds rows
-//! of raw text fields into a [`TableBuilder`], which interns each field
-//! once into its own [`Dictionary`] and appends the symbol straight to
-//! a column — no `Value`, `Tuple` or per-row buffer is ever built. This
-//! is the encode-at-ingest dictionary pattern: a term is hashed exactly
-//! once, on the way in.
+//! Every bulk front end (the `.fdr` reader, the CSV loader, the JSON
+//! table reader) feeds rows into a [`TableBuilder`]: raw text fields,
+//! or typed [`Cell`]s when the input already says which fields are
+//! strings. The builder interns each field once into its own
+//! [`Dictionary`] and appends the symbol straight to a column — no
+//! `Value`, `Tuple` or table row is ever built. This is the
+//! encode-at-ingest dictionary pattern: a term is hashed exactly once,
+//! on the way in.
 //!
 //! A large input can be split into chunks at row boundaries and each
 //! chunk filled by its own builder on its own thread.
@@ -22,6 +24,15 @@ use crate::schema::Schema;
 use crate::sym::{Dictionary, Remap, Sym};
 use crate::table::Table;
 use std::sync::Arc;
+
+/// One typed field of a row pushed through [`TableBuilder::push_row`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cell<'t> {
+    /// An integer.
+    Int(i64),
+    /// A string, kept a string even when it reads as a number.
+    Str(&'t str),
+}
 
 /// A chunk of rows under construction: a local dictionary, one symbol
 /// column per attribute and the weights column. See the module docs.
@@ -85,11 +96,43 @@ impl TableBuilder {
         fields: impl IntoIterator<Item = &'t str>,
         weight: f64,
     ) -> Result<()> {
+        self.push_interned(fields, weight, Dictionary::intern_text)
+    }
+
+    /// Appends one row of typed cells, in column order: a [`Cell::Str`]
+    /// stays a string whatever it looks like, a [`Cell::Int`] is an
+    /// integer. The row interns exactly as [`Table::push`] of the same
+    /// [`Value`](crate::Value)s would, so a reader that knows each
+    /// field's type (a JSON one) builds the table `push` would have.
+    ///
+    /// # Errors
+    ///
+    /// As [`TableBuilder::push_text_row`].
+    pub fn push_row<'t>(
+        &mut self,
+        cells: impl IntoIterator<Item = Cell<'t>>,
+        weight: f64,
+    ) -> Result<()> {
+        self.push_interned(cells, weight, |dict, cell| match cell {
+            Cell::Int(i) => dict.intern_int(i),
+            Cell::Str(s) => dict.intern_str(s),
+        })
+    }
+
+    /// The one row push: each field interned by `intern`, then the
+    /// arity and weight checks, with the columns rolled back on error.
+    #[inline]
+    fn push_interned<T>(
+        &mut self,
+        fields: impl IntoIterator<Item = T>,
+        weight: f64,
+        intern: impl Fn(&mut Dictionary, T) -> Sym,
+    ) -> Result<()> {
         let arity = self.cols.len();
         let mut found = 0;
-        for text in fields {
+        for field in fields {
             if let Some(col) = self.cols.get_mut(found) {
-                col.push(self.dict.intern_text(text));
+                col.push(intern(&mut self.dict, field));
             }
             found += 1;
         }
@@ -207,6 +250,40 @@ mod tests {
         );
         assert_eq!(t.row(crate::TupleId(1)).unwrap(), t.row_at(1));
         assert_eq!(t.dictionary().len(), 2, "one string, one spilled integer");
+    }
+
+    #[test]
+    fn typed_rows_intern_like_table_push() {
+        let cells = [
+            [Cell::Str("12"), Cell::Int(12), Cell::Int(1 << 40)],
+            [Cell::Str("x"), Cell::Int(-7), Cell::Str("12")],
+            [Cell::Int(1 << 40), Cell::Str("x"), Cell::Int(-(1 << 40))],
+        ];
+        let mut b = TableBuilder::new(3);
+        let mut pushed = Table::new(schema(3));
+        for (i, row) in cells.iter().enumerate() {
+            let weight = 1.0 + i as f64;
+            b.push_row(row.iter().copied(), weight).unwrap();
+            let values: Vec<Value> = row
+                .iter()
+                .map(|cell| match *cell {
+                    Cell::Int(i) => Value::Int(i),
+                    Cell::Str(s) => Value::str(s),
+                })
+                .collect();
+            pushed.push(crate::Tuple::new(values), weight).unwrap();
+        }
+        let built = TableBuilder::finish(schema(3), [b]);
+        assert_eq!(fingerprint(&built), fingerprint(&pushed));
+        assert_eq!(built, pushed);
+        assert_eq!(built.row_at(0).tuple.values()[0], Value::str("12"));
+        assert_eq!(
+            TableBuilder::new(2).push_row([Cell::Int(1)], 1.0),
+            Err(Error::ArityMismatch {
+                expected: 2,
+                found: 1
+            })
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod value;
 
 pub use armstrong::{derive, Derivation};
 pub use attrset::AttrSet;
-pub use builder::TableBuilder;
+pub use builder::{Cell, TableBuilder};
 pub use cover::{mci, mfs, min_core_implicant, min_lhs_cover, mlc};
 pub use csv::{
     parse_csv, table_from_csv, table_from_csv_reader, table_to_csv, CsvOptions, CsvReader,

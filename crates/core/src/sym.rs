@@ -203,12 +203,23 @@ impl Dictionary {
     /// else a string symbol — allocating a pooled `Arc<str>` only the
     /// first time a distinct string appears.
     pub fn intern_text(&mut self, text: &str) -> Sym {
-        if let Ok(i) = text.parse::<i64>() {
-            return match Sym::from_int(i) {
-                Some(s) => s,
-                None => self.intern_spill(&Value::Int(i)),
-            };
+        match text.parse::<i64>() {
+            Ok(i) => self.intern_int(i),
+            Err(_) => self.intern_str(text),
         }
+    }
+
+    /// Interns an integer: inline when it fits, else into the spill
+    /// pool. The same symbol as `intern(&Value::Int(i))`.
+    #[inline]
+    pub fn intern_int(&mut self, i: i64) -> Sym {
+        Sym::from_int(i).unwrap_or_else(|| self.intern_spill(&Value::Int(i)))
+    }
+
+    /// Interns a string as a string, whatever it looks like, allocating
+    /// a pooled `Arc<str>` only the first time a distinct string
+    /// appears. The same symbol as `intern(&Value::str(text))`.
+    pub fn intern_str(&mut self, text: &str) -> Sym {
         if let Some(&i) = self.str_lookup.get(text) {
             return Sym(TAG_STR | i);
         }

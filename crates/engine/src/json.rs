@@ -13,10 +13,12 @@
 //! environment), and its reports only need the JSON essentials: objects
 //! with string keys, arrays, strings, finite numbers, booleans, and
 //! null. Non-finite numbers serialize as `null`, keeping every emitted
-//! document strictly RFC 8259 conformant. The parser exists so that
-//! tests — and downstream clients without a JSON stack — can round-trip
-//! and inspect reports; it accepts exactly the constructs the writer
-//! emits plus arbitrary whitespace.
+//! document strictly RFC 8259 conformant. The parser, a cursor over the
+//! text (`Reader`), builds a [`Json`] tree for tests and downstream
+//! clients without a JSON stack, or builds nothing and only checks: the
+//! wire reader's first pass, after which it takes each member straight
+//! from the text. It accepts exactly the constructs the writer emits
+//! plus arbitrary whitespace.
 //!
 //! Since the wire surface of `fd-serve` feeds this parser *untrusted*
 //! input, parsing is hardened: recursion depth and document size are
@@ -25,6 +27,7 @@
 //! malformed, truncated, or hostile document yields a structured
 //! [`JsonError`] — never a panic or a stack overflow.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write as _};
@@ -144,28 +147,7 @@ impl Json {
     /// documents fail immediately; nesting beyond `max_depth` fails at
     /// the offending bracket. Never panics on any input.
     pub fn parse_with_limits(text: &str, limits: &JsonLimits) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        if bytes.len() > limits.max_bytes {
-            return Err(JsonError {
-                pos: 0,
-                message: format!(
-                    "document is {} bytes, limit is {}",
-                    bytes.len(),
-                    limits.max_bytes
-                ),
-            });
-        }
-        let mut pos = 0usize;
-        skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos, limits.max_depth)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError {
-                pos,
-                message: "trailing data after the document".into(),
-            });
-        }
-        Ok(value)
+        document(text, limits, |r| r.value(limits.max_depth))
     }
 
     /// Collects an object's fields into a map (testing convenience).
@@ -194,6 +176,7 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+#[cold]
 fn err(pos: usize, message: impl Into<String>) -> JsonError {
     JsonError {
         pos,
@@ -201,161 +184,331 @@ fn err(pos: usize, message: impl Into<String>) -> JsonError {
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// The frame of every document: the size limit, checked before any
+/// parsing work, then one value read by `read` with optional whitespace
+/// around it, and nothing after.
+fn document<'a, T>(
+    text: &'a str,
+    limits: &JsonLimits,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    if text.len() > limits.max_bytes {
+        return Err(err(
+            0,
+            format!(
+                "document is {} bytes, limit is {}",
+                text.len(),
+                limits.max_bytes
+            ),
+        ));
     }
+    let mut reader = Reader::at(text, 0);
+    reader.skip_ws();
+    let value = read(&mut reader)?;
+    reader.skip_ws();
+    if reader.pos != text.len() {
+        return Err(err(reader.pos, "trailing data after the document"));
+    }
+    Ok(value)
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), JsonError> {
-    if bytes[*pos..].starts_with(token.as_bytes()) {
-        *pos += token.len();
-        Ok(())
-    } else {
-        Err(err(*pos, format!("expected {token:?}")))
-    }
+/// Where each top-level member of a document starts: its key, and the
+/// byte offset of its value, in document order (duplicates included).
+pub(crate) type Members<'a> = Vec<(Cow<'a, str>, usize)>;
+
+/// Scans a whole document under `limits` and builds nothing: every
+/// malformed, oversized or too-deep document fails exactly as
+/// [`Json::parse_with_limits`] fails on it. For an object, returns where
+/// each member's value starts, so that a reader can then take the
+/// members it wants from the text with a [`Reader`]; `None` for any
+/// other document.
+pub(crate) fn scan_members<'a>(
+    text: &'a str,
+    limits: &JsonLimits,
+) -> Result<Option<Members<'a>>, JsonError> {
+    document(text, limits, |r| {
+        if r.peek() != Some(b'{') || limits.max_depth == 0 {
+            r.skip(limits.max_depth)?;
+            return Ok(None);
+        }
+        let mut members = Vec::new();
+        r.members(|key, r| {
+            members.push((key, r.pos));
+            r.skip(limits.max_depth - 1)
+        })?;
+        Ok(Some(members))
+    })
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            if depth == 0 {
-                return Err(err(*pos, "nesting exceeds the depth limit"));
+/// A cursor over JSON text: the recursive-descent parser. Its
+/// [`Reader::value`] builds a [`Json`] tree and [`Reader::skip`] only
+/// checks the text; [`Reader::items`], [`Reader::members`],
+/// [`Reader::string`] and [`Reader::number`] step through a value piece
+/// by piece, so a caller that knows what it expects (the wire reader)
+/// can take it straight from the text.
+pub(crate) struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at byte `pos` of `text`.
+    pub(crate) fn at(text: &'a str, pos: usize) -> Reader<'a> {
+        Reader { text, pos }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        let bytes = self.bytes();
+        while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+    }
+
+    /// The byte the value under the cursor starts with. [`Reader::items`]
+    /// and [`Reader::members`] hand over cursors at their values' first
+    /// byte, and [`scan_members`] records members' values there too.
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
+    /// Reads the value under the cursor as a tree, in text that
+    /// [`scan_members`] has checked: the scan has bounded its depth.
+    pub(crate) fn tree(&mut self) -> Result<Json, JsonError> {
+        self.value(usize::MAX)
+    }
+
+    /// Steps over the value under the cursor, in checked text.
+    pub(crate) fn skip_checked(&mut self) -> Result<(), JsonError> {
+        self.skip(usize::MAX)
+    }
+
+    #[inline]
+    fn expect(&mut self, token: &str) -> Result<(), JsonError> {
+        if self.bytes()[self.pos..].starts_with(token.as_bytes()) {
+            self.pos += token.len();
+            Ok(())
+        } else {
+            Err(err(self.pos, format!("expected {token:?}")))
+        }
+    }
+
+    /// Reads one value, at most `depth` arrays or objects deep, as a
+    /// tree.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        match self.bytes().get(self.pos) {
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') if depth > 0 => {
+                let mut items = Vec::new();
+                self.items(|r| {
+                    items.push(r.value(depth - 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
             }
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+            Some(b'{') if depth > 0 => {
+                let mut pairs = Vec::new();
+                self.members(|key, r| {
+                    pairs.push((key.into_owned(), r.value(depth - 1)?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(pairs))
             }
-            loop {
-                skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos, depth - 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
+            _ => self.scalar(),
+        }
+    }
+
+    /// Steps over one value, at most `depth` arrays or objects deep,
+    /// and builds nothing: [`Reader::value`] in the mode that only
+    /// checks, failing wherever and however `value` fails.
+    pub(crate) fn skip(&mut self, depth: usize) -> Result<(), JsonError> {
+        match self.bytes().get(self.pos) {
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') if depth > 0 => self.items(|r| r.skip(depth - 1)),
+            Some(b'{') if depth > 0 => self.members(|_, r| r.skip(depth - 1)),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// A value that is neither a string nor a container within the depth
+    /// limit: a literal or a number, or the error for a container too
+    /// deep or for input that has ended.
+    fn scalar(&mut self) -> Result<Json, JsonError> {
+        match self.bytes().get(self.pos) {
+            None => Err(err(self.pos, "unexpected end of input")),
+            Some(b'n') => self.expect("null").map(|()| Json::Null),
+            Some(b't') => self.expect("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.expect("false").map(|()| Json::Bool(false)),
+            Some(b'[' | b'{') => Err(err(self.pos, "nesting exceeds the depth limit")),
+            Some(_) => self.number().map(Json::Num),
+        }
+    }
+
+    /// Steps through the array that starts here, calling `each` with
+    /// the cursor at every item; `each` must read the item whole.
+    pub(crate) fn items<E: From<JsonError>>(
+        &mut self,
+        mut each: impl FnMut(&mut Reader<'a>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.expect("[")?;
+        self.skip_ws();
+        if self.bytes().get(self.pos) == Some(&b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            each(self)?;
+            self.skip_ws();
+            match self.bytes().get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(err(self.pos, "expected ',' or ']' in array").into()),
+            }
+        }
+    }
+
+    /// Steps through the object that starts here, calling `each` with
+    /// every member's key and the cursor at its value; `each` must read
+    /// the value whole.
+    pub(crate) fn members<E: From<JsonError>>(
+        &mut self,
+        mut each: impl FnMut(Cow<'a, str>, &mut Reader<'a>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.expect("{")?;
+        self.skip_ws();
+        if self.bytes().get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(":")?;
+            self.skip_ws();
+            each(key, self)?;
+            self.skip_ws();
+            match self.bytes().get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(err(self.pos, "expected ',' or '}' in object").into()),
+            }
+        }
+    }
+
+    /// Reads a string, borrowed from the text unless it has escapes.
+    #[inline]
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let (text, bytes) = (self.text, self.bytes());
+        if bytes.get(self.pos) != Some(&b'"') {
+            return Err(err(self.pos, "expected a string"));
+        }
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            // The run up to the next quote or backslash, copied whole.
+            // Both are ASCII, so the run ends on a character boundary
+            // of the text; slicing it costs no UTF-8 check, which keeps
+            // the parse linear in the document size.
+            let run = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(bytes.len(), |n| self.pos + n);
+            let chunk = &text[self.pos..run];
+            self.pos = run;
+            match bytes.get(self.pos) {
+                None => return Err(err(self.pos, "unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    if out.is_empty() {
+                        return Ok(Cow::Borrowed(chunk));
                     }
-                    _ => return Err(err(*pos, "expected ',' or ']' in array")),
+                    out.push_str(chunk);
+                    return Ok(Cow::Owned(out));
+                }
+                Some(_) => {
+                    out.push_str(chunk);
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                    self.pos += 1;
                 }
             }
         }
-        Some(b'{') => {
-            if depth == 0 {
-                return Err(err(*pos, "nesting exceeds the depth limit"));
-            }
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, ":")?;
-                skip_ws(bytes, pos);
-                let value = parse_value(bytes, pos, depth - 1)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or '}' in object")),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos).map(Json::Num),
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(err(*pos, "expected a string"));
+    /// The character of the escape after a backslash; the cursor ends
+    /// on the escape's last byte.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let pos = self.pos;
+        Ok(match self.bytes().get(pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hex = self
+                    .bytes()
+                    .get(pos + 1..pos + 5)
+                    .ok_or_else(|| err(pos, "truncated \\u escape"))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| err(pos, "non-ascii \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| err(pos, "invalid \\u escape"))?;
+                // The writer only emits BMP escapes (control
+                // characters), so surrogate pairs are out of scope.
+                let c = char::from_u32(code).ok_or_else(|| err(pos, "surrogate \\u escape"))?;
+                self.pos += 4;
+                c
+            }
+            _ => return Err(err(pos, "invalid escape")),
+        })
     }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err(*pos, "non-ascii \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "invalid \\u escape"))?;
-                        // The writer only emits BMP escapes (control
-                        // characters), so surrogate pairs are out of scope.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| err(*pos, "surrogate \\u escape"))?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(err(*pos, "invalid escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy the whole unescaped run up to the next quote or
-                // backslash at once. Both are ASCII, so the run ends on a
-                // character boundary of the input `&str` and is valid
-                // UTF-8 itself; validating only the run keeps the parse
-                // linear in the document size.
-                let run = bytes[*pos..]
-                    .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
-                    .map_or(bytes.len(), |n| *pos + n);
-                out.push_str(std::str::from_utf8(&bytes[*pos..run]).expect("input was a str"));
-                *pos = run;
-            }
-        }
-    }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    /// Reads a number.
+    #[inline]
+    pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
+        let bytes = self.bytes();
+        let start = self.pos;
+        let negative = bytes.get(start) == Some(&b'-');
+        let digits_start = start + usize::from(negative);
+        let mut pos = digits_start;
+        // Plain integers of up to 15 digits, the bulk of every table,
+        // are exact in an f64: sum their digits on the way instead of
+        // calling the general float parser, which agrees on all of them.
+        let mut n = 0u64;
+        while let Some(&digit @ b'0'..=b'9') = bytes.get(pos) {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
+            pos += 1;
+        }
+        let number_char =
+            |b: Option<&u8>| matches!(b, Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'));
+        if (1..=15).contains(&(pos - digits_start)) && !number_char(bytes.get(pos)) {
+            self.pos = pos;
+            let n = n as f64;
+            return Ok(if negative { -n } else { n });
+        }
+        while number_char(bytes.get(pos)) {
+            pos += 1;
+        }
+        self.pos = pos;
+        let text = &self.text[start..pos];
+        text.parse::<f64>()
+            .map_err(|_| err(start, format!("invalid number {text:?}")))
     }
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
-    ) {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii");
-    text.parse::<f64>()
-        .map_err(|_| err(start, format!("invalid number {text:?}")))
 }
 
 /// Bytes a streaming writer buffers before it hands them to its target:
@@ -768,6 +921,59 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_str().unwrap(), "\u{7}x");
         let c = Json::str("\u{1}");
         assert_eq!(Json::parse(&c.to_string()).unwrap(), c);
+    }
+
+    #[test]
+    fn numbers_read_as_the_float_parser_reads_them() {
+        let mut texts: Vec<String> = [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "007",
+            "-00",
+            "123456789012345",
+            "-123456789012345",
+            "1234567890123456",
+            "9000000000000000",
+            "99999999999999999999",
+            "1.5",
+            "1.",
+            ".5",
+            "1e3",
+            "1E+2",
+            "-1e-2",
+            "+1",
+            "1e400",
+            "-",
+            "",
+            "--1",
+            "1e",
+            "1-2",
+            "0x1",
+        ]
+        .map(str::to_string)
+        .to_vec();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let len = 1 + (x >> 60) as usize;
+            let text = (0..len)
+                .map(|i| b"0123456789-.e+"[((x >> (4 * i)) % 14) as usize] as char)
+                .collect();
+            texts.push(text);
+        }
+        for text in texts {
+            let doc = format!("{text},");
+            let mut reader = Reader::at(&doc, 0);
+            let got = reader.number().ok().map(f64::to_bits);
+            let run = doc.find(|c: char| !"0123456789.eE+-".contains(c)).unwrap();
+            let want = doc[..run].parse::<f64>().ok().map(f64::to_bits);
+            assert_eq!(got, want, "{text:?}");
+            if got.is_some() {
+                assert_eq!(reader.pos, run, "{text:?}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::json::{
     write_arr, write_escaped, write_int, write_num, write_tree, Json, ObjWriter, Out, CHUNK,
 };
 use crate::request::Notion;
-use fd_core::{FdSet, Schema, SymRef, Table, TupleId, Value};
+use fd_core::{Dictionary, FdSet, Schema, Sym, SymRef, Table, TupleId, Value};
 use fd_srepair::{classify_irreducible, simplification_trace, Outcome};
 use fd_urepair::{ratio_kl, ratio_ours};
 use std::io;
@@ -382,15 +382,24 @@ fn write_table(out: &mut Out<'_>, table: &Table) {
             if i > 0 {
                 out.push(b',');
             }
-            match dict.resolve(col[pos]) {
-                SymRef::Int(i) => write_int(out, i),
-                SymRef::Str(s) => write_escaped(out, s),
-                SymRef::Other(v) => write_tree(out, &value_to_json(&v)),
-            }
+            write_cell(out, dict, col[pos]);
         }
         out.extend_from_slice(b"]}");
     });
     obj.end()
+}
+
+/// Writes one cell straight from its symbol: an inline integer as an
+/// integer, a pooled string from the dictionary's own `str`, and every
+/// other symbol through [`value_to_json`] — the bytes `value_to_json`
+/// of the decoded value prints, with no [`Value`] built for the first
+/// two.
+pub(crate) fn write_cell(out: &mut Out<'_>, dict: &Dictionary, sym: Sym) {
+    match dict.resolve(sym) {
+        SymRef::Int(i) => write_int(out, i),
+        SymRef::Str(s) => write_escaped(out, s),
+        SymRef::Other(v) => write_tree(out, &value_to_json(&v)),
+    }
 }
 
 /// The unified result of one engine call: one shape for every notion.

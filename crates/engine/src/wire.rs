@@ -25,12 +25,23 @@
 //! [`Value::Str`]. Parsing is strict — unknown request fields are
 //! errors, not silent no-ops — and bounded by [`JsonLimits`], so a
 //! hostile body can neither crash nor overload the parser.
+//!
+//! A body is read without a JSON tree: one pass checks its syntax,
+//! size and depth and notes where each top-level member starts, then
+//! the rows stream off the text into a [`TableBuilder`]. The errors are
+//! those a tree reader gives, in the same order: syntax first, then the
+//! alphabetically first unknown member, then the schema, then the first
+//! bad row as `row {i}: …`, then Δ and the request.
 
-use crate::json::{Json, JsonError, JsonLimits};
-use crate::report::value_to_json;
+use crate::json::{
+    scan_members, write_arr, write_escaped, write_num, Json, JsonError, JsonLimits, Members,
+    ObjWriter, Out, Reader,
+};
+use crate::report::{value_to_json, write_cell};
 use crate::request::{Budgets, Notion, Optimality, RepairRequest};
-use fd_core::{FdSet, Mutation, Schema, Table, Tuple, TupleId, Value};
+use fd_core::{Cell, FdSet, Mutation, Schema, Table, TableBuilder, Tuple, TupleId, Value};
 use fd_urepair::MixedCosts;
+use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -126,20 +137,18 @@ impl RepairCall {
     /// assert!(err.to_string().contains("unknown request field"));
     /// ```
     pub fn parse(text: &str, limits: &JsonLimits) -> Result<RepairCall, WireError> {
-        let doc = Json::parse_with_limits(text, limits)?;
-        RepairCall::from_json(&doc)
+        RepairCall::from_doc(&Doc::read(text, limits)?)
     }
 
-    /// Builds a call from an already-parsed JSON value.
-    pub fn from_json(doc: &Json) -> Result<RepairCall, WireError> {
+    fn from_doc(doc: &Doc<'_>) -> Result<RepairCall, WireError> {
         check_fields(
             doc,
             &["relation", "attrs", "fds", "rows", "request"],
             &["table_ref"],
             "needs a server-side table store; this entry point only accepts inline tables",
         )?;
-        let table = table_from_doc(doc)?;
-        let fds = resolve_fds(fds_spec(doc)?, table.schema())?;
+        let table = read_table(doc)?;
+        let fds = resolve_fds(fds_spec(doc)?.as_deref(), table.schema())?;
         let (request, include_timings) = request_of(doc)?;
         Ok(RepairCall {
             table,
@@ -153,17 +162,6 @@ impl RepairCall {
     /// tests, benches).
     pub fn to_json_value(&self) -> Json {
         let schema = self.table.schema();
-        let fd_spec: Vec<String> = self
-            .fds
-            .iter()
-            .map(|fd| {
-                format!(
-                    "{} -> {}",
-                    fd.lhs().display(schema),
-                    fd.rhs().display(schema)
-                )
-            })
-            .collect();
         let dict = self.table.dictionary();
         let rows: Vec<Json> = self
             .table
@@ -198,13 +196,77 @@ impl RepairCall {
                         .collect(),
                 ),
             ),
-            ("fds", Json::str(fd_spec.join("; "))),
+            ("fds", Json::str(self.fd_spec())),
             ("rows", Json::Arr(rows)),
             (
                 "request",
                 request_to_json(&self.request, self.include_timings),
             ),
         ])
+    }
+
+    /// The call's canonical form, the form a server verifies cache hits
+    /// against: exactly the text of `to_json_value().to_string()`,
+    /// written straight from the table's columns into bytes, with no
+    /// tree in between.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fd_engine::{JsonLimits, RepairCall};
+    ///
+    /// let body = r#"{"attrs": ["A"], "rows": [[1], {"values": ["x"]}]}"#;
+    /// let call = RepairCall::parse(body, &JsonLimits::UNTRUSTED).unwrap();
+    /// assert_eq!(call.canonical(), call.to_json_value().to_string());
+    /// ```
+    pub fn canonical(&self) -> String {
+        let schema = self.table.schema();
+        let dict = self.table.dictionary();
+        let cols = self.table.sym_cols();
+        let mut out = Out::buffer(512 + self.table.len() * (24 + 8 * cols.len()));
+        let mut obj = ObjWriter::begin(&mut out);
+        write_escaped(obj.key("relation"), schema.relation());
+        write_arr(obj.key("attrs"), schema.attr_names(), |out, a| {
+            write_escaped(out, a)
+        });
+        write_escaped(obj.key("fds"), &self.fd_spec());
+        let rows = self.table.weights().iter().enumerate();
+        write_arr(obj.key("rows"), rows, |out, (pos, &weight)| {
+            out.extend_from_slice(b"{\"weight\":");
+            write_num(out, weight);
+            out.extend_from_slice(b",\"values\":[");
+            for (i, col) in cols.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                write_cell(out, dict, col[pos]);
+            }
+            out.extend_from_slice(b"]}");
+        });
+        obj.field(
+            "request",
+            &request_to_json(&self.request, self.include_timings),
+        );
+        obj.end();
+        let bytes = out.finish().expect("a buffer has no target to fail");
+        String::from_utf8(bytes).expect("the writer emits UTF-8")
+    }
+
+    /// Δ as the `"fds"` spec it travels as: `"A -> B; C -> D"`.
+    fn fd_spec(&self) -> String {
+        let schema = self.table.schema();
+        let fds: Vec<String> = self
+            .fds
+            .iter()
+            .map(|fd| {
+                format!(
+                    "{} -> {}",
+                    fd.lhs().display(schema),
+                    fd.rhs().display(schema)
+                )
+            })
+            .collect();
+        fds.join("; ")
     }
 
     /// Whether identical calls always produce identical responses — the
@@ -245,20 +307,63 @@ impl RepairCall {
     }
 }
 
-/// Builds the interned [`Table`] from a document's `relation` / `attrs`
-/// / `rows` fields (shared by inline calls and stored-table uploads, so
+/// A wire document after its one syntax pass: the text, and where each
+/// top-level member's value starts (`None` when the document is not an
+/// object). Members are read off the text when asked for; of duplicate
+/// keys the first wins, as in [`Json::get`].
+struct Doc<'a> {
+    text: &'a str,
+    members: Option<Members<'a>>,
+}
+
+impl<'a> Doc<'a> {
+    /// Scans `text` whole under `limits`: every syntax, size and depth
+    /// error comes out here, before any semantic one.
+    fn read(text: &'a str, limits: &JsonLimits) -> Result<Doc<'a>, WireError> {
+        Ok(Doc {
+            text,
+            members: scan_members(text, limits)?,
+        })
+    }
+
+    fn keys(&self) -> impl Iterator<Item = &str> {
+        self.members.iter().flatten().map(|(key, _)| key.as_ref())
+    }
+
+    /// A cursor at the value of the first `key` member.
+    fn at(&self, key: &str) -> Option<Reader<'a>> {
+        let members = self.members.as_ref()?;
+        let (_, pos) = members.iter().find(|(k, _)| k == key)?;
+        Some(Reader::at(self.text, *pos))
+    }
+
+    /// The first `key` member as a tree: for the small members (schema,
+    /// request, mutations), never for rows.
+    fn get(&self, key: &str) -> Result<Option<Json>, WireError> {
+        match self.at(key) {
+            None => Ok(None),
+            Some(mut value) => Ok(Some(value.tree()?)),
+        }
+    }
+}
+
+/// Reads the interned [`Table`] from a document's `relation` / `attrs`
+/// / `rows` members (shared by inline calls and stored-table uploads, so
 /// both intern values identically and reports stay byte-compatible).
-fn table_from_doc(doc: &Json) -> Result<Table, WireError> {
-    let relation = match doc.get("relation") {
+/// Rows stream off the text into a [`TableBuilder`], one cell at a
+/// time.
+fn read_table(doc: &Doc<'_>) -> Result<Table, WireError> {
+    let relation = doc.get("relation")?;
+    let relation = match &relation {
         None => "R",
         Some(Json::Str(s)) => s.as_str(),
         Some(_) => return Err(WireError::new("\"relation\" must be a string")),
     };
-    let attrs = match doc.get("attrs") {
+    let attrs = match doc.get("attrs")? {
         Some(Json::Arr(items)) => items
-            .iter()
+            .into_iter()
             .map(|a| match a {
-                Json::Str(s) => Ok(s.clone()),
+                Json::Str(s) => Ok(s),
                 _ => Err(WireError::new("\"attrs\" must be an array of strings")),
             })
             .collect::<Result<Vec<String>, WireError>>()?,
@@ -270,19 +375,23 @@ fn table_from_doc(doc: &Json) -> Result<Table, WireError> {
     };
     let schema =
         Schema::new(relation, attrs).map_err(|e| WireError::new(format!("invalid schema: {e}")))?;
-    let mut table = Table::new(schema);
-    let rows = match doc.get("rows") {
-        Some(Json::Arr(items)) => items,
+    let mut rows = match doc.at("rows") {
+        Some(rows) if rows.peek() == Some(b'[') => rows,
         _ => return Err(WireError::new("missing \"rows\": an array of rows")),
     };
-    for (i, row) in rows.iter().enumerate() {
-        let (weight, values) =
-            parse_row(row).map_err(|e| WireError::new(format!("row {i}: {}", e.message)))?;
+    let mut table = TableBuilder::new(schema.arity());
+    let mut cells = Vec::with_capacity(schema.arity());
+    let mut i = 0;
+    rows.items(|row| {
+        let weight = read_row(row, &mut cells)
+            .map_err(|e| WireError::new(format!("row {i}: {}", e.message)))?;
         table
-            .push(Tuple::new(values), weight)
+            .push_row(cells.iter().map(Scalar::cell), weight)
             .map_err(|e| WireError::new(format!("row {i}: {e}")))?;
-    }
-    Ok(table)
+        i += 1;
+        Ok::<(), WireError>(())
+    })?;
+    Ok(TableBuilder::finish(schema, [table]))
 }
 
 /// Parses a stored-table document — `{relation?, attrs, rows}` and
@@ -290,17 +399,17 @@ fn table_from_doc(doc: &Json) -> Result<Table, WireError> {
 /// knobs travel with each call, never with the stored table, so the
 /// same relation can be repaired under different Δ without re-upload.
 pub fn parse_table_doc(text: &str, limits: &JsonLimits) -> Result<Table, WireError> {
-    let doc = Json::parse_with_limits(text, limits)?;
-    let Json::Obj(_) = doc else {
+    let doc = Doc::read(text, limits)?;
+    if doc.members.is_none() {
         return Err(WireError::new("the table document must be a JSON object"));
-    };
+    }
     check_fields(
         &doc,
         &["relation", "attrs", "rows"],
         &["fds", "request"],
         "does not belong in a stored table; send it with each /repair call",
     )?;
-    table_from_doc(&doc)
+    read_table(&doc)
 }
 
 /// A `/repair` or `/explain` body, which either inlines its table or
@@ -318,9 +427,9 @@ impl ParsedCall {
     /// Parses either call shape under the given limits. A document with
     /// `"table_ref"` must not also carry inline table fields.
     pub fn parse(text: &str, limits: &JsonLimits) -> Result<ParsedCall, WireError> {
-        let doc = Json::parse_with_limits(text, limits)?;
-        if doc.get("table_ref").is_none() {
-            return Ok(ParsedCall::Inline(RepairCall::from_json(&doc)?));
+        let doc = Doc::read(text, limits)?;
+        if doc.at("table_ref").is_none() {
+            return RepairCall::from_doc(&doc).map(ParsedCall::Inline);
         }
         check_fields(
             &doc,
@@ -328,11 +437,11 @@ impl ParsedCall {
             &["relation", "attrs", "rows"],
             "cannot be combined with \"table_ref\"; the stored table already carries the instance",
         )?;
-        let table_ref = match doc.get("table_ref") {
-            Some(Json::Str(s)) if !s.is_empty() => s.clone(),
+        let table_ref = match doc.get("table_ref")? {
+            Some(Json::Str(s)) if !s.is_empty() => s,
             _ => return Err(WireError::new("\"table_ref\" must be a non-empty string")),
         };
-        let fds = fds_spec(&doc)?.map(str::to_string);
+        let fds = fds_spec(&doc)?.map(Cow::into_owned);
         let (request, include_timings) = request_of(&doc)?;
         Ok(ParsedCall::ByRef(RefCall {
             table_ref,
@@ -464,7 +573,7 @@ impl WireMutation {
     /// every other wire parser: unknown ops and unknown fields are
     /// errors, never silent no-ops.
     pub fn from_json(doc: &Json) -> Result<WireMutation, WireError> {
-        let Json::Obj(_) = doc else {
+        let Json::Obj(pairs) = doc else {
             return Err(WireError::new("each mutation must be a JSON object"));
         };
         let op = match doc.get("op") {
@@ -481,7 +590,7 @@ impl WireMutation {
             "set" => &["op", "id", "attr", "value"],
             other => return Err(WireError::new(format!("unknown mutation op {other:?}"))),
         };
-        if let Some(key) = unknown_key(doc, allowed) {
+        if let Some(key) = unknown_key(pairs.iter().map(|(k, _)| k.as_str()), allowed) {
             return Err(WireError::new(format!(
                 "unknown field {key:?} in an {op:?} mutation"
             )));
@@ -636,17 +745,17 @@ impl MutateCall {
     /// `{fds?, request?, mutations}` and nothing else; inline table
     /// fields belong in `PUT /tables/{id}`, not here.
     pub fn parse(text: &str, limits: &JsonLimits) -> Result<MutateCall, WireError> {
-        let doc = Json::parse_with_limits(text, limits)?;
+        let doc = Doc::read(text, limits)?;
         check_fields(
             &doc,
             &["fds", "request", "mutations"],
             &["relation", "attrs", "rows", "table_ref"],
             "does not belong in a mutate call; the URL already names the stored table",
         )?;
-        let fds = fds_spec(&doc)?.map(str::to_string);
+        let fds = fds_spec(&doc)?.map(Cow::into_owned);
         let (request, include_timings) = request_of(&doc)?;
-        let mutations = match doc.get("mutations") {
-            Some(doc) => mutations_from_json(doc)?,
+        let mutations = match doc.get("mutations")? {
+            Some(doc) => mutations_from_json(&doc)?,
             None => return Err(WireError::new("\"mutations\" is required")),
         };
         Ok(MutateCall {
@@ -802,22 +911,74 @@ fn hash_request_knobs(h: &mut Fnv64, request: &RepairRequest) {
     request.seed.hash(h);
 }
 
-/// A row: either a bare array of values, or `{"weight": w, "values":
-/// [...]}` (an `"id"` field, as emitted by report tables, is accepted
-/// and ignored — ids are reassigned on load).
-fn parse_row(row: &Json) -> Result<(f64, Vec<Value>), WireError> {
-    match row {
-        Json::Arr(values) => Ok((1.0, parse_values(values)?)),
-        Json::Obj(_) => {
-            if let Some(key) = unknown_key(row, &["weight", "values", "id"]) {
+/// A row value as read off the wire: a string borrowed from the body
+/// (owned only when it had escapes), or an integer.
+enum Scalar<'a> {
+    Int(i64),
+    Str(Cow<'a, str>),
+}
+
+impl Scalar<'_> {
+    fn cell(&self) -> Cell<'_> {
+        match self {
+            Scalar::Int(i) => Cell::Int(*i),
+            Scalar::Str(s) => Cell::Str(s),
+        }
+    }
+}
+
+/// Reads one row into `cells` and returns its weight. A row is either a
+/// bare array of values (weight 1), or `{"weight": w, "values": [...]}`
+/// (an `"id"` field, as emitted by report tables, is accepted and
+/// ignored — ids are reassigned on load). An object row's errors rank:
+/// an unknown field (the alphabetically first), then the weight, then
+/// the values.
+fn read_row<'a>(row: &mut Reader<'a>, cells: &mut Vec<Scalar<'a>>) -> Result<f64, WireError> {
+    cells.clear();
+    match row.peek() {
+        Some(b'[') => read_values(row, cells).map(|()| 1.0),
+        Some(b'{') => {
+            let mut unknown: Option<Cow<'a, str>> = None;
+            let mut weight = None;
+            let mut values = None;
+            row.members(|key, value| {
+                match key.as_ref() {
+                    "weight" if weight.is_none() => {
+                        weight = Some(if is_number(value.peek()) {
+                            Some(value.number()?)
+                        } else {
+                            value.skip_checked()?;
+                            None
+                        });
+                    }
+                    "values" if values.is_none() => {
+                        values = Some(if value.peek() == Some(b'[') {
+                            read_values(value, cells)
+                        } else {
+                            value.skip_checked()?;
+                            Err(missing_values())
+                        });
+                    }
+                    "weight" | "values" | "id" => value.skip_checked()?,
+                    _ => {
+                        if unknown.as_ref().is_none_or(|first| key < *first) {
+                            unknown = Some(key);
+                        }
+                        value.skip_checked()?;
+                    }
+                }
+                Ok::<(), WireError>(())
+            })?;
+            if let Some(key) = unknown {
                 return Err(WireError::new(format!("unknown row field {key:?}")));
             }
-            let weight = weight_of(row)?;
-            let values = match row.get("values") {
-                Some(Json::Arr(values)) => parse_values(values)?,
-                _ => return Err(WireError::new("missing \"values\" array")),
+            let weight = match weight {
+                None => 1.0,
+                Some(Some(w)) => w,
+                Some(None) => return Err(not_a_weight()),
             };
-            Ok((weight, values))
+            values.unwrap_or_else(|| Err(missing_values()))?;
+            Ok(weight)
         }
         _ => Err(WireError::new(
             "each row must be an array of values or an object with \"values\"",
@@ -825,30 +986,77 @@ fn parse_row(row: &Json) -> Result<(f64, Vec<Value>), WireError> {
     }
 }
 
-/// A row's or an insert's `"weight"`, 1 when absent.
+fn missing_values() -> WireError {
+    WireError::new("missing \"values\" array")
+}
+
+/// Whether a value starting with `first` is a JSON number: in checked
+/// text, whatever is not a literal, a string, an array or an object.
+fn is_number(first: Option<u8>) -> bool {
+    !matches!(first, None | Some(b'n' | b't' | b'f' | b'"' | b'[' | b'{'))
+}
+
+/// Reads a row's values array into `cells`, in order, under
+/// [`parse_value`]'s rule. The array is read whole even past a bad
+/// value; the first bad value's error comes back then.
+fn read_values<'a>(values: &mut Reader<'a>, cells: &mut Vec<Scalar<'a>>) -> Result<(), WireError> {
+    let mut bad = None;
+    values.items(|value| {
+        match value.peek() {
+            _ if bad.is_some() => value.skip_checked()?,
+            Some(b'"') => cells.push(Scalar::Str(value.string()?)),
+            first if is_number(first) => match wire_int(value.number()?) {
+                Ok(i) => cells.push(Scalar::Int(i)),
+                Err(e) => bad = Some(e),
+            },
+            _ => bad = Some(not_a_value(&value.tree()?)),
+        }
+        Ok::<(), WireError>(())
+    })?;
+    bad.map_or(Ok(()), Err)
+}
+
+/// An insert's `"weight"`, 1 when absent.
 fn weight_of(doc: &Json) -> Result<f64, WireError> {
     match doc.get("weight") {
         None => Ok(1.0),
         Some(Json::Num(w)) => Ok(*w),
-        Some(_) => Err(WireError::new("\"weight\" must be a number")),
+        Some(_) => Err(not_a_weight()),
     }
+}
+
+fn not_a_weight() -> WireError {
+    WireError::new("\"weight\" must be a number")
 }
 
 fn parse_values(values: &[Json]) -> Result<Vec<Value>, WireError> {
     values.iter().map(parse_value).collect()
 }
 
+/// The one value rule of every wire shape: strings stay strings, numbers
+/// with integral values become integers, and nothing else is a value.
 fn parse_value(v: &Json) -> Result<Value, WireError> {
     match v {
         Json::Str(s) => Ok(Value::str(s)),
-        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => Ok(Value::Int(*n as i64)),
-        Json::Num(n) => Err(WireError::new(format!(
-            "value {n} is not an integer; send non-integral values as strings"
-        ))),
-        other => Err(WireError::new(format!(
-            "values must be strings or integers, got {other}"
-        ))),
+        Json::Num(n) => wire_int(*n).map(Value::Int),
+        other => Err(not_a_value(other)),
     }
+}
+
+fn wire_int(n: f64) -> Result<i64, WireError> {
+    // Below 9·10¹⁵ the cast truncates exactly, so it round-trips just
+    // when `n` has no fractional part (the rule `write_num` prints by).
+    if n.abs() < 9.0e15 && (n as i64) as f64 == n {
+        Ok(n as i64)
+    } else {
+        Err(WireError::new(format!(
+            "value {n} is not an integer; send non-integral values as strings"
+        )))
+    }
+}
+
+fn not_a_value(other: &Json) -> WireError {
+    WireError::new(format!("values must be strings or integers, got {other}"))
 }
 
 /// The grammar every call shape shares for its top level: the document
@@ -857,15 +1065,15 @@ fn parse_value(v: &Json) -> Result<Value, WireError> {
 /// checked in sorted order, so the first bad key reported is the
 /// alphabetically first.
 fn check_fields(
-    doc: &Json,
+    doc: &Doc<'_>,
     allowed: &[&str],
     misplaced: &[&str],
     why: &str,
 ) -> Result<(), WireError> {
-    let Json::Obj(_) = doc else {
+    if doc.members.is_none() {
         return Err(WireError::new("the document must be a JSON object"));
-    };
-    match unknown_key(doc, allowed) {
+    }
+    match unknown_key(doc.keys(), allowed) {
         Some(key) if misplaced.contains(&key) => Err(WireError::new(format!("{key:?} {why}"))),
         Some(key) => Err(WireError::new(format!("unknown field {key:?}"))),
         None => Ok(()),
@@ -874,15 +1082,15 @@ fn check_fields(
 
 /// The first of an object's keys, in sorted order, that `allowed` does
 /// not list: the one key every strict field check reports.
-fn unknown_key<'a>(doc: &'a Json, allowed: &[&str]) -> Option<&'a str> {
-    doc.to_map()?.into_keys().find(|key| !allowed.contains(key))
+fn unknown_key<'k>(keys: impl Iterator<Item = &'k str>, allowed: &[&str]) -> Option<&'k str> {
+    keys.filter(|key| !allowed.contains(key)).min()
 }
 
 /// A call's `"fds"` spec, unparsed: `None` when absent (the empty Δ).
-fn fds_spec(doc: &Json) -> Result<Option<&str>, WireError> {
-    match doc.get("fds") {
+fn fds_spec<'a>(doc: &Doc<'a>) -> Result<Option<Cow<'a, str>>, WireError> {
+    match doc.at("fds") {
         None => Ok(None),
-        Some(Json::Str(spec)) => Ok(Some(spec)),
+        Some(mut spec) if spec.peek() == Some(b'"') => Ok(Some(spec.string()?)),
         Some(_) => Err(WireError::new(
             "\"fds\" must be a string like \"A -> B; B -> C\"",
         )),
@@ -907,10 +1115,10 @@ fn deterministic(request: &RepairRequest, include_timings: bool) -> bool {
 
 /// A call's `"request"` member and its timing flag; absent, the
 /// defaults of [`RepairRequest::subset`] with live timings.
-fn request_of(doc: &Json) -> Result<(RepairRequest, bool), WireError> {
-    match doc.get("request") {
+fn request_of(doc: &Doc<'_>) -> Result<(RepairRequest, bool), WireError> {
+    match doc.get("request")? {
         None => Ok((RepairRequest::subset(), true)),
-        Some(req) => parse_request(req),
+        Some(req) => parse_request(&req),
     }
 }
 

@@ -18,7 +18,7 @@ use std::fmt::{self, Write};
 #[derive(Clone, Debug)]
 pub struct AccessRecord {
     /// The request id, notion, rows, components, cache outcome and
-    /// solve and serialize times (see [`RequestInfo`]).
+    /// parse, solve and serialize times (see [`RequestInfo`]).
     pub info: RequestInfo,
     /// The HTTP method, or `-` when the request never parsed.
     pub method: String,
@@ -66,7 +66,7 @@ impl AccessRecord {
         format!(
             "{{\"request_id\":{},\"method\":{},\"path\":{},\"status\":{},\"notion\":{},\
              \"rows\":{},\"components\":{},\"cache_hit\":{},\"queued\":{},\
-             \"queue_wait_us\":{},\"solve_us\":{},\"serialize_us\":{}}}",
+             \"queue_wait_us\":{},\"parse_us\":{},\"solve_us\":{},\"serialize_us\":{}}}",
             JsonStr(&info.request_id),
             JsonStr(&self.method),
             JsonStr(&self.path),
@@ -77,6 +77,7 @@ impl AccessRecord {
             OrNull(info.cache_hit),
             self.queue_wait_us.is_some(),
             self.queue_wait_us.unwrap_or(0),
+            info.parse_us,
             info.solve_us,
             info.serialize_us,
         )
@@ -129,6 +130,7 @@ mod tests {
         info.rows = Some(1000);
         info.components = Some(42);
         info.cache_hit = Some(false);
+        info.parse_us = 120;
         info.solve_us = 9000;
         info.serialize_us = 700;
         let record = AccessRecord::new(info, "POST", "/repair?trace=1", 200, Some(15));
@@ -138,7 +140,7 @@ mod tests {
             line,
             "{\"request_id\":\"req-7\",\"method\":\"POST\",\"path\":\"/repair\",\"status\":200,\
              \"notion\":\"s\",\"rows\":1000,\"components\":42,\"cache_hit\":false,\"queued\":true,\
-             \"queue_wait_us\":15,\"solve_us\":9000,\"serialize_us\":700}"
+             \"queue_wait_us\":15,\"parse_us\":120,\"solve_us\":9000,\"serialize_us\":700}"
         );
         let doc = Json::parse(&line).unwrap();
         assert_eq!(doc.get("request_id").unwrap().as_str(), Some("req-7"));
@@ -149,6 +151,7 @@ mod tests {
         assert_eq!(doc.get("cache_hit").unwrap().as_bool(), Some(false));
         assert_eq!(doc.get("queued").unwrap().as_bool(), Some(true));
         assert_eq!(doc.get("queue_wait_us").unwrap().as_num(), Some(15.0));
+        assert_eq!(doc.get("parse_us").unwrap().as_num(), Some(120.0));
         assert_eq!(doc.get("solve_us").unwrap().as_num(), Some(9000.0));
         assert_eq!(doc.get("serialize_us").unwrap().as_num(), Some(700.0));
     }

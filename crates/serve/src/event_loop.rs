@@ -31,8 +31,9 @@
 
 use crate::http::{self, HttpError, Outgoing, Request, RequestParser, Response};
 use crate::pool::WorkerPool;
+use crate::router::{self, Prepared};
 use crate::shutdown::shutdown_requested;
-use crate::{router, AccessRecord, RequestInfo, Shared};
+use crate::{AccessRecord, RequestInfo, Shared};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,11 +82,13 @@ impl Token {
     }
 }
 
-/// One queued unit of work: a fully-read request plus the instants the
-/// access log needs (accept → total latency, submit → queue wait).
+/// One queued unit of work: a fully-read request, the call the fast
+/// path already parsed from it (if it did), and the instants the access
+/// log needs (accept → total latency, submit → queue wait).
 pub(crate) struct Job {
     token: Token,
     request: Request,
+    prepared: Option<Box<Prepared>>,
     accepted: Instant,
     submitted: Instant,
 }
@@ -1002,11 +1005,15 @@ fn dispatch(
     // Cheap requests — healthz, clean cache hits on small bodies —
     // answer straight from the IO thread: no queue slot, no worker
     // hand-off, and liveness stays answerable under a saturated queue.
-    if let Some(answer) = router::fast_path(shared, &request) {
-        let out = answered(shared, conn.accepted, Some(&request), answer, None);
-        conn.start_writing(out, io_timeout);
-        return;
-    }
+    // A body the probe parsed but could not answer travels with the job.
+    let prepared = match router::fast_path(shared, &request) {
+        Ok(answer) => {
+            let out = answered(shared, conn.accepted, Some(&request), answer, None);
+            conn.start_writing(out, io_timeout);
+            return;
+        }
+        Err(prepared) => prepared,
+    };
     // Gauge before queue: the worker's matching `queue_exit` can run
     // the instant `try_submit` succeeds, and decrementing a gauge that
     // was never incremented would wrap it to 2^64. On refusal the
@@ -1015,6 +1022,7 @@ fn dispatch(
     let job = Job {
         token: conn.token,
         request,
+        prepared,
         accepted: conn.accepted,
         submitted: Instant::now(),
     };
@@ -1064,7 +1072,10 @@ fn handle_job(shared: &Shared, completions: &Completions, job: Job) {
     shared.metrics.queue_exit();
     let queue_wait_us = job.submitted.elapsed().as_micros() as u64;
     let request = job.request;
-    let answer = match catch_unwind(AssertUnwindSafe(|| router::handle(shared, &request))) {
+    let prepared = job.prepared;
+    let answer = match catch_unwind(AssertUnwindSafe(|| {
+        router::handle(shared, &request, prepared)
+    })) {
         Ok(answer) => answer,
         Err(_) => {
             shared.metrics.observe_panic();

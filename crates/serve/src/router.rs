@@ -69,6 +69,11 @@ pub struct RequestInfo {
     /// Time spent writing the report's bytes, µs: set on `/repair`
     /// misses and on `/mutate`, 0 on cache hits and errors.
     pub serialize_us: u64,
+    /// Time spent parsing the request body, µs: set on `/repair`,
+    /// `/explain`, PUT and mutate, wherever the one parse ran (the IO
+    /// thread's, for a fast-path miss handed to a worker); 0 when a
+    /// memoized probe answered without parsing.
+    pub parse_us: u64,
 }
 
 impl RequestInfo {
@@ -84,14 +89,21 @@ impl RequestInfo {
             cache_hit: None,
             solve_us: 0,
             serialize_us: 0,
+            parse_us: 0,
         }
     }
 }
 
 /// Dispatches one parsed request to its endpoint. Every response
 /// carries an `X-Request-Id` header: the client's own (when it sent a
-/// well-formed one) or a generated `req-<n>`.
-pub fn handle(shared: &Shared, request: &Request) -> (Response, RequestInfo) {
+/// well-formed one) or a generated `req-<n>`. A `/repair` or `/explain`
+/// call the fast path already took as far as it could comes `prepared`,
+/// and is not parsed again.
+pub(crate) fn handle(
+    shared: &Shared,
+    request: &Request,
+    prepared: Option<Box<Prepared>>,
+) -> (Response, RequestInfo) {
     let (path, query) = match request.path.split_once('?') {
         Some((path, query)) => (path, Some(query)),
         None => (request.path.as_str(), None),
@@ -109,11 +121,25 @@ pub fn handle(shared: &Shared, request: &Request) -> (Response, RequestInfo) {
         }
         ("POST", "/repair") => {
             info.endpoint = "repair";
-            repair(shared, request, Endpoint::Repair, trace, &mut info)
+            repair(
+                shared,
+                request,
+                Endpoint::Repair,
+                trace,
+                prepared,
+                &mut info,
+            )
         }
         ("POST", "/explain") => {
             info.endpoint = "explain";
-            repair(shared, request, Endpoint::Explain, trace, &mut info)
+            repair(
+                shared,
+                request,
+                Endpoint::Explain,
+                trace,
+                prepared,
+                &mut info,
+            )
         }
         (_, p) if p == "/tables" || p.starts_with("/tables/") => {
             info.endpoint = "tables";
@@ -159,26 +185,29 @@ pub(crate) struct ProbeMemo {
 /// provably cheap: `GET /healthz` (so liveness stays answerable even
 /// with the worker queue saturated) and clean result-cache hits for
 /// small, untraced `/repair`/`/explain` bodies. Everything else — cache
-/// misses included — returns `None` and takes the queue; a missed
-/// probe's parse work is redone by the worker, bounded by
-/// [`FAST_PATH_MAX_BODY`]. Repeat probes for byte-identical inline
-/// bodies skip even that parse via [`ProbeMemo`].
+/// misses included — comes back as `Err` and takes the queue, with the
+/// body's [`Prepared`] call when the probe parsed it, so the worker
+/// never parses a body twice. Repeat probes for byte-identical inline
+/// bodies skip even the parse via [`ProbeMemo`].
 ///
 /// The slot probed is the one [`resolve`] derives for the worker, so
 /// responses and metrics are byte-for-byte what [`handle`] would have
 /// produced for the same request; only the thread differs.
-pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response, RequestInfo)> {
+pub(crate) fn fast_path(
+    shared: &Shared,
+    request: &Request,
+) -> Result<(Response, RequestInfo), Option<Box<Prepared>>> {
     if request.path.contains('?') {
-        return None; // `?trace=1` needs a collector; take the full path
+        return Err(None); // `?trace=1` needs a collector; take the full path
     }
     let endpoint = match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => return Some(handle(shared, request)),
+        ("GET", "/healthz") => return Ok(handle(shared, request, None)),
         ("POST", "/repair") => Endpoint::Repair,
         ("POST", "/explain") => Endpoint::Explain,
-        _ => return None,
+        _ => return Err(None),
     };
     if request.body.len() > FAST_PATH_MAX_BODY || shared.config.cache_entries == 0 {
-        return None; // with caching off a probe can never hit: skip the parse
+        return Err(None); // with caching off a probe can never hit: skip the parse
     }
     // Byte-identical repeat of a memoized inline body: straight to the
     // cache probe, no parse.
@@ -192,17 +221,17 @@ pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response,
         .ok()
         .and_then(|mut memos| memos.get(body_hash))
         .filter(|memo| memo.body.as_ref() == request.body.as_slice());
-    let (slot, notion, rows) = match memo {
-        Some(memo) => (memo.slot, memo.notion, memo.rows),
+    let (slot, notion, rows, prepared) = match memo {
+        Some(memo) => (memo.slot, memo.notion, memo.rows, None),
         None => {
-            let (text, limits) = body_text(shared, request).ok()?;
-            let call = ParsedCall::parse(text, &limits).ok()?;
-            if !call.cacheable() {
-                return None;
-            }
-            let call = resolve(shared, request, endpoint, call).ok()?;
-            let (slot, notion, rows) =
-                (call.slot?, call.request.notion, call.instance.table().len());
+            let prepared = Box::new(prepare(shared, request, endpoint));
+            let Ok(call) = &prepared.call else {
+                return Err(Some(prepared));
+            };
+            let Some(slot) = call.slot.clone() else {
+                return Err(Some(prepared));
+            };
+            let (notion, rows) = (call.request.notion, call.instance.table().len());
             if let (Instance::Inline(_), Ok(mut memos)) = (&call.instance, shared.probe_memo.lock())
             {
                 let body = Arc::from(request.body.as_slice());
@@ -217,20 +246,23 @@ pub(crate) fn fast_path(shared: &Shared, request: &Request) -> Option<(Response,
                     },
                 );
             }
-            (slot, notion, rows)
+            (slot, notion, rows, Some(prepared))
         }
     };
-    let body = probe_cache(shared, slot.key, &slot.canonical)?;
+    let Some(body) = probe_cache(shared, slot.key, &slot.canonical) else {
+        return Err(prepared);
+    };
     let mut info = RequestInfo::new(request_id_for(shared, request));
     info.endpoint = endpoint.name();
     info.notion = Some(notion);
     info.rows = Some(rows);
     info.cache_hit = Some(true);
+    info.parse_us = prepared.map_or(0, |prepared| prepared.parse_us);
     shared.metrics.observe_notion(notion);
     shared.metrics.observe_cache(true);
     let response = ok_response(shared, body, "hit", None, &info)
         .with_header("X-Request-Id", info.request_id.clone());
-    Some((response, info))
+    Ok((response, info))
 }
 
 /// The client's `X-Request-Id` when it is printable and short enough to
@@ -296,10 +328,7 @@ enum Keyed<'a> {
 fn slot(endpoint: Endpoint, keyed: Keyed<'_>) -> Slot {
     let name = endpoint.name();
     let (key, canonical) = match keyed {
-        Keyed::Inline(call) => (
-            call.cache_key(),
-            format!("{name}\n{}", call.to_json_value()),
-        ),
+        Keyed::Inline(call) => (call.cache_key(), format!("{name}\n{}", call.canonical())),
         Keyed::Stored(call, fingerprint, fds, schema) => (
             call.cache_key(fingerprint, fds, schema),
             format!("{name}\n{}", call.canonical(fingerprint, fds, schema)),
@@ -341,8 +370,8 @@ fn clamp_time_cap(shared: &Shared, request: &mut RepairRequest) {
 }
 
 /// `/repair` and `/explain` share everything up to the engine call:
-/// bounded parsing, [`resolve`], the result cache, and single-flight
-/// coalescing.
+/// [`prepare`] (bounded parsing and [`resolve`]), the result cache, and
+/// single-flight coalescing.
 ///
 /// With `trace` set, a per-request collector observes the solve and the
 /// 200 response becomes `{"request_id","trace","report"}` where
@@ -354,28 +383,61 @@ fn repair(
     request: &Request,
     endpoint: Endpoint,
     trace: bool,
+    prepared: Option<Box<Prepared>>,
     info: &mut RequestInfo,
 ) -> Response {
     let collector = trace.then(fd_trace::Collector::default);
     let _trace_guard = collector.as_ref().map(fd_trace::Collector::install);
-    let call = match parse_body(shared, request, ParsedCall::parse) {
-        Ok(call) => call,
-        Err(response) => return response,
-    };
-    let notion = call.request().notion;
-    shared.metrics.observe_notion(notion);
-    info.notion = Some(notion);
-    match resolve(shared, request, endpoint, call) {
+    let prepared = prepared.map_or_else(|| prepare(shared, request, endpoint), |p| *p);
+    info.parse_us = prepared.parse_us;
+    if let Some(notion) = prepared.notion {
+        shared.metrics.observe_notion(notion);
+        info.notion = Some(notion);
+    }
+    match prepared.call {
         Ok(call) => {
             info.rows = Some(call.instance.table().len());
             solve_and_respond(shared, &call, collector, info)
         }
-        Err(Refused::Tenant(response)) => response,
+        Err(Refused::Body(response) | Refused::Tenant(response)) => response,
         Err(Refused::UnknownRef) => store_error_response(&StoreError::NotFound),
         Err(Refused::Fds { rows, error }) => {
             info.rows = Some(rows);
             Response::error(400, &error.message)
         }
+    }
+}
+
+/// A `/repair` or `/explain` body taken as far as the server goes
+/// before solving: parsed once, then resolved, or refused. The fast
+/// path hands a call it prepared but could not answer to the worker in
+/// this form.
+pub(crate) struct Prepared {
+    /// How long the body's parse took, µs.
+    parse_us: u64,
+    /// The call's notion, once the body parsed.
+    notion: Option<Notion>,
+    call: Result<Resolved, Refused>,
+}
+
+/// Parses a `/repair` or `/explain` body and [`resolve`]s the call.
+fn prepare(shared: &Shared, request: &Request, endpoint: Endpoint) -> Prepared {
+    let mut parse_us = 0;
+    let rows = |call: &ParsedCall| match call {
+        ParsedCall::Inline(call) => call.table.len(),
+        ParsedCall::ByRef(_) => 0,
+    };
+    let (notion, call) = match parse_body(shared, request, &mut parse_us, ParsedCall::parse, rows) {
+        Ok(call) => (
+            Some(call.request().notion),
+            resolve(shared, request, endpoint, call),
+        ),
+        Err(response) => (None, Err(Refused::Body(response))),
+    };
+    Prepared {
+        parse_us,
+        notion,
+        call,
     }
 }
 
@@ -407,10 +469,12 @@ impl Instance {
     }
 }
 
-/// Why a by-ref call has nothing to run against: a bad `X-Tenant`
-/// header (with its 400), no table under the ref, or a Δ that does not
-/// parse against the stored schema. Only the worker renders the 4xx.
+/// Why a call has nothing to run against: a body that does not parse
+/// (with its 400), or, for a by-ref call, a bad `X-Tenant` header (with
+/// its 400), no table under the ref, or a Δ that does not parse against
+/// the stored schema. Only the worker answers these.
 enum Refused {
+    Body(Response),
     Tenant(Response),
     UnknownRef,
     Fds { rows: usize, error: WireError },
@@ -719,15 +783,30 @@ fn body_text<'r>(shared: &Shared, request: &'r Request) -> Result<(&'r str, Json
     }
 }
 
-/// The body parsed by one of the wire parsers, or the 400 answering a
-/// body that [`body_text`] or `parse` refuses.
+/// The one parse site of every endpoint that takes a JSON body: the
+/// body parsed by `parse`, or the 400 answering a body that
+/// [`body_text`] or `parse` refuses. Opens the `wire/parse` span (with
+/// the body's `bytes` and, once parsed, its `rows`) and records the
+/// parse's time in `parse_us`.
 fn parse_body<T>(
     shared: &Shared,
     request: &Request,
+    parse_us: &mut u64,
     parse: fn(&str, &JsonLimits) -> Result<T, WireError>,
+    rows: fn(&T) -> usize,
 ) -> Result<T, Response> {
-    let (text, limits) = body_text(shared, request)?;
-    parse(text, &limits).map_err(|e| Response::error(400, &e.message))
+    let start = Instant::now();
+    let mut span = fd_trace::span("wire/parse");
+    span.attr("bytes", request.body.len());
+    let parsed = body_text(shared, request).and_then(|(text, limits)| {
+        parse(text, &limits).map_err(|e| Response::error(400, &e.message))
+    });
+    if let Ok(parsed) = &parsed {
+        span.attr("rows", rows(parsed));
+    }
+    drop(span);
+    *parse_us = start.elapsed().as_micros() as u64;
+    parsed
 }
 
 /// Charset shared by request ids, tenant names and table ids: 1–64
@@ -798,7 +877,13 @@ fn put_table(
 ) -> Response {
     let collector = trace.then(fd_trace::Collector::default);
     let _trace_guard = collector.as_ref().map(fd_trace::Collector::install);
-    let table = match parse_body(shared, request, parse_table_doc) {
+    let table = match parse_body(
+        shared,
+        request,
+        &mut info.parse_us,
+        parse_table_doc,
+        Table::len,
+    ) {
         Ok(table) => table,
         Err(response) => return response,
     };
@@ -888,7 +973,14 @@ fn mutate_table(
 ) -> Response {
     let collector = trace.then(fd_trace::Collector::default);
     let _trace_guard = collector.as_ref().map(fd_trace::Collector::install);
-    let mut call = match parse_body(shared, request, MutateCall::parse) {
+    let parsed = parse_body(
+        shared,
+        request,
+        &mut info.parse_us,
+        MutateCall::parse,
+        |_| 0,
+    );
+    let mut call = match parsed {
         Ok(call) => call,
         Err(response) => return response,
     };
@@ -1108,7 +1200,7 @@ mod tests {
                 .collect(),
             body: body.as_bytes().to_vec(),
         };
-        handle(shared, &request)
+        handle(shared, &request, None)
     }
 
     fn post(shared: &Shared, path: &str, body: &str) -> Response {
@@ -1122,7 +1214,7 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        handle(shared, &request).0
+        handle(shared, &request, None).0
     }
 
     fn text_of(response: &Response) -> String {
@@ -1392,7 +1484,7 @@ mod tests {
                 .collect(),
             body: body.as_bytes().to_vec(),
         };
-        handle(shared, &request)
+        handle(shared, &request, None)
     }
 
     fn kind_of(response: &Response) -> Option<String> {
@@ -2048,7 +2140,9 @@ mod tests {
             headers: Vec::new(),
             body: T_READ.as_bytes().to_vec(),
         };
-        let (fast, _) = fast_path(&shared, &probe).expect("a published entry is a clean hit");
+        let (fast, _) = fast_path(&shared, &probe)
+            .ok()
+            .expect("a published entry is a clean hit");
         assert_eq!(text_of(&fast), last);
         cacheable += 1;
 
@@ -2417,14 +2511,14 @@ mod tests {
             ("/repair", clamped.as_str()),
         ];
         for (path, body) in calls {
-            let (first, _) = handle(&shared, &request("POST", path, body));
+            let (first, _) = handle(&shared, &request("POST", path, body), None);
             assert_eq!(first.status, 200, "{path} {}", text_of(&first));
-            let (hit, hit_info) = handle(&shared, &request("POST", path, body));
+            let (hit, hit_info) = handle(&shared, &request("POST", path, body), None);
             assert_eq!(header(&hit, "X-Fd-Cache"), Some("hit"), "{path}");
             // Twice: the first probe parses, the second replays its memo.
             for round in 0..2 {
                 let (fast, info) = fast_path(&shared, &request("POST", path, body))
-                    .unwrap_or_else(|| panic!("{path} round {round}: a clean hit"));
+                    .unwrap_or_else(|_| panic!("{path} round {round}: a clean hit"));
                 assert_eq!(fast.status, hit.status, "{path}");
                 assert_eq!(fast.body_bytes(), hit.body_bytes(), "{path}");
                 assert_eq!(header(&fast, "X-Fd-Cache"), Some("hit"), "{path}");
@@ -2440,10 +2534,10 @@ mod tests {
     fn the_fast_path_declines_what_it_cannot_serve_cleanly() {
         let shared = shared();
         let declines = |shared: &Shared, path: &str, body: &str| {
-            let _ = handle(shared, &request("POST", path, body));
-            let _ = handle(shared, &request("POST", path, body));
+            let _ = handle(shared, &request("POST", path, body), None);
+            let _ = handle(shared, &request("POST", path, body), None);
             assert!(
-                fast_path(shared, &request("POST", path, body)).is_none(),
+                fast_path(shared, &request("POST", path, body)).is_err(),
                 "{path} {body:.60}"
             );
         };
@@ -2471,6 +2565,58 @@ mod tests {
             ..ServeConfig::default()
         });
         declines(&off, "/repair", OFFICE);
+    }
+
+    #[test]
+    fn a_fast_path_miss_is_parsed_once_and_logs_its_parse_time() {
+        let shared = shared();
+        let rows: Vec<String> = (0..300).map(|i| format!("[{i}, {}]", i % 7)).collect();
+        let body = format!(
+            r#"{{"attrs": ["A", "B"], "fds": "A -> B", "rows": [{}],
+                 "request": {{"include_timings": false}}}}"#,
+            rows.join(", ")
+        );
+        assert!(body.len() <= FAST_PATH_MAX_BODY);
+        let collector = fd_trace::Collector::default();
+        let _guard = collector.install();
+        let parses = || {
+            let events = collector.events().into_iter();
+            events
+                .filter(|e| e.name == "wire/parse")
+                .collect::<Vec<_>>()
+        };
+        let miss = request("POST", "/repair", &body);
+        let Err(Some(prepared)) = fast_path(&shared, &miss) else {
+            panic!("a cold cache misses, and the probe hands its call over");
+        };
+        let (response, info) = handle(&shared, &miss, Some(prepared));
+        assert_eq!(response.status, 200, "{}", text_of(&response));
+        assert_eq!(info.cache_hit, Some(false));
+        assert!(info.parse_us > 0, "the probe's parse time is logged");
+        let spans = parses();
+        assert_eq!(spans.len(), 1, "the worker must not parse again");
+        assert_eq!(
+            spans[0].args,
+            [
+                ("bytes", fd_trace::AttrValue::U64(body.len() as u64)),
+                ("rows", fd_trace::AttrValue::U64(300)),
+            ]
+        );
+        // The repeat is a memoized hit: no parse at all.
+        let (hit, info) = fast_path(&shared, &miss).ok().expect("a clean hit");
+        assert_eq!(header(&hit, "X-Fd-Cache"), Some("hit"));
+        assert_eq!(info.parse_us, 0);
+        assert_eq!(parses().len(), 1);
+        // A body the probe does not take parses once, on the worker,
+        // inside the request's own trace.
+        let traced = request("POST", "/explain?trace=1", &body);
+        assert!(matches!(fast_path(&shared, &traced), Err(None)));
+        let (response, info) = handle(&shared, &traced, None);
+        assert_eq!(response.status, 200);
+        assert!(info.parse_us > 0);
+        let text = text_of(&response);
+        assert_eq!(text.matches("\"name\":\"wire/parse\"").count(), 1, "{text}");
+        assert_eq!(parses().len(), 1);
     }
 
     #[test]

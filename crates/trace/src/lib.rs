@@ -136,13 +136,25 @@ pub struct Event {
     pub args: Vec<(&'static str, AttrValue)>,
 }
 
-/// The ring of recorded events plus the next logical-thread id.
+/// The ring of recorded events, the per-name totals of every span ever
+/// recorded, and the next logical-thread id.
 struct State {
     /// Ring storage; once `events.len() == capacity`, `head` marks the
     /// oldest slot and new events overwrite it.
     events: Vec<Event>,
     head: usize,
+    /// Count, total µs and max µs per span name, in first-seen order:
+    /// kept beside the ring, so spans it overwrote still count.
+    totals: Vec<SpanTotal>,
     next_tid: u32,
+}
+
+/// One span name's aggregate in [`Collector::summary`].
+struct SpanTotal {
+    name: &'static str,
+    count: u64,
+    total_us: u64,
+    max_us: u64,
 }
 
 struct Inner {
@@ -184,6 +196,7 @@ impl Collector {
                 state: Mutex::new(State {
                     events: Vec::new(),
                     head: 0,
+                    totals: Vec::new(),
                     next_tid: 0,
                 }),
                 dropped: AtomicU64::new(0),
@@ -226,6 +239,22 @@ impl Collector {
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
+        if event.kind == EventKind::Complete {
+            let (name, dur_us) = (event.name, event.dur_us);
+            match state.totals.iter_mut().find(|t| t.name == name) {
+                Some(t) => {
+                    t.count += 1;
+                    t.total_us += dur_us;
+                    t.max_us = t.max_us.max(dur_us);
+                }
+                None => state.totals.push(SpanTotal {
+                    name,
+                    count: 1,
+                    total_us: dur_us,
+                    max_us: dur_us,
+                }),
+            }
+        }
         if state.events.len() < self.inner.capacity {
             state.events.push(event);
         } else {
@@ -318,23 +347,18 @@ impl Collector {
 
     /// A compact per-span-name aggregation: count, total µs, max µs,
     /// ordered by total time descending. Meant for terminals, not
-    /// machines.
+    /// machines. It counts every span recorded, those the ring has
+    /// since overwritten included.
     pub fn summary(&self) -> String {
-        let events = self.events();
-        let mut agg: Vec<(&'static str, u64, u64, u64)> = Vec::new();
-        for e in &events {
-            if e.kind != EventKind::Complete {
-                continue;
-            }
-            match agg.iter_mut().find(|(name, ..)| *name == e.name) {
-                Some((_, count, total, max)) => {
-                    *count += 1;
-                    *total += e.dur_us;
-                    *max = (*max).max(e.dur_us);
-                }
-                None => agg.push((e.name, 1, e.dur_us, e.dur_us)),
-            }
-        }
+        let mut agg: Vec<(&'static str, u64, u64, u64)> = self.inner.state.lock().map_or_else(
+            |_| Vec::new(),
+            |state| {
+                let totals = state.totals.iter();
+                totals
+                    .map(|t| (t.name, t.count, t.total_us, t.max_us))
+                    .collect()
+            },
+        );
         agg.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
         let mut out = String::new();
         let _ = writeln!(
@@ -679,6 +703,31 @@ mod tests {
         assert!(summary
             .lines()
             .any(|l| l.split_whitespace().next() == Some("b")));
+    }
+
+    #[test]
+    fn summary_counts_spans_the_ring_overwrote() {
+        let collector = Collector::with_capacity(8);
+        {
+            let _guard = collector.install();
+            for i in 0..100 {
+                drop(span(if i % 4 == 0 { "rare" } else { "common" }));
+            }
+            event("instants/are/not/spans");
+        }
+        assert_eq!(collector.len(), 8);
+        assert_eq!(collector.dropped(), 93);
+        let summary = collector.summary();
+        let count = |name: &str| {
+            let line = summary
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name));
+            line.and_then(|l| l.split_whitespace().nth(1)?.parse::<u64>().ok())
+        };
+        assert_eq!(count("common"), Some(75), "{summary}");
+        assert_eq!(count("rare"), Some(25), "{summary}");
+        assert_eq!(count("instants/are/not/spans"), None, "{summary}");
+        assert!(summary.contains("(93 event(s) dropped"), "{summary}");
     }
 
     #[test]
