@@ -84,6 +84,12 @@
 //! streamed into symbol columns. Its `1000000/100000` median ratio must
 //! stay under 15 too (asserted beside the `.fdr` one).
 //!
+//! `engine/fingerprint/<n>` (100k and 1M rows) times
+//! [`fd_engine::table_fingerprint`] of the tractable table: the
+//! content hash every `PUT` and every mutate compute over the whole
+//! table. Its `1000000/100000` median ratio must stay under 15
+//! (asserted by a test in `bench_guard`), so the hash stays linear.
+//!
 //! Then `update/tractable/<n>` (100k and 1M rows) runs
 //! `repair --notion u` through the engine on the tractable workload:
 //! Corollary 4.6's sharded subset solve, its deleted tuples retagged as
@@ -96,7 +102,8 @@ use fd_core::{
     table_from_csv_reader, table_to_csv, AttrId, CsvOptions, KeyExtractor, Table, Value,
 };
 use fd_engine::{
-    parse_table_doc, IncrementalSession, Json, JsonLimits, Planner, RepairEngine, RepairRequest,
+    parse_table_doc, table_fingerprint, IncrementalSession, Json, JsonLimits, Planner,
+    RepairEngine, RepairRequest,
 };
 use fd_gen::scale::{hard_scale, marriage_scale, tractable_scale};
 use fd_repairs::instance::Instance;
@@ -430,6 +437,18 @@ fn write_summary() {
             format!("ingest/json/{n}"),
             median_us(reps(n), || {
                 black_box(parse_table_doc(&doc, &limits).unwrap());
+            }),
+        );
+    }
+    // The content fingerprint a `PUT` and every mutate compute over the
+    // whole table: ids, weight bits and symbol columns, 8 bytes at a
+    // time.
+    for n in [100_000usize, 1_000_000] {
+        let (_, _, table) = tractable_scale(n, false, 42);
+        push(
+            format!("engine/fingerprint/{n}"),
+            median_us(2 * reps(n) + 1, || {
+                black_box(table_fingerprint(&table));
             }),
         );
     }

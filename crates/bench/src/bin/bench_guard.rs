@@ -346,6 +346,21 @@ mod tests {
         );
     }
 
+    /// `engine/fingerprint` hashes every id, weight and cell once, so
+    /// ten times the rows cost about ten times the time. A hash that
+    /// rescans, or sorts, or probes a map per row fails here.
+    #[test]
+    fn committed_seed_keeps_the_fingerprint_linear() {
+        let small = median("engine/fingerprint/100000");
+        let large = median("engine/fingerprint/1000000");
+        assert!(
+            small > 0.0 && large / small < 15.0,
+            "engine/fingerprint/1000000 ({large} µs) must stay under 15× \
+             engine/fingerprint/100000 ({small} µs); got {:.1}×",
+            large / small
+        );
+    }
+
     #[test]
     fn time_and_bytes_fail_when_the_number_grows() {
         assert!(Unit::TimeUs.regression_ratio(100.0, 300.0) > 2.0);

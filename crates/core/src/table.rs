@@ -298,6 +298,11 @@ impl Table {
         self.ids.iter().copied()
     }
 
+    /// The identifier column, row positions aligned.
+    pub fn id_col(&self) -> &[TupleId] {
+        &self.ids
+    }
+
     /// Decodes the value of one cell of the row with identifier `id`.
     pub fn value(&self, id: TupleId, attr: AttrId) -> Result<Value> {
         let pos = self.pos_of(id).ok_or(Error::UnknownTupleId { id: id.0 })? as usize;

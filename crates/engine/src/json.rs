@@ -534,10 +534,10 @@ pub(crate) struct Out<'a> {
 }
 
 impl<'a> Out<'a> {
-    /// A document written whole into one buffer of `capacity` bytes.
-    pub(crate) fn buffer(capacity: usize) -> Out<'a> {
+    /// A document written whole into `buf`, after its current bytes.
+    pub(crate) fn buffer(buf: Vec<u8>) -> Out<'a> {
         Out {
-            buf: Vec::with_capacity(capacity),
+            buf,
             target: None,
             drained: 0,
             error: None,
@@ -549,7 +549,7 @@ impl<'a> Out<'a> {
     pub(crate) fn streaming(target: &'a mut Target<'a>, capacity: usize) -> Out<'a> {
         Out {
             target: Some(target),
-            ..Out::buffer(capacity)
+            ..Out::buffer(Vec::with_capacity(capacity))
         }
     }
 

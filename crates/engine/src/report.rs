@@ -680,7 +680,18 @@ impl RepairReport {
     /// straight into the returned buffer, sized by
     /// [`RepairReport::json_size_hint`].
     pub fn to_json_bytes(&self) -> Vec<u8> {
-        self.serialize(Out::buffer(self.json_size_hint()))
+        self.to_json_bytes_in(Vec::new())
+    }
+
+    /// [`RepairReport::to_json_bytes`] written into `buf`, which is
+    /// cleared first: the returned buffer holds exactly the same bytes
+    /// whatever `buf` held. A server that recycles a retired report's
+    /// buffer this way writes into pages already mapped, instead of
+    /// faulting a fresh allocation in for every large report.
+    pub fn to_json_bytes_in(&self, mut buf: Vec<u8>) -> Vec<u8> {
+        buf.clear();
+        buf.reserve(self.json_size_hint());
+        self.serialize(Out::buffer(buf))
             .expect("a buffer has no target to fail")
     }
 
@@ -873,6 +884,32 @@ mod tests {
             "a last chunk of {}",
             last.len()
         );
+    }
+
+    #[test]
+    fn a_reused_buffer_holding_junk_writes_the_same_bytes() {
+        use crate::{Planner, RepairEngine, RepairRequest};
+        let s = schema_rabc();
+        let fds = FdSet::parse(&s, "A -> B").unwrap();
+        let rows = (0..300i64).map(|i| (tup![i / 3, i % 2, i % 5], [0.5, 0.9][i as usize % 2]));
+        let table = Table::build(s, rows).unwrap();
+        for request in [
+            RepairRequest::subset(),
+            RepairRequest::update(),
+            RepairRequest::mpd(),
+        ] {
+            let report = Planner.run(&table, &fds, &request).unwrap();
+            let expected = report.to_json_bytes();
+            // Junk longer and shorter than the document, and a buffer
+            // with spare capacity past its junk.
+            for junk in [vec![b'x'; expected.len() * 2], vec![b'{'; 7], {
+                let mut v = Vec::with_capacity(expected.len() * 3);
+                v.extend_from_slice(b"]]]");
+                v
+            }] {
+                assert_eq!(report.to_json_bytes_in(junk), expected, "{request:?}");
+            }
+        }
     }
 
     #[test]

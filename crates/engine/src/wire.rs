@@ -223,7 +223,9 @@ impl RepairCall {
         let schema = self.table.schema();
         let dict = self.table.dictionary();
         let cols = self.table.sym_cols();
-        let mut out = Out::buffer(512 + self.table.len() * (24 + 8 * cols.len()));
+        let mut out = Out::buffer(Vec::with_capacity(
+            512 + self.table.len() * (24 + 8 * cols.len()),
+        ));
         let mut obj = ObjWriter::begin(&mut out);
         write_escaped(obj.key("relation"), schema.relation());
         write_arr(obj.key("attrs"), schema.attr_names(), |out, a| {
@@ -809,7 +811,10 @@ impl MutateCall {
 }
 
 /// 64-bit FNV-1a — a small, deterministic, dependency-free hasher for
-/// cache keys. Not cryptographic; collisions only cost a cache miss
+/// cache keys and for the framing of [`table_fingerprint`] (schema,
+/// dictionary pools, row count); the rows themselves go through a
+/// word-at-a-time hash instead. Byte at a time, so it suits short
+/// inputs only. Not cryptographic; collisions only cost a cache miss
 /// being served a wrong entry, so the full (instance, Δ, knobs) state is
 /// fed in with length/tag framing to keep accidental collisions
 /// implausible.
@@ -852,12 +857,24 @@ pub fn cache_key(table: &Table, fds: &FdSet, request: &RepairRequest) -> u64 {
     h.finish()
 }
 
-/// A deterministic 64-bit digest of one table: schema, dictionary
-/// pools, row ids/weights, and every cell in symbol space. This is the
-/// instance half of [`cache_key`], split out so a server storing tables
-/// at rest can hash each table **once** at `PUT` time and key every
-/// later by-reference call in O(request) instead of O(rows).
+/// A deterministic 64-bit digest of one table's content: schema,
+/// dictionary pools, row ids, weight bit patterns, and every cell in
+/// symbol space. It depends on nothing else — no per-process seed — so
+/// the same table hashes the same in every process and run. This is
+/// the instance half of [`cache_key`], split out so a server storing
+/// tables at rest can hash each table **once** at `PUT` time and key
+/// every later by-reference call in O(request) instead of O(rows).
+///
+/// The framing (schema, pools, row count) goes through [`Fnv64`]; the
+/// rows, the bulk of the work, are hashed 8 bytes at a time in four
+/// independent multiply lanes, and their digest closes the framing.
+/// The values are stable across processes, not across versions that
+/// change the hash: a test pins the Figure-1 office table's value, so
+/// any such change is deliberate and shows in the docs.
 pub fn table_fingerprint(table: &Table) -> u64 {
+    // fdlint: allow(O001, "observation only: the span records the row count; the digest is computed from the table alone")
+    let mut sp = fd_trace::span("engine/fingerprint");
+    sp.attr("rows", table.len());
     let mut h = Fnv64::new();
     let schema = table.schema();
     schema.relation().hash(&mut h);
@@ -867,16 +884,86 @@ pub fn table_fingerprint(table: &Table) -> u64 {
     // no per-row value decoding or string traversal.
     table.dictionary().hash_pools(&mut h);
     h.write_usize(table.len());
-    for (id, w) in table.ids().zip(table.weights()) {
-        h.write_u32(id.0);
-        h.write_u64(w.to_bits());
-    }
+    let mut rows = RowHash::new();
+    rows.u32s(table.id_col(), |id| id.0);
+    rows.u64s(table.weights(), f64::to_bits);
     for col in table.sym_cols() {
-        for &sym in col {
-            h.write_u32(sym.raw());
+        rows.u32s(col, fd_core::Sym::raw);
+    }
+    h.write_u64(rows.finish());
+    h.finish()
+}
+
+/// The row stream's hash: 64-bit words dealt round-robin to four
+/// independent multiply lanes (xxHash64's round), so the multiplies of
+/// neighbouring words overlap instead of waiting on each other, then
+/// merged and finished with SplitMix64's full avalanche. A round is a
+/// bijection of its lane for a fixed word and of the word for a fixed
+/// lane, and the merge is a bijection of each lane for fixed others, so
+/// two streams of equal length that differ in one word never collide.
+struct RowHash([u64; 4]);
+
+const ROW_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const ROW_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+impl RowHash {
+    fn new() -> RowHash {
+        RowHash([
+            ROW_P1.wrapping_add(ROW_P2),
+            ROW_P2,
+            0,
+            ROW_P1.wrapping_neg(),
+        ])
+    }
+
+    #[inline]
+    fn round(lane: u64, word: u64) -> u64 {
+        lane.wrapping_add(word.wrapping_mul(ROW_P2))
+            .rotate_left(31)
+            .wrapping_mul(ROW_P1)
+    }
+
+    /// Feeds `xs` as `raw` words, two to a 64-bit word (the first in
+    /// the low half); an odd last one is padded with zero. The lengths
+    /// are in the framing, so the padding is unambiguous.
+    fn u32s<T: Copy>(&mut self, xs: &[T], raw: impl Fn(T) -> u32) {
+        let pair = |lo: T, hi: Option<T>| u64::from(raw(lo)) | u64::from(hi.map_or(0, &raw)) << 32;
+        let mut chunks = xs.chunks_exact(8);
+        for c in &mut chunks {
+            for (lane, acc) in self.0.iter_mut().enumerate() {
+                *acc = RowHash::round(*acc, pair(c[2 * lane], Some(c[2 * lane + 1])));
+            }
+        }
+        let tail = chunks.remainder().chunks(2);
+        for (acc, c) in self.0.iter_mut().zip(tail) {
+            *acc = RowHash::round(*acc, pair(c[0], c.get(1).copied()));
         }
     }
-    h.finish()
+
+    /// Feeds `xs` as `raw` words, one each.
+    fn u64s<T: Copy>(&mut self, xs: &[T], raw: impl Fn(T) -> u64) {
+        let mut chunks = xs.chunks_exact(4);
+        for c in &mut chunks {
+            for (acc, &x) in self.0.iter_mut().zip(c) {
+                *acc = RowHash::round(*acc, raw(x));
+            }
+        }
+        for (acc, &x) in self.0.iter_mut().zip(chunks.remainder()) {
+            *acc = RowHash::round(*acc, raw(x));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let [a, b, c, d] = self.0;
+        let mut z = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 }
 
 /// Feeds every request knob into `h` — the request half of
@@ -1545,6 +1632,32 @@ mod tests {
         let canonical = by_ref.canonical(fp, &call.fds, schema);
         assert!(canonical.contains(&format!("fp:{fp:016x}")), "{canonical}");
         assert_ne!(canonical, by_ref.canonical(fp ^ 1, &call.fds, schema));
+    }
+
+    #[test]
+    fn the_row_hash_reads_bit_patterns_and_every_word() {
+        let digest = |weights: &[f64], syms: &[u32]| {
+            let mut h = RowHash::new();
+            h.u64s(weights, f64::to_bits);
+            h.u32s(syms, |s| s);
+            h.finish()
+        };
+        // Equal as floats, distinct as weights' bit patterns.
+        assert_ne!(digest(&[0.0], &[]), digest(&[-0.0], &[]));
+        // One word changed anywhere, in a full chunk or in the tail, in
+        // either half of a packed pair, moves the digest.
+        let syms: Vec<u32> = (0..21).collect();
+        let base = digest(&[1.0, 2.0, 3.0, 4.0, 5.0], &syms);
+        for i in 0..syms.len() {
+            let mut edited = syms.clone();
+            edited[i] ^= 1 << (i % 32);
+            assert_ne!(base, digest(&[1.0, 2.0, 3.0, 4.0, 5.0], &edited), "sym {i}");
+        }
+        for i in 0..5 {
+            let mut weights = [1.0f64, 2.0, 3.0, 4.0, 5.0];
+            weights[i] = f64::from_bits(weights[i].to_bits() + 1);
+            assert_ne!(base, digest(&weights, &syms), "weight {i}");
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ use std::fmt::{self, Write};
 #[derive(Clone, Debug)]
 pub struct AccessRecord {
     /// The request id, notion, rows, components, cache outcome and
-    /// parse, solve and serialize times (see [`RequestInfo`]).
+    /// parse, solve, fingerprint and serialize times (see
+    /// [`RequestInfo`]).
     pub info: RequestInfo,
     /// The HTTP method, or `-` when the request never parsed.
     pub method: String,
@@ -66,7 +67,8 @@ impl AccessRecord {
         format!(
             "{{\"request_id\":{},\"method\":{},\"path\":{},\"status\":{},\"notion\":{},\
              \"rows\":{},\"components\":{},\"cache_hit\":{},\"queued\":{},\
-             \"queue_wait_us\":{},\"parse_us\":{},\"solve_us\":{},\"serialize_us\":{}}}",
+             \"queue_wait_us\":{},\"parse_us\":{},\"solve_us\":{},\"fingerprint_us\":{},\
+             \"serialize_us\":{}}}",
             JsonStr(&info.request_id),
             JsonStr(&self.method),
             JsonStr(&self.path),
@@ -79,6 +81,7 @@ impl AccessRecord {
             self.queue_wait_us.unwrap_or(0),
             info.parse_us,
             info.solve_us,
+            info.fingerprint_us,
             info.serialize_us,
         )
     }
@@ -132,6 +135,7 @@ mod tests {
         info.cache_hit = Some(false);
         info.parse_us = 120;
         info.solve_us = 9000;
+        info.fingerprint_us = 85;
         info.serialize_us = 700;
         let record = AccessRecord::new(info, "POST", "/repair?trace=1", 200, Some(15));
         let line = record.to_json_line();
@@ -140,7 +144,8 @@ mod tests {
             line,
             "{\"request_id\":\"req-7\",\"method\":\"POST\",\"path\":\"/repair\",\"status\":200,\
              \"notion\":\"s\",\"rows\":1000,\"components\":42,\"cache_hit\":false,\"queued\":true,\
-             \"queue_wait_us\":15,\"parse_us\":120,\"solve_us\":9000,\"serialize_us\":700}"
+             \"queue_wait_us\":15,\"parse_us\":120,\"solve_us\":9000,\"fingerprint_us\":85,\
+             \"serialize_us\":700}"
         );
         let doc = Json::parse(&line).unwrap();
         assert_eq!(doc.get("request_id").unwrap().as_str(), Some("req-7"));
@@ -153,6 +158,7 @@ mod tests {
         assert_eq!(doc.get("queue_wait_us").unwrap().as_num(), Some(15.0));
         assert_eq!(doc.get("parse_us").unwrap().as_num(), Some(120.0));
         assert_eq!(doc.get("solve_us").unwrap().as_num(), Some(9000.0));
+        assert_eq!(doc.get("fingerprint_us").unwrap().as_num(), Some(85.0));
         assert_eq!(doc.get("serialize_us").unwrap().as_num(), Some(700.0));
     }
 

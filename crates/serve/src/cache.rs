@@ -74,13 +74,12 @@ impl<V: Clone> LruCache<V> {
     }
 
     /// Removes `key`'s entry if `stale` holds for its value, without
-    /// refreshing anything; returns whether it did.
-    pub fn remove_if(&mut self, key: u64, stale: impl FnOnce(&V) -> bool) -> bool {
-        let found = self.map.get(&key).is_some_and(|(_, value)| stale(value));
-        if found {
-            self.map.remove(&key);
+    /// refreshing anything; returns the value it removed.
+    pub fn remove_if(&mut self, key: u64, stale: impl FnOnce(&V) -> bool) -> Option<V> {
+        if !self.map.get(&key).is_some_and(|(_, value)| stale(value)) {
+            return None;
         }
-        found
+        self.map.remove(&key).map(|(_, value)| value)
     }
 
     /// Number of live entries.
@@ -155,10 +154,16 @@ mod tests {
     fn remove_if_checks_the_value_first() {
         let mut cache = LruCache::new(2);
         cache.insert(1, v("old"));
-        assert!(!cache.remove_if(1, |value| &**value == "other"));
-        assert!(!cache.remove_if(2, |_| true), "absent keys remove nothing");
+        assert!(cache.remove_if(1, |value| &**value == "other").is_none());
+        assert!(
+            cache.remove_if(2, |_| true).is_none(),
+            "absent keys remove nothing"
+        );
         assert_eq!(cache.len(), 1);
-        assert!(cache.remove_if(1, |value| &**value == "old"));
+        assert_eq!(
+            cache.remove_if(1, |value| &**value == "old"),
+            Some(v("old"))
+        );
         assert!(cache.is_empty());
     }
 }

@@ -185,6 +185,11 @@ pub struct Shared {
     /// In-flight solves, for single-flight coalescing of concurrent
     /// identical cacheable calls.
     pub single_flight: SingleFlight,
+    /// A retired report's buffer, for the next mutate to write its
+    /// report into (empty when there is none): a large report then
+    /// lands in pages already mapped instead of fresh ones. Only a
+    /// buffer no response shares any more is ever put here.
+    pub(crate) spare_report: Mutex<Vec<u8>>,
     /// When the server came up (for `/healthz` uptime).
     pub started: Instant,
     /// Source of generated `req-<n>` request ids.
@@ -221,6 +226,7 @@ impl Shared {
             probe_memo,
             store,
             single_flight: SingleFlight::new(),
+            spare_report: Mutex::new(Vec::new()),
             started: Instant::now(),
             request_counter: AtomicU64::new(0),
             access: sink.map(Mutex::new),

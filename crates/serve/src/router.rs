@@ -74,6 +74,9 @@ pub struct RequestInfo {
     /// thread's, for a fast-path miss handed to a worker); 0 when a
     /// memoized probe answered without parsing.
     pub parse_us: u64,
+    /// Time spent fingerprinting the table to store, µs: set on PUT and
+    /// mutate, 0 everywhere else.
+    pub fingerprint_us: u64,
 }
 
 impl RequestInfo {
@@ -90,6 +93,7 @@ impl RequestInfo {
             solve_us: 0,
             serialize_us: 0,
             parse_us: 0,
+            fingerprint_us: 0,
         }
     }
 }
@@ -637,7 +641,7 @@ fn solve_now(shared: &Shared, call: &Resolved, info: &mut RequestInfo) -> crate:
                 if !call.include_timings {
                     report.timings = Timings::default();
                 }
-                report_bytes(&report, info)
+                report_bytes(&report, Vec::new(), info)
             }),
         Endpoint::Explain => Planner
             .plan(table, &call.fds, &call.request)
@@ -681,11 +685,11 @@ fn observe_solve(shared: &Shared, info: &mut RequestInfo, notion: Notion, start:
     }
 }
 
-/// The report's bytes, with the time the writer took recorded in
-/// `info.serialize_us`.
-fn report_bytes(report: &RepairReport, info: &mut RequestInfo) -> Vec<u8> {
+/// The report's bytes, written into `buf` (cleared first), with the
+/// time the writer took recorded in `info.serialize_us`.
+fn report_bytes(report: &RepairReport, buf: Vec<u8>, info: &mut RequestInfo) -> Vec<u8> {
     let start = Instant::now();
-    let bytes = report.to_json_bytes();
+    let bytes = report.to_json_bytes_in(buf);
     info.serialize_us = start.elapsed().as_micros() as u64;
     bytes
 }
@@ -890,7 +894,7 @@ fn put_table(
     info.rows = Some(table.len());
     // Fingerprinted once at PUT; every by-ref call keys off this value
     // instead of rehashing rows.
-    let fingerprint = table_fingerprint(&table);
+    let fingerprint = timed_fingerprint(&table, info);
     match shared.store.put(tenant, id, table, fingerprint) {
         Ok(stored) => {
             shared.metrics.table_stored();
@@ -901,6 +905,15 @@ fn put_table(
         }
         Err(e) => store_error_response(&e),
     }
+}
+
+/// [`table_fingerprint`], with its time recorded in
+/// `info.fingerprint_us`.
+fn timed_fingerprint(table: &Table, info: &mut RequestInfo) -> u64 {
+    let start = Instant::now();
+    let fingerprint = table_fingerprint(table);
+    info.fingerprint_us = start.elapsed().as_micros() as u64;
+    fingerprint
 }
 
 fn get_table(shared: &Shared, tenant: &str, id: &str, info: &mut RequestInfo) -> Response {
@@ -1046,7 +1059,7 @@ fn mutate_table(
 
     let table = session.table().clone();
     info.rows = Some(table.len());
-    let fingerprint = table_fingerprint(&table);
+    let fingerprint = timed_fingerprint(&table, info);
     // Only a delta session is worth keeping: a cold one holds no cache.
     let at_rest = session.is_incremental().then_some(session);
     before_replace();
@@ -1057,7 +1070,13 @@ fn mutate_table(
         Ok(stored) => stored,
         Err(e) => return store_error_response(&e),
     };
-    let report = shared_body(report_bytes(&report, info));
+    // A poisoned lock only loses the spare: the report then takes a
+    // fresh buffer, with the same bytes.
+    let spare = match shared.spare_report.lock() {
+        Ok(mut spare) => std::mem::take(&mut *spare),
+        Err(_) => Vec::new(),
+    };
+    let report = shared_body(report_bytes(&report, spare, info));
     let snapshots = (read.fingerprint, stored.fingerprint);
     publish(
         shared,
@@ -1127,7 +1146,7 @@ fn publish(
     };
     // Retire before inserting: a mutate that leaves the content as it
     // was has one slot on both sides, and must keep its publish.
-    cache.remove_if(stale.key, |entry| entry.canonical == stale.canonical);
+    let retired = cache.remove_if(stale.key, |entry| entry.canonical == stale.canonical);
     cache.insert(
         fresh.key,
         crate::CachedResponse {
@@ -1137,6 +1156,13 @@ fn publish(
     );
     drop(cache);
     shared.metrics.observe_cache_published();
+    // The retired report's buffer becomes the next mutate's, unless a
+    // response still ships it: then it is freed with that response.
+    if let Some(Ok(buf)) = retired.map(|entry| Arc::try_unwrap(entry.body)) {
+        if let Ok(mut spare) = shared.spare_report.lock() {
+            *spare = buf;
+        }
+    }
 }
 
 /// Store failures, each with a stable `kind` like the engine errors.
@@ -2636,22 +2662,7 @@ mod tests {
 
     #[test]
     fn serialize_time_is_recorded_on_misses_and_mutates_only() {
-        // 3 000 rows, so that writing a report takes well over 1 µs.
-        let rows: Vec<String> = (0..3_000)
-            .map(|i| {
-                format!(
-                    r#"{{"weight": 1, "values": [{}, {}, "c{i}"]}}"#,
-                    i / 2,
-                    i % 3
-                )
-            })
-            .collect();
-        let rows = rows.join(",");
-        let table = format!(r#"{{"relation": "R", "attrs": ["A", "B", "C"], "rows": [{rows}]}}"#);
-        let inline = format!(
-            r#"{{"relation": "R", "attrs": ["A", "B", "C"], "fds": "A -> B",
-                 "rows": [{rows}], "request": {{"include_timings": false}}}}"#
-        );
+        let (table, inline) = (wide_table_doc(), wide_inline_call());
         let shared = shared();
         let (miss, info) = post_with_headers(&shared, "/repair", &inline, &[]);
         assert_eq!(miss.status, 200);
@@ -2673,5 +2684,169 @@ mod tests {
         let (resp, info) = send(&shared, "POST", "/tables/t/mutate", bad, &[]);
         assert_eq!(resp.status, 400);
         assert_eq!(info.serialize_us, 0, "an error writes no report");
+    }
+
+    /// A 3 000-row table document (`A -> B` conflicts in every other
+    /// row pair), large enough that hashing it or writing its report
+    /// takes well over 1 µs.
+    fn wide_table_doc() -> String {
+        let rows: Vec<String> = (0..3_000)
+            .map(|i| {
+                format!(
+                    r#"{{"weight": 1, "values": [{}, {}, "c{i}"]}}"#,
+                    i / 2,
+                    i % 3
+                )
+            })
+            .collect();
+        format!(
+            r#"{{"relation": "R", "attrs": ["A", "B", "C"], "rows": [{}]}}"#,
+            rows.join(",")
+        )
+    }
+
+    /// [`wide_table_doc`] as an inline `/repair` call under `A -> B`,
+    /// timings off.
+    fn wide_inline_call() -> String {
+        wide_table_doc().replacen(
+            '{',
+            r#"{"fds": "A -> B", "request": {"include_timings": false}, "#,
+            1,
+        )
+    }
+
+    /// A one-cell mutate of `/tables/t` under `A -> B`.
+    fn set_b(id: u32, value: u32) -> String {
+        format!(
+            r#"{{"fds": "A -> B", "mutations": [{{"op": "set", "id": {id}, "attr": "B", "value": {value}}}]}}"#
+        )
+    }
+
+    #[test]
+    fn fingerprint_time_is_recorded_on_put_and_mutate_only() {
+        let shared = shared();
+        let table = wide_table_doc();
+        let (put, info) = send(&shared, "PUT", "/tables/t", &table, &[]);
+        assert_eq!(put.status, 201);
+        assert!(info.fingerprint_us > 0, "a PUT hashes its table");
+        let (resp, info) = send(&shared, "POST", "/tables/t/mutate", &set_b(4, 9), &[]);
+        assert_eq!(resp.status, 200, "{}", text_of(&resp));
+        assert!(info.fingerprint_us > 0, "a mutate hashes its new snapshot");
+
+        let by_ref =
+            r#"{"table_ref": "t", "fds": "A -> B", "request": {"include_timings": false}}"#;
+        let inline = wide_inline_call();
+        let mut others = Vec::new();
+        for (method, path, body) in [
+            ("POST", "/repair", by_ref),
+            ("POST", "/repair", by_ref),
+            ("POST", "/repair", &inline),
+            ("POST", "/repair", &inline),
+            ("POST", "/explain", &inline),
+            ("GET", "/tables/t", ""),
+            ("GET", "/healthz", ""),
+            ("GET", "/metrics", ""),
+            (
+                "POST",
+                "/tables/t/mutate",
+                r#"{"fds": "A -> Z", "mutations": []}"#,
+            ),
+            ("DELETE", "/tables/t", ""),
+        ] {
+            let (resp, info) = send(&shared, method, path, body, &[]);
+            others.push((
+                method,
+                path,
+                resp.status,
+                info.cache_hit,
+                info.fingerprint_us,
+            ));
+        }
+        assert!(
+            others.iter().any(|o| o.3 == Some(true)),
+            "the repeats are hits: {others:?}"
+        );
+        assert!(
+            others.iter().all(|o| o.4 == 0),
+            "only PUT and mutate fingerprint: {others:?}"
+        );
+    }
+
+    #[test]
+    fn a_retired_report_buffer_is_reused_only_once_no_response_ships_it() {
+        let shared = shared();
+        let spare_capacity = || shared.spare_report.lock().unwrap().capacity();
+        let put = send(&shared, "PUT", "/tables/t", &wide_table_doc(), &[]).0;
+        assert_eq!(put.status, 201);
+        let mutate = |id, value| {
+            let (resp, _) = send(&shared, "POST", "/tables/t/mutate", &set_b(id, value), &[]);
+            assert_eq!(resp.status, 200, "{}", text_of(&resp));
+            resp
+        };
+        // The first mutate's response shares its report with the cache
+        // entry it publishes. Held, as an in-flight response holds it,
+        // across the next mutate, which retires that entry: the buffer
+        // must be neither handed on nor changed.
+        let in_flight = mutate(4, 7);
+        let shipped = in_flight.body_bytes();
+        let second = mutate(6, 8);
+        assert_eq!(spare_capacity(), 0, "a shared buffer is never recycled");
+        assert_eq!(in_flight.body_bytes(), shipped);
+        drop((in_flight, second));
+        // Nothing holds the second mutate's entry when the third retires
+        // it, so its buffer becomes the spare, and the fourth writes into
+        // it and leaves the spare empty until its own publish retires the
+        // third's.
+        drop(mutate(8, 9));
+        assert!(spare_capacity() > 0, "an unshared retired buffer is kept");
+        let fourth = mutate(10, 10);
+        let ship = fourth.body_bytes();
+        assert!(spare_capacity() > 0);
+        // The fourth's report is what the by-ref read answers, a hit
+        // on the bytes the recycled buffer now holds.
+        let by_ref =
+            r#"{"table_ref": "t", "fds": "A -> B", "request": {"include_timings": false}}"#;
+        let (read, info) = send(&shared, "POST", "/repair", by_ref, &[]);
+        assert_eq!(info.cache_hit, Some(true));
+        let read = read.body_bytes();
+        assert!(ship.ends_with(&[read.as_slice(), b"}"].concat()));
+    }
+
+    #[test]
+    fn a_poisoned_or_absent_spare_buffer_answers_the_same_bytes() {
+        let recycling = shared();
+        let poisoned = shared();
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = poisoned.spare_report.lock().unwrap();
+                panic!("poison the spare buffer's lock");
+            })
+            .join()
+        });
+        assert!(poisoned.spare_report.is_poisoned());
+        // With caching off nothing is published, so nothing is retired:
+        // every report takes a fresh buffer.
+        let uncached = Shared::new(ServeConfig {
+            cache_entries: 0,
+            ..ServeConfig::default()
+        });
+        let table = wide_table_doc();
+        let mut answers = Vec::new();
+        for shared in [&recycling, &poisoned, &uncached] {
+            assert_eq!(send(shared, "PUT", "/tables/t", &table, &[]).0.status, 201);
+            let bodies: Vec<Vec<u8>> = (0..6)
+                .map(|step| {
+                    let body = set_b(2 * step, 20 + step);
+                    let (resp, _) = send(shared, "POST", "/tables/t/mutate", &body, &[]);
+                    assert_eq!(resp.status, 200, "{}", text_of(&resp));
+                    resp.body_bytes()
+                })
+                .collect();
+            answers.push(bodies);
+        }
+        assert!(recycling.spare_report.lock().unwrap().capacity() > 0);
+        assert_eq!(uncached.spare_report.lock().unwrap().capacity(), 0);
+        assert_eq!(answers[0], answers[1], "poisoned spare");
+        assert_eq!(answers[0], answers[2], "no spare");
     }
 }

@@ -28,8 +28,9 @@ use fd_graph::{index_components, Components, UnionFind};
 const CLEAN: u32 = u32::MAX;
 
 /// One cached conflicting component: its member ids (ascending, so
-/// they gather back in row order), the solver's kept ids (spliced into
-/// reports while the component stays clean), and the method used.
+/// they gather back in row order), the solver's kept ids (ascending;
+/// spliced into reports while the component stays clean), and the
+/// method used.
 #[derive(Clone, Debug)]
 struct Comp {
     ids: Vec<TupleId>,
@@ -202,14 +203,20 @@ impl IncrementalSubset {
     /// free, cached per-component kept-lists spliced in, plan statistics
     /// rebuilt from the live counts — field-for-field identical to what
     /// [`crate::sharded_s_repair`] returns on the current table.
+    ///
+    /// The kept ids come out in row order, in one pass over the rows, so
+    /// [`SRepair::from_kept`]'s sort finds them ascending whenever the
+    /// ids ascend with the rows, as the session requires.
     pub fn solution(&self, table: &Table) -> ShardedSolution {
-        let mut kept: Vec<TupleId> = table
+        let kept: Vec<TupleId> = table
             .ids()
-            .filter(|&id| self.slot_of(id).is_none())
+            .filter(|&id| match self.slot_of(id) {
+                None => true,
+                Some(slot) => self.comps[slot as usize]
+                    .as_ref()
+                    .is_some_and(|comp| comp.kept.binary_search(&id).is_ok()),
+            })
             .collect();
-        for comp in self.comps.iter().flatten() {
-            kept.extend_from_slice(&comp.kept);
-        }
         ShardedSolution {
             repair: SRepair::from_kept(table, kept),
             plan: self.plan(table),
@@ -254,7 +261,9 @@ impl IncrementalSubset {
             // on ids being ascending in row order.
             positions.sort_unstable();
             let method = ShardPlan::component_method(self.tractable, ids.len(), &self.cfg);
-            let kept = solve_component(table, &positions, Some(&self.index), &self.trace, method);
+            let mut kept =
+                solve_component(table, &positions, Some(&self.index), &self.trace, method);
+            kept.sort_unstable();
             let slot = match self.free.pop() {
                 Some(slot) => slot,
                 None => {
