@@ -86,10 +86,19 @@ impl Sym {
     }
 }
 
-/// FNV-1a — a fast, deterministic word hasher for symbol keys. Grouping
-/// code always verifies true equality after a hash match, so collision
+/// 64-bit FNV-1a — a fast, deterministic byte-wise hasher for symbol
+/// keys (and, as `fd_engine::Fnv64`, for cache keys). Grouping code
+/// always verifies true equality after a hash match, so collision
 /// quality affects speed, never correctness.
 pub struct FnvHasher(u64);
+
+impl FnvHasher {
+    /// A hasher at the FNV-1a offset basis.
+    #[inline]
+    pub fn new() -> FnvHasher {
+        FnvHasher::default()
+    }
+}
 
 impl Default for FnvHasher {
     #[inline]

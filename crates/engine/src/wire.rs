@@ -45,6 +45,17 @@ use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+/// 64-bit FNV-1a, the byte-wise hash of symbol keys
+/// ([`fd_core::FnvHasher`]), under the name the engine's callers use:
+/// cache keys and the framing of [`table_fingerprint`] (schema,
+/// dictionary pools, row count). It goes a byte at a time, so it suits
+/// short inputs only: the rows themselves go through a word-at-a-time
+/// hash instead. Not cryptographic; the full (instance, Δ, knobs) state
+/// is fed in with length/tag framing so that accidental collisions stay
+/// implausible, and a server verifies every hit against the canonical
+/// call anyway.
+pub use fd_core::FnvHasher as Fnv64;
+
 /// Why a wire document could not be turned into a [`RepairCall`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireError {
@@ -159,56 +170,15 @@ impl RepairCall {
     }
 
     /// The call rendered back as a wire document (request fixtures,
-    /// tests, benches).
+    /// tests, benches): [`RepairCall::canonical`], read back.
     pub fn to_json_value(&self) -> Json {
-        let schema = self.table.schema();
-        let dict = self.table.dictionary();
-        let rows: Vec<Json> = self
-            .table
-            .weights()
-            .iter()
-            .enumerate()
-            .map(|(pos, &weight)| {
-                Json::obj([
-                    ("weight", weight.into()),
-                    (
-                        "values",
-                        Json::Arr(
-                            self.table
-                                .sym_cols()
-                                .iter()
-                                .map(|col| value_to_json(&dict.decode(col[pos])))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("relation", Json::str(schema.relation())),
-            (
-                "attrs",
-                Json::Arr(
-                    schema
-                        .attr_names()
-                        .iter()
-                        .map(|a| Json::str(a.as_str()))
-                        .collect(),
-                ),
-            ),
-            ("fds", Json::str(self.fd_spec())),
-            ("rows", Json::Arr(rows)),
-            (
-                "request",
-                request_to_json(&self.request, self.include_timings),
-            ),
-        ])
+        Json::parse(&self.canonical()).expect("the canonical writer emits valid JSON")
     }
 
     /// The call's canonical form, the form a server verifies cache hits
-    /// against: exactly the text of `to_json_value().to_string()`,
-    /// written straight from the table's columns into bytes, with no
-    /// tree in between.
+    /// against, and the one writer of a call document: written straight
+    /// from the table's columns into bytes, with no tree in between.
+    /// Read back and written again as a tree, it keeps its text.
     ///
     /// # Examples
     ///
@@ -806,42 +776,6 @@ impl MutateCall {
             fds: self.fds.clone(),
             request: self.request,
             include_timings: false,
-        }
-    }
-}
-
-/// 64-bit FNV-1a — a small, deterministic, dependency-free hasher for
-/// cache keys and for the framing of [`table_fingerprint`] (schema,
-/// dictionary pools, row count); the rows themselves go through a
-/// word-at-a-time hash instead. Byte at a time, so it suits short
-/// inputs only. Not cryptographic; collisions only cost a cache miss
-/// being served a wrong entry, so the full (instance, Δ, knobs) state is
-/// fed in with length/tag framing to keep accidental collisions
-/// implausible.
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Fnv64 {
-        Fnv64::new()
-    }
-}
-
-impl Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 }

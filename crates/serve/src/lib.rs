@@ -11,14 +11,15 @@
 //!
 //! | endpoint | method | body | response |
 //! |---|---|---|---|
-//! | `/repair` | POST | a [`RepairCall`] wire document | the engine's `RepairReport` JSON |
+//! | `/repair` | POST | a [`RepairCall`](fd_engine::RepairCall) wire document | the engine's `RepairReport` JSON |
 //! | `/explain` | POST | the same document | the planner's `Plan` JSON, nothing solved |
 //! | `/healthz` | GET | — | liveness JSON |
 //! | `/metrics` | GET | — | Prometheus-style counters, p50/p99 latency |
 //!
 //! Operationally it is a fixed worker pool over a bounded queue
-//! (saturation answers **503**, never unbounded buffering), an LRU
-//! result cache keyed by [`fd_engine::cache_key`] over (instance, Δ,
+//! (saturation answers **503**, never unbounded buffering), one result
+//! table ([`ResultCache`]) that both caches reports and lets concurrent
+//! identical calls share one solve, keyed by a hash of (instance, Δ,
 //! request knobs), per-request body-size and time-budget ceilings, and
 //! graceful shutdown: SIGINT/SIGTERM (or a programmatic flag) stops
 //! accepting, drains the queue, and joins the workers.
@@ -58,7 +59,6 @@
 mod access;
 mod cache;
 pub mod client;
-mod coalesce;
 mod event_loop;
 mod http;
 mod metrics;
@@ -68,8 +68,8 @@ mod shutdown;
 mod store;
 
 pub use access::AccessRecord;
-pub use cache::{CachedResponse, LruCache};
-pub use coalesce::{FlightResult, Outcome, SingleFlight};
+use cache::LruCache;
+pub use cache::{ResultCache, Served, Solved};
 pub use http::{Request, Response, Segment};
 pub use metrics::{Metrics, MutatePath};
 pub use pool::WorkerPool;
@@ -77,7 +77,6 @@ pub use router::RequestInfo;
 pub use shutdown::{install_signal_handlers, request_shutdown, shutdown_requested};
 pub use store::{StoreError, StoredTable, TableStore};
 
-use fd_engine::RepairCall;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -174,17 +173,14 @@ pub struct Shared {
     pub config: ServeConfig,
     /// Service counters.
     pub metrics: Metrics,
-    /// The LRU result cache (hits are verified against the canonical
-    /// call before being served — see [`CachedResponse`]).
-    pub cache: Mutex<LruCache<CachedResponse>>,
+    /// The result table: every cacheable call's entry, in flight or
+    /// done, so that no call is solved twice (see [`ResultCache`]).
+    pub cache: ResultCache,
     /// Memoized fast-path probes: byte-identical inline bodies re-probe
     /// the result cache without re-parsing (see `router::ProbeMemo`).
     pub(crate) probe_memo: Mutex<LruCache<router::ProbeMemo>>,
     /// Tables at rest (`PUT /tables/{id}`), namespaced per tenant.
     pub store: TableStore,
-    /// In-flight solves, for single-flight coalescing of concurrent
-    /// identical cacheable calls.
-    pub single_flight: SingleFlight,
     /// A retired report's buffer, for the next mutate to write its
     /// report into (empty when there is none): a large report then
     /// lands in pages already mapped instead of fresh ones. Only a
@@ -216,7 +212,7 @@ impl Shared {
         config: ServeConfig,
         sink: Option<Box<dyn std::io::Write + Send>>,
     ) -> Shared {
-        let cache = Mutex::new(LruCache::new(config.cache_entries));
+        let cache = ResultCache::new(config.cache_entries);
         let probe_memo = Mutex::new(LruCache::new(config.cache_entries));
         let store = TableStore::new(config.max_tables_per_tenant, config.max_rows_per_tenant);
         Shared {
@@ -225,7 +221,6 @@ impl Shared {
             cache,
             probe_memo,
             store,
-            single_flight: SingleFlight::new(),
             spare_report: Mutex::new(Vec::new()),
             started: Instant::now(),
             request_counter: AtomicU64::new(0),
@@ -315,9 +310,4 @@ impl Server {
         } = self;
         event_loop::run(listener, shared, shutdown)
     }
-}
-
-/// Convenience used by tests and benches: a wire document for `call`.
-pub fn wire_body(call: &RepairCall) -> String {
-    call.to_json_value().to_string()
 }

@@ -1,7 +1,6 @@
-//! Request routing: the endpoints, wire parsing, cache consultation,
-//! single-flight coalescing, engine invocation, and the 4xx/5xx mapping
-//! that keeps every malformed or infeasible call a *response* rather
-//! than a crash.
+//! Request routing: the endpoints, wire parsing, the result table,
+//! engine invocation, and the 4xx/5xx mapping that keeps every
+//! malformed or infeasible call a *response* rather than a crash.
 //!
 //! `/repair` and `/explain` accept either an inline table or
 //! `"table_ref": "<id>"` naming a table stored via `PUT /tables/{id}`
@@ -9,8 +8,9 @@
 //! One resolver, [`resolve`], turns either shape into the call the
 //! engine runs and its cache slot, for the worker and for the IO
 //! thread's [`fast_path`] alike, so a fast-path hit is exactly the
-//! entry a solve filed. Concurrent cacheable calls with the same key
-//! run one solve under [`crate::SingleFlight`] and replay its bytes.
+//! entry a solve filed. A cacheable call claims its slot in
+//! [`crate::ResultCache`], so concurrent identical calls run one solve
+//! and replay its bytes.
 //! `POST /tables/{id}/mutate` replays a mutation trace against a stored
 //! table through an [`IncrementalSession`] — the one kept at rest beside
 //! the snapshot when the call's `(fds, request)` matches it — and
@@ -26,7 +26,7 @@
 
 use crate::http::{Request, Response, Segment};
 use crate::store::{StoreError, StoredTable};
-use crate::{MutatePath, Shared};
+use crate::{MutatePath, Served, Shared, Solved};
 use fd_core::{FdSet, MutationEffect, Schema, Table};
 use fd_engine::{
     parse_table_doc, table_fingerprint, EngineError, Fnv64, IncrementalSession, Json, JsonLimits,
@@ -223,7 +223,7 @@ pub(crate) fn fast_path(
         .probe_memo
         .lock()
         .ok()
-        .and_then(|mut memos| memos.get(body_hash))
+        .and_then(|mut memos| memos.get(body_hash).cloned())
         .filter(|memo| memo.body.as_ref() == request.body.as_slice());
     let (slot, notion, rows, prepared) = match memo {
         Some(memo) => (memo.slot, memo.notion, memo.rows, None),
@@ -253,7 +253,7 @@ pub(crate) fn fast_path(
             (slot, notion, rows, Some(prepared))
         }
     };
-    let Some(body) = probe_cache(shared, slot.key, &slot.canonical) else {
+    let Some(body) = shared.cache.get(slot.key, &slot.canonical) else {
         return Err(prepared);
     };
     let mut info = RequestInfo::new(request_id_for(shared, request));
@@ -374,8 +374,7 @@ fn clamp_time_cap(shared: &Shared, request: &mut RepairRequest) {
 }
 
 /// `/repair` and `/explain` share everything up to the engine call:
-/// [`prepare`] (bounded parsing and [`resolve`]), the result cache, and
-/// single-flight coalescing.
+/// [`prepare`] (bounded parsing and [`resolve`]) and the result table.
 ///
 /// With `trace` set, a per-request collector observes the solve and the
 /// 200 response becomes `{"request_id","trace","report"}` where
@@ -534,9 +533,8 @@ fn resolve(
     })
 }
 
-/// Cache probe → single-flight → response. The leader inserts into the
-/// LRU *inside* its flight (before completing it), so followers that
-/// arrive after completion hit the cache instead.
+/// Result table → response: a cacheable call goes through
+/// [`serve_cached`], anything else solves.
 ///
 /// 200s get the cache-state header and (with a collector) the trace
 /// envelope; error bodies ship as-is — identical deterministic calls
@@ -548,89 +546,41 @@ fn solve_and_respond(
     collector: Option<fd_trace::Collector>,
     info: &mut RequestInfo,
 ) -> Response {
-    let (result, cache_state) = match &call.slot {
-        None => (solve_now(shared, call, info), "miss"),
+    let (result, served) = match &call.slot {
+        None => (solve_now(shared, call, info), Served::Miss),
         Some(slot) => {
-            let solve = || solve_now(shared, call, info);
-            let (result, cache_state) =
-                cached_flight(shared, slot.key, &slot.canonical, || {}, solve);
-            info.cache_hit = Some(cache_state == "hit");
-            (crate::FlightResult::clone(&result), cache_state)
+            let (result, served) = serve_cached(shared, slot, || solve_now(shared, call, info));
+            info.cache_hit = Some(served == Served::Hit);
+            (result, served)
         }
     };
     if result.status == 200 {
-        ok_response(shared, result.body, cache_state, collector, info)
+        ok_response(shared, result.body, served.name(), collector, info)
     } else {
         Response::json_segments(result.status, vec![Segment::Shared(result.body)])
     }
 }
 
-/// The cached body for `key`, if the entry was produced by this exact
-/// call. The 64-bit key is a hash; a hit counts only if the canonical
-/// forms are equal, so a crafted FNV collision degrades to a miss
-/// instead of serving a wrong report. A poisoned cache lock degrades to
-/// a miss too: serving uncached is always correct, panicking on a
-/// request path never is.
-fn probe_cache(shared: &Shared, key: u64, canonical: &Arc<str>) -> Option<Arc<Vec<u8>>> {
-    let entry = shared.cache.lock().ok()?.get(key)?;
-    (entry.canonical == *canonical).then_some(entry.body)
-}
-
-/// Answers one cacheable call from the cache or through single-flight,
-/// returning the result and its cache state (`hit`, `miss` or
-/// `coalesced`). `solve` must insert a successful result into the cache
-/// before returning. `after_probe` runs between the first probe and the
-/// flight; it is a no-op except in tests that park callers there.
-///
-/// A caller that misses the first probe can reach the flight table
-/// after an identical flight already cached its bytes and retired, and
-/// so become the leader of a second flight. The leader therefore probes
-/// again before solving and counts a hit there as a hit, which keeps
+/// Answers one cacheable call through the result table and counts it
+/// once as a hit, a miss or coalesced, which keeps
 /// `hits + misses + coalesced == cacheable calls` and
 /// `misses == solves`.
-fn cached_flight(
-    shared: &Shared,
-    key: u64,
-    canonical: &Arc<str>,
-    after_probe: impl FnOnce(),
-    solve: impl FnOnce() -> crate::FlightResult,
-) -> (Arc<crate::FlightResult>, &'static str) {
-    if let Some(body) = probe_cache(shared, key, canonical) {
-        shared.metrics.observe_cache(true);
-        return (Arc::new(crate::FlightResult { status: 200, body }), "hit");
+fn serve_cached(shared: &Shared, slot: &Slot, solve: impl FnOnce() -> Solved) -> (Solved, Served) {
+    let wait_cap = flight_wait_cap(shared);
+    let (result, served) = shared
+        .cache
+        .serve(slot.key, &slot.canonical, wait_cap, solve);
+    match served {
+        Served::Coalesced => shared.metrics.observe_coalesced(),
+        hit_or_miss => shared.metrics.observe_cache(hit_or_miss == Served::Hit),
     }
-    after_probe();
-    let mut reprobe_hit = false;
-    let lead = || match probe_cache(shared, key, canonical) {
-        Some(body) => {
-            reprobe_hit = true;
-            crate::FlightResult { status: 200, body }
-        }
-        None => solve(),
-    };
-    let outcome = shared
-        .single_flight
-        .run(key, canonical, flight_wait_cap(shared), lead);
-    // Cache accounting happens after the flight so that exactly the
-    // calls that solved count as misses.
-    match outcome {
-        crate::Outcome::Led(result) => {
-            shared.metrics.observe_cache(reprobe_hit);
-            (result, if reprobe_hit { "hit" } else { "miss" })
-        }
-        crate::Outcome::Coalesced(result) => {
-            shared.metrics.observe_coalesced();
-            (result, "coalesced")
-        }
-    }
+    (result, served)
 }
 
-/// Runs the engine once and returns its status and body. On success the
-/// body is inserted under the call's cache slot, if it has one,
-/// *before* returning, which is what lets a completing flight hand late
-/// arrivals to the cache. The cache entry and the response share the
-/// one allocation of the body.
-fn solve_now(shared: &Shared, call: &Resolved, info: &mut RequestInfo) -> crate::FlightResult {
+/// Runs the engine once and returns its status and body, in the one
+/// allocation the response and (for a leader's 200) the done entry
+/// share.
+fn solve_now(shared: &Shared, call: &Resolved, info: &mut RequestInfo) -> Solved {
     let solve_start = Instant::now();
     let table = call.instance.table();
     let result = match call.endpoint {
@@ -649,28 +599,14 @@ fn solve_now(shared: &Shared, call: &Resolved, info: &mut RequestInfo) -> crate:
     };
     observe_solve(shared, info, call.request.notion, solve_start);
     match result {
-        Ok(body) => {
-            let body = shared_body(body);
-            if let Some(slot) = &call.slot {
-                // Skip the insert if the lock is poisoned — losing a
-                // cache entry is harmless. The cache stores the bare
-                // report bytes; the trace envelope is never cached.
-                if let Ok(mut cache) = shared.cache.lock() {
-                    cache.insert(
-                        slot.key,
-                        crate::CachedResponse {
-                            canonical: Arc::clone(&slot.canonical),
-                            body: Arc::clone(&body),
-                        },
-                    );
-                }
-            }
-            crate::FlightResult { status: 200, body }
-        }
+        Ok(body) => Solved {
+            status: 200,
+            body: shared_body(body),
+        },
         Err(e) => {
             let (status, body) = engine_error_body(&e, call.request.notion);
             let body = Arc::new(body.into_bytes());
-            crate::FlightResult { status, body }
+            Solved { status, body }
         }
     }
 }
@@ -1118,7 +1054,8 @@ fn mutate_table(
 /// live entry. `snapshots` is the (read, stored) pair of fingerprints.
 /// Both slots come from [`slot`], and the retired entry goes only if
 /// its canonical form is that read's. Nothing is published for an
-/// uncacheable call (unseeded `sample`) or with caching off.
+/// uncacheable call (unseeded `sample`), with caching off, or over a
+/// flight of that read, whose leader files the same bytes.
 ///
 /// A concurrent mutate can swap a newer snapshot in before this runs;
 /// the entry published here is then unreachable and ages out of the
@@ -1141,24 +1078,17 @@ fn publish(
         )
     };
     let (stale, fresh) = (read(superseded), read(fingerprint));
-    let Ok(mut cache) = shared.cache.lock() else {
-        return; // losing an entry is harmless; the read solves cold
-    };
-    // Retire before inserting: a mutate that leaves the content as it
-    // was has one slot on both sides, and must keep its publish.
-    let retired = cache.remove_if(stale.key, |entry| entry.canonical == stale.canonical);
-    cache.insert(
-        fresh.key,
-        crate::CachedResponse {
-            canonical: fresh.canonical,
-            body: Arc::clone(report),
-        },
+    let (filed, retired) = shared.cache.publish(
+        (fresh.key, fresh.canonical),
+        report,
+        (stale.key, &stale.canonical),
     );
-    drop(cache);
-    shared.metrics.observe_cache_published();
+    if filed {
+        shared.metrics.observe_cache_published();
+    }
     // The retired report's buffer becomes the next mutate's, unless a
     // response still ships it: then it is freed with that response.
-    if let Some(Ok(buf)) = retired.map(|entry| Arc::try_unwrap(entry.body)) {
+    if let Some(Ok(buf)) = retired.map(Arc::try_unwrap) {
         if let Ok(mut spare) = shared.spare_report.lock() {
             *spare = buf;
         }
@@ -2117,7 +2047,7 @@ mod tests {
     }
 
     fn cache_len(shared: &Shared) -> usize {
-        shared.cache.lock().unwrap().len()
+        shared.cache.len()
     }
 
     /// `(hits, misses, coalesced, published)` from `/metrics`.
@@ -2397,39 +2327,28 @@ mod tests {
             .unwrap_or(0)
     }
 
-    /// Drives `n` concurrent [`cached_flight`] calls for one key, each
-    /// running `park(i)` between its first cache probe and the flight.
-    /// Returns the number of solves and the rendered metrics.
+    /// Drives `n` concurrent [`serve_cached`] calls for one slot, each
+    /// running `park(i)` before it claims the slot. Returns the number
+    /// of solves and the rendered metrics.
     fn parked_flights(
         n: usize,
         park: impl Fn(usize, &Shared, &AtomicUsize) + Sync,
     ) -> (usize, String) {
         let shared = shared();
-        let key = 0xF1;
-        let canonical: Arc<str> = Arc::from("repair:parked");
+        let slot = Slot {
+            key: 0xF1,
+            canonical: Arc::from("repair:parked"),
+        };
         let solves = AtomicUsize::new(0);
-        let probed = std::sync::Barrier::new(n);
         std::thread::scope(|scope| {
             for i in 0..n {
-                let (shared, canonical, solves, probed, park) =
-                    (&shared, &canonical, &solves, &probed, &park);
+                let (shared, slot, solves, park) = (&shared, &slot, &solves, &park);
                 scope.spawn(move || {
-                    let after_probe = || {
-                        // Every caller has missed the first probe.
-                        probed.wait();
-                        park(i, shared, solves);
-                    };
-                    let (result, _) = cached_flight(shared, key, canonical, after_probe, || {
+                    park(i, shared, solves);
+                    let (result, _) = serve_cached(shared, slot, || {
                         solves.fetch_add(1, Ordering::SeqCst);
                         let body = Arc::new(b"{\"cost\": 2}".to_vec());
-                        shared.cache.lock().unwrap().insert(
-                            key,
-                            crate::CachedResponse {
-                                canonical: Arc::clone(canonical),
-                                body: Arc::clone(&body),
-                            },
-                        );
-                        crate::FlightResult { status: 200, body }
+                        Solved { status: 200, body }
                     });
                     assert_eq!(result.body.as_slice(), b"{\"cost\": 2}");
                 });
@@ -2440,21 +2359,13 @@ mod tests {
 
     #[test]
     fn callers_parked_past_the_leaders_flight_hit_the_cache() {
-        // The race, replayed deterministically: every caller misses the
-        // first probe, then all but caller 0 wait until caller 0's
-        // flight has cached its bytes and retired before entering the
-        // flight table. Each of them leads a fresh flight, and the
-        // leader's re-probe must turn that into a hit, not a solve.
-        // They are released one at a time — caller `i` also waits for
-        // the `i − 1` hits before it, counted once each flight retired —
-        // so no parked caller can join another's re-probe flight.
+        // Every caller but caller 0 claims only once caller 0's flight
+        // has landed: each of them finds the done entry, so there is one
+        // solve, and no caller can lead a second flight.
         let n = 6;
         let (solves, metrics) = parked_flights(n, |i, shared, solves| {
             if i > 0 {
-                while solves.load(Ordering::SeqCst) == 0
-                    || shared.single_flight.in_flight(0xF1)
-                    || counter(&shared.metrics.render(), "fd_serve_cache_hits") < i as u64 - 1
-                {
+                while solves.load(Ordering::SeqCst) == 0 || shared.cache.in_flight(0xF1) {
                     std::thread::yield_now();
                 }
             }
@@ -2475,10 +2386,9 @@ mod tests {
 
     #[test]
     fn parked_callers_keep_the_single_flight_accounting() {
-        // Stress: staggered parks between the probe and the flight put
-        // callers on every side of the leader's insert and completion.
-        // Whatever the interleaving, one call solves and every call is
-        // counted exactly once.
+        // Stress: staggered parks before the claim put callers on every
+        // side of the leader's landing. Whatever the interleaving, one
+        // call solves and every call is counted exactly once.
         for round in 0..40u64 {
             let n = 8;
             let (solves, metrics) = parked_flights(n, |i, _, _| {
