@@ -9,10 +9,10 @@ use crate::request::{Notion, Optimality, RepairRequest};
 use fd_core::{candidate_keys, AttrId, FdSet, Table, TupleId, Value};
 use fd_srepair::{
     count_optimal_s_repairs, count_subset_repairs, sample_subset_repair, ChainCountOutcome,
-    CountOutcome, ShardConfig, ShardPlan, ShardedSolution,
+    CountOutcome, SMethod, ShardConfig, ShardPlan, ShardedSolution,
 };
-use fd_urepair::engine::MixedMethod;
-use fd_urepair::URepairSolver;
+use fd_urepair::engine::{MixedMethod, EXACT_MAX_ROWS};
+use fd_urepair::{URepairSolver, UpdatePlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -207,12 +207,14 @@ impl Planner {
         Ok(())
     }
 
-    /// The sharding configuration a subset request resolves to:
-    /// `Optimality::Exact` forces per-component exactness outright, and
-    /// an `Approximate` ceiling below the plan's guaranteed ratio
-    /// escalates to it.
-    pub(crate) fn shard_config(table: &Table, fds: &FdSet, request: &RepairRequest) -> ShardConfig {
-        let base = ShardConfig {
+    /// The sharding configuration a subset request resolves to. A
+    /// request the 2-approximation cannot satisfy (`Exact`, or a
+    /// `max_ratio` below 2) solves every hard-side component exactly:
+    /// the plan then reads ratio 1 on any table, and the components
+    /// within `component_exact_limit` are exact either way.
+    pub(crate) fn shard_config(request: &RepairRequest) -> ShardConfig {
+        let (optimal, ratio) = SMethod::Approx2.guarantees();
+        ShardConfig {
             threads: request.budgets.threads,
             // `exact_fallback_limit` is the caller's global allowance for
             // exponential exact solving; the per-component cutoff refines
@@ -222,24 +224,31 @@ impl Planner {
                 .budgets
                 .component_exact_limit
                 .min(request.budgets.exact_fallback_limit),
-            force_exact: request.optimality == Optimality::Exact,
-        };
-        if let Optimality::Approximate { max_ratio } = request.optimality {
-            // The sharded ratio is 1 on the tractable side and at most 2
-            // on the hard side, so the `O(|T|·|Δ|)` component pre-pass
-            // that decides escalation only runs when it can matter:
-            // hard Δ and a ceiling below 2.
-            if max_ratio < 2.0 && !fd_srepair::osr_succeeds(fds) {
-                let (_, plan, _) = fd_srepair::shard_plan(table, fds, &base);
-                if plan.ratio > max_ratio {
-                    return ShardConfig {
-                        force_exact: true,
-                        ..base
-                    };
-                }
-            }
+            force_exact: Planner::check_guarantee(request, optimal, ratio).is_err(),
         }
-        base
+    }
+
+    /// The update strategy for one call, planned once and escalated in
+    /// place when it misses the request's guarantee. The exact search
+    /// stops at [`EXACT_MAX_ROWS`] rows, so a plan may still miss the
+    /// guarantee: it fails before any solving.
+    fn update_strategy<'t>(
+        table: &'t Table,
+        fds: &FdSet,
+        request: &RepairRequest,
+    ) -> Result<(URepairSolver, UpdatePlan<'t>), EngineError> {
+        let solver = URepairSolver {
+            exact_row_limit: request.budgets.exact_row_limit,
+            exact_node_budget: request.budgets.exact_node_budget,
+            threads: request.budgets.threads,
+        };
+        let mut plan = solver.plan(table, fds);
+        if Planner::check_guarantee(request, plan.optimal, plan.ratio).is_err() {
+            plan.escalate();
+        }
+        let (optimal, ratio, rows) = (plan.optimal, plan.ratio, table.len());
+        Planner::check_capped(request, optimal, ratio, "exact update search", rows)?;
+        Ok((solver, plan))
     }
 
     /// Never hand back a weaker guarantee than the request allows: the
@@ -343,66 +352,45 @@ impl Planner {
         (steps, stats)
     }
 
-    /// The update solver the request resolves to. `Exact` forces the
-    /// exact search on every hard component; `Approximate` escalates to
-    /// it when the default plan's guaranteed ratio would exceed the
-    /// ceiling (mirroring the subset and mixed escalation paths).
-    fn effective_u_solver(table: &Table, fds: &FdSet, request: &RepairRequest) -> URepairSolver {
-        let base = URepairSolver {
-            exact_row_limit: request.budgets.exact_row_limit,
-            exact_node_budget: request.budgets.exact_node_budget,
-            threads: request.budgets.threads,
-        };
-        let escalate = match request.optimality {
-            Optimality::Exact => true,
-            Optimality::Best => false,
-            Optimality::Approximate { max_ratio } => {
-                fd_urepair::engine::plan_update(table, fds, &base).ratio > max_ratio
-            }
-        };
-        if escalate {
-            URepairSolver {
-                exact_row_limit: usize::MAX,
-                ..base
-            }
-        } else {
-            base
-        }
-    }
-
+    /// The mixed strategy for one call with its guarantee: the default
+    /// policy's method, escalated to the exact enumeration as the update
+    /// one is when it misses the request's guarantee.
     fn plan_mixed_method(
         table: &Table,
         fds: &FdSet,
         request: &RepairRequest,
-    ) -> Result<MixedMethod, EngineError> {
-        let default =
-            fd_urepair::engine::mixed_strategy(table.len(), request.budgets.exact_fallback_limit);
-        match request.optimality {
-            Optimality::Best => Ok(default),
-            Optimality::Exact => {
-                if table.len() > fd_urepair::engine::MIXED_EXACT_MAX_ROWS {
-                    return Err(EngineError::ExactInfeasible(format!(
-                        "mixed enumeration is capped at {} rows, table has {}",
-                        fd_urepair::engine::MIXED_EXACT_MAX_ROWS,
-                        table.len()
-                    )));
-                }
-                Ok(MixedMethod::ExactEnumeration)
-            }
-            Optimality::Approximate { max_ratio } => {
-                let bound = fd_urepair::mixed_ratio_bound(fds, request.mixed_costs);
-                if bound <= max_ratio {
-                    Ok(default)
-                } else if table.len() <= fd_urepair::engine::MIXED_EXACT_MAX_ROWS {
-                    Ok(MixedMethod::ExactEnumeration)
-                } else {
-                    Err(EngineError::RatioUnattainable {
-                        required: max_ratio,
-                        achievable: bound,
-                    })
-                }
-            }
+    ) -> Result<(MixedMethod, bool, f64), EngineError> {
+        let rows = table.len();
+        let method = fd_urepair::engine::mixed_strategy(rows, request.budgets.exact_fallback_limit);
+        let (optimal, ratio) = match method {
+            MixedMethod::ExactEnumeration => (true, 1.0),
+            MixedMethod::VertexCoverRetag => (
+                false,
+                fd_urepair::mixed_ratio_bound(fds, request.mixed_costs),
+            ),
+        };
+        if Planner::check_guarantee(request, optimal, ratio).is_err() && rows <= EXACT_MAX_ROWS {
+            return Ok((MixedMethod::ExactEnumeration, true, 1.0));
         }
+        Planner::check_capped(request, optimal, ratio, "mixed enumeration", rows)?;
+        Ok((method, optimal, ratio))
+    }
+
+    /// The plan-time refusal of a plan that still misses the request's
+    /// guarantee, its exact `search` being capped at [`EXACT_MAX_ROWS`].
+    fn check_capped(
+        request: &RepairRequest,
+        optimal: bool,
+        ratio: f64,
+        search: &str,
+        rows: usize,
+    ) -> Result<(), EngineError> {
+        if request.optimality == Optimality::Exact && !optimal {
+            return Err(EngineError::ExactInfeasible(format!(
+                "{search} is capped at {EXACT_MAX_ROWS} rows, table has {rows}"
+            )));
+        }
+        Planner::check_guarantee(request, optimal, ratio)
     }
 
     /// Runs `work` and charges its wall time to the request's
@@ -444,14 +432,13 @@ impl RepairEngine for Planner {
         let whole = format!("{} rows", table.len());
         let (steps, optimal, ratio) = match request.notion {
             Notion::Subset => {
-                let cfg = Planner::shard_config(table, fds, request);
+                let cfg = Planner::shard_config(request);
                 let (_, plan, _) = fd_srepair::shard_plan(table, fds, &cfg);
                 let (steps, _) = Planner::shard_steps(&plan);
                 (steps, plan.optimal, plan.ratio)
             }
             Notion::Update => {
-                let solver = Planner::effective_u_solver(table, fds, request);
-                let plan = fd_urepair::engine::plan_update(table, fds, &solver);
+                let (_, plan) = Planner::update_strategy(table, fds, request)?;
                 let steps = plan
                     .steps
                     .iter()
@@ -468,14 +455,7 @@ impl RepairEngine for Planner {
                 (steps, plan.optimal, plan.ratio)
             }
             Notion::Mixed => {
-                let method = Planner::plan_mixed_method(table, fds, request)?;
-                let (optimal, ratio) = match method {
-                    MixedMethod::ExactEnumeration => (true, 1.0),
-                    MixedMethod::VertexCoverRetag => (
-                        false,
-                        fd_urepair::mixed_ratio_bound(fds, request.mixed_costs),
-                    ),
-                };
+                let (method, optimal, ratio) = Planner::plan_mixed_method(table, fds, request)?;
                 (
                     vec![PlanStep {
                         method: method.name().to_string(),
@@ -556,9 +536,9 @@ impl RepairEngine for Planner {
         request: &RepairRequest,
     ) -> Result<RepairReport, EngineError> {
         let start = Instant::now();
-        // Validation and classification only — each notion arm below
-        // resolves its own strategy, so re-running the full plan() here
-        // (with its per-component pre-passes) would duplicate work.
+        // Validation and classification only: each notion arm below
+        // takes its strategy from the same function plan() renders, and
+        // executes that value.
         let plan_sp = fd_trace::span("engine/plan");
         Planner::validate(request)?;
         let dichotomy = DichotomyReport::classify(fds);
@@ -574,7 +554,7 @@ impl RepairEngine for Planner {
         let mut components: Option<ComponentReport> = None;
         let (methods, optimal, ratio, cost, body) = match request.notion {
             Notion::Subset => {
-                let cfg = Planner::shard_config(table, fds, request);
+                let cfg = Planner::shard_config(request);
                 let sol = fd_srepair::sharded_s_repair(table, fds, &cfg);
                 let (methods, stats, body) = Planner::subset_report_parts(table, &sol);
                 components = Some(stats);
@@ -587,8 +567,8 @@ impl RepairEngine for Planner {
                 )
             }
             Notion::Update => {
-                let solver = Planner::effective_u_solver(table, fds, request);
-                let sol = solver.solve(table, fds);
+                let (solver, plan) = Planner::update_strategy(table, fds, request)?;
+                let sol = solver.execute(plan);
                 let (changed, repaired) =
                     Planner::assemble_cells(table, &sol.repair.cells, || sol.repair.apply(table));
                 (
@@ -600,7 +580,7 @@ impl RepairEngine for Planner {
                 )
             }
             Notion::Mixed => {
-                let method = Planner::plan_mixed_method(table, fds, request)?;
+                let (method, _, _) = Planner::plan_mixed_method(table, fds, request)?;
                 let sol = fd_urepair::engine::solve_mixed(
                     table,
                     fds,

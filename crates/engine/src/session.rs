@@ -18,8 +18,8 @@
 //! deterministic responses are what the differential fuzzer and the
 //! serving cache compare, so wall-clock noise is excluded at the source.
 //!
-//! Requests the delta engine cannot serve (non-subset notions, the
-//! table-dependent approximate-escalation corner) still work: the
+//! Requests the delta engine does not serve (non-subset notions, an
+//! `Approximate` ceiling below 2 on the hard side) still work: the
 //! session transparently falls back to a cold `Planner::run` per report
 //! while keeping the mutation bookkeeping, so callers never branch.
 //!
@@ -54,18 +54,16 @@ impl IncrementalSession {
     /// falling back to a cold solve on large tables.
     ///
     /// Eligible means: the subset notion (the dichotomy's component
-    /// decomposition is what the cache exploits), and not the one corner
-    /// where [`Planner`]'s shard configuration depends on the table
-    /// itself: an `Approximate` ceiling below 2 on the hard side of the
-    /// dichotomy escalates `force_exact` based on a per-table pre-pass,
-    /// which a table-independent cache cannot mirror. A wall-clock cap
-    /// does not matter: the session charges its own work to it.
+    /// decomposition is what the cache exploits), and not an
+    /// `Approximate` ceiling below 2 on the hard side of the dichotomy,
+    /// which sessions serve by cold solves. A wall-clock cap does not
+    /// matter: the session charges its own work to it.
     pub fn delta_eligible(fds: &FdSet, request: &RepairRequest) -> bool {
-        let table_dependent_escalation = matches!(
+        let tight_hard_side = matches!(
             request.optimality,
             Optimality::Approximate { max_ratio } if max_ratio < 2.0
         ) && !osr_succeeds(fds);
-        request.notion == Notion::Subset && !table_dependent_escalation
+        request.notion == Notion::Subset && !tight_hard_side
     }
 
     /// Opens a session over `table`. Validates the request exactly as
@@ -82,7 +80,7 @@ impl IncrementalSession {
         Planner::validate(&request)?;
         let inc = Planner::capped(&request, || {
             Ok(IncrementalSession::delta_eligible(&fds, &request).then(|| {
-                let cfg = Planner::shard_config(&table, &fds, &request);
+                let cfg = Planner::shard_config(&request);
                 IncrementalSubset::new(&table, &fds, &cfg)
             }))
         })?;
@@ -129,10 +127,10 @@ impl IncrementalSession {
         Ok(report)
     }
 
-    /// Assembles the report from the delta engine's cached state,
-    /// mirroring the subset arm of [`Planner::run`] — including
-    /// its post-solve guarantee checks — without touching a solver for
-    /// any clean component.
+    /// Assembles the report from the delta engine's cached state, with
+    /// the guarantee check and report parts of [`Planner::run`]'s subset
+    /// arm and under the same `Planner::shard_config`, without touching
+    /// a solver for any clean component.
     fn spliced_report(&self, inc: &IncrementalSubset) -> Result<RepairReport, EngineError> {
         // fdlint: allow(O001, "observation only: the span records row/component counts and is dropped before assembly; nothing from it reaches the report, whose timings are always zeroed")
         let mut sp = fd_trace::span("engine/incremental_report");
@@ -307,8 +305,7 @@ mod tests {
         assert!(!s.is_incremental());
         s.report().unwrap();
 
-        // The table-dependent escalation corner: tight approximate
-        // ceiling on the hard side.
+        // A tight approximate ceiling on the hard side.
         let hard = FdSet::parse(&schema(), "A -> C; B -> C").unwrap();
         let tight = RepairRequest::subset().optimality(Optimality::Approximate { max_ratio: 1.5 });
         let s = IncrementalSession::new(table.clone(), hard, tight).unwrap();

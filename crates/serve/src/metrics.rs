@@ -235,9 +235,9 @@ impl Metrics {
     }
 
     /// Counts a request that replayed a concurrent in-flight solve
-    /// instead of solving (single-flight coalescing). Such requests are
-    /// *also* cache misses — the result was not in the cache when they
-    /// arrived — so `hits + misses` still equals the cacheable total.
+    /// instead of solving (single-flight coalescing). Such a request is
+    /// counted here only, not as a hit or a miss, so
+    /// `hits + misses + coalesced` equals the cacheable total.
     pub fn observe_coalesced(&self) {
         self.coalesced.fetch_add(1, Ordering::Relaxed);
     }

@@ -6,7 +6,7 @@
 //! zeroes the only nondeterministic report field).
 
 use fd_core::{tup, FdSet, Schema, Table};
-use fd_engine::{Notion, Planner, RepairCall, RepairEngine, RepairRequest, Timings};
+use fd_engine::{Notion, Optimality, Planner, RepairCall, RepairEngine, RepairRequest, Timings};
 use fd_serve::{client, ServeConfig, Server};
 use fd_urepair::MixedCosts;
 use std::net::SocketAddr;
@@ -206,6 +206,62 @@ fn malformed_and_oversized_bodies_get_4xx_and_the_server_survives() {
     let response = client::post(addr, "/repair", &good.to_json_value().to_string()).unwrap();
     assert_eq!(response.status, 200);
     assert_eq!(response.body, direct_answer(&good));
+
+    flag.store(true, Ordering::SeqCst);
+    handle.join().unwrap().unwrap();
+}
+
+/// Update calls the exact search must not take, and one it takes on a
+/// row whose candidate cross product is millions of tuples: each answers
+/// at once (a plan-time 422, the approximation, or the search), and the
+/// one worker is free for `/healthz` afterwards.
+#[test]
+fn exact_update_calls_stay_bounded_and_the_server_keeps_serving() {
+    let (addr, flag, handle) = start_server(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        ..ServeConfig::default()
+    });
+    let s = Schema::new("R", ["A", "B", "C"]).unwrap();
+    let hard_fds = FdSet::parse(&s, "A -> C; B -> C").unwrap();
+    let hard = Table::build_unweighted(s, (0..30i64).map(|i| tup![i % 5, i % 4, i % 3])).unwrap();
+    let wide_schema = Schema::new("W", ["A", "B", "C", "D", "E", "F", "G", "H"]).unwrap();
+    let wide_fds = FdSet::parse(&wide_schema, "A -> C D E F G H; B -> C D E F G H").unwrap();
+    let wide = Table::build_unweighted(
+        wide_schema,
+        vec![
+            tup![1, 1, 1, 1, 1, 1, 1, 1],
+            tup![1, 2, 2, 2, 2, 2, 2, 2],
+            tup![2, 1, 3, 3, 3, 3, 3, 3],
+            tup![2, 2, 4, 4, 4, 4, 4, 4],
+        ],
+    )
+    .unwrap();
+    let update = RepairRequest::update();
+    for (table, fds, request, status) in [
+        (&hard, &hard_fds, update.optimality(Optimality::Exact), 422),
+        (
+            &hard,
+            &hard_fds,
+            update.optimality(Optimality::Approximate { max_ratio: 1.0 }),
+            422,
+        ),
+        (&hard, &hard_fds, update.exact_row_limit(100_000), 200),
+        (&wide, &wide_fds, update, 200),
+    ] {
+        let call = RepairCall {
+            table: table.clone(),
+            fds: fds.clone(),
+            request,
+            include_timings: false,
+        };
+        let response = client::post(addr, "/repair", &call.to_json_value().to_string()).unwrap();
+        assert_eq!(response.status, status, "{}", response.body);
+        if status == 200 {
+            assert_eq!(response.body, direct_answer(&call));
+        }
+        assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    }
 
     flag.store(true, Ordering::SeqCst);
     handle.join().unwrap().unwrap();

@@ -1,47 +1,19 @@
 //! Engine adapter: plan/solve entry points over the update-repair and
 //! mixed-repair machinery, consumed by the `fd-engine` planner.
 //!
-//! Both [`URepairSolver::solve`] and [`plan_update`] take their
-//! per-component strategy from one decision function,
-//! `URepairSolver::component_method`: the solver executes it, the plan
-//! reports it without running any solver (only the cheap consensus
-//! pre-pass and polynomial-time tests), so the engine can `explain()` a
-//! call before committing to it. The plan/solve agreement is pinned by a
-//! test below.
+//! An update repair is planned once, by
+//! [`URepairSolver::plan`](crate::URepairSolver::plan): the cheap
+//! consensus pre-pass and polynomial-time tests, no solver. The engine
+//! renders that plan for `explain()` and executes the same value for
+//! `run()`. The plan/solve agreement is pinned by a test below.
 
 use crate::bounds::ratio_kl;
-use crate::decompose::{attribute_components, consensus_first};
 use crate::exact::ExactConfig;
 use crate::mixed::{
     approx_mixed_repair, mixed_ratio_bound, try_exact_mixed_repair, MixedCosts, MixedRepair,
 };
-use crate::solver::{UMethod, URepairSolver};
-use fd_core::{mlc, AttrSet, FdSet, Table};
+use fd_core::{mlc, FdSet, Table};
 use fd_srepair::osr_succeeds;
-
-/// One planned step of an update repair: the method the solver will use
-/// on one attribute-disjoint component (or the consensus pre-pass).
-#[derive(Clone, Debug, PartialEq)]
-pub struct UpdatePlanStep {
-    /// The method.
-    pub method: UMethod,
-    /// The attributes the step touches (component attributes, or the
-    /// consensus attributes for the pre-pass).
-    pub attrs: AttrSet,
-    /// The guaranteed ratio of the step (1 when provably optimal).
-    pub ratio: f64,
-}
-
-/// A complete update-repair plan.
-#[derive(Clone, Debug, PartialEq)]
-pub struct UpdatePlan {
-    /// Steps in application order.
-    pub steps: Vec<UpdatePlanStep>,
-    /// Whether the composed result is guaranteed optimal.
-    pub optimal: bool,
-    /// Guaranteed overall ratio (the max over steps; Theorem 4.1).
-    pub ratio: f64,
-}
 
 /// The guaranteed bound of the combined approximation on one
 /// consensus-free component: `min(c·mlc, KL)` with `c = 1` on the
@@ -50,57 +22,6 @@ pub fn approx_component_bound(comp: &FdSet) -> f64 {
     let c = if osr_succeeds(comp) { 1.0 } else { 2.0 };
     let m = mlc(comp).expect("consensus-free component has an lhs cover") as f64;
     (c * m).min(ratio_kl(comp))
-}
-
-/// Predicts the strategy [`URepairSolver::solve`] will follow, without
-/// running it. Performs only polynomial work: the consensus pre-pass
-/// (needed because later strategy tests look at the consensus-fixed
-/// table) and per-component satisfiability/structure checks.
-pub fn plan_update(table: &Table, fds: &FdSet, solver: &URepairSolver) -> UpdatePlan {
-    if table.satisfies(fds) {
-        return UpdatePlan {
-            steps: vec![UpdatePlanStep {
-                method: UMethod::AlreadyConsistent,
-                attrs: AttrSet::default(),
-                ratio: 1.0,
-            }],
-            optimal: true,
-            ratio: 1.0,
-        };
-    }
-    let mut steps = Vec::new();
-    let mut optimal = true;
-    let mut ratio: f64 = 1.0;
-
-    let (_, attrs, base, rest) = consensus_first(table, fds);
-    if !attrs.is_empty() {
-        steps.push(UpdatePlanStep {
-            method: UMethod::ConsensusOnly,
-            attrs,
-            ratio: 1.0,
-        });
-    }
-
-    for comp in attribute_components(&rest) {
-        let method = solver.component_method(&base, &comp);
-        let step_ratio = if method == UMethod::Approximate {
-            approx_component_bound(&comp)
-        } else {
-            1.0
-        };
-        optimal &= step_ratio == 1.0;
-        ratio = ratio.max(step_ratio);
-        steps.push(UpdatePlanStep {
-            method,
-            attrs: comp.attrs(),
-            ratio: step_ratio,
-        });
-    }
-    UpdatePlan {
-        steps,
-        optimal,
-        ratio,
-    }
 }
 
 /// The mixed-repair methods the adapter provides.
@@ -124,13 +45,16 @@ impl MixedMethod {
     }
 }
 
-/// Rows beyond which [`MixedMethod::ExactEnumeration`] is unavailable
-/// (its `2ⁿ` deletion-set enumeration is hard-capped there).
-pub const MIXED_EXACT_MAX_ROWS: usize = 20;
+/// Rows beyond which no exact search runs, whatever the request's row
+/// limits say: [`MixedMethod::ExactEnumeration`] enumerates `2ⁿ`
+/// deletion sets, and the update search of
+/// [`UMethod::ExactSearch`](crate::UMethod::ExactSearch) recurses once
+/// per row over each row's candidate tuples.
+pub const EXACT_MAX_ROWS: usize = 20;
 
 /// Picks the mixed method the default policy would use.
 pub fn mixed_strategy(rows: usize, exact_row_limit: usize) -> MixedMethod {
-    if rows <= exact_row_limit.min(MIXED_EXACT_MAX_ROWS) {
+    if rows <= exact_row_limit.min(EXACT_MAX_ROWS) {
         MixedMethod::ExactEnumeration
     } else {
         MixedMethod::VertexCoverRetag
@@ -156,7 +80,7 @@ pub struct MixedSolution {
 ///
 /// # Panics
 /// Panics if [`MixedMethod::ExactEnumeration`] is requested on a table
-/// beyond [`MIXED_EXACT_MAX_ROWS`] rows — plan with [`mixed_strategy`]
+/// beyond [`EXACT_MAX_ROWS`] rows — plan with [`mixed_strategy`]
 /// (or check the row count) first.
 pub fn solve_mixed(
     table: &Table,
@@ -193,6 +117,7 @@ pub fn solve_mixed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{UMethod, URepairSolver};
     use fd_core::{schema_rabc, tup, Schema};
 
     #[test]
@@ -243,7 +168,7 @@ mod tests {
                 exact_row_limit: 8,
                 ..Default::default()
             };
-            let plan = plan_update(&t, &fds, &solver);
+            let plan = solver.plan(&t, &fds);
             let sol = solver.solve(&t, &fds);
             let planned: Vec<UMethod> = plan.steps.iter().map(|s| s.method).collect();
             assert_eq!(planned, sol.methods, "{}", fds.display(t.schema()));

@@ -110,8 +110,17 @@ pub fn try_exact_u_repair(
     fds: &FdSet,
     config: &ExactConfig,
 ) -> Result<URepair, ExactError> {
+    exact_search(table, fds, config).0
+}
+
+/// [`try_exact_u_repair`] with the search's [`Effort`].
+fn exact_search(
+    table: &Table,
+    fds: &FdSet,
+    config: &ExactConfig,
+) -> (Result<URepair, ExactError>, Effort) {
     if table.is_empty() || table.satisfies(fds) {
-        return Ok(URepair::default());
+        return (Ok(URepair::default()), Effort::default());
     }
     let fds = fds.normalize_single_rhs();
     let mutable = config
@@ -156,22 +165,38 @@ pub fn try_exact_u_repair(
         used_fresh: vec![0usize; arity],
         best_cost: config.initial_bound.unwrap_or(f64::INFINITY),
         best: None,
-        nodes: 0,
+        effort: Effort::default(),
         max_nodes: config.max_nodes,
         exhausted: false,
     };
     search.dfs(0, 0.0);
+    let effort = search.effort;
+    debug_assert!(effort.produced <= effort.nodes + effort.frames);
     if search.exhausted {
-        return Err(ExactError::BudgetExhausted(config.max_nodes));
+        return (Err(ExactError::BudgetExhausted(config.max_nodes)), effort);
     }
-    let best = search.best.ok_or(ExactError::NoRepair)?;
+    let Some(best) = search.best else {
+        return (Err(ExactError::NoRepair), effort);
+    };
     let mut writer = UpdateWriter::new(table);
     for (pos, (row, tuple)) in rows.iter().zip(best).enumerate() {
         for attr in row.tuple.disagreement(&tuple).iter() {
             writer.set(pos, attr, tuple.get(attr).clone());
         }
     }
-    Ok(writer.finish())
+    (Ok(writer.finish()), effort)
+}
+
+/// What one exact search did: each node is a candidate checked against
+/// the rows assigned so far, each frame a row whose candidates were
+/// drawn.
+#[derive(Clone, Copy, Debug, Default)]
+struct Effort {
+    nodes: u64,
+    frames: u64,
+    /// Candidate tuples produced: one per node, plus at most one per
+    /// frame that the cost bound or the budget turned away.
+    produced: u64,
 }
 
 struct Search<'a> {
@@ -184,7 +209,7 @@ struct Search<'a> {
     used_fresh: Vec<usize>,
     best_cost: f64,
     best: Option<Vec<Tuple>>,
-    nodes: u64,
+    effort: Effort,
     max_nodes: u64,
     /// Set once `nodes` passes `max_nodes`; every frame then unwinds.
     exhausted: bool,
@@ -200,13 +225,14 @@ impl Search<'_> {
             self.best = Some(self.assigned.clone());
             return;
         }
-        let candidates = self.row_candidates(row_idx);
-        for (extra, tuple, opened) in candidates {
+        self.effort.frames += 1;
+        for (extra, tuple, opened) in self.row_candidates(row_idx) {
+            self.effort.produced += 1;
             if cost + extra >= self.best_cost {
-                break; // candidates are sorted by cost
+                break; // candidates come in cost order
             }
-            self.nodes += 1;
-            if self.nodes > self.max_nodes {
+            self.effort.nodes += 1;
+            if self.effort.nodes > self.max_nodes {
                 self.exhausted = true;
                 return;
             }
@@ -225,56 +251,38 @@ impl Search<'_> {
         }
     }
 
-    /// All candidate tuples for one row with their extra cost and the
-    /// columns whose next fresh constant they open, sorted by cost.
-    #[allow(clippy::type_complexity)]
-    fn row_candidates(&self, row_idx: usize) -> Vec<(f64, Tuple, Vec<usize>)> {
+    /// The candidate tuples for one row, drawn lazily in cost order.
+    /// Each attribute's options are the original value, then (when
+    /// mutable) the other values of the column's domain, the fresh
+    /// constants already opened in this column, and the canonical next
+    /// one.
+    fn row_candidates(&self, row_idx: usize) -> Candidates {
         let row = &self.rows[row_idx];
-        let weight = row.weight;
-        let mut combos: Vec<(f64, Vec<Value>, Vec<usize>)> = vec![(0.0, Vec::new(), Vec::new())];
-        for attr_idx in 0..row.tuple.arity() {
-            let attr = fd_core::AttrId::new(attr_idx as u16);
-            let original = &row.tuple.values()[attr_idx];
-            let mut options: Vec<(f64, Value, Option<usize>)> = vec![(0.0, original.clone(), None)];
-            if self.mutable.contains(attr) {
-                for v in &self.domains[attr_idx] {
-                    if v != original {
-                        options.push((weight, v.clone(), None));
+        let options = row
+            .tuple
+            .values()
+            .iter()
+            .enumerate()
+            .map(|(attr_idx, original)| {
+                let mut options = vec![(original.clone(), None)];
+                if self.mutable.contains(AttrId::new(attr_idx as u16)) {
+                    let used = self.used_fresh[attr_idx];
+                    let pool = &self.pools[attr_idx];
+                    options.extend(
+                        self.domains[attr_idx]
+                            .iter()
+                            .filter(|v| *v != original)
+                            .chain(&pool[..used])
+                            .map(|v| (v.clone(), None)),
+                    );
+                    if let Some(next) = pool.get(used) {
+                        options.push((next.clone(), Some(attr_idx)));
                     }
                 }
-                // Reusable fresh constants already opened in this column…
-                for j in 0..self.used_fresh[attr_idx] {
-                    options.push((weight, self.pools[attr_idx][j].clone(), None));
-                }
-                // …plus the canonical "next" one.
-                if self.used_fresh[attr_idx] < self.pools[attr_idx].len() {
-                    options.push((
-                        weight,
-                        self.pools[attr_idx][self.used_fresh[attr_idx]].clone(),
-                        Some(attr_idx),
-                    ));
-                }
-            }
-            let mut next = Vec::with_capacity(combos.len() * options.len());
-            for (c, vals, opened) in &combos {
-                for (oc, v, open) in &options {
-                    let mut vals = vals.clone();
-                    vals.push(v.clone());
-                    let mut opened = opened.clone();
-                    if let Some(a) = open {
-                        opened.push(*a);
-                    }
-                    next.push((c + oc, vals, opened));
-                }
-            }
-            combos = next;
-        }
-        let mut out: Vec<(f64, Tuple, Vec<usize>)> = combos
-            .into_iter()
-            .map(|(c, vals, opened)| (c, Tuple::new(vals), opened))
+                options
+            })
             .collect();
-        out.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
-        out
+        Candidates::new(options, row.weight)
     }
 
     fn consistent_with_assigned(&self, tuple: &Tuple) -> bool {
@@ -286,6 +294,113 @@ impl Search<'_> {
             }
         }
         true
+    }
+}
+
+/// One row's candidate tuples, each with its extra cost and the columns
+/// whose next fresh constant it opens, produced one at a time in the
+/// order a stable sort by cost of the options' cross product lists
+/// them: by cost (changed cells × weight), then in the cross product's
+/// generation order (lexicographic in option indices, first attribute
+/// most significant). Each candidate costs `O(arity)`.
+struct Candidates {
+    /// Per attribute: its options, the original value first.
+    options: Vec<Vec<(Value, Option<usize>)>>,
+    /// Cost levels in ascending order: a cost and the inclusive range of
+    /// changed-cell counts that sum to it.
+    levels: Vec<(f64, usize, usize)>,
+    level: usize,
+    /// Option indices of the last candidate of the current level.
+    current: Option<Vec<usize>>,
+}
+
+impl Candidates {
+    fn new(options: Vec<Vec<(Value, Option<usize>)>>, weight: f64) -> Candidates {
+        let changeable = options.iter().filter(|o| o.len() > 1).count();
+        // Costs summed cell by cell, as the cross product sums them.
+        let mut levels: Vec<(f64, usize, usize)> = Vec::new();
+        let mut cost = 0.0;
+        for changed in 0..=changeable {
+            if changed > 0 {
+                cost += weight;
+            }
+            match levels.last_mut() {
+                Some(last) if last.0 == cost => last.2 = changed,
+                _ => levels.push((cost, changed, changed)),
+            }
+        }
+        Candidates {
+            options,
+            levels,
+            level: 0,
+            current: None,
+        }
+    }
+
+    /// Zeroes `idx[from..]`, then puts option 1 on the last `changed`
+    /// attributes there that have one: the least completion, in
+    /// generation order, with `changed` changed cells.
+    fn fill(&self, idx: &mut [usize], from: usize, mut changed: usize) {
+        for j in (from..idx.len()).rev() {
+            idx[j] = 0;
+            if changed > 0 && self.options[j].len() > 1 {
+                idx[j] = 1;
+                changed -= 1;
+            }
+        }
+    }
+
+    /// Steps `idx` to the next index vector in generation order whose
+    /// changed-cell count lies in `lo..=hi`; `false` when none is left.
+    fn advance(&self, idx: &mut [usize], lo: usize, hi: usize) -> bool {
+        let total = idx.iter().filter(|&&i| i != 0).count();
+        let (mut changed_after, mut free_after) = (0, 0);
+        for i in (0..idx.len()).rev() {
+            let here = usize::from(idx[i] != 0);
+            if idx[i] + 1 < self.options[i].len() {
+                let changed = total - changed_after - here + 1;
+                if changed <= hi && lo <= changed + free_after {
+                    idx[i] += 1;
+                    self.fill(idx, i + 1, lo.saturating_sub(changed));
+                    return true;
+                }
+            }
+            changed_after += here;
+            free_after += usize::from(self.options[i].len() > 1);
+        }
+        false
+    }
+}
+
+impl Iterator for Candidates {
+    type Item = (f64, Tuple, Vec<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let &(cost, lo, hi) = self.levels.get(self.level)?;
+            let idx = match self.current.take() {
+                None => {
+                    let mut idx = vec![0; self.options.len()];
+                    self.fill(&mut idx, 0, lo);
+                    idx
+                }
+                Some(mut idx) => {
+                    if !self.advance(&mut idx, lo, hi) {
+                        self.level += 1;
+                        continue;
+                    }
+                    idx
+                }
+            };
+            let mut opened = Vec::new();
+            let tuple = Tuple::new(idx.iter().zip(&self.options).map(|(&i, options)| {
+                let (value, open) = &options[i];
+                opened.extend(*open);
+                value.clone()
+            }));
+            self.current = Some(idx);
+            return Some((cost, tuple, opened));
+        }
     }
 }
 
@@ -446,6 +561,93 @@ mod tests {
                 u.cost,
                 2.0 * sr.cost
             );
+        }
+    }
+
+    /// The reference order: the options' whole cross product, sorted
+    /// stably by cost.
+    fn cross_product_sorted(
+        options: &[Vec<(Value, Option<usize>)>],
+        weight: f64,
+    ) -> Vec<(f64, Tuple, Vec<usize>)> {
+        let mut combos: Vec<(f64, Vec<Value>, Vec<usize>)> = vec![(0.0, Vec::new(), Vec::new())];
+        for attr_options in options {
+            let mut next = Vec::new();
+            for (c, vals, opened) in &combos {
+                for (i, (v, open)) in attr_options.iter().enumerate() {
+                    let mut vals = vals.clone();
+                    vals.push(v.clone());
+                    let mut opened = opened.clone();
+                    opened.extend(*open);
+                    next.push((c + if i == 0 { 0.0 } else { weight }, vals, opened));
+                }
+            }
+            combos = next;
+        }
+        let mut out: Vec<_> = combos
+            .into_iter()
+            .map(|(c, vals, opened)| (c, Tuple::new(vals), opened))
+            .collect();
+        out.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        out
+    }
+
+    #[test]
+    fn candidates_come_in_the_sorted_cross_products_order() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0xCA4D);
+        for case in 0..300 {
+            let arity = rng.gen_range(1..6);
+            let options: Vec<Vec<(Value, Option<usize>)>> = (0..arity)
+                .map(|a| {
+                    let len = rng.gen_range(1..5);
+                    (0..len)
+                        .map(|i| {
+                            let open = (i + 1 == len && len > 1 && rng.gen_bool(0.5)).then_some(a);
+                            (Value::from((a * 10 + i) as i64), open)
+                        })
+                        .collect()
+                })
+                .collect();
+            // Huge weights make every cost past one change infinite, so
+            // several change counts share a level.
+            let weight = [1.0, 0.5, 3.0, f64::MAX][case % 4];
+            let lazy: Vec<_> = Candidates::new(options.clone(), weight).collect();
+            assert_eq!(lazy, cross_product_sorted(&options, weight), "case {case}");
+        }
+    }
+
+    #[test]
+    fn candidates_are_produced_one_per_node_plus_one_per_frame() {
+        // Eight mutable attributes with up to eight options each: the
+        // full cross product of one row is millions of tuples, but the
+        // search only produces the candidates it visits.
+        let s = Schema::new("W", ["A", "B", "C", "D", "E", "F", "G", "H"]).unwrap();
+        let fds = FdSet::parse(&s, "A -> C D E F G H; B -> C D E F G H").unwrap();
+        let t = Table::build_unweighted(
+            s,
+            vec![
+                tup![1, 1, 1, 1, 1, 1, 1, 1],
+                tup![1, 2, 2, 2, 2, 2, 2, 2],
+                tup![2, 1, 3, 3, 3, 3, 3, 3],
+                tup![2, 2, 4, 4, 4, 4, 4, 4],
+            ],
+        )
+        .unwrap();
+        let cfg = ExactConfig {
+            max_nodes: 10_000,
+            ..ExactConfig::default()
+        };
+        let (result, effort) = exact_search(&t, &fds, &cfg);
+        // Each frame on the stack counts one node past the budget as it
+        // unwinds.
+        assert!(effort.nodes <= cfg.max_nodes + 4, "{effort:?}");
+        assert!(
+            effort.produced <= effort.nodes + effort.frames,
+            "{effort:?}"
+        );
+        if let Ok(repair) = result {
+            repair.verify(&t, &fds);
         }
     }
 }

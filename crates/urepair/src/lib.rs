@@ -56,4 +56,4 @@ pub use mixed::{
 };
 pub use repair::URepair;
 pub use restricted::{active_domain_u_repair, restriction_gap, try_restricted_u_repair};
-pub use solver::{UMethod, URepairSolver, USolution};
+pub use solver::{UMethod, URepairSolver, USolution, UpdatePlan, UpdatePlanStep};

@@ -5,13 +5,14 @@
 use crate::approx::approx_u_repair;
 use crate::convert::subset_to_update;
 use crate::decompose::{attribute_components, consensus_first};
-use crate::engine::approx_component_bound;
+use crate::engine::{approx_component_bound, EXACT_MAX_ROWS};
 use crate::exact::{try_exact_u_repair, ExactConfig};
 use crate::kl::kl_u_repair;
 use crate::marriage::{detect_two_cycle, two_cycle_u_repair};
 use crate::repair::URepair;
-use fd_core::{mlc, FdSet, Table};
+use fd_core::{mlc, AttrSet, FdSet, Table};
 use fd_srepair::{osr_succeeds, sharded_s_repair, ShardConfig};
+use std::borrow::Cow;
 
 /// The per-component strategies the solver may report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,8 +63,8 @@ pub struct USolution {
 /// Solver configuration.
 #[derive(Clone, Debug)]
 pub struct URepairSolver {
-    /// Components whose table slice stays within this many rows may use
-    /// the exponential exact search.
+    /// Components whose table slice stays within this many rows (and
+    /// within [`EXACT_MAX_ROWS`]) may use the exponential exact search.
     pub exact_row_limit: usize,
     /// Node budget handed to the exact search. A component whose search
     /// exhausts it takes the combined approximation instead (reported as
@@ -95,97 +96,176 @@ impl Default for URepairSolver {
     }
 }
 
+/// One planned step of an update repair: a component's method, the
+/// consensus pre-pass, or a consistent whole table.
+#[derive(Clone, Debug, PartialEq)]
+pub struct UpdatePlanStep {
+    /// The method.
+    pub method: UMethod,
+    /// The attributes the step touches (empty for the whole table).
+    pub attrs: AttrSet,
+    /// The guaranteed ratio of the step (1 when provably optimal).
+    pub ratio: f64,
+}
+
+/// An update repair's strategy on one table, computed once by
+/// [`URepairSolver::plan`] with polynomial work only: the steps
+/// `explain()` renders, plus the consensus-repaired base table and the
+/// component FD sets that [`URepairSolver::execute`] solves.
+#[derive(Clone, Debug)]
+pub struct UpdatePlan<'t> {
+    /// Steps in application order; the last `components.len()` are the
+    /// components'.
+    pub steps: Vec<UpdatePlanStep>,
+    /// Whether the composed result is guaranteed optimal.
+    pub optimal: bool,
+    /// Guaranteed overall ratio (the max over steps; Theorem 4.1).
+    pub ratio: f64,
+    consensus: URepair,
+    base: Cow<'t, Table>,
+    components: Vec<FdSet>,
+}
+
+impl UpdatePlan<'_> {
+    /// Moves every component planned for the combined approximation to
+    /// the exact search, when the table is within [`EXACT_MAX_ROWS`]
+    /// rows; past that cap the plan is left as it is, and its guarantee
+    /// tells the caller so.
+    pub fn escalate(&mut self) {
+        if self.base.len() <= EXACT_MAX_ROWS {
+            for step in self.steps.iter_mut() {
+                if step.method == UMethod::Approximate {
+                    (step.method, step.ratio) = (UMethod::ExactSearch, 1.0);
+                }
+            }
+            (self.optimal, self.ratio) = (true, 1.0);
+        }
+    }
+}
+
 impl URepairSolver {
-    /// Computes a U-repair, preferring provably optimal strategies.
+    /// Computes a U-repair, preferring provably optimal strategies:
+    /// [`URepairSolver::plan`] followed by [`URepairSolver::execute`].
     pub fn solve(&self, table: &Table, fds: &FdSet) -> USolution {
+        let sol = self.execute(self.plan(table, fds));
+        debug_assert!(sol.repair.apply(table).satisfies(fds));
+        sol
+    }
+
+    /// Plans a U-repair without solving: the consistency check, the
+    /// consensus pre-pass (Theorem 4.3), the attribute-disjoint
+    /// components (Theorem 4.1), and §4's case analysis
+    /// (`component_method`) for each.
+    pub fn plan<'t>(&self, table: &'t Table, fds: &FdSet) -> UpdatePlan<'t> {
         // A lone consensus-free component is Δ on the input itself, so
         // `component_method`'s consistency scan answers this one.
         let lone = fds.consensus_attrs().is_empty() && attribute_components(fds).len() == 1;
-        if !lone && table.satisfies(fds) {
-            return USolution {
-                repair: URepair::default(),
-                methods: vec![UMethod::AlreadyConsistent],
-                optimal: true,
-                ratio: 1.0,
-            };
-        }
-        let mut methods = Vec::new();
-        let mut optimal = true;
-        let mut ratio: f64 = 1.0;
-
+        // A consistent table plans no pre-pass and no component.
+        let consistent = !lone && table.satisfies(fds);
+        let nothing = FdSet::default();
+        let todo = if consistent { &nothing } else { fds };
         // Theorem 4.3: consensus attributes first (optimal, independent).
-        let (mut repair, attrs, base, rest) = consensus_first(table, fds);
-        if !attrs.is_empty() {
-            methods.push(UMethod::ConsensusOnly);
+        let (consensus, attrs, base, rest) = consensus_first(table, todo);
+        let step = |method, attrs, ratio| UpdatePlanStep {
+            method,
+            attrs,
+            ratio,
+        };
+        let mut steps: Vec<UpdatePlanStep> = (!attrs.is_empty())
+            .then(|| step(UMethod::ConsensusOnly, attrs, 1.0))
+            .into_iter()
+            .collect();
+        let components = attribute_components(&rest);
+        for comp in &components {
+            let method = self.component_method(&base, comp);
+            let ratio = match method {
+                UMethod::Approximate => approx_component_bound(comp),
+                _ => 1.0,
+            };
+            steps.push(step(method, comp.attrs(), ratio));
         }
+        // A consistent table is one whole-table step.
+        if steps.is_empty() || (lone && steps[0].method == UMethod::AlreadyConsistent) {
+            steps = vec![step(UMethod::AlreadyConsistent, AttrSet::default(), 1.0)];
+        }
+        let ratio = steps.iter().map(|s| s.ratio).fold(1.0, f64::max);
+        UpdatePlan {
+            steps,
+            optimal: ratio == 1.0,
+            ratio,
+            consensus,
+            base,
+            components,
+        }
+    }
 
+    /// Executes `plan`: each component by its planned method against the
+    /// consensus-repaired base, composed in component order. Only an
+    /// exact search can end elsewhere, in the combined approximation,
+    /// when it exhausts [`URepairSolver::exact_node_budget`].
+    pub fn execute(&self, plan: UpdatePlan<'_>) -> USolution {
+        let split = plan.steps.len() - plan.components.len();
+        let work: Vec<(&FdSet, UMethod)> = plan
+            .components
+            .iter()
+            .zip(&plan.steps[split..])
+            .map(|(comp, step)| (comp, step.method))
+            .collect();
+        let mut sol = USolution {
+            repair: plan.consensus,
+            methods: plan.steps[..split].iter().map(|s| s.method).collect(),
+            optimal: true,
+            ratio: 1.0,
+        };
         // Theorem 4.1: attribute-disjoint components compose — and,
         // writing disjoint attribute sets against the same base table,
         // they solve in parallel with a deterministic in-order merge.
-        let components = attribute_components(&rest);
-        let solved = self.solve_components(&base, &components);
-        for (part, method, part_optimal, part_ratio) in solved {
-            methods.push(method);
-            optimal &= part_optimal;
-            ratio = ratio.max(part_ratio);
-            repair = repair
-                .compose(&base, part)
+        let mut fanout_sp = fd_trace::span("urepair/fanout");
+        fanout_sp.attr("components", work.len());
+        fanout_sp.attr("rows", plan.base.len());
+        let solved = fd_core::round_robin_map(self.threads, &work, |&(comp, method)| {
+            let mut sp = fd_trace::span("urepair/component");
+            sp.attr("rows", plan.base.len());
+            sp.attr("fds", comp.len());
+            let part = self.solve_component(&plan.base, comp, method);
+            sp.attr("method", umethod_name(part.1));
+            part
+        });
+        drop(fanout_sp);
+        for (part, method, optimal, ratio) in solved {
+            sol.methods.push(method);
+            sol.optimal &= optimal;
+            sol.ratio = sol.ratio.max(ratio);
+            sol.repair = sol
+                .repair
+                .compose(&plan.base, part)
                 .expect("components touch disjoint attributes");
         }
-        debug_assert!(repair.apply(table).satisfies(fds));
-        USolution {
-            repair,
-            methods,
-            optimal,
-            ratio,
-        }
+        sol
     }
 
     /// §4's case analysis for one consensus-free component `comp`,
     /// solved against the consensus-repaired table `base`: already
     /// consistent, then the two-cycle (Proposition 4.9), then a common
     /// lhs on the tractable side (Corollary 4.6), then the exact search
-    /// on small tables, else the combined approximation. [`solve`]
-    /// executes this choice and [`plan_update`] reports it; only the
-    /// exact search can still end elsewhere, in the approximation, when
-    /// it exhausts its node budget.
-    ///
-    /// [`solve`]: URepairSolver::solve
-    /// [`plan_update`]: crate::engine::plan_update
-    pub(crate) fn component_method(&self, base: &Table, comp: &FdSet) -> UMethod {
+    /// on tables within `exact_row_limit` (never past [`EXACT_MAX_ROWS`]),
+    /// else the combined approximation.
+    fn component_method(&self, base: &Table, comp: &FdSet) -> UMethod {
         if base.satisfies(comp) {
             UMethod::AlreadyConsistent
         } else if detect_two_cycle(comp).is_some() {
             UMethod::TwoCycle
         } else if mlc(comp) == Some(1) && osr_succeeds(comp) {
             UMethod::CommonLhsViaS
-        } else if base.len() <= self.exact_row_limit {
+        } else if base.len() <= self.exact_row_limit.min(EXACT_MAX_ROWS) {
             UMethod::ExactSearch
         } else {
             UMethod::Approximate
         }
     }
 
-    /// Solves every component against `base`, fanning them across
-    /// scoped threads when configured; results come back in component
-    /// order either way.
-    fn solve_components(&self, base: &Table, components: &[FdSet]) -> Vec<ComponentPart> {
-        let mut fanout_sp = fd_trace::span("urepair/fanout");
-        fanout_sp.attr("components", components.len());
-        fanout_sp.attr("rows", base.len());
-        fd_core::round_robin_map(self.threads, components, |comp| {
-            let mut sp = fd_trace::span("urepair/component");
-            sp.attr("rows", base.len());
-            sp.attr("fds", comp.len());
-            let part = self.solve_component(base, comp);
-            sp.attr("method", umethod_name(part.1));
-            part
-        })
-    }
-
-    /// Executes [`URepairSolver::component_method`]'s choice for `comp`.
-    fn solve_component(&self, base: &Table, comp: &FdSet) -> ComponentPart {
-        let method = self.component_method(base, comp);
+    /// Executes the planned `method` for `comp`.
+    fn solve_component(&self, base: &Table, comp: &FdSet, method: UMethod) -> ComponentPart {
         match method {
             UMethod::AlreadyConsistent => return (URepair::default(), method, true, 1.0),
             UMethod::TwoCycle => return (two_cycle_u_repair(base, comp), method, true, 1.0),
