@@ -56,6 +56,12 @@
 //!   `bench_guard`);
 //! * `incremental/report_splice/1000000` — materializing the full
 //!   spliced report after a mutation (O(rows) answer assembly);
+//! * `incremental/report_bytes/<n>` (100k and 1M rows) — one cell
+//!   edit, then the session's spliced report document written into a
+//!   recycled buffer: unchanged rows copied from the previous document,
+//!   the edited one rendered. The committed 1M entry must stay at or
+//!   under a quarter of `report/write/1000000` (asserted by a test in
+//!   `bench_guard`), so a warm report never formats the whole table;
 //! * `incremental/trace_replay/100000` — a 1 000-step cell-edit trace
 //!   plus one final report on a 100k-row session.
 //!
@@ -346,6 +352,9 @@ fn write_summary() {
     // * `report_splice/1000000` — materializing the full spliced
     //   report after a mutation (O(rows) answer assembly, the cost a
     //   caller pays only when serializing the whole table).
+    // * `report_bytes/<n>` — one cell edit and the spliced document
+    //   that follows it, written into a recycled buffer: what a warm
+    //   fd-serve mutate pays for its report.
     // * `trace_replay/100000` — replaying a 1 000-step cell-edit trace
     //   on a 100k-row table plus one final report: the throughput
     //   number bench_guard gates (the µs-scale entries sit under its
@@ -373,6 +382,31 @@ fn write_summary() {
                     }),
                 );
             }
+            // The first document renders every row; each step edits one
+            // cell and writes the next document into the buffer of the
+            // one before last, as fd-serve recycles a retired report.
+            // Two untimed steps put both buffers in circulation.
+            let mut doc = session.report_bytes_in(Vec::new()).unwrap();
+            let mut spare = Vec::new();
+            let mut next = 0u32;
+            let mut step = || {
+                next = next.wrapping_add(7919) % n as u32;
+                let m = Mutation::SetCell {
+                    id: TupleId(next),
+                    attr,
+                    value: Value::Int(i64::from(next) + 3_000_000),
+                };
+                session.apply(&m).unwrap();
+                let fresh = session.report_bytes_in(std::mem::take(&mut spare)).unwrap();
+                let old = std::mem::replace(&mut doc, fresh);
+                spare = std::sync::Arc::try_unwrap(old).expect("the session let it go");
+            };
+            step();
+            step();
+            push(
+                format!("incremental/report_bytes/{n}"),
+                median_us(reps(n).max(5), step),
+            );
         }
 
         let n = 100_000usize;

@@ -280,6 +280,24 @@ mod tests {
         );
     }
 
+    /// A warm session's report must not format the whole table: it
+    /// copies the unchanged rows from its previous document and renders
+    /// only the edited one, so at 1M rows it costs a memcpy, well under
+    /// the writer's full pass. A spliced path that falls back to
+    /// formatting every row costs about as much as `report/write` and
+    /// fails here.
+    #[test]
+    fn committed_seed_keeps_spliced_reports_cheap() {
+        let full = median("report/write/1000000");
+        let spliced = median("incremental/report_bytes/1000000");
+        assert!(
+            spliced > 0.0 && spliced <= full / 4.0,
+            "incremental/report_bytes/1000000 ({spliced} µs) must stay at or \
+             under a quarter of report/write/1000000 ({full} µs); got {:.2}×",
+            spliced / full
+        );
+    }
+
     /// The update rung must scale linearly: the KL re-admission looks
     /// each tuple up in a per-FD index of the consistent core, so ten
     /// times the rows cost about ten times the time. A scan of the whole

@@ -281,11 +281,18 @@ impl Planner {
         table: &Table,
         sol: &ShardedSolution,
     ) -> (Vec<String>, ComponentReport, ReportBody) {
-        let (_, stats) = Planner::shard_steps(&sol.plan);
-        let methods = stats.methods.iter().map(|(m, _)| m.clone()).collect();
+        let (methods, stats) = Planner::subset_stats(&sol.plan);
         let deleted = sol.repair.deleted(table);
         let repaired = sol.repair.apply(table);
         (methods, stats, ReportBody::Subset { deleted, repaired })
+    }
+
+    /// A subset report's method names and component statistics for a
+    /// sharded plan.
+    pub(crate) fn subset_stats(plan: &ShardPlan) -> (Vec<String>, ComponentReport) {
+        let (_, stats) = Planner::shard_steps(plan);
+        let methods = stats.methods.iter().map(|(m, _)| m.clone()).collect();
+        (methods, stats)
     }
 
     /// The changed cells and repaired table of an update or mixed

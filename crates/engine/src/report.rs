@@ -8,7 +8,11 @@
 //! [`RepairReport::write_json`] streams it into any [`std::io::Write`],
 //! handing over about 64 KiB at a time at row boundaries (the CLI's
 //! `--json`). [`RepairReport::to_json`] and
-//! [`RepairReport::to_json_value`] are built on the former.
+//! [`RepairReport::to_json_value`] are built on the former. The rows
+//! array is a parameter of the writer: a delta session's spliced
+//! subset document (`subset_document`) goes through the same header,
+//! `deleted` and schema code, with rows it copies from its previous
+//! document or renders one by one (`write_row`), and no repaired table.
 
 use crate::json::{
     write_arr, write_escaped, write_int, write_num, write_tree, Json, ObjWriter, Out, CHUNK,
@@ -271,9 +275,6 @@ impl ReportBody {
     /// repaired table go straight into the buffer, each followed by an
     /// element boundary; the few scalar fields go through small trees.
     fn write_json(&self, out: &mut Out<'_>) {
-        fn ids(out: &mut Out<'_>, ids: &[TupleId]) {
-            write_arr(out, ids, |out, id| write_int(out, id.0.into()))
-        }
         fn cells(out: &mut Out<'_>, cells: &[ChangedCell]) {
             write_arr(out, cells, |out, cell| cell.write_json(out))
         }
@@ -283,8 +284,9 @@ impl ReportBody {
         let mut obj = ObjWriter::begin(out);
         match self {
             ReportBody::Subset { deleted, repaired } => {
-                ids(obj.key("deleted"), deleted);
-                write_table(obj.key("repaired"), repaired);
+                subset_fields(&mut obj, deleted, repaired.schema(), |out| {
+                    write_rows(out, repaired)
+                });
             }
             ReportBody::Update { changed, repaired } => {
                 cells(obj.key("changed"), changed);
@@ -295,7 +297,7 @@ impl ReportBody {
                 changed,
                 repaired,
             } => {
-                ids(obj.key("deleted"), deleted);
+                write_ids(obj.key("deleted"), deleted);
                 cells(obj.key("changed"), changed);
                 write_table(obj.key("repaired"), repaired);
             }
@@ -304,7 +306,7 @@ impl ReportBody {
                 probability,
                 repaired,
             } => {
-                ids(obj.key("kept"), kept);
+                write_ids(obj.key("kept"), kept);
                 write_num(obj.key("probability"), *probability);
                 write_table(obj.key("repaired"), repaired);
             }
@@ -324,7 +326,7 @@ impl ReportBody {
                 strs(obj.key("notes"), notes);
             }
             ReportBody::Sample { kept, repaired } => {
-                ids(obj.key("kept"), kept);
+                write_ids(obj.key("kept"), kept);
                 write_table(obj.key("repaired"), repaired);
             }
             ReportBody::Classify {
@@ -357,36 +359,67 @@ pub(crate) fn value_to_json(v: &Value) -> Json {
     }
 }
 
-/// Writes a table: schema, then one row object per tuple, appended
-/// straight from the id, weight and symbol columns with an element
-/// boundary after each row. Inline integers print as integers and pooled
-/// strings are escaped from the dictionary's own `str`, with no [`Value`]
-/// in between; every other symbol goes through [`value_to_json`].
+/// Writes a list of tuple ids as an array of integers.
+fn write_ids(out: &mut Out<'_>, ids: &[TupleId]) {
+    write_arr(out, ids, |out, id| write_int(out, id.0.into()))
+}
+
+/// Writes a subset body's two fields into its open object: the deleted
+/// ids, then the repaired table under `schema`, whose `rows` array the
+/// row source `rows` writes.
+fn subset_fields(
+    obj: &mut ObjWriter<'_, '_>,
+    deleted: &[TupleId],
+    schema: &Schema,
+    rows: impl FnOnce(&mut Out<'_>),
+) {
+    write_ids(obj.key("deleted"), deleted);
+    write_table_with(obj.key("repaired"), schema, rows);
+}
+
+/// Writes a table: its schema, then every row (see [`write_rows`]).
 fn write_table(out: &mut Out<'_>, table: &Table) {
-    let schema = table.schema();
-    let dict = table.dictionary();
-    let cols = table.sym_cols();
+    write_table_with(out, table.schema(), |out| write_rows(out, table))
+}
+
+/// Writes a table object under `schema` whose `rows` array, brackets
+/// included, comes from the row source `rows`.
+fn write_table_with(out: &mut Out<'_>, schema: &Schema, rows: impl FnOnce(&mut Out<'_>)) {
     let mut obj = ObjWriter::begin(out);
     write_escaped(obj.key("relation"), schema.relation());
     write_arr(obj.key("attrs"), schema.attr_names(), |out, a| {
         write_escaped(out, a)
     });
-    let rows = table.ids().zip(table.weights()).enumerate();
-    write_arr(obj.key("rows"), rows, |out, (pos, (id, &weight))| {
-        out.extend_from_slice(b"{\"id\":");
-        write_int(out, id.0.into());
-        out.extend_from_slice(b",\"weight\":");
-        write_num(out, weight);
-        out.extend_from_slice(b",\"values\":[");
-        for (i, col) in cols.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            write_cell(out, dict, col[pos]);
-        }
-        out.extend_from_slice(b"]}");
-    });
+    rows(obj.key("rows"));
     obj.end()
+}
+
+/// Writes every row of `table` as one array, with an element boundary
+/// after each row.
+fn write_rows(out: &mut Out<'_>, table: &Table) {
+    write_arr(out, 0..table.len(), |out, pos| write_row(out, table, pos))
+}
+
+/// Writes the row at `pos` of `table` as one object, appended straight
+/// from the id, weight and symbol columns. Inline integers print as
+/// integers and pooled strings are escaped from the dictionary's own
+/// `str`, with no [`Value`] in between; every other symbol goes through
+/// [`value_to_json`].
+#[inline]
+pub(crate) fn write_row(out: &mut Out<'_>, table: &Table, pos: usize) {
+    let dict = table.dictionary();
+    out.extend_from_slice(b"{\"id\":");
+    write_int(out, table.id_at(pos).0.into());
+    out.extend_from_slice(b",\"weight\":");
+    write_num(out, table.weights()[pos]);
+    out.extend_from_slice(b",\"values\":[");
+    for (i, col) in table.sym_cols().iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_cell(out, dict, col[pos]);
+    }
+    out.extend_from_slice(b"]}");
 }
 
 /// Writes one cell straight from its symbol: an inline integer as an
@@ -400,6 +433,82 @@ pub(crate) fn write_cell(out: &mut Out<'_>, dict: &Dictionary, sym: Sym) {
         SymRef::Str(s) => write_escaped(out, s),
         SymRef::Other(v) => write_tree(out, &value_to_json(&v)),
     }
+}
+
+/// A report document's fields ahead of its `result`, borrowed from a
+/// [`RepairReport`] or, on a session's spliced path, from the delta
+/// engine's state: the one header [`write_document`] writes.
+pub(crate) struct Head<'a> {
+    pub(crate) notion: Notion,
+    pub(crate) cost: f64,
+    pub(crate) optimal: bool,
+    pub(crate) ratio: f64,
+    pub(crate) methods: &'a [String],
+    pub(crate) dichotomy: &'a DichotomyReport,
+    pub(crate) components: Option<&'a ComponentReport>,
+    pub(crate) timings: Timings,
+}
+
+/// Writes a document by `write` into `out` under the `engine/serialize`
+/// span, which records `rows` (of the repaired table) and the bytes
+/// written, and finishes it.
+fn serialize(
+    mut out: Out<'_>,
+    rows: usize,
+    write: impl FnOnce(&mut Out<'_>),
+) -> io::Result<Vec<u8>> {
+    // fdlint: allow(O001, "observation only: the span records the row count and the byte count of text already written; nothing from it reaches the output")
+    let mut sp = fd_trace::span("engine/serialize");
+    write(&mut out);
+    sp.attr("rows", rows);
+    sp.attr("bytes", out.written());
+    out.finish()
+}
+
+/// The one report writer: the small header goes through tiny [`Json`]
+/// values, then `result` writes the body, whose ids, changed cells and
+/// rows are appended straight from the symbol columns.
+fn write_document(out: &mut Out<'_>, head: &Head<'_>, result: impl FnOnce(&mut Out<'_>)) {
+    let mut obj = ObjWriter::begin(out);
+    write_escaped(obj.key("notion"), head.notion.name());
+    write_num(obj.key("cost"), head.cost);
+    obj.field("optimal", &head.optimal.into());
+    write_num(obj.key("ratio"), head.ratio);
+    write_arr(obj.key("methods"), head.methods, |out, m| {
+        write_escaped(out, m)
+    });
+    obj.field("dichotomy", &head.dichotomy.to_json());
+    obj.field(
+        "components",
+        &head.components.map_or(Json::Null, ComponentReport::to_json),
+    );
+    obj.field("timings", &head.timings.to_json());
+    result(obj.key("result"));
+    obj.end()
+}
+
+/// A subset report's document whose repaired table has `rows` rows,
+/// written by `write_rows` instead of from a materialized table: the
+/// header, the deleted ids and the table's schema come from the one
+/// writer above. Written into `buf`, cleared first, under the
+/// `engine/serialize` span. A session's spliced report is written here.
+pub(crate) fn subset_document(
+    mut buf: Vec<u8>,
+    head: &Head<'_>,
+    deleted: &[TupleId],
+    schema: &Schema,
+    rows: usize,
+    write_rows: impl FnOnce(&mut Out<'_>),
+) -> Vec<u8> {
+    buf.clear();
+    serialize(Out::buffer(buf), rows, |out| {
+        write_document(out, head, |out| {
+            let mut obj = ObjWriter::begin(out);
+            subset_fields(&mut obj, deleted, schema, write_rows);
+            obj.end()
+        })
+    })
+    .expect("a buffer has no target to fail")
 }
 
 /// The unified result of one engine call: one shape for every notion.
@@ -621,38 +730,25 @@ impl RepairReport {
 
     /// Writes the document into `out` under the `engine/serialize` span
     /// and finishes it.
-    fn serialize(&self, mut out: Out<'_>) -> io::Result<Vec<u8>> {
-        // fdlint: allow(O001, "observation only: the span records the row count and the byte count of text already written; nothing from it reaches the output")
-        let mut sp = fd_trace::span("engine/serialize");
-        self.write_document(&mut out);
-        sp.attr("rows", self.repaired().map_or(0, Table::len));
-        sp.attr("bytes", out.written());
-        out.finish()
+    fn serialize(&self, out: Out<'_>) -> io::Result<Vec<u8>> {
+        let rows = self.repaired().map_or(0, Table::len);
+        serialize(out, rows, |out| {
+            write_document(out, &self.head(), |out| self.body.write_json(out))
+        })
     }
 
-    /// The one report writer: the small header goes through tiny
-    /// [`Json`] values; ids, changed cells and every row of the repaired
-    /// table are appended straight from the symbol columns.
-    fn write_document(&self, out: &mut Out<'_>) {
-        let mut obj = ObjWriter::begin(out);
-        write_escaped(obj.key("notion"), self.notion.name());
-        write_num(obj.key("cost"), self.cost);
-        obj.field("optimal", &self.optimal.into());
-        write_num(obj.key("ratio"), self.ratio);
-        write_arr(obj.key("methods"), &self.methods, |out, m| {
-            write_escaped(out, m)
-        });
-        obj.field("dichotomy", &self.dichotomy.to_json());
-        obj.field(
-            "components",
-            &self
-                .components
-                .as_ref()
-                .map_or(Json::Null, ComponentReport::to_json),
-        );
-        obj.field("timings", &self.timings.to_json());
-        self.body.write_json(obj.key("result"));
-        obj.end()
+    /// The document's fields ahead of its `result`.
+    fn head(&self) -> Head<'_> {
+        Head {
+            notion: self.notion,
+            cost: self.cost,
+            optimal: self.optimal,
+            ratio: self.ratio,
+            methods: &self.methods,
+            dichotomy: &self.dichotomy,
+            components: self.components.as_ref(),
+            timings: self.timings,
+        }
     }
 
     /// A capacity guess for the serialized report, in bytes: enough for

@@ -18,6 +18,14 @@
 //! deterministic responses are what the differential fuzzer and the
 //! serving cache compare, so wall-clock noise is excluded at the source.
 //!
+//! [`IncrementalSession::report_bytes_in`] is the serving path: it
+//! writes that report's JSON document without building the report.
+//! Only the dirty components' kept rows can change between two
+//! documents, so the session keeps its last document and the byte range
+//! of every row in it, copies each run of rows no mutation touched or
+//! re-solved with one slice, renders only the rest, and never
+//! materializes the repaired table.
+//!
 //! Requests the delta engine does not serve (non-subset notions, an
 //! `Approximate` ceiling below 2 on the hard side) still work: the
 //! session transparently falls back to a cold `Planner::run` per report
@@ -27,15 +35,20 @@
 //! session charges its own work — the prime solve in
 //! [`new`](IncrementalSession::new), each
 //! [`apply`](IncrementalSession::apply), the splice in
-//! [`report`](IncrementalSession::report) — to the cap, checked after
-//! the fact like [`Planner::run`] checks its solve, and answers
-//! [`EngineError::TimeBudgetExceeded`] when that work ran over.
+//! [`report`](IncrementalSession::report) and
+//! [`report_bytes_in`](IncrementalSession::report_bytes_in) — to the
+//! cap, checked after the fact like [`Planner::run`] checks its solve,
+//! and answers [`EngineError::TimeBudgetExceeded`] when that work ran
+//! over.
 
+use crate::json::Out;
 use crate::planner::{EngineError, Planner, RepairEngine};
-use crate::report::{DichotomyReport, RepairReport, Timings};
+use crate::report::{subset_document, write_row, DichotomyReport, Head, RepairReport, Timings};
 use crate::request::{Notion, Optimality, RepairRequest};
-use fd_core::{FdSet, Mutation, MutationEffect, Table};
+use fd_core::{FdSet, Mutation, MutationEffect, Table, TupleId};
 use fd_srepair::{osr_succeeds, IncrementalSubset};
+use std::fmt;
+use std::sync::Arc;
 
 /// A stateful repair session: a table, the FD set and request it is
 /// served under, and — when the request is delta-eligible — the cached
@@ -47,6 +60,92 @@ pub struct IncrementalSession {
     request: RepairRequest,
     inc: Option<IncrementalSubset>,
     steps: u64,
+    /// The last document [`report_bytes_in`] wrote on the delta path.
+    ///
+    /// [`report_bytes_in`]: IncrementalSession::report_bytes_in
+    doc: Option<LastDoc>,
+}
+
+/// A session's last report document, kept so the next one can copy its
+/// unchanged rows instead of formatting them again.
+///
+/// The rows array's content, with a comma after its last row as well,
+/// is the concatenation of one piece per table position: the row's
+/// object and a comma for a kept row, nothing for a deleted one.
+/// `offsets[p]..offsets[p + 1]` is position `p`'s piece, so any stretch
+/// of positions maps to one byte range, whichever of its rows the
+/// repair deletes.
+#[derive(Clone)]
+struct LastDoc {
+    /// The document, shared with the response and the cache entry that
+    /// ship it, never copied.
+    bytes: Arc<Vec<u8>>,
+    /// Where the rows array's content starts: the byte after its `[`.
+    rows_at: usize,
+    /// The content's length, up to the closing `]`.
+    rows_len: usize,
+    /// One piece boundary per table position, plus the end.
+    offsets: Vec<usize>,
+    /// Rows whose piece may no longer be what the next document needs:
+    /// mutated rows, every row a mutation re-solved, and the row after
+    /// a deleted one, whose stretch now also spans the deleted piece.
+    dirty: Vec<TupleId>,
+}
+
+impl fmt::Debug for LastDoc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LastDoc")
+            .field("bytes", &self.bytes.len())
+            .field("rows", &(self.offsets.len() - 1))
+            .field("dirty", &self.dirty.len())
+            .finish()
+    }
+}
+
+impl LastDoc {
+    /// Records one applied mutation: its effect, the rows it re-solved,
+    /// and, for a delete, the position the row had.
+    fn note(
+        &mut self,
+        table: &Table,
+        effect: &MutationEffect,
+        deleted_at: Option<usize>,
+        region: &[TupleId],
+    ) {
+        match effect {
+            MutationEffect::Inserted { id } => {
+                let end = *self.offsets.last().expect("offsets end the content");
+                self.offsets.push(end);
+                self.dirty.push(*id);
+            }
+            MutationEffect::CellSet { id, .. } => self.dirty.push(*id),
+            MutationEffect::Deleted { .. } => {
+                // The deleted piece joins its successor's, so that one
+                // is rendered again; with no successor it simply ends
+                // the content.
+                let pos = deleted_at.expect("a deleted row had a position");
+                self.offsets.remove(pos + 1);
+                if let Some(&next) = table.id_col().get(pos) {
+                    self.dirty.push(next);
+                }
+            }
+        }
+        self.dirty.extend_from_slice(region);
+    }
+
+    /// Copies the pieces `from..to` of the old content into `out`: one
+    /// slice, plus the last row's comma, which the old document does
+    /// not hold, when the stretch reaches the end.
+    fn copy(&self, out: &mut Out<'_>, from: usize, to: usize) {
+        if from == to {
+            return;
+        }
+        let end = to.min(self.rows_len);
+        out.extend_from_slice(&self.bytes[self.rows_at + from..self.rows_at + end]);
+        if to > self.rows_len {
+            out.push(b',');
+        }
+    }
 }
 
 impl IncrementalSession {
@@ -90,6 +189,7 @@ impl IncrementalSession {
             request,
             inc,
             steps: 0,
+            doc: None,
         })
     }
 
@@ -102,11 +202,23 @@ impl IncrementalSession {
     pub fn apply(&mut self, m: &Mutation) -> Result<MutationEffect, EngineError> {
         let request = self.request;
         Planner::capped(&request, || {
+            let deleted_at = match m {
+                Mutation::Delete { id } => self.table.position_of(*id),
+                _ => None,
+            };
             let effect = match &mut self.inc {
                 Some(inc) => inc.apply_mutation(&mut self.table, m),
                 None => self.table.apply_mutation(m),
             }
             .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
+            if let (Some(inc), Some(doc)) = (&self.inc, &mut self.doc) {
+                doc.note(&self.table, &effect, deleted_at, inc.last_region());
+                // Past a table's worth of dirty rows, a full render is
+                // cheaper than sorting them.
+                if doc.dirty.len() > self.table.len() {
+                    self.doc = None;
+                }
+            }
             self.steps += 1;
             Ok(effect)
         })
@@ -152,6 +264,154 @@ impl IncrementalSession {
         })
     }
 
+    /// The current report's JSON document — the bytes
+    /// [`report`](IncrementalSession::report)`()?.to_json_bytes()`
+    /// returns — written into `buf`, which is cleared first, and shared
+    /// with the session.
+    ///
+    /// On the delta path the session keeps the document it returns and
+    /// where each row sits in it. The next call writes the header and
+    /// the deleted ids through the report writer, copies every run of
+    /// unchanged rows from the kept document in one slice, and renders
+    /// only the rows a mutation touched or re-solved; the repaired table
+    /// is never built. The first call renders every row. Without the
+    /// delta engine this is `report()` serialized into `buf`. Errors
+    /// and the time cap are those of `report()`.
+    pub fn report_bytes_in(&mut self, buf: Vec<u8>) -> Result<Arc<Vec<u8>>, EngineError> {
+        if self.inc.is_none() {
+            let mut bytes = self.report()?.to_json_bytes_in(buf);
+            bytes.shrink_to_fit();
+            return Ok(Arc::new(bytes));
+        }
+        let request = self.request;
+        Planner::capped(&request, || self.spliced_bytes(buf))
+    }
+
+    /// [`report_bytes_in`](IncrementalSession::report_bytes_in) on the
+    /// delta path. The header comes from the cached plan; the deleted
+    /// ids from the cached components, their cost summed in row order as
+    /// [`fd_srepair::SRepair::from_kept`] sums it, so it is the same
+    /// `f64`.
+    fn spliced_bytes(&mut self, mut buf: Vec<u8>) -> Result<Arc<Vec<u8>>, EngineError> {
+        let inc = self.inc.as_ref().expect("the delta path has an engine");
+        let table = &self.table;
+        // fdlint: allow(O001, "observation only: the span records row, component and byte counts; nothing from it reaches the document, whose timings are always zeroed")
+        let mut sp = fd_trace::span("engine/incremental_report");
+        sp.attr("rows", table.len());
+        let plan = inc.plan(table);
+        sp.attr("components", plan.components);
+        Planner::check_guarantee(&self.request, plan.optimal, plan.ratio)?;
+        let (methods, stats) = Planner::subset_stats(&plan);
+        let deleted = inc.deleted();
+        let weights = table.weights();
+        let cost = deleted
+            .iter()
+            .map(|&id| weights[table.position_of(id).expect("deleted rows are live")])
+            .sum();
+        let dichotomy = DichotomyReport::classify(&self.fds);
+        let head = Head {
+            notion: self.request.notion,
+            cost,
+            optimal: plan.optimal,
+            ratio: plan.ratio,
+            methods: &methods,
+            dichotomy: &dichotomy,
+            components: Some(&stats),
+            timings: Timings::default(),
+        };
+
+        // Positions to render, ascending: every row the first time.
+        let mut prev = self.doc.take();
+        let n = table.len();
+        let (dirty, mut offsets) = match &mut prev {
+            Some(doc) => {
+                let mut dirty: Vec<usize> = doc
+                    .dirty
+                    .iter()
+                    .filter_map(|&id| table.position_of(id))
+                    .collect();
+                dirty.sort_unstable();
+                dirty.dedup();
+                (dirty, std::mem::take(&mut doc.offsets))
+            }
+            None => ((0..n).collect(), vec![0; n + 1]),
+        };
+        debug_assert_eq!(offsets.len(), n + 1, "one piece per row");
+        let arity = table.schema().arity();
+        // Room for the old document, a little growth and the rendered
+        // rows: a recycled buffer, kept with that slack below, then
+        // takes the next document without being moved.
+        let room = match &prev {
+            Some(doc) => doc.bytes.len() + doc.bytes.len() / 64,
+            None => 1024 + deleted.len() * 8,
+        } + dirty.len() * (40 + 8 * arity);
+        buf.clear();
+        buf.reserve(room);
+        let (mut rows_at, mut rows_len, mut rendered, mut copied) = (0usize, 0, 0usize, 0);
+        let mut bytes = subset_document(
+            buf,
+            &head,
+            &deleted,
+            table.schema(),
+            n - deleted.len(),
+            |out| {
+                out.push(b'[');
+                rows_at = out.len();
+                let mut next = 0;
+                for d in dirty.iter().copied().chain([n]) {
+                    if next < d {
+                        // A clean stretch: one slice of the old content,
+                        // its piece boundaries shifted to where it lands.
+                        let doc = prev.as_ref().expect("the first render has no clean rows");
+                        let at = out.len() - rows_at;
+                        doc.copy(out, offsets[next], offsets[d]);
+                        copied += out.len() - rows_at - at;
+                        let shift = at.wrapping_sub(offsets[next]);
+                        if shift != 0 {
+                            for o in &mut offsets[next..d] {
+                                *o = o.wrapping_add(shift);
+                            }
+                        }
+                    }
+                    if d == n {
+                        break;
+                    }
+                    offsets[d] = out.len() - rows_at;
+                    if inc.is_kept(table.id_at(d)) {
+                        write_row(out, table, d);
+                        out.push(b',');
+                        rendered += 1;
+                    }
+                    next = d + 1;
+                }
+                offsets[n] = out.len() - rows_at;
+                if out.len() > rows_at {
+                    out.pop();
+                }
+                rows_len = out.len() - rows_at;
+                out.push(b']');
+            },
+        );
+        sp.attr("rendered_rows", rendered);
+        sp.attr("copied_bytes", copied);
+        if bytes.capacity() - bytes.len() > bytes.len() / 32 {
+            bytes.shrink_to_fit();
+        }
+        let bytes = Arc::new(bytes);
+        // The old document goes now, before the caller publishes the new
+        // one: whoever retires it may then reuse its buffer.
+        let mut dirty_ids = prev.map_or_else(Vec::new, |doc| doc.dirty);
+        dirty_ids.clear();
+        self.doc = Some(LastDoc {
+            bytes: Arc::clone(&bytes),
+            rows_at,
+            rows_len,
+            offsets,
+            dirty: dirty_ids,
+        });
+        Ok(bytes)
+    }
+
     /// The session's current table.
     pub fn table(&self) -> &Table {
         &self.table
@@ -170,6 +430,12 @@ impl IncrementalSession {
     /// How many mutations have been applied successfully.
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// The current table's conflicting components, when the delta
+    /// engine tracks them.
+    pub fn components(&self) -> Option<usize> {
+        self.inc.as_ref().map(IncrementalSubset::component_count)
     }
 
     /// Whether reports splice cached component solutions (`true`) or
@@ -261,6 +527,46 @@ mod tests {
     fn spliced_reports_match_cold_runs_bit_for_bit() {
         for (i, spec) in ["A -> B", "A -> B; B -> C", "-> C", ""].iter().enumerate() {
             assert_trace_parity(spec, &RepairRequest::subset(), 0x5E55_0000 + i as u64, 40);
+        }
+    }
+
+    #[test]
+    fn spliced_bytes_match_cold_documents_between_sparse_renders() {
+        // Renders after every step, and after every third, so inserts,
+        // deletes, cell edits and failed mutations pile up between two
+        // documents; each is written into a buffer holding junk.
+        let specs = ["A -> B", "A -> B; B -> C", "-> C", "", "A -> C; B -> C"];
+        for (i, spec) in specs.iter().enumerate() {
+            for every in [1, 3] {
+                let mut rng = StdRng::seed_from_u64(0xB17E_0000 + i as u64);
+                let fds = FdSet::parse(&schema(), spec).unwrap();
+                let request = RepairRequest::subset();
+                let table = random_table(&mut rng, 18);
+                let mut session = IncrementalSession::new(table, fds.clone(), request).unwrap();
+                let mut junk = vec![b'#'; 64];
+                for step in 0..60 {
+                    let m = if step % 7 == 5 {
+                        Mutation::Delete { id: TupleId(999) }
+                    } else {
+                        random_mutation(&mut rng, session.table())
+                    };
+                    let _ = session.apply(&m);
+                    if step % every != 0 {
+                        continue;
+                    }
+                    let got = session.report_bytes_in(std::mem::take(&mut junk)).unwrap();
+                    let mut cold = Planner.run(session.table(), &fds, &request).unwrap();
+                    cold.timings = Timings::default();
+                    let want = cold.to_json_bytes();
+                    assert!(
+                        *got == want,
+                        "{spec} every {every}, step {step}: {m:?}\n{}\n{}",
+                        String::from_utf8_lossy(&got),
+                        String::from_utf8_lossy(&want)
+                    );
+                    junk = [want.as_slice(), b"]]junk"].concat();
+                }
+            }
         }
     }
 

@@ -478,18 +478,24 @@ fn generate_mutate_case(max_rows: usize, case_seed: u64) -> (Case, Vec<Mutation>
 
 /// Asserts one step of the bit-identity contract: the session's report
 /// (or refusal) must match a cold `Planner::run` on the session's
-/// current table exactly, with timings zeroed on the cold side.
+/// current table exactly, with timings zeroed on the cold side. With a
+/// `spare` buffer, the session's spliced document
+/// ([`IncrementalSession::report_bytes_in`], written into that buffer)
+/// must also be the cold report's bytes, or refuse as it does; the
+/// buffer is then refilled with junk for the next render.
 fn compare_step(
-    session: &IncrementalSession,
+    session: &mut IncrementalSession,
     fds: &FdSet,
     request: &RepairRequest,
     step: usize,
+    spare: Option<&mut Vec<u8>>,
 ) -> Result<Option<RepairReport>, String> {
     let got = session.report();
     let want = Planner.run(session.table(), fds, request).map(|mut r| {
         r.timings = Timings::default();
         r
     });
+    let spliced = spare.map(|spare| (session.report_bytes_in(std::mem::take(spare)), spare));
     match (got, want) {
         (Ok(g), Ok(w)) => {
             let (gj, wj) = (g.to_json(), w.to_json());
@@ -499,6 +505,21 @@ fn compare_step(
                      incremental: {gj}\n  cold:        {wj}"
                 ));
             }
+            if let Some((bytes, spare)) = spliced {
+                let bytes = bytes.map_err(|e| {
+                    format!(
+                        "step {step}: the spliced document refused ({e}) but the report did not"
+                    )
+                })?;
+                if bytes.as_slice() != wj.as_bytes() {
+                    return Err(format!(
+                        "step {step}: the spliced document diverges from the cold solve\n  \
+                         spliced: {}\n  cold:    {wj}",
+                        String::from_utf8_lossy(&bytes)
+                    ));
+                }
+                *spare = [wj.as_bytes(), b",]\"junk"].concat();
+            }
             Ok(Some(w))
         }
         (Err(g), Err(w)) => {
@@ -507,7 +528,15 @@ fn compare_step(
                     "step {step}: error divergence — incremental: {g}; cold: {w}"
                 ));
             }
-            Ok(None)
+            match spliced {
+                Some((Ok(_), _)) => Err(format!(
+                    "step {step}: the spliced document was served but the cold engine refused: {w}"
+                )),
+                Some((Err(e), _)) if e != w => Err(format!(
+                    "step {step}: error divergence — spliced: {e}; cold: {w}"
+                )),
+                _ => Ok(None),
+            }
         }
         (Ok(_), Err(w)) => Err(format!(
             "step {step}: the session served a report but the cold engine refused: {w}"
@@ -518,25 +547,48 @@ fn compare_step(
     }
 }
 
+/// How often a mutate case checks the spliced document: after every
+/// step in half the cases, after every `k`-th step (`k` in 2..=5) in
+/// the others, so several mutations pile up between two documents.
+fn render_every(case_seed: u64) -> usize {
+    if case_seed.is_multiple_of(2) {
+        1
+    } else {
+        2 + (case_seed / 2 % 4) as usize
+    }
+}
+
 /// Replays a trace through an [`IncrementalSession`], checking
-/// bit-identity after the initial build and after every step. Steps
-/// that no longer apply (shrinking can orphan an id) are skipped — the
-/// session guarantees failed mutations change nothing. Returns the
-/// final step's report when both sides served one.
+/// bit-identity after the initial build and after every step, and the
+/// spliced document after every `every`-th. Steps that no longer apply
+/// (shrinking can orphan an id) are skipped — the session guarantees
+/// failed mutations change nothing. When rendering sparsely, a mutation
+/// that must fail is tried after every step as well. Returns the final
+/// step's report when both sides served one.
 fn check_mutate_case(
     table: &Table,
     fds: &FdSet,
     request: &RepairRequest,
     trace: &[Mutation],
+    every: usize,
 ) -> Result<Option<RepairReport>, String> {
     let mut session = IncrementalSession::new(table.clone(), fds.clone(), *request)
         .map_err(|e| format!("the session refused a validated request: {e}"))?;
-    let mut last = compare_step(&session, fds, request, 0)?;
+    let mut spare = b"{\"junk\":[".to_vec();
+    let mut last = compare_step(&mut session, fds, request, 0, Some(&mut spare))?;
+    let unknown = Mutation::Delete {
+        id: TupleId(u32::MAX),
+    };
     for (i, m) in trace.iter().enumerate() {
+        let step = i + 1;
+        if every > 1 && session.apply(&unknown).is_ok() {
+            return Err(format!("step {step}: deleting an unknown id succeeded"));
+        }
         if session.apply(m).is_err() {
             continue;
         }
-        last = compare_step(&session, fds, request, i + 1)?;
+        let render = (step % every == 0).then_some(&mut spare);
+        last = compare_step(&mut session, fds, request, step, render)?;
     }
     Ok(last)
 }
@@ -548,6 +600,7 @@ fn shrink_mutate(
     fds: &FdSet,
     request: &RepairRequest,
     trace: &[Mutation],
+    every: usize,
 ) -> (Table, FdSet, Vec<Mutation>) {
     let mut table = table.clone();
     let mut fds = fds.clone();
@@ -557,7 +610,7 @@ fn shrink_mutate(
         for i in 0..trace.len() {
             let mut smaller = trace.clone();
             smaller.remove(i);
-            if check_mutate_case(&table, &fds, request, &smaller).is_err() {
+            if check_mutate_case(&table, &fds, request, &smaller, every).is_err() {
                 trace = smaller;
                 shrunk = true;
                 break;
@@ -571,7 +624,7 @@ fn shrink_mutate(
             if smaller.is_empty() {
                 continue;
             }
-            if check_mutate_case(&smaller, &fds, request, &trace).is_err() {
+            if check_mutate_case(&smaller, &fds, request, &trace, every).is_err() {
                 table = smaller;
                 shrunk = true;
                 break;
@@ -582,7 +635,7 @@ fn shrink_mutate(
         }
         for drop in fds.iter().copied().collect::<Vec<Fd>>() {
             let smaller = FdSet::new(fds.iter().copied().filter(|fd| *fd != drop));
-            if check_mutate_case(&table, &smaller, request, &trace).is_err() {
+            if check_mutate_case(&table, &smaller, request, &trace, every).is_err() {
                 fds = smaller;
                 shrunk = true;
                 break;
@@ -613,8 +666,9 @@ fn run_mutate_fuzz(config: &FuzzConfig, max_rows: usize) -> FuzzSummary {
     for i in 0..config.cases {
         let case_seed = derive_seed(config.seed, i);
         let (case, trace) = generate_mutate_case(max_rows, case_seed);
+        let every = render_every(case_seed);
         summary.cases += 1;
-        match check_mutate_case(&case.table, &case.fds, &case.request, &trace) {
+        match check_mutate_case(&case.table, &case.fds, &case.request, &trace, every) {
             Ok(final_report) => {
                 if final_report.is_some_and(|r| r.optimal) {
                     summary.optimal_cases += 1;
@@ -624,7 +678,7 @@ fn run_mutate_fuzz(config: &FuzzConfig, max_rows: usize) -> FuzzSummary {
             }
             Err(message) => {
                 let (table, fds, trace) =
-                    shrink_mutate(&case.table, &case.fds, &case.request, &trace);
+                    shrink_mutate(&case.table, &case.fds, &case.request, &trace, every);
                 let (instance_fdr, call_json) = render_counterexample(&table, &fds, &case.request);
                 let trace_json = render_trace(&trace, table.schema());
                 summary.divergences.push(Divergence {
@@ -854,11 +908,12 @@ mod tests {
         // cold solve under the same state — which agrees; so assert
         // instead that shrink_mutate is a no-op on healthy cases.
         let (case, trace) = generate_mutate_case(8, 5);
-        if check_mutate_case(&case.table, &case.fds, &case.request, &trace).is_ok() {
+        let every = render_every(5);
+        if check_mutate_case(&case.table, &case.fds, &case.request, &trace, every).is_ok() {
             return; // healthy engine: nothing to shrink (dominant path)
         }
-        let (t, d, tr) = shrink_mutate(&case.table, &case.fds, &case.request, &trace);
-        assert!(check_mutate_case(&t, &d, &case.request, &tr).is_err());
+        let (t, d, tr) = shrink_mutate(&case.table, &case.fds, &case.request, &trace, every);
+        assert!(check_mutate_case(&t, &d, &case.request, &tr, every).is_err());
     }
 
     #[test]

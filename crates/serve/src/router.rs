@@ -899,7 +899,10 @@ fn delete_table(shared: &Shared, tenant: &str, id: &str) -> Response {
 /// primed over a clone of the snapshot (`primed`), or, for a request
 /// the delta engine cannot serve, falls back to a cold solve (`cold`).
 /// A successful call hands a delta session back to the store with the
-/// new snapshot; any failure drops it.
+/// new snapshot; any failure drops it. A delta session writes the report
+/// itself: it copies the rows no mutation touched from the document it
+/// wrote last and renders only the rest
+/// ([`IncrementalSession::report_bytes_in`]).
 ///
 /// The call is transactional: a mutation that fails to resolve or
 /// apply, a report the engine refuses, or a snapshot that changed since
@@ -986,12 +989,33 @@ fn mutate_table(
             Err(e) => return engine_error(&e),
         }
     }
-    let report = match session.report() {
+    // A poisoned lock only loses the spare: the report then takes a
+    // fresh buffer, with the same bytes.
+    let spare = match shared.spare_report.lock() {
+        Ok(mut spare) => std::mem::take(&mut *spare),
+        Err(_) => Vec::new(),
+    };
+    // A delta session splices its bytes from the document it wrote last
+    // and keeps the new one, dropping the old before the publish below
+    // retires it, so that buffer can become the next spare.
+    let report = if session.is_incremental() {
+        info.components = session.components();
+        observe_solve(shared, info, call.request.notion, solve_start);
+        let start = Instant::now();
+        let report = session.report_bytes_in(spare);
+        info.serialize_us = start.elapsed().as_micros() as u64;
+        report
+    } else {
+        session.report().map(|report| {
+            info.components = report.components.as_ref().map(|c| c.count);
+            observe_solve(shared, info, call.request.notion, solve_start);
+            shared_body(report_bytes(&report, spare, info))
+        })
+    };
+    let report = match report {
         Ok(report) => report,
         Err(e) => return engine_error(&e),
     };
-    info.components = report.components.as_ref().map(|c| c.count);
-    observe_solve(shared, info, call.request.notion, solve_start);
 
     let table = session.table().clone();
     info.rows = Some(table.len());
@@ -1006,13 +1030,6 @@ fn mutate_table(
         Ok(stored) => stored,
         Err(e) => return store_error_response(&e),
     };
-    // A poisoned lock only loses the spare: the report then takes a
-    // fresh buffer, with the same bytes.
-    let spare = match shared.spare_report.lock() {
-        Ok(mut spare) => std::mem::take(&mut *spare),
-        Err(_) => Vec::new(),
-    };
-    let report = shared_body(report_bytes(&report, spare, info));
     let snapshots = (read.fingerprint, stored.fingerprint);
     publish(
         shared,
@@ -2018,6 +2035,153 @@ mod tests {
         let op = format!(r#"{{"op": "delete", "id": {}}}"#, live[0]);
         mutate_and_compare(&shared, &mut mirror, &mut live, update, op);
         assert_eq!(sessions(&shared), [28, 3, 1]);
+    }
+
+    /// The report a successful mutate ships: the envelope's middle
+    /// segment, shared with the cache.
+    fn shipped_report(response: &Response) -> &Arc<Vec<u8>> {
+        match &response.body[1] {
+            Segment::Shared(report) => report,
+            Segment::Owned(_) => panic!("a mutate ships its report shared"),
+        }
+    }
+
+    #[test]
+    fn a_warm_mutate_chain_splices_cold_identical_reports() {
+        let shared = shared();
+        // 3,000 rows with keys over 600 values: many small components,
+        // which one-op edits merge, split and re-solve.
+        let mut seed = 0xC4A1_u64;
+        let mut next = move |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        let rows: Vec<String> = (0..3_000)
+            .map(|_| format!("[{}, {}, {}]", next(600), next(3), next(2)))
+            .collect();
+        let doc = format!(
+            r#"{{"attrs": ["K", "A", "B"], "rows": [{}]}}"#,
+            rows.join(", ")
+        );
+        assert_eq!(send(&shared, "PUT", "/tables/t", &doc, &[]).0.status, 201);
+        let mut mirror = parse_table_doc(&doc, &JsonLimits::UNTRUSTED).unwrap();
+        let schema = Arc::clone(mirror.schema());
+        let Ok(ParsedCall::ByRef(mut read)) = ParsedCall::parse(T_READ, &JsonLimits::UNTRUSTED)
+        else {
+            panic!("T_READ is a by-ref call");
+        };
+        clamp_time_cap(&shared, &mut read.request);
+        let fds = read.resolve_fds(&schema).unwrap();
+        let cold = |table: &Table| {
+            let mut report = Planner.run(table, &fds, &read.request).unwrap();
+            report.timings = Timings::default();
+            report.to_json_bytes()
+        };
+        // One op of `kind` (set, insert, delete) against `table`, which
+        // it is applied to.
+        let mut op = |table: &mut Table, kind: u64| {
+            let ids: Vec<u32> = table.ids().map(|id| id.0).collect();
+            let id = ids[next(ids.len() as u64) as usize];
+            let op = match kind % 3 {
+                0 => format!(
+                    r#"{{"op": "set", "id": {id}, "attr": "A", "value": {}}}"#,
+                    next(3)
+                ),
+                1 => format!(
+                    r#"{{"op": "insert", "values": [{}, {}, {}]}}"#,
+                    next(600),
+                    next(3),
+                    next(2)
+                ),
+                _ => format!(r#"{{"op": "delete", "id": {id}}}"#),
+            };
+            for wire in
+                fd_engine::parse_mutation_trace(&format!("[{op}]"), &JsonLimits::UNTRUSTED).unwrap()
+            {
+                table
+                    .apply_mutation(&wire.resolve(&schema).unwrap())
+                    .unwrap();
+            }
+            op
+        };
+        // A successful call's report is the cold solve's bytes and is
+        // held by exactly the response, the cache and the session at
+        // rest; the report before it, by no one.
+        let mut previous: Option<std::sync::Weak<Vec<u8>>> = None;
+        let mut check = |response: &Response, mirror: &Table, what: &str| {
+            assert_eq!(response.status, 200, "{what}: {}", text_of(response));
+            let report = shipped_report(response);
+            assert!(
+                report.as_slice() == cold(mirror).as_slice(),
+                "{what}: the spliced report differs from the cold solve's bytes"
+            );
+            assert_eq!(Arc::strong_count(report), 3, "{what}");
+            if let Some(old) = previous.replace(Arc::downgrade(report)) {
+                assert_eq!(old.strong_count(), 0, "{what}: an old report is pinned");
+            }
+        };
+        for call in 0..60u64 {
+            if call == 20 {
+                // Another mutate lands between this call's read and its
+                // swap: this one answers 409, the other's report stands.
+                let mut scratch = mirror.clone();
+                let lost_op = op(&mut scratch, call);
+                let won_op = op(&mut mirror, 1);
+                let mut won = None;
+                let lost = mutate_table(
+                    &shared,
+                    &Request {
+                        method: "POST".into(),
+                        path: "/tables/t/mutate".into(),
+                        headers: Vec::new(),
+                        body: t_mutate(&lost_op).into_bytes(),
+                    },
+                    "public",
+                    "t",
+                    false,
+                    &mut RequestInfo::new("req-test".into()),
+                    || {
+                        won = Some(
+                            send(&shared, "POST", "/tables/t/mutate", &t_mutate(&won_op), &[]).0,
+                        )
+                    },
+                );
+                assert_eq!(lost.status, 409, "{}", text_of(&lost));
+                check(&won.unwrap(), &mirror, "the call that won the race");
+                continue;
+            }
+            if call == 40 {
+                // A failed mutation after a good one: nothing is stored,
+                // and the session is dropped.
+                let fp = fingerprint_of(&shared, "t");
+                let good = op(&mut mirror.clone(), call);
+                let body = t_mutate(&format!(r#"{good}, {{"op": "delete", "id": 999999}}"#));
+                let failed = send(&shared, "POST", "/tables/t/mutate", &body, &[]).0;
+                assert_eq!(failed.status, 400, "{}", text_of(&failed));
+                assert_eq!(fingerprint_of(&shared, "t"), fp);
+                continue;
+            }
+            let count = if call % 5 == 0 { 3 } else { 1 };
+            let ops: Vec<String> = (0..count).map(|k| op(&mut mirror, call + k)).collect();
+            let path = if call == 30 {
+                "/tables/t/mutate?trace=1"
+            } else {
+                "/tables/t/mutate"
+            };
+            let response = send(&shared, "POST", path, &t_mutate(&ops.join(", ")), &[]).0;
+            let envelope = Json::parse(&text_of(&response)).unwrap();
+            assert_eq!(
+                envelope.get("steps").and_then(Json::as_num),
+                Some(count as f64)
+            );
+            assert_eq!(envelope.get("trace").is_some(), call == 30, "call {call}");
+            check(&response, &mirror, &format!("call {call}: {ops:?}"));
+        }
+        let text = shared.metrics.render();
+        let warm = counter(&text, "fd_serve_mutate_sessions_total{path=\"warm\"}");
+        assert!(warm >= 50, "{warm} warm calls:\n{text}");
     }
 
     /// The by-ref read of table `t` that a mutate under `K -> A B` with

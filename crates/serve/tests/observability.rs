@@ -1,9 +1,11 @@
 //! End-to-end observability: the access log, request ids, `?trace=1`
 //! envelopes over real sockets, shed accounting, and the contract that
-//! `/metrics` and `docs/API.md` describe exactly the same series.
+//! `/metrics` and `docs/API.md` describe exactly the same series, and
+//! the span names the source opens match docs/OBSERVABILITY.md.
 
 use fd_engine::Json;
 use fd_serve::{client, AccessRecord, Metrics, ServeConfig, Server, Shared};
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -419,5 +421,78 @@ fn metrics_exposition_matches_api_docs_exactly() {
     assert!(
         phantom.is_empty(),
         "series documented in docs/API.md but never emitted: {phantom:?}"
+    );
+}
+
+/// The span names the taxonomy table in docs/OBSERVABILITY.md
+/// documents: each row's first code span.
+fn documented_span_names() -> BTreeSet<String> {
+    let docs = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/OBSERVABILITY.md"
+    ))
+    .expect("docs/OBSERVABILITY.md is part of the repo");
+    let section = docs
+        .split("## Span taxonomy")
+        .nth(1)
+        .expect("OBSERVABILITY.md has a span taxonomy")
+        .split("\n## ")
+        .next()
+        .unwrap();
+    section
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .map(|row| row.split('`').nth(1).unwrap().to_string())
+        .collect()
+}
+
+/// Every `fd_trace::span("…")` name in the `.rs` files under `dir`, up
+/// to each file's first `#[cfg(test)]`, comment lines skipped.
+fn emitted_span_names(dir: &std::path::Path, names: &mut BTreeSet<String>) {
+    const CALL: &str = "fd_trace::span(\"";
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            emitted_span_names(&path, names);
+            continue;
+        }
+        if path.extension().is_none_or(|ext| ext != "rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let code = text.split("#[cfg(test)]").next().unwrap();
+        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            for call in line.split(CALL).skip(1) {
+                let name = call.split('"').next().unwrap();
+                names.insert(name.to_string());
+            }
+        }
+    }
+}
+
+#[test]
+fn span_names_match_the_documented_taxonomy() {
+    // Every span the non-test source of the workspace opens has a row
+    // in the taxonomy, and every row names a span the source opens.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut emitted = BTreeSet::new();
+    emitted_span_names(&root.join("src"), &mut emitted);
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            emitted_span_names(&src, &mut emitted);
+        }
+    }
+    assert!(emitted.contains("engine/incremental_report"), "{emitted:?}");
+    let documented = documented_span_names();
+    let undocumented: Vec<&String> = emitted.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "spans opened but absent from docs/OBSERVABILITY.md: {undocumented:?}"
+    );
+    let phantom: Vec<&String> = documented.difference(&emitted).collect();
+    assert!(
+        phantom.is_empty(),
+        "spans documented in docs/OBSERVABILITY.md but never opened: {phantom:?}"
     );
 }

@@ -23,6 +23,7 @@ use crate::sharded::{solve_component, SMethod, ShardConfig, ShardPlan, ShardedSo
 use crate::succeeds::{osr_succeeds, recursion_trace, Trace};
 use fd_core::{ConflictIndex, FdSet, Mutation, MutationEffect, Result, Table, TupleId};
 use fd_graph::{index_components, Components, UnionFind};
+use std::collections::BTreeSet;
 
 /// "Row is in no conflicting component" sentinel of the id → slot map.
 const CLEAN: u32 = u32::MAX;
@@ -87,6 +88,10 @@ pub struct IncrementalSubset {
     counts: [usize; 3],
     /// Every FD's lhs groups and rhs-class counts, keyed by tuple id.
     index: ConflictIndex,
+    /// The rows the last successful mutation re-solved.
+    region: Vec<TupleId>,
+    /// Every cached component's rows its solution does not keep.
+    deleted: BTreeSet<TupleId>,
 }
 
 impl IncrementalSubset {
@@ -112,6 +117,8 @@ impl IncrementalSubset {
             comp_of: vec![CLEAN; index.key_space()],
             counts: [0; 3],
             index,
+            region: Vec::new(),
+            deleted: BTreeSet::new(),
         };
         inc.store_components(table, &comps, TupleId);
         sp.attr("components", inc.counts.iter().sum::<usize>());
@@ -161,6 +168,7 @@ impl IncrementalSubset {
             self.counts[comp.method.index()] -= 1;
             for id in &comp.ids {
                 self.comp_of[id.0 as usize] = CLEAN;
+                self.deleted.remove(id);
             }
             region.extend(comp.ids);
             self.free.push(slot as usize);
@@ -196,7 +204,40 @@ impl IncrementalSubset {
         let comps = Components::from_union_find(uf);
         let resolved = self.store_components(table, &comps, |v| region[v as usize]);
         sp.attr("resolved_components", resolved);
+        self.region = region;
         Ok(effect)
+    }
+
+    /// The rows the last successful [`apply_mutation`] re-solved,
+    /// ascending: every live row whose component it dirtied or that
+    /// joined the mutated row's conflicting groups. Besides the mutated
+    /// row itself, these are the only rows whose kept status that
+    /// mutation can have changed.
+    ///
+    /// [`apply_mutation`]: IncrementalSubset::apply_mutation
+    pub fn last_region(&self) -> &[TupleId] {
+        &self.region
+    }
+
+    /// Whether the current solution keeps the live row `id`: a row in
+    /// no conflicting component is kept for free, any other as its
+    /// component's cached solution says.
+    pub fn is_kept(&self, id: TupleId) -> bool {
+        match self.slot_of(id) {
+            None => true,
+            Some(slot) => self.comps[slot as usize]
+                .as_ref()
+                .is_some_and(|comp| comp.kept.binary_search(&id).is_ok()),
+        }
+    }
+
+    /// The ids the current solution deletes, ascending: the rows of
+    /// conflicting components that their cached solutions do not keep,
+    /// maintained as components are stored and invalidated, so no row
+    /// is scanned. With ids ascending in row order, as the session
+    /// requires, this is also row order.
+    pub fn deleted(&self) -> Vec<TupleId> {
+        self.deleted.iter().copied().collect()
     }
 
     /// Assembles the current solution: conflict-free rows kept for
@@ -208,15 +249,7 @@ impl IncrementalSubset {
     /// [`SRepair::from_kept`]'s sort finds them ascending whenever the
     /// ids ascend with the rows, as the session requires.
     pub fn solution(&self, table: &Table) -> ShardedSolution {
-        let kept: Vec<TupleId> = table
-            .ids()
-            .filter(|&id| match self.slot_of(id) {
-                None => true,
-                Some(slot) => self.comps[slot as usize]
-                    .as_ref()
-                    .is_some_and(|comp| comp.kept.binary_search(&id).is_ok()),
-            })
-            .collect();
+        let kept: Vec<TupleId> = table.ids().filter(|&id| self.is_kept(id)).collect();
         ShardedSolution {
             repair: SRepair::from_kept(table, kept),
             plan: self.plan(table),
@@ -273,6 +306,9 @@ impl IncrementalSubset {
             };
             for id in &ids {
                 self.comp_of[id.0 as usize] = slot as u32;
+                if kept.binary_search(id).is_err() {
+                    self.deleted.insert(*id);
+                }
             }
             self.counts[method.index()] += 1;
             self.comps[slot] = Some(Comp { ids, kept, method });
@@ -411,6 +447,7 @@ mod tests {
             let cold = sharded_s_repair(&t, &fds, cfg);
             assert_eq!(warm.repair, cold.repair, "{spec} step {step}\n{t}");
             assert_eq!(warm.plan, cold.plan, "{spec} step {step}\n{t}");
+            assert_eq!(inc.deleted(), cold.repair.deleted(&t), "{spec} step {step}");
             warm.repair.verify(&t, &fds);
         }
     }

@@ -41,7 +41,7 @@ usage: fdrepair <command> <file.fdr> [options]
                       [--table-quota <n>] [--table-rows-quota <n>]
        fdrepair fuzz [--notion <s|u|mixed|mpd|mutate>] [--cases <n>] [--seed <n>]
                      [--max-rows <n>]
-       fdrepair mutate <file.fdr> --mutations <trace.json> [--json]
+       fdrepair mutate <file.fdr> --mutations <trace.json> [--notion <name>] [--json]
        fdrepair gen <out.fdr> --rows <n> [--workload <tractable|hard>] [--seed <n>]
 
 commands:
@@ -55,8 +55,9 @@ commands:
   count       number of (optimal) subset repairs
   sample      uniformly random subset repair (chain Δ only)
   mutate      replay a mutation trace (--mutations <file>) through an
-              incremental session; report the subset repair of the
-              mutated table, bit-identical to a cold solve
+              incremental session; report the repair of the mutated
+              table under --notion (default s), bit-identical to a
+              cold solve
   serve       HTTP service: POST /repair, POST /explain, PUT/GET/DELETE
               /tables/{id}, GET /healthz, /metrics
   fuzz        differential fuzzing: random instances, engine vs brute-force
@@ -424,7 +425,7 @@ fn main() -> ExitCode {
     // Resolve the command and its notion before reading the input, so a
     // usage error is reported as one (exit 2) even when the file is bad.
     let notion = match cli.command.as_str() {
-        "repair" | "explain" => match cli.notion.as_deref() {
+        "repair" | "explain" | "mutate" => match cli.notion.as_deref() {
             None => Some(Notion::Subset),
             Some(name) => match Notion::parse(name) {
                 Some(n) => Some(n),
@@ -440,7 +441,7 @@ fn main() -> ExitCode {
         "count" => Some(Notion::Count),
         "sample" => Some(Notion::Sample),
         "classify" => Some(Notion::Classify),
-        "check" | "mutate" => None,
+        "check" => None,
         other => {
             eprintln!("fdrepair: unknown command {other:?}\n{USAGE}");
             return ExitCode::from(2);
@@ -496,7 +497,7 @@ fn main() -> ExitCode {
         ("check", _) => emit(|out| check(out, &instance, cli.json))
             .err()
             .unwrap_or(ExitCode::SUCCESS),
-        ("mutate", _) => mutate(&cli, &instance),
+        ("mutate", Some(notion)) => mutate(&cli, &instance, notion),
         ("explain", Some(notion)) => {
             let request = build_request(&cli, notion);
             let rendered = if cli.json {
@@ -597,9 +598,9 @@ fn build_request(cli: &Cli, notion: Notion) -> RepairRequest {
 /// `fdrepair mutate`: replays a wire mutation trace (a JSON array of
 /// `{"op": "insert"|"delete"|"set", ...}` steps, the format the fuzzer
 /// shrinks divergences to) against the instance through an
-/// [`IncrementalSession`], then reports the subset repair of the
+/// [`IncrementalSession`], then reports the `notion` repair of the
 /// mutated table — bit-identical to a cold solve with zeroed timings.
-fn mutate(cli: &Cli, instance: &Instance) -> ExitCode {
+fn mutate(cli: &Cli, instance: &Instance, notion: Notion) -> ExitCode {
     let Some(trace_path) = cli.mutations.as_deref() else {
         eprintln!("fdrepair: mutate needs --mutations <trace.json>\n{USAGE}");
         return ExitCode::from(2);
@@ -618,7 +619,7 @@ fn mutate(cli: &Cli, instance: &Instance) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let request = build_request(cli, Notion::Subset);
+    let request = build_request(cli, notion);
     let mut session =
         match IncrementalSession::new(instance.table.clone(), instance.fds.clone(), request) {
             Ok(session) => session,
@@ -653,7 +654,13 @@ fn mutate(cli: &Cli, instance: &Instance) -> ExitCode {
         table: session.table().clone(),
     };
     if let Some(path) = cli.output.as_deref() {
-        let repaired = report.repaired().expect("subset reports carry a table");
+        let Some(repaired) = report.repaired() else {
+            eprintln!(
+                "fdrepair: --output needs a repairing notion, not {:?}",
+                notion.name()
+            );
+            return ExitCode::from(2);
+        };
         let out = Instance {
             schema: instance.schema.clone(),
             fds: instance.fds.clone(),

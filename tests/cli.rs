@@ -505,3 +505,72 @@ fn repair_trace_summary_lists_the_serialize_span() {
     let chrome = std::fs::read_to_string(&trace).expect("trace written");
     assert!(chrome.contains("engine/serialize"), "got:\n{chrome}");
 }
+
+#[test]
+fn mutate_reports_the_requested_notion() {
+    let path = write_temp("cli_mutate_notion.fdr", OFFICE_FDR);
+    let trace = write_temp(
+        "cli_mutate_notion_trace.json",
+        r#"[{"op": "set", "id": 0, "attr": "city", "value": "Rome"}]"#,
+    );
+    let mutate = |notion: &str| {
+        let (out, err, code) = fdrepair_code(&[
+            "mutate",
+            "--json",
+            path.to_str().unwrap(),
+            "--mutations",
+            trace.to_str().unwrap(),
+            "--notion",
+            notion,
+        ]);
+        assert_eq!(code, 0, "--notion {notion}: {err}");
+        fd_repairs::Json::parse(out.trim()).expect("mutate --json prints a report")
+    };
+    for (notion, name) in [("u", "u"), ("update", "u"), ("mixed", "mixed"), ("s", "s")] {
+        let report = mutate(notion);
+        assert_eq!(
+            report.get("notion").and_then(fd_repairs::Json::as_str),
+            Some(name),
+            "--notion {notion}: {report}"
+        );
+    }
+    // An unknown notion is a usage error, before the input is read.
+    let (_, err, code) = fdrepair_code(&[
+        "mutate",
+        "missing.fdr",
+        "--mutations",
+        trace.to_str().unwrap(),
+        "--notion",
+        "bogus",
+    ]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("unknown notion \"bogus\""), "{err}");
+}
+
+#[test]
+fn mutate_output_needs_a_repairing_notion() {
+    let path = write_temp("cli_mutate_output.fdr", OFFICE_FDR);
+    let trace = write_temp(
+        "cli_mutate_output_trace.json",
+        r#"[{"op": "delete", "id": 1}]"#,
+    );
+    let out = std::env::temp_dir().join("cli_mutate_output_repaired.fdr");
+    for notion in ["count", "classify"] {
+        let (_, err, code) = fdrepair_code(&[
+            "mutate",
+            path.to_str().unwrap(),
+            "--mutations",
+            trace.to_str().unwrap(),
+            "--notion",
+            notion,
+            "--output",
+            out.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 2, "--notion {notion}: {err}");
+        assert!(
+            err.contains("--output needs a repairing notion"),
+            "--notion {notion}: {err}"
+        );
+        assert!(!err.contains("panicked"), "--notion {notion}: {err}");
+    }
+}

@@ -262,6 +262,9 @@ fn office_mutate_delta_matches_golden_bytes() {
         RepairRequest::subset(),
     )
     .unwrap();
+    // The bytes path writes its first document before the trace, so the
+    // one after it copies the untouched rows from that document.
+    let before = session.report_bytes_in(Vec::new()).unwrap();
     for wire in &trace {
         let m = wire.resolve(&inst.schema).unwrap();
         session.apply(&m).unwrap();
@@ -270,6 +273,12 @@ fn office_mutate_delta_matches_golden_bytes() {
     let spliced = session.report().unwrap();
     let mut got = spliced.to_json();
     got.push('\n');
+    let bytes = session.report_bytes_in(before.to_vec()).unwrap();
+    assert_eq!(
+        [bytes.as_slice(), b"\n"].concat(),
+        got.as_bytes(),
+        "the spliced document differs from the report's"
+    );
 
     let path = format!(
         "{}/tests/golden/office_mutate_delta.json",
