@@ -31,15 +31,7 @@
 //!   every FD via [`fd_core::KeyExtractor`] over the symbol columns
 //!   (the inner loop of the grouped conflict scan).
 //!
-//! After the ladder, `update/hard/<n>` (10k and 100k rows) runs
-//! `repair --notion u` through the engine on the hard workload: the
-//! combined approximation of §4.4 (the sharded `2·mlc` subset solve
-//! plus the Kolahi–Lakshmanan re-admission). The committed
-//! `100000/10000` median ratio must stay under 15 (asserted by a test
-//! in `bench_guard`), so a re-admission that rescans the whole core per
-//! tuple fails as a quadratic blow-up.
-//!
-//! Then `report/write/<n>` (100k and 1M rows) times
+//! After the ladder, `report/write/<n>` (100k and 1M rows) times
 //! [`fd_engine::RepairReport::write_json`] of a solved tractable subset
 //! report into `std::io::sink()`: the streaming writer alone. The
 //! committed `1000000/100000` median ratio must stay under 15 (asserted
@@ -95,6 +87,15 @@
 //! content hash every `PUT` and every mutate compute over the whole
 //! table. Its `1000000/100000` median ratio must stay under 15
 //! (asserted by a test in `bench_guard`), so the hash stays linear.
+//!
+//! Then `update/hard/<n>` (10k, 100k and 1M rows) runs
+//! `repair --notion u` through the engine on the hard workload: the
+//! combined approximation of §4.4 (the sharded `2·mlc` subset solve
+//! plus the Kolahi–Lakshmanan re-admission), off the ladder's peak RSS.
+//! The committed `100000/10000` and `1000000/100000` median ratios must
+//! each stay under 15 (asserted by a test in `bench_guard`), so a
+//! re-admission that rescans the whole core per tuple fails as a
+//! quadratic blow-up.
 //!
 //! Then `update/tractable/<n>` (100k and 1M rows) runs
 //! `repair --notion u` through the engine on the tractable workload:
@@ -315,18 +316,6 @@ fn write_summary() {
             }),
         );
     }
-    // The update rung: `repair --notion u` on the hard workload, whose
-    // one component takes the combined approximation (the sharded
-    // `2·mlc` solve and the KL re-admission against its indexed core).
-    for n in [10_000usize, 100_000] {
-        let (_, fds, table) = hard_scale(n, false, 42);
-        push(
-            format!("update/hard/{n}"),
-            median_us(reps(n), || {
-                Planner.run(&table, &fds, &RepairRequest::update()).unwrap();
-            }),
-        );
-    }
     // The report writer: streaming a solved tractable subset report
     // into a sink that discards the bytes, so only serialization is
     // timed. Runs after the ladder too, off its peak RSS.
@@ -483,6 +472,20 @@ fn write_summary() {
             format!("engine/fingerprint/{n}"),
             median_us(2 * reps(n) + 1, || {
                 black_box(table_fingerprint(&table));
+            }),
+        );
+    }
+    // The update rung: `repair --notion u` on the hard workload, whose
+    // one component takes the combined approximation (the sharded
+    // `2·mlc` solve and the KL re-admission against its indexed core).
+    // It runs after the ladder's peak RSS is read: KL's decoded core
+    // at 1M rows would raise the memory entry.
+    for n in [10_000usize, 100_000, 1_000_000] {
+        let (_, fds, table) = hard_scale(n, false, 42);
+        push(
+            format!("update/hard/{n}"),
+            median_us(reps(n), || {
+                Planner.run(&table, &fds, &RepairRequest::update()).unwrap();
             }),
         );
     }

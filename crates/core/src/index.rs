@@ -365,6 +365,12 @@ impl ConflictIndex {
         (0..groups.len() as u32).filter(move |&g| groups[g as usize].classes >= 2)
     }
 
+    /// True iff no group under any FD holds two rhs classes: the
+    /// indexed table satisfies `Δ`.
+    pub fn is_consistent(&self) -> bool {
+        (0..self.fd_count()).all(|fd| self.conflict_groups(fd).next().is_none())
+    }
+
     /// The rhs classes of the group holding the row at position `pos`
     /// under FD `fd`, if that group conflicts: member positions in row
     /// order, classes by first member — a fresh index's order, whatever

@@ -394,8 +394,7 @@ impl Table {
     /// True iff the table satisfies every FD of `Δ`: no lhs group of its
     /// [`ConflictIndex`] holds two rhs classes.
     pub fn satisfies(&self, fds: &FdSet) -> bool {
-        let index = ConflictIndex::build(self, fds);
-        (0..fds.len()).all(|fd| index.conflict_groups(fd).next().is_none())
+        ConflictIndex::build(self, fds).is_consistent()
     }
 
     /// Some violating pair `(i, j, fd)` with `i` before `j` in row order,

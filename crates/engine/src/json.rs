@@ -70,6 +70,13 @@ pub enum Json {
     /// A finite number (serialized via Rust's shortest-round-trip float
     /// formatting; integers within `i64` range print without a dot).
     Num(f64),
+    /// An integer of magnitude 9·10¹⁵ or more, kept exact: past there an
+    /// `f64` misses integers (2⁵³ + 1) or prints by its shortest digits
+    /// (`i64::MIN` as -9223372036854776000). The parser makes one of
+    /// every such integral token, and `Json::from(i64)` of every such
+    /// integer; every other number is a [`Json::Num`], and
+    /// [`Json::as_num`] reads both.
+    Int(i64),
     /// A string.
     Str(String),
     /// An array.
@@ -101,6 +108,7 @@ impl Json {
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::Int(i) => Some(*i as f64),
             _ => None,
         }
     }
@@ -344,7 +352,14 @@ impl<'a> Reader<'a> {
             Some(b't') => self.expect("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.expect("false").map(|()| Json::Bool(false)),
             Some(b'[' | b'{') => Err(err(self.pos, "nesting exceeds the depth limit")),
-            Some(_) => self.number().map(Json::Num),
+            Some(_) => {
+                let start = self.pos;
+                let n = self.number()?;
+                // Only a token of 16 or more bytes can reach 9·10¹⁵.
+                let token = &self.text[start..self.pos];
+                let exact = (token.len() > 15).then(|| token.parse::<i64>().ok());
+                Ok(exact.flatten().map_or(Json::Num(n), Json::from))
+            }
         }
     }
 
@@ -749,6 +764,7 @@ pub(crate) fn write_tree(out: &mut Out<'_>, value: &Json) {
         Json::Null => out.extend_from_slice(b"null"),
         Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
         Json::Num(n) => write_num(out, *n),
+        Json::Int(i) => write_int(out, *i),
         Json::Str(s) => write_escaped(out, s),
         Json::Arr(items) => write_arr(out, items, write_tree),
         Json::Obj(pairs) => {
@@ -777,6 +793,18 @@ impl fmt::Display for Json {
 impl From<f64> for Json {
     fn from(n: f64) -> Json {
         Json::Num(n)
+    }
+}
+
+impl From<i64> for Json {
+    /// A [`Json::Num`] below 9·10¹⁵ in magnitude, where the writer
+    /// prints every integer exactly, else a [`Json::Int`].
+    fn from(i: i64) -> Json {
+        if i.unsigned_abs() < 9_000_000_000_000_000 {
+            Json::Num(i as f64)
+        } else {
+            Json::Int(i)
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use crate::report::{
     ChangedCell, ComponentReport, DichotomyReport, RepairReport, ReportBody, Timings,
 };
 use crate::request::{Notion, Optimality, RepairRequest};
-use fd_core::{candidate_keys, AttrId, FdSet, Table, TupleId, Value};
+use fd_core::{candidate_keys, AttrId, ConflictIndex, FdSet, Table, TupleId, Value};
 use fd_srepair::{
     count_optimal_s_repairs, count_subset_repairs, sample_subset_repair, ChainCountOutcome,
     CountOutcome, SMethod, ShardConfig, ShardPlan, ShardedSolution,
@@ -440,7 +440,8 @@ impl RepairEngine for Planner {
         let (steps, optimal, ratio) = match request.notion {
             Notion::Subset => {
                 let cfg = Planner::shard_config(request);
-                let (_, plan, _) = fd_srepair::shard_plan(table, fds, &cfg);
+                let index = ConflictIndex::build(table, fds);
+                let (_, plan) = fd_srepair::shard_plan(table, fds, &index, &cfg);
                 let (steps, _) = Planner::shard_steps(&plan);
                 (steps, plan.optimal, plan.ratio)
             }
@@ -701,15 +702,11 @@ impl RepairEngine for Planner {
                     .collect();
                 let bcnf_violation =
                     fd_core::bcnf_violation(schema, fds).map(|v| v.fd.display(schema));
-                let consistent = table.satisfies(fds);
-                let conflicts = if consistent {
-                    0
-                } else {
-                    // Counting without materializing the pair *list*;
-                    // single-FD Δ counts combinatorially with no pair
-                    // storage at all (see `conflicting_pair_count`).
-                    table.conflicting_pair_count(fds)
-                };
+                // Counting without materializing the pair *list*;
+                // single-FD Δ counts combinatorially with no pair
+                // storage at all (see `conflicting_pair_count`).
+                let conflicts = table.conflicting_pair_count(fds);
+                let consistent = conflicts == 0;
                 (
                     vec!["Dichotomy".to_string()],
                     true,

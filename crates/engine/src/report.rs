@@ -354,7 +354,7 @@ impl ReportBody {
 /// reports, wire documents and mutation traces.
 pub(crate) fn value_to_json(v: &Value) -> Json {
     match v {
-        Value::Int(i) => Json::Num(*i as f64),
+        Value::Int(i) => Json::from(*i),
         other => Json::str(other.to_string()),
     }
 }
@@ -850,6 +850,40 @@ mod tests {
         let values = row.get("values").unwrap().as_arr().unwrap();
         assert_eq!(values[0].as_num(), Some(1.0));
         assert_eq!(values[2].as_str(), Some("x"));
+    }
+
+    #[test]
+    fn spilled_integers_print_exactly_and_parse_back_exact() {
+        let big = [i64::MIN, i64::MAX, (1 << 53) + 1, -(1 << 53) - 1];
+        let rows = big.iter().map(|&i| (tup![i, 0, 0], 1.0));
+        let table = Table::build(schema_rabc(), rows).unwrap();
+        let report = RepairReport {
+            notion: Notion::Subset,
+            methods: vec!["Dichotomy".to_string()],
+            optimal: true,
+            ratio: 1.0,
+            cost: 0.0,
+            dichotomy: DichotomyReport::classify(&FdSet::empty()),
+            components: None,
+            timings: Timings::default(),
+            body: ReportBody::Subset {
+                deleted: Vec::new(),
+                repaired: table,
+            },
+        };
+        let text = report.to_json();
+        let parsed = Json::parse(&text).unwrap();
+        let rows = parsed.get("result").unwrap().get("repaired").unwrap();
+        for (row, &i) in rows.get("rows").unwrap().as_arr().unwrap().iter().zip(&big) {
+            assert!(
+                text.contains(&format!("\"values\":[{i},0,0]")),
+                "{i} in {text}"
+            );
+            let cell = &row.get("values").unwrap().as_arr().unwrap()[0];
+            assert_eq!(*cell, Json::Int(i));
+            assert_eq!(cell.as_num(), Some(i as f64));
+        }
+        assert_eq!(format!("{parsed}"), text);
     }
 
     /// A subset report whose document spans several [`CHUNK`]s: rows

@@ -1041,8 +1041,7 @@ fn read_values<'a>(values: &mut Reader<'a>, cells: &mut Vec<Scalar<'a>>) -> Resu
 fn weight_of(doc: &Json) -> Result<f64, WireError> {
     match doc.get("weight") {
         None => Ok(1.0),
-        Some(Json::Num(w)) => Ok(*w),
-        Some(_) => Err(not_a_weight()),
+        Some(w) => w.as_num().ok_or_else(not_a_weight),
     }
 }
 
@@ -1059,8 +1058,10 @@ fn parse_values(values: &[Json]) -> Result<Vec<Value>, WireError> {
 fn parse_value(v: &Json) -> Result<Value, WireError> {
     match v {
         Json::Str(s) => Ok(Value::str(s)),
-        Json::Num(n) => wire_int(*n).map(Value::Int),
-        other => Err(not_a_value(other)),
+        other => match other.as_num() {
+            Some(n) => wire_int(n).map(Value::Int),
+            None => Err(not_a_value(other)),
+        },
     }
 }
 
@@ -1170,14 +1171,12 @@ fn parse_request(req: &Json) -> Result<(RepairRequest, bool), WireError> {
             request = request.optimality(Optimality::Exact);
         }
         Some(obj @ Json::Obj(_)) => {
-            let Some(Json::Num(max_ratio)) = obj.get("max_ratio") else {
+            let Some(max_ratio) = obj.get("max_ratio").and_then(Json::as_num) else {
                 return Err(WireError::new(
                     "\"optimality\" object needs a numeric \"max_ratio\"",
                 ));
             };
-            request = request.optimality(Optimality::Approximate {
-                max_ratio: *max_ratio,
-            });
+            request = request.optimality(Optimality::Approximate { max_ratio });
         }
         Some(_) => {
             return Err(WireError::new(
@@ -1197,11 +1196,6 @@ fn parse_request(req: &Json) -> Result<(RepairRequest, bool), WireError> {
                 "exact_node_budget" => b.exact_node_budget = as_usize(key, value)? as u64,
                 "time_cap_ms" => b.time_cap_ms = Some(as_usize(key, value)? as u64),
                 "threads" => b.threads = as_usize(key, value)?,
-                // Retired knob (every subset request shards): still
-                // validated, so old clients get no 400, then ignored.
-                "shard_min_rows" => {
-                    as_usize(key, value)?;
-                }
                 "component_exact_limit" => b.component_exact_limit = as_usize(key, value)?,
                 other => {
                     return Err(WireError::new(format!("unknown budget field {other:?}")));
@@ -1211,20 +1205,21 @@ fn parse_request(req: &Json) -> Result<(RepairRequest, bool), WireError> {
         request = request.budgets(b);
     }
     if let Some(costs) = req.get("mixed_costs") {
-        let (Some(Json::Num(delete)), Some(Json::Num(update))) =
-            (costs.get("delete"), costs.get("update"))
-        else {
+        let (Some(delete), Some(update)) = (
+            costs.get("delete").and_then(Json::as_num),
+            costs.get("update").and_then(Json::as_num),
+        ) else {
             return Err(WireError::new(
                 "\"mixed_costs\" needs numeric \"delete\" and \"update\"",
             ));
         };
         // MixedCosts::new asserts; turn bad multipliers into wire errors.
-        if !(delete.is_finite() && *delete > 0.0 && update.is_finite() && *update > 0.0) {
+        if !(delete.is_finite() && delete > 0.0 && update.is_finite() && update > 0.0) {
             return Err(WireError::new(
                 "\"mixed_costs\" multipliers must be positive finite numbers",
             ));
         }
-        request = request.mixed_costs(MixedCosts::new(*delete, *update));
+        request = request.mixed_costs(MixedCosts::new(delete, update));
     }
     match req.get("seed") {
         None => {}
@@ -1241,8 +1236,8 @@ fn parse_request(req: &Json) -> Result<(RepairRequest, bool), WireError> {
 }
 
 fn as_usize(key: &str, value: &Json) -> Result<usize, WireError> {
-    match value {
-        Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9.0e15 => Ok(*n as usize),
+    match value.as_num() {
+        Some(n) if n.fract() == 0.0 && (0.0..=9.0e15).contains(&n) => Ok(n as usize),
         _ => Err(WireError::new(format!(
             "{key:?} must be a non-negative integer"
         ))),
@@ -1403,26 +1398,11 @@ mod tests {
     }
 
     #[test]
-    fn retired_shard_min_rows_is_validated_then_ignored() {
-        let with = |budgets: &str| {
-            let doc = format!(
-                r#"{{"attrs": ["A", "B"], "fds": "A -> B", "rows": [[1, 2], [1, 3]],
-                    "request": {{"budgets": {budgets}}}}}"#
-            );
-            RepairCall::parse(&doc, &JsonLimits::UNTRUSTED)
-        };
-        let plain = with("{}").unwrap();
-        for value in ["0", "4", "9000000000000000"] {
-            let call = with(&format!(r#"{{"shard_min_rows": {value}}}"#)).unwrap();
-            assert_eq!(call.request, plain.request, "shard_min_rows {value}");
-            assert_eq!(call.cache_key(), plain.cache_key());
-        }
-        for bad in ["-1", "1.5", "\"all\""] {
-            let err = with(&format!(r#"{{"shard_min_rows": {bad}}}"#)).unwrap_err();
-            assert!(err.to_string().contains("shard_min_rows"), "{err}");
-        }
-        // The knob is gone from what the codec writes.
-        assert!(!plain.to_json_value().to_string().contains("shard_min_rows"));
+    fn retired_shard_min_rows_is_rejected() {
+        let doc = r#"{"attrs": ["A", "B"], "fds": "A -> B", "rows": [[1, 2], [1, 3]],
+                      "request": {"budgets": {"shard_min_rows": 0}}}"#;
+        let err = RepairCall::parse(doc, &JsonLimits::UNTRUSTED).unwrap_err();
+        assert_eq!(err.to_string(), r#"unknown budget field "shard_min_rows""#);
     }
 
     #[test]

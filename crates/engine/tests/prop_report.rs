@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 
 fn value_tree(v: &Value) -> Json {
     match v {
-        Value::Int(i) => Json::Num(*i as f64),
+        Value::Int(i) => Json::from(*i),
         other => Json::str(other.to_string()),
     }
 }

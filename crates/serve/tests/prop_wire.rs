@@ -434,8 +434,10 @@ mod reference {
                 }
                 let weight = match row.get("weight") {
                     None => 1.0,
-                    Some(Json::Num(w)) => *w,
-                    Some(_) => return Err("\"weight\" must be a number".into()),
+                    Some(w) => match w.as_num() {
+                        Some(w) => w,
+                        None => return Err("\"weight\" must be a number".into()),
+                    },
                 };
                 match row.get("values") {
                     Some(Json::Arr(values)) => Ok((weight, values_of(values)?)),
@@ -449,13 +451,13 @@ mod reference {
     fn values_of(values: &[Json]) -> Result<Vec<Value>, String> {
         values
             .iter()
-            .map(|v| match v {
-                Json::Str(s) => Ok(Value::str(s)),
-                Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => Ok(Value::Int(*n as i64)),
-                Json::Num(n) => Err(format!(
+            .map(|v| match (v, v.as_num()) {
+                (Json::Str(s), _) => Ok(Value::str(s)),
+                (_, Some(n)) if n.fract() == 0.0 && n.abs() < 9.0e15 => Ok(Value::Int(n as i64)),
+                (_, Some(n)) => Err(format!(
                     "value {n} is not an integer; send non-integral values as strings"
                 )),
-                other => Err(format!("values must be strings or integers, got {other}")),
+                (other, None) => Err(format!("values must be strings or integers, got {other}")),
             })
             .collect()
     }

@@ -294,8 +294,7 @@ impl IncrementalSubset {
             // on ids being ascending in row order.
             positions.sort_unstable();
             let method = ShardPlan::component_method(self.tractable, ids.len(), &self.cfg);
-            let mut kept =
-                solve_component(table, &positions, Some(&self.index), &self.trace, method);
+            let mut kept = solve_component(table, &positions, &self.index, &self.trace, method);
             kept.sort_unstable();
             let slot = match self.free.pop() {
                 Some(slot) => slot,

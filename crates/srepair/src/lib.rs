@@ -74,5 +74,8 @@ pub use incremental::IncrementalSubset;
 pub use maximal::{is_subset_repair, make_maximal};
 pub use optsrepair::{opt_s_repair, Irreducible};
 pub use repair::SRepair;
-pub use sharded::{shard_plan, sharded_s_repair, SMethod, ShardConfig, ShardPlan, ShardedSolution};
+pub use sharded::{
+    shard_plan, sharded_s_repair, sharded_s_repair_indexed, SMethod, ShardConfig, ShardPlan,
+    ShardedSolution,
+};
 pub use succeeds::{osr_succeeds, simplification_trace, Outcome, Rule, Trace, TraceStep};

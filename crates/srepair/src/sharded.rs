@@ -185,16 +185,17 @@ pub struct ShardedSolution {
 }
 
 /// Computes the component partition and the plan in one polynomial
-/// pass: `O(|T| · |Δ|)` plus the union-find. The same function feeds
+/// pass over `index` (of `table` under `Δ`, keyed by position): the
+/// union-find over its conflict groups. The same function feeds
 /// `explain()` (plan only) and [`sharded_s_repair`] (plan + execute).
-/// The hard side also gets the index, which its arms read.
 pub fn shard_plan(
     table: &Table,
     fds: &FdSet,
+    index: &ConflictIndex,
     cfg: &ShardConfig,
-) -> (Components, ShardPlan, Option<ConflictIndex>) {
-    let index = ConflictIndex::build(table, fds);
-    let comps = index_components(&index);
+) -> (Components, ShardPlan) {
+    debug_assert_eq!(index.key_space(), table.len());
+    let comps = index_components(index);
     let tractable = crate::succeeds::osr_succeeds(fds);
     let mut counts = [0usize; 3];
     let mut largest = 0usize;
@@ -208,7 +209,7 @@ pub fn shard_plan(
         counts[ShardPlan::component_method(tractable, comp.len(), cfg).index()] += 1;
     }
     let plan = ShardPlan::from_counts(counts, largest, clean_rows, tractable);
-    (comps, plan, (!tractable).then_some(index))
+    (comps, plan)
 }
 
 /// Solves one conflicting component, given by its ascending row
@@ -223,19 +224,18 @@ pub fn shard_plan(
 pub(crate) fn solve_component(
     table: &Table,
     rows: &[u32],
-    index: Option<&ConflictIndex>,
+    index: &ConflictIndex,
     trace: &Trace,
     method: SMethod,
 ) -> Vec<TupleId> {
-    let index = || index.expect("hard-side components read the conflict index");
     match method {
         SMethod::Dichotomy => ids_at(
             table,
             &crate::optsrepair::solve(table, rows, trace, 0)
                 .expect("OSRSucceeds(Δ) holds on every block (Δ-only test)"),
         ),
-        SMethod::ExactVertexCover => uncovered(table, index(), rows, min_weight_vertex_cover),
-        SMethod::Approx2 => uncovered(table, index(), rows, vertex_cover_2approx),
+        SMethod::ExactVertexCover => uncovered(table, index, rows, min_weight_vertex_cover),
+        SMethod::Approx2 => uncovered(table, index, rows, vertex_cover_2approx),
     }
 }
 
@@ -291,9 +291,21 @@ fn method_name(method: SMethod) -> &'static str {
 /// sol.repair.verify(&t, &fds);
 /// ```
 pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> ShardedSolution {
+    sharded_s_repair_indexed(table, fds, &ConflictIndex::build(table, fds), cfg)
+}
+
+/// [`sharded_s_repair`] over `index`, a position-keyed [`ConflictIndex`]
+/// of `table` under `fds` that the caller already holds, as the update
+/// solver's plan does for each component.
+pub fn sharded_s_repair_indexed(
+    table: &Table,
+    fds: &FdSet,
+    index: &ConflictIndex,
+    cfg: &ShardConfig,
+) -> ShardedSolution {
     let mut sharded_sp = fd_trace::span("srepair/sharded");
     sharded_sp.attr("rows", table.len());
-    let (comps, plan, index) = shard_plan(table, fds, cfg);
+    let (comps, plan) = shard_plan(table, fds, index, cfg);
     sharded_sp.attr("components", plan.components);
     sharded_sp.attr("largest", plan.largest);
     let tractable = plan
@@ -324,7 +336,7 @@ pub fn sharded_s_repair(table: &Table, fds: &FdSet, cfg: &ShardConfig) -> Sharde
             "escalated",
             method == SMethod::ExactVertexCover && comp.len() > cfg.component_exact_limit,
         );
-        solve_component(table, comp, index.as_ref(), &trace, method)
+        solve_component(table, comp, index, &trace, method)
     });
     for comp_kept in solved {
         kept.extend(comp_kept);
@@ -403,12 +415,14 @@ mod tests {
                 let domain = 2 + (seed as usize / 2) % 3;
                 let t =
                     fd_gen::adversarial::sized_instance(case, rows, domain, seed % 2 == 1, seed);
+                let index = ConflictIndex::build(&t, &case.fds);
                 let mut kept = Vec::new();
-                for comp in fd_graph::conflict_components(&t, &case.fds).iter() {
+                for comp in index_components(&index).iter() {
                     if comp.len() < 2 {
                         kept.push(t.id_at(comp[0] as usize));
                     } else {
-                        kept.extend(solve_component(&t, comp, None, &trace, SMethod::Dichotomy));
+                        let method = SMethod::Dichotomy;
+                        kept.extend(solve_component(&t, comp, &index, &trace, method));
                     }
                 }
                 let global = crate::opt_s_repair(&t, &case.fds).unwrap();

@@ -14,8 +14,8 @@
 use crate::convert::subset_to_update;
 use crate::decompose::{attribute_components, consensus_first};
 use crate::repair::URepair;
-use fd_core::{mlc, FdSet, Table};
-use fd_srepair::{osr_succeeds, sharded_s_repair, ShardConfig};
+use fd_core::{mlc, ConflictIndex, FdSet, Table};
+use fd_srepair::{osr_succeeds, sharded_s_repair_indexed, ShardConfig};
 
 /// An approximate U-repair together with its guaranteed ratio.
 #[derive(Clone, Debug)]
@@ -38,21 +38,34 @@ pub fn approx_u_repair(table: &Table, fds: &FdSet) -> ApproxURepair {
     let mut ratio: f64 = 1.0;
     for comp in attribute_components(&rest) {
         let comp_mlc = mlc(&comp).expect("components are consensus-free") as f64;
-        // Sharded subset solve: Algorithm 1 per component on the
-        // tractable side, the 2-approximation everywhere else.
         let c = if osr_succeeds(&comp) { 1.0 } else { 2.0 };
-        let cfg = ShardConfig {
-            component_exact_limit: 0,
-            ..ShardConfig::default()
-        };
-        let srepair = sharded_s_repair(&base, &comp, &cfg).repair;
-        let part = subset_to_update(&base, &srepair, &comp);
+        let index = ConflictIndex::build(&base, &comp);
+        let part = subset_reduction(&base, &comp, &index, 1);
         ratio = ratio.max(c * comp_mlc);
         repair = repair
             .compose(&base, part)
             .expect("components touch disjoint attributes");
     }
     ApproxURepair { repair, ratio }
+}
+
+/// Theorem 4.12's step on one consensus-free component `comp`, whose
+/// `index` over `base` it reads: a sharded subset solve (Algorithm 1 on
+/// the tractable side, else the 2-approximation), converted by
+/// Proposition 4.4(2). With a common lhs it is Corollary 4.6's optimum.
+pub(crate) fn subset_reduction(
+    base: &Table,
+    comp: &FdSet,
+    index: &ConflictIndex,
+    threads: usize,
+) -> URepair {
+    let cfg = ShardConfig {
+        threads,
+        component_exact_limit: 0,
+        force_exact: false,
+    };
+    let srepair = sharded_s_repair_indexed(base, comp, index, &cfg).repair;
+    subset_to_update(base, &srepair, comp)
 }
 
 #[cfg(test)]

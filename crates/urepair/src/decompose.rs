@@ -47,7 +47,8 @@ pub fn strip_consensus(fds: &FdSet) -> (AttrSet, FdSet) {
 /// Theorem 4.3's first step on a table: repairs the consensus attributes
 /// optimally (Proposition B.2). Returns that repair, those attributes,
 /// the base the consensus-free rest of `Δ` (last) is solved against: the
-/// input itself, or the input with the consensus cells applied, once.
+/// input itself when the repair writes no cell, else the input with the
+/// consensus cells applied, once.
 pub(crate) fn consensus_first<'t>(
     table: &'t Table,
     fds: &FdSet,
@@ -60,7 +61,11 @@ pub(crate) fn consensus_first<'t>(
     sp.attr("attrs", attrs.len());
     let repair = consensus_u_repair(table, attrs);
     sp.attr("cells", repair.cells.len());
-    let base = Cow::Owned(repair.apply(table));
+    let base = if repair.cells.is_empty() {
+        Cow::Borrowed(table)
+    } else {
+        Cow::Owned(repair.apply(table))
+    };
     (repair, attrs, base, rest)
 }
 

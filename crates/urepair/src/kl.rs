@@ -20,10 +20,18 @@
 //! The experiments of §4.4 compare the *proved ratio formulas* — computed
 //! exactly in [`crate::bounds`] — and additionally report the realized
 //! cost of this reconstruction.
+//!
+//! Step 2's conflict graph is read off a [`ConflictIndex`]: inside the
+//! update solver, the plan's index of the component, so KL scans the
+//! table only for a component with a wider rhs. Steps 2–4 run under the
+//! `urepair/kl` span.
 
 use crate::decompose::consensus_first;
 use crate::repair::{URepair, UpdateWriter};
-use fd_core::{min_core_implicant, min_lhs_cover, AttrId, FdSet, FreshSource, Table, Tuple, Value};
+use fd_core::{
+    min_core_implicant, min_lhs_cover, AttrId, ConflictIndex, FdSet, FreshSource, Table, Tuple,
+    Value,
+};
 use fd_graph::{vertex_cover_2approx, ConflictGraph};
 use std::collections::{HashMap, HashSet};
 
@@ -33,20 +41,48 @@ use std::collections::{HashMap, HashSet};
 pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
     // Step 1: consensus attributes (Theorem 4.3).
     let (consensus, _, working, rest) = consensus_first(table, fds);
-    let rest = rest.normalize_single_rhs();
-    if working.satisfies(&rest) {
-        return consensus;
-    }
+    let index = ConflictIndex::build(&working, &rest);
+    let result = kl_component(table, consensus, &working, &rest, index);
+    debug_assert!(
+        result.apply(table).satisfies(fds),
+        "KL reconstruction must be consistent"
+    );
+    result
+}
 
+/// Steps 2–4 on `working`, the consensus-repaired `table`, under `comp`,
+/// consensus-free, whose `index` it is (in the update solver, the plan's
+/// index of a component). KL reads single-rhs FDs, so a wider rhs is
+/// indexed again under the split FDs. The index is freed once the cover
+/// is read: the decoded core is the larger peak.
+pub(crate) fn kl_component(
+    table: &Table,
+    consensus: URepair,
+    working: &Table,
+    comp: &FdSet,
+    index: ConflictIndex,
+) -> URepair {
+    let fds = &comp.normalize_single_rhs();
+    let index = if fds == comp {
+        index
+    } else {
+        drop(index);
+        ConflictIndex::build(working, fds)
+    };
+    let mut sp = fd_trace::span("urepair/kl");
+    sp.attr("rows", working.len());
     // Step 2: pick the tuples to modify.
-    let picked = vertex_cover_2approx(&ConflictGraph::build(&working, &rest).graph).nodes;
+    let rows: Vec<u32> = (0..working.len() as u32).collect();
+    let picked = vertex_cover_2approx(&ConflictGraph::of_rows(working, &index, &rows).graph).nodes;
+    drop(index);
+    sp.attr("picked", picked.len());
 
     // The consistent core: tuples outside the cover.
     let (mut order, outside): (Vec<_>, Vec<_>) = working
         .rows()
         .enumerate()
         .partition(|(pos, _)| picked.binary_search(&(*pos as u32)).is_ok());
-    let mut core = Core::new(&rest);
+    let mut core = Core::new(fds);
     for (_, row) in outside {
         core.push(row.tuple);
     }
@@ -63,7 +99,7 @@ pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
     }
     let mut fresh = FreshSource::new();
     for (pos, row) in order {
-        let repaired = repair_one(&row.tuple, &core, &rest, &mut fresh);
+        let repaired = repair_one(&row.tuple, &core, fds, &mut fresh);
         for attr in row.tuple.disagreement(&repaired).iter() {
             writer.set(pos, attr, repaired.get(attr).clone());
         }
@@ -71,10 +107,7 @@ pub fn kl_u_repair(table: &Table, fds: &FdSet) -> URepair {
     }
 
     let result = writer.finish();
-    debug_assert!(
-        result.apply(table).satisfies(fds),
-        "KL reconstruction must be consistent"
-    );
+    sp.attr("cells", result.cells.len());
     result
 }
 

@@ -11,8 +11,8 @@
 //! bound of Corollary 4.5.
 
 use crate::repair::{URepair, UpdateWriter};
-use fd_core::{AttrId, FdSet, FnvBuild, Sym, Table};
-use fd_srepair::{sharded_s_repair, ShardConfig};
+use fd_core::{AttrId, ConflictIndex, FdSet, FnvBuild, Sym, Table};
+use fd_srepair::{sharded_s_repair_indexed, ShardConfig};
 use std::collections::HashMap;
 
 /// Detects whether `Δ` is equivalent to a two-cycle `{A → B, B → A}` over
@@ -42,10 +42,16 @@ pub fn detect_two_cycle(fds: &FdSet) -> Option<(AttrId, AttrId)> {
 /// # Panics
 /// Panics if `Δ` is not a two-cycle (use [`detect_two_cycle`] first).
 pub fn two_cycle_u_repair(table: &Table, fds: &FdSet) -> URepair {
+    two_cycle_over(table, fds, &ConflictIndex::build(table, fds))
+}
+
+/// [`two_cycle_u_repair`] over `index`, the update plan's index of
+/// `table` under `fds`.
+pub(crate) fn two_cycle_over(table: &Table, fds: &FdSet, index: &ConflictIndex) -> URepair {
     let (a, b) = detect_two_cycle(fds).expect("Δ must be a two-cycle {A→B, B→A}");
     // Two-cycles pass OSRSucceeds via the lhs marriage, so the sharded
     // path solves every component with Algorithm 1.
-    let sr = sharded_s_repair(table, fds, &ShardConfig::default()).repair;
+    let sr = sharded_s_repair_indexed(table, fds, index, &ShardConfig::default()).repair;
     let kept = table.position_mask(&sr.kept);
     let (col_a, col_b) = (table.col(a), table.col(b));
     // Kept tuples index, in symbols: A value → B value and B value → A value.

@@ -28,7 +28,7 @@
 
 use crate::exact::{try_exact_u_repair, ExactConfig, ExactError};
 use crate::repair::{write_cells, UpdateWriter};
-use fd_core::{min_lhs_cover, AttrId, FdSet, FreshSource, Table, TupleId, Value};
+use fd_core::{min_lhs_cover, AttrId, ConflictIndex, FdSet, FreshSource, Table, TupleId, Value};
 use fd_graph::{vertex_cover_2approx, ConflictGraph};
 use std::collections::HashSet;
 
@@ -203,10 +203,9 @@ pub fn try_exact_mixed_repair(
 /// optimal mixed cost.
 pub fn approx_mixed_repair(table: &Table, fds: &FdSet, costs: MixedCosts) -> MixedRepair {
     let fds_n = fds.normalize_single_rhs().remove_trivial();
-    if table.satisfies(&fds_n) {
-        return MixedRepair::default();
-    }
-    let cover = vertex_cover_2approx(&ConflictGraph::build(table, &fds_n).graph);
+    let index = ConflictIndex::build(table, &fds_n);
+    let rows: Vec<u32> = (0..table.len() as u32).collect();
+    let cover = vertex_cover_2approx(&ConflictGraph::of_rows(table, &index, &rows).graph);
 
     let lhs_cover = fds_n.is_consensus_free().then(|| min_lhs_cover(&fds_n));
 

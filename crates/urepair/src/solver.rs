@@ -1,18 +1,23 @@
 //! A facade for computing U-repairs with the best method §4 provides:
 //! optimal polynomial algorithms where the paper gives them, exact search
 //! on small instances, and the combined approximation otherwise.
+//!
+//! The plan builds one [`ConflictIndex`] per attribute component over
+//! the consensus-repaired base, and every stage of the component reads
+//! it: the consistency check, the subset reduction (Corollary 4.6 and
+//! Theorem 4.12) and the KL cover. A solve scans each component once.
 
-use crate::approx::approx_u_repair;
-use crate::convert::subset_to_update;
+use crate::approx::subset_reduction;
 use crate::decompose::{attribute_components, consensus_first};
 use crate::engine::{approx_component_bound, EXACT_MAX_ROWS};
 use crate::exact::{try_exact_u_repair, ExactConfig};
-use crate::kl::kl_u_repair;
-use crate::marriage::{detect_two_cycle, two_cycle_u_repair};
+use crate::kl::kl_component;
+use crate::marriage::{detect_two_cycle, two_cycle_over};
 use crate::repair::URepair;
-use fd_core::{mlc, AttrSet, FdSet, Table};
-use fd_srepair::{osr_succeeds, sharded_s_repair, ShardConfig};
+use fd_core::{mlc, AttrSet, ConflictIndex, FdSet, Table};
+use fd_srepair::osr_succeeds;
 use std::borrow::Cow;
+use std::sync::Mutex;
 
 /// The per-component strategies the solver may report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,9 +84,10 @@ pub struct URepairSolver {
     /// so its raw number depends on thread interleaving. Callers
     /// comparing outputs canonicalize the applied table
     /// (`Table::canonicalize_fresh`), as the engine does before it reads
-    /// the changed cells into a report. The `CommonLhsViaS` strategy
-    /// also fans the conflict components of its inner S-repair over
-    /// this many threads ([`ShardConfig::threads`]); that repair is
+    /// the changed cells into a report. A component's subset reduction
+    /// (Corollary 4.6, and Theorem 4.12's side of the approximation) also
+    /// fans the conflict components of its inner S-repair over this many
+    /// threads ([`fd_srepair::ShardConfig::threads`]); that repair is
     /// identical at any thread count.
     pub threads: usize,
 }
@@ -111,7 +117,8 @@ pub struct UpdatePlanStep {
 /// An update repair's strategy on one table, computed once by
 /// [`URepairSolver::plan`] with polynomial work only: the steps
 /// `explain()` renders, plus the consensus-repaired base table and the
-/// component FD sets that [`URepairSolver::execute`] solves.
+/// component FD sets that [`URepairSolver::execute`] solves, each with
+/// its [`ConflictIndex`] over the base.
 #[derive(Clone, Debug)]
 pub struct UpdatePlan<'t> {
     /// Steps in application order; the last `components.len()` are the
@@ -123,7 +130,7 @@ pub struct UpdatePlan<'t> {
     pub ratio: f64,
     consensus: URepair,
     base: Cow<'t, Table>,
-    components: Vec<FdSet>,
+    components: Vec<(FdSet, ConflictIndex)>,
 }
 
 impl UpdatePlan<'_> {
@@ -152,20 +159,13 @@ impl URepairSolver {
         sol
     }
 
-    /// Plans a U-repair without solving: the consistency check, the
-    /// consensus pre-pass (Theorem 4.3), the attribute-disjoint
-    /// components (Theorem 4.1), and §4's case analysis
-    /// (`component_method`) for each.
+    /// Plans a U-repair without solving: the consensus pre-pass
+    /// (Theorem 4.3), the attribute-disjoint components (Theorem 4.1),
+    /// and §4's case analysis (`component_method`) for each, over its
+    /// index. The table is consistent when the pre-pass writes no cell
+    /// and every component is.
     pub fn plan<'t>(&self, table: &'t Table, fds: &FdSet) -> UpdatePlan<'t> {
-        // A lone consensus-free component is Δ on the input itself, so
-        // `component_method`'s consistency scan answers this one.
-        let lone = fds.consensus_attrs().is_empty() && attribute_components(fds).len() == 1;
-        // A consistent table plans no pre-pass and no component.
-        let consistent = !lone && table.satisfies(fds);
-        let nothing = FdSet::default();
-        let todo = if consistent { &nothing } else { fds };
-        // Theorem 4.3: consensus attributes first (optimal, independent).
-        let (consensus, attrs, base, rest) = consensus_first(table, todo);
+        let (consensus, attrs, base, rest) = consensus_first(table, fds);
         let step = |method, attrs, ratio| UpdatePlanStep {
             method,
             attrs,
@@ -175,18 +175,23 @@ impl URepairSolver {
             .then(|| step(UMethod::ConsensusOnly, attrs, 1.0))
             .into_iter()
             .collect();
-        let components = attribute_components(&rest);
-        for comp in &components {
-            let method = self.component_method(&base, comp);
+        let mut consistent = consensus.cells.is_empty();
+        let mut components = Vec::new();
+        for comp in attribute_components(&rest) {
+            let index = ConflictIndex::build(&base, &comp);
+            let method = self.component_method(&base, &comp, &index);
             let ratio = match method {
-                UMethod::Approximate => approx_component_bound(comp),
+                UMethod::Approximate => approx_component_bound(&comp),
                 _ => 1.0,
             };
+            consistent &= method == UMethod::AlreadyConsistent;
             steps.push(step(method, comp.attrs(), ratio));
+            components.push((comp, index));
         }
         // A consistent table is one whole-table step.
-        if steps.is_empty() || (lone && steps[0].method == UMethod::AlreadyConsistent) {
+        if consistent {
             steps = vec![step(UMethod::AlreadyConsistent, AttrSet::default(), 1.0)];
+            components.clear();
         }
         let ratio = steps.iter().map(|s| s.ratio).fold(1.0, f64::max);
         UpdatePlan {
@@ -205,11 +210,13 @@ impl URepairSolver {
     /// when it exhausts [`URepairSolver::exact_node_budget`].
     pub fn execute(&self, plan: UpdatePlan<'_>) -> USolution {
         let split = plan.steps.len() - plan.components.len();
-        let work: Vec<(&FdSet, UMethod)> = plan
+        // Each index moves into its component's solve, which frees it
+        // after its last reader, before KL's re-admission (the peak).
+        let work: Vec<(FdSet, Mutex<Option<ConflictIndex>>, UMethod)> = plan
             .components
-            .iter()
+            .into_iter()
             .zip(&plan.steps[split..])
-            .map(|(comp, step)| (comp, step.method))
+            .map(|((comp, index), step)| (comp, Mutex::new(Some(index)), step.method))
             .collect();
         let mut sol = USolution {
             repair: plan.consensus,
@@ -223,11 +230,16 @@ impl URepairSolver {
         let mut fanout_sp = fd_trace::span("urepair/fanout");
         fanout_sp.attr("components", work.len());
         fanout_sp.attr("rows", plan.base.len());
-        let solved = fd_core::round_robin_map(self.threads, &work, |&(comp, method)| {
+        let solved = fd_core::round_robin_map(self.threads, &work, |(comp, index, method)| {
             let mut sp = fd_trace::span("urepair/component");
             sp.attr("rows", plan.base.len());
             sp.attr("fds", comp.len());
-            let part = self.solve_component(&plan.base, comp, method);
+            let index = index
+                .lock()
+                .expect("unpoisoned")
+                .take()
+                .expect("solved once");
+            let part = self.solve_component(&plan.base, comp, index, *method);
             sp.attr("method", umethod_name(part.1));
             part
         });
@@ -245,13 +257,14 @@ impl URepairSolver {
     }
 
     /// §4's case analysis for one consensus-free component `comp`,
-    /// solved against the consensus-repaired table `base`: already
-    /// consistent, then the two-cycle (Proposition 4.9), then a common
-    /// lhs on the tractable side (Corollary 4.6), then the exact search
-    /// on tables within `exact_row_limit` (never past [`EXACT_MAX_ROWS`]),
-    /// else the combined approximation.
-    fn component_method(&self, base: &Table, comp: &FdSet) -> UMethod {
-        if base.satisfies(comp) {
+    /// solved against the consensus-repaired table `base`, whose `index`
+    /// under `comp` it reads: already consistent (no conflict group),
+    /// then the two-cycle (Proposition 4.9), then a common lhs on the
+    /// tractable side (Corollary 4.6), then the exact search on tables
+    /// within `exact_row_limit` (never past [`EXACT_MAX_ROWS`]), else the
+    /// combined approximation.
+    fn component_method(&self, base: &Table, comp: &FdSet, index: &ConflictIndex) -> UMethod {
+        if index.is_consistent() {
             UMethod::AlreadyConsistent
         } else if detect_two_cycle(comp).is_some() {
             UMethod::TwoCycle
@@ -264,29 +277,33 @@ impl URepairSolver {
         }
     }
 
-    /// Executes the planned `method` for `comp`.
-    fn solve_component(&self, base: &Table, comp: &FdSet, method: UMethod) -> ComponentPart {
+    /// Executes the planned `method` for `comp`, over the plan's `index`
+    /// of `base` under `comp`.
+    fn solve_component(
+        &self,
+        base: &Table,
+        comp: &FdSet,
+        index: ConflictIndex,
+        method: UMethod,
+    ) -> ComponentPart {
         match method {
             UMethod::AlreadyConsistent => return (URepair::default(), method, true, 1.0),
-            UMethod::TwoCycle => return (two_cycle_u_repair(base, comp), method, true, 1.0),
+            UMethod::TwoCycle => return (two_cycle_over(base, comp, &index), method, true, 1.0),
             UMethod::CommonLhsViaS => {
-                let cfg = ShardConfig {
-                    threads: self.threads,
-                    ..ShardConfig::default()
-                };
-                let sr = sharded_s_repair(base, comp, &cfg).repair;
-                return (subset_to_update(base, &sr, comp), method, true, 1.0);
+                let part = subset_reduction(base, comp, &index, self.threads);
+                return (part, method, true, 1.0);
             }
             _ => {}
         }
-        let ours = approx_u_repair(base, comp);
+        // Theorem 4.12's side of the combined approximation.
+        let ours = subset_reduction(base, comp, &index, self.threads);
         // Small instances: exhaustive search, seeded with the
         // approximation's cost. When it runs out of its node budget the
         // component falls through to the approximation below.
         if method == UMethod::ExactSearch {
             let cfg = ExactConfig {
                 max_nodes: self.exact_node_budget,
-                initial_bound: Some(ours.repair.cost + 1e-9),
+                initial_bound: Some(ours.cost + 1e-9),
                 mutable_attrs: Some(comp.attrs()),
                 ..ExactConfig::default()
             };
@@ -295,12 +312,8 @@ impl URepairSolver {
             }
         }
         // Combined approximation (§4.4's closing remark).
-        let kl = kl_u_repair(base, comp);
-        let part = if kl.cost < ours.repair.cost {
-            kl
-        } else {
-            ours.repair
-        };
+        let kl = kl_component(base, URepair::default(), base, comp, index);
+        let part = if kl.cost < ours.cost { kl } else { ours };
         let bound = approx_component_bound(comp);
         (part, UMethod::Approximate, false, bound)
     }

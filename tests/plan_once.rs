@@ -112,13 +112,57 @@ fn escalated_calls_plan_once() {
     assert!(Planner.run(&table, &fds, &escalated).unwrap().optimal);
     assert_eq!(conflict_scans(&table, &fds, &starved), 1);
     assert_eq!(conflict_scans(&table, &fds, &escalated), 1);
-    // Update: a loose ceiling runs exactly what Best runs.
+    // Update: a loose ceiling runs exactly what Best runs, on the plan's
+    // one index.
     let best = RepairRequest::update();
     let loose = best.optimality(Optimality::Approximate { max_ratio: 100.0 });
-    assert_eq!(
-        conflict_scans(&table, &fds, &loose),
-        conflict_scans(&table, &fds, &best)
-    );
+    assert_eq!(conflict_scans(&table, &fds, &loose), 1);
+    assert_eq!(conflict_scans(&table, &fds, &best), 1);
+}
+
+#[test]
+fn every_notion_asks_each_conflict_question_once() {
+    for (name, table, fds) in fixtures() {
+        // Mixed on its polynomial method: the enumeration of a small
+        // table runs an exact update search per deletion set.
+        let mixed = RepairRequest::new(Notion::Mixed).exact_fallback_limit(0);
+        for request in [
+            RepairRequest::subset(),
+            mixed,
+            RepairRequest::new(Notion::Classify),
+        ] {
+            let notion = request.notion;
+            assert_eq!(
+                conflict_scans(&table, &fds, &request),
+                1,
+                "{name} {notion:?}"
+            );
+        }
+        // Update: one index per attribute component, built by the plan
+        // and read by every stage of the component's solve.
+        let components = fd_repairs::urepair::attribute_components(&fds).len();
+        let update = RepairRequest::update();
+        assert_eq!(conflict_scans(&table, &fds, &update), components, "{name}");
+    }
+    // A two-cycle component reads the plan's index too; KL reads
+    // single-rhs FDs, so a hard component whose FD has a wider rhs is
+    // indexed once more, over its split FDs.
+    let s = schema_rabc();
+    let rows = (0..30i64).map(|i| tup![i % 5, i % 4, i % 3]);
+    let table = Table::build_unweighted(s.clone(), rows).unwrap();
+    for (spec, method, scans) in [
+        ("A -> B; B -> A", "TwoCycle", 1),
+        ("A -> B C; C -> B", "Approximate", 2),
+    ] {
+        let fds = FdSet::parse(&s, spec).unwrap();
+        let report = Planner.run(&table, &fds, &RepairRequest::update()).unwrap();
+        assert_eq!(report.methods, vec![method], "{spec}");
+        assert_eq!(
+            conflict_scans(&table, &fds, &RepairRequest::update()),
+            scans,
+            "{spec}"
+        );
+    }
 }
 
 #[test]
